@@ -18,6 +18,7 @@ softmax zeroes out the invisible positions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -88,6 +89,19 @@ class CorrelationTracker:
     def count(self) -> int:
         """Number of items observed so far."""
         return self._count
+
+    def __deepcopy__(self, memo) -> "CorrelationTracker":
+        """Copy every position list with one C-level call (keys are shared)."""
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new._positions_by_key = {
+            key: list(positions) for key, positions in self._positions_by_key.items()
+        }
+        new._open_sessions = {
+            key: (value, list(positions))
+            for key, (value, positions) in self._open_sessions.items()
+        }
+        return new
 
     def observe(self, key: Hashable, value: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
         """Register the next item and return its correlated earlier positions.

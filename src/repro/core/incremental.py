@@ -48,6 +48,7 @@ full-history reference encode under the banded mask).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence
 
@@ -182,6 +183,33 @@ class IncrementalEncoderState:
             grown[: self._length] = old[: self._length]
             setattr(self, name, grown)
         self._capacity = capacity
+
+    def __deepcopy__(self, memo) -> "IncrementalEncoderState":
+        """Copy the caches and bookkeeping container by container.
+
+        Each array is one ``ndarray.copy()`` and each list or dict one
+        C-level call; keys are shared.  The model goes through ``memo``,
+        so a caller's memo decides whether the weights are shared, detached
+        or copied.
+        """
+        copy_array = np.ndarray.copy
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new.model = copy.deepcopy(self.model, memo)
+        new._k_cache = list(map(copy_array, self._k_cache))
+        new._v_cache = list(map(copy_array, self._v_cache))
+        new._key_order = dict(self._key_order)
+        new._key_counts = dict(self._key_counts)
+        new._row_keys = list(self._row_keys)
+        new._rank_buf = self._rank_buf.copy()
+        new._code_buf = self._code_buf.copy()
+        new._fused_rows = list(map(copy_array, self._fused_rows))
+        new._fusion_states = {
+            key: tuple(map(copy_array, state)) for key, state in self._fusion_states.items()
+        }
+        new._latest_rep = {key: rep.copy() for key, rep in self._latest_rep.items()}
+        new._tracker = copy.deepcopy(self._tracker, memo)
+        return new
 
     # ------------------------------------------------------------------ #
     # accessors

@@ -70,6 +70,11 @@ class Item:
     value: Tuple[int, ...]
     time: float
 
+    def __deepcopy__(self, memo) -> "Item":
+        # Frozen, so a deep copy may share it: serving-state copies (shard
+        # checkpoints, snapshots) hold every windowed item and skip them all.
+        return self
+
     def field(self, index: int) -> int:
         """Return the integer code of value dimension ``index``."""
         return int(self.value[index])

@@ -17,6 +17,7 @@ an unbounded item stream.  This module provides:
 
 from __future__ import annotations
 
+import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ class StreamEvent:
     @property
     def key(self) -> Hashable:
         return self.item.key
+
+    def __deepcopy__(self, memo) -> "StreamEvent":
+        # Frozen (and so is its item): a deep copy may share it.
+        return self
 
 
 def replay(tangle: TangledSequence, source: str = "") -> Iterator[StreamEvent]:
@@ -104,6 +109,13 @@ class SlidingWindow:
     def items(self) -> List[Item]:
         return list(self._items)
 
+    def __deepcopy__(self, memo) -> "SlidingWindow":
+        """Copy the deque with one C-level call; the frozen items are shared."""
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new._items = deque(self._items)
+        return new
+
     def push(self, item: Item) -> List[Item]:
         """Add one item; returns the items evicted by this push."""
         if self._items and item.time < self._items[-1].time:
@@ -168,6 +180,13 @@ class KeyTracker:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._states
+
+    def __deepcopy__(self, memo) -> "KeyTracker":
+        """Copy the state map and each flat :class:`KeyState` (keys are shared)."""
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new._states = {key: copy.copy(state) for key, state in self._states.items()}
+        return new
 
     def observe(self, event: StreamEvent) -> KeyState:
         """Record one arrival and return the key's updated state."""

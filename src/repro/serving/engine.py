@@ -108,6 +108,7 @@ with unbounded memory — strictly a correctness oracle, not a serving mode.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
@@ -269,6 +270,36 @@ class StreamSession:
             self._scanned_arrivals = 0
             #: Key -> first-appearance rank in the stream (decision ordering).
             self._key_first_seen: Dict[Hashable, int] = {}
+
+    def __deepcopy__(self, memo) -> "StreamSession":
+        """Copy the serving state container by container.
+
+        Shard checkpoints, snapshots, migration and replica seeding all
+        deep-copy sessions.  A generic object walk would visit every frozen
+        item and every float; here each container is one C-level copy and
+        each :class:`Decision` one ``copy.copy``.  ``model``, ``spec`` and
+        ``config`` go through ``memo``, so the caller's memo decides
+        whether they are shared, detached or copied.
+        """
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new.model = copy.deepcopy(self.model, memo)
+        new.spec = copy.deepcopy(self.spec, memo)
+        new.config = copy.deepcopy(self.config, memo)
+        new.window = copy.deepcopy(self.window, memo)
+        new.tracker = copy.deepcopy(self.tracker, memo)
+        new.decisions = {key: copy.copy(d) for key, d in self.decisions.items()}
+        new._truncated_keys = set(self._truncated_keys)
+        new._window_pending = set(self._window_pending)
+        new._incremental = copy.deepcopy(self._incremental, memo)
+        if self._incremental is not None:
+            new._row_halt = list(self._row_halt)
+            new._unscanned_rows = list(self._unscanned_rows)
+            new._window_key_counts = dict(self._window_key_counts)
+        if self._history is not None:
+            new._history = list(self._history)
+            new._key_first_seen = dict(self._key_first_seen)
+        return new
 
     # ------------------------------------------------------------------ #
     # ingestion

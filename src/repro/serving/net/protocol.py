@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NoReturn, Optional, Tuple
 
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
@@ -97,6 +98,16 @@ class WireFormatError(ValueError):
     """A request that does not decode to a valid serving-layer payload."""
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise WireFormatError(f"request body contains the non-finite number {name}")
+
+
+#: Request-body decoder.  ``json.loads`` accepts ``NaN``/``Infinity`` by
+#: default; one prebuilt decoder rejects them without building a new
+#: decoder per request.
+_REQUEST_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 @dataclass
 class HTTPRequest:
     """One parsed request: method, split path, lowercase headers, raw body."""
@@ -116,7 +127,7 @@ class HTTPRequest:
         if not self.body:
             return None
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return _REQUEST_DECODER.decode(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise WireFormatError(f"request body is not valid JSON: {error}")
 
@@ -362,14 +373,23 @@ def event_from_wire(
     if not isinstance(time_value, (int, float)) or isinstance(time_value, bool):
         raise WireFormatError("event time must be a number")
     try:
+        time_value = float(time_value)
+    except OverflowError:
+        raise WireFormatError("event time is out of range")
+    # A body decoded elsewhere may carry NaN/Infinity, and a literal such as
+    # 1e400 decodes to inf: either would reach the window and make every
+    # later arrival of the stream fail its round as out of order.
+    if not math.isfinite(time_value):
+        raise WireFormatError("event time must be finite")
+    try:
         spec.validate_value(value)
     except ValueError as error:
         raise WireFormatError(str(error))
-    item = Item(key=key, value=tuple(value), time=float(time_value))
+    item = Item(key=key, value=tuple(value), time=time_value)
     source = payload.get("source", stream_id)
     if not isinstance(source, str):
         raise WireFormatError("event source must be a string")
-    return StreamEvent(time=float(time_value), item=item, source=source)
+    return StreamEvent(time=time_value, item=item, source=source)
 
 
 def decision_to_wire(stream_decision: StreamDecision) -> Dict[str, object]:

@@ -385,15 +385,48 @@ class TestMalformedRequests:
                     bad_expire = await client.request(
                         "POST", "/v1/admin/expire", {"now": "later"}
                     )
-            return [
+                    # non-finite numbers: json.dumps writes NaN/Infinity
+                    # literals, and 1e400 parses to inf
+                    non_finite = [
+                        await client.request(
+                            "POST",
+                            "/v1/streams/s/events",
+                            {"time": bad, "key": "k", "value": [0, 0]},
+                        )
+                        for bad in (float("nan"), float("inf"), float("-inf"))
+                    ]
+                    overflowing_time = await client.raw_request(
+                        protocol.render_request(
+                            "POST",
+                            "/v1/streams/s/events",
+                            target,
+                            b'{"time": 1e400, "key": "k", "value": [0, 0]}',
+                        )
+                    )
+                    nan_expire = await client.request(
+                        "POST", "/v1/admin/expire", {"now": float("nan")}
+                    )
+                    # none of it reached the stream: a valid arrival is
+                    # still admitted and served without a failed round
+                    valid = await client.request(
+                        "POST",
+                        "/v1/streams/s/events",
+                        {"time": 0.2, "key": "k", "value": [0, 0]},
+                    )
+                    await client.drain()
+                    health = await client.health()
+            return valid, health, [
                 garbage, bad_json, unknown_field, out_of_range,
                 wrong_arity, not_a_dict, bad_expire,
+                *non_finite, overflowing_time, nan_expire,
             ]
 
-        responses = asyncio.run(scenario())
+        valid, health, responses = asyncio.run(scenario())
         for response in responses:
             assert response.status == 400
             assert "error" in response.json()
+        assert valid.status in (200, 202)
+        assert health["failures"] == 0
 
     def test_unknown_paths_and_methods(self):
         model = make_model()

@@ -17,26 +17,31 @@ Three layers, bottom up:
   the ``stats()["health"]`` view tying it together.
 """
 
+import copy
 import os
 import pickle
 import signal
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core.config import KVECConfig
+from repro.core.correlation import CorrelationTracker
+from repro.core.incremental import IncrementalEncoderState
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
-from repro.data.stream import StreamEvent
+from repro.data.stream import KeyState, KeyTracker, SlidingWindow, StreamEvent
 from repro.serving.cluster import (
     ClusterConfig,
     ServingCluster,
     ShardDegradedError,
     ShardOverloadError,
+    _detached_sessions_copy,
 )
-from repro.serving.engine import EngineConfig
+from repro.serving.engine import Decision, EngineConfig, StreamSession
 from repro.serving.faults import (
     FaultInjectingSink,
     FaultInjector,
@@ -539,6 +544,158 @@ class TestCrashRecoveryParity:
         # Initial checkpoint + one per full cadence window.
         assert supervisor.checkpoints == 1 + rounds // 5
         assert cluster.health()["shards"][0]["rounds_since_checkpoint"] == rounds % 5
+        cluster.close()
+
+
+# --------------------------------------------------------------------- #
+# checkpoint copies: nothing mutable shared with the live state
+# --------------------------------------------------------------------- #
+#: Leaves a copy may share with its original: immutable values and the
+#: frozen arrival records.
+_SHAREABLE = (type(None), bool, int, float, str, bytes, np.generic, Item, StreamEvent)
+
+#: Every kind of mutable object a saturated session holds, per engine
+#: mode; the walk must meet each, or it proves nothing about the copy
+#: lines for it.
+_SESSION_KINDS = {
+    StreamSession, SlidingWindow, KeyTracker, KeyState, Decision, list, dict, set, deque,
+}
+_STATE_KINDS = {
+    "incremental": _SESSION_KINDS | {IncrementalEncoderState, CorrelationTracker, np.ndarray},
+    "full": _SESSION_KINDS,
+}
+
+
+def reachable_state(root, shared):
+    """``id -> object`` of every mutable object reachable from ``root``.
+
+    Walks containers (dict keys too) and the ``vars()`` of every other
+    object, skipping immutable leaves and the objects in ``shared`` (model,
+    spec and config, which copies share by design).  An array counts as
+    the array owning its buffer, so a view into another state's buffer
+    collides with it.
+    """
+    shared_ids = {id(obj) for obj in shared}
+    found = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _SHAREABLE) or id(obj) in shared_ids:
+            continue
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+            continue
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+        if id(obj) in found:
+            continue
+        found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set, deque)):
+            stack.extend(obj)
+        elif not isinstance(obj, np.ndarray):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def assert_independent(original, duplicate, shared, mode="incremental"):
+    """No mutable object is reachable from both; the walk saw every kind."""
+    mine = reachable_state(original, shared)
+    theirs = reachable_state(duplicate, shared)
+    common = mine.keys() & theirs.keys()
+    assert not common, sorted({type(mine[i]).__name__ for i in common})
+    kinds = {base for obj in theirs.values() for base in type(obj).__mro__}
+    assert _STATE_KINDS[mode] <= kinds, _STATE_KINDS[mode] - kinds
+
+
+def saturated_cluster(mode: str = "incremental", executor: str = "serial"):
+    """One shard, 2 streams far past their 7-item windows; returns the
+    cluster and unserved tail events."""
+    model = make_model()
+    _, events = multi_stream_events(seed=21, num_events=160, num_streams=2, num_keys=8)
+    cluster = ServingCluster(
+        model,
+        SPEC,
+        ClusterConfig(
+            num_shards=1,
+            batch_size=4,
+            executor=executor,
+            engine=engine_config(mode=mode),
+        ),
+    )
+    for event in events[:120]:
+        cluster.submit(event)
+    return cluster, events[120:]
+
+
+class TestCheckpointCopies:
+    """Sessions and their parts deep-copy container by container
+    (``__deepcopy__``); every checkpoint, restore, snapshot, migration and
+    replica seed goes through it, so a copy must share nothing mutable."""
+
+    @pytest.mark.parametrize("mode", ["incremental", "full"])
+    def test_session_copy_shares_no_mutable_state(self, mode):
+        cluster, tail = saturated_cluster(mode=mode)
+        shard = cluster.shards[0]
+        stream_id, session = sorted(shard.sessions.items())[0]
+        shared = (session.model, session.spec, session.config)
+        assert session.decisions and session._truncated_keys
+        copied = copy.deepcopy(session, shard._shard_memo())
+        assert copied.model is session.model and copied.config is session.config
+        assert_independent(session, copied, shared, mode)
+        # The copy is a faithful replica: the same tail, the same decisions.
+        tail = [event for event in tail if event.source == stream_id]
+        assert tail
+        for event in tail:
+            assert copied.offer(event) == session.offer(event)
+        assert copied.flush() == session.flush()
+        cluster.close()
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_checkpoint_unchanged_while_original_serves(self, executor):
+        cluster, tail = saturated_cluster(executor=executor)
+        shard = cluster.shards[0]
+        shard.supervisor.checkpoint_now()
+        checkpoint = shard.supervisor._checkpoint
+        assert_independent(
+            shard.sessions, checkpoint["sessions"], shard._shared_refs()
+        )
+        before = pickle.dumps(checkpoint)
+        live_before = pickle.dumps(shard.sessions)
+        for event in tail:
+            cluster.submit(event)
+        cluster.flush()
+        assert pickle.dumps(shard.sessions) != live_before
+        assert shard.supervisor._checkpoint is checkpoint
+        assert pickle.dumps(checkpoint) == before
+        cluster.close()
+
+    def test_frozen_records_are_shared(self):
+        _, events = multi_stream_events(seed=22, num_events=1)
+        event = events[0]
+        assert copy.deepcopy(event.item) is event.item
+        assert copy.deepcopy(event) is event
+
+    def test_plain_deepcopy_copies_the_model_once(self):
+        cluster, _ = saturated_cluster()
+        session = next(iter(cluster.shards[0].sessions.values()))
+        copied = copy.deepcopy(session)
+        assert copied.model is not session.model
+        assert copied._incremental.model is copied.model
+        cluster.close()
+
+    def test_detached_copy_still_severs_the_model(self):
+        cluster, _ = saturated_cluster()
+        shard = cluster.shards[0]
+        detached = _detached_sessions_copy(shard.sessions, shard._shared_refs())
+        for session in detached.values():
+            assert session.model is None and session._incremental.model is None
+            assert session.spec is None and session.config is None
+        stream_id = sorted(shard.sessions)[0]
+        assert cluster.extract_stream(stream_id).session.model is None
         cluster.close()
 
 
