@@ -5,8 +5,11 @@ The model has two cooperating modules (Fig. 2 of the paper):
 * **KVRL** (key-value sequence representation learning):
   :class:`~repro.core.embeddings.InputEmbedding` builds per-item embeddings
   (value + membership + relative position + time),
-  :class:`~repro.core.correlation.CorrelationTracker` derives the dynamic
-  key/value-correlation mask, :class:`~repro.core.kvrl.KVRLEncoder` applies
+  :func:`~repro.core.correlation.build_correlation_structure` derives the
+  dynamic key/value-correlation mask (the streaming
+  :class:`~repro.core.incremental.IncrementalEncoderState` replays the same
+  rule one arrival at a time from a column table of its cached rows),
+  :class:`~repro.core.kvrl.KVRLEncoder` applies
   correlation-masked self-attention blocks, and
   :class:`~repro.core.fusion.GatedFusion` folds the refined item embeddings
   into one running representation per key-value sequence.
@@ -23,7 +26,7 @@ Algorithm 1 (cross-entropy + REINFORCE-with-baseline + earliness penalty).
 """
 
 from repro.core.config import KVECConfig
-from repro.core.correlation import CorrelationStructure, CorrelationTracker, build_correlation_structure
+from repro.core.correlation import CorrelationStructure, build_correlation_structure
 from repro.core.embeddings import InputEmbedding
 from repro.core.kvrl import KVRLEncoder
 from repro.core.fusion import GatedFusion, MeanFusion, LastItemFusion
@@ -38,7 +41,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "KVECConfig",
-    "CorrelationTracker",
     "CorrelationStructure",
     "build_correlation_structure",
     "InputEmbedding",

@@ -10,11 +10,25 @@ window of W items) to O(W·d).
 
 :class:`IncrementalEncoderState` caches, per attention block, the projected
 K/V rows of every item currently in the context, plus the per-key fusion
-states, and extends the correlation-mask row for each new arrival
-incrementally (via :class:`~repro.core.correlation.CorrelationTracker`, the
-same machinery the batched mask builder uses), so that :meth:`append`
-produces exactly the fused representation a full re-encode of the same
-window would produce.
+states, and derives each new arrival's correlation-mask row from a column
+table of the cached rows, so that :meth:`append` produces exactly the fused
+representation a full re-encode of the same window would produce.
+
+**Columnar ring storage.**  A state holds ``C`` slots, ``C`` being the
+requested capacity.  Each block keeps one ``(2, num_heads, C, d_head)`` K/V
+array, and the state keeps one ``(4, C)`` int64 column table: per slot the
+row's key code, its rank within its key, its session-field value and an
+open-session flag.  Arrival ``t`` lives in slot ``t mod C`` (counted from
+the last time :meth:`_grow` re-laid the live rows in arrival order).  One
+function, :meth:`_correlation_rows`, turns the columns into the arriving
+row's mask, relative-delta and same-key rows with a few numpy comparisons
+(the visibility rule of
+:func:`~repro.core.correlation.build_correlation_structure`, replayed
+incrementally); the serial :meth:`append`, the batched :func:`append_batch`
+and :meth:`rebuild` all call it.  Attention runs over the written slots in
+*slot* order: after the ring first wraps that differs from arrival order,
+which moves results by summation-order noise only (~1e-16) — the softmax
+gives masked slots exactly zero weight.
 
 Two eviction strategies, selected by ``KVECConfig.encoding``:
 
@@ -28,6 +42,7 @@ therefore changes every row, and no O(W) update can reproduce it.  The cache
 must be invalidated: :meth:`rebuild` re-encodes the remaining window in one
 *batched no-grad pass* and reseeds all caches from it — saturated-window
 serving stays O(W²·d) per arrival.  :attr:`rebuilds` counts these passes.
+The scheme never evicts a slot, so its slots stay in arrival order.
 
 **Rotary scheme** (``encoding="rotary"``, the eviction-stable ring buffer).
 Time and position information live on the attention side (rotary phase
@@ -38,48 +53,33 @@ and its fused representation never depend on its current offset in the
 window.  Each row's representation is **frozen at arrival**: it is computed
 once, attending over the window contents at that moment (equivalently, over
 the ``W`` most recent arrivals — a banded attention mask in global indices),
-and never recomputed.  Eviction becomes :meth:`evict_oldest` — drop row 0
-and shift the caches left, an O(W·d) memmove — and the next arrival appends
-one O(W·d) row; **no rebuild ever happens**, so saturated-window serving is
-O(W·d) per arrival.  Per-key fusion states and latest representations
-survive eviction (the fusion folds a key's *entire stream*, exactly like a
-full-history reference encode under the banded mask).
+and never recomputed.  Eviction is :meth:`evict_oldest`: an O(1) advance of
+the ring's base — no array moves; the evicted row's slot is masked out until
+the next arrival overwrites it — and the next arrival appends one O(W·d) row;
+**no rebuild ever happens**, so saturated-window serving is O(W·d) per
+arrival.  Per-key fusion states and latest representations survive eviction
+(the fusion folds a key's *entire stream*, exactly like a full-history
+reference encode under the banded mask).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.correlation import CorrelationTracker
 from repro.data.items import Item
-from repro.nn.attention import MASK_VALUE, RelativeCoords
+from repro.nn.attention import MASK_VALUE, RelativeCoords, rotary_phases
 
 #: Initial per-block cache capacity when none is given.
 _DEFAULT_CAPACITY = 64
 
-
-@dataclass
-class _PendingRow:
-    """One registered-but-not-yet-encoded arrival of a streaming state.
-
-    Produced by :meth:`IncrementalEncoderState._begin_append` (which already
-    mutated the state's bookkeeping) and consumed by either the serial encode
-    in :meth:`IncrementalEncoderState.append` or the cross-stream batched
-    encode in :func:`append_batch`, then finalised by
-    :meth:`IncrementalEncoderState._commit_row`.
-    """
-
-    index: int
-    key: Hashable
-    row: np.ndarray
-    mask_row: np.ndarray
-    position: Optional[float]
-    delta_row: Optional[np.ndarray]
-    same_row: Optional[np.ndarray]
+#: Rows of a state's column table: each slot's key code, rank within its
+#: key, session-field value and open-session flag (1 while the row belongs
+#: to its key's current session).
+_NUM_COLUMNS = 4
+_CODE, _RANK, _SESSION, _OPEN = range(_NUM_COLUMNS)
 
 
 class IncrementalEncoderState:
@@ -94,15 +94,18 @@ class IncrementalEncoderState:
         module docstring).
     capacity:
         Expected maximum number of context rows (e.g. the engine's
-        ``window_items``).  Caches grow automatically if exceeded.
+        ``window_items``): the number of ring slots.  The ring grows
+        automatically if exceeded.
     """
 
     def __init__(self, model, capacity: Optional[int] = None) -> None:
         self.model = model
-        self._scheme = getattr(model.config, "encoding", "absolute")
-        self._use_relative = (
-            self._scheme == "rotary" and model.config.use_time_embeddings
-        )
+        config = model.config
+        self._scheme = getattr(config, "encoding", "absolute")
+        self._use_relative = self._scheme == "rotary" and config.use_time_embeddings
+        self._use_key = config.use_key_correlation
+        self._use_value = config.use_value_correlation
+        self._session_field = model.spec.session_field
         self._capacity = max(int(capacity or _DEFAULT_CAPACITY), 1)
         self._num_blocks = len(model.encoder.blocks)
         #: Batched full re-encodes performed (absolute-scheme evictions only).
@@ -110,7 +113,7 @@ class IncrementalEncoderState:
         #: Rows dropped via :meth:`evict_oldest` (rotary scheme only).
         self.evictions = 0
         self._check_absolute_bound(self._capacity)
-        self._allocate_caches(self._capacity)
+        self._allocate(self._capacity)
         self._clear_bookkeeping()
 
     # ------------------------------------------------------------------ #
@@ -132,57 +135,64 @@ class IncrementalEncoderState:
                 f"encoding='rotary' for unbounded streams"
             )
 
-    def _allocate_caches(self, capacity: int) -> None:
-        self._k_cache: List[np.ndarray] = []
-        self._v_cache: List[np.ndarray] = []
-        for block in self.model.encoder.blocks:
-            attention = block.attention
-            shape = (attention.num_heads, capacity, attention.d_head)
-            self._k_cache.append(np.empty(shape, dtype=np.float64))
-            self._v_cache.append(np.empty(shape, dtype=np.float64))
+    def _allocate(self, capacity: int) -> None:
+        attention = self.model.encoder.blocks[0].attention
+        shape = (2, attention.num_heads, capacity, attention.d_head)
+        #: Per block: K (``[0]``) and V (``[1]``) of every slot.
+        self._kv: List[np.ndarray] = [
+            np.empty(shape, dtype=np.float64) for _ in range(self._num_blocks)
+        ]
+        self._columns = np.empty((_NUM_COLUMNS, capacity), dtype=np.int64)
         self._capacity = capacity
 
     def _clear_bookkeeping(self) -> None:
         self._length = 0
-        #: Global arrival index of ring row 0 (== rows evicted so far).
+        #: Global arrival index of the oldest live row (== rows evicted).
         self._base = 0
+        #: Global arrival index held by slot 0 (reset when the ring grows).
+        self._origin = 0
         self._key_order: Dict[Hashable, int] = {}
         self._key_counts: Dict[Hashable, int] = {}
         self._row_keys: List[Hashable] = []
-        #: Per-row within-key rank and key code, kept as numpy ring buffers
-        #: (parallel to the K/V caches) so the relative-coordinate inputs of
-        #: every append are O(W) numpy slices instead of O(W) Python loops.
-        self._rank_buf = np.empty(self._capacity, dtype=np.int64)
-        self._code_buf = np.empty(self._capacity, dtype=np.int64)
         self._fused_rows: List[np.ndarray] = []
         self._fusion_states: Dict[Hashable, tuple] = {}
         self._latest_rep: Dict[Hashable, np.ndarray] = {}
-        config = self.model.config
-        self._tracker = CorrelationTracker(
-            session_field=self.model.spec.session_field,
-            use_key_correlation=config.use_key_correlation,
-            use_value_correlation=config.use_value_correlation,
-        )
+
+    def _filled(self) -> int:
+        """Slots ``[0, filled)`` hold written rows, live or evicted."""
+        return min(self._capacity, self._base + self._length - self._origin)
+
+    def _live_slots(self) -> np.ndarray:
+        """Slot of every live row, in arrival order."""
+        start = self._base - self._origin
+        return np.arange(start, start + self._length) % self._capacity
+
+    def _live_mask(self, filled: int) -> np.ndarray:
+        """Which of the ``filled`` written slots hold live (unevicted) rows."""
+        if filled == self._length:
+            return np.ones(filled, dtype=bool)
+        head = (self._base - self._origin) % self._capacity
+        return (np.arange(filled) - head) % self._capacity < self._length
 
     def _grow(self, minimum: int) -> None:
+        """Double the ring until it holds ``minimum`` rows.
+
+        The live rows are re-laid in arrival order from slot 0.
+        """
         self._check_absolute_bound(minimum)
         capacity = self._capacity
         while capacity < minimum:
             capacity *= 2
         if capacity == self._capacity:
             return
-        for index in range(self._num_blocks):
-            for caches in (self._k_cache, self._v_cache):
-                old = caches[index]
-                grown = np.empty((old.shape[0], capacity, old.shape[2]), dtype=np.float64)
-                grown[:, : self._length, :] = old[:, : self._length, :]
-                caches[index] = grown
-        for name in ("_rank_buf", "_code_buf"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=np.int64)
-            grown[: self._length] = old[: self._length]
-            setattr(self, name, grown)
-        self._capacity = capacity
+        order = self._live_slots()
+        length = self._length
+        kv, columns = self._kv, self._columns
+        self._allocate(capacity)
+        for grown, old in zip(self._kv, kv):
+            grown[:, :, :length, :] = old[:, :, order, :]
+        self._columns[:, :length] = columns[:, order]
+        self._origin = self._base
 
     def __deepcopy__(self, memo) -> "IncrementalEncoderState":
         """Copy the caches and bookkeeping container by container.
@@ -196,19 +206,16 @@ class IncrementalEncoderState:
         new = copy.copy(self)
         memo[id(self)] = new
         new.model = copy.deepcopy(self.model, memo)
-        new._k_cache = list(map(copy_array, self._k_cache))
-        new._v_cache = list(map(copy_array, self._v_cache))
+        new._kv = list(map(copy_array, self._kv))
+        new._columns = self._columns.copy()
         new._key_order = dict(self._key_order)
         new._key_counts = dict(self._key_counts)
         new._row_keys = list(self._row_keys)
-        new._rank_buf = self._rank_buf.copy()
-        new._code_buf = self._code_buf.copy()
         new._fused_rows = list(map(copy_array, self._fused_rows))
         new._fusion_states = {
             key: tuple(map(copy_array, state)) for key, state in self._fusion_states.items()
         }
         new._latest_rep = {key: rep.copy() for key, rep in self._latest_rep.items()}
-        new._tracker = copy.deepcopy(self._tracker, memo)
         return new
 
     # ------------------------------------------------------------------ #
@@ -253,178 +260,148 @@ class IncrementalEncoderState:
         return self._latest_rep.get(key)
 
     def kv_cache_view(self, block_index: int):
-        """The live ``(K, V)`` cache slices of one block (for tests/diagnostics)."""
-        return (
-            self._k_cache[block_index][:, : self._length, :],
-            self._v_cache[block_index][:, : self._length, :],
-        )
+        """The live ``(K, V)`` rows of one block in arrival order.
+
+        Gathered from the ring's slots, so these are copies (for
+        tests/diagnostics).
+        """
+        kv = self._kv[block_index][:, :, self._live_slots(), :]
+        return kv[0], kv[1]
 
     # ------------------------------------------------------------------ #
     # streaming updates
     # ------------------------------------------------------------------ #
-    def _next_coords(self, item: Item):
-        """``(key_index, position, time_index)`` the next append will register.
+    def _admit(self, item: Item) -> Tuple[int, int, int]:
+        """Give one arrival its slot and columns; the row is then live.
 
-        A pure peek (no mutation) mirroring the derivation inside
-        :meth:`_register_item`; :func:`append_batch` uses it to gather every
-        stream's embedding coordinates before the batched table lookup.
+        Returns ``(slot, key_index, position)``: the ring slot the caller
+        must fill with the row's K/V, and the embedding coordinates.  The
+        row's global arrival index is ``_base + len(self) - 1``.
         """
-        key_index = self._key_order.get(item.key)
-        if key_index is None:
-            key_index = len(self._key_order)
-        return key_index, self._key_counts.get(item.key, 0), self._base + self._length
-
-    def _register_item(self, item: Item, index: int, row: Optional[np.ndarray] = None):
-        """Register row ``index``'s stream coordinates — the single source of
-        truth for per-item bookkeeping, shared by :meth:`append` and
-        :meth:`rebuild` so their exactness cannot drift apart.
-
-        Returns ``(embedding_row, via_key, via_value)``: the item's raw
-        embedding (computed here unless the batched path already embedded it
-        via :meth:`_next_coords` + ``embed_items_inference``) and the earlier
-        *global* positions visible to it through each correlation type
-        (global == window-local while ``_base`` is 0, i.e. always, for the
-        absolute scheme).
-        """
+        self._check_absolute_bound(self._base + self._length + 1)
+        if self._length == self._capacity:
+            self._grow(self._length + 1)
         key = item.key
         key_index = self._key_order.setdefault(key, len(self._key_order))
         position = self._key_counts.get(key, 0)
         self._key_counts[key] = position + 1
-        if row is None:
-            row = self.model.input_embedding.embed_item_inference(
-                item, key_index=key_index, position=position, time_index=self._base + index
-            )
-        via_key, via_value = self._tracker.observe(key, item.value)
+        slot = (self._base + self._length - self._origin) % self._capacity
+        self._columns[:, slot] = (
+            key_index,
+            position,
+            int(item.value[self._session_field]),
+            1,
+        )
+        self._length += 1
         self._row_keys.append(key)
-        self._rank_buf[index] = position
-        self._code_buf[index] = key_index
-        return row, via_key, via_value
+        return slot, key_index, position
 
-    @staticmethod
-    def _fill_mask_row(row: np.ndarray, index: int, via_key, via_value) -> None:
-        """Zero the visible positions of one additive mask row in place.
+    def _correlation_rows(
+        self, columns: np.ndarray, live: np.ndarray, slots: Sequence[int]
+    ):
+        """Mask, rank-delta and same-key rows of ``B`` arriving rows.
 
-        Shared by :meth:`append` and :meth:`rebuild` so the visibility rule
-        cannot drift between the two paths.
+        The visibility rule of the dynamic mask (Section IV-B), as column
+        comparisons.  ``columns`` is a ``(B, 4, T)`` stack of column tables
+        whose arriving rows are already written at ``slots``; ``live`` is
+        the ``(B, T)`` flag of slots holding live rows (False on evicted and
+        padding slots).  An arriving row with key code ``c`` and session
+        value ``s`` sees
+
+        * the live rows with ``code == c`` (key correlation), and
+        * the live rows still open in their key's session, with
+          ``session == s`` and a different key (value correlation),
+
+        plus itself.  A new session value closes its key's open rows: the
+        open flags of same-key rows with another session value are cleared
+        in ``columns``.  Returns the ``(B, T)`` additive mask and, for the
+        relative encoding, the clipped rank deltas and the same-key
+        indicator (``None`` otherwise).
         """
-        row[index] = 0.0
-        if via_key:
-            row[via_key] = 0.0
-        if via_value:
-            row[via_value] = 0.0
+        rows = np.arange(len(slots))
+        arriving = columns[rows, :, slots]
+        same = (columns[:, _CODE] == arriving[:, _CODE, None]) & live
+        in_session = columns[:, _SESSION] == arriving[:, _SESSION, None]
+        open_flags = columns[:, _OPEN]
+        open_flags[same & ~in_session] = 0
+        if self._use_key:
+            visible = same
+        else:
+            visible = np.zeros_like(same)
+            visible[rows, slots] = True
+        if self._use_value:
+            visible = visible | (in_session & live & ~same & (open_flags == 1))
+        mask = np.where(visible, 0.0, MASK_VALUE)
+        if not self._use_relative:
+            return mask, None, None
+        delta = self.model.encoder.blocks[0].attention.clip_rank_delta(
+            arriving[:, _RANK, None] - columns[:, _RANK]
+        )
+        return mask, delta, same.astype(np.float64)
 
-    def _fuse_row(self, key: Hashable, encoded_row: np.ndarray) -> np.ndarray:
-        """Fold one encoded row into its key's fusion state and record it.
+    def _own_correlation_rows(self, slot: int):
+        """:meth:`_correlation_rows` of the row just admitted at ``slot``,
+        over this state's written slots (open flags updated in place)."""
+        filled = self._filled()
+        mask, delta, same = self._correlation_rows(
+            self._columns[None, :, :filled], self._live_mask(filled)[None], (slot,)
+        )
+        if delta is None:
+            return mask[0], None, None
+        return mask[0], delta[0], same[0]
 
-        Shared by :meth:`append` and :meth:`rebuild` so the fusion replay
-        cannot drift between the two paths.
-        """
-        representation = self.model.fusion_step_inference(self._fusion_states, key, encoded_row)
+    def _commit_fused(self, key: Hashable, representation: np.ndarray) -> np.ndarray:
+        """Record the fused representation of the newest row."""
         self._latest_rep[key] = representation
         self._fused_rows.append(representation)
-        return representation
-
-    def _begin_append(self, item: Item, row: Optional[np.ndarray] = None) -> _PendingRow:
-        """Register one arrival and stage everything its encode needs.
-
-        Mutates the bookkeeping (key order, ranks, correlation tracker, mask
-        inputs) exactly like the head of :meth:`append`; the caller must
-        follow up with the per-block encode and :meth:`_commit_row`.  Shared
-        by the serial :meth:`append` and the cross-stream :func:`append_batch`
-        (which passes the pre-computed batched embedding ``row``) so the two
-        paths cannot drift apart.
-        """
-        index = self._length
-        self._check_absolute_bound(self._base + index + 1)
-        if index >= self._capacity:
-            self._grow(index + 1)
-
-        key = item.key
-        row, via_key, via_value = self._register_item(item, index, row=row)
-        mask_row = np.full(index + 1, MASK_VALUE, dtype=np.float64)
-        base = self._base
-        if base:
-            via_key = [p - base for p in via_key]
-            via_value = [p - base for p in via_value]
-        self._fill_mask_row(mask_row, index, via_key, via_value)
-
-        position = None
-        delta_row = None
-        same_row = None
-        if self._use_relative:
-            position = float(base + index)
-            reference = self.model.encoder.blocks[0].attention
-            delta_row = reference.clip_rank_delta(
-                self._rank_buf[index] - self._rank_buf[: index + 1]
-            )
-            same_row = (
-                self._code_buf[: index + 1] == self._code_buf[index]
-            ).astype(np.float64)
-        return _PendingRow(
-            index=index,
-            key=key,
-            row=row,
-            mask_row=mask_row,
-            position=position,
-            delta_row=delta_row,
-            same_row=same_row,
-        )
-
-    def _commit_row(self, pending: _PendingRow, encoded_row: np.ndarray) -> np.ndarray:
-        """Fuse one encoded pending row and advance the cache length."""
-        representation = self._fuse_row(pending.key, encoded_row)
-        self._length += 1
-        return representation
-
-    def _commit_fused(self, pending: _PendingRow, representation: np.ndarray) -> np.ndarray:
-        """Record an *already fused* pending row and advance the cache length.
-
-        The batched path runs the fusion step itself (one gate GEMM across
-        streams via ``KVEC.fusion_steps_inference``), so only the per-row
-        bookkeeping of :meth:`_fuse_row` remains to be applied here.
-        """
-        self._latest_rep[pending.key] = representation
-        self._fused_rows.append(representation)
-        self._length += 1
         return representation
 
     def append(self, item: Item) -> np.ndarray:
         """Encode one new arrival in O(W·d) and return its fused representation.
 
         The new row's embedding, mask row, per-block attention (against the
-        cached K/V of every earlier row) and fusion step are computed; nothing
-        already cached is touched, which is exact because the mask is causal.
+        cached K/V of every written slot, evicted ones masked out) and fusion
+        step are computed; nothing already cached is touched, which is exact
+        because the mask is causal.
         """
-        pending = self._begin_append(item)
-        index = pending.index
-        row = pending.row
-        for block_index, block in enumerate(self.model.encoder.blocks):
+        slot, key_index, position = self._admit(item)
+        arrival = self._base + self._length - 1
+        model = self.model
+        row = model.input_embedding.embed_item_inference(
+            item, key_index=key_index, position=position, time_index=arrival
+        )
+        mask_row, delta_row, same_row = self._own_correlation_rows(slot)
+        filled = len(mask_row)
+        for block, kv in zip(model.encoder.blocks, self._kv):
             query, k_row, v_row = block.attention.project_qkv_row(
-                row, position=pending.position
+                row, position=float(arrival) if self._use_relative else None
             )
-            self._k_cache[block_index][:, index, :] = k_row
-            self._v_cache[block_index][:, index, :] = v_row
+            kv[0, :, slot] = k_row
+            kv[1, :, slot] = v_row
             bias_row = (
-                block.attention.relative_bias_row(pending.delta_row, pending.same_row)
+                block.attention.relative_bias_row(delta_row, same_row)
                 if self._use_relative
                 else None
             )
             row = block.forward_inference_row(
                 row,
                 query,
-                self._k_cache[block_index][:, : index + 1, :],
-                self._v_cache[block_index][:, : index + 1, :],
-                pending.mask_row,
+                kv[0, :, :filled],
+                kv[1, :, :filled],
+                mask_row,
                 bias_row=bias_row,
             )
-        return self._commit_row(pending, row)
+        representation = model.fusion_step_inference(self._fusion_states, item.key, row)
+        return self._commit_fused(item.key, representation)
 
     def evict_oldest(self) -> Hashable:
-        """Drop row 0 from the ring in O(W·d); returns the evicted key.
+        """Drop the oldest row from the ring in O(1); returns the evicted key.
 
         Only valid under the rotary scheme, whose cached rows are invariant
-        to their window offset: the remaining K/V rows are simply shifted
-        left one slot and every other per-row record pops its front entry.
+        to their window offset.  Nothing moves: the ring's base advances and
+        the per-row key and fused-row lists pop their front entry.  The
+        evicted row's slot keeps its stale K/V and columns, which the
+        visibility rule masks out, until the next arrival overwrites it.
         Per-key fusion states, latest representations and the global key
         order deliberately survive — the rotary semantics freeze each row at
         arrival, so history beyond the window still shapes later rows of the
@@ -440,14 +417,6 @@ class IncrementalEncoderState:
             raise IndexError("evict_oldest() on an empty cache")
         key = self._row_keys.pop(0)
         self._fused_rows.pop(0)
-        length = self._length
-        self._rank_buf[: length - 1] = self._rank_buf[1:length]
-        self._code_buf[: length - 1] = self._code_buf[1:length]
-        for block_index in range(self._num_blocks):
-            for caches in (self._k_cache, self._v_cache):
-                cache = caches[block_index]
-                cache[:, : length - 1, :] = cache[:, 1:length, :]
-        self._tracker.forget_oldest(key, self._base)
         self._base += 1
         self._length -= 1
         self.evictions += 1
@@ -458,7 +427,8 @@ class IncrementalEncoderState:
 
         Called by the engine after a window eviction under the **absolute**
         scheme (see the module docstring).  The batched no-grad pass
-        recomputes the embeddings, the full correlation mask, each block's
+        recomputes the embeddings, the full correlation mask (row by row,
+        through the same visibility rule as :meth:`append`), each block's
         K/V projections (which reseed the caches) and the per-key fusion
         replay.  Under the rotary scheme this reseeds the state as if
         ``items`` were a fresh stream (arrival indices restart at 0) — the
@@ -475,33 +445,40 @@ class IncrementalEncoderState:
         if length > self._capacity:
             self._grow(length)
 
-        model = self.model
-        embeddings = np.empty((length, model.config.d_model), dtype=np.float64)
         mask = np.full((length, length), MASK_VALUE, dtype=np.float64)
+        key_indices: List[int] = []
+        positions: List[int] = []
         for index, item in enumerate(items):
-            embeddings[index], via_key, via_value = self._register_item(item, index)
-            self._fill_mask_row(mask[index], index, via_key, via_value)
+            slot, key_index, position = self._admit(item)
+            key_indices.append(key_index)
+            positions.append(position)
+            mask[index, : index + 1] = self._own_correlation_rows(slot)[0]
 
+        model = self.model
+        embeddings = model.input_embedding.embed_items_inference(
+            items, key_indices=key_indices, positions=positions, time_indices=range(length)
+        )
         coords = None
         if self._use_relative:
             coords = RelativeCoords(
                 positions=np.arange(length, dtype=np.float64),
-                key_ranks=self._rank_buf[:length].copy(),
-                key_codes=self._code_buf[:length].copy(),
+                key_ranks=self._columns[_RANK, :length].copy(),
+                key_codes=self._columns[_CODE, :length].copy(),
             )
 
         x = embeddings
-        for block_index, block in enumerate(model.encoder.blocks):
+        for block, kv in zip(model.encoder.blocks, self._kv):
             x, keys, values = block.forward_inference(
                 x, mask=mask, return_kv=True, coords=coords
             )
-            self._k_cache[block_index][:, :length, :] = keys
-            self._v_cache[block_index][:, :length, :] = values
+            kv[0, :, :length, :] = keys
+            kv[1, :, :length, :] = values
 
-        for index in range(length):
-            self._fuse_row(self._row_keys[index], x[index])
-
-        self._length = length
+        for item, encoded_row in zip(items, x):
+            representation = model.fusion_step_inference(
+                self._fusion_states, item.key, encoded_row
+            )
+            self._commit_fused(item.key, representation)
 
 
 def append_batch(
@@ -512,13 +489,15 @@ def append_batch(
     The cross-stream batched encoding path of the sharded serving cluster:
     ``items[i]`` is appended to ``states[i]`` exactly as ``states[i].append``
     would, but the B rows are pushed through the block stack together — one
-    ``(B, d_model)`` GEMM per projection/FFN and one batched attention einsum
-    per block, instead of ``B`` separate GEMV chains.  Streams are
-    independent (each row attends only against its own state's cached K/V,
-    padded to the batch's longest window and masked), so batching is pure
-    math-level restructuring: per-stream results match :meth:`append` up to
-    BLAS summation-order noise (well below 1e-9), which is the same tolerance
-    the incremental-vs-full parity suite already absorbs.
+    ``(B, d_model)`` GEMM per projection/FFN and one batched attention
+    ``matmul`` per block, instead of ``B`` separate GEMV chains.  The mask,
+    relative-delta and same-key rows of the whole round come from one
+    ``(B, 4, T)`` stack of the streams' column tables.  Streams are
+    independent (each row attends only against its own state's written
+    slots, padded to the round's widest ring and masked), so batching is
+    pure math-level restructuring: per-stream results match :meth:`append`
+    up to BLAS summation-order noise (well below 1e-9), which is the same
+    tolerance the incremental-vs-full parity suite already absorbs.
 
     Constraints: all states must share one model (a shard's sessions do by
     construction) and must be distinct objects — a state can only accept one
@@ -543,75 +522,63 @@ def append_batch(
         if state.model is not model:
             raise ValueError("append_batch requires all states to share one model")
 
-    # Batched embedding: peek every stream's next coordinates, gather all
-    # rows with one table lookup per signal, then register as usual.
-    coords = [state._next_coords(item) for state, item in zip(states, items)]
-    rows = model.input_embedding.embed_items_inference(
+    admitted = [state._admit(item) for state, item in zip(states, items)]
+    slots = [entry[0] for entry in admitted]
+    arrivals = [state._base + state._length - 1 for state in states]
+    x = model.input_embedding.embed_items_inference(
         items,
-        key_indices=[c[0] for c in coords],
-        positions=[c[1] for c in coords],
-        time_indices=[c[2] for c in coords],
+        key_indices=[entry[1] for entry in admitted],
+        positions=[entry[2] for entry in admitted],
+        time_indices=arrivals,
     )
-    pending = [
-        state._begin_append(item, row=rows[index])
-        for index, (state, item) in enumerate(zip(states, items))
-    ]
-    batch = len(states)
-    lengths = [p.index + 1 for p in pending]
-    t_max = max(lengths)
-    use_relative = states[0]._use_relative
 
-    x = np.stack([p.row for p in pending])
-    mask = np.full((batch, t_max), MASK_VALUE, dtype=np.float64)
-    for i, p in enumerate(pending):
-        mask[i, : lengths[i]] = p.mask_row
+    # Each stream's written slots, padded to the widest ring of the round.
+    batch = len(states)
+    filled = [state._filled() for state in states]
+    t_max = max(filled)
+    columns = np.zeros((batch, _NUM_COLUMNS, t_max), dtype=np.int64)
+    live = np.arange(t_max) < np.asarray(filled)[:, None]
+    for i, state in enumerate(states):
+        columns[i, :, : filled[i]] = state._columns[:, : filled[i]]
+        if filled[i] > state._length:
+            live[i, : filled[i]] = state._live_mask(filled[i])
+    first = states[0]
+    mask, delta, same = first._correlation_rows(columns, live, slots)
+    for i, state in enumerate(states):
+        state._columns[_OPEN, : filled[i]] = columns[i, _OPEN, : filled[i]]
 
     first_attention = model.encoder.blocks[0].attention
-    phases = None
-    delta_pad = None
-    same_pad = None
-    if use_relative:
-        # Positions and the relative-coordinate rows are identical for every
-        # block, so the rotary phases are computed once and the clipped
-        # delta/same rows are padded once (pad deltas index table row 0 but
-        # their same-key indicator is 0, so the padded bias is exactly 0).
-        from repro.nn.attention import rotary_phases
-
-        positions = np.asarray([p.position for p in pending], dtype=np.float64)
-        phases = rotary_phases(positions, first_attention.d_head)
-        delta_pad = np.zeros((batch, t_max), dtype=np.int64)
-        same_pad = np.zeros((batch, t_max), dtype=np.float64)
-        for i, p in enumerate(pending):
-            delta_pad[i, : lengths[i]] = p.delta_row
-            same_pad[i, : lengths[i]] = p.same_row
-
-    # Padding slots are never written, so the pad buffers can be shared by
-    # every block (each block overwrites only the [:length] prefixes).
-    key_pad = np.zeros(
-        (batch, first_attention.num_heads, t_max, first_attention.d_head),
+    # Positions are identical for every block, so the rotary phases are
+    # computed once.
+    phases = (
+        rotary_phases(np.asarray(arrivals, dtype=np.float64), first_attention.d_head)
+        if first._use_relative
+        else None
+    )
+    # Padding slots are never written, so the pad can be shared by every
+    # block (each block overwrites only each stream's written slots).
+    kv_pad = np.zeros(
+        (2, batch, first_attention.num_heads, t_max, first_attention.d_head),
         dtype=np.float64,
     )
-    value_pad = np.zeros_like(key_pad)
     for block_index, block in enumerate(model.encoder.blocks):
         attention = block.attention
         query, keys, values = attention.project_qkv_rows(x, phases=phases)
-        bias = (
-            attention.relative_bias_rows(delta_pad, same_pad) if use_relative else None
-        )
-        for i, (state, p) in enumerate(zip(states, pending)):
-            state._k_cache[block_index][:, p.index, :] = keys[i]
-            state._v_cache[block_index][:, p.index, :] = values[i]
-            key_pad[i, :, : lengths[i], :] = state._k_cache[block_index][:, : lengths[i], :]
-            value_pad[i, :, : lengths[i], :] = state._v_cache[block_index][:, : lengths[i], :]
+        new_kv = np.stack((keys, values), axis=1)
+        bias = attention.relative_bias_rows(delta, same) if delta is not None else None
+        for i, state in enumerate(states):
+            kv = state._kv[block_index]
+            kv[:, :, slots[i]] = new_kv[i]
+            kv_pad[:, i, :, : filled[i]] = kv[:, :, : filled[i]]
         x = block.forward_inference_rows(
-            x, query, key_pad, value_pad, mask, bias_rows=bias
+            x, query, kv_pad[0], kv_pad[1], mask, bias_rows=bias
         )
 
     # Batched fusion: every stream's gate GEMVs stack into one GEMM.
     representations = model.fusion_steps_inference(
-        [(state._fusion_states, p.key) for state, p in zip(states, pending)], x
+        [(state._fusion_states, item.key) for state, item in zip(states, items)], x
     )
     return [
-        state._commit_fused(p, representations[i])
-        for i, (state, p) in enumerate(zip(states, pending))
+        state._commit_fused(item.key, representations[i])
+        for i, (state, item) in enumerate(zip(states, items))
     ]

@@ -109,6 +109,12 @@ class SlidingWindow:
     def items(self) -> List[Item]:
         return list(self._items)
 
+    @property
+    def newest_time(self) -> float:
+        """Time of the newest item (``-inf`` while empty); :meth:`push`
+        refuses anything older."""
+        return self._items[-1].time if self._items else float("-inf")
+
     def __deepcopy__(self, memo) -> "SlidingWindow":
         """Copy the deque with one C-level call; the frozen items are shared."""
         new = copy.copy(self)
@@ -118,7 +124,7 @@ class SlidingWindow:
 
     def push(self, item: Item) -> List[Item]:
         """Add one item; returns the items evicted by this push."""
-        if self._items and item.time < self._items[-1].time:
+        if item.time < self.newest_time:
             raise ValueError("items must be pushed in chronological order")
         self._items.append(item)
         evicted: List[Item] = []

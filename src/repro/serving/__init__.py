@@ -77,6 +77,7 @@ from repro.serving.aio import AsyncServingGateway
 from repro.serving.cluster import (
     ClusterConfig,
     ClusterSnapshot,
+    OutOfOrderEventError,
     ServingCluster,
     ShardDegradedError,
     ShardOverloadError,
@@ -166,6 +167,7 @@ __all__ = [
     "OnlineClassificationEngine",
     "ClusterConfig",
     "ClusterSnapshot",
+    "OutOfOrderEventError",
     "ServingCluster",
     "ShardDegradedError",
     "ShardOverloadError",

@@ -187,6 +187,18 @@ class ShardDegradedError(RuntimeError):
     """
 
 
+class OutOfOrderEventError(ValueError):
+    """Raised on submit for an arrival older than its stream's newest item.
+
+    A stream's window accepts items only in chronological order, so an
+    older item would fail the drain round that serves it, and the shard's
+    recovery would lose every arrival that round held.  Admission refuses
+    it instead, before anything is enqueued or journaled.  "Newest" counts
+    every admitted item of the stream, queued or served; an equal time is
+    legal.
+    """
+
+
 @dataclass(frozen=True)
 class StreamDecision:
     """One session decision, attributed to its stream and shard.
@@ -374,6 +386,10 @@ class ShardWorker:
         self._ready: List[Tuple[int, Hashable]] = []
         self._queue_length = 0
         self._seq = 0
+        #: Newest item time admitted per stream, queued or served (see
+        #: :class:`OutOfOrderEventError`).  Kept under ``self._lock`` and
+        #: rebuilt with the queue from the sessions' windows.
+        self._newest_time: Dict[Hashable, float] = {}
         #: Guards the arrival queue (submitters enqueue from the caller
         #: thread while the pinned worker dequeues rounds).
         self._lock = threading.Lock()
@@ -561,6 +577,7 @@ class ShardWorker:
         queue.append((self._seq, event))
         self._seq += 1
         self._queue_length += 1
+        self._newest_time[stream_id] = event.item.time
         # Journal fresh admissions only: checkpoint/restore queue loads are
         # already covered by the checkpoint itself.
         if (
@@ -584,15 +601,28 @@ class ShardWorker:
         with self._lock:
             return self._pending_entries_locked()
 
+    def _reload_queue_locked(self, entries: List[Tuple[Hashable, StreamEvent]]) -> None:
+        """Replace the queue with ``entries`` (global FIFO order).
+
+        The per-stream newest admitted times restart from the sessions'
+        windows and advance over the queued events, so rewinding the
+        sessions rewinds admission too.
+        """
+        self._pending = {}
+        self._ready = []
+        self._queue_length = 0
+        self._seq = 0
+        self._newest_time = {
+            stream_id: session.window.newest_time
+            for stream_id, session in self.sessions.items()
+        }
+        for stream_id, event in entries:
+            self._enqueue_locked(stream_id, event, journal=False)
+
     def load_pending(self, entries: List[Tuple[Hashable, StreamEvent]]) -> None:
         """Replace the queue contents (``entries`` in global FIFO order)."""
         with self._lock:
-            self._pending = {}
-            self._ready = []
-            self._queue_length = 0
-            self._seq = 0
-            for stream_id, event in entries:
-                self._enqueue_locked(stream_id, event, journal=False)
+            self._reload_queue_locked(entries)
 
     # ------------------------------------------------------------------ #
     # live stream migration (extract / install one stream)
@@ -600,6 +630,7 @@ class ShardWorker:
     def _extract_pending_locked(self, stream_id: Hashable) -> List[StreamEvent]:
         """Remove one stream's queued arrivals; FIFO order preserved."""
         queue = self._pending.pop(stream_id, None)
+        self._newest_time.pop(stream_id, None)
         if queue is None:
             events: List[StreamEvent] = []
         else:
@@ -681,6 +712,10 @@ class ShardWorker:
                     )
                 self.sessions[stream_id] = installed
             with self._lock:
+                if session is None:
+                    self._newest_time.pop(stream_id, None)
+                else:
+                    self._newest_time[stream_id] = session.window.newest_time
                 for event in pending:
                     self._enqueue_locked(stream_id, event, journal=False)
 
@@ -798,12 +833,7 @@ class ShardWorker:
                 except ValueError:
                     pass  # lost entry predates the checkpoint window
             self._journal.clear()
-            self._pending = {}
-            self._ready = []
-            self._queue_length = 0
-            self._seq = 0
-            for stream_id, event in rebuilt:
-                self._enqueue_locked(stream_id, event, journal=False)
+            self._reload_queue_locked(rebuilt)
         self._round_entries = []
         if self._remote is not None:
             # Process backend: recovery = respawn.  Restart the worker
@@ -915,6 +945,9 @@ class ShardWorker:
         same result under ``raise_on_reject=False``).  A breaker whose
         backoff has elapsed admits normally — the triggered round is the
         half-open probe.
+
+        An arrival older than the stream's newest admitted item raises
+        :class:`OutOfOrderEventError` and is neither enqueued nor journaled.
         """
         sup = self.supervisor
         if sup is not None and not sup.submission_allowed():
@@ -922,6 +955,13 @@ class ShardWorker:
         emitted: List[StreamDecision] = []
         while True:
             with self._lock:
+                newest = self._newest_time.get(stream_id, float("-inf"))
+                if event.item.time < newest:
+                    raise OutOfOrderEventError(
+                        f"stream {stream_id!r}: arrival at time {event.item.time} "
+                        f"is older than the stream's newest admitted item "
+                        f"(time {newest})"
+                    )
                 if self._queue_length < self.config.max_queue:
                     self._enqueue_locked(stream_id, event)
                     break

@@ -92,8 +92,8 @@ Eviction behaviour per encoding scheme
   within-key bias), so cached rows are invariant to their window offset.
   Each row's representation is *frozen at arrival* — computed once over the
   window contents at that moment and never recomputed.  Eviction just drops
-  the oldest ring row (O(W·d) shift) and the new arrival appends one O(W·d)
-  row; there is **no rebuild**, making saturated-window serving O(W·d) per
+  the oldest ring row (O(1): the ring's base advances, nothing moves) and
+  the new arrival appends one O(W·d) row; there is **no rebuild**, making saturated-window serving O(W·d) per
   arrival.  Per-key fusion states survive eviction, so flush can still
   classify a key whose items have all left the window.
 
@@ -322,7 +322,7 @@ class StreamSession:
 
         **Rotary scheme (ring buffer).**  Cached rows are eviction-stable, so
         maintenance is always exact and always cheap: drop one ring row per
-        evicted item (O(W·d) shift); the new arrival's O(W·d) row append is
+        evicted item (O(1)); the new arrival's O(W·d) row append is
         left to the caller.  The cache never goes dirty and is never rebuilt.
 
         **Absolute scheme.**  Appending to a clean, non-evicted cache is

@@ -11,7 +11,9 @@ POST     ``/v1/streams/{id}/events``     submit one arrival; the admission
                                          (decided → 200 with the triggered
                                          decisions inlined, accepted → 202,
                                          rejected → 429, shed → 503 +
-                                         ``Retry-After``, degraded → 503)
+                                         ``Retry-After``, degraded → 503;
+                                         an arrival older than its stream's
+                                         newest item → 400)
 POST     ``/v1/streams/{id}/flush``      flush one stream (drain its shard,
                                          force-decide that stream's keys)
 GET      ``/v1/decisions``               chunked NDJSON server-push stream of
@@ -47,7 +49,7 @@ import json
 from typing import Dict, Optional, Set
 
 from repro.serving.aio import AsyncServingGateway
-from repro.serving.cluster import ClusterSnapshot
+from repro.serving.cluster import ClusterSnapshot, OutOfOrderEventError
 from repro.serving.net import protocol
 from repro.serving.net.protocol import (
     STATUS_TO_HTTP,
@@ -235,7 +237,7 @@ class ServingHTTPServer:
                     )
                 return await self._handle_admin(parts[2], request)
             return protocol.json_response(404, error_body("unknown path"))
-        except WireFormatError as error:
+        except (WireFormatError, OutOfOrderEventError) as error:
             return protocol.json_response(400, error_body(str(error)))
         except RuntimeError as error:
             # Gateway/cluster lifecycle refusals ("gateway is closed", ...)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.correlation import CorrelationTracker, build_correlation_structure
+from repro.core.config import KVECConfig
+from repro.core.correlation import build_correlation_structure
+from repro.core.incremental import IncrementalEncoderState, append_batch
+from repro.core.model import KVEC
 from repro.data.items import Item, TangledSequence, ValueSpec
 from repro.nn.attention import MASK_VALUE
 
@@ -19,56 +22,134 @@ def tangle_from(rows):
     return TangledSequence(items, labels, SPEC)
 
 
-class TestCorrelationTracker:
-    def test_first_item_has_no_correlations(self):
-        tracker = CorrelationTracker(session_field=1)
-        via_key, via_value = tracker.observe("a", (0, 0))
-        assert via_key == [] and via_value == []
+#: Hand-written streams (key, size, direction) fed to the column-rule
+#: property test next to the seeded random ones.
+RULE_CASES = {
+    "first_item_has_no_correlations": [("a", 0, 0)],
+    "same_key_items_are_key_correlated": [("a", 0, 0), ("a", 1, 1), ("a", 2, 0)],
+    "value_correlation_requires_open_session_match": [("a", 0, 0), ("b", 3, 0)],
+    "value_correlation_broken_by_session_change": [("a", 0, 0), ("a", 1, 1), ("b", 3, 0)],
+    "value_correlation_excludes_same_key": [("a", 0, 0), ("a", 1, 0)],
+    "disabling_key_correlation": [("a", 0, 0), ("a", 1, 0), ("b", 2, 0)],
+    "disabling_value_correlation": [("a", 0, 0), ("b", 1, 0), ("a", 2, 0)],
+    "count_tracks_observations": [("a", 0, 0)] * 5,
+}
+RANDOM_SEEDS = range(6)
+ABLATIONS = {
+    "both": {},
+    "no_key": dict(use_key_correlation=False),
+    "no_value": dict(use_value_correlation=False),
+}
 
-    def test_same_key_items_are_key_correlated(self):
-        tracker = CorrelationTracker(session_field=1)
-        tracker.observe("a", (0, 0))
-        tracker.observe("a", (1, 1))
-        via_key, _ = tracker.observe("a", (2, 0))
-        assert via_key == [0, 1]
 
-    def test_value_correlation_requires_open_session_match(self):
-        tracker = CorrelationTracker(session_field=1)
-        tracker.observe("a", (0, 0))      # position 0: key a, direction 0 (open session of a)
-        _, via_value = tracker.observe("b", (3, 0))  # direction 0 matches a's open session
-        assert via_value == [0]
+def random_rows(seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (f"k{rng.integers(4)}", int(rng.integers(8)), int(rng.integers(2)))
+        for _ in range(int(rng.integers(20, 40)))
+    ]
 
-    def test_value_correlation_broken_by_session_change(self):
-        tracker = CorrelationTracker(session_field=1)
-        tracker.observe("a", (0, 0))      # position 0, direction 0
-        tracker.observe("a", (1, 1))      # position 1 closes the direction-0 session
-        _, via_value = tracker.observe("b", (3, 0))
-        assert via_value == []            # a's open session now has direction 1
 
-    def test_value_correlation_excludes_same_key(self):
-        tracker = CorrelationTracker(session_field=1)
-        tracker.observe("a", (0, 0))
-        via_key, via_value = tracker.observe("a", (1, 0))
-        assert via_key == [0]
-        assert via_value == []
+def rule_model(encoding, ablation):
+    config = KVECConfig(
+        d_model=8,
+        num_blocks=1,
+        num_heads=2,
+        ffn_hidden=8,
+        d_state=8,
+        dropout=0.0,
+        encoding=encoding,
+        seed=0,
+        **ABLATIONS[ablation],
+    )
+    return KVEC(SPEC, num_classes=2, config=config)
 
-    def test_disabling_key_correlation(self):
-        tracker = CorrelationTracker(session_field=1, use_key_correlation=False)
-        tracker.observe("a", (0, 0))
-        via_key, _ = tracker.observe("a", (1, 0))
-        assert via_key == []
 
-    def test_disabling_value_correlation(self):
-        tracker = CorrelationTracker(session_field=1, use_value_correlation=False)
-        tracker.observe("a", (0, 0))
-        _, via_value = tracker.observe("b", (1, 0))
-        assert via_value == []
+class TestColumnVisibilityRule:
+    """The streaming state's column rule reproduces the reference mask.
 
-    def test_count_tracks_observations(self):
-        tracker = CorrelationTracker(session_field=1)
-        for index in range(5):
-            tracker.observe("a", (0, 0))
-        assert tracker.count == 5
+    Every mask row :meth:`IncrementalEncoderState._correlation_rows` hands to
+    an encode, whether from ``append``, ``append_batch`` or ``rebuild``,
+    must equal the matching row of :func:`build_correlation_structure` over
+    the retained history, restricted to the rows inside the window.  Slots
+    of evicted rows and batch padding must stay masked.  Rotary rings evict
+    with ``evict_oldest`` (runs of several evictions leave dead slots);
+    absolute states drop their oldest rows and ``rebuild``.
+    """
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        masks = []
+        original = IncrementalEncoderState._correlation_rows
+
+        def spy(self, columns, live, slots):
+            rows = original(self, columns, live, slots)
+            masks.append(rows[0].copy())
+            return rows
+
+        monkeypatch.setattr(IncrementalEncoderState, "_correlation_rows", spy)
+        return masks
+
+    @staticmethod
+    def check_row(mask_row, live, reference_row):
+        """``mask_row`` (slot order) shows exactly the visible rows of
+        ``reference_row`` (arrival order) at the ``live`` slots, and masks
+        every other slot."""
+        np.testing.assert_array_equal(mask_row[live] == 0.0, reference_row == 0.0)
+        dead = np.ones(len(mask_row), dtype=bool)
+        dead[live] = False
+        assert np.all(mask_row[dead] == MASK_VALUE)
+
+    @pytest.mark.parametrize("path", ["append", "append_batch"])
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    @pytest.mark.parametrize("encoding", ["rotary", "absolute"])
+    @pytest.mark.parametrize(
+        "rows", list(RULE_CASES.values()) + [random_rows(seed) for seed in RANDOM_SEEDS],
+        ids=list(RULE_CASES) + [f"random{seed}" for seed in RANDOM_SEEDS],
+    )
+    def test_rows_match_reference(self, recorded, rows, encoding, ablation, path):
+        rng = np.random.default_rng(len(rows))
+        model = rule_model(encoding, ablation)
+        flags = dict(
+            use_key_correlation=model.config.use_key_correlation,
+            use_value_correlation=model.config.use_value_correlation,
+        )
+        window = int(rng.integers(3, 9))
+        state = model.make_incremental_state(capacity=window)
+        # A companion stream makes the batched path pad to another width.
+        companion = model.make_incremental_state(capacity=window + 3)
+        retained = []
+        for index, row in enumerate(rows):
+            if len(state) == window or (len(state) > 1 and rng.random() < 0.2):
+                drop = 1 if len(state) == window else int(rng.integers(1, len(state)))
+                if encoding == "rotary":
+                    for _ in range(drop):
+                        state.evict_oldest()
+                else:
+                    retained = retained[drop:]
+                    del recorded[:]
+                    state.rebuild(tangle_from(retained).items)
+                    reference = build_correlation_structure(tangle_from(retained), **flags).mask
+                    assert len(recorded) == len(retained)
+                    for position, masks in enumerate(recorded):
+                        self.check_row(
+                            masks[0], np.arange(position + 1), reference[position, : position + 1]
+                        )
+            item = tangle_from(rows[: index + 1])[index]
+            retained.append(row)
+            if path == "append":
+                state.append(item)
+            else:
+                other = Item(f"c{index % 3}", (index % 8, index % 2), float(index))
+                append_batch([state, companion], [item, other])
+            mask_row = recorded[-1][0]
+            assert np.all(mask_row[state._filled() :] == MASK_VALUE)
+            reference = build_correlation_structure(tangle_from(retained), **flags).mask
+            live = state._live_slots()
+            newest = len(retained) - 1
+            self.check_row(
+                mask_row[: state._filled()], live, reference[newest, newest + 1 - len(live) :]
+            )
 
 
 class TestBuildCorrelationStructure:

@@ -413,12 +413,19 @@ class TestMalformedRequests:
                         "/v1/streams/s/events",
                         {"time": 0.2, "key": "k", "value": [0, 0]},
                     )
+                    # older than the stream's newest item: refused before
+                    # admission instead of failing the round that serves it
+                    out_of_order = await client.request(
+                        "POST",
+                        "/v1/streams/s/events",
+                        {"time": 0.1, "key": "k", "value": [0, 0]},
+                    )
                     await client.drain()
                     health = await client.health()
             return valid, health, [
                 garbage, bad_json, unknown_field, out_of_range,
                 wrong_arity, not_a_dict, bad_expire,
-                *non_finite, overflowing_time, nan_expire,
+                *non_finite, overflowing_time, nan_expire, out_of_order,
             ]
 
         valid, health, responses = asyncio.run(scenario())
@@ -427,6 +434,7 @@ class TestMalformedRequests:
             assert "error" in response.json()
         assert valid.status in (200, 202)
         assert health["failures"] == 0
+        assert health["lost_arrivals"] == 0
 
     def test_unknown_paths_and_methods(self):
         model = make_model()

@@ -12,8 +12,8 @@ maintenance suspension (all window keys decided), interleaved key arrivals
 and both encoding schemes (``absolute`` and the eviction-stable ``rotary``).
 
 The rotary scheme additionally carries the tentpole guarantee of the
-eviction-stable encodings PR: **no batched cache rebuild, ever** — evictions
-are O(W·d) ring drops (asserted by counting rebuilds) — while decisions stay
+eviction-stable encodings: **no batched cache rebuild, ever** — evictions
+are O(1) ring drops (asserted by counting rebuilds) — while decisions stay
 exact w.r.t. the banded full-history reference.
 
 The default run keeps a few dozen seeded cases; ``pytest -m stress`` unlocks
@@ -190,6 +190,34 @@ class TestEvictionStableRing:
             arrival = base + offset
             arrival_snapshot = snapshots[arrival][-1]
             np.testing.assert_array_equal(row, arrival_snapshot)
+
+    def test_wrap_is_invisible(self):
+        """Rings of capacity C and 4C fed one append/evict sequence give the
+        same fused rows: slot order (the rings wrap at different arrivals)
+        and the dead slots that runs of consecutive evictions leave behind
+        change nothing beyond summation-order noise."""
+        rng = np.random.default_rng(31)
+        model = make_model("rotary", seed=7)
+        capacity = 6
+        small = model.make_incremental_state(capacity=capacity)
+        large = model.make_incremental_state(capacity=4 * capacity)
+        runs = 0
+        for event in random_stream(rng, 90, 4):
+            if len(small) > 1 and rng.random() < 0.15:
+                evictions = int(rng.integers(2, len(small) + 1))
+                runs += 1
+            else:
+                evictions = int(len(small) == capacity)
+            for _ in range(evictions):
+                assert small.evict_oldest() == large.evict_oldest()
+            np.testing.assert_allclose(
+                small.append(event.item), large.append(event.item), rtol=0, atol=TOLERANCE
+            )
+        assert runs > 0
+        assert small.capacity == capacity and large.capacity == 4 * capacity
+        assert small.evictions == large.evictions >= 90 - capacity
+        for small_row, large_row in zip(small.fused_rows, large.fused_rows):
+            np.testing.assert_allclose(small_row, large_row, rtol=0, atol=TOLERANCE)
 
     def test_flush_decides_fully_evicted_key_under_rotary(self):
         """Rotary fusion states survive eviction: a key whose items all left

@@ -29,13 +29,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import KVECConfig
-from repro.core.correlation import CorrelationTracker
 from repro.core.incremental import IncrementalEncoderState
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import KeyState, KeyTracker, SlidingWindow, StreamEvent
 from repro.serving.cluster import (
     ClusterConfig,
+    OutOfOrderEventError,
     ServingCluster,
     ShardDegradedError,
     ShardOverloadError,
@@ -561,7 +561,7 @@ _SESSION_KINDS = {
     StreamSession, SlidingWindow, KeyTracker, KeyState, Decision, list, dict, set, deque,
 }
 _STATE_KINDS = {
-    "incremental": _SESSION_KINDS | {IncrementalEncoderState, CorrelationTracker, np.ndarray},
+    "incremental": _SESSION_KINDS | {IncrementalEncoderState, np.ndarray},
     "full": _SESSION_KINDS,
 }
 
@@ -1160,6 +1160,143 @@ class TestRejectedSubmitIdempotence:
         # The admitted backlog is fully servable after the rejections.
         assert cluster.flush()
         cluster.close()
+
+
+# --------------------------------------------------------------------- #
+# out-of-order arrivals: refused at admission
+# --------------------------------------------------------------------- #
+def timed_event(stream_id, time, key="k0"):
+    item = Item(key, (int(time) % 8, int(time) % 2), float(time))
+    return StreamEvent(time=float(time), item=item, source=stream_id)
+
+
+class TestOutOfOrderAdmission:
+    """An arrival older than its stream's newest admitted item raises
+    :class:`OutOfOrderEventError` at submit, before it is enqueued or
+    journaled.  Admitted, it would fail the drain round serving it, and the
+    recovery would lose the other streams' arrivals of that round too."""
+
+    #: Five in-order arrivals on each of two streams.
+    PREFIX = [
+        timed_event(stream_id, time, key=f"k{time % 3}")
+        for time in range(5)
+        for stream_id in ("s1", "s2")
+    ]
+
+    @staticmethod
+    def config(executor="serial", **overrides):
+        return ClusterConfig(
+            num_shards=1,
+            batch_size=4,
+            executor=executor,
+            engine=engine_config(window_items=8),
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_older_arrival_refused_without_losing_other_streams(self, executor):
+        """Before the fix all three submits were accepted and the next drain
+        reported 2 failures, 2 restores and 5 lost arrivals."""
+        model = make_model()
+        tail = [timed_event("s1", 10), timed_event("s3", 10)]
+        cluster = ServingCluster(model, SPEC, self.config(executor))
+        emitted = []
+        for event in self.PREFIX + tail[:1]:
+            emitted.extend(cluster.submit(event))
+        depth = cluster.shards[0].queue_depth
+        with pytest.raises(OutOfOrderEventError, match="'s2'"):
+            cluster.submit(timed_event("s2", 2))
+        assert cluster.shards[0].queue_depth == depth
+        emitted.extend(cluster.submit(tail[1]))
+        emitted.extend(cluster.drain())
+        emitted.extend(cluster.flush())
+        health = cluster.health()
+        cluster.close()
+        assert health["failures"] == 0
+        assert health["restores"] == 0
+        assert health["lost_arrivals"] == 0
+        clean, reference = run_cluster(model, self.PREFIX + tail, self.config(executor))
+        clean.close()
+        assert emitted == reference
+
+    def test_equal_time_and_other_streams_stay_legal(self):
+        cluster = ServingCluster(make_model(), SPEC, self.config(auto_drain=False))
+        for event in self.PREFIX:
+            cluster.submit(event)
+        # s1's newest item is queued, not yet served: it still counts.
+        assert cluster.submit(timed_event("s1", 4, key="k2")).admitted
+        with pytest.raises(OutOfOrderEventError):
+            cluster.submit(timed_event("s1", 3))
+        assert cluster.submit(timed_event("s3", 0)).admitted
+        cluster.flush()
+        with pytest.raises(OutOfOrderEventError):
+            cluster.submit(timed_event("s2", 3))
+        assert cluster.health()["failures"] == 0
+        cluster.close()
+
+    def test_snapshot_restore_rewinds_admission(self):
+        """Restoring a snapshot rewinds each stream's newest time to the
+        snapshot's, so replaying the arrivals after it is accepted (and
+        re-emits the same decisions), while older ones are still refused."""
+        cluster = ServingCluster(make_model(), SPEC, self.config())
+        cluster.consume(self.PREFIX)
+        cluster.drain()  # empty queue: the sessions alone hold the clocks
+        snapshot = cluster.snapshot()
+        later = [timed_event(stream_id, time) for time in range(5, 9) for stream_id in ("s1", "s2")]
+        first = list(cluster.consume(later)) + cluster.flush()
+        with pytest.raises(OutOfOrderEventError):
+            cluster.submit(timed_event("s1", 5))
+        cluster.restore(snapshot)
+        with pytest.raises(OutOfOrderEventError):
+            cluster.submit(timed_event("s1", 3))
+        replay = []
+        for event in later:
+            result = cluster.submit(event)
+            assert result.admitted
+            replay.extend(result)
+        replay.extend(cluster.flush())
+        assert replay == first
+        cluster.close()
+
+    def test_recovery_rewinds_admission_past_lost_arrivals(self):
+        """A crash recovery rebuilds the newest times from the restored
+        sessions and the requeued arrivals.  An arrival the dead round lost
+        no longer counts; the restored session's newest item still does."""
+        injector = FaultInjector(specs=[FaultSpec(site="session-encode", after=1, limit=1)])
+        config = self.config(
+            auto_drain=False,
+            supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=1)),
+            faults=injector,
+        )
+        cluster = ServingCluster(make_model(), SPEC, config)
+        cluster.submit(timed_event("s1", 1))
+        cluster.drain()
+        cluster.submit(timed_event("s1", 3))
+        cluster.drain()  # the round serving s1@3 dies; s1@3 is lost
+        health = cluster.health()
+        assert (health["restores"], health["lost_arrivals"]) == (1, 1)
+        with pytest.raises(OutOfOrderEventError):
+            cluster.submit(timed_event("s1", 0))
+        assert cluster.submit(timed_event("s1", 2)).admitted
+        cluster.flush()
+        assert cluster.health()["failures"] == 1
+        cluster.close()
+
+    def test_migration_carries_admission_with_the_stream(self):
+        source = ServingCluster(make_model(), SPEC, self.config(auto_drain=False))
+        target = ServingCluster(source.model, SPEC, self.config(auto_drain=False))
+        source.consume(self.PREFIX)
+        source.drain()  # nothing queued: the session alone carries the clock
+        state = source.extract_stream("s1")
+        assert not state.pending
+        # The source forgot the stream: its id starts a new session there.
+        assert source.submit(timed_event("s1", 0)).admitted
+        target.install_stream(state)
+        with pytest.raises(OutOfOrderEventError):
+            target.submit(timed_event("s1", 3))
+        assert target.submit(timed_event("s1", 4)).admitted
+        source.close()
+        target.close()
 
 
 # --------------------------------------------------------------------- #
