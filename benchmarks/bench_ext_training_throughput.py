@@ -24,12 +24,13 @@ per-sample rate at B=16 for both encodings (asserted by ``pytest -m
 perf_smoke`` via ``tests/core/test_perf_smoke_training.py``).
 
 Results are echoed as text and merged into ``BENCH_training.json`` at the
-repo root (with a ``cpus`` field, since BLAS-level threading affects both
-paths) so future PRs can track the trajectory.
+repo root (with ``cpus`` and ``blas_threads`` fields, since BLAS-level
+threading affects both paths) so future PRs can track the trajectory.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -161,6 +162,7 @@ def run_training_throughput(scale: str, emit_json: bool = True, seed: int = 0) -
         "scale": scale,
         "seed": seed,
         "cpus": available_cpus(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "sweep": results,
     }
     if emit_json:

@@ -110,20 +110,22 @@ class InputEmbedding(Module):
         length = len(tangle) if upto is None else min(upto, len(tangle))
         if length == 0:
             raise ValueError("cannot embed an empty tangled sequence")
-        field_codes = np.zeros((self.spec.num_fields, length), dtype=int)
-        membership = np.zeros(length, dtype=int)
-        positions = np.zeros(length, dtype=int)
-        times = np.zeros(length, dtype=int)
-        for index in range(length):
-            item = tangle[index]
-            for field_index in range(self.spec.num_fields):
-                field_codes[field_index, index] = item.field(field_index)
-            if self.encoding == "rotary":
-                membership[index] = self.key_slot(item.key)
-            else:
-                membership[index] = min(tangle.key_index(item.key), self.max_keys - 1)
-                positions[index] = min(tangle.position_in_key_sequence(index), self.max_positions - 1)
-                times[index] = min(index, self.max_time - 1)
+        items = tangle.items[:length]
+        field_codes = np.array([item.value for item in items], dtype=int).T
+        if self.encoding == "rotary":
+            slots = {key: self.key_slot(key) for key in tangle.keys}
+            membership = np.array([slots[item.key] for item in items], dtype=int)
+            positions = np.zeros(length, dtype=int)
+            times = np.zeros(length, dtype=int)
+        else:
+            membership = np.minimum(
+                [tangle.key_index(item.key) for item in items], self.max_keys - 1
+            )
+            positions = np.minimum(
+                [tangle.position_in_key_sequence(index) for index in range(length)],
+                self.max_positions - 1,
+            )
+            times = np.minimum(np.arange(length), self.max_time - 1)
         return field_codes, membership, positions, times
 
     def embed_rows(

@@ -30,7 +30,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Embedding, Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _unbroadcast
 
 #: Value used for masked-out attention logits.  A large negative finite number
 #: is used instead of ``-inf`` so that fully-masked rows do not produce NaNs.
@@ -134,7 +134,19 @@ def scaled_dot_product_attention(
     mask: Optional[np.ndarray] = None,
     bias: Optional[Tensor] = None,
 ) -> Tuple[Tensor, Tensor]:
-    """Compute ``softmax(Q K^T / sqrt(d) + M + B) V``.
+    """Compute ``softmax(Q K^T / sqrt(d) + B + M) V`` as one graph node.
+
+    The forward runs the ops of the no-grad kernels
+    (:meth:`MultiHeadAttention.forward_inference` and ``attend_rows``) in
+    their order: scaled scores, ``+ bias``, ``+ mask``,
+    :func:`~repro.nn.functional.softmax_array`, then the product with
+    ``V``.  The closed-form backward, with ``P`` the weights, ``dO`` the
+    upstream gradient and ``s = 1/sqrt(d)``::
+
+        dV = Pᵀ dO        dP = dO Vᵀ        dS = P ⊙ (dP − Σ(dP ⊙ P))
+        dB = dS           dQ = s · dS K     dK = s · dSᵀ Q
+
+    with each gradient summed down to its input's (broadcast) shape.
 
     Parameters
     ----------
@@ -150,17 +162,40 @@ def scaled_dot_product_attention(
     Returns
     -------
     (output, attention_weights)
-        ``output`` has shape ``(..., T, d)`` and ``attention_weights`` has
-        shape ``(..., T, T)``.
+        ``output`` has shape ``(..., T, d)``; ``attention_weights`` is a
+        detached ``(..., T, T)`` tensor outside the graph.
     """
-    d_k = query.shape[-1]
-    scores = query.matmul(key.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_k))
+    scale = 1.0 / math.sqrt(query.shape[-1])
+    scores = query.data @ np.swapaxes(key.data, -1, -2) * scale
     if bias is not None:
-        scores = scores + bias
+        scores = scores + bias.data
     if mask is not None:
-        scores = scores + Tensor(np.asarray(mask, dtype=np.float64))
-    weights = F.softmax(scores, axis=-1)
-    return weights.matmul(value), weights
+        scores = scores + mask
+    weights = F.softmax_array(scores)
+
+    def backward(grad: np.ndarray) -> None:
+        if value.requires_grad:
+            value._accumulate(
+                _unbroadcast(np.swapaxes(weights, -1, -2) @ grad, value.shape), owned=True
+            )
+        # dS = P ⊙ (dP − Σ(dP ⊙ P)), built in the dP buffer.
+        d_scores = grad @ np.swapaxes(value.data, -1, -2)
+        d_scores -= (d_scores * weights).sum(axis=-1, keepdims=True)
+        d_scores *= weights
+        if bias is not None and bias.requires_grad:
+            d_bias = _unbroadcast(d_scores, bias.shape)
+            # d_scores is scaled in place below: adopt only a separate sum.
+            bias._accumulate(d_bias, owned=d_bias is not d_scores)
+        d_scores *= scale
+        if query.requires_grad:
+            query._accumulate(_unbroadcast(d_scores @ key.data, query.shape), owned=True)
+        if key.requires_grad:
+            key._accumulate(
+                _unbroadcast(np.swapaxes(d_scores, -1, -2) @ query.data, key.shape), owned=True
+            )
+
+    parents = (query, key, value) if bias is None else (query, key, value, bias)
+    return Tensor._make(weights @ value.data, parents, backward), Tensor(weights)
 
 
 class MultiHeadAttention(Module):

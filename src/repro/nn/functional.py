@@ -1,7 +1,9 @@
 """Composed differentiable operations used across the KVEC reproduction.
 
-These functions operate on :class:`~repro.nn.tensor.Tensor` objects and build
-the computation graph through the primitive operations defined on ``Tensor``.
+These functions operate on :class:`~repro.nn.tensor.Tensor` objects.  Most
+build the computation graph through the primitive operations defined on
+``Tensor``; the hot ones (:func:`linear`, :func:`embedding`) are one graph
+node each with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -149,12 +151,10 @@ def _reduce(losses: Tensor, reduction: str) -> Tensor:
 def embedding(weight: Tensor, indices: ArrayLike) -> Tensor:
     """Look up rows of ``weight`` (V, D) by integer ``indices``.
 
-    The gradient is scattered back into the rows that were selected.  For
-    large index arrays (e.g. the (B, T, T) relative-position lookups of the
-    batched trainer) the scatter-add runs as one ``np.bincount`` per column,
-    which is an order of magnitude faster than ``np.add.at`` elementwise
-    accumulation; the summation order differs from ``np.add.at`` only at
-    float rounding level, within the batched-vs-per-sample parity bound.
+    The gradient is scattered back into the rows that were selected with
+    one ``np.bincount`` over the flat cell number ``index * D + column``.
+    It adds every cell's contributions in index order starting from zero,
+    as ``np.add.at`` does, so the sums are bit-identical to it.
     """
     weight = _as_tensor(weight)
     index_array = np.asarray(
@@ -168,17 +168,9 @@ def embedding(weight: Tensor, indices: ArrayLike) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if not weight.requires_grad:
             return
-        full = np.zeros_like(weight.data)
-        flat_idx = index_array.reshape(-1)
-        flat_grad = np.ascontiguousarray(grad).reshape(-1, cols)
-        if flat_idx.size >= 4096:
-            for column in range(cols):
-                full[:, column] = np.bincount(
-                    flat_idx, weights=flat_grad[:, column], minlength=rows
-                )
-        else:
-            np.add.at(full, flat_idx, flat_grad)
-        weight._accumulate(full, owned=True)
+        cells = (index_array.reshape(-1, 1) * cols + np.arange(cols)).reshape(-1)
+        full = np.bincount(cells, weights=grad.reshape(-1), minlength=rows * cols)
+        weight._accumulate(full.reshape(rows, cols), owned=True)
 
     return Tensor._make(out_data, (weight,), backward)
 
@@ -198,11 +190,31 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 # misc
 # --------------------------------------------------------------------------- #
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` (mirrors ``torch.nn.functional.linear``)."""
-    out = _as_tensor(x).matmul(weight.transpose())
+    """Affine map ``x @ weight.T + bias`` (mirrors ``torch.nn.functional.linear``).
+
+    One graph node over any leading shape of ``x``.  The forward runs the
+    same ops as :meth:`repro.nn.layers.Linear.forward_inference`, so the
+    two paths agree bit for bit.  The closed-form backward, with ``g`` the
+    upstream gradient and ``g₂``/``x₂`` the flattened ``(N, ·)`` views over
+    the leading axes: ``dx = g @ W``, ``dW = g₂ᵀ x₂`` (one GEMM) and
+    ``db = Σ g`` over the leading axes.
+    """
+    x = _as_tensor(x)
+    out_data = x.data @ weight.data.T
     if bias is not None:
-        out = out + bias
-    return out
+        out_data = out_data + bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data, owned=True)
+        flat_grad = grad.reshape(-1, grad.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(flat_grad.T @ x.data.reshape(-1, x.shape[-1]), owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(flat_grad.sum(axis=0), owned=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out_data, parents, backward)
 
 
 def one_hot(indices: ArrayLike, num_classes: int) -> np.ndarray:

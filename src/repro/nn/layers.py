@@ -119,20 +119,49 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Normalise over the last dimension only — per-row statistics, so
-        batched and per-sample invocations are bit-identical twins."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centred = x - mean
-        var = (centred**2).mean(axis=-1, keepdims=True)
-        normalised = centred / (var + self.eps) ** 0.5
-        return normalised * self.weight + self.bias
+        batched and per-sample invocations are bit-identical twins.
+
+        One graph node whose forward runs the ops of
+        :meth:`forward_inference`, so the two agree bit for bit.  The
+        closed-form backward, with ``x̂`` the normalised input, ``σ`` the
+        row std and ``gw = g ⊙ w``::
+
+            dx = (gw − mean(gw) − x̂ ⊙ mean(gw ⊙ x̂)) / σ
+
+        (means over the last axis); ``dw = Σ g ⊙ x̂`` and ``db = Σ g`` sum
+        over the leading axes.
+        """
+        normalised, std = self._normalise(x.data)
+        weight, bias = self.weight, self.bias
+
+        def backward(grad: np.ndarray) -> None:
+            width = grad.shape[-1]
+            if weight.requires_grad:
+                weight._accumulate((grad * normalised).reshape(-1, width).sum(axis=0), owned=True)
+            if bias.requires_grad:
+                bias._accumulate(grad.reshape(-1, width).sum(axis=0), owned=True)
+            if x.requires_grad:
+                scaled = grad * weight.data
+                d_x = scaled - scaled.mean(axis=-1, keepdims=True)
+                d_x -= normalised * (scaled * normalised).mean(axis=-1, keepdims=True)
+                d_x /= std
+                x._accumulate(d_x, owned=True)
+
+        out = normalised * weight.data + bias.data
+        return Tensor._make(out, (x, weight, bias), backward)
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """No-grad fast path mirroring :meth:`forward` numerics on raw arrays."""
+        """No-grad fast path: the forward numerics of :meth:`forward`."""
+        normalised, _ = self._normalise(x)
+        return normalised * self.weight.data + self.bias.data
+
+    def _normalise(self, x: np.ndarray):
+        """Return ``((x - mean) / std, std)`` over the last axis."""
         mean = x.sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
         centred = x - mean
         var = (centred**2).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
-        normalised = centred / (var + self.eps) ** 0.5
-        return normalised * self.weight.data + self.bias.data
+        std = (var + self.eps) ** 0.5
+        return centred / std, std
 
     def __repr__(self) -> str:
         return f"LayerNorm(dim={self.normalized_shape})"

@@ -69,6 +69,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is an int, a slice, or a tuple of these.
+
+    Such an index selects each element at most once.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(part, (int, np.integer, slice)) for part in parts)
+
+
 def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -480,7 +489,12 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if _is_basic_index(index):
+                    full[index] += grad
+                else:
+                    # Fancy indices may repeat an element: np.add.at sums
+                    # every occurrence where ``+=`` would keep only one.
+                    np.add.at(full, index, grad)
                 self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward)

@@ -1,9 +1,11 @@
 """Tests for saving and restoring trained KVEC models."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from repro.core.config import KVECConfig
 from repro.core.model import KVEC
 
@@ -74,3 +76,56 @@ class TestCheckpointRoundTrip:
             restored.encoder.blocks[0].attention.rel_bias.weight.data,
             model.encoder.blocks[0].attention.rel_bias.weight.data,
         )
+
+
+def _tiny_model(spec):
+    config = KVECConfig(d_model=8, num_blocks=1, num_heads=1, ffn_hidden=16, d_state=12,
+                        dropout=0.0, epochs=1, batch_size=2)
+    return KVEC(spec, 3, config)
+
+
+def _edit_config(directory, edit):
+    config_file = directory / "config.json"
+    payload = json.loads(config_file.read_text())
+    edit(payload)
+    config_file.write_text(json.dumps(payload))
+
+
+class TestCheckpointBoundary:
+    """A malformed checkpoint is refused with a ValueError naming the problem."""
+
+    def test_format_version_written(self, simple_spec, tmp_path):
+        directory = save_checkpoint(_tiny_model(simple_spec), tmp_path / "kvec")
+        payload = json.loads((directory / "config.json").read_text())
+        assert payload["format_version"] == FORMAT_VERSION == 1
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda p: p.pop("format_version"), "format_version None"),
+            (lambda p: p.update(format_version=2), "format_version 2"),
+            (lambda p: p.update(format_version=True), "format_version True"),
+            (lambda p: p["config"].update(bogus=1), "unknown fields \\['bogus'\\]"),
+            (lambda p: p["config"].update(d_model="32"), "config.d_model must be of type int"),
+            (lambda p: p["config"].update(dropout=float("nan")), "config.dropout must be a finite"),
+            (lambda p: p["config"].update(batched_training=1), "batched_training must be of type bool"),
+            (lambda p: p["config"].update(seed=True), "config.seed must be of type int"),
+            (lambda p: p.update(num_classes="3"), "num_classes must be of type int"),
+            (lambda p: p["spec"].update(cardinalities=[4.5, 3]), "spec.cardinalities"),
+            (lambda p: p.pop("spec"), "spec must be of type dict"),
+        ],
+    )
+    def test_malformed_config_rejected(self, simple_spec, tmp_path, edit, match):
+        directory = save_checkpoint(_tiny_model(simple_spec), tmp_path / "kvec")
+        _edit_config(directory, edit)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(directory)
+
+    def test_non_finite_weight_rejected(self, simple_spec, tmp_path):
+        directory = save_checkpoint(_tiny_model(simple_spec), tmp_path / "kvec")
+        with np.load(directory / "weights.npz") as archive:
+            state = {name: archive[name] for name in archive.files}
+        state["baseline.hidden_layer.bias"][0] = np.nan
+        np.savez_compressed(directory / "weights.npz", **state)
+        with pytest.raises(ValueError, match="baseline.hidden_layer.bias"):
+            load_checkpoint(directory)
