@@ -18,21 +18,12 @@ serial per-arrival encoding by >= 2x at batch >= 8, window 256, rotary
 
 The parallel-execution PR adds ``run_parallel_throughput``: an **executor ×
 shard-count × batch-policy × traffic-shape** sweep (serial vs thread worker
-pool vs long-lived worker *processes*, fixed vs adaptive drain batching,
-uniform vs Zipf-skewed streams) over the drain-scheduling serving pattern
-(``auto_drain=False``: submissions enqueue, explicit drains let the parallel
-backends overlap shards on real cores — the process backend without sharing
-a GIL at all).  Its gate — ``run_parallel_drain_gate``, asserted by ``pytest
--m perf_smoke`` on multi-core machines — requires the thread and process
-backends each to drain >= 1.5x faster than the serial backend at 4 shards,
-window 128, 64 streams.
-
-The round-transport PR splits the process leg by transport (``process-pipe``
-vs ``process-shm``: pickled payloads over the pipe vs flat-packed payloads
-in per-slot shared-memory rings) and adds ``run_transport_microbench``,
-which drives one process shard per transport through identical batch-8
-rounds and aggregates the caller-side ``remote_call`` telemetry — the
-perf_smoke transport gate asserts shm's serialise cost is <= 0.5x pipe's.
+pool, fixed vs adaptive drain batching, uniform vs Zipf-skewed streams) over
+the drain-scheduling serving pattern (``auto_drain=False``: submissions
+enqueue, explicit drains let the thread backend overlap shards on real
+cores).  Its gate — ``run_parallel_drain_gate``, asserted by ``pytest -m
+perf_smoke`` on multi-core machines — requires the thread backend to drain
+>= 1.5x faster than the serial backend at 4 shards, window 128, 64 streams.
 
 The network-tier PR adds ``run_net_throughput``: identical traffic submitted
 through the loopback HTTP front end (``ServingHTTPServer`` +
@@ -42,13 +33,16 @@ ratio is the serving tax of the wire, and the perf_smoke net gate bounds it
 from below (HTTP >= 0.5x direct).
 
 Results are echoed as text and merged into ``BENCH_serving.json`` at the repo
-root so future PRs can track the trajectory.
+root (with ``cpus`` and ``blas_threads`` fields on the parallel and network
+records, since both depend on how many cores the BLAS and the shards share)
+so future PRs can track the trajectory.
 """
 
 from __future__ import annotations
 
 import asyncio
 import copy
+import os
 import time
 from typing import Dict, List, Tuple
 
@@ -80,25 +74,11 @@ SHARD_COUNTS = (1, 2, 4)
 BATCH_SIZES = (1, 8, 16)
 
 #: Parallel sweep axes: executor backend x batch policy x traffic shape.
-EXECUTORS = ("serial", "thread", "process")
-#: Parallel sweep legs: ``(executor, transport)``.  The process backend runs
-#: once per round transport so the sweep shows the pipe-vs-shm crossover;
-#: in-process backends have no transport (``None``).
-PARALLEL_LEGS = (
-    ("serial", None),
-    ("thread", None),
-    ("process", "pipe"),
-    ("process", "shm"),
-)
+EXECUTORS = ("serial", "thread")
 BATCH_POLICIES = ("fixed", "auto")
 TRAFFIC_SHAPES = ("uniform", "zipf")
 #: Fixed-policy round width of the parallel sweep (the PR-3 sweet spot).
 FIXED_BATCH = 16
-
-
-def leg_label(executor: str, transport) -> str:
-    """Sweep cell prefix: ``process-shm``, ``process-pipe``, or the executor."""
-    return executor if transport is None else f"{executor}-{transport}"
 
 
 def make_model(
@@ -232,7 +212,6 @@ def measure_parallel_drain(
     executor: str,
     batch_policy: str,
     repeats: int = 2,
-    transport: str = "shm",
 ) -> Dict[str, object]:
     """Wall-clock one cluster drain under the drain-scheduling pattern.
 
@@ -240,8 +219,7 @@ def measure_parallel_drain(
     one explicit :meth:`ServingCluster.drain`, which the thread backend runs
     with all shards overlapped on the pinned worker pool.  Each repeat
     serves a fresh cluster; the fastest repeat is kept (the least
-    scheduler-contaminated estimate).  ``transport`` picks the process
-    backend's round transport (ignored by in-process executors).
+    scheduler-contaminated estimate).
     """
     best: Dict[str, object] = {}
     for _ in range(repeats):
@@ -252,7 +230,6 @@ def measure_parallel_drain(
             auto_drain=False,
             max_queue=len(events) + 1,
             executor=executor,
-            transport=transport,
             # halt_threshold=1.0 keeps every key pending — the worst case,
             # where no early decision shrinks any session's work.
             engine=EngineConfig(window_items=window, halt_threshold=1.0),
@@ -264,8 +241,6 @@ def measure_parallel_drain(
             cluster.drain()
             elapsed = time.perf_counter() - start
             stats = cluster.stats()
-        transport_bytes = stats.get("transport_bytes") or {}
-        serialize_ms = stats.get("transport_serialize_ms") or {}
         measured = {
             "elapsed_s": elapsed,
             "throughput_items_per_sec": len(events) / elapsed,
@@ -274,9 +249,6 @@ def measure_parallel_drain(
             "batched_rows": stats["batched_rows"],
             "round_latency_p50_ms": stats["round_latency_ms"]["p50"],
             "round_latency_p99_ms": stats["round_latency_ms"]["p99"],
-            "transport": stats.get("transport"),
-            "transport_bytes_per_round": transport_bytes.get("mean", 0.0),
-            "serialize_ms_p50": serialize_ms.get("p50", 0.0),
         }
         if not best or measured["elapsed_s"] < best["elapsed_s"]:
             best = measured
@@ -304,29 +276,17 @@ def run_parallel_throughput(
         grid: Dict[str, Dict[str, object]] = {}
         for num_shards in SHARD_COUNTS:
             row: Dict[str, object] = {}
-            for executor, transport in PARALLEL_LEGS:
+            for executor in EXECUTORS:
                 for policy in BATCH_POLICIES:
-                    row[f"{leg_label(executor, transport)}/{policy}"] = (
-                        measure_parallel_drain(
-                            model,
-                            events,
-                            window,
-                            num_shards,
-                            executor,
-                            policy,
-                            transport=transport or "shm",
-                        )
+                    row[f"{executor}/{policy}"] = measure_parallel_drain(
+                        model, events, window, num_shards, executor, policy
                     )
             for policy in BATCH_POLICIES:
                 serial_rate = row[f"serial/{policy}"]["throughput_items_per_sec"]
-                for executor, transport in PARALLEL_LEGS:
-                    label = leg_label(executor, transport)
-                    if label == "serial":
-                        continue
-                    cell = row[f"{label}/{policy}"]
-                    cell["speedup_vs_serial"] = (
-                        cell["throughput_items_per_sec"] / serial_rate
-                    )
+                cell = row[f"thread/{policy}"]
+                cell["speedup_vs_serial"] = (
+                    cell["throughput_items_per_sec"] / serial_rate
+                )
             grid[str(num_shards)] = row
         traffic[shape] = {"stream_items": len(events), "shards": grid}
 
@@ -335,9 +295,10 @@ def run_parallel_throughput(
         "window": window,
         "num_streams": num_streams,
         "fixed_batch": FIXED_BATCH,
+        "seed": seed,
         "cpus": available_cpus(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "traffic": traffic,
-        "transport_microbench": run_transport_microbench(seed=seed),
     }
     if emit_json:
         write_bench_json("parallel_throughput", result)
@@ -351,35 +312,22 @@ def run_parallel_drain_gate(
     seed: int = 0,
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Perf-smoke gate: thread-pool and process drains vs serial, same work.
+    """Perf-smoke gate: thread-pool drain vs serial, same work.
 
     4 shards x 64 uniform streams at window 128 (the acceptance geometry of
     the parallel-execution PR); the model is sized so the drain rounds are
     BLAS-dominated (that is what the thread pool overlaps — numpy releases
     the GIL inside the batched GEMMs and ufuncs, while per-arrival Python
-    bookkeeping stays serialised and caps the achievable speedup).  The
-    process leg drains the same work through the pinned worker processes:
-    no GIL sharing at all, at the cost of shipping each round's entries and
-    decisions over a pipe.
+    bookkeeping stays serialised and caps the achievable speedup).
     """
     model = make_model(seed=seed, window=window, d_model=96, ffn_hidden=192)
     events = make_traffic(num_streams, 128, 48, seed=seed, stream_skew=0.0)
     cells = {
-        leg_label(executor, transport): measure_parallel_drain(
-            model,
-            events,
-            window,
-            num_shards,
-            executor,
-            "fixed",
-            repeats=repeats,
-            transport=transport or "shm",
+        executor: measure_parallel_drain(
+            model, events, window, num_shards, executor, "fixed", repeats=repeats
         )
-        for executor, transport in PARALLEL_LEGS
+        for executor in EXECUTORS
     }
-    serial_rate = cells["serial"]["throughput_items_per_sec"]
-    shm_rate = cells["process-shm"]["throughput_items_per_sec"]
-    pipe_rate = cells["process-pipe"]["throughput_items_per_sec"]
     return {
         "window": window,
         "num_streams": num_streams,
@@ -388,90 +336,9 @@ def run_parallel_drain_gate(
         "cpus": available_cpus(),
         "serial": cells["serial"],
         "thread": cells["thread"],
-        # Canonical process leg = the default transport (shm where available).
-        "process": cells["process-shm"],
-        "process_pipe": cells["process-pipe"],
-        "speedup": cells["thread"]["throughput_items_per_sec"] / serial_rate,
-        "speedup_process": shm_rate / serial_rate,
-        "speedup_process_pipe": pipe_rate / serial_rate,
-        "shm_vs_pipe": shm_rate / pipe_rate,
-        "transport_microbench": run_transport_microbench(
-            window=window, batch=8, seed=seed
-        ),
+        "speedup": cells["thread"]["throughput_items_per_sec"]
+        / cells["serial"]["throughput_items_per_sec"],
     }
-
-
-def run_transport_microbench(
-    window: int = 128,
-    batch: int = 8,
-    seed: int = 0,
-    rounds: int = 200,
-    warmup: int = 25,
-) -> Dict[str, object]:
-    """Per-round transport cost at the gate geometry (window 128, batch 8).
-
-    Drives one process shard per transport through identical ``batch``-wide
-    bulk ``round`` calls and aggregates the caller-side ``remote_call``
-    telemetry — payload bytes per round and encode+decode serialise
-    wall-clock — after discarding ``warmup`` cold rounds (import caches,
-    allocator warm-up).  The perf_smoke transport gate asserts the shm/pipe
-    serialise ratio from these numbers; the means are exact, unlike the
-    log2-bucketed histogram summaries in ``stats()``.
-    """
-    from repro.data.stream import StreamEvent
-
-    model = make_model(seed=seed, window=window, d_model=96, ffn_hidden=192)
-    rng = np.random.default_rng(seed)
-    out: Dict[str, object] = {"window": window, "batch": batch, "rounds": rounds}
-    for transport in ("pipe", "shm"):
-        config = ClusterConfig(
-            num_shards=1,
-            batch_size=batch,
-            batched=True,
-            auto_drain=False,
-            executor="process",
-            transport=transport,
-            engine=EngineConfig(window_items=window, halt_threshold=1.0),
-        )
-        with ServingCluster(model, SPEC, config) as cluster:
-            shard = cluster.shards[0]
-            remote = shard._remote
-            byte_counts: List[float] = []
-            serialize_ms: List[float] = []
-            step = 0
-            for index in range(rounds + warmup):
-                entries = []
-                for _ in range(batch):
-                    stream_id = f"stream-{step % batch}"
-                    item = Item(
-                        f"flow-{step % batch}",
-                        (int(rng.integers(8)), int(rng.integers(2))),
-                        float(step),
-                    )
-                    entries.append(
-                        (stream_id, StreamEvent(float(step), item, stream_id))
-                    )
-                    step += 1
-                telemetry: Dict[str, float] = {}
-                remote.remote_call(
-                    shard.shard_id, "round", {"entries": entries}, telemetry=telemetry
-                )
-                if index >= warmup:
-                    byte_counts.append(telemetry.get("bytes", 0.0))
-                    serialize_ms.append(telemetry.get("serialize_ms", 0.0))
-            out[transport] = {
-                "transport_actual": remote.transport,
-                "bytes_per_round": float(np.mean(byte_counts)),
-                "serialize_ms_mean": float(np.mean(serialize_ms)),
-                "serialize_ms_p50": float(np.median(serialize_ms)),
-            }
-    out["shm_vs_pipe_serialize"] = (
-        out["shm"]["serialize_ms_mean"] / out["pipe"]["serialize_ms_mean"]
-    )
-    out["shm_vs_pipe_bytes"] = (
-        out["shm"]["bytes_per_round"] / out["pipe"]["bytes_per_round"]
-    )
-    return out
 
 
 #: Events submitted per net-throughput leg, by bench scale.
@@ -545,7 +412,9 @@ def run_net_throughput(
         "num_streams": num_streams,
         "stream_items": len(events),
         "num_shards": num_shards,
+        "seed": seed,
         "cpus": available_cpus(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "direct": {
             "elapsed_s": direct_s,
             "throughput_items_per_sec": len(events) / direct_s,
@@ -663,7 +532,8 @@ def render_parallel(result: Dict[str, object]) -> str:
     lines = [
         "Parallel shard execution: drain throughput (items/sec)",
         f"  window={result['window']}  streams={result['num_streams']}  "
-        f"cpus={result['cpus']}  fixed_batch={result['fixed_batch']}",
+        f"cpus={result['cpus']}  blas_threads={result['blas_threads']}  "
+        f"fixed_batch={result['fixed_batch']}",
     ]
     for shape, block in result["traffic"].items():
         lines.append(f"  traffic={shape}  events={block['stream_items']}")
@@ -671,32 +541,11 @@ def render_parallel(result: Dict[str, object]) -> str:
             for cell_name, cell in row.items():
                 speedup = cell.get("speedup_vs_serial")
                 suffix = f"  ({speedup:5.2f}x vs serial)" if speedup else ""
-                if cell.get("transport"):
-                    suffix += (
-                        f"  [{cell['transport_bytes_per_round']:.0f} B/round, "
-                        f"ser p50 {cell['serialize_ms_p50']:.3f}ms]"
-                    )
                 lines.append(
-                    f"    shards={num_shards}  {cell_name:<17} "
+                    f"    shards={num_shards}  {cell_name:<12} "
                     f"{cell['throughput_items_per_sec']:10.1f} items/s  "
                     f"p99 round {cell['round_latency_p99_ms']:6.2f}ms{suffix}"
                 )
-    micro = result.get("transport_microbench")
-    if micro:
-        lines.append(
-            f"  transport microbench (window={micro['window']} batch={micro['batch']}):"
-        )
-        for transport in ("pipe", "shm"):
-            cell = micro[transport]
-            lines.append(
-                f"    {transport:<5} {cell['bytes_per_round']:8.0f} B/round  "
-                f"serialize mean {cell['serialize_ms_mean']:.4f}ms  "
-                f"p50 {cell['serialize_ms_p50']:.4f}ms"
-            )
-        lines.append(
-            f"    shm/pipe serialize ratio {micro['shm_vs_pipe_serialize']:.3f}  "
-            f"bytes ratio {micro['shm_vs_pipe_bytes']:.3f}"
-        )
     return "\n".join(lines)
 
 
@@ -706,7 +555,7 @@ def render_net(result: Dict[str, object]) -> str:
             "HTTP loopback vs direct async gateway (items/sec, submit+flush)",
             f"  window={result['window']}  streams={result['num_streams']}  "
             f"events={result['stream_items']}  shards={result['num_shards']}  "
-            f"cpus={result['cpus']}",
+            f"cpus={result['cpus']}  blas_threads={result['blas_threads']}",
             f"  direct {result['direct']['throughput_items_per_sec']:10.1f} items/s",
             f"  http   {result['http']['throughput_items_per_sec']:10.1f} items/s  "
             f"({result['http_vs_direct']:5.2f}x direct)",
@@ -751,8 +600,8 @@ def test_parallel_throughput(benchmark, scale_name):
         for num_shards in SHARD_COUNTS:
             row = result["traffic"][shape]["shards"][str(num_shards)]
             assert set(row) == {
-                f"{leg_label(executor, transport)}/{policy}"
-                for executor, transport in PARALLEL_LEGS
+                f"{executor}/{policy}"
+                for executor in EXECUTORS
                 for policy in BATCH_POLICIES
             }
 

@@ -30,19 +30,7 @@ network flow while its packets are still arriving.  This example
 9. serves from an event loop through the :class:`AsyncServingGateway` —
    awaitable submission with one concurrent submitter task per stream and
    an ``async for`` decision stream (stdlib asyncio only),
-10. drains a 4-shard cluster across long-lived **worker processes**
-    (``executor="process"``: shard replicas seeded from pickled checkpoints,
-    rounds shipped over pipes, no shared GIL), force-kills one worker with a
-    real SIGKILL mid-run, and watches supervision respawn it from the
-    checkpoint — same decisions as the thread/serial backends for every
-    surviving arrival,
-11. swaps the process backend's round transport between ``"pipe"`` (pickled
-    rounds over the worker pipe) and ``"shm"`` (flat columnar codec in
-    per-worker shared-memory rings, the default) and reads the per-round
-    ``transport_bytes`` / ``transport_serialize_ms`` telemetry from
-    ``stats()`` — the shm rings move about half the bytes per round, with
-    bit-identical decisions,
-12. puts the cluster on the network: a stdlib-only
+10. puts the cluster on the network: a stdlib-only
     :class:`ServingHTTPServer` front end (admission statuses as HTTP codes,
     decisions as a chunked NDJSON push stream consumed by
     :class:`ServingHTTPClient`), then goes horizontal with the
@@ -327,7 +315,7 @@ def main() -> None:
     )
     recovered = []
     for event in events_list:
-        recovered.extend(faulty_cluster.submit(event))
+        recovered.extend(faulty_cluster.submit(event).decisions)
     recovered.extend(faulty_cluster.flush())
     health = faulty_cluster.health()
     lost = [
@@ -354,7 +342,7 @@ def main() -> None:
     )
     reference = []
     for event in surviving:
-        reference.extend(reference_cluster.submit(event))
+        reference.extend(reference_cluster.submit(event).decisions)
     reference.extend(reference_cluster.flush())
     reference_cluster.close()
 
@@ -436,119 +424,7 @@ def main() -> None:
     print(async_monitor.report())
 
     # ------------------------------------------------------------------ #
-    # 10. Process-parallel shard execution with real crash recovery
-    # ------------------------------------------------------------------ #
-    # The same bursty traffic once more, now with executor="process": every
-    # shard is pinned to a long-lived worker process (shard % num_workers),
-    # seeded with a pickled copy of its checkpoint state.  Drain rounds ship
-    # each batch of arrivals over the worker's pipe and get the decisions
-    # back — the queue, journal, checkpoints, supervision and sinks all stay
-    # caller-side, so the decision stream is list-identical to the serial
-    # and thread backends (the parity suite pins this).  Mid-run we SIGKILL
-    # one worker process for real: the next round on the dead pipe fails,
-    # the supervisor restores the shard's checkpoint and reseeds it into a
-    # freshly respawned process, and serving continues.
-    with ServingCluster(
-        served_model,
-        dataset.spec,
-        ClusterConfig(
-            num_shards=4,
-            batch_size=8,
-            executor="process",
-            auto_drain=False,
-            max_queue=4096,
-            supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=4)),
-            engine=EngineConfig(window_items=256, halt_threshold=0.5, reencode_every=2),
-        ),
-    ) as process_cluster:
-        import os
-        import signal
-
-        monitor = DecisionMonitor(
-            labels=bursty.labels, sequence_lengths=bursty.sequence_lengths
-        )
-        bursty_events = list(bursty.events())
-        kill_at = len(bursty_events) // 2
-        victim_pid = None
-        for position, event in enumerate(bursty_events):
-            if position == kill_at:
-                victim_pid = process_cluster._executor.worker_pid(0)
-                os.kill(victim_pid, signal.SIGKILL)  # a real worker death
-            process_cluster.submit(event)
-            if position % 64 == 63:
-                for stream_decision in process_cluster.drain():
-                    monitor.observe(stream_decision.decision)
-        for stream_decision in process_cluster.flush():
-            monitor.observe(stream_decision.decision)
-
-        health = process_cluster.health()
-        print()
-        print("=== process cluster report (worker processes, forced SIGKILL) ===")
-        print(monitor.report())
-        print(
-            f"killed worker pid {victim_pid} -> respawned as pid "
-            f"{process_cluster._executor.worker_pid(0)}; "
-            f"worker respawns: {health['worker_respawns']}, "
-            f"round failures: {health['failures']}, "
-            f"checkpoint restores: {health['restores']}, "
-            f"arrivals lost with the dead rounds: {health['lost_arrivals']}"
-        )
-
-    # ------------------------------------------------------------------ #
-    # 11. Shared-memory round transport for the process backend
-    # ------------------------------------------------------------------ #
-    # transport="shm" (the default where multiprocessing.shared_memory
-    # exists) replaces each round's pickled object graph with a flat codec
-    # in a pair of per-worker shared-memory rings: numeric columns packed as
-    # little-endian machine words, strings as length-prefixed UTF-8, with
-    # the pipe reduced to a tiny control message.  The payload shrinks
-    # roughly in half, and with it the caller-side serialize cost on
-    # machines with a core to spare — stats() exposes both as per-round
-    # telemetry.  Any round that cannot
-    # ride the ring (oversized, or an exotic key type) falls back to the
-    # pipe transparently; decisions are bit-identical either way.
-    transport_reports = {}
-    for transport in ("pipe", "shm"):
-        with ServingCluster(
-            served_model,
-            dataset.spec,
-            ClusterConfig(
-                num_shards=4,
-                batch_size=8,
-                executor="process",
-                transport=transport,
-                auto_drain=False,
-                max_queue=4096,
-                engine=EngineConfig(
-                    window_items=256, halt_threshold=0.5, reencode_every=2
-                ),
-            ),
-        ) as transport_cluster:
-            decisions = []
-            for position, event in enumerate(bursty_events):
-                transport_cluster.submit(event)
-                if position % 64 == 63:
-                    decisions.extend(transport_cluster.drain())
-            decisions.extend(transport_cluster.flush())
-            stats = transport_cluster.stats()
-            transport_reports[transport] = (
-                stats["transport"],
-                stats["transport_bytes"].get("mean", 0.0),
-                stats["transport_serialize_ms"].get("p50", 0.0),
-                [(d.stream_id, d.decision.key, d.decision.predicted) for d in decisions],
-            )
-    print()
-    print("=== round transport report (process backend, pipe vs shm) ===")
-    for transport, (actual, mean_bytes, ser_p50, _) in transport_reports.items():
-        print(
-            f"transport={transport!r} (resolved {actual!r}): "
-            f"{mean_bytes:.0f} bytes/round, serialize p50 {ser_p50 * 1000:.1f}us"
-        )
-    assert transport_reports["pipe"][3] == transport_reports["shm"][3]
-    print("decision streams identical across transports: True")
-
-    # ------------------------------------------------------------------ #
-    # 12. The network tier: HTTP front end + consistent-hash router
+    # 10. The network tier: HTTP front end + consistent-hash router
     # ------------------------------------------------------------------ #
     # First the vertical hop: the same flows, submitted over real loopback
     # sockets.  ServingHTTPServer fronts an AsyncServingGateway with a tiny

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--num-shards", type=int, default=2)
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial"
+        "--executor", choices=("serial", "thread"), default="serial"
     )
     parser.add_argument("--batch-size", type=int, default=4)
     parser.add_argument("--window", type=int, default=16)

@@ -13,23 +13,18 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   processes into one source-tagged multi-stream timeline,
 * :class:`~repro.serving.engine.StreamSession` — one stream's window,
   incremental KV-cache and decision machinery;
-  :class:`~repro.serving.engine.OnlineClassificationEngine` is the
-  single-stream facade over exactly one session,
+  :class:`~repro.serving.engine.OnlineClassificationEngine` is its
+  historical single-stream name (an alias),
 * :class:`~repro.serving.cluster.ServingCluster` — hash-routes stream ids
   across :class:`~repro.serving.cluster.ShardWorker` instances, applies
   bounded-queue admission control, drains each shard with cross-stream
-  *batched* row encoding (overlapped across cores by the
-  :mod:`~repro.serving.parallel` thread backend, or executed in long-lived
-  worker *processes* by the GIL-free process backend —
-  ``ClusterConfig.executor="process"``, whose per-round payloads ride the
-  pluggable :mod:`~repro.serving.transport` layer: flat columnar
-  shared-memory rings by default, pickle-over-pipe as the portable
-  fallback), and supports snapshot/restore plus an explicit
-  running → draining → closed lifecycle,
+  *batched* row encoding (inline on the caller, or overlapped across cores
+  by the :mod:`~repro.serving.parallel` thread backend), and supports
+  snapshot/restore plus an explicit running → draining → closed lifecycle,
 * **push-based delivery** — :meth:`~repro.serving.cluster.ServingCluster.submit`
   returns a :class:`~repro.serving.results.SubmitResult` (explicit
-  ``accepted`` / ``decided`` / ``rejected`` / ``shed`` admission outcome +
-  queue-depth telemetry; it still iterates like the legacy decision list),
+  ``accepted`` / ``decided`` / ``rejected`` / ``shed`` admission outcome,
+  the emitted ``decisions`` and queue-depth telemetry),
   and subscribed :class:`~repro.serving.sinks.DecisionSink` instances
   (callback, bounded buffer, fan-out, asyncio queue) receive every emitted
   decision in the exact order of the returned-list API — delivery is
@@ -123,12 +118,9 @@ from repro.serving.parallel import (
     AdaptiveBatchConfig,
     AdaptiveBatchController,
     JobHandle,
-    ProcessExecutor,
-    ReplicaLostError,
     SerialExecutor,
     ShardExecutor,
     ThreadExecutor,
-    WorkerCrashedError,
 )
 from repro.serving.results import SUBMIT_STATUSES, ConsumeSummary, SubmitResult
 from repro.serving.simulator import (
@@ -150,14 +142,6 @@ from repro.serving.supervisor import (
     CircuitBreaker,
     ShardSupervisor,
     SupervisorConfig,
-)
-from repro.serving.transport import (
-    DEFAULT_RING_BYTES,
-    PipeTransport,
-    RoundTransport,
-    ShmRing,
-    ShmTransport,
-    shm_available,
 )
 
 __all__ = [
@@ -206,19 +190,10 @@ __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "JobHandle",
     "AbandonedJobError",
-    "WorkerCrashedError",
-    "ReplicaLostError",
     "AdaptiveBatchConfig",
     "AdaptiveBatchController",
-    "DEFAULT_RING_BYTES",
-    "RoundTransport",
-    "PipeTransport",
-    "ShmTransport",
-    "ShmRing",
-    "shm_available",
     "ArrivalSimulator",
     "SimulatorConfig",
     "MultiStreamConfig",

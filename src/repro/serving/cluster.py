@@ -46,37 +46,14 @@ path.  Drain-round width is either the fixed ``batch_size`` or, with
 backlog and per-round latency EWMA (hot shards batch wide, cold shards stay
 at per-arrival latency).
 
-With ``executor="process"`` each pinned worker slot additionally owns a
-long-lived **worker process** hosting a process-resident *replica* of every
-shard pinned to it (:class:`~repro.serving.parallel.ProcessExecutor`).  The
-arrival queue, admission control, supervision, checkpoints, meters and sink
-publication all stay caller-side — sinks cannot cross the process
-boundary — while each drain round's session work (ingest, cross-stream
-batched encode, halting decisions) executes in the shard's worker process:
-the round's dequeued arrivals travel down the pipe, the emitted decisions
-and telemetry travel back, and the caller merges reports, mirrors counters
-and publishes exactly where the thread backend does.  Checkpoints fetch the
-replica's sessions over the pipe (model weights are detached in transit and
-re-attached to the caller's live weights), and recovery *reseeds* the
-replica from the checkpoint — respawning the worker process first if it
-died.  Worker death (injected ``kill`` faults are real SIGKILLs here,
-external kills, hard crashes) therefore heals through the ordinary
-supervisor path: the in-flight round fails with
-:class:`~repro.serving.parallel.WorkerCrashedError`, its dequeued arrivals
-are the lost set, and sibling shards resident in the dead process fail
-their next round with :class:`~repro.serving.parallel.ReplicaLostError`
-and reseed themselves the same way.  Fault specs are evaluated caller-side
-(one seeded injector, same determinism as the other backends); replicas
-never fire faults of their own.
-
 Push-based delivery (:mod:`repro.serving.results`,
 :mod:`repro.serving.sinks`): :meth:`ShardWorker.submit` and
 :meth:`ServingCluster.submit` return a
 :class:`~repro.serving.results.SubmitResult` that makes every admission
 outcome explicit (``accepted`` / ``decided`` / ``rejected`` / ``shed`` plus
-shard and queue-depth telemetry); the result still iterates like the legacy
-decision list, and ``overflow="reject"`` still raises
-:class:`ShardOverloadError` unless ``raise_on_reject=False``.  Subscribed
+shard and queue-depth telemetry, and the emitted ``decisions``), and
+``overflow="reject"`` still raises :class:`ShardOverloadError` unless
+``raise_on_reject=False``.  Subscribed
 :class:`~repro.serving.sinks.DecisionSink` instances receive every emitted
 decision as it is published: submission-path rounds publish on the shard's
 pinned execution context (per-stream order is exact even with concurrent
@@ -152,7 +129,7 @@ from repro.core.incremental import append_batch
 from repro.data.items import ValueSpec
 from repro.data.stream import StreamEvent
 from repro.serving.engine import Decision, EngineConfig, StreamSession
-from repro.serving.faults import FaultInjector, ShardKilled
+from repro.serving.faults import FaultInjector
 from repro.serving.monitoring import ShardMonitor, ThroughputMeter
 from repro.serving.results import ConsumeSummary, SubmitResult
 from repro.serving.sinks import DecisionSink, FanOutSink
@@ -162,14 +139,10 @@ from repro.serving.parallel import (
     AdaptiveBatchConfig,
     AdaptiveBatchController,
     JobHandle,
-    ProcessExecutor,
-    ReplicaLostError,
     SerialExecutor,
     ShardExecutor,
-    WorkerCrashedError,
     make_executor,
 )
-from repro.serving.transport import DEFAULT_RING_BYTES
 
 
 class ShardOverloadError(RuntimeError):
@@ -254,28 +227,12 @@ class ClusterConfig:
         Execution backend: ``"serial"`` runs every shard inline on the
         caller (the reference), ``"thread"`` pins each shard to a worker
         thread of a persistent pool and runs cluster-level drain / flush /
-        expire rounds concurrently across shards, ``"process"`` adds one
-        long-lived worker *process* per slot and runs each shard's round
-        work in its pinned process against a checkpoint-seeded replica
-        (GIL-free scaling; see the module docstring).
+        expire rounds concurrently across shards.
     num_workers:
-        Worker-pool size for ``executor="thread"`` / ``"process"`` (capped
-        at ``num_shards`` — an excess worker could never receive a pinned
-        shard).  Default: one thread per shard, or one process per usable
-        core (``min(available_cpus(), num_shards)``).  Ignored by the
-        serial backend.
-    transport:
-        How bulk round payloads cross the process boundary
-        (``executor="process"`` only; see :mod:`repro.serving.transport`).
-        ``"shm"`` (default) packs entries/decisions into per-slot
-        shared-memory rings and shrinks the pipe to a small control
-        message; ``"pipe"`` pickles them over the pipe.  ``"shm"`` falls
-        back to ``"pipe"`` automatically where shared memory is unusable,
-        and per-payload when a round outgrows its ring — decisions are
-        identical either way, only the copy cost differs.
-    transport_ring_bytes:
-        Per-direction ring capacity of the ``"shm"`` transport (default
-        1 MiB per direction per executor slot).
+        Worker-pool size for ``executor="thread"`` (capped at
+        ``num_shards`` — an excess worker could never receive a pinned
+        shard).  Default: one thread per shard.  Ignored by the serial
+        backend.
     adaptive:
         Controller knobs used when ``batch_size="auto"``
         (:class:`~repro.serving.parallel.AdaptiveBatchConfig`).
@@ -305,8 +262,6 @@ class ClusterConfig:
     auto_drain: bool = True
     executor: str = "serial"
     num_workers: Optional[int] = None
-    transport: str = "shm"
-    transport_ring_bytes: int = DEFAULT_RING_BYTES
     adaptive: AdaptiveBatchConfig = field(default_factory=AdaptiveBatchConfig)
     stats_window: float = 60.0
     supervision: SupervisorConfig = field(default_factory=SupervisorConfig)
@@ -330,14 +285,8 @@ class ClusterConfig:
             raise ValueError("max_queue must be positive")
         if self.overflow not in ("drain", "reject", "shed"):
             raise ValueError(f"unknown overflow policy {self.overflow!r}")
-        if self.executor not in ("serial", "thread", "process"):
+        if self.executor not in ("serial", "thread"):
             raise ValueError(f"unknown executor backend {self.executor!r}")
-        if self.transport not in ("pipe", "shm"):
-            raise ValueError(
-                f"unknown transport {self.transport!r}; expected 'pipe' or 'shm'"
-            )
-        if self.transport_ring_bytes <= 0:
-            raise ValueError("transport_ring_bytes must be positive")
         if self.num_workers is not None and self.num_workers <= 0:
             raise ValueError("num_workers must be positive")
         if self.stats_window <= 0:
@@ -396,13 +345,6 @@ class ShardWorker:
         #: Execution backend; a standalone worker (outside a cluster) runs
         #: everything inline on the caller.
         self._executor: ShardExecutor = executor or SerialExecutor()
-        #: Process-backend transport (the owning cluster sets it to the
-        #: :class:`~repro.serving.parallel.ProcessExecutor`): when non-None,
-        #: round/flush/expire session work and checkpoint captures detour
-        #: through the shard's worker process, which hosts the live replica
-        #: of this shard's sessions.  ``None`` (serial/thread/standalone)
-        #: keeps every code path exactly as before.
-        self._remote: Optional[ProcessExecutor] = None
         #: Round-width policy: fixed ``batch_size`` or adaptive controller.
         self.controller = (
             AdaptiveBatchController(config.adaptive)
@@ -456,77 +398,9 @@ class ShardWorker:
             self.sessions[stream_id] = session
         return session
 
-    def sessions_view(self) -> Dict[Hashable, StreamSession]:
-        """The shard's live sessions, fetched from the replica when remote.
-
-        Serial/thread backends return ``self.sessions`` (the live objects).
-        Under the process backend the live sessions reside in the worker
-        process; this fetches a fresh copy over the pipe, re-attaches the
-        caller's shared model/spec/config objects, refreshes the caller-side
-        mirror and returns it.  Intended for read-only inspection and
-        snapshotting — mutations to the returned sessions do not reach the
-        replica.
-        """
-        if self._remote is not None:
-            self.sessions = self._fetch_remote_sessions()
-        return self.sessions
-
-    def counts(self) -> Dict[str, int]:
-        """Cheap ``{"num_sessions", "num_decided"}`` tallies for reporting.
-
-        A light remote op on the process backend (no session payload
-        crosses the pipe); computed from the live sessions otherwise.
-        """
-        if self._remote is not None:
-            return self._remote.remote_call(self.shard_id, "counts")
-        return {
-            "num_sessions": len(self.sessions),
-            "num_decided": sum(
-                session.num_decided for session in self.sessions.values()
-            ),
-        }
-
-    # ------------------------------------------------------------------ #
-    # worker-process replica transport (executor="process")
-    # ------------------------------------------------------------------ #
     def _shared_refs(self) -> Tuple[object, ...]:
         """The objects sessions share with the cluster (never serialized)."""
         return (self.model, self.spec, self.config, self.config.engine)
-
-    def _fetch_remote_sessions(self) -> Dict[Hashable, StreamSession]:
-        """A fresh copy of the replica's sessions, weights re-attached."""
-        fetched = self._remote.remote_call(self.shard_id, "capture")
-        sessions = fetched["sessions"]
-        _attach_shared_refs(sessions, self.model, self.spec, self.config.engine)
-        return sessions
-
-    def _seed_remote(self) -> None:
-        """(Re)build this shard's replica inside its worker process.
-
-        Respawns the worker process first if it died (injected or external
-        SIGKILL, crash), then ships the model, spec, config and a
-        *detached* copy of the caller-held sessions — the pickled-checkpoint
-        seeding path of the process backend.  Used at cluster construction
-        (empty sessions), by crash recovery, and by cluster-level restore.
-        """
-        payload = {
-            "model": self.model,
-            "spec": self.spec,
-            "config": self.config,
-            "sessions": _detached_sessions_copy(self.sessions, self._shared_refs()),
-        }
-        self._remote.ensure_worker(self.shard_id)
-        try:
-            self._remote.remote_call(self.shard_id, "seed", payload)
-        except WorkerCrashedError:
-            if self._remote.current_context_abandoned():
-                raise  # stale context must not murder the replacement's worker
-            # ensure_worker's is_alive() can race a just-SIGKILLed child that
-            # has not been reaped yet, landing the seed on the dead pipe.
-            # Reap the corpse (join makes the death visible), respawn, retry.
-            self._remote.kill_worker(self.shard_id)
-            self._remote.ensure_worker(self.shard_id)
-            self._remote.remote_call(self.shard_id, "seed", payload)
 
     @property
     def queue_depth(self) -> int:
@@ -544,24 +418,9 @@ class ShardWorker:
         return self._executor.run(self.shard_id, fn)
 
     def _fire_fault(self, site: str) -> None:
-        """Fire the injector at a serving boundary, caller-side.
-
-        On the process backend a ``"kill"`` fault is escalated to *real*
-        worker death: the shard's worker process is SIGKILLed before the
-        :class:`~repro.serving.faults.ShardKilled` propagates, so the chaos
-        suite exercises genuine crash recovery — the in-flight round fails,
-        its dequeued arrivals are lost, recovery respawns the process and
-        reseeds the replica from the checkpoint.  Thread/serial semantics
-        are untouched (the kill stays a raised exception).
-        """
-        if self.faults is None:
-            return
-        try:
+        """Fire the injector (if any) at a serving boundary."""
+        if self.faults is not None:
             self.faults.fire(site, self.shard_id)
-        except ShardKilled:
-            if self._remote is not None:
-                self._remote.kill_worker(self.shard_id)
-            raise
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -660,17 +519,11 @@ class ShardWorker:
         def op() -> Tuple[Optional[StreamSession], List[StreamEvent]]:
             with self._lock:
                 pending = self._extract_pending_locked(stream_id)
-            if self._remote is not None:
-                session = self._remote.remote_call(
-                    self.shard_id, "extract_stream", {"stream_id": stream_id}
-                )
-                self.sessions.pop(stream_id, None)  # caller-side mirror
-            else:
-                session = self.sessions.pop(stream_id, None)
-                if session is not None:
-                    session = _detached_sessions_copy(
-                        {stream_id: session}, self._shared_refs()
-                    )[stream_id]
+            session = self.sessions.pop(stream_id, None)
+            if session is not None:
+                session = _detached_sessions_copy(
+                    {stream_id: session}, self._shared_refs()
+                )[stream_id]
             return session, pending
 
         session, pending = self._run_pinned(op)
@@ -701,15 +554,6 @@ class ShardWorker:
                 _attach_shared_refs(
                     {stream_id: installed}, self.model, self.spec, self.config.engine
                 )
-                if self._remote is not None:
-                    detached = _detached_sessions_copy(
-                        {stream_id: installed}, self._shared_refs()
-                    )
-                    self._remote.remote_call(
-                        self.shard_id,
-                        "install_stream",
-                        {"stream_id": stream_id, "session": detached[stream_id]},
-                    )
                 self.sessions[stream_id] = installed
             with self._lock:
                 if session is None:
@@ -724,15 +568,8 @@ class ShardWorker:
             self.supervisor.checkpoint_now()
 
     def stream_ids(self) -> List[Hashable]:
-        """Ids of every stream this shard holds (session or queued arrival).
-
-        A light remote op on the process backend (ids only — no session
-        payload crosses the pipe).
-        """
-        if self._remote is not None:
-            ids = set(self._remote.remote_call(self.shard_id, "stream_ids"))
-        else:
-            ids = set(self.sessions.keys())
+        """Ids of every stream this shard holds (session or queued arrival)."""
+        ids = set(self.sessions.keys())
         with self._lock:
             ids.update(self._pending.keys())
         return sorted(ids, key=repr)
@@ -742,8 +579,7 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     def _shard_memo(self) -> Dict[int, object]:
         """Deepcopy memo sharing the immutable-at-serving-time objects."""
-        shared = (self.model, self.spec, self.config, self.config.engine)
-        return {id(obj): obj for obj in shared}
+        return {id(obj): obj for obj in self._shared_refs()}
 
     def _capture_checkpoint(self) -> Dict[str, object]:
         """Deep-copy this shard's serving state; atomically reset the journal.
@@ -756,27 +592,7 @@ class ShardWorker:
         which are serialized against checkpoints by the supervisor, so they
         are copied outside the lock.  Queue entries are immutable events and
         are shared, not copied.
-
-        Process backend: the live sessions are fetched from the shard's
-        worker process instead of deep-copied locally (the pipe's pickling
-        *is* the copy; model weights are detached in transit and re-attached
-        to the caller's live objects so checkpoints stay state-only).  The
-        remote fetch happens *before* the queue capture + journal clear —
-        rounds are serialized against checkpoints so the replica cannot
-        advance in between, and a fetch that fails (worker died between
-        rounds) aborts the checkpoint with the journal intact.
         """
-        if self._remote is not None:
-            sessions = self._fetch_remote_sessions()
-            remote_state: Dict[str, object] = {
-                "sessions": sessions,
-                "counters": {name: getattr(self, name) for name in _SHARD_COUNTERS},
-                "monitor": copy.deepcopy(self.monitor, self._shard_memo()),
-            }
-            with self._lock:
-                remote_state["queue"] = self._pending_entries_locked()
-                self._journal.clear()
-            return remote_state
         with self._lock:
             queue = self._pending_entries_locked()
             self._journal.clear()
@@ -835,11 +651,6 @@ class ShardWorker:
             self._journal.clear()
             self._reload_queue_locked(rebuilt)
         self._round_entries = []
-        if self._remote is not None:
-            # Process backend: recovery = respawn.  Restart the worker
-            # process if it died and reseed its replica from the restored
-            # sessions, so the next round serves from checkpoint state.
-            self._seed_remote()
         return rebuilt
 
     def _take_round_entries(self) -> List[Tuple[Hashable, StreamEvent]]:
@@ -932,11 +743,11 @@ class ShardWorker:
         round publishes its emissions to subscribed sinks from that pinned
         context before the round returns.
 
-        The returned :class:`~repro.serving.results.SubmitResult` still
-        iterates like the legacy decision list; ``overflow="reject"`` keeps
-        raising :class:`ShardOverloadError` unless ``raise_on_reject`` is
-        False, in which case the rejection is reported as
-        ``status="rejected"`` instead.
+        The returned :class:`~repro.serving.results.SubmitResult` carries
+        the emitted ``decisions``; ``overflow="reject"`` keeps raising
+        :class:`ShardOverloadError` unless ``raise_on_reject`` is False, in
+        which case the rejection is reported as ``status="rejected"``
+        instead.
 
         Degradation: while the shard's circuit breaker is open the arrival
         is not admitted at all — the outcome follows the supervision
@@ -1118,25 +929,7 @@ class ShardWorker:
         if not round_entries:
             return []
         self._round_entries = round_entries
-
-        reply: Optional[Dict[str, object]] = None
-        if self._remote is not None:
-            # Mid-encode boundary, evaluated caller-side *before* the pipe
-            # send so a fault's lost set matches the dequeued arrivals (the
-            # replica runs with ``faults=None`` — injector counters never
-            # cross the process boundary, which is what keeps ``limit``-ed
-            # specs from re-firing after a respawn).
-            self._fire_fault("session-encode")
-            transport_info: Dict[str, float] = {}
-            reply = self._remote.remote_call(
-                self.shard_id,
-                "round",
-                {"entries": round_entries},
-                telemetry=transport_info,
-            )
-            emitted: List[StreamDecision] = list(reply["decisions"])
-        else:
-            emitted = self._serve_entries(round_entries)
+        emitted = self._serve_entries(round_entries)
 
         if sup is not None and sup.epoch != epoch:
             # Abandoned mid-round: the sessions above were the orphaned
@@ -1147,22 +940,10 @@ class ShardWorker:
             # erase a concurrently running round's lost-entry tracking).
             return []
         self.drained += len(round_entries)
-        if reply is not None:
-            # Mirror the replica's per-round counter deltas and the
-            # worker-side encode latency into the caller-side bookkeeping —
-            # report-merge, meters and sink publication all stay caller-side.
-            self.batch_rounds += reply["batch_rounds"]
-            self.batched_rows += reply["batched_rows"]
         self._round_entries = []
 
         elapsed_ms = (time.perf_counter() - start) * 1e3
         self.monitor.observe_round(depth_before, len(round_entries), elapsed_ms)
-        if reply is not None:
-            self.monitor.observe_encode(reply["encode_ms"])
-            self.monitor.observe_transport(
-                transport_info.get("bytes", 0.0),
-                transport_info.get("serialize_ms", 0.0),
-            )
         if self.controller is not None:
             self.controller.observe_round(
                 self.queue_depth, len(round_entries), elapsed_ms
@@ -1174,13 +955,8 @@ class ShardWorker:
     ) -> List[StreamDecision]:
         """Serve one round's dequeued arrivals against the live sessions.
 
-        The round's serving kernel, shared by both execution sites: the
-        serial/thread backends call it in-process from :meth:`_drain_round`;
-        the process backend's replica calls it inside the worker process
-        (via :func:`shard_replica_handler`), where ``self`` is the seeded
-        replica ``ShardWorker`` and ``self.faults`` is ``None`` (fault
-        boundaries are evaluated caller-side).  Encodable rows run as one
-        cross-stream batch when ``config.batched`` is set.
+        Encodable rows run as one cross-stream batch when
+        ``config.batched`` is set.
         """
         staged = [
             (stream_id, event, self.session(stream_id))
@@ -1193,8 +969,7 @@ class ShardWorker:
         ]
         # Mid-encode boundary: sessions are half-mutated (bookkeeping ran,
         # rows not appended) and the round's arrivals are consumed — the
-        # worst case a checkpoint restore must undo bit-for-bit.  No-op on
-        # process-backend replicas (``faults`` is ``None`` there).
+        # worst case a checkpoint restore must undo bit-for-bit.
         self._fire_fault("session-encode")
         if self.config.batched and len(appendable) > 1:
             representations = append_batch(
@@ -1231,9 +1006,6 @@ class ShardWorker:
         emitted = self._drain_inline()
         if self._executor.current_context_abandoned():
             return emitted  # zombie: self.sessions is the replacement's now
-        if self._remote is not None:
-            emitted.extend(self._remote.remote_call(self.shard_id, "flush_tail"))
-            return emitted
         for stream_id, session in self.sessions.items():
             for decision in session.flush():
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
@@ -1250,13 +1022,6 @@ class ShardWorker:
         emitted = self._drain_inline()
         if self._executor.current_context_abandoned():
             return emitted  # zombie: self.sessions is the replacement's now
-        if self._remote is not None:
-            emitted.extend(
-                self._remote.remote_call(
-                    self.shard_id, "flush_stream_tail", {"stream_id": stream_id}
-                )
-            )
-            return emitted
         session = self.sessions.get(stream_id)
         if session is not None:
             for decision in session.flush():
@@ -1273,11 +1038,6 @@ class ShardWorker:
         emitted = self._drain_inline()
         if self._executor.current_context_abandoned():
             return emitted  # zombie: self.sessions is the replacement's now
-        if self._remote is not None:
-            emitted.extend(
-                self._remote.remote_call(self.shard_id, "expire_tail", {"now": now})
-            )
-            return emitted
         for stream_id, session in self.sessions.items():
             for decision in session.expire(now):
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
@@ -1327,8 +1087,8 @@ def _detached_sessions_copy(
     """Deep-copy sessions with the shared model/spec/config *detached*.
 
     The deepcopy memo maps every shared object to ``None``, so the copy
-    carries only per-session serving state — what must cross a process
-    boundary or live in a pickled snapshot.  :func:`_attach_shared_refs`
+    carries only per-session serving state — what a migrated stream or a
+    pickled snapshot must carry.  :func:`_attach_shared_refs`
     is the inverse: it points a detached copy back at live shared objects.
     """
     memo = {id(obj): None for obj in shared}
@@ -1356,118 +1116,6 @@ def _attach_shared_refs(
         if session._incremental is not None:
             session._incremental.model = model
     return sessions
-
-
-def shard_replica_handler(
-    replicas: Dict[int, ShardWorker],
-    op: str,
-    shard_id: int,
-    payload: Optional[Dict[str, object]],
-) -> object:
-    """Serve one pipe command against a worker process's shard replicas.
-
-    Runs inside :func:`repro.serving.parallel._process_worker_main`.
-    ``replicas`` is the process-local registry (shard id → seeded
-    :class:`ShardWorker` replica); it starts empty and is populated by
-    ``"seed"`` commands.  Replicas run with ``faults=None`` (fault
-    boundaries are evaluated caller-side) and their queues stay empty —
-    round arrivals arrive pre-dequeued in the command payload.
-
-    A freshly respawned process has lost every replica it hosted, so any
-    non-seed command addressed to an unknown shard raises
-    :class:`~repro.serving.parallel.ReplicaLostError` — the caller-side
-    shard fails its round and heals by reseeding from its checkpoint.
-    """
-    if op == "seed":
-        replica = ShardWorker(
-            shard_id, payload["model"], payload["spec"], payload["config"]
-        )
-        replica.faults = None
-        sessions = payload["sessions"]
-        _attach_shared_refs(
-            sessions, replica.model, replica.spec, replica.config.engine
-        )
-        replica.sessions = sessions
-        replicas[shard_id] = replica
-        return None
-    replica = replicas.get(shard_id)
-    if replica is None:
-        raise ReplicaLostError(
-            f"worker process holds no replica for shard {shard_id} "
-            "(respawned since the last seed?)"
-        )
-    if op == "round":
-        start = time.perf_counter()
-        batch_rounds_before = replica.batch_rounds
-        batched_rows_before = replica.batched_rows
-        decisions = replica._serve_entries(payload["entries"])
-        return {
-            "decisions": decisions,
-            "batch_rounds": replica.batch_rounds - batch_rounds_before,
-            "batched_rows": replica.batched_rows - batched_rows_before,
-            "encode_ms": (time.perf_counter() - start) * 1e3,
-        }
-    if op == "capture":
-        shared = (
-            replica.model,
-            replica.spec,
-            replica.config,
-            replica.config.engine,
-        )
-        return {"sessions": _detached_sessions_copy(replica.sessions, shared)}
-    if op == "counts":
-        return {
-            "num_sessions": len(replica.sessions),
-            "num_decided": sum(
-                session.num_decided for session in replica.sessions.values()
-            ),
-        }
-    if op == "flush_tail":
-        return [
-            StreamDecision(stream_id, replica.shard_id, decision)
-            for stream_id, session in replica.sessions.items()
-            for decision in session.flush()
-        ]
-    if op == "flush_stream_tail":
-        session = replica.sessions.get(payload["stream_id"])
-        if session is None:
-            return []
-        return [
-            StreamDecision(payload["stream_id"], replica.shard_id, decision)
-            for decision in session.flush()
-        ]
-    if op == "expire_tail":
-        return [
-            StreamDecision(stream_id, replica.shard_id, decision)
-            for stream_id, session in replica.sessions.items()
-            for decision in session.expire(payload["now"])
-        ]
-    if op == "extract_stream":
-        session = replica.sessions.pop(payload["stream_id"], None)
-        if session is None:
-            return None
-        shared = (
-            replica.model,
-            replica.spec,
-            replica.config,
-            replica.config.engine,
-        )
-        return _detached_sessions_copy({payload["stream_id"]: session}, shared)[
-            payload["stream_id"]
-        ]
-    if op == "install_stream":
-        session = payload["session"]
-        _attach_shared_refs(
-            {payload["stream_id"]: session},
-            replica.model,
-            replica.spec,
-            replica.config.engine,
-        )
-        replica.sessions[payload["stream_id"]] = session
-        return None
-    if op == "stream_ids":
-        return list(replica.sessions.keys())
-    raise ValueError(f"unknown replica op: {op!r}")
 
 
 class ServingCluster:
@@ -1498,25 +1146,13 @@ class ServingCluster:
         self.config = config or ClusterConfig()
         self.config.engine.validate_for_model(model)
         self._executor = make_executor(
-            self.config.executor,
-            self.config.num_shards,
-            self.config.num_workers,
-            process_handler=shard_replica_handler,
-            transport=self.config.transport,
-            transport_ring_bytes=self.config.transport_ring_bytes,
+            self.config.executor, self.config.num_shards, self.config.num_workers
         )
         self.shards = [
             ShardWorker(index, model, spec, self.config, executor=self._executor)
             for index in range(self.config.num_shards)
         ]
         self._state = "running"
-        if isinstance(self._executor, ProcessExecutor):
-            # Seed every shard's replica into its pinned worker process
-            # before supervisors attach (supervisor construction captures an
-            # initial checkpoint, which fetches sessions from the replica).
-            for shard in self.shards:
-                shard._remote = self._executor
-                shard._seed_remote()
         #: Per-shard supervision: breaker, checkpoints, crash recovery
         #: (:mod:`repro.serving.supervisor`).  Attached before any arrival,
         #: so the initial checkpoint is the empty shard.
@@ -1646,23 +1282,16 @@ class ServingCluster:
         return self.shards[self.shard_index(stream_id)]
 
     def session(self, stream_id: Hashable, create: bool = False) -> Optional[StreamSession]:
-        """The stream's session (``None`` unless seen before or ``create``).
-
-        Process backend: returns a read-only copy fetched from the shard's
-        replica (the live session resides in the worker process).
-        """
+        """The stream's session (``None`` unless seen before or ``create``)."""
         shard = self.shard_of(stream_id)
         if create:
             return shard.session(stream_id)
-        return shard.sessions_view().get(stream_id)
+        return shard.sessions.get(stream_id)
 
     def sessions(self) -> Iterator[Tuple[Hashable, StreamSession]]:
-        """All live ``(stream_id, session)`` pairs, shard by shard.
-
-        Process backend: yields read-only copies fetched from the replicas.
-        """
+        """All live ``(stream_id, session)`` pairs, shard by shard."""
         for shard in self.shards:
-            yield from shard.sessions_view().items()
+            yield from shard.sessions.items()
 
     # ------------------------------------------------------------------ #
     # serving API
@@ -1679,8 +1308,8 @@ class ServingCluster:
         multi-stream simulator stamps); pass ``stream_id`` explicitly when
         events carry no source.  Returns a
         :class:`~repro.serving.results.SubmitResult`: the explicit admission
-        outcome, any decisions a triggered drain emitted (the result
-        iterates like the legacy decision list) and the shard's queue depth.
+        outcome, any decisions a triggered drain emitted and the shard's
+        queue depth.
         ``overflow="reject"`` raises :class:`ShardOverloadError` unless
         ``raise_on_reject=False``.
         """
@@ -1940,7 +1569,7 @@ class ServingCluster:
         for shard in self.shards:
             states.append(
                 {
-                    "sessions": shard.sessions_view(),
+                    "sessions": shard.sessions,
                     "queue": shard.pending_entries(),
                     "counters": {name: getattr(shard, name) for name in _SHARD_COUNTERS},
                     "monitor": shard.monitor,
@@ -1985,10 +1614,6 @@ class ServingCluster:
             shard.monitor = state.get("monitor") or ShardMonitor()
             if shard.controller is not None:
                 shard.controller.reset()
-            if shard._remote is not None:
-                # Process backend: push the restored sessions into the
-                # shard's replica before supervision recaptures around them.
-                shard._seed_remote()
             if shard.supervisor is not None:
                 # Re-arm supervision around the restored state: fresh
                 # checkpoint, closed breaker, new epoch (counters survive —
@@ -2000,11 +1625,11 @@ class ServingCluster:
     # ------------------------------------------------------------------ #
     @property
     def num_sessions(self) -> int:
-        return sum(shard.counts()["num_sessions"] for shard in self.shards)
+        return sum(len(shard.sessions) for shard in self.shards)
 
     @property
     def num_decided(self) -> int:
-        return sum(shard.counts()["num_decided"] for shard in self.shards)
+        return sum(session.num_decided for _, session in self.sessions())
 
     def health(self) -> Dict[str, object]:
         """The cluster's fault-tolerance view (also ``stats()["health"]``).
@@ -2040,7 +1665,6 @@ class ServingCluster:
             "sink_publish_errors": sum(view["publish_errors"] for view in delivery),
             "abandoned_workers": getattr(self._executor, "abandoned_workers", 0),
             "leaked_workers": getattr(self._executor, "leaked_workers", 0),
-            "worker_respawns": getattr(self._executor, "worker_respawns", 0),
         }
 
     def stats(self) -> Dict[str, object]:
@@ -2058,10 +1682,6 @@ class ServingCluster:
         return {
             "num_shards": len(self.shards),
             "executor": self.config.executor,
-            # The transport the process executor actually runs (shm can
-            # resolve to pipe where shared memory is unusable); None for
-            # the in-process backends, which have no transport at all.
-            "transport": getattr(self._executor, "transport", None),
             "state": self._state,
             "num_sessions": self.num_sessions,
             "num_decided": self.num_decided,
@@ -2077,9 +1697,6 @@ class ServingCluster:
             "drained": sum(shard.drained for shard in self.shards),
             "rounds": merged_monitor.rounds,
             "round_latency_ms": merged_monitor.round_latency_ms.summary(),
-            "encode_latency_ms": merged_monitor.encode_latency_ms.summary(),
-            "transport_bytes": merged_monitor.transport_bytes.summary(),
-            "transport_serialize_ms": merged_monitor.serialize_ms.summary(),
             "round_queue_depth": merged_monitor.queue_depth.summary(),
             "round_widths": [shard.round_width() for shard in self.shards],
             # Plain dicts (``ShardMonitorSnapshot.to_dict``), not dataclass

@@ -682,13 +682,8 @@ class StreamSession:
         return len(self._truncated_keys & set(self.decisions))
 
 
-class OnlineClassificationEngine(StreamSession):
-    """Serve a trained KVEC model over a single live tangled item stream.
-
-    The historical single-stream API, kept as a thin facade: it is exactly
-    one :class:`StreamSession`, so its behaviour defines — decision for
-    decision — what the sharded :class:`~repro.serving.cluster.ServingCluster`
-    must produce per stream (the cluster parity suite pins this).  Multi-
-    stream deployments should use the cluster, which adds hash routing,
-    bounded queues and cross-stream batched encoding on top of sessions.
-    """
+#: The historical single-stream API name.  It *is* a :class:`StreamSession`,
+#: so its behaviour defines — decision for decision — what the sharded
+#: :class:`~repro.serving.cluster.ServingCluster` must produce per stream (the
+#: cluster parity suite pins this).
+OnlineClassificationEngine = StreamSession

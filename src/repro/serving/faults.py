@@ -44,11 +44,6 @@ Actions
     simulated hard crash of a shard.  The supervision path is identical by
     design: any exception escaping a round means the shard's state can no
     longer be trusted, so both flavours recover from the last checkpoint.
-    On the **process backend** a kill is escalated to *real* worker death:
-    the shard's worker process is SIGKILLed before the exception propagates,
-    so recovery additionally respawns the process and reseeds its replicas
-    from checkpoint — the chaos suite exercises genuine crash recovery, not
-    a simulation.  Thread/serial semantics are unchanged.
 ``"delay"``
     Sleep for ``delay_s`` and continue.  Under the thread executor this is
     how a *wedged* worker is simulated: a delay longer than the supervisor's
@@ -183,22 +178,6 @@ class FaultInjector:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._states: List[_SpecState] = [_SpecState(spec) for spec in specs]
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle support: drop the (unpicklable) lock.
-
-        The process backend pickles ``ClusterConfig`` — injector included —
-        into each worker's seed payload.  Fault evaluation stays entirely
-        caller-side (replicas run with ``faults=None``), so the shipped copy
-        is inert; this just keeps the config picklable.
-        """
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def add(self, spec: FaultSpec) -> FaultSpec:
         """Arm one more spec; returns it for later inspection."""

@@ -414,26 +414,15 @@ class ShardMonitorSnapshot:
     rows: int
     round_latency_ms: HistogramSnapshot
     queue_depth: HistogramSnapshot
-    #: Worker-process encode latency (process backend only; empty otherwise).
-    encode_latency_ms: Optional[HistogramSnapshot] = None
-    #: Per-round transport payload bytes (process backend only).
-    transport_bytes: Optional[HistogramSnapshot] = None
-    #: Per-round caller-side encode+decode wall-clock (process backend only).
-    serialize_ms: Optional[HistogramSnapshot] = None
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON view: nested histograms render via their ``to_dict``."""
-        payload: Dict[str, object] = {"rounds": self.rounds, "rows": self.rows}
-        for name in (
-            "round_latency_ms",
-            "queue_depth",
-            "encode_latency_ms",
-            "transport_bytes",
-            "serialize_ms",
-        ):
-            histogram = getattr(self, name)
-            payload[name] = None if histogram is None else histogram.to_dict()
-        return payload
+        return {
+            "rounds": self.rounds,
+            "rows": self.rows,
+            "round_latency_ms": self.round_latency_ms.to_dict(),
+            "queue_depth": self.queue_depth.to_dict(),
+        }
 
 
 class ShardMonitor:
@@ -445,16 +434,6 @@ class ShardMonitor:
     published so operators can see what the controller sees.  Like
     :class:`DecisionMonitor`, shard monitors are worker-local and mergeable
     into an exact cluster-level view.
-
-    Under the process backend each round also reports the wall-clock cost
-    of its replica-side serving (``encode_latency_ms`` — the worker-process
-    slice of the round, measured inside the worker and shipped back with
-    the decisions) plus the round-transport cost of shipping it:
-    ``transport_bytes`` (bulk payload bytes, entries out + decisions back)
-    and ``serialize_ms`` (the caller-side encode+decode wall-clock — the
-    pickling cost on the pipe transport, the flat-pack copy cost on the
-    shm transport).  All three histograms stay empty on the serial and
-    thread backends.
     """
 
     def __init__(self) -> None:
@@ -462,9 +441,6 @@ class ShardMonitor:
         self.rows = 0
         self.round_latency_ms = Log2Histogram()
         self.queue_depth = Log2Histogram()
-        self.encode_latency_ms = Log2Histogram()
-        self.transport_bytes = Log2Histogram()
-        self.serialize_ms = Log2Histogram()
 
     def observe_round(self, queue_depth: int, rows: int, elapsed_ms: float) -> None:
         """Record one drain round: depth at round start, rows served, cost."""
@@ -473,27 +449,12 @@ class ShardMonitor:
         self.round_latency_ms.observe(elapsed_ms)
         self.queue_depth.observe(float(queue_depth))
 
-    def observe_encode(self, elapsed_ms: float) -> None:
-        """Record one round's worker-reported encode latency (process)."""
-        self.encode_latency_ms.observe(elapsed_ms)
-
-    def observe_transport(self, nbytes: float, serialize_ms: float) -> None:
-        """Record one round's transport cost (process backend)."""
-        self.transport_bytes.observe(nbytes)
-        self.serialize_ms.observe(serialize_ms)
-
     def merge(self, other: "ShardMonitor") -> "ShardMonitor":
         """Fold another shard's telemetry in; returns ``self`` for chaining."""
         self.rounds += other.rounds
         self.rows += other.rows
         self.round_latency_ms.merge(other.round_latency_ms)
         self.queue_depth.merge(other.queue_depth)
-        # Monitors restored from checkpoints/pickles recorded before these
-        # histograms existed may lack them; treat a missing one as empty.
-        for name in ("encode_latency_ms", "transport_bytes", "serialize_ms"):
-            other_hist = getattr(other, name, None)
-            if other_hist is not None:
-                getattr(self, name).merge(other_hist)
         return self
 
     @classmethod
@@ -510,9 +471,6 @@ class ShardMonitor:
             rows=self.rows,
             round_latency_ms=self.round_latency_ms.snapshot(),
             queue_depth=self.queue_depth.snapshot(),
-            encode_latency_ms=self.encode_latency_ms.snapshot(),
-            transport_bytes=self.transport_bytes.snapshot(),
-            serialize_ms=self.serialize_ms.snapshot(),
         )
 
 

@@ -1,8 +1,7 @@
 """Network serving tier: stdlib HTTP front end + multi-cluster routing.
 
-Everything below the wire — sessions, shards, clusters, process-parallel
-executors, shm transport, fault supervision, push gateways — already
-exists; this package is the layer that makes it reachable without
+Everything below the wire — sessions, shards, clusters, serial and thread
+executors, fault supervision, push gateways — already exists; this package is the layer that makes it reachable without
 importing the package:
 
 * :mod:`~repro.serving.net.protocol` — hand-rolled HTTP/1.1 framing over

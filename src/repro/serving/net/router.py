@@ -22,7 +22,7 @@ behind one submit/flush/stats surface:
 * **recovery** — the router keeps a per-node checkpoint (a
   :class:`~repro.serving.cluster.ClusterSnapshot`) plus a journal of every
   admission since; :meth:`recover_node` restores the checkpoint and
-  replays the journal.  A SIGKILLed node comes back serving the same
+  replays the journal.  A failed node comes back serving the same
   streams with *at-least-once* delivery: every admitted arrival is
   re-served (replayed decisions are bit-identical, so duplicates are
   harmless repeats, and per-key outcomes match an unfailed reference).
@@ -227,11 +227,11 @@ class ClusterRouter:
     def recover_node(self, index: int) -> List[StreamDecision]:
         """Rebuild a failed node: restore its checkpoint, replay its journal.
 
-        Built for *external* failures (a SIGKILLed worker fleet, a wedged
-        node) — :meth:`~repro.serving.cluster.ServingCluster.restore`
-        respawns dead worker processes and reseeds their replicas, then the
-        journal replay re-serves every admitted arrival since the
-        checkpoint.  Delivery is at-least-once: arrivals the dead node had
+        Built for failures the node cannot heal by itself (lost or
+        corrupted serving state, a wedged node) —
+        :meth:`~repro.serving.cluster.ServingCluster.restore` rewinds the
+        node to its checkpoint, then the journal replay re-serves every
+        admitted arrival since the checkpoint.  Delivery is at-least-once: arrivals the dead node had
         already decided are decided again, bit-identically (subscribed
         sinks see repeats of the same decisions, never conflicting ones).
         Returns the decisions the replay emitted.
@@ -314,7 +314,4 @@ class ClusterRouter:
             "failures": sum(view["failures"] for view in node_health),
             "restores": sum(view["restores"] for view in node_health),
             "lost_arrivals": sum(view["lost_arrivals"] for view in node_health),
-            "worker_respawns": sum(
-                view["worker_respawns"] for view in node_health
-            ),
         }

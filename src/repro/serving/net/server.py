@@ -297,6 +297,8 @@ class ServingHTTPServer:
             payload = request.json()
             if not isinstance(payload, dict) or "snapshot_id" not in payload:
                 raise WireFormatError("restore needs a 'snapshot_id'")
+            if not isinstance(payload["snapshot_id"], str):
+                raise WireFormatError("restore 'snapshot_id' must be a string")
             snapshot = self._snapshots.get(payload["snapshot_id"])
             if snapshot is None:
                 return protocol.json_response(

@@ -8,10 +8,10 @@ module supplies the pieces that turn "sharded" into "scales with cores":
 * **Shard executors.**  :class:`ShardExecutor` is the minimal execution
   contract the cluster needs: run one callable with affinity to a shard, or
   run one callable per shard and collect the results *in shard order*.
-  Three backends implement it, in increasing isolation:
+  Two backends implement it:
 
   - :class:`SerialExecutor` runs everything inline on the caller (the exact
-    PR-3 behaviour) — the reference every other backend is parity-tested
+    PR-3 behaviour) — the reference the thread backend is parity-tested
     against.
   - :class:`ThreadExecutor` keeps a persistent pool of worker threads with
     one FIFO job queue each and **pins every shard to one worker**
@@ -22,31 +22,11 @@ module supplies the pieces that turn "sharded" into "scales with cores":
     draining several shards concurrently overlaps their BLAS time on real
     cores — but every shard's *Python* bookkeeping still serialises on the
     one interpreter.
-  - :class:`ProcessExecutor` escapes the GIL entirely: it extends the
-    thread backend with **one long-lived worker process per executor
-    slot** (same ``shard % num_workers`` pinning), connected by a duplex
-    pipe.  The pinned pump threads keep running all caller-side
-    orchestration — queueing, supervision, sink publication — while the
-    heavy per-round session work executes in the shard's worker process
-    against a process-resident replica (see
-    :mod:`repro.serving.cluster`); arrivals travel to the worker and
-    per-round decision/telemetry reports travel back over a pluggable
-    **round transport** (:mod:`repro.serving.transport`): ``"shm"``
-    (default) packs the bulk payloads into per-slot shared-memory rings and
-    shrinks the pipe to a small control message, ``"pipe"`` is the portable
-    pickle-over-pipe path and the automatic fallback when shared memory is
-    unavailable or a payload outgrows its ring.  A worker process is
-    (re)spawned seeded from
-    the shard's pickled checkpoint, :meth:`ProcessExecutor.abandon` is
-    *real* process termination (SIGKILL) + respawn-from-checkpoint, and a
-    killed worker's stale reports are dropped by the same supervisor epoch
-    guard that contains zombie threads.
 
   Determinism: ``map_shards`` always returns results indexed by shard, so a
   cluster-level drain/flush/expire concatenates per-shard decision lists in
   stable (shard index, round, intra-round) order — decision-for-decision
-  identical to the serial backend, which the cluster parity suite pins for
-  the thread and process backends alike.
+  identical to the serial backend, which the cluster parity suite pins.
 
   The push-delivery layer (:mod:`repro.serving.sinks`) leans on the same
   pinning for its ordering contract: submission-path rounds publish their
@@ -54,9 +34,7 @@ module supplies the pieces that turn "sharded" into "scales with cores":
   shard's — and therefore one stream's — deliveries can never reorder even
   with concurrent submitters, while cluster-level fan-outs journal the
   per-shard lists ``map_shards`` returns and publish the stable-ordered
-  merge at the merge point.  Under the process backend sinks never cross
-  the process boundary: decisions come back over the pipe and publication
-  happens caller-side, exactly where the thread backend publishes.
+  merge at the merge point.
 
 * **Adaptive drain batching.**  :class:`AdaptiveBatchController` picks each
   drain round's width from the observed backlog and a per-row latency EWMA
@@ -79,66 +57,26 @@ module supplies the pieces that turn "sharded" into "scales with cores":
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import signal
 import threading
-import time
 import warnings
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
-
-from repro.serving.transport import (
-    DEFAULT_RING_BYTES,
-    REQUEST_BULK_OPS,
-    make_round_transport,
-    make_worker_transport,
-    shm_available,
-)
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
 __all__ = [
     "AbandonedJobError",
-    "WorkerCrashedError",
-    "ReplicaLostError",
     "ShardExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "JobHandle",
     "make_executor",
     "available_cpus",
-    "shm_available",
     "AdaptiveBatchConfig",
     "AdaptiveBatchController",
 ]
-
-
-class WorkerCrashedError(RuntimeError):
-    """A worker process died (or its pipe broke) mid-command.
-
-    Raised caller-side by :meth:`ProcessExecutor.remote_call` when the
-    shard's worker process can no longer answer — it was SIGKILLed (injected
-    or external), crashed outright, or its execution context was abandoned
-    while the command was in flight.  The supervised round treats it like
-    any other round failure: the arrivals the dead round had dequeued become
-    the lost set and the shard recovers from its checkpoint (which respawns
-    the worker and reseeds its replica).
-    """
-
-
-class ReplicaLostError(RuntimeError):
-    """A worker process has no replica for the addressed shard.
-
-    Returned (as an error reply) by the worker command loop when a command
-    arrives for a shard it does not host — the signature of a *respawned*
-    process: a worker that died took every resident shard replica with it,
-    and only the shard whose recovery triggered the respawn was reseeded.
-    Sibling shards pinned to the same worker hit this on their next round,
-    fail it, and recover — which reseeds their replicas too.
-    """
 
 
 class AbandonedJobError(RuntimeError):
@@ -234,10 +172,6 @@ class JobHandle:
         if self.error is not None:
             raise self.error
         return self.result
-
-
-#: Backwards-compatible alias (the handle predates its public name).
-_Job = JobHandle
 
 
 class SerialExecutor(ShardExecutor):
@@ -476,414 +410,23 @@ class ThreadExecutor(ShardExecutor):
             )
 
 
-def _process_worker_main(conn, handler, transport_args=None) -> None:
-    """Command loop of one worker process.
-
-    Owns a ``shard_id -> replica`` registry (opaque to this module: the
-    ``handler`` populates and consults it) and answers ``(op, shard_id,
-    wire)`` requests with ``("ok", wire)`` / ``("err", exception)`` tuples.
-    Bulk payloads (round entries in, decision lists out) are translated by
-    the worker-side round transport built from ``transport_args`` —
-    shared-memory ring attachments for ``"shm"``, explicit pickling for
-    ``"pipe"`` — while error replies and control-plane ops stay plain
-    pickled objects on the pipe.  ``None`` is the graceful-shutdown
-    sentinel; EOF (the parent closed or swapped the pipe) exits too.
-
-    Injected hard crashes are *real* here: a handler raising
-    :class:`~repro.serving.faults.ShardKilled` gets its error reply flushed
-    and then the process SIGKILLs itself — no cleanup, no atexit, exactly
-    the crash the checkpoint/respawn recovery path must absorb.  (The
-    cluster normally evaluates fault specs caller-side and kills the worker
-    from outside, so this in-process escalation is the fallback for kills
-    raised by replica-side code itself.)
-    """
-    transport = make_worker_transport(transport_args)
-    replicas: dict = {}
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message is None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            return
-        op, shard_index, wire = message
-        dying = False
-        try:
-            payload = transport.decode_request(op, wire)
-            reply = ("ok", transport.encode_reply(op, handler(replicas, op, shard_index, payload)))
-        except BaseException as error:
-            dying = type(error).__name__ == "ShardKilled"
-            try:
-                reply = ("err", error)
-            except Exception:  # pragma: no cover - defensive
-                reply = ("err", RuntimeError(repr(error)))
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-        except Exception:
-            # Unpicklable reply (exotic error payload): degrade to repr.
-            try:
-                conn.send(("err", RuntimeError(repr(reply[1]))))
-            except Exception:
-                return
-        if dying:
-            os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies
-
-
-class ProcessExecutor(ThreadExecutor):
-    """Per-shard worker *processes* behind the thread backend's pump pool.
-
-    The thread backend's machinery is kept wholesale: every shard stays
-    pinned to worker slot ``shard % num_workers``, jobs still run on the
-    slot's pump thread (submission order, re-entrancy, abandon semantics,
-    :class:`AbandonedJobError` drop-and-resubmit — all unchanged).  What is
-    new is that each slot additionally owns one **long-lived worker
-    process** plus a duplex pipe, and the cluster routes each shard's heavy
-    per-round work through :meth:`remote_call` from the pinned pump thread —
-    so the GIL-bound Python bookkeeping of different shards runs in
-    different interpreters, not just different threads.
-
-    ``num_workers`` defaults to ``min(available_cpus(), num_shards)`` — one
-    process per core, never more processes than shards (an excess worker
-    could never receive a pinned shard, yet would cost a process + pump
-    thread and pollute close/leak accounting).
-
-    Crash surface: a worker process dying (injected SIGKILL, external kill,
-    hard crash) surfaces as :class:`WorkerCrashedError` on the in-flight
-    command; :meth:`ensure_worker` respawns the slot on demand (recovery
-    reseeds the replica from the shard's pickled checkpoint), and
-    :meth:`abandon` escalates the thread backend's worker replacement to
-    real process termination + respawn.  Stale state is contained exactly
-    as for zombie threads: an abandoned pump's in-flight command fails
-    against the dead pipe, and its failure report is dropped by the
-    supervisor's epoch guard.
-
-    ``handler`` is the worker-side command interpreter — a picklable
-    module-level function ``handler(replicas, op, shard_id, payload)``
-    (defaults to the serving cluster's shard-replica handler).  The
-    executor itself is transport only: pipes, rings, processes, liveness.
-
-    ``transport`` selects how bulk round payloads cross the process
-    boundary (see :mod:`repro.serving.transport`): ``"shm"`` (default)
-    ships entries/decisions through per-slot shared-memory rings of
-    ``transport_ring_bytes`` each, falling back to ``"pipe"`` automatically
-    where shared memory is unusable; ``"pipe"`` pickles the payloads.  The
-    resolved choice is exposed as :attr:`transport`.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        num_workers: Optional[int] = None,
-        name_prefix: str = "shard-worker",
-        join_timeout: float = 5.0,
-        handler: Optional[Callable] = None,
-        start_method: Optional[str] = None,
-        transport: str = "shm",
-        transport_ring_bytes: int = DEFAULT_RING_BYTES,
-    ) -> None:
-        if num_workers is None:
-            # Default one worker per usable core, clamped to the shard count
-            # (the same clamp ThreadExecutor applies to explicit counts).
-            num_workers = min(available_cpus(), num_shards)
-        super().__init__(num_shards, num_workers, name_prefix, join_timeout)
-        if handler is None:
-            from repro.serving.cluster import shard_replica_handler as handler
-        self._handler = handler
-        if transport not in ("pipe", "shm"):
-            raise ValueError(
-                f"unknown transport {transport!r}; expected 'pipe' or 'shm'"
-            )
-        if transport_ring_bytes <= 0:
-            raise ValueError(
-                f"transport_ring_bytes must be positive, got {transport_ring_bytes}"
-            )
-        #: The transport the executor actually runs ("shm" silently resolves
-        #: to "pipe" on platforms without working shared memory).
-        self.transport = transport if shm_available() else "pipe"
-        self.transport_ring_bytes = int(transport_ring_bytes)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._mp_context = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        #: Serialises one slot's pipe traffic (send+recv pairs) against
-        #: concurrent callers and against pipe swaps (respawn/abandon).
-        self._slot_locks = [threading.Lock() for _ in range(self.num_workers)]
-        self._processes: List[Optional[Any]] = [None] * self.num_workers
-        self._connections: List[Optional[Any]] = [None] * self.num_workers
-        #: One caller-side round transport per slot; rings are (re)allocated
-        #: by ``_spawn`` so each worker generation gets fresh segments.
-        self._transports = [
-            make_round_transport(self.transport, self.transport_ring_bytes)
-            for _ in range(self.num_workers)
-        ]
-        #: Lifetime count of worker-process respawns (kills + crashes).
-        self.worker_respawns = 0
-        self._processes_closed = False
-        for slot in range(self.num_workers):
-            self._spawn(slot)
-
-    # ------------------------------------------------------------------ #
-    # process lifecycle
-    # ------------------------------------------------------------------ #
-    def _spawn(self, slot: int) -> None:
-        # Fresh rings per worker generation: a SIGKILLed predecessor may have
-        # died mid-write, so a respawn must never inherit its segments — and
-        # the old segments are unlinked here, so respawns cannot leak shm.
-        self._transports[slot].reallocate()
-        parent_conn, child_conn = self._mp_context.Pipe(duplex=True)
-        process = self._mp_context.Process(
-            target=_process_worker_main,
-            args=(child_conn, self._handler, self._transports[slot].worker_args()),
-            name=f"{self._name_prefix}-proc-{slot}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._connections[slot] = parent_conn
-        self._processes[slot] = process
-
-    def shm_segment_names(self) -> Tuple[str, ...]:
-        """Names of every live shared-memory segment (leak tests)."""
-        names: List[str] = []
-        for transport in self._transports:
-            names.extend(transport.segment_names())
-        return tuple(names)
-
-    def worker_pid(self, shard_index: int) -> Optional[int]:
-        """The pid of the shard's current worker process (tests/chaos)."""
-        process = self._processes[self.worker_index(shard_index)]
-        return None if process is None else process.pid
-
-    def worker_alive(self, shard_index: int) -> bool:
-        process = self._processes[self.worker_index(shard_index)]
-        return process is not None and process.is_alive()
-
-    def kill_worker(self, shard_index: int) -> Optional[int]:
-        """SIGKILL the shard's worker process; returns the killed pid.
-
-        Does *not* respawn — that is recovery's job (:meth:`ensure_worker`),
-        so the death is observable exactly like an external ``kill -9``:
-        every in-flight and subsequent command on the slot fails with
-        :class:`WorkerCrashedError` until a recovery respawns it.  This is
-        how ``FaultSpec(action="kill")`` becomes real worker death on the
-        process backend.
-        """
-        process = self._processes[self.worker_index(shard_index)]
-        if process is None:
-            return None
-        pid = process.pid
-        process.kill()
-        process.join(timeout=self.join_timeout)
-        return pid
-
-    def ensure_worker(self, shard_index: int) -> bool:
-        """Respawn the shard's worker process if it is dead.
-
-        Returns True when a fresh process was spawned (the caller must then
-        reseed every replica it needs — the new process hosts none).
-        """
-        slot = self.worker_index(shard_index)
-        with self._slot_locks[slot]:
-            process = self._processes[slot]
-            if process is not None and process.is_alive():
-                return False
-            old_conn = self._connections[slot]
-            if process is not None:
-                process.join(timeout=self.join_timeout)
-            self._spawn(slot)
-            self.worker_respawns += 1
-        if old_conn is not None:
-            try:
-                old_conn.close()
-            except OSError:
-                pass
-        return True
-
-    # ------------------------------------------------------------------ #
-    # remote commands (the cluster's pipe to the shard replicas)
-    # ------------------------------------------------------------------ #
-    def remote_call(
-        self,
-        shard_index: int,
-        op: str,
-        payload: object = None,
-        telemetry: Optional[Dict[str, float]] = None,
-    ):
-        """Send one command to the shard's worker process; await its reply.
-
-        Serialised per slot: a send+recv pair is atomic against concurrent
-        callers and against respawn's pipe swap, so one caller can never
-        read another's reply — and so the slot's transport rings hold at
-        most one in-flight payload per direction.  An execution context the
-        executor has abandoned is fenced out *before* it can touch the
-        replacement pipe — its command fails as
-        :class:`WorkerCrashedError` and the resulting stale failure report
-        is dropped by the supervisor's epoch guard.  Error replies re-raise
-        the worker-side exception here.
-
-        ``telemetry``, when given, is filled with the caller-side transport
-        cost of this command: ``bytes`` (bulk payload bytes in+out) and
-        ``serialize_ms`` (encode+decode wall-clock).
-        """
-        if not 0 <= shard_index < self.num_shards:
-            raise IndexError(f"shard index {shard_index} out of range")
-        slot = self.worker_index(shard_index)
-        with self._slot_locks[slot]:
-            if self.current_context_abandoned():
-                raise WorkerCrashedError(
-                    f"stale execution context: worker slot {slot} was "
-                    f"abandoned; the replacement owns the pipe now"
-                )
-            connection = self._connections[slot]
-            process = self._processes[slot]
-            transport = self._transports[slot]
-            if connection is None:
-                raise WorkerCrashedError(f"worker slot {slot} has no process")
-            try:
-                tick = time.perf_counter()
-                wire, bytes_out = transport.encode_request(op, payload)
-                serialize_s = time.perf_counter() - tick
-                connection.send((op, shard_index, wire))
-                status, value = connection.recv()
-                if status == "ok":
-                    tick = time.perf_counter()
-                    value, bytes_in = transport.decode_reply(op, value, shard_index)
-                    serialize_s += time.perf_counter() - tick
-                else:
-                    bytes_in = 0
-            except (EOFError, BrokenPipeError, OSError) as error:
-                raise WorkerCrashedError(
-                    f"worker process of slot {slot} (pid "
-                    f"{getattr(process, 'pid', None)}) died during {op!r}"
-                ) from error
-        if telemetry is not None:
-            telemetry["bytes"] = float(bytes_out + bytes_in)
-            telemetry["serialize_ms"] = serialize_s * 1000.0
-        if status == "err":
-            raise value
-        return value
-
-    # ------------------------------------------------------------------ #
-    # abandonment and shutdown
-    # ------------------------------------------------------------------ #
-    def abandon(self, shard_index: int) -> bool:
-        """Really terminate the shard's worker: SIGKILL + respawn + thread
-        swap.
-
-        The process-backend deadline-enforcement primitive.  Unlike the
-        thread backend — which can only *strand* a wedged worker — the
-        worker process is killed outright (its in-flight round dies with
-        it), a fresh process is spawned on a fresh pipe, and then the pump
-        thread/queue swap of :meth:`ThreadExecutor.abandon` runs unchanged:
-        queued jobs complete with :class:`AbandonedJobError` and are
-        resubmitted by their waiters.  The old pump thread, if wedged inside
-        a pipe command, sees the dead pipe's EOF, fails its round with
-        :class:`WorkerCrashedError`, and has the report dropped as stale.
-        The caller (the shard supervisor) pairs this with a
-        restore-from-checkpoint, which reseeds the new process's replicas.
-        """
-        with self._state_lock:
-            if self._closed:
-                return False
-        slot = self.worker_index(shard_index)
-        process = self._processes[slot]
-        if process is not None:
-            process.kill()
-            process.join(timeout=self.join_timeout)
-        with self._slot_locks[slot]:
-            old_conn = self._connections[slot]
-            self._spawn(slot)
-            self.worker_respawns += 1
-        if old_conn is not None:
-            try:
-                old_conn.close()
-            except OSError:
-                pass
-        return super().abandon(shard_index)
-
-    def close(self) -> None:
-        """Join the pump threads, then shut the worker processes down.
-
-        Pump threads first (they finish queued jobs, whose remote commands
-        need live processes), then a graceful shutdown sentinel down every
-        pipe, escalating to SIGKILL after the join timeout.  Idempotent.
-        """
-        super().close()
-        if self._processes_closed:
-            return
-        self._processes_closed = True
-        leaked = 0
-        for slot in range(self.num_workers):
-            with self._slot_locks[slot]:
-                process = self._processes[slot]
-                connection = self._connections[slot]
-                if process is None:
-                    continue
-                try:
-                    connection.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-                process.join(timeout=self.join_timeout)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=1.0)
-                    if process.is_alive():  # pragma: no cover - defensive
-                        leaked += 1
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-        # Processes are down: unlink every transport segment.  This is the
-        # only other place (besides respawn's reallocate) segments die, so
-        # close() leaves no shared memory behind.
-        for transport in self._transports:
-            transport.close()
-        if leaked:  # pragma: no cover - defensive
-            self.leaked_workers += leaked
-            warnings.warn(
-                f"ProcessExecutor.close leaked {leaked} worker process(es)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
 def make_executor(
     name: str,
     num_shards: int,
     num_workers: Optional[int] = None,
-    process_handler: Optional[Callable] = None,
-    transport: str = "shm",
-    transport_ring_bytes: int = DEFAULT_RING_BYTES,
 ) -> ShardExecutor:
     """Build the executor backend selected by ``ClusterConfig.executor``.
 
-    Worker counts are clamped to ``num_shards`` whatever the backend: a
-    worker beyond the shard count can never receive a pinned job (pinning
-    is ``shard % num_workers``), yet it would cost a live thread/process
-    and pollute ``close()``'s join and leak accounting.  The clamp lives in
-    the executor constructors (explicit counts) and in
-    :class:`ProcessExecutor`'s cpu-derived default.  ``transport`` /
-    ``transport_ring_bytes`` only matter to the process backend.
+    Worker counts are clamped to ``num_shards`` (in the
+    :class:`ThreadExecutor` constructor): a worker beyond the shard count
+    can never receive a pinned job (pinning is ``shard % num_workers``), yet
+    it would cost a live thread and pollute ``close()``'s join and leak
+    accounting.
     """
     if name == "serial":
         return SerialExecutor()
     if name == "thread":
         return ThreadExecutor(num_shards, num_workers)
-    if name == "process":
-        return ProcessExecutor(
-            num_shards,
-            num_workers,
-            handler=process_handler,
-            transport=transport,
-            transport_ring_bytes=transport_ring_bytes,
-        )
     raise ValueError(f"unknown executor backend {name!r}")
 
 

@@ -7,16 +7,9 @@ yet") and a rejected one raised.  :class:`SubmitResult` makes every outcome
 explicit — ``status`` says what admission control did, ``decisions`` carries
 whatever a triggered drain emitted, and the shard/queue-depth telemetry says
 where the arrival landed and how loaded that shard is.
-
-Backward compatibility (the deprecation shim): a :class:`SubmitResult` is a
-:class:`~collections.abc.Sequence` over its emitted decisions, so legacy
-call sites that iterated, indexed, ``len()``-ed or truth-tested the old
-returned list keep working unchanged.  New code should read ``status`` /
-``decisions`` / ``admitted`` explicitly; the sequence protocol is kept only
-for migration and may eventually go away.  ``ShardOverloadError`` is still
-raised by ``overflow="reject"`` unless the caller opts into
-``raise_on_reject=False``, in which case the rejection comes back as a
-``status="rejected"`` result instead.
+``ShardOverloadError`` is still raised by ``overflow="reject"`` unless the
+caller opts into ``raise_on_reject=False``, in which case the rejection
+comes back as a ``status="rejected"`` result instead.
 
 :class:`ConsumeSummary` is the bulk-ingest counterpart: a list of every
 emitted decision (it *is* a list, so legacy consumers of
@@ -26,9 +19,8 @@ per-event admission outcomes the old API swallowed.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
     from repro.serving.cluster import StreamDecision
@@ -52,7 +44,7 @@ SUBMIT_STATUSES = ("accepted", "decided", "rejected", "shed", "degraded")
 
 
 @dataclass(frozen=True)
-class SubmitResult(Sequence):
+class SubmitResult:
     """Explicit outcome of one ``submit`` call.
 
     Attributes
@@ -95,23 +87,6 @@ class SubmitResult(Sequence):
     def dropped(self) -> bool:
         """Whether admission control discarded the arrival."""
         return self.status in ("rejected", "shed", "degraded")
-
-    # ------------------------------------------------------------------ #
-    # deprecation shim: behave like the legacy returned decision list
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    def __getitem__(self, index):
-        return self.decisions[index]
-
-    def __iter__(self) -> Iterator["StreamDecision"]:
-        return iter(self.decisions)
-
-    def __bool__(self) -> bool:
-        # Legacy semantics: truthy iff the submission emitted decisions.
-        # Use ``admitted`` / ``status`` for admission outcomes.
-        return bool(self.decisions)
 
 
 class ConsumeSummary(List["StreamDecision"]):

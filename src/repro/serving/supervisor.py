@@ -33,12 +33,7 @@ supplies the fault-tolerance layer:
   recovery is *at-least-once* (the gateway registry's first-emission rule
   dedups), and per-stream decisions for every non-lost arrival match a
   never-crashed reference bit-for-bit — the recovery-parity leg of the
-  parity matrix pins this under every executor backend.  On the **process
-  backend** recovery is additionally a *respawn*: restoring the checkpoint
-  restarts the shard's worker process if it died (real SIGKILL, injected
-  kill, hard crash) and reseeds its in-process replica from the restored
-  sessions — same supervisor path, same epoch bookkeeping, genuinely dead
-  worker.
+  parity matrix pins this under both executor backends.
 
 * Round deadlines — the cluster's supervised fan-out waits on each shard
   job with a progress-aware deadline (``SupervisorConfig.round_deadline_s``):

@@ -148,7 +148,7 @@ class TestAsyncParity:
             gateway = AsyncServingGateway(model, SPEC, config)
             returned = []
             for event in events:
-                returned.extend(await gateway.submit(event))
+                returned.extend((await gateway.submit(event)).decisions)
             returned.extend(await gateway.drain())
             returned.extend(await gateway.expire())
             returned.extend(await gateway.close())
@@ -204,7 +204,7 @@ class TestAsyncFuturesAndBackpressure:
             consumer = asyncio.create_task(consume())
             returned = []
             for event in events:
-                returned.extend(await gateway.submit(event))
+                returned.extend((await gateway.submit(event)).decisions)
             returned.extend(await gateway.close())
             await consumer
             assert gateway.stats()["buffered_decisions"] == 0
@@ -240,9 +240,8 @@ class TestAsyncFuturesAndBackpressure:
             # must now flow through without blocking on it
             returned = []
             for event in events[40:]:
-                returned.extend(
-                    await asyncio.wait_for(gateway.submit(event), timeout=10)
-                )
+                result = await asyncio.wait_for(gateway.submit(event), timeout=10)
+                returned.extend(result.decisions)
             returned.extend(await asyncio.wait_for(gateway.close(), timeout=10))
             return first, returned
 
@@ -275,9 +274,8 @@ class TestAsyncFuturesAndBackpressure:
             assert gateway.stats()["decision_streams"] == 0
             returned = []
             for event in events[30:]:
-                returned.extend(
-                    await asyncio.wait_for(gateway.submit(event), timeout=10)
-                )
+                result = await asyncio.wait_for(gateway.submit(event), timeout=10)
+                returned.extend(result.decisions)
             returned.extend(await asyncio.wait_for(gateway.close(), timeout=10))
             return returned
 

@@ -24,7 +24,6 @@ from repro.serving.cluster import (
 )
 from repro.serving.engine import EngineConfig, OnlineClassificationEngine, StreamSession
 from repro.serving.sinks import BufferedSink
-from repro.serving.transport import shm_available
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -212,7 +211,7 @@ class TestClusterParity:
         )
         emitted = []
         for position, event in enumerate(events):
-            emitted.extend(cluster.submit(event))
+            emitted.extend(cluster.submit(event).decisions)
             if position in expire_positions:
                 emitted.extend(cluster.expire())
         emitted.extend(cluster.flush())
@@ -257,7 +256,7 @@ class TestSnapshotRestore:
             )
             emitted = []
             for position, event in enumerate(events):
-                emitted.extend(cluster.submit(event))
+                emitted.extend(cluster.submit(event).decisions)
                 if with_snapshot and position == 80:
                     cluster.snapshot()
             emitted.extend(cluster.flush())
@@ -281,7 +280,7 @@ class TestSnapshotRestore:
             results.append([(d.stream_id, d.decision.key) for d in emitted])
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_pickled_snapshot_restore_shares_live_weights(self, executor):
         """restore() after a pickle round-trip (serialized failover) must
         re-attach the cluster's live model/spec/config to every session —
@@ -296,8 +295,8 @@ class TestSnapshotRestore:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor, num_shards=2, batch_size=4, engine=engine_config()
+            ClusterConfig(
+                executor=executor, num_shards=2, batch_size=4, engine=engine_config()
             ),
         ) as cluster:
             cluster.consume(events[:cut])
@@ -412,26 +411,14 @@ class TestAdmissionControl:
             assert all(depth < 4 for depth in cluster.stats()["queue_depths"])
 
 
-#: Parity-matrix executor labels.  ``process-pipe`` / ``process-shm`` pin the
-#: process backend's round transport so both wire formats earn the same
-#: decision-for-decision guarantees.
-PARALLEL_EXECUTORS = ("thread", "process-pipe", "process-shm")
-
-
-def executor_config(label, **kwargs):
-    """Build a :class:`ClusterConfig` from a parity-matrix executor label."""
-    executor, _, transport = label.partition("-")
-    if transport:
-        kwargs["transport"] = transport
-    return ClusterConfig(executor=executor, **kwargs)
+#: Parity-matrix executors besides the serial reference.
+PARALLEL_EXECUTORS = ("thread",)
 
 
 class TestParallelExecutorParity:
-    """The thread and process worker backends must be indistinguishable,
-    decision for decision, from the serial backend — and all must match one
-    sequential engine per stream (the ``executor="thread"`` /
-    ``executor="process"`` axes of the parity matrix, the latter under both
-    round transports)."""
+    """The thread backend must be indistinguishable, decision for decision,
+    from the serial backend — and both must match one sequential engine per
+    stream (the ``executor="thread"`` axis of the parity matrix)."""
 
     @pytest.mark.parametrize("executor", PARALLEL_EXECUTORS)
     @pytest.mark.parametrize("encoding", ENCODINGS)
@@ -445,8 +432,8 @@ class TestParallelExecutorParity:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor,
+            ClusterConfig(
+                executor=executor,
                 num_shards=num_shards,
                 batch_size=4,
                 batched=True,
@@ -470,8 +457,8 @@ class TestParallelExecutorParity:
         streams, events = multi_stream_events(seed=19)
 
         def serve(executor):
-            config = executor_config(
-                executor,
+            config = ClusterConfig(
+                executor=executor,
                 num_shards=num_shards,
                 batch_size=4,
                 auto_drain=False,
@@ -492,46 +479,6 @@ class TestParallelExecutorParity:
             ]
 
         assert serve("serial") == serve(executor)
-
-    @pytest.mark.skipif(
-        not shm_available(), reason="shared memory unavailable on this platform"
-    )
-    def test_shm_ring_overflow_falls_back_to_pipe_with_identical_decisions(self):
-        """A ring too small for any real round forces every payload onto the
-        pickle-over-pipe fallback path; decisions stay bit-identical to the
-        pipe leg and the configured transport is still reported as ``shm``."""
-        model = make_model("rotary")
-        streams, events = multi_stream_events(seed=19)
-
-        def serve(config):
-            with ServingCluster(model, SPEC, config) as cluster:
-                for event in events:
-                    cluster.submit(event)
-                emitted = cluster.drain()
-                emitted.extend(cluster.expire())
-                emitted.extend(cluster.flush())
-                stats = cluster.stats()
-            return stats, [
-                (d.stream_id, d.shard_id, d.decision.key, d.decision.predicted,
-                 d.decision.confidence, d.decision.observations,
-                 d.decision.decision_time, d.decision.halted_by_policy)
-                for d in emitted
-            ]
-
-        common = dict(
-            executor="process",
-            num_shards=2,
-            batch_size=4,
-            auto_drain=False,
-            max_queue=len(events) + 1,
-            engine=engine_config(),
-        )
-        tiny_stats, tiny_decisions = serve(
-            ClusterConfig(transport="shm", transport_ring_bytes=96, **common)
-        )
-        _, pipe_decisions = serve(ClusterConfig(transport="pipe", **common))
-        assert tiny_stats["transport"] == "shm"
-        assert tiny_decisions == pipe_decisions
 
     @pytest.mark.parametrize("executor", PARALLEL_EXECUTORS)
     def test_parallel_backend_expire_parity(self, executor):
@@ -555,8 +502,8 @@ class TestParallelExecutorParity:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor,
+            ClusterConfig(
+                executor=executor,
                 num_shards=2,
                 batch_size=4,
                 engine=engine_config(**overrides),
@@ -564,7 +511,7 @@ class TestParallelExecutorParity:
         ) as cluster:
             emitted = []
             for position, event in enumerate(events):
-                emitted.extend(cluster.submit(event))
+                emitted.extend(cluster.submit(event).decisions)
                 if position in expire_positions:
                     emitted.extend(cluster.expire())
             emitted.extend(cluster.flush())
@@ -578,8 +525,8 @@ class TestParallelExecutorParity:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor, num_shards=2, batch_size=4, engine=engine_config()
+            ClusterConfig(
+                executor=executor, num_shards=2, batch_size=4, engine=engine_config()
             ),
         ) as cluster:
             cluster.consume(events[:cut])
@@ -597,18 +544,19 @@ class TestParallelExecutorParity:
     def test_cluster_close_is_idempotent_and_context_managed(self, executor):
         model = make_model("rotary")
         cluster = ServingCluster(
-            model, SPEC, executor_config(executor, num_shards=2)
+            model, SPEC, ClusterConfig(executor=executor, num_shards=2)
         )
         cluster.close()
         cluster.close()
         with ServingCluster(
-            model, SPEC, executor_config(executor, num_shards=2)
+            model, SPEC, ClusterConfig(executor=executor, num_shards=2)
         ) as managed:
-            assert managed.stats()["executor"] == executor.partition("-")[0]
+            assert managed.stats()["executor"] == executor
 
     def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            ClusterConfig(executor="fiber")
+        for executor in ("fiber", "process"):
+            with pytest.raises(ValueError, match="executor"):
+                ClusterConfig(executor=executor)
 
 
 class TestAdaptiveBatchingParity:
@@ -618,9 +566,7 @@ class TestAdaptiveBatchingParity:
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "executor", ["serial", "thread", "process-pipe", "process-shm"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_auto_batch_matches_reference(self, encoding, num_shards, executor):
         model = make_model(encoding)
         streams, events = multi_stream_events(seed=42)
@@ -628,8 +574,8 @@ class TestAdaptiveBatchingParity:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor,
+            ClusterConfig(
+                executor=executor,
                 num_shards=num_shards,
                 batch_size="auto",
                 auto_drain=False,
@@ -639,7 +585,7 @@ class TestAdaptiveBatchingParity:
         ) as cluster:
             emitted = []
             for position, event in enumerate(events):
-                emitted.extend(cluster.submit(event))
+                emitted.extend(cluster.submit(event).decisions)
                 if position % 25 == 24:  # scheduled drains let backlogs form
                     emitted.extend(cluster.drain())
             emitted.extend(cluster.flush())
@@ -670,7 +616,7 @@ class TestAdaptiveBatchingParity:
         ) as cluster:
             emitted = []
             for position, event in enumerate(events):
-                emitted.extend(cluster.submit(event))
+                emitted.extend(cluster.submit(event).decisions)
                 if position in expire_positions:
                     emitted.extend(cluster.expire())
                 elif position % 40 == 39:
@@ -859,9 +805,7 @@ class TestSinkDeliveryParity:
     subscribed sink receives exactly the concatenation of every returned
     list, same objects, same order (the sink leg of the parity matrix)."""
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "thread", "process-pipe", "process-shm"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_sink_matches_returned_lists_fixed_batch(self, executor, num_shards):
         model = make_model("rotary")
@@ -869,8 +813,8 @@ class TestSinkDeliveryParity:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor,
+            ClusterConfig(
+                executor=executor,
                 num_shards=num_shards,
                 batch_size=4,
                 engine=engine_config(),
@@ -879,16 +823,14 @@ class TestSinkDeliveryParity:
             sink = cluster.subscribe(BufferedSink())
             returned = []
             for event in events:
-                returned.extend(cluster.submit(event))
+                returned.extend(cluster.submit(event).decisions)
             returned.extend(cluster.drain())
             returned.extend(cluster.expire())
             returned.extend(cluster.flush())
             delivered = sink.take()
         assert delivered == returned
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "thread", "process-pipe", "process-shm"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_sink_matches_returned_lists_auto_batch(self, executor, num_shards):
         model = make_model("rotary")
@@ -896,8 +838,8 @@ class TestSinkDeliveryParity:
         with ServingCluster(
             model,
             SPEC,
-            executor_config(
-                executor,
+            ClusterConfig(
+                executor=executor,
                 num_shards=num_shards,
                 batch_size="auto",
                 auto_drain=False,
@@ -908,7 +850,7 @@ class TestSinkDeliveryParity:
             sink = cluster.subscribe(BufferedSink())
             returned = []
             for position, event in enumerate(events):
-                returned.extend(cluster.submit(event))
+                returned.extend(cluster.submit(event).decisions)
                 if position % 25 == 24:
                     returned.extend(cluster.drain())
             returned.extend(cluster.flush())
@@ -947,9 +889,7 @@ class TestSinkDeliveryParity:
         assert serve("serial") == serve("thread")
 
     @pytest.mark.stress
-    @pytest.mark.parametrize(
-        "executor", ["serial", "thread", "process-pipe", "process-shm"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("seed", range(8))
     def test_sink_vs_returned_list_fuzz(self, seed, executor):
         """Weekly randomized sweep: any mix of submits, drains, expiries and
@@ -971,8 +911,8 @@ class TestSinkDeliveryParity:
             reencode_every=int(rng.integers(1, 4)),
             idle_timeout=float(rng.choice([0.0, 5.0])),
         )
-        config = executor_config(
-            executor,
+        config = ClusterConfig(
+            executor=executor,
             num_shards=int(rng.choice([1, 2, 4])),
             batch_size="auto" if adaptive else int(rng.integers(1, 9)),
             auto_drain=False if adaptive else bool(rng.random() < 0.7),
@@ -985,7 +925,7 @@ class TestSinkDeliveryParity:
             sink = cluster.subscribe(BufferedSink())
             returned = []
             for position, event in enumerate(events):
-                returned.extend(cluster.submit(event))
+                returned.extend(cluster.submit(event).decisions)
                 if position % drain_every == drain_every - 1:
                     if rng.random() < 0.3:
                         returned.extend(cluster.expire())
@@ -1032,10 +972,8 @@ class TestClusterLockstepStress:
         )
 
         adaptive = bool(rng.random() < 0.5)
-        config = executor_config(
-            str(
-                rng.choice(["serial", "thread", "process-pipe", "process-shm"])
-            ),
+        config = ClusterConfig(
+            executor=str(rng.choice(["serial", "thread"])),
             num_shards=int(rng.choice([1, 2, 4])),
             batch_size="auto" if adaptive else int(rng.integers(1, 9)),
             auto_drain=False if adaptive else bool(rng.random() < 0.7),
@@ -1047,7 +985,7 @@ class TestClusterLockstepStress:
         with ServingCluster(model, SPEC, config) as cluster:
             emitted = []
             for position, event in enumerate(events):
-                emitted.extend(cluster.submit(event))
+                emitted.extend(cluster.submit(event).decisions)
                 if position in expire_positions:
                     emitted.extend(cluster.expire())
                 elif position % drain_every == drain_every - 1:

@@ -277,12 +277,12 @@ class TestRestoreDeliverySemantics:
         sink = gateway.subscribe(BufferedSink())
         returned = []
         for event in events[:cut]:
-            returned.extend(gateway.submit(event))
+            returned.extend(gateway.submit(event).decisions)
         returned.extend(gateway.drain())
         snapshot = gateway.cluster.snapshot()
         gateway.cluster.restore(snapshot)
         for event in events[cut:]:
-            returned.extend(gateway.submit(event))
+            returned.extend(gateway.submit(event).decisions)
         returned.extend(gateway.flush())
         # push delivery tracked the pull API exactly — including the replay
         assert sink.take() == returned

@@ -406,6 +406,13 @@ class TestMalformedRequests:
                     nan_expire = await client.request(
                         "POST", "/v1/admin/expire", {"now": float("nan")}
                     )
+                    # snapshot ids that are not strings (and not hashable)
+                    bad_snapshot_ids = [
+                        await client.request(
+                            "POST", "/v1/admin/restore", {"snapshot_id": bad}
+                        )
+                        for bad in ([1], {"a": 1})
+                    ]
                     # none of it reached the stream: a valid arrival is
                     # still admitted and served without a failed round
                     valid = await client.request(
@@ -426,6 +433,7 @@ class TestMalformedRequests:
                 garbage, bad_json, unknown_field, out_of_range,
                 wrong_arity, not_a_dict, bad_expire,
                 *non_finite, overflowing_time, nan_expire, out_of_order,
+                *bad_snapshot_ids,
             ]
 
         valid, health, responses = asyncio.run(scenario())

@@ -6,48 +6,19 @@ fan-out, exception propagation, re-entrancy, lifecycle, and the controller's
 widen/narrow behaviour on synthetic observations.
 """
 
-import os
 import threading
 import time
 
 import pytest
 
-from repro.serving.faults import ShardKilled
 from repro.serving.parallel import (
     AdaptiveBatchConfig,
     AdaptiveBatchController,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    WorkerCrashedError,
     available_cpus,
     make_executor,
 )
-
-
-def _toy_handler(replicas, op, shard_id, payload):
-    """Module-level (picklable) command interpreter for executor tests."""
-    if op == "echo":
-        return {"shard": shard_id, "payload": payload, "pid": os.getpid()}
-    if op == "store":
-        replicas[shard_id] = payload
-        return None
-    if op == "load":
-        return replicas.get(shard_id, "missing")
-    if op == "boom":
-        raise ValueError("replica boom")
-    if op == "kill":
-        raise ShardKilled("replica-side kill")
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
 
 
 class TestSerialExecutor:
@@ -181,102 +152,10 @@ class TestThreadExecutor:
             ThreadExecutor(num_shards=2, num_workers=0)
 
 
-class TestProcessExecutor:
-    def test_commands_run_in_a_separate_process(self):
-        with ProcessExecutor(num_shards=2, handler=_toy_handler) as executor:
-            reply = executor.remote_call(0, "echo", {"x": 1})
-            assert reply["shard"] == 0
-            assert reply["payload"] == {"x": 1}
-            assert reply["pid"] != os.getpid()
-            assert reply["pid"] == executor.worker_pid(0)
-
-    def test_replica_registry_is_process_local_and_per_shard(self):
-        with ProcessExecutor(
-            num_shards=2, num_workers=1, handler=_toy_handler
-        ) as executor:
-            executor.remote_call(0, "store", "zero")
-            executor.remote_call(1, "store", "one")
-            assert executor.remote_call(0, "load") == "zero"
-            assert executor.remote_call(1, "load") == "one"
-
-    def test_worker_side_error_reraises_on_caller(self):
-        with ProcessExecutor(num_shards=1, handler=_toy_handler) as executor:
-            with pytest.raises(ValueError, match="replica boom"):
-                executor.remote_call(0, "boom")
-            # the worker survives an ordinary error and keeps serving
-            assert executor.remote_call(0, "echo")["shard"] == 0
-
-    def test_shard_killed_means_real_process_death(self):
-        """A replica-side ShardKilled reply is followed by actual SIGKILL:
-        the error surfaces on the caller AND the worker process dies."""
-        with ProcessExecutor(num_shards=1, handler=_toy_handler) as executor:
-            pid = executor.worker_pid(0)
-            with pytest.raises(ShardKilled):
-                executor.remote_call(0, "kill")
-            assert _wait_until(lambda: not executor.worker_alive(0))
-            assert executor.worker_pid(0) == pid  # dead, not yet respawned
-
-    def test_kill_worker_then_ensure_worker_respawns_empty(self):
-        with ProcessExecutor(num_shards=1, handler=_toy_handler) as executor:
-            executor.remote_call(0, "store", "payload")
-            killed = executor.kill_worker(0)
-            assert killed == executor.worker_pid(0)
-            assert not executor.worker_alive(0)
-            with pytest.raises(WorkerCrashedError):
-                executor.remote_call(0, "echo")
-            assert executor.ensure_worker(0) is True
-            assert executor.worker_alive(0)
-            assert executor.worker_pid(0) != killed
-            assert executor.worker_respawns == 1
-            # the fresh process hosts nothing: state must be reseeded
-            assert executor.remote_call(0, "load") == "missing"
-
-    def test_ensure_worker_is_a_noop_on_a_live_worker(self):
-        with ProcessExecutor(num_shards=1, handler=_toy_handler) as executor:
-            pid = executor.worker_pid(0)
-            assert executor.ensure_worker(0) is False
-            assert executor.worker_pid(0) == pid
-            assert executor.worker_respawns == 0
-
-    def test_abandon_terminates_and_replaces_the_process(self):
-        with ProcessExecutor(num_shards=2, num_workers=2, handler=_toy_handler) as executor:
-            pid = executor.worker_pid(1)
-            assert executor.abandon(1) is True
-            assert executor.abandoned_workers == 1
-            assert executor.worker_respawns == 1
-            assert executor.worker_pid(1) != pid
-            # the replacement pump + process serve the shard immediately
-            assert executor.remote_call(1, "echo")["pid"] == executor.worker_pid(1)
-            assert executor.run(1, lambda: 42) == 42
-
-    def test_shards_share_processes_when_fewer_workers(self):
-        with ProcessExecutor(
-            num_shards=4, num_workers=2, handler=_toy_handler
-        ) as executor:
-            pids = [executor.remote_call(s, "echo")["pid"] for s in range(4)]
-            assert pids[0] == pids[2]
-            assert pids[1] == pids[3]
-            assert pids[0] != pids[1]
-
-    def test_close_is_idempotent_and_reaps_processes(self):
-        executor = ProcessExecutor(num_shards=2, handler=_toy_handler)
-        processes = [p for p in executor._processes if p is not None]
-        executor.close()
-        executor.close()
-        assert all(not p.is_alive() for p in processes)
-        assert executor.leaked_workers == 0
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.run(0, lambda: None)
-
-    def test_out_of_range_shard_rejected(self):
-        with ProcessExecutor(num_shards=1, handler=_toy_handler) as executor:
-            with pytest.raises(IndexError):
-                executor.remote_call(1, "echo")
-
-
 class TestWorkerCountClamping:
     """Workers beyond the shard count can never receive a pinned job, so
-    every backend clamps to ``num_shards`` (explicit and default counts)."""
+    the thread backend clamps to ``num_shards`` (explicit and default
+    counts)."""
 
     def test_thread_executor_clamps_explicit_count(self):
         with ThreadExecutor(num_shards=2, num_workers=8) as executor:
@@ -287,26 +166,10 @@ class TestWorkerCountClamping:
         with ThreadExecutor(num_shards=3) as executor:
             assert executor.num_workers == 3
 
-    def test_process_executor_clamps_explicit_count(self):
-        with ProcessExecutor(
-            num_shards=2, num_workers=8, handler=_toy_handler
-        ) as executor:
-            assert executor.num_workers == 2
-            assert len([p for p in executor._processes if p is not None]) == 2
-
-    def test_process_executor_default_never_exceeds_shards(self):
-        with ProcessExecutor(num_shards=1, handler=_toy_handler) as executor:
-            assert executor.num_workers == 1
-        with ProcessExecutor(num_shards=2, handler=_toy_handler) as executor:
-            assert executor.num_workers == min(available_cpus(), 2)
-
-    def test_make_executor_clamps_both_backends(self):
+    def test_make_executor_clamps_thread_workers(self):
         thread = make_executor("thread", 2, num_workers=16)
         assert thread.num_workers == 2
         thread.close()
-        process = make_executor("process", 2, num_workers=16, process_handler=_toy_handler)
-        assert process.num_workers == 2
-        process.close()
 
 
 class TestMakeExecutor:
@@ -315,13 +178,11 @@ class TestMakeExecutor:
         thread = make_executor("thread", 2)
         assert isinstance(thread, ThreadExecutor)
         thread.close()
-        process = make_executor("process", 2, process_handler=_toy_handler)
-        assert isinstance(process, ProcessExecutor)
-        process.close()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("fork", 2)
+        for name in ("fork", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(name, 2)
 
     def test_available_cpus_positive(self):
         assert available_cpus() >= 1

@@ -7,15 +7,13 @@ The router-tier additions to the parity matrix:
   queued arrivals ride along),
 * **drain parity** — emptying a whole node rebalances its streams across
   the survivors with zero decision drift,
-* **recovery** — a node whose worker fleet is SIGKILLed mid-run comes back
-  via checkpoint-restore + journal replay with at-least-once delivery:
-  every admitted arrival is re-served and the first emission per
-  (stream, key) matches an unfailed reference.
+* **recovery** — a node whose shards are killed mid-run comes back via
+  checkpoint-restore + journal replay with at-least-once delivery: every
+  admitted arrival is re-served and the first emission per (stream, key)
+  matches an unfailed reference.
 """
 
 import json
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -30,6 +28,8 @@ from repro.serving import (
     ClusterConfig,
     ClusterRouter,
     EngineConfig,
+    FaultInjector,
+    FaultSpec,
     OnlineClassificationEngine,
     ServingCluster,
     SupervisorConfig,
@@ -204,31 +204,6 @@ class TestLiveMigration:
             got = sink.take()
         assert_per_stream_parity(group_by_stream(got), expected)
 
-    def test_migration_on_the_process_backend(self):
-        """extract/install cross the process boundary: sessions live in the
-        worker replicas, so migration exercises the remote extract_stream /
-        install_stream ops end to end."""
-        model = make_model()
-        streams, events = multi_stream_events(seed=79, num_events=120)
-        expected = reference_decisions(model, streams, events)
-        nodes = [
-            make_node(model, "process", num_shards=1),
-            make_node(model, "process", num_shards=1),
-        ]
-        with ClusterRouter(nodes) as router:
-            sink = router.subscribe(BufferedSink())
-            half = len(events) // 2
-            for event in events[:half]:
-                router.submit(event)
-            moved = streams[2]
-            target = 1 - router.node_index(moved)
-            router.migrate_stream(moved, target)
-            for event in events[half:]:
-                router.submit(event)
-            router.flush()
-            got = sink.take()
-        assert_per_stream_parity(group_by_stream(got), expected)
-
     def test_drain_node_rebalances_across_survivors(self):
         model = make_model()
         streams, events = multi_stream_events(
@@ -261,19 +236,27 @@ class TestLiveMigration:
 
 
 class TestNodeRecovery:
-    def test_sigkilled_node_is_reserved_via_checkpoint_and_journal(self):
-        """The acceptance leg: SIGKILL one node's worker process mid-run,
-        recover through the router (checkpoint restore + journal replay),
-        and verify at-least-once delivery — every (stream, key) the
-        unfailed reference decides is decided here, and the *first*
-        emission per (stream, key) matches the reference bit-for-bit."""
+    def test_failed_node_is_reserved_via_checkpoint_and_journal(self):
+        """The acceptance leg: kill one node's shard mid-round, recover
+        through the router (checkpoint restore + journal replay), and verify
+        at-least-once delivery — every (stream, key) the unfailed reference
+        decides is decided here, and the *first* emission per (stream, key)
+        matches the reference bit-for-bit."""
         model = make_model()
         streams, events = multi_stream_events(seed=61, num_events=160)
         expected = reference_decisions(model, streams, events)
-        supervision = SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=2))
+        # One failure opens a shard's breaker for the rest of the test, so
+        # the failed shard serves nothing more until the router recovers it.
+        supervision = SupervisorConfig(
+            checkpoint=CheckpointConfig(every_rounds=2),
+            failure_threshold=1,
+            backoff_base_s=600.0,
+            backoff_max_s=600.0,
+        )
+        injectors = [FaultInjector(), FaultInjector()]
         nodes = [
-            make_node(model, "process", supervision=supervision),
-            make_node(model, "process", supervision=supervision),
+            make_node(model, "thread", supervision=supervision, faults=injector)
+            for injector in injectors
         ]
         with ClusterRouter(nodes) as router:
             sink = router.subscribe(BufferedSink())
@@ -287,10 +270,17 @@ class TestNodeRecovery:
                 router.submit(event)
             victim = router.node_index(streams[0])
             assert streams[0] in nodes[victim].stream_ids()
-            victim_pid = nodes[victim]._executor.worker_pid(0)
-            os.kill(victim_pid, signal.SIGKILL)
+            # Fail the victim in-process: its next round dies mid-encode,
+            # and the shard's own recovery loses that round's arrivals.
+            injectors[victim].add(
+                FaultSpec(site="session-encode", action="kill", limit=1)
+            )
+            nodes[victim].drain()
+            assert injectors[victim].fired("session-encode") == 1
+            assert nodes[victim].health()["lost_arrivals"] > 0
+            assert nodes[victim].health()["breaker_open"]
             replayed = router.recover_node(victim)
-            assert nodes[victim]._executor.worker_pid(0) != victim_pid
+            assert nodes[victim].health()["breaker_open"] == []
             assert isinstance(replayed, list)
             # the journal survives recovery (a second crash could replay it)
             assert router.stats()["journal_depths"][victim] > 0

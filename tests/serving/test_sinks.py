@@ -91,22 +91,6 @@ class TestSubmitResult:
         with pytest.raises(ValueError, match="status"):
             SubmitResult(status="maybe", stream_id="s", shard_id=0)
 
-    def test_legacy_sequence_shim(self):
-        decisions = (fake_decision(position=0), fake_decision(key="k2", position=1))
-        result = SubmitResult(
-            status="decided", stream_id="s", shard_id=0, decisions=decisions
-        )
-        # iteration / len / indexing / truthiness all behave like the old list
-        assert list(result) == list(decisions)
-        assert len(result) == 2
-        assert result[0] is decisions[0]
-        assert result
-        empty = SubmitResult(status="accepted", stream_id="s", shard_id=0)
-        assert not empty and len(empty) == 0
-        collected = []
-        collected.extend(result)
-        assert collected == list(decisions)
-
 
 class TestConsumeSummary:
     def test_is_a_decision_list_with_counts(self):
@@ -211,7 +195,7 @@ class TestClusterDelivery:
         sink = cluster.subscribe(BufferedSink())
         returned = []
         for event in events:
-            returned.extend(cluster.submit(event))
+            returned.extend(cluster.submit(event).decisions)
         returned.extend(cluster.expire())
         returned.extend(cluster.flush())
         delivered = sink.take()
