@@ -25,6 +25,7 @@ from repro.serving import (
     OnlineClassificationEngine,
     ServingCluster,
 )
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -90,7 +91,7 @@ def assert_per_stream_parity(got_by_stream, expected):
 
 
 class TestAsyncParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     def test_concurrent_submitters_match_reference_per_stream(self, executor):
         """One submitter task per stream, all running concurrently: every
         stream's decision sequence equals the sequential single-stream
@@ -105,9 +106,9 @@ class TestAsyncParity:
 
         async def scenario():
             config = ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
-                executor=executor,
                 engine=engine_config(),
             )
             pushed = []
@@ -139,12 +140,15 @@ class TestAsyncParity:
             )
         assert_per_stream_parity(got_by_stream, expected)
 
-    def test_decision_stream_equals_returned_lists_for_sequential_caller(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_decision_stream_equals_returned_lists_for_sequential_caller(self, executor):
         model = make_model()
         streams, events = multi_stream_events(seed=7, num_events=120)
 
         async def scenario():
-            config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
             gateway = AsyncServingGateway(model, SPEC, config)
             returned = []
             for event in events:
@@ -187,12 +191,15 @@ class TestAsyncFuturesAndBackpressure:
         never = asyncio.run(scenario())
         assert never.cancelled()
 
-    def test_bounded_buffer_applies_backpressure_without_loss(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_bounded_buffer_applies_backpressure_without_loss(self, executor):
         model = make_model()
         streams, events = multi_stream_events(seed=17, num_events=150)
 
         async def scenario():
-            config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
             gateway = AsyncServingGateway(model, SPEC, config, max_buffered=4)
             pushed = []
 

@@ -31,6 +31,7 @@ from repro.serving.cluster import ClusterConfig, ServingCluster
 from repro.serving.engine import EngineConfig
 from repro.serving.faults import FAULT_SITES, FaultInjectingSink, FaultInjector, FaultSpec
 from repro.serving.supervisor import CheckpointConfig, SupervisorConfig
+from tests.serving.backends import backend
 
 pytestmark = pytest.mark.stress
 
@@ -168,7 +169,7 @@ def run_chaos(seed: int, executor: str):
         num_shards=num_shards,
         batch_size=int(rng.integers(2, 6)),
         max_queue=4096,
-        executor=executor,
+        **backend(executor),
         supervision=SupervisorConfig(
             checkpoint=CheckpointConfig(every_rounds=int(rng.integers(1, 8))),
             failure_threshold=2,
@@ -222,7 +223,7 @@ def run_chaos(seed: int, executor: str):
     return survivors, got, health, casualties
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_randomized_chaos_recovery_parity(seed, executor):
     survivors, got, health, casualties = run_chaos(seed, executor)

@@ -24,6 +24,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.engine import EngineConfig, OnlineClassificationEngine, StreamSession
 from repro.serving.sinks import BufferedSink
+from tests.serving.backends import backend, distinct_at
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -141,23 +142,31 @@ class TestClusterParity:
                 session._incremental.rebuilds == 0 for _, session in cluster.sessions()
             )
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_serial_encoding_parity(self, encoding):
+    def test_serial_encoding_parity(self, encoding, executor):
         """batched=False must serve identically (it forfeits BLAS only)."""
         model = make_model(encoding)
         streams, events = multi_stream_events(seed=7)
         _, expected = reference_decisions(model, streams, events)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=4, batched=False, engine=engine_config()),
-        )
-        emitted = cluster.consume(events)
-        emitted.extend(cluster.flush())
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                batched=False,
+                engine=engine_config(),
+            ),
+        ) as cluster:
+            emitted = cluster.consume(events)
+            emitted.extend(cluster.flush())
+            assert cluster.stats()["batch_rounds"] == 0
         assert_stream_parity(by_stream(emitted, streams), expected)
-        assert cluster.stats()["batch_rounds"] == 0
 
-    def test_mid_stream_drain_matches_reference_prefix(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_mid_stream_drain_matches_reference_prefix(self, executor):
         """After an explicit drain the per-session decisions equal the
         reference decisions at the same stream positions."""
         model = make_model("rotary")
@@ -170,20 +179,22 @@ class TestClusterParity:
         for event in events[:cut]:
             engines[event.source].offer(event)
 
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=8, engine=engine_config()),
-        )
-        cluster.consume(events[:cut])
-        cluster.drain()
-        for stream_id in streams:
-            session = cluster.session(stream_id)
-            reference = engines[stream_id]
-            got = {} if session is None else session.decisions
-            assert set(got) == set(reference.decisions), stream_id
-            for key, decision in reference.decisions.items():
-                assert got[key].predicted == decision.predicted
+            ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=8, engine=engine_config()
+            ),
+        ) as cluster:
+            cluster.consume(events[:cut])
+            cluster.drain()
+            for stream_id in streams:
+                session = cluster.session(stream_id)
+                reference = engines[stream_id]
+                got = {} if session is None else session.decisions
+                assert set(got) == set(reference.decisions), stream_id
+                for key, decision in reference.decisions.items():
+                    assert got[key].predicted == decision.predicted
 
     def test_expire_parity_with_idle_timeout(self):
         """cluster.expire() (drain + per-session expiry) matches engines."""
@@ -246,41 +257,47 @@ class TestSnapshotRestore:
             assert a.decision.confidence == b.decision.confidence
             assert a.decision.observations == b.decision.observations
 
-    def test_snapshot_does_not_disturb_serving(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_snapshot_does_not_disturb_serving(self, executor):
         model = make_model("absolute")
         streams, events = multi_stream_events(seed=29, num_events=160)
 
         def serve(with_snapshot):
-            cluster = ServingCluster(
-                model, SPEC, ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
-            )
-            emitted = []
-            for position, event in enumerate(events):
-                emitted.extend(cluster.submit(event).decisions)
-                if with_snapshot and position == 80:
-                    cluster.snapshot()
-            emitted.extend(cluster.flush())
+            with ServingCluster(
+                model,
+                SPEC,
+                ClusterConfig(
+                    **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+                ),
+            ) as cluster:
+                emitted = []
+                for position, event in enumerate(events):
+                    emitted.extend(cluster.submit(event).decisions)
+                    if with_snapshot and position == 80:
+                        cluster.snapshot()
+                emitted.extend(cluster.flush())
             return [(d.stream_id, d.decision.key, d.decision.predicted) for d in emitted]
 
         assert serve(False) == serve(True)
 
-    def test_snapshot_reusable_twice(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_snapshot_reusable_twice(self, executor):
         model = make_model("rotary")
         streams, events = multi_stream_events(seed=31, num_events=120)
-        cluster = ServingCluster(
-            model, SPEC, ClusterConfig(num_shards=2, engine=engine_config())
-        )
-        cluster.consume(events[:60])
-        snapshot = cluster.snapshot()
-        results = []
-        for _ in range(2):
-            cluster.restore(snapshot)
-            emitted = cluster.consume(events[60:])
-            emitted.extend(cluster.flush())
-            results.append([(d.stream_id, d.decision.key) for d in emitted])
+        with ServingCluster(
+            model, SPEC, ClusterConfig(**backend(executor), num_shards=2, engine=engine_config())
+        ) as cluster:
+            cluster.consume(events[:60])
+            snapshot = cluster.snapshot()
+            results = []
+            for _ in range(2):
+                cluster.restore(snapshot)
+                emitted = cluster.consume(events[60:])
+                emitted.extend(cluster.flush())
+                results.append([(d.stream_id, d.decision.key) for d in emitted])
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     def test_pickled_snapshot_restore_shares_live_weights(self, executor):
         """restore() after a pickle round-trip (serialized failover) must
         re-attach the cluster's live model/spec/config to every session —
@@ -296,7 +313,7 @@ class TestSnapshotRestore:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor, num_shards=2, batch_size=4, engine=engine_config()
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
             ),
         ) as cluster:
             cluster.consume(events[:cut])
@@ -343,6 +360,7 @@ class TestSnapshotRestore:
             cluster4.restore(cluster2.snapshot())
 
 
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestAdmissionControl:
     def _event(self, position):
         return StreamEvent(
@@ -351,78 +369,99 @@ class TestAdmissionControl:
             source=f"stream-{position % 5}",
         )
 
-    def test_reject_policy_raises_when_full(self):
-        cluster = ServingCluster(
+    def test_reject_policy_raises_when_full(self, executor):
+        with ServingCluster(
             make_model("rotary"),
             SPEC,
             ClusterConfig(
-                num_shards=1, max_queue=3, overflow="reject", auto_drain=False
+                **backend(executor),
+                num_shards=1,
+                max_queue=3,
+                overflow="reject",
+                auto_drain=False,
             ),
-        )
-        for position in range(3):
-            cluster.submit(self._event(position))
-        with pytest.raises(ShardOverloadError):
-            cluster.submit(self._event(3))
-        assert cluster.stats()["rejected"] == 1
+        ) as cluster:
+            for position in range(3):
+                cluster.submit(self._event(position))
+            with pytest.raises(ShardOverloadError):
+                cluster.submit(self._event(3))
+            assert cluster.stats()["rejected"] == 1
 
-    def test_shed_policy_drops_newest(self):
-        cluster = ServingCluster(
-            make_model("rotary"),
-            SPEC,
-            ClusterConfig(num_shards=1, max_queue=3, overflow="shed", auto_drain=False),
-        )
-        for position in range(10):
-            cluster.submit(self._event(position))
-        stats = cluster.stats()
-        assert stats["shed"] == 7
-        assert stats["queue_depths"] == [3]
-        cluster.drain()
-        assert cluster.stats()["drained"] == 3
-
-    def test_drain_policy_applies_backpressure(self):
-        cluster = ServingCluster(
+    def test_shed_policy_drops_newest(self, executor):
+        with ServingCluster(
             make_model("rotary"),
             SPEC,
             ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=3,
+                overflow="shed",
+                auto_drain=False,
+            ),
+        ) as cluster:
+            for position in range(10):
+                cluster.submit(self._event(position))
+            stats = cluster.stats()
+            assert stats["shed"] == 7
+            assert stats["queue_depths"] == [3]
+            cluster.drain()
+            assert cluster.stats()["drained"] == 3
+
+    def test_drain_policy_applies_backpressure(self, executor):
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
                 num_shards=1,
                 max_queue=3,
                 batch_size=2,
                 overflow="drain",
                 auto_drain=False,
             ),
-        )
-        for position in range(12):
-            cluster.submit(self._event(position))
-        stats = cluster.stats()
-        assert stats["shed"] == 0 and stats["rejected"] == 0
-        assert stats["queue_depths"][0] <= 3
-        cluster.drain()
-        assert cluster.stats()["drained"] == 12
+        ) as cluster:
+            for position in range(12):
+                cluster.submit(self._event(position))
+            stats = cluster.stats()
+            assert stats["shed"] == 0 and stats["rejected"] == 0
+            assert stats["queue_depths"][0] <= 3
+            cluster.drain()
+            assert cluster.stats()["drained"] == 12
 
-    def test_auto_drain_keeps_queues_below_batch_size(self):
-        cluster = ServingCluster(
+    def test_auto_drain_keeps_queues_below_batch_size(self, executor):
+        with ServingCluster(
             make_model("rotary"),
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=4, engine=engine_config()),
-        )
-        streams, events = multi_stream_events(seed=3, num_events=100)
-        for event in events:
-            cluster.submit(event)
-            assert all(depth < 4 for depth in cluster.stats()["queue_depths"])
+            ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            ),
+        ) as cluster:
+            streams, events = multi_stream_events(seed=3, num_events=100)
+            for event in events:
+                cluster.submit(event)
+                assert all(depth < 4 for depth in cluster.stats()["queue_depths"])
 
 
-#: Parity-matrix executors besides the serial reference.
-PARALLEL_EXECUTORS = ("thread",)
+#: Parity-matrix executor legs besides the serial reference.
+PARALLEL_EXECUTORS = ("thread", "thread-shared")
+
+#: ``(num_shards, encoding, executor)`` cells of the parallel parity matrix.
+PARALLEL_CELLS = [
+    (num_shards, encoding, executor)
+    for executor in PARALLEL_EXECUTORS
+    for encoding in ENCODINGS
+    for num_shards in (1, 2, 4)
+    if distinct_at(executor, num_shards)
+]
 
 
 class TestParallelExecutorParity:
     """The thread backend must be indistinguishable, decision for decision,
     from the serial backend — and both must match one sequential engine per
-    stream (the ``executor="thread"`` axis of the parity matrix)."""
+    stream (the ``executor="thread"`` axis of the parity matrix, with one
+    worker per shard and with every shard sharing one worker)."""
 
-    @pytest.mark.parametrize("executor", PARALLEL_EXECUTORS)
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("num_shards,encoding,executor", PARALLEL_CELLS)
     def test_parallel_backend_matches_reference_with_evictions(
         self, executor, encoding, num_shards
     ):
@@ -433,7 +472,7 @@ class TestParallelExecutorParity:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor,
+                **backend(executor),
                 num_shards=num_shards,
                 batch_size=4,
                 batched=True,
@@ -444,9 +483,7 @@ class TestParallelExecutorParity:
             emitted.extend(cluster.flush())
         assert_stream_parity(by_stream(emitted, streams), expected)
 
-    @pytest.mark.parametrize("executor", PARALLEL_EXECUTORS)
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("num_shards,encoding,executor", PARALLEL_CELLS)
     def test_parallel_backend_is_list_identical_to_serial(
         self, executor, encoding, num_shards
     ):
@@ -458,7 +495,7 @@ class TestParallelExecutorParity:
 
         def serve(executor):
             config = ClusterConfig(
-                executor=executor,
+                **backend(executor),
                 num_shards=num_shards,
                 batch_size=4,
                 auto_drain=False,
@@ -503,7 +540,7 @@ class TestParallelExecutorParity:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor,
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
                 engine=engine_config(**overrides),
@@ -526,7 +563,7 @@ class TestParallelExecutorParity:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor, num_shards=2, batch_size=4, engine=engine_config()
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
             ),
         ) as cluster:
             cluster.consume(events[:cut])
@@ -544,14 +581,14 @@ class TestParallelExecutorParity:
     def test_cluster_close_is_idempotent_and_context_managed(self, executor):
         model = make_model("rotary")
         cluster = ServingCluster(
-            model, SPEC, ClusterConfig(executor=executor, num_shards=2)
+            model, SPEC, ClusterConfig(**backend(executor), num_shards=2)
         )
         cluster.close()
         cluster.close()
         with ServingCluster(
-            model, SPEC, ClusterConfig(executor=executor, num_shards=2)
+            model, SPEC, ClusterConfig(**backend(executor), num_shards=2)
         ) as managed:
-            assert managed.stats()["executor"] == executor
+            assert managed.stats()["executor"] == "thread"
 
     def test_rejects_unknown_executor(self):
         for executor in ("fiber", "process"):
@@ -565,8 +602,15 @@ class TestAdaptiveBatchingParity:
     of the parity matrix)."""
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "executor,num_shards",
+        [
+            (executor, num_shards)
+            for executor in ("serial", "thread", "thread-shared")
+            for num_shards in (1, 2, 4)
+            if distinct_at(executor, num_shards)
+        ],
+    )
     def test_auto_batch_matches_reference(self, encoding, num_shards, executor):
         model = make_model(encoding)
         streams, events = multi_stream_events(seed=42)
@@ -575,7 +619,7 @@ class TestAdaptiveBatchingParity:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor,
+                **backend(executor),
                 num_shards=num_shards,
                 batch_size="auto",
                 auto_drain=False,
@@ -591,7 +635,8 @@ class TestAdaptiveBatchingParity:
             emitted.extend(cluster.flush())
         assert_stream_parity(by_stream(emitted, streams), expected)
 
-    def test_auto_batch_expire_and_drain_pattern_parity(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_auto_batch_expire_and_drain_pattern_parity(self, executor):
         """Backlogged drain scheduling (the pattern that actually exercises
         wide adaptive rounds) with interleaved expiry, against the
         sequential reference."""
@@ -610,7 +655,7 @@ class TestAdaptiveBatchingParity:
                 batch_size="auto",
                 auto_drain=False,
                 max_queue=len(events) + 1,
-                executor="thread",
+                **backend(executor),
                 engine=engine_config(**overrides),
             ),
         ) as cluster:
@@ -624,7 +669,8 @@ class TestAdaptiveBatchingParity:
             emitted.extend(cluster.flush())
         assert_stream_parity(by_stream(emitted, streams), expected)
 
-    def test_auto_batch_snapshot_restore_replays_per_stream(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_auto_batch_snapshot_restore_replays_per_stream(self, executor):
         """Replays after a restore serve identical per-stream decisions;
         global interleaving may differ because adaptive widths are
         wall-clock-driven (controller state intentionally resets)."""
@@ -634,6 +680,7 @@ class TestAdaptiveBatchingParity:
             model,
             SPEC,
             ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size="auto",
                 auto_drain=False,
@@ -656,7 +703,8 @@ class TestAdaptiveBatchingParity:
             second = [(d.key, d.predicted, d.confidence) for d in runs[1][stream_id]]
             assert first == second, stream_id
 
-    def test_hot_shard_widens_while_cold_shard_stays_narrow(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_hot_shard_widens_while_cold_shard_stays_narrow(self, executor):
         """Under a backlogged Zipf-skewed queue the hot shard's controller
         must have chosen wider rounds than an idle shard's (which stays at
         the width floor)."""
@@ -679,6 +727,7 @@ class TestAdaptiveBatchingParity:
             model,
             SPEC,
             ClusterConfig(
+                **backend(executor),
                 num_shards=4,
                 batch_size="auto",
                 auto_drain=False,
@@ -732,27 +781,37 @@ class TestRoutingAndBatching:
             assert cluster.shard_index(stream_id) == expected
             assert cluster.shard_of(stream_id) is cluster.shards[expected]
 
-    def test_sessions_live_on_their_routed_shard(self):
-        cluster = ServingCluster(
-            make_model("rotary"), SPEC, ClusterConfig(num_shards=4, engine=engine_config())
-        )
-        streams, events = multi_stream_events(seed=13, num_events=80)
-        cluster.consume(events)
-        cluster.drain()
-        for stream_id, _ in cluster.sessions():
-            shard = cluster.shard_of(stream_id)
-            assert stream_id in shard.sessions
-
-    def test_batching_counters_track_cross_stream_rounds(self):
-        streams, events = multi_stream_events(seed=17, num_events=200)
-        batched = ServingCluster(
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_sessions_live_on_their_routed_shard(self, executor):
+        with ServingCluster(
             make_model("rotary"),
             SPEC,
-            ClusterConfig(num_shards=1, batch_size=4, batched=True, engine=engine_config()),
-        )
-        batched.consume(events)
-        batched.flush()
-        stats = batched.stats()
+            ClusterConfig(**backend(executor), num_shards=4, engine=engine_config()),
+        ) as cluster:
+            streams, events = multi_stream_events(seed=13, num_events=80)
+            cluster.consume(events)
+            cluster.drain()
+            for stream_id, _ in cluster.sessions():
+                shard = cluster.shard_of(stream_id)
+                assert stream_id in shard.sessions
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_batching_counters_track_cross_stream_rounds(self, executor):
+        streams, events = multi_stream_events(seed=17, num_events=200)
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                batch_size=4,
+                batched=True,
+                engine=engine_config(),
+            ),
+        ) as batched:
+            batched.consume(events)
+            batched.flush()
+            stats = batched.stats()
         assert stats["batch_rounds"] > 0
         assert stats["batched_rows"] >= 2 * stats["batch_rounds"]
         assert stats["drained"] == len(events)
@@ -761,7 +820,8 @@ class TestRoutingAndBatching:
         engine = OnlineClassificationEngine(make_model("rotary"), SPEC, engine_config())
         assert isinstance(engine, StreamSession)
 
-    def test_hot_stream_backlog_drains_in_fifo_parity(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_hot_stream_backlog_drains_in_fifo_parity(self, executor):
         """A queue dominated by one hot stream (only one arrival of it can
         encode per round) must still drain every arrival in per-stream FIFO
         order and match the sequential reference engines."""
@@ -780,23 +840,33 @@ class TestRoutingAndBatching:
         streams = sorted({event.source for event in events})
         _, expected = reference_decisions(model, streams, events)
 
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
             ClusterConfig(
+                **backend(executor),
                 num_shards=1,
                 batch_size=4,
                 max_queue=500,
                 auto_drain=False,
                 engine=engine_config(),
             ),
-        )
-        for event in events:
-            cluster.submit(event)
-        emitted = cluster.drain()
-        emitted.extend(cluster.flush())
+        ) as cluster:
+            for event in events:
+                cluster.submit(event)
+            emitted = cluster.drain()
+            emitted.extend(cluster.flush())
+            assert cluster.stats()["drained"] == len(events)
         assert_stream_parity(by_stream(emitted, streams), expected)
-        assert cluster.stats()["drained"] == len(events)
+
+
+#: ``(num_shards, executor)`` cells of the sink leg of the parity matrix.
+SINK_CELLS = [
+    (num_shards, executor)
+    for executor in ("serial", "thread", "thread-shared")
+    for num_shards in (1, 2, 4)
+    if distinct_at(executor, num_shards)
+]
 
 
 class TestSinkDeliveryParity:
@@ -805,8 +875,7 @@ class TestSinkDeliveryParity:
     subscribed sink receives exactly the concatenation of every returned
     list, same objects, same order (the sink leg of the parity matrix)."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("num_shards,executor", SINK_CELLS)
     def test_sink_matches_returned_lists_fixed_batch(self, executor, num_shards):
         model = make_model("rotary")
         streams, events = multi_stream_events(seed=42)
@@ -814,7 +883,7 @@ class TestSinkDeliveryParity:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor,
+                **backend(executor),
                 num_shards=num_shards,
                 batch_size=4,
                 engine=engine_config(),
@@ -830,8 +899,7 @@ class TestSinkDeliveryParity:
             delivered = sink.take()
         assert delivered == returned
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("num_shards,executor", SINK_CELLS)
     def test_sink_matches_returned_lists_auto_batch(self, executor, num_shards):
         model = make_model("rotary")
         streams, events = multi_stream_events(seed=19)
@@ -839,7 +907,7 @@ class TestSinkDeliveryParity:
             model,
             SPEC,
             ClusterConfig(
-                executor=executor,
+                **backend(executor),
                 num_shards=num_shards,
                 batch_size="auto",
                 auto_drain=False,
@@ -857,7 +925,8 @@ class TestSinkDeliveryParity:
             delivered = sink.take()
         assert delivered == returned
 
-    def test_sink_delivery_is_backend_deterministic(self):
+    @pytest.mark.parametrize("executor", ["thread", "thread-shared"])
+    def test_sink_delivery_is_backend_deterministic(self, executor):
         """The delivered sequence (not just the returned one) is identical
         across serial and thread executors for fixed-width rounds."""
         model = make_model("absolute")
@@ -872,7 +941,7 @@ class TestSinkDeliveryParity:
                     batch_size=4,
                     auto_drain=False,
                     max_queue=len(events) + 1,
-                    executor=executor,
+                    **backend(executor),
                     engine=engine_config(),
                 ),
             ) as cluster:
@@ -886,10 +955,10 @@ class TestSinkDeliveryParity:
                     for d in sink.take()
                 ]
 
-        assert serve("serial") == serve("thread")
+        assert serve("serial") == serve(executor)
 
     @pytest.mark.stress
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     @pytest.mark.parametrize("seed", range(8))
     def test_sink_vs_returned_list_fuzz(self, seed, executor):
         """Weekly randomized sweep: any mix of submits, drains, expiries and
@@ -912,7 +981,7 @@ class TestSinkDeliveryParity:
             idle_timeout=float(rng.choice([0.0, 5.0])),
         )
         config = ClusterConfig(
-            executor=executor,
+            **backend(executor),
             num_shards=int(rng.choice([1, 2, 4])),
             batch_size="auto" if adaptive else int(rng.integers(1, 9)),
             auto_drain=False if adaptive else bool(rng.random() < 0.7),

@@ -23,6 +23,7 @@ from repro.serving import (
     ServingCluster,
     ServingGateway,
 )
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -77,19 +78,26 @@ def reference_decisions(model, streams, events, **overrides):
     return ordered
 
 
-def make_gateway(num_shards=2, **config_overrides) -> ServingGateway:
-    kwargs = dict(num_shards=num_shards, batch_size=4, engine=engine_config())
+def make_gateway(num_shards=2, executor="serial", **config_overrides) -> ServingGateway:
+    kwargs = dict(
+        backend(executor), num_shards=num_shards, batch_size=4, engine=engine_config()
+    )
     kwargs.update(config_overrides)
     return ServingGateway(make_model(), SPEC, ClusterConfig(**kwargs))
 
 
 class TestHandlesAndFutures:
-    def test_per_stream_decisions_match_reference(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_per_stream_decisions_match_reference(self, executor):
         model = make_model()
         streams, events = multi_stream_events(seed=42)
         expected = reference_decisions(model, streams, events)
         with ServingGateway(
-            model, SPEC, ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            model,
+            SPEC,
+            ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            ),
         ) as gateway:
             handles = {stream_id: gateway.stream(stream_id) for stream_id in streams}
             for event in events:
@@ -104,9 +112,10 @@ class TestHandlesAndFutures:
                     assert mine.confidence == pytest.approx(ref.confidence, abs=1e-9)
                     assert mine.observations == ref.observations
 
-    def test_future_resolves_when_decision_is_emitted(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_future_resolves_when_decision_is_emitted(self, executor):
         streams, events = multi_stream_events(seed=7)
-        gateway = make_gateway()
+        gateway = make_gateway(executor=executor)
         handle = gateway.stream(streams[0])
         future = handle.result("k0")
         assert not future.done()
@@ -232,12 +241,17 @@ class TestRestoreDeliverySemantics:
     futures fire at most once, on the first emission.
     """
 
-    def test_futures_do_not_double_fire_across_restore(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_futures_do_not_double_fire_across_restore(self, executor):
         model = make_model()
         streams, events = multi_stream_events(seed=23, num_events=160)
         cut = 100
         gateway = ServingGateway(
-            model, SPEC, ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            model,
+            SPEC,
+            ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            ),
         )
         for event in events[:cut]:
             gateway.submit(event)
@@ -267,12 +281,17 @@ class TestRestoreDeliverySemantics:
             assert replay_view[: len(decided_before[stream_id])] == decided_before[stream_id]
         gateway.close()
 
-    def test_sinks_see_replayed_emissions_like_the_pull_api(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_sinks_see_replayed_emissions_like_the_pull_api(self, executor):
         model = make_model()
         streams, events = multi_stream_events(seed=29, num_events=120)
         cut = 70
         gateway = ServingGateway(
-            model, SPEC, ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            model,
+            SPEC,
+            ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            ),
         )
         sink = gateway.subscribe(BufferedSink())
         returned = []

@@ -11,6 +11,7 @@ from repro.serving.monitoring import (
     ShardMonitor,
     ThroughputMeter,
 )
+from tests.serving.backends import backend
 
 
 def make_decision(key, predicted, observations=3, confidence=0.8, halted=True):
@@ -276,10 +277,11 @@ class TestShardMonitor:
         assert snap.queue_depth.maximum == 8.0
 
 
+@pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
 class TestClusterStatsSurfacing:
     """ServingCluster.stats() publishes the merged per-shard telemetry."""
 
-    def test_stats_round_telemetry(self):
+    def test_stats_round_telemetry(self, executor):
         import numpy as np
 
         from repro.core.config import KVECConfig
@@ -303,6 +305,7 @@ class TestClusterStatsSurfacing:
             model,
             spec,
             ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
                 engine=EngineConfig(window_items=8, halt_threshold=0.9),
@@ -319,6 +322,7 @@ class TestClusterStatsSurfacing:
             cluster.submit(event)
         cluster.drain()
         stats = cluster.stats()
+        cluster.close()
         assert stats["rounds"] > 0
         assert stats["round_latency_ms"]["count"] == stats["rounds"]
         assert stats["round_queue_depth"]["count"] == stats["rounds"]
@@ -328,7 +332,7 @@ class TestClusterStatsSurfacing:
         )
         assert len(stats["round_widths"]) == 2
 
-    def test_stats_and_health_are_json_serializable(self):
+    def test_stats_and_health_are_json_serializable(self, executor):
         """The network tier ships stats()/health() verbatim as JSON bodies."""
         import json
 
@@ -355,6 +359,7 @@ class TestClusterStatsSurfacing:
             model,
             spec,
             ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
                 engine=EngineConfig(window_items=8, halt_threshold=0.9),

@@ -34,6 +34,7 @@ from repro.serving import (
 )
 from repro.serving.net import ServingHTTPClient, ServingHTTPServer, protocol
 from repro.serving.net.client import ServingUnavailableError
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -109,7 +110,7 @@ async def _wait_for_stream_registration(server, count=1, timeout=5.0):
 
 
 class TestHTTPParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     def test_http_submissions_match_reference_per_stream(self, executor):
         """Submitting over the wire changes nothing: decision-for-decision
         parity with one sequential single-stream engine per stream."""
@@ -119,9 +120,9 @@ class TestHTTPParity:
 
         async def scenario():
             config = ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
-                executor=executor,
                 engine=engine_config(),
             )
             collected = []
@@ -145,14 +146,17 @@ class TestHTTPParity:
             got_by_stream.setdefault(decision.stream_id, []).append(decision)
         assert_wire_parity(got_by_stream, expected)
 
-    def test_decision_push_stream_matches_pull_api(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_decision_push_stream_matches_pull_api(self, executor):
         """The chunked NDJSON push stream carries exactly the pull-API
         decisions, field-for-field in the same order."""
         model = make_model()
         streams, events = multi_stream_events(seed=43, num_events=120)
 
         async def scenario():
-            config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
             async with ServingHTTPServer(
                 model=model, spec=SPEC, config=config, heartbeat_s=0.2
             ) as server:
@@ -501,14 +505,17 @@ class TestLifecycleOverHTTP:
         assert stats["server"]["state"] == "draining"
         assert refusal.http_status == 503
 
-    def test_snapshot_restore_round_trip_over_http(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_snapshot_restore_round_trip_over_http(self, executor):
         """Admin snapshot/restore replays the tail bit-identically."""
         model = make_model()
         streams, events = multi_stream_events(seed=59, num_events=80)
         split = 50
 
         async def scenario():
-            config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
             async with ServingHTTPServer(model=model, spec=SPEC, config=config) as server:
                 async with ServingHTTPClient(server.host, server.port) as client:
                     for event in events[:split]:
@@ -547,9 +554,21 @@ class TestLifecycleOverHTTP:
 
 
 class TestServeEntrypoint:
-    def test_selftest_smoke(self, capsys):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_selftest_smoke(self, capsys, executor):
         from repro.serve import main as serve_main
 
-        assert serve_main(["--selftest", "40", "--port", "0", "--seed", "1"]) == 0
+        argv = ["--selftest", "40", "--port", "0", "--seed", "1", "--executor", executor]
+        assert serve_main(argv) == 0
         out = capsys.readouterr().out
         assert "selftest: 40 events" in out
+
+    def test_executor_choices_are_the_two_backends(self, capsys):
+        from repro.serve import build_parser
+
+        parser = build_parser()
+        for executor in ("serial", "thread"):
+            assert parser.parse_args(["--executor", executor]).executor == executor
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--executor", "process"])
+        assert "invalid choice: 'process'" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from repro.serving.parallel import (
     available_cpus,
     make_executor,
 )
+from tests.serving.backends import backend
 
 
 class TestSerialExecutor:
@@ -150,6 +151,93 @@ class TestThreadExecutor:
             ThreadExecutor(num_shards=0)
         with pytest.raises(ValueError):
             ThreadExecutor(num_shards=2, num_workers=0)
+
+
+@pytest.mark.parametrize("label", ["serial", "thread", "thread-shared"])
+class TestExecutorContract:
+    """The :class:`ShardExecutor` contract the cluster relies on, on every
+    backend leg: results and errors come back through ``run`` and through
+    ``submit``'s handle, one shard's jobs run in submission order on one
+    context, nested runs complete, and nothing is abandoned unless a worker
+    was replaced."""
+
+    NUM_SHARDS = 4
+
+    @pytest.fixture
+    def executor(self, label):
+        fields = backend(label)
+        executor = make_executor(
+            fields["executor"], self.NUM_SHARDS, fields.get("num_workers")
+        )
+        yield executor
+        executor.close()
+
+    @staticmethod
+    def _raise(message):
+        raise ValueError(message)
+
+    def test_run_returns_result_and_reraises_errors(self, executor):
+        assert executor.run(0, lambda: 7) == 7
+        with pytest.raises(ValueError, match="boom"):
+            executor.run(1, lambda: self._raise("boom"))
+        # a failed job leaves its shard's context serving
+        assert executor.run(1, lambda: 8) == 8
+
+    def test_submit_hands_back_a_completed_handle(self, executor):
+        job = executor.submit(2, lambda: "done")
+        assert job.done.wait(timeout=5.0)
+        assert job.started.is_set()
+        assert job.error is None
+        assert job.wait() == "done"
+
+    def test_submit_keeps_the_error_on_the_handle(self, executor):
+        job = executor.submit(3, lambda: self._raise("job failed"))
+        assert job.done.wait(timeout=5.0)
+        assert isinstance(job.error, ValueError)
+        with pytest.raises(ValueError, match="job failed"):
+            job.wait()
+
+    def test_one_shards_jobs_run_in_submission_order(self, executor):
+        """Per-shard FIFO, interleaved with other shards' jobs: the order
+        contract push delivery leans on."""
+        seen = {shard: [] for shard in range(self.NUM_SHARDS)}
+        jobs = [
+            executor.submit(shard, lambda shard=shard, step=step: seen[shard].append(step))
+            for step in range(25)
+            for shard in range(self.NUM_SHARDS)
+        ]
+        for job in jobs:
+            job.wait()
+        assert seen == {shard: list(range(25)) for shard in range(self.NUM_SHARDS)}
+
+    def test_shard_affinity_is_stable(self, executor, label):
+        homes = {shard: set() for shard in range(self.NUM_SHARDS)}
+        for _ in range(10):
+            for shard in range(self.NUM_SHARDS):
+                homes[shard].add(executor.run(shard, threading.get_ident))
+        assert all(len(idents) == 1 for idents in homes.values())
+        contexts = set().union(*homes.values())
+        if label == "serial":
+            assert contexts == {threading.get_ident()}
+        else:
+            assert len(contexts) == executor.num_workers
+            assert threading.get_ident() not in contexts
+
+    def test_nested_run_on_any_shard_completes(self, executor):
+        """A job may run work on another shard — on the shared-worker leg
+        that shard is pinned to the very thread running the job, which must
+        execute it inline instead of queueing behind itself."""
+
+        def outer():
+            return [executor.run(shard, lambda shard=shard: shard * 10) for shard in range(4)]
+
+        job = executor.submit(0, outer)
+        assert job.done.wait(timeout=5.0), "nested run deadlocked"
+        assert job.wait() == [0, 10, 20, 30]
+
+    def test_no_context_is_abandoned_without_a_replacement(self, executor):
+        assert executor.current_context_abandoned() is False
+        assert executor.run(1, executor.current_context_abandoned) is False
 
 
 class TestWorkerCountClamping:

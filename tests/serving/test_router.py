@@ -34,6 +34,7 @@ from repro.serving import (
     ServingCluster,
     SupervisorConfig,
 )
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -107,9 +108,9 @@ def group_by_stream(stream_decisions):
 
 def make_node(model, executor="serial", num_shards=2, **config_overrides):
     kwargs = dict(
+        backend(executor),
         num_shards=num_shards,
         batch_size=4,
-        executor=executor,
         engine=engine_config(),
     )
     kwargs.update(config_overrides)
@@ -127,10 +128,11 @@ class TestRouting:
         with pytest.raises(ValueError, match="at least one"):
             ClusterRouter([])
 
-    def test_stats_and_health_merge_and_round_trip_json(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_stats_and_health_merge_and_round_trip_json(self, executor):
         model = make_model()
         streams, events = multi_stream_events(seed=71, num_events=60)
-        with ClusterRouter([make_node(model), make_node(model)]) as router:
+        with ClusterRouter([make_node(model, executor), make_node(model, executor)]) as router:
             for event in events:
                 router.submit(event)
             router.flush()
@@ -150,7 +152,7 @@ class TestRouting:
 
 
 class TestLiveMigration:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     def test_mid_run_migration_is_decision_identical(self, executor):
         """The parity-matrix migration leg: move one live stream between
         nodes mid-run; every stream's decisions stay bit-identical to the
@@ -179,15 +181,16 @@ class TestLiveMigration:
             got = sink.take()
         assert_per_stream_parity(group_by_stream(got), expected)
 
-    def test_migration_carries_queued_arrivals(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_migration_carries_queued_arrivals(self, executor):
         """auto_drain off: the moved stream has undrained arrivals queued,
         and they are served on the target node, not dropped."""
         model = make_model()
         streams, events = multi_stream_events(seed=73, num_events=120)
         expected = reference_decisions(model, streams, events)
         nodes = [
-            make_node(model, auto_drain=False, max_queue=256),
-            make_node(model, auto_drain=False, max_queue=256),
+            make_node(model, executor, auto_drain=False, max_queue=256),
+            make_node(model, executor, auto_drain=False, max_queue=256),
         ]
         with ClusterRouter(nodes) as router:
             sink = router.subscribe(BufferedSink())
@@ -204,13 +207,14 @@ class TestLiveMigration:
             got = sink.take()
         assert_per_stream_parity(group_by_stream(got), expected)
 
-    def test_drain_node_rebalances_across_survivors(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_drain_node_rebalances_across_survivors(self, executor):
         model = make_model()
         streams, events = multi_stream_events(
             seed=83, num_events=180, num_streams=6
         )
         expected = reference_decisions(model, streams, events)
-        nodes = [make_node(model) for _ in range(3)]
+        nodes = [make_node(model, executor) for _ in range(3)]
         with ClusterRouter(nodes) as router:
             sink = router.subscribe(BufferedSink())
             half = len(events) // 2
@@ -302,12 +306,13 @@ class TestNodeRecovery:
                 assert mine.confidence == pytest.approx(ref.confidence, abs=1e-9)
                 assert mine.observations == ref.observations, (stream_id, ref.key)
 
-    def test_recovery_replay_is_deterministic(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_recovery_replay_is_deterministic(self, executor):
         """Recovering an *unfailed* node is a pure replay: the re-emitted
         decisions equal the originals field-for-field."""
         model = make_model()
         streams, events = multi_stream_events(seed=89, num_events=80)
-        with ClusterRouter([make_node(model), make_node(model)]) as router:
+        with ClusterRouter([make_node(model, executor), make_node(model, executor)]) as router:
             sink = router.subscribe(BufferedSink())
             for event in events:
                 router.submit(event)

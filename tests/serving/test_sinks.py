@@ -31,6 +31,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import StreamDecision
 from repro.serving.engine import Decision
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -179,63 +180,75 @@ class TestSinkPrimitives:
         asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestClusterDelivery:
-    def test_subscribed_sink_sees_exactly_the_returned_decisions(self):
+    def test_subscribed_sink_sees_exactly_the_returned_decisions(self, executor):
         model = make_model()
         events = make_events(seed=11)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
             ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
                 engine=EngineConfig(window_items=7, halt_threshold=0.5, reencode_every=2),
             ),
-        )
-        sink = cluster.subscribe(BufferedSink())
-        returned = []
-        for event in events:
-            returned.extend(cluster.submit(event).decisions)
-        returned.extend(cluster.expire())
-        returned.extend(cluster.flush())
-        delivered = sink.take()
+        ) as cluster:
+            sink = cluster.subscribe(BufferedSink())
+            returned = []
+            for event in events:
+                returned.extend(cluster.submit(event).decisions)
+            returned.extend(cluster.expire())
+            returned.extend(cluster.flush())
+            delivered = sink.take()
         assert delivered == returned
         assert [d.decision.key for d in delivered] == [d.decision.key for d in returned]
 
-    def test_unsubscribe_stops_delivery(self):
+    def test_unsubscribe_stops_delivery(self, executor):
         model = make_model()
         events = make_events(seed=13, count=60)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=1, batch_size=4, engine=EngineConfig(window_items=7)),
-        )
-        sink = cluster.subscribe(BufferedSink())
-        cluster.consume(events[:30])
-        assert cluster.unsubscribe(sink)
-        seen_before = len(sink.peek())
-        cluster.consume(events[30:])
-        cluster.flush()
-        assert len(sink.peek()) == seen_before
-        assert not cluster.unsubscribe(sink)
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                batch_size=4,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            sink = cluster.subscribe(BufferedSink())
+            cluster.consume(events[:30])
+            assert cluster.unsubscribe(sink)
+            seen_before = len(sink.peek())
+            cluster.consume(events[30:])
+            cluster.flush()
+            assert len(sink.peek()) == seen_before
+            assert not cluster.unsubscribe(sink)
 
-    def test_shard_level_subscription_sees_only_that_shard(self):
+    def test_shard_level_subscription_sees_only_that_shard(self, executor):
         model = make_model()
         events = make_events(seed=17)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=4, engine=EngineConfig(window_items=7)),
-        )
-        shard_sinks = [shard.subscribe(BufferedSink()) for shard in cluster.shards]
-        returned = list(cluster.consume(events))
-        returned.extend(cluster.flush())
-        for shard, sink in zip(cluster.shards, shard_sinks):
-            delivered = sink.take()
-            assert all(d.shard_id == shard.shard_id for d in delivered)
-            assert delivered == [d for d in returned if d.shard_id == shard.shard_id]
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            shard_sinks = [shard.subscribe(BufferedSink()) for shard in cluster.shards]
+            returned = list(cluster.consume(events))
+            returned.extend(cluster.flush())
+            for shard, sink in zip(cluster.shards, shard_sinks):
+                delivered = sink.take()
+                assert all(d.shard_id == shard.shard_id for d in delivered)
+                assert delivered == [d for d in returned if d.shard_id == shard.shard_id]
 
-    def test_submit_statuses_cover_admission_control(self):
+    def test_submit_statuses_cover_admission_control(self, executor):
         def event_at(position):
             return StreamEvent(
                 time=float(position),
@@ -243,38 +256,55 @@ class TestClusterDelivery:
                 source=f"stream-{position % 5}",
             )
 
-        shed_cluster = ServingCluster(
+        with ServingCluster(
             make_model(),
             SPEC,
-            ClusterConfig(num_shards=1, max_queue=2, overflow="shed", auto_drain=False),
-        )
-        statuses = [shed_cluster.submit(event_at(i)).status for i in range(4)]
-        assert statuses == ["accepted", "accepted", "shed", "shed"]
-        assert shed_cluster.submit(event_at(9)).queue_depth == 2
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=2,
+                overflow="shed",
+                auto_drain=False,
+            ),
+        ) as shed_cluster:
+            statuses = [shed_cluster.submit(event_at(i)).status for i in range(4)]
+            assert statuses == ["accepted", "accepted", "shed", "shed"]
+            assert shed_cluster.submit(event_at(9)).queue_depth == 2
 
-        reject_cluster = ServingCluster(
+        with ServingCluster(
             make_model(),
             SPEC,
-            ClusterConfig(num_shards=1, max_queue=2, overflow="reject", auto_drain=False),
-        )
-        for position in range(2):
-            assert reject_cluster.submit(event_at(position)).admitted
-        with pytest.raises(ShardOverloadError):
-            reject_cluster.submit(event_at(2))
-        soft = reject_cluster.submit(event_at(3), raise_on_reject=False)
-        assert soft.status == "rejected" and soft.dropped
-        assert reject_cluster.stats()["rejected"] == 2
-        assert reject_cluster.stats()["rejected_per_shard"] == [2]
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=2,
+                overflow="reject",
+                auto_drain=False,
+            ),
+        ) as reject_cluster:
+            for position in range(2):
+                assert reject_cluster.submit(event_at(position)).admitted
+            with pytest.raises(ShardOverloadError):
+                reject_cluster.submit(event_at(2))
+            soft = reject_cluster.submit(event_at(3), raise_on_reject=False)
+            assert soft.status == "rejected" and soft.dropped
+            assert reject_cluster.stats()["rejected"] == 2
+            assert reject_cluster.stats()["rejected_per_shard"] == [2]
 
-    def test_decided_status_carries_emitted_decisions(self):
+    def test_decided_status_carries_emitted_decisions(self, executor):
         model = make_model()
         events = make_events(seed=19)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=1, batch_size=2, engine=EngineConfig(window_items=7)),
-        )
-        results = [cluster.submit(event) for event in events]
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                batch_size=2,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            results = [cluster.submit(event) for event in events]
         decided = [r for r in results if r.status == "decided"]
         assert decided, "the stream should have triggered at least one decision"
         assert all(r.decisions for r in decided)
@@ -284,43 +314,61 @@ class TestClusterDelivery:
             if r.status != "decided"
         )
 
-    def test_consume_summary_counts_match_admission(self):
+    def test_consume_summary_counts_match_admission(self, executor):
         model = make_model()
         events = make_events(seed=23, count=40)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=1, max_queue=8, overflow="shed", auto_drain=False),
-        )
-        summary = cluster.consume(events)
-        assert summary.submitted == len(events)
-        assert summary.admitted == 8 and summary.shed == len(events) - 8
-        assert list(summary) == []  # nothing drained yet
-        drained = cluster.drain()
-        assert len(drained) >= 0 and cluster.stats()["drained"] == 8
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=8,
+                overflow="shed",
+                auto_drain=False,
+            ),
+        ) as cluster:
+            summary = cluster.consume(events)
+            assert summary.submitted == len(events)
+            assert summary.admitted == 8 and summary.shed == len(events) - 8
+            assert list(summary) == []  # nothing drained yet
+            drained = cluster.drain()
+            assert len(drained) >= 0 and cluster.stats()["drained"] == 8
 
-    def test_consume_continues_past_rejections_when_not_raising(self):
+    def test_consume_continues_past_rejections_when_not_raising(self, executor):
         model = make_model()
         events = make_events(seed=29, count=20)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=1, max_queue=4, overflow="reject", auto_drain=False),
-        )
-        summary = cluster.consume(events, raise_on_reject=False)
-        assert summary.admitted == 4 and summary.rejected == len(events) - 4
-        with pytest.raises(ShardOverloadError):
-            cluster.consume(events)
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=4,
+                overflow="reject",
+                auto_drain=False,
+            ),
+        ) as cluster:
+            summary = cluster.consume(events, raise_on_reject=False)
+            assert summary.admitted == 4 and summary.rejected == len(events) - 4
+            with pytest.raises(ShardOverloadError):
+                cluster.consume(events)
 
 
 class TestClusterLifecycle:
-    def test_states_and_guards(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_states_and_guards(self, executor):
         model = make_model()
         events = make_events(seed=31, count=30)
         cluster = ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=4, engine=EngineConfig(window_items=7)),
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                engine=EngineConfig(window_items=7),
+            ),
         )
         assert cluster.state == "running"
         cluster.consume(events)
@@ -336,13 +384,19 @@ class TestClusterLifecycle:
             cluster.restore(None)  # guard fires before snapshot validation
         assert cluster.stats()["state"] == "closed"
 
-    def test_shutdown_flushes_then_closes(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_shutdown_flushes_then_closes(self, executor):
         model = make_model()
         events = make_events(seed=37, count=60)
         cluster = ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=4, engine=EngineConfig(window_items=7)),
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                engine=EngineConfig(window_items=7),
+            ),
         )
         sink = cluster.subscribe(BufferedSink())
         returned = list(cluster.consume(events))
@@ -354,17 +408,23 @@ class TestClusterLifecycle:
         # every queued arrival was served before the close
         assert cluster.stats()["queue_depths"] == [0, 0]
 
-    def test_stats_surfaces_throughput_and_per_shard_counters(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_stats_surfaces_throughput_and_per_shard_counters(self, executor):
         model = make_model()
         events = make_events(seed=41, count=50)
-        cluster = ServingCluster(
+        with ServingCluster(
             model,
             SPEC,
-            ClusterConfig(num_shards=2, batch_size=4, engine=EngineConfig(window_items=7)),
-        )
-        cluster.consume(events)
-        cluster.flush()
-        stats = cluster.stats()
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            cluster.consume(events)
+            cluster.flush()
+            stats = cluster.stats()
         assert stats["items_per_s"] > 0.0
         assert stats["decisions_per_s"] > 0.0
         assert stats["rejected_per_shard"] == [0, 0]

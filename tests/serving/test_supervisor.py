@@ -54,6 +54,7 @@ from repro.serving.supervisor import (
     CircuitBreaker,
     SupervisorConfig,
 )
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -409,7 +410,7 @@ class TestThreadExecutorFaults:
 # crash recovery parity (the fast deterministic chaos-gate leg)
 # --------------------------------------------------------------------- #
 class TestCrashRecoveryParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     @pytest.mark.parametrize("action", ["kill", "raise"])
     def test_mid_encode_crash_recovers_with_parity(self, executor, action):
         """A shard killed mid-encode rewinds to its checkpoint; decisions for
@@ -420,9 +421,9 @@ class TestCrashRecoveryParity:
             specs=[FaultSpec(site="session-encode", action=action, shard_id=0, after=3, limit=1)]
         )
         config = ClusterConfig(
+            **backend(executor),
             num_shards=2,
             batch_size=4,
-            executor=executor,
             supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=2)),
             faults=injector,
             engine=engine_config(),
@@ -446,14 +447,16 @@ class TestCrashRecoveryParity:
         reference_cluster.close()
         assert_recovery_parity(got, reference)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     @pytest.mark.parametrize("site", ["shard-round", "executor-job"])
-    def test_pre_dequeue_crash_loses_nothing(self, site):
+    def test_pre_dequeue_crash_loses_nothing(self, site, executor):
         """Faults before any arrival is consumed recover with an empty lost
         set — the full workload replays to exact parity."""
         model = make_model()
         _, events = multi_stream_events(seed=12)
         injector = FaultInjector(specs=[FaultSpec(site=site, shard_id=0, after=2, limit=1)])
         config = ClusterConfig(
+            **backend(executor),
             num_shards=2,
             batch_size=4,
             auto_drain=(site == "shard-round"),
@@ -483,7 +486,8 @@ class TestCrashRecoveryParity:
         reference_cluster.close()
         assert_recovery_parity(got, reference)
 
-    def test_unfaulted_supervised_cluster_matches_unsupervised(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_unfaulted_supervised_cluster_matches_unsupervised(self, executor):
         """Supervision at default cadence is pure bookkeeping: identical
         decision lists with and without it."""
         model = make_model()
@@ -491,7 +495,9 @@ class TestCrashRecoveryParity:
         supervised_cluster, supervised = run_cluster(
             model,
             events,
-            ClusterConfig(num_shards=2, batch_size=4, engine=engine_config()),
+            ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            ),
         )
         health = supervised_cluster.health()
         assert health["failures"] == 0
@@ -502,6 +508,7 @@ class TestCrashRecoveryParity:
             model,
             events,
             ClusterConfig(
+                **backend(executor),
                 num_shards=2,
                 batch_size=4,
                 supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=0)),
@@ -517,10 +524,12 @@ class TestCrashRecoveryParity:
             for d in baseline
         ]
 
-    def test_checkpoint_cadence_is_observed(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_checkpoint_cadence_is_observed(self, executor):
         model = make_model()
         _, events = multi_stream_events(seed=14, num_events=60)
         config = ClusterConfig(
+            **backend(executor),
             num_shards=1,
             batch_size=2,
             supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=5)),
@@ -690,7 +699,7 @@ class TestCheckpointCopies:
 # --------------------------------------------------------------------- #
 # graceful degradation
 # --------------------------------------------------------------------- #
-def _breaker_open_cluster(degraded: str, clock=None):
+def _breaker_open_cluster(degraded: str, clock=None, executor: str = "serial"):
     """A 1-shard cluster whose breaker has been opened by injected faults."""
     model = make_model()
     # limit=2 exactly trips the threshold-2 breaker, then exhausts, so a
@@ -705,6 +714,7 @@ def _breaker_open_cluster(degraded: str, clock=None):
         clock=clock or time.monotonic,
     )
     config = ClusterConfig(
+        **backend(executor),
         num_shards=1,
         batch_size=2,
         auto_drain=False,
@@ -722,9 +732,10 @@ def _breaker_open_cluster(degraded: str, clock=None):
     return cluster, injector, events[4:]
 
 
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestGracefulDegradation:
-    def test_shed_policy_returns_degraded_status(self):
-        cluster, _, events = _breaker_open_cluster("shed")
+    def test_shed_policy_returns_degraded_status(self, executor):
+        cluster, _, events = _breaker_open_cluster("shed", executor=executor)
         result = cluster.submit(events[0])
         assert result.status == "degraded"
         assert result.dropped and not result.admitted
@@ -732,8 +743,8 @@ class TestGracefulDegradation:
         assert cluster.health()["degraded_submits"] == 1
         cluster.close()
 
-    def test_reject_policy_raises_unless_opted_out(self):
-        cluster, _, events = _breaker_open_cluster("reject")
+    def test_reject_policy_raises_unless_opted_out(self, executor):
+        cluster, _, events = _breaker_open_cluster("reject", executor=executor)
         with pytest.raises(ShardDegradedError, match="shard 0 is degraded"):
             cluster.submit(events[0])
         result = cluster.submit(events[1], raise_on_reject=False)
@@ -741,9 +752,11 @@ class TestGracefulDegradation:
         assert cluster.health()["degraded_submits"] == 2
         cluster.close()
 
-    def test_probe_after_backoff_closes_breaker_and_serves_backlog(self):
+    def test_probe_after_backoff_closes_breaker_and_serves_backlog(self, executor):
         clock = FakeClock()
-        cluster, injector, events = _breaker_open_cluster("shed", clock=clock)
+        cluster, injector, events = _breaker_open_cluster(
+            "shed", clock=clock, executor=executor
+        )
         backlog = sum(shard.queue_depth for shard in cluster.shards)
         assert backlog > 0
         # The injected fault is exhausted (limit=2); let the backoff elapse
@@ -759,8 +772,8 @@ class TestGracefulDegradation:
         assert flushed
         cluster.close()
 
-    def test_open_breaker_skips_fan_out_rounds(self):
-        cluster, _, _ = _breaker_open_cluster("shed")
+    def test_open_breaker_skips_fan_out_rounds(self, executor):
+        cluster, _, _ = _breaker_open_cluster("shed", executor=executor)
         failures_before = cluster.health()["failures"]
         assert cluster.drain() == []  # skipped, not attempted-and-failed
         assert cluster.health()["failures"] == failures_before
@@ -929,8 +942,9 @@ class TestRoundDeadlines:
 # --------------------------------------------------------------------- #
 # sink fault isolation
 # --------------------------------------------------------------------- #
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestSinkFaultIsolation:
-    def test_permanently_failing_sink_never_affects_decisions(self):
+    def test_permanently_failing_sink_never_affects_decisions(self, executor):
         model = make_model()
         _, events = multi_stream_events(seed=18)
         baseline_cluster, baseline = run_cluster(
@@ -939,7 +953,9 @@ class TestSinkFaultIsolation:
         baseline_cluster.close()
 
         injector = FaultInjector(specs=[FaultSpec(site="sink-publish")])
-        config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
+        config = ClusterConfig(
+            **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+        )
         cluster = ServingCluster(model, SPEC, config)
         broken = cluster.subscribe(FaultInjectingSink(injector))
         healthy = cluster.subscribe(BufferedSink())
@@ -963,11 +979,15 @@ class TestSinkFaultIsolation:
         assert health["sink_publish_errors"] == cluster.config.supervision.sink_quarantine_after
         assert injector.fired("sink-publish") > 0
 
-    def test_quarantine_surfaced_in_stats(self):
+    def test_quarantine_surfaced_in_stats(self, executor):
         model = make_model()
         _, events = multi_stream_events(seed=19, num_events=40)
         cluster = ServingCluster(
-            model, SPEC, ClusterConfig(num_shards=1, batch_size=4, engine=engine_config())
+            model,
+            SPEC,
+            ClusterConfig(
+                **backend(executor), num_shards=1, batch_size=4, engine=engine_config()
+            ),
         )
         injector = FaultInjector(specs=[FaultSpec(site="sink-publish")])
         cluster.subscribe(FaultInjectingSink(injector))
@@ -983,8 +1003,9 @@ class TestSinkFaultIsolation:
 # --------------------------------------------------------------------- #
 # rejected-submit idempotence
 # --------------------------------------------------------------------- #
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestRejectedSubmitIdempotence:
-    def _full_cluster(self):
+    def _full_cluster(self, executor):
         """A reject-overflow cluster with its single queue exactly full."""
         model = make_model()
         _, events = multi_stream_events(seed=20, num_events=8, num_streams=1)
@@ -992,6 +1013,7 @@ class TestRejectedSubmitIdempotence:
             model,
             SPEC,
             ClusterConfig(
+                **backend(executor),
                 num_shards=1,
                 max_queue=3,
                 overflow="reject",
@@ -1015,8 +1037,8 @@ class TestRejectedSubmitIdempotence:
             ]
         )
 
-    def test_raising_reject_leaves_state_bit_for_bit_untouched(self):
-        cluster, overflow = self._full_cluster()
+    def test_raising_reject_leaves_state_bit_for_bit_untouched(self, executor):
+        cluster, overflow = self._full_cluster(executor)
         before = self._state_bytes(cluster)
         with pytest.raises(ShardOverloadError):
             cluster.submit(overflow[0])
@@ -1024,8 +1046,8 @@ class TestRejectedSubmitIdempotence:
         assert cluster.stats()["rejected"] == 1
         cluster.close()
 
-    def test_non_raising_reject_is_equally_idempotent(self):
-        cluster, overflow = self._full_cluster()
+    def test_non_raising_reject_is_equally_idempotent(self, executor):
+        cluster, overflow = self._full_cluster(executor)
         before = self._state_bytes(cluster)
         for event in overflow[:2]:
             result = cluster.submit(event, raise_on_reject=False)
@@ -1095,8 +1117,9 @@ class TestOutOfOrderAdmission:
         clean.close()
         assert emitted == reference
 
-    def test_equal_time_and_other_streams_stay_legal(self):
-        cluster = ServingCluster(make_model(), SPEC, self.config(auto_drain=False))
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_equal_time_and_other_streams_stay_legal(self, executor):
+        cluster = ServingCluster(make_model(), SPEC, self.config(executor, auto_drain=False))
         for event in self.PREFIX:
             cluster.submit(event)
         # s1's newest item is queued, not yet served: it still counts.
@@ -1110,11 +1133,12 @@ class TestOutOfOrderAdmission:
         assert cluster.health()["failures"] == 0
         cluster.close()
 
-    def test_snapshot_restore_rewinds_admission(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_snapshot_restore_rewinds_admission(self, executor):
         """Restoring a snapshot rewinds each stream's newest time to the
         snapshot's, so replaying the arrivals after it is accepted (and
         re-emits the same decisions), while older ones are still refused."""
-        cluster = ServingCluster(make_model(), SPEC, self.config())
+        cluster = ServingCluster(make_model(), SPEC, self.config(executor))
         cluster.consume(self.PREFIX)
         cluster.drain()  # empty queue: the sessions alone hold the clocks
         snapshot = cluster.snapshot()
@@ -1134,12 +1158,14 @@ class TestOutOfOrderAdmission:
         assert replay == first
         cluster.close()
 
-    def test_recovery_rewinds_admission_past_lost_arrivals(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_recovery_rewinds_admission_past_lost_arrivals(self, executor):
         """A crash recovery rebuilds the newest times from the restored
         sessions and the requeued arrivals.  An arrival the dead round lost
         no longer counts; the restored session's newest item still does."""
         injector = FaultInjector(specs=[FaultSpec(site="session-encode", after=1, limit=1)])
         config = self.config(
+            executor,
             auto_drain=False,
             supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=1)),
             faults=injector,
@@ -1158,9 +1184,10 @@ class TestOutOfOrderAdmission:
         assert cluster.health()["failures"] == 1
         cluster.close()
 
-    def test_migration_carries_admission_with_the_stream(self):
-        source = ServingCluster(make_model(), SPEC, self.config(auto_drain=False))
-        target = ServingCluster(source.model, SPEC, self.config(auto_drain=False))
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_migration_carries_admission_with_the_stream(self, executor):
+        source = ServingCluster(make_model(), SPEC, self.config(executor, auto_drain=False))
+        target = ServingCluster(source.model, SPEC, self.config(executor, auto_drain=False))
         source.consume(self.PREFIX)
         source.drain()  # nothing queued: the session alone carries the clock
         state = source.extract_stream("s1")
