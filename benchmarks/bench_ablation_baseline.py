@@ -28,7 +28,7 @@ def run_baseline_variance_study(scale_name: str):
     advantages = []
     rng = np.random.default_rng(0)
     for tangle in splits.train[: min(len(splits.train), 10)]:
-        result = model.run_episode(tangle, mode="sample", rng=rng)
+        (result,), _ = model.run_episodes([tangle], mode="sample", rngs=[rng])
         for episode in result.episodes.values():
             if not episode.states:
                 continue

@@ -39,6 +39,7 @@ from repro.core.config import KVECConfig
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
+from repro.nn.tensor import no_grad
 from repro.serving.engine import EngineConfig, OnlineClassificationEngine
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
@@ -81,11 +82,12 @@ def make_stream(num_items: int, seed: int = 0) -> List[StreamEvent]:
 
 
 class SeedPathModel:
-    """Proxy forcing the original autograd ``predict_tangle`` route.
+    """Proxy forcing ``predict_tangle`` through the autograd layers.
 
     ``mode="full"`` engines now also benefit from the no-grad fast path; the
     benchmark's baseline is the *seed* cost model (full re-encode through the
-    autograd ``Tensor`` graph), so the proxy pins ``fast=False``.
+    autograd ``Tensor`` layers), so the proxy classifies each tangle with the
+    lockstep runner in greedy mode, under ``no_grad``.
     """
 
     def __init__(self, model: KVEC) -> None:
@@ -98,9 +100,12 @@ class SeedPathModel:
             raise AttributeError(name)
         return getattr(self._model, name)
 
-    def predict_tangle(self, *args, **kwargs):
-        kwargs["fast"] = False
-        return self._model.predict_tangle(*args, **kwargs)
+    def predict_tangle(self, tangle, halt_threshold: float = 0.5, max_items=None):
+        with no_grad():
+            results, _ = self._model.run_episodes(
+                [tangle], mode="greedy", halt_threshold=halt_threshold, max_items=max_items
+            )
+        return results[0].records()
 
 
 def _percentile_ms(latencies: List[float], q: float) -> float:

@@ -2,10 +2,10 @@
 
 Not a paper artifact.  This measures the training-loop story of the batched
 episode runner: how many key episodes per second ``KVECTrainer`` processes
-when a whole minibatch of tangles runs through one lockstep
-``run_episodes`` call (padded cross-sample GEMMs through the encoder, one
-fused round loop for halting) versus the per-sample reference path
-(``episode_losses`` once per tangle), as a function of
+when a whole minibatch of tangles runs through one
+``batched_episode_losses`` call (padded cross-sample GEMMs through the
+encoder, one fused round loop for halting) versus the same runner fed one
+tangle per call (the ``per_tangle`` leg), as a function of
 
 * **minibatch size** — B in {1, 4, 16}; B=1 shows the batched path's fixed
   overhead, B=16 its amortisation,
@@ -13,15 +13,14 @@ fused round loop for halting) versus the per-sample reference path
   lookup, the heaviest batched tensor),
 
 on a tangled-traffic workload (USTC-TFC2016 synthetic flows re-tangled at
-fixed concurrency).  Both paths draw identical per-episode action RNGs, so
+fixed concurrency).  Both legs draw identical per-episode action RNGs, so
 every leg does identical episode work — the comparison is pure execution
 strategy (see ``tests/core/test_batched_training.py`` for the gradient
 parity pins).
 
-The tentpole acceptance gate of the batched-training PR is
-``run_training_gate``: the batched path must process episodes at >= 2x the
-per-sample rate at B=16 for both encodings (asserted by ``pytest -m
-perf_smoke`` via ``tests/core/test_perf_smoke_training.py``).
+The acceptance gate is ``run_training_gate``: the batched leg must process
+episodes at >= 2x the per-tangle rate at B=16 for both encodings (asserted
+by ``pytest -m perf_smoke`` via ``tests/core/test_perf_smoke_training.py``).
 
 Results are echoed as text and merged into ``BENCH_training.json`` at the
 repo root (with ``cpus`` and ``blas_threads`` fields, since BLAS-level
@@ -87,8 +86,10 @@ def _time_leg(
 ) -> Dict[str, float]:
     """Best-of-``reps`` wall clock for one loss+backward step over ``batch``.
 
-    Both legs rebuild identical per-episode RNGs each repetition so they
-    sample identical halting actions — the measured work is the same set of
+    ``batched`` runs the whole minibatch in one ``batched_episode_losses``
+    call; otherwise each tangle gets its own call and backward.  Both legs
+    rebuild identical per-episode RNGs each repetition so they sample
+    identical halting actions — the measured work is the same set of
     episodes, only the execution strategy differs.
     """
     model = trainer.model
@@ -96,19 +97,17 @@ def _time_leg(
     best = float("inf")
     for rep in range(reps + 1):
         rngs = [np.random.default_rng(seed + 7 + j) for j in range(len(batch))]
+        groups = [(batch, rngs)] if batched else [([t], [r]) for t, r in zip(batch, rngs)]
         model.zero_grad()
         start = time.perf_counter()
-        if batched:
-            total, baseline_loss, results, _ = trainer.batched_episode_losses(batch, rngs)
+        results = []
+        for tangles, tangle_rngs in groups:
+            total, baseline_loss, group_results, _ = trainer.batched_episode_losses(
+                tangles, tangle_rngs
+            )
             total.backward()
             baseline_loss.backward()
-        else:
-            results = []
-            for tangle, rng in zip(batch, rngs):
-                total, baseline_loss, result, _ = trainer.episode_losses(tangle, rng=rng)
-                total.backward()
-                baseline_loss.backward()
-                results.append(result)
+            results.extend(group_results)
         if rep > 0:  # rep 0 is an untimed warmup (allocator/caches)
             best = min(best, time.perf_counter() - start)
         episodes = sum(len(r.episodes) for r in results)
@@ -125,23 +124,22 @@ def run_training_throughput(scale: str, emit_json: bool = True, seed: int = 0) -
     lengths = [len(t) for t in tangles[:GATE_BATCH]]
     results: Dict[str, dict] = {}
     lines: List[str] = [
-        "training throughput: batched vs per-sample (best-of-%d, episodes/s)" % reps,
+        "training throughput: batched vs per-tangle (best-of-%d, episodes/s)" % reps,
         "workload: %d tangles, B=16 lengths %d..%d" % (len(tangles), min(lengths), max(lengths)),
         "",
-        "%-9s %5s %14s %14s %9s" % ("encoding", "B", "per-sample", "batched", "speedup"),
+        "%-9s %5s %14s %14s %9s" % ("encoding", "B", "per-tangle", "batched", "speedup"),
     ]
     for encoding in ENCODINGS:
         for batch_size in BATCH_SIZES:
             config = KVECConfig(dropout=0.0, seed=seed, batch_size=batch_size, encoding=encoding)
             batch = tangles[:batch_size]
             leg: Dict[str, dict] = {}
-            for name, batched in (("per_sample", False), ("batched", True)):
+            for name, batched in (("per_tangle", False), ("batched", True)):
                 model = KVEC(dataset.spec, dataset.num_classes, config)
-                trainer = KVECTrainer(model, batched=batched)
-                leg[name] = _time_leg(trainer, batch, reps, batched, seed)
+                leg[name] = _time_leg(KVECTrainer(model), batch, reps, batched, seed)
             leg["speedup"] = (
                 leg["batched"]["episodes_per_second"]
-                / leg["per_sample"]["episodes_per_second"]
+                / leg["per_tangle"]["episodes_per_second"]
             )
             results[f"{encoding}_b{batch_size}"] = leg
             lines.append(
@@ -149,7 +147,7 @@ def run_training_throughput(scale: str, emit_json: bool = True, seed: int = 0) -
                 % (
                     encoding,
                     batch_size,
-                    leg["per_sample"]["episodes_per_second"],
+                    leg["per_tangle"]["episodes_per_second"],
                     leg["batched"]["episodes_per_second"],
                     leg["speedup"],
                 )
@@ -173,10 +171,11 @@ def run_training_throughput(scale: str, emit_json: bool = True, seed: int = 0) -
 def run_training_gate(scale: str = "unit", seed: int = 0, attempts: int = 3) -> dict:
     """The perf_smoke acceptance point: B=16, both encodings.
 
-    Returns per-encoding episodes/s for the per-sample and batched paths and
+    Returns per-encoding episodes/s for the per-tangle and batched legs and
     the batched speedup; the gate asserts speedup >= ``GATE_TARGET`` for each
-    encoding.  The gate asserts a *capability* — the batched path can run 2x
-    faster on the same work — so each encoding is measured up to ``attempts``
+    encoding.  The gate asserts a *capability* — one lockstep call over the
+    minibatch can run 2x faster than one call per tangle on the same work —
+    so each encoding is measured up to ``attempts``
     times, keeping the best-speedup attempt and stopping early once the
     speedup clears ``GATE_TARGET * GATE_MARGIN``: best-of-reps inside one
     attempt filters scheduler jitter, best-of-attempts filters slower
@@ -191,13 +190,12 @@ def run_training_gate(scale: str = "unit", seed: int = 0, attempts: int = 3) -> 
         best_leg: Dict[str, dict] = {}
         for attempt in range(attempts):
             leg: Dict[str, dict] = {}
-            for name, batched in (("per_sample", False), ("batched", True)):
+            for name, batched in (("per_tangle", False), ("batched", True)):
                 model = KVEC(dataset.spec, dataset.num_classes, config)
-                trainer = KVECTrainer(model, batched=batched)
-                leg[name] = _time_leg(trainer, batch, reps, batched, seed)
+                leg[name] = _time_leg(KVECTrainer(model), batch, reps, batched, seed)
             leg["speedup"] = (
                 leg["batched"]["episodes_per_second"]
-                / leg["per_sample"]["episodes_per_second"]
+                / leg["per_tangle"]["episodes_per_second"]
             )
             if not best_leg or leg["speedup"] > best_leg["speedup"]:
                 best_leg = leg

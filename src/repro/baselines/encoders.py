@@ -113,11 +113,11 @@ class SRNEncoder(Module):
             embedded = embedded + self.value_embeddings[field_index](field_codes[field_index])
         embedded = embedded + self.position_embedding(positions)
 
-        mask = causal_mask(length)
-        x = embedded
+        mask = causal_mask(length)[None]
+        x = embedded.reshape(1, length, self.d_model)
         for block in self.blocks:
-            x = block(x, mask=mask)
-        return x
+            x = block.forward_batch(x, mask=mask)
+        return x.reshape(length, self.d_model)
 
 
 def encoder_state_dim(encoder: Module) -> int:

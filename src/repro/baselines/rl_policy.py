@@ -178,9 +178,9 @@ class RLHaltingClassifier(EarlyClassifier, Module):
             else:
                 earliness_terms.append(-self.policy.log_prob(outcome["states"][step], ACTION_HALT))
 
-        policy_loss = _sum_terms(policy_terms)
-        earliness_loss = _sum_terms(earliness_terms)
-        baseline_loss = _sum_terms(baseline_terms)
+        policy_loss = _add_terms(policy_terms)
+        earliness_loss = _add_terms(earliness_terms)
+        baseline_loss = _add_terms(baseline_terms)
         total = classification_loss + policy_loss * 0.1 + earliness_loss * self.config.lam
         return total, baseline_loss, outcome
 
@@ -217,7 +217,7 @@ class RLHaltingClassifier(EarlyClassifier, Module):
         return records
 
 
-def _sum_terms(terms: List[Tensor]) -> Tensor:
+def _add_terms(terms: List[Tensor]) -> Tensor:
     if not terms:
         return Tensor(0.0)
     total = terms[0]

@@ -1,9 +1,8 @@
-"""Cross-sample batched episode execution for training (one GEMM per step).
+"""Cross-sample batched episode execution: the training path.
 
-The per-sample training reference (:meth:`repro.core.model.KVEC.run_episode`)
-processes one tangled sequence at a time: a full causal-masked encode of the
-sample, then a per-arrival fusion/policy loop whose graph is a chain of
-GEMV-sized nodes.  This module executes a minibatch of B tangles together:
+Algorithm 1 trains on sampled halting episodes.  This module executes a
+minibatch of B tangles together, and every training step runs through it
+(:meth:`repro.core.trainer.KVECTrainer.batched_episode_losses`):
 
 * **Encode** — the encode is action-independent (the strictly causal mask
   means row ``t`` of a full-length pass equals what a streaming system would
@@ -24,15 +23,14 @@ GEMV-sized nodes.  This module executes a minibatch of B tangles together:
 Parity contract
 ---------------
 All cross-sample batching is pure math-level stacking of independent
-streams, so per-sample numerics match the reference up to BLAS
-summation-order noise (~1e-12) — which bounds batched-vs-per-sample loss
-and gradient drift at the documented 1e-8 (bit-for-bit where shapes make
-the arithmetic identical).  With per-episode sampling RNGs (each episode
-draws its Halt/Wait coin flips from its own generator, seeded identically
-on both paths) the sampled action sequences match the per-sample reference
-exactly.  Exact parity additionally requires ``dropout == 0``: the two
-layouts draw dropout masks in different shapes, so with dropout active the
-paths are statistically equivalent but not numerically equal.
+streams, so each tangle's numerics match running it alone, one arrival at
+a time, up to BLAS summation-order noise (~1e-12).  That per-tangle,
+per-arrival loop is kept as a reference in the test suite
+(``tests/core/episode_oracle.py``), which pins losses and gradients within
+1e-8 of it.  Each tangle draws its Halt/Wait coin flips from its own
+generator, so the sampled action sequences match the reference exactly.
+Exact parity additionally requires ``dropout == 0``: the two layouts draw
+dropout masks in different shapes.
 
 Ragged episode lengths are handled by an *active-episode mask*: padding
 rows of the stacked encode keep a visible diagonal (finite softmax) but are
@@ -118,20 +116,16 @@ def run_episodes_batched(
         ``"greedy"`` halts at ``halt_threshold`` (evaluation cross-checks).
     rngs:
         One independent generator per tangle (required in ``"sample"``
-        mode).  Seeding these identically on the per-sample path makes the
-        two paths' action sequences — and therefore losses and gradients —
-        comparable at the parity tolerances documented in the module
-        docstring.
+        mode), drawn once per observed step in arrival order.
     max_items:
-        Optional per-tangle truncation, as in ``run_episode``.
+        Optional per-tangle truncation to the first ``max_items`` items.
 
     Returns
     -------
     (results, tail)
-        ``results`` holds one :class:`EpisodeResult` per tangle whose
-        episodes carry the same actions/predictions/records as the
-        per-sample reference (states and per-step log-probs are stored
-        *detached* — the differentiable quantities live in ``tail``).
+        ``results`` holds one :class:`EpisodeResult` per tangle with
+        every episode's actions, prediction and record; its states are
+        stored *detached* — the differentiable quantities live in ``tail``.
     """
     if mode not in ("sample", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -272,8 +266,6 @@ def run_episodes_batched(
         log_halt, log_wait = model.policy.log_probs_batch(probabilities)
         prob_data = probabilities.data
         reps_data = reps.data
-        log_halt_data = log_halt.data
-        log_wait_data = log_wait.data
 
         for r, (i, key, episode) in enumerate(sub):
             if mode == "sample":
@@ -287,12 +279,9 @@ def run_episodes_batched(
                     ACTION_HALT if float(prob_data[r]) >= halt_threshold else ACTION_WAIT
                 )
             episode.actions.append(action)
-            # Detached bookkeeping copies: the differentiable log-probs and
-            # states live in the round-level tail tensors.
+            # A detached bookkeeping copy: the differentiable states live in
+            # the round-level tail tensors.
             episode.states.append(Tensor(reps_data[r]))
-            episode.halt_log_probs.append(
-                Tensor(log_halt_data[r] if action == ACTION_HALT else log_wait_data[r])
-            )
             step_actions.append(action)
             step_episode.append(gid[(i, key)])
             step_obs_index.append(episode.num_observations - 1)
@@ -311,7 +300,7 @@ def run_episodes_batched(
 
     # One batched classifier pass over every episode's decision state: the
     # halting representation for policy-halted episodes, the final observed
-    # one for the rest — exactly the reference's `_classify` choices.
+    # one for the rest.
     class_rows = [
         class_refs[(i, key)][0][class_refs[(i, key)][1]] for i, key, _ in episode_index
     ]
@@ -325,7 +314,6 @@ def run_episodes_batched(
     episode_num_obs = np.empty(len(episode_index), dtype=np.int64)
     for e, (i, key, episode) in enumerate(episode_index):
         probabilities = class_probs[e]
-        episode.logits = class_logits[e]
         episode.predicted = int(np.argmax(probabilities))
         episode.confidence = float(np.max(probabilities))
         if not episode.halted:

@@ -113,7 +113,15 @@ def _typed(value, expected: type, where: str):
 
 
 def _config_from_json(fields: dict) -> KVECConfig:
-    """Build the config, refusing unknown fields and mistyped values."""
+    """Build the config, refusing unknown fields and mistyped values.
+
+    A boolean ``batched_training``, which checkpoints written before the
+    per-sample training path was removed carry, is dropped: it chose a
+    training path and never affected weights or inference.
+    """
+    if "batched_training" in fields:
+        _typed(fields["batched_training"], bool, "config.batched_training")
+        fields = {name: value for name, value in fields.items() if name != "batched_training"}
     types = typing.get_type_hints(KVECConfig)
     unknown = sorted(set(fields) - set(types))
     if unknown:

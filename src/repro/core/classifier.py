@@ -27,21 +27,9 @@ class SequenceClassifier(Module):
         self.projection = Linear(d_state, num_classes, rng=rng)
 
     def forward(self, state: Tensor) -> Tensor:
-        """Unnormalised class scores (logits) for one state vector."""
+        """Unnormalised class scores (logits) for ``(..., d_state)`` states."""
         return self.projection(state)
 
-    def probabilities(self, state: Tensor) -> np.ndarray:
-        """Class probability vector ``p_k`` as a numpy array."""
-        return F.softmax(self.forward(state), axis=-1).data
-
     def probabilities_inference(self, state: np.ndarray) -> np.ndarray:
-        """No-grad fast path: class probabilities from a raw state vector."""
+        """Class probability vector ``p_k`` from a raw state vector (no graph)."""
         return F.softmax_array(self.projection.forward_inference(state))
-
-    def predict(self, state: Tensor) -> int:
-        """The predicted label ``argmax_i p_{k,i}``."""
-        return int(np.argmax(self.probabilities(state)))
-
-    def confidence(self, state: Tensor) -> float:
-        """The probability assigned to the predicted label."""
-        return float(np.max(self.probabilities(state)))

@@ -45,7 +45,9 @@ class KVECConfig:
         value-network parameters θb respectively.
     epochs / batch_size:
         Training epochs and the number of tangled sequences per gradient
-        accumulation window.
+        accumulation window.  Every minibatch trains through the lockstep
+        episode runner (:mod:`repro.core.batched_episodes`): one GEMM per
+        layer and arrival round across the minibatch.
     grad_clip:
         Global gradient-norm clip (0 disables clipping).
     use_key_correlation / use_value_correlation:
@@ -75,13 +77,6 @@ class KVECConfig:
     fusion:
         Fusion mechanism: ``"gated"`` (the paper's LSTM-style gating),
         ``"mean"`` or ``"last"`` (parameter-free ablations).
-    batched_training:
-        Run training minibatches through the cross-sample lockstep episode
-        runner (:mod:`repro.core.batched_episodes`): one GEMM per step
-        across the minibatch instead of per-sample GEMV chains.  Losses and
-        gradients match the per-sample path within 1e-8 at equal seeds (the
-        parity suite pins this); off by default so existing configs keep the
-        reference path.
     seed:
         Seed for parameter initialisation and action sampling.
     """
@@ -108,12 +103,13 @@ class KVECConfig:
     use_time_embeddings: bool = True
     encoding: str = "absolute"
     fusion: str = "gated"
-    batched_training: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.d_model <= 0 or self.d_state <= 0:
             raise ValueError("embedding dimensions must be positive")
+        if self.num_heads <= 0:
+            raise ValueError("num_heads must be positive")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if self.encoding not in ("absolute", "rotary"):

@@ -53,14 +53,10 @@ class HaltingPolicy(Module):
 
         ``probabilities`` is the ``(B,)`` output of :meth:`forward_batch`;
         the clip bound matches :meth:`log_prob` exactly, so per-row values
-        agree with the per-sample reference for either action.
+        agree with it for either action.
         """
         clipped = probabilities.clip(1e-7, 1.0 - 1e-7)
         return clipped.log(), (1.0 - clipped).log()
-
-    def halt_probability(self, state: Tensor) -> float:
-        """Convenience: the halting probability as a python float."""
-        return float(self.forward(state).data)
 
     def halt_probability_inference(self, state: np.ndarray) -> float:
         """No-grad fast path: halting probability from a raw state vector."""
@@ -69,14 +65,6 @@ class HaltingPolicy(Module):
     def halt_probabilities_inference(self, states: np.ndarray) -> np.ndarray:
         """No-grad fast path: halting probabilities for ``(n, d_state)`` states."""
         return F.sigmoid_array(self.projection.forward_inference(states)[:, 0])
-
-    def sample_action(self, state: Tensor, rng: np.random.Generator) -> int:
-        """Sample Halt/Wait according to π(s)."""
-        return ACTION_HALT if rng.random() < self.halt_probability(state) else ACTION_WAIT
-
-    def greedy_action(self, state: Tensor, threshold: float = 0.5) -> int:
-        """Deterministic action used at evaluation time."""
-        return ACTION_HALT if self.halt_probability(state) >= threshold else ACTION_WAIT
 
     def log_prob(self, state: Tensor, action: int) -> Tensor:
         """Differentiable ``log P(action | state)``."""

@@ -135,15 +135,14 @@ class InputEmbedding(Module):
         positions: np.ndarray,
         times: np.ndarray,
     ) -> Tensor:
-        """Autograd batched-row embed from precomputed table indices.
+        """Autograd embed of rows from precomputed table indices.
 
         ``field_codes`` is ``(num_fields, B)`` and the coordinate arrays are
-        ``(B,)`` — one column of :meth:`coordinates` per episode, already
-        clipped.  Parity contract: the summation order (value fields, then
-        membership, then position, then time) matches :meth:`forward`, so
-        each returned row is bit-identical to the corresponding row of the
-        full-matrix embed while gradients scatter back into the same table
-        rows.
+        ``(B,)`` — columns of :meth:`coordinates`, already clipped, from one
+        tangle or stacked from several.  Rows are summed in a fixed order
+        (value fields, then membership, then position, then time), the same
+        as :meth:`embed_item_inference`, and gradients scatter back into the
+        gathered table rows.
         """
         embedded = self.value_embeddings[0](field_codes[0])
         for field_index in range(1, self.spec.num_fields):
@@ -160,17 +159,7 @@ class InputEmbedding(Module):
 
         Rows are ordered by arrival, matching the correlation mask layout.
         """
-        field_codes, membership, positions, times = self.coordinates(tangle, upto=upto)
-
-        embedded = self.value_embeddings[0](field_codes[0])
-        for field_index in range(1, self.spec.num_fields):
-            embedded = embedded + self.value_embeddings[field_index](field_codes[field_index])
-        if self.use_membership_embedding:
-            embedded = embedded + self.membership_embedding(membership)
-        if self.use_time_embeddings and self.encoding == "absolute":
-            embedded = embedded + self.position_embedding(positions)
-            embedded = embedded + self.time_embedding(times)
-        return embedded
+        return self.embed_rows(*self.coordinates(tangle, upto=upto))
 
     def forward_inference(self, tangle: TangledSequence, upto: Optional[int] = None) -> np.ndarray:
         """Raw-array ``E0`` for ``tangle[:upto]`` (no autograd graph)."""

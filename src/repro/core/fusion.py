@@ -40,26 +40,18 @@ class GatedFusion(Module):
         """Zero (hidden, cell) state for a sequence with no observed items."""
         return self.cell.init_state()
 
-    def forward(self, state: FusionState, item_embedding: Tensor) -> Tuple[Tensor, FusionState]:
-        """Fold ``item_embedding`` into ``state``.
-
-        Returns ``(sequence_representation, new_state)`` where the sequence
-        representation is the LSTM hidden vector ``s_k^{(t)}``.
-        """
-        hidden, cell = self.cell(item_embedding, state)
-        return hidden, (hidden, cell)
-
     def forward_batch(self, states, item_embeddings: Tensor):
-        """Autograd twin of :meth:`forward_inference_batch` (one gate GEMM).
+        """Fold ``item_embeddings`` into ``states``: the autograd forward.
 
         ``states`` is a sequence of ``B`` fusion states (tensor pairs) from
         *independent* key-value sequences and ``item_embeddings`` a
-        ``(B, d_model)`` graph tensor.  Returns ``(representations,
-        (hidden, cell))`` where ``representations`` is the stacked
-        ``(B, d_state)`` hidden tensor and the new state is left *stacked* —
-        the batched-episode runner slices per-stream rows out lazily, only
-        for streams that survive into the next round.  Parity contract:
-        per-row numerics match :meth:`forward` up to BLAS summation order.
+        ``(B, d_model)`` graph tensor; the gates run as one GEMM.  Returns
+        ``(representations, (hidden, cell))`` where ``representations`` is
+        the stacked ``(B, d_state)`` LSTM hidden tensor ``s_k^{(t)}`` and
+        the new state is left *stacked* — the batched-episode runner slices
+        per-stream rows out lazily with :meth:`split_state`, only for
+        streams that survive into the next round.  Per-row numerics match
+        :meth:`forward_inference_batch` up to BLAS summation order.
         """
         hidden, cell = self.cell.step_batch(item_embeddings, states)
         return hidden, (hidden, cell)
@@ -75,7 +67,7 @@ class GatedFusion(Module):
     def forward_inference(
         self, state: Tuple[np.ndarray, ...], item_embedding: np.ndarray
     ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """Raw-array fusion step mirroring :meth:`forward`."""
+        """Raw-array fusion step of one stream."""
         hidden, cell = self.cell.step_inference(item_embedding, state)
         return hidden, (hidden, cell)
 
@@ -103,17 +95,10 @@ class MeanFusion(Module):
     def initial_state(self) -> FusionState:
         return (Tensor(np.zeros(self.d_model)), Tensor(np.zeros(1)))
 
-    def forward(self, state: FusionState, item_embedding: Tensor) -> Tuple[Tensor, FusionState]:
-        running_sum, count = state
-        new_sum = running_sum + item_embedding
-        new_count = count + 1.0
-        mean = new_sum / new_count
-        return mean, (new_sum, new_count)
-
     def forward_batch(self, states, item_embeddings: Tensor):
-        """Autograd twin of :meth:`forward_inference_batch`.
+        """The autograd forward: running means of ``B`` independent streams.
 
-        Parity contract: per-row numerics match :meth:`forward`; the new
+        Per-row numerics match :meth:`forward_inference_batch`; the new
         state stays stacked (see :meth:`GatedFusion.forward_batch`).
         """
         sums = Tensor.stack([state[0] for state in states]) + item_embeddings
@@ -156,11 +141,8 @@ class LastItemFusion(Module):
     def initial_state(self) -> FusionState:
         return (Tensor(np.zeros(self.d_model)),)
 
-    def forward(self, state: FusionState, item_embedding: Tensor) -> Tuple[Tensor, FusionState]:
-        return item_embedding, (item_embedding,)
-
     def forward_batch(self, states, item_embeddings: Tensor):
-        """Autograd twin of :meth:`forward_inference_batch` (an identity)."""
+        """The autograd forward of ``B`` independent streams (an identity)."""
         return item_embeddings, (item_embeddings,)
 
     def split_state(self, stacked_state, row: int) -> FusionState:

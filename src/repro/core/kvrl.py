@@ -48,20 +48,6 @@ class KVRLBlock(Module):
         self.norm2 = LayerNorm(d_model)
         self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        store_attention: bool = False,
-        coords: Optional[RelativeCoords] = None,
-    ) -> Tensor:
-        attended = self.attention(x, mask=mask, store_attention=store_attention, coords=coords)
-        if self.dropout is not None:
-            attended = self.dropout(attended)
-        x = self.norm1(x + attended)
-        transformed = self.feed_forward(x)
-        return self.norm2(x + transformed)
-
     def forward_batch(
         self,
         x: Tensor,
@@ -70,17 +56,15 @@ class KVRLBlock(Module):
         delta: Optional[np.ndarray] = None,
         same: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Autograd twin of :meth:`forward` over a stacked ``(B, T, d)`` batch.
+        """The block's autograd forward over a stacked ``(B, T, d)`` batch.
 
-        One block of the cross-sample batched trainer: ``B`` independent
-        samples' sequences (padded to a common length, each under its own
-        ``(T, T)`` additive mask) run the attention, residual/norm and FFN
-        tail as single batched GEMMs — all graph nodes, so gradients reach
-        every block parameter.  Parity contract: sample ``b`` matches
-        :meth:`forward` on that sample alone up to BLAS summation order (the
-        1e-8 batched-vs-per-sample bound); exact parity additionally requires
-        ``dropout == 0`` since the two layouts draw dropout masks in
-        different shapes.
+        ``B`` independent samples' sequences (padded to a common length,
+        each under its own ``(T, T)`` additive mask) run the attention,
+        residual/norm and FFN tail as single batched GEMMs — all graph
+        nodes, so gradients reach every block parameter.  One sequence is
+        ``B=1``.  Sample ``b`` matches running it alone up to BLAS summation
+        order; exact parity additionally requires ``dropout == 0``, since
+        dropout masks are drawn over the whole batch.
         """
         attended = self.attention.forward_batch(
             x, mask=mask, phases=phases, delta=delta, same=same
@@ -202,19 +186,6 @@ class KVRLEncoder(Module):
             ]
         )
 
-    def forward(
-        self,
-        embeddings: Tensor,
-        mask: Optional[np.ndarray] = None,
-        store_attention: bool = False,
-        coords: Optional[RelativeCoords] = None,
-    ) -> Tensor:
-        """Refine ``embeddings`` of shape ``(T, d_model)`` under ``mask``."""
-        x = embeddings
-        for block in self.blocks:
-            x = block(x, mask=mask, store_attention=store_attention, coords=coords)
-        return x
-
     def forward_batch(
         self,
         embeddings: Tensor,
@@ -223,11 +194,12 @@ class KVRLEncoder(Module):
         delta: Optional[np.ndarray] = None,
         same: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Autograd twin of :meth:`forward` for a stacked ``(B, T, d)`` batch.
+        """Refine stacked ``(B, T, d_model)`` embeddings under ``mask``.
 
-        See :meth:`KVRLBlock.forward_batch` for the per-sample parity
-        contract; the rotary ``phases`` are shared across blocks (positions
-        do not change between blocks) so callers compute them once.
+        The encoder's autograd forward; see :meth:`KVRLBlock.forward_batch`
+        for the per-sample parity contract.  The rotary ``phases`` are
+        shared across blocks (positions do not change between blocks) so
+        callers compute them once.
         """
         x = embeddings
         for block in self.blocks:
@@ -248,7 +220,10 @@ class KVRLEncoder(Module):
         return x
 
     def attention_maps(self) -> List[np.ndarray]:
-        """Attention weights of the last forward pass, one ``(H, T, T)`` array per block."""
+        """Attention weights of the last ``forward_inference(store_attention=True)``.
+
+        One ``(H, T, T)`` array per block.
+        """
         maps: List[np.ndarray] = []
         for block in self.blocks:
             weights = block.attention.last_attention

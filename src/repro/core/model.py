@@ -1,12 +1,13 @@
 """The KVEC model: KVRL representation learning + ECTL halting (Fig. 2).
 
-The model processes one tangled key-value sequence at a time.  Because the
-correlation mask restricts attention to positions ``j <= i``, a single
-full-length pass of the attention encoder yields, at every row ``t``, exactly
-the representation the streaming system would have computed after observing
-``t`` items — so episodes are generated efficiently without re-encoding the
-prefix at every step, while remaining faithful to the paper's streaming
-semantics.
+Because the correlation mask restricts attention to positions ``j <= i``, a
+single full-length pass of the attention encoder yields, at every row ``t``,
+exactly the representation the streaming system would have computed after
+observing ``t`` items — so episodes are generated efficiently without
+re-encoding the prefix at every step, while remaining faithful to the
+paper's streaming semantics.  Training runs a minibatch of tangles in
+lockstep (:meth:`KVEC.run_episodes`); :meth:`KVEC.predict_tangle`
+classifies one tangle on the raw-numpy inference path.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import numpy as np
 from repro.core.classifier import SequenceClassifier
 from repro.core.config import KVECConfig
 from repro.core.correlation import CorrelationStructure, build_correlation_structure
-from repro.core.ectl import ACTION_HALT, ACTION_WAIT, BaselineValue, HaltingPolicy
+from repro.core.ectl import BaselineValue, HaltingPolicy
 from repro.core.embeddings import InputEmbedding
 from repro.core.fusion import make_fusion
 from repro.core.kvrl import KVRLEncoder
 from repro.data.items import TangledSequence, ValueSpec
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @dataclass
@@ -60,11 +61,9 @@ class KeyEpisode:
     label: int
     sequence_length: int
     states: List[Tensor] = field(default_factory=list)
-    halt_log_probs: List[Tensor] = field(default_factory=list)
     actions: List[int] = field(default_factory=list)
     halted: bool = False
     halted_by_policy: bool = False
-    logits: Optional[Tensor] = None
     predicted: Optional[int] = None
     confidence: float = 0.0
 
@@ -93,7 +92,6 @@ class EpisodeResult:
 
     episodes: Dict[Hashable, KeyEpisode]
     correlation: CorrelationStructure
-    attention_maps: List[np.ndarray] = field(default_factory=list)
 
     def records(self) -> List[PredictionRecord]:
         return [episode.to_record() for episode in self.episodes.values()]
@@ -141,7 +139,6 @@ class KVEC(Module):
         self.policy = HaltingPolicy(state_dim, rng=rng)
         self.baseline = BaselineValue(state_dim, rng=rng)
         self.classifier = SequenceClassifier(state_dim, num_classes, rng=rng)
-        self._action_rng = np.random.default_rng(self.config.seed + 1)
 
     # ------------------------------------------------------------------ #
     # encoding
@@ -184,37 +181,19 @@ class KVEC(Module):
         out_of_band = (index[:, None] - index[None, :]) >= attention_window
         return np.where(out_of_band, MASK_VALUE, mask)
 
-    def encode(
-        self,
-        tangle: TangledSequence,
-        upto: Optional[int] = None,
-        store_attention: bool = False,
-        attention_window: Optional[int] = None,
-    ):
-        """Return ``(item_representations, correlation_structure)`` for a prefix."""
-        structure = build_correlation_structure(
-            tangle,
-            upto=upto,
-            use_key_correlation=self.config.use_key_correlation,
-            use_value_correlation=self.config.use_value_correlation,
-        )
-        length = structure.length
-        embeddings = self.input_embedding(tangle, upto=upto)
-        representations = self.encoder(
-            embeddings,
-            mask=self._band_limit(structure.mask, attention_window),
-            store_attention=store_attention,
-            coords=self.relative_coords(tangle, length),
-        )
-        return representations, structure
-
     def encode_inference(
         self,
         tangle: TangledSequence,
         upto: Optional[int] = None,
         attention_window: Optional[int] = None,
+        store_attention: bool = False,
     ):
-        """No-grad fast path of :meth:`encode`: raw arrays, no graph objects."""
+        """Return ``(item_representations, correlation_structure)`` for a prefix.
+
+        Raw arrays, no autograd graph.  ``store_attention`` keeps every
+        block's attention weights for :meth:`KVRLEncoder.attention_maps`
+        (the Fig. 10 attention-score analysis reads them).
+        """
         structure = build_correlation_structure(
             tangle,
             upto=upto,
@@ -225,6 +204,7 @@ class KVEC(Module):
         representations = self.encoder.forward_inference(
             embeddings,
             mask=self._band_limit(structure.mask, attention_window),
+            store_attention=store_attention,
             coords=self.relative_coords(tangle, structure.length),
         )
         return representations, structure
@@ -232,80 +212,6 @@ class KVEC(Module):
     # ------------------------------------------------------------------ #
     # episode generation
     # ------------------------------------------------------------------ #
-    def run_episode(
-        self,
-        tangle: TangledSequence,
-        mode: str = "sample",
-        halt_threshold: float = 0.5,
-        rng: Optional[np.random.Generator] = None,
-        store_attention: bool = False,
-        max_items: Optional[int] = None,
-    ) -> EpisodeResult:
-        """Process a tangled sequence item by item.
-
-        Parameters
-        ----------
-        mode:
-            ``"sample"`` draws Halt/Wait from the policy (training);
-            ``"greedy"`` halts when the halting probability exceeds
-            ``halt_threshold`` (evaluation).
-        store_attention:
-            Keep the per-block attention maps (needed by the Fig. 10
-            attention-score analysis).
-        max_items:
-            Optionally truncate the tangled sequence to its first
-            ``max_items`` items.
-        """
-        if mode not in ("sample", "greedy"):
-            raise ValueError(f"unknown mode {mode!r}")
-        rng = rng or self._action_rng
-
-        length = len(tangle) if max_items is None else min(max_items, len(tangle))
-        if length == 0:
-            raise ValueError("cannot run an episode on an empty tangled sequence")
-        representations, structure = self.encode(tangle, upto=length, store_attention=store_attention)
-
-        episodes: Dict[Hashable, KeyEpisode] = {}
-        fusion_states: Dict[Hashable, tuple] = {}
-        for key in {tangle[i].key for i in range(length)}:
-            episodes[key] = KeyEpisode(
-                key=key,
-                label=tangle.label_of(key),
-                sequence_length=tangle.sequence_length(key),
-            )
-
-        for index in range(length):
-            item = tangle[index]
-            episode = episodes[item.key]
-            if episode.halted:
-                continue
-            state = fusion_states.get(item.key)
-            if state is None:
-                state = self.fusion.initial_state()
-            representation, new_state = self.fusion(state, representations[index])
-            fusion_states[item.key] = new_state
-            episode.states.append(representation)
-
-            halt_prob = self.policy(representation)
-            if mode == "sample":
-                action = ACTION_HALT if rng.random() < float(halt_prob.data) else ACTION_WAIT
-            else:
-                action = ACTION_HALT if float(halt_prob.data) >= halt_threshold else ACTION_WAIT
-            episode.actions.append(action)
-            episode.halt_log_probs.append(self.policy.log_prob(representation, action))
-
-            if action == ACTION_HALT:
-                self._classify(episode, representation, halted_by_policy=True)
-
-        # Sequences that never halted are classified from their final state
-        # (all their items have been observed).
-        for episode in episodes.values():
-            if not episode.halted and episode.states:
-                self._classify(episode, episode.states[-1], halted_by_policy=False)
-
-        attention_maps = self.encoder.attention_maps() if store_attention else []
-        return EpisodeResult(episodes=episodes, correlation=structure, attention_maps=attention_maps)
-
     def run_episodes(
         self,
         tangles,
@@ -316,11 +222,12 @@ class KVEC(Module):
     ):
         """Run one episode per tangle, executing the minibatch in lockstep.
 
-        Cross-sample batched twin of :meth:`run_episode` — one GEMM per
-        arrival round across the whole minibatch instead of per-sample
-        chains.  Returns ``(results, tail)``; see
+        The training path: one GEMM per layer and arrival round across the
+        whole minibatch.  ``mode="sample"`` draws Halt/Wait from one RNG
+        per tangle; ``"greedy"`` halts at ``halt_threshold``.  Returns
+        ``(results, tail)``; see
         :func:`repro.core.batched_episodes.run_episodes_batched` for the
-        parity contract and the tail layout.
+        tail layout.
         """
         from repro.core.batched_episodes import run_episodes_batched
 
@@ -333,14 +240,6 @@ class KVEC(Module):
             max_items=max_items,
         )
 
-    def _classify(self, episode: KeyEpisode, representation: Tensor, halted_by_policy: bool) -> None:
-        episode.halted = True
-        episode.halted_by_policy = halted_by_policy
-        episode.logits = self.classifier(representation)
-        probabilities = self.classifier.probabilities(representation)
-        episode.predicted = int(np.argmax(probabilities))
-        episode.confidence = float(np.max(probabilities))
-
     # ------------------------------------------------------------------ #
     # evaluation interface
     # ------------------------------------------------------------------ #
@@ -349,27 +248,50 @@ class KVEC(Module):
         tangle: TangledSequence,
         halt_threshold: float = 0.5,
         max_items: Optional[int] = None,
-        fast: bool = True,
     ) -> List[PredictionRecord]:
         """Early-classify every key-value sequence in ``tangle`` (no gradients).
 
-        By default the raw-numpy inference fast path is used: plain ndarray
-        math end to end, with no autograd ``Tensor`` objects, per-op closures
-        or graph bookkeeping.  ``fast=False`` falls back to the original
-        :meth:`run_episode` route (useful for cross-checking numerics).
+        Greedy halting on the raw-numpy inference path: plain ndarray math
+        end to end, with no autograd ``Tensor`` objects.  ``max_items``
+        truncates the tangle to its first ``max_items`` items.  Records come
+        in the order of each key's first appearance.
         """
-        if fast:
-            return self._predict_tangle_inference(tangle, halt_threshold, max_items)
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                result = self.run_episode(
-                    tangle, mode="greedy", halt_threshold=halt_threshold, max_items=max_items
+        length = len(tangle) if max_items is None else min(max_items, len(tangle))
+        if length == 0:
+            raise ValueError("cannot run an episode on an empty tangled sequence")
+        representations, _ = self.encode_inference(tangle, upto=length)
+
+        fusion_states: Dict[Hashable, tuple] = {}
+        last_representation: Dict[Hashable, np.ndarray] = {}
+        observations: Dict[Hashable, int] = {}
+        key_order: List[Hashable] = []
+        decided: Dict[Hashable, PredictionRecord] = {}
+
+        for index in range(length):
+            key = tangle[index].key
+            if key not in observations:
+                key_order.append(key)
+                observations[key] = 0
+            if key in decided:
+                continue
+            representation = self.fusion_step_inference(fusion_states, key, representations[index])
+            last_representation[key] = representation
+            observations[key] += 1
+
+            if self.policy.halt_probability_inference(representation) >= halt_threshold:
+                decided[key] = self._record_inference(
+                    tangle, key, representation, observations[key], halted_by_policy=True
                 )
-        finally:
-            self.train(was_training)
-        return result.records()
+
+        records: List[PredictionRecord] = []
+        for key in key_order:
+            record = decided.get(key)
+            if record is None:
+                record = self._record_inference(
+                    tangle, key, last_representation[key], observations[key], halted_by_policy=False
+                )
+            records.append(record)
+        return records
 
     def fusion_step_inference(
         self, states: Dict[Hashable, tuple], key: Hashable, encoded_row: np.ndarray
@@ -414,50 +336,6 @@ class KVEC(Module):
         for (states, key), state in zip(entries, new_states):
             states[key] = state
         return [representations[index] for index in range(len(entries))]
-
-    def _predict_tangle_inference(
-        self,
-        tangle: TangledSequence,
-        halt_threshold: float,
-        max_items: Optional[int],
-    ) -> List[PredictionRecord]:
-        """Greedy early classification on the raw-array inference path."""
-        length = len(tangle) if max_items is None else min(max_items, len(tangle))
-        if length == 0:
-            raise ValueError("cannot run an episode on an empty tangled sequence")
-        representations, _ = self.encode_inference(tangle, upto=length)
-
-        fusion_states: Dict[Hashable, tuple] = {}
-        last_representation: Dict[Hashable, np.ndarray] = {}
-        observations: Dict[Hashable, int] = {}
-        key_order: List[Hashable] = []
-        decided: Dict[Hashable, PredictionRecord] = {}
-
-        for index in range(length):
-            key = tangle[index].key
-            if key not in observations:
-                key_order.append(key)
-                observations[key] = 0
-            if key in decided:
-                continue
-            representation = self.fusion_step_inference(fusion_states, key, representations[index])
-            last_representation[key] = representation
-            observations[key] += 1
-
-            if self.policy.halt_probability_inference(representation) >= halt_threshold:
-                decided[key] = self._record_inference(
-                    tangle, key, representation, observations[key], halted_by_policy=True
-                )
-
-        records: List[PredictionRecord] = []
-        for key in key_order:
-            record = decided.get(key)
-            if record is None:
-                record = self._record_inference(
-                    tangle, key, last_representation[key], observations[key], halted_by_policy=False
-                )
-            records.append(record)
-        return records
 
     def _record_inference(
         self,

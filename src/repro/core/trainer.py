@@ -13,6 +13,9 @@ generated by the current halting policy.  Three losses are combined:
 The total loss is ``l1 + alpha * l2 + beta * l3``.  The baseline value
 network's parameters ``θb`` are updated independently by regressing the
 observed returns (mean squared error), exactly as Algorithm 1 prescribes.
+
+Every minibatch runs its episodes in lockstep through
+:mod:`repro.core.batched_episodes`; there is no per-sample training path.
 """
 
 from __future__ import annotations
@@ -87,11 +90,15 @@ class KVECTrainer:
         self,
         model: KVEC,
         config: Optional[KVECConfig] = None,
-        batched: Optional[bool] = None,
+        batched: bool = True,
     ) -> None:
+        if batched is not True:
+            raise ValueError(
+                f"batched={batched!r}: the per-sample training path was removed; "
+                "every minibatch trains through the lockstep episode runner"
+            )
         self.model = model
         self.config = config or model.config
-        self.batched = self.config.batched_training if batched is None else batched
         self.optimizer = Adam(model.trainable_parameters(), lr=self.config.learning_rate)
         self.baseline_optimizer = Adam(
             model.baseline.parameters(), lr=self.config.baseline_learning_rate
@@ -101,95 +108,13 @@ class KVECTrainer:
     def _episode_rngs(self, count: int) -> List[np.random.Generator]:
         """One independent sampling RNG per tangle of a minibatch.
 
-        Both the per-sample and the batched path derive identical per-episode
-        generators from the master stream (one draw per tangle, in batch
-        order), so the two paths sample identical Halt/Wait actions and stay
-        gradient-comparable at fixed seed.
+        Derived from the master stream (one draw per tangle, in batch
+        order), so a tangle's Halt/Wait draws do not depend on how the
+        minibatch is grouped or on which tangles share it.
         """
         return [
             np.random.default_rng(int(self._rng.integers(2**63))) for _ in range(count)
         ]
-
-    # ------------------------------------------------------------------ #
-    # loss for a single tangled sequence
-    # ------------------------------------------------------------------ #
-    def episode_losses(
-        self, tangle: TangledSequence, rng: Optional[np.random.Generator] = None
-    ):
-        """Generate an episode for ``tangle`` and build its loss terms.
-
-        Returns ``(total_loss, baseline_loss, result)`` where ``total_loss``
-        is ``l1 + alpha l2 + beta l3`` and ``baseline_loss`` is the MSE loss
-        of the baseline network (built on detached states so its gradient
-        does not reach the representation parameters).
-        """
-        result = self.model.run_episode(tangle, mode="sample", rng=rng or self._rng)
-
-        classification_terms: List[Tensor] = []
-        earliness_terms: List[Tensor] = []
-        step_states: List[np.ndarray] = []
-        step_returns: List[float] = []
-        step_log_probs: List[Tensor] = []
-
-        for episode in result.episodes.values():
-            if episode.logits is None or not episode.states:
-                continue
-            # l1: cross entropy at the halting state.
-            logits = episode.logits.reshape(1, self.model.num_classes)
-            classification_terms.append(F.cross_entropy(logits, [episode.label], reduction="sum"))
-
-            # Rewards: +1 at every step when the final prediction is correct,
-            # -1 otherwise (Algorithm 1, lines 14-17).
-            reward = 1.0 if episode.predicted == episode.label else -1.0
-            num_observations = episode.num_observations
-            for step in range(num_observations):
-                # Return from this step to the end of the episode.
-                steps_remaining = num_observations - step
-                step_returns.append(reward * steps_remaining)
-                step_states.append(episode.states[step].data)
-
-                log_prob = episode.halt_log_probs[step]
-                step_log_probs.append(log_prob)
-
-                # l3: encourage halting at every step.
-                halt_log_prob = (
-                    log_prob
-                    if episode.actions[step] == ACTION_HALT
-                    else self.model.policy.log_prob(episode.states[step], ACTION_HALT)
-                )
-                earliness_terms.append(-halt_log_prob)
-
-        if step_states:
-            # One batched baseline evaluation per tangle: the detached episode
-            # states form an (n, d_state) matrix, replacing n scalar forward
-            # passes.  The advantage R - b(s) is a constant for the policy term.
-            states_matrix = Tensor(np.stack(step_states))
-            returns = np.asarray(step_returns, dtype=np.float64)
-            baseline_estimates = self.model.baseline(states_matrix)
-            baseline_loss = ((baseline_estimates - Tensor(returns)) ** 2).sum()
-            advantages = returns - baseline_estimates.data
-            # l2 in three graph nodes: one stacked log-prob vector times the
-            # negated advantage vector, summed — same elementwise products
-            # and summation order as the former per-step scalar terms.
-            policy_loss = (Tensor.stack(step_log_probs) * (-advantages)).sum()
-        else:
-            baseline_loss = Tensor(0.0, requires_grad=False)
-            policy_loss = Tensor(0.0, requires_grad=False)
-
-        classification_loss = _sum_terms(classification_terms)
-        earliness_loss = _sum_terms(earliness_terms)
-
-        total = (
-            classification_loss
-            + policy_loss * self.config.alpha
-            + earliness_loss * self.config.beta
-        )
-        return total, baseline_loss, result, {
-            "classification_loss": float(classification_loss.data),
-            "policy_loss": float(policy_loss.data),
-            "earliness_loss": float(earliness_loss.data),
-            "baseline_loss": float(baseline_loss.data),
-        }
 
     # ------------------------------------------------------------------ #
     # batched (lockstep) loss for a whole minibatch
@@ -230,17 +155,17 @@ class KVECTrainer:
     ):
         """Losses for a whole minibatch via the lockstep episode runner.
 
-        Cross-sample twin of summing :meth:`episode_losses` over ``batch``:
-        the minibatch is split into length-homogeneous groups (see
+        The minibatch is split into length-homogeneous groups (see
         :meth:`_length_buckets`), each group runs all its episodes through one
         ``run_episodes`` call (one GEMM per projection/FFN/gate per arrival
         round), and the group losses — all minibatch *sums*, hence additive —
-        are added together.  With ``rngs`` derived as in
-        :meth:`_episode_rngs`, totals and gradients match the per-sample path
-        within 1e-8 (bit-for-bit where shapes coincide).
+        are added together.  ``rngs`` holds one sampling generator per
+        tangle (see :meth:`_episode_rngs`).
 
-        Returns ``(total, baseline_loss, results, parts)`` where ``total``
-        and the parts are *sums* over the minibatch.
+        Returns ``(total, baseline_loss, results, parts)`` where ``total``,
+        ``baseline_loss`` and the parts are *sums* over the minibatch;
+        ``baseline_loss`` is the baseline network's MSE, built on detached
+        states so its gradient does not reach the representation parameters.
         """
         groups = self._length_buckets(batch)
         results: List[Optional[EpisodeResult]] = [None] * len(batch)
@@ -324,10 +249,17 @@ class KVECTrainer:
         epochs: Optional[int] = None,
         verbose: bool = False,
     ) -> TrainingHistory:
-        """Train the model for ``epochs`` epochs over ``train_tangles``."""
+        """Train the model for ``epochs`` epochs over ``train_tangles``.
+
+        ``epochs=None`` trains ``config.epochs`` epochs; any other value
+        must be positive.
+        """
         if not train_tangles:
             raise ValueError("training requires at least one tangled sequence")
-        epochs = epochs or self.config.epochs
+        if epochs is None:
+            epochs = self.config.epochs
+        elif epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {epochs}")
         batcher = EpisodeBatcher(
             train_tangles,
             batch_size=self.config.batch_size,
@@ -364,36 +296,20 @@ class KVECTrainer:
             self.optimizer.zero_grad()
             self.baseline_optimizer.zero_grad()
             scale = 1.0 / len(batch)
-            episode_rngs = self._episode_rngs(len(batch))
-            if self.batched:
-                total, baseline_loss, results, parts = self.batched_episode_losses(
-                    batch, episode_rngs
-                )
-                (total * scale).backward()
-                (baseline_loss * scale).backward()
-                totals["loss"] += float(total.data)
-                for name in ("classification_loss", "policy_loss", "earliness_loss", "baseline_loss"):
-                    totals[name] += parts[name]
-                num_tangles += len(batch)
-                for result in results:
-                    for record in result.records():
-                        total_keys += 1
-                        correct += int(record.correct)
-                        earliness_sum += record.earliness
-            else:
-                for tangle, rng in zip(batch, episode_rngs):
-                    total, baseline_loss, result, parts = self.episode_losses(tangle, rng=rng)
-                    (total * scale).backward()
-                    (baseline_loss * scale).backward()
-
-                    totals["loss"] += float(total.data)
-                    for name in ("classification_loss", "policy_loss", "earliness_loss", "baseline_loss"):
-                        totals[name] += parts[name]
-                    num_tangles += 1
-                    for record in result.records():
-                        total_keys += 1
-                        correct += int(record.correct)
-                        earliness_sum += record.earliness
+            total, baseline_loss, results, parts = self.batched_episode_losses(
+                batch, self._episode_rngs(len(batch))
+            )
+            (total * scale).backward()
+            (baseline_loss * scale).backward()
+            totals["loss"] += float(total.data)
+            for name in ("classification_loss", "policy_loss", "earliness_loss", "baseline_loss"):
+                totals[name] += parts[name]
+            num_tangles += len(batch)
+            for result in results:
+                for record in result.records():
+                    total_keys += 1
+                    correct += int(record.correct)
+                    earliness_sum += record.earliness
             if self.config.grad_clip > 0:
                 clip_grad_norm(self.model.trainable_parameters(), self.config.grad_clip)
                 clip_grad_norm(self.model.baseline.parameters(), self.config.grad_clip)
@@ -413,13 +329,3 @@ class KVECTrainer:
             earliness=earliness_sum / max(total_keys, 1),
             duration_seconds=duration,
         )
-
-
-def _sum_terms(terms: List[Tensor]) -> Tensor:
-    if not terms:
-        return Tensor(0.0, requires_grad=False)
-    if len(terms) == 1:
-        return terms[0]
-    # A single stack+sum node keeps the autograd graph flat instead of the
-    # O(n)-deep chain that pairwise addition builds.
-    return Tensor.stack(terms).sum()

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.model import KVEC
 from repro.data.items import TangledSequence
-from repro.nn.tensor import no_grad
 
 
 @dataclass
@@ -53,48 +52,36 @@ def attention_score_profile(
     forcing classification at the prefix end.
     """
     points: List[AttentionScorePoint] = []
-    was_training = model.training
-    model.eval()
-    try:
-        for level in earliness_levels:
-            internal_total = 0.0
-            external_total = 0.0
-            weight_count = 0
-            correct = 0
-            classified = 0
-            for tangle in tangles:
-                length = max(2, int(round(level * len(tangle))))
-                length = min(length, len(tangle))
-                with no_grad():
-                    result = model.run_episode(
-                        tangle,
-                        mode="greedy",
-                        halt_threshold=1.1,  # never halt: observe the full prefix
-                        store_attention=True,
-                        max_items=length,
-                    )
-                structure = result.correlation
-                for attention in result.attention_maps:
-                    # attention: (heads, T, T) — average heads, then accumulate
-                    # the per-row attention mass on each correlation type.
-                    mean_attention = attention.mean(axis=0)
-                    internal_total += float(mean_attention[structure.key_correlated].sum())
-                    external_total += float(mean_attention[structure.value_correlated].sum())
-                    weight_count += mean_attention.shape[0]
-                for record in result.records():
-                    classified += 1
-                    correct += int(record.correct)
-            if weight_count == 0:
-                continue
-            points.append(
-                AttentionScorePoint(
-                    earliness=float(level),
-                    internal_score=internal_total / weight_count,
-                    external_score=external_total / weight_count,
-                    accuracy=correct / classified if classified else 0.0,
-                    num_observations=weight_count,
-                )
+    for level in earliness_levels:
+        internal_total = 0.0
+        external_total = 0.0
+        weight_count = 0
+        correct = 0
+        classified = 0
+        for tangle in tangles:
+            length = max(2, int(round(level * len(tangle))))
+            length = min(length, len(tangle))
+            _, structure = model.encode_inference(tangle, upto=length, store_attention=True)
+            for attention in model.encoder.attention_maps():
+                # attention: (heads, T, T) — average heads, then accumulate
+                # the per-row attention mass on each correlation type.
+                mean_attention = attention.mean(axis=0)
+                internal_total += float(mean_attention[structure.key_correlated].sum())
+                external_total += float(mean_attention[structure.value_correlated].sum())
+                weight_count += mean_attention.shape[0]
+            # Threshold 1.1 never halts: every key is classified at the prefix end.
+            for record in model.predict_tangle(tangle, halt_threshold=1.1, max_items=length):
+                classified += 1
+                correct += int(record.correct)
+        if weight_count == 0:
+            continue
+        points.append(
+            AttentionScorePoint(
+                earliness=float(level),
+                internal_score=internal_total / weight_count,
+                external_score=external_total / weight_count,
+                accuracy=correct / classified if classified else 0.0,
+                num_observations=weight_count,
             )
-    finally:
-        model.train(was_training)
+        )
     return points

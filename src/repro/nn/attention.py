@@ -240,8 +240,9 @@ class MultiHeadAttention(Module):
         else:
             self._rotate_half = None
             self.rel_bias = None
-        #: Attention weights of the most recent forward pass (numpy array of
-        #: shape ``(num_heads, T, T)``); used by the attention-score analysis
+        #: Attention weights of the most recent ``forward_inference`` pass
+        #: with ``store_attention`` (numpy array of shape
+        #: ``(num_heads, T, T)``); used by the attention-score analysis
         #: reproducing Fig. 10 of the paper.
         self.last_attention: Optional[np.ndarray] = None
 
@@ -285,63 +286,6 @@ class MultiHeadAttention(Module):
     def clip_rank_delta(self, delta: np.ndarray) -> np.ndarray:
         """Clip raw rank differences into the relative-bias table range."""
         return np.clip(delta, 0, self.max_relative_positions - 1)
-
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        store_attention: bool = False,
-        coords: Optional[RelativeCoords] = None,
-    ) -> Tensor:
-        """Self-attention over ``x`` of shape ``(T, d_model)``.
-
-        ``mask`` is an additive ``(T, T)`` matrix as produced by
-        :func:`causal_mask` or the KVEC dynamic correlation mask.
-        ``store_attention`` keeps a copy of the ``(num_heads, T, T)`` weight
-        matrix in :attr:`last_attention`; it is off by default because the
-        copy is pure overhead on the hot path.  ``coords`` (rotary mode only)
-        supplies the per-row arrival/key coordinates for the rotary phase
-        rotation and relative within-key bias.
-        """
-        if x.ndim != 2:
-            raise ValueError(f"expected (T, d_model) input, got shape {x.shape}")
-        length = x.shape[0]
-
-        query = self._split_heads(self.q_proj(x), length)
-        key = self._split_heads(self.k_proj(x), length)
-        value = self._split_heads(self.v_proj(x), length)
-
-        bias = None
-        if self.rotary and coords is not None:
-            cos, sin = rotary_phases(coords.positions, self.d_head)
-            rotate = Tensor(self._rotate_half)
-            query = query * Tensor(cos) + query.matmul(rotate) * Tensor(sin)
-            key = key * Tensor(cos) + key.matmul(rotate) * Tensor(sin)
-            if self.rel_bias is not None:
-                delta, same = self._relative_bias_inputs(coords)
-                # (T, T, H) gather -> (H, T, T), zeroed on cross-key pairs.
-                bias = self.rel_bias(delta).transpose(2, 0, 1) * Tensor(same[None, :, :])
-
-        head_mask = None
-        if mask is not None:
-            head_mask = np.broadcast_to(
-                np.asarray(mask, dtype=np.float64), (self.num_heads, length, length)
-            )
-
-        attended, weights = scaled_dot_product_attention(
-            query, key, value, mask=head_mask, bias=bias
-        )
-        self.last_attention = weights.data.copy() if store_attention else None
-
-        merged = attended.swapaxes(0, 1).reshape(length, self.d_model)
-        out = self.out_proj(merged)
-        if self.dropout is not None:
-            out = self.dropout(out)
-        return out
-
-    def _split_heads(self, projected: Tensor, length: int) -> Tensor:
-        # (T, d_model) -> (num_heads, T, d_head)
-        return projected.reshape(length, self.num_heads, self.d_head).swapaxes(0, 1)
 
     # ------------------------------------------------------------------ #
     # no-grad fast path
@@ -445,7 +389,7 @@ class MultiHeadAttention(Module):
         return query, key, value
 
     # ------------------------------------------------------------------ #
-    # cross-sample batched training twin (autograd)
+    # autograd (training) forward
     # ------------------------------------------------------------------ #
     def forward_batch(
         self,
@@ -455,23 +399,25 @@ class MultiHeadAttention(Module):
         delta: Optional[np.ndarray] = None,
         same: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Autograd twin of :meth:`forward` over a stacked minibatch.
+        """Self-attention over a stacked minibatch: the autograd forward.
 
         ``x`` holds ``B`` independent sequences padded to a common length as
-        one ``(B, T, d_model)`` tensor; ``mask`` is the per-sample additive
-        ``(B, T, T)`` mask (padding rows must keep at least the diagonal
-        visible so their softmax stays finite — their outputs are never
-        selected and contribute no gradient).  In rotary mode ``phases`` is
-        the shared ``rotary_phases`` ``(cos, sin)`` pair (positions are the
-        same ``arange(T)`` for every sample) and ``delta`` / ``same`` the
+        one ``(B, T, d_model)`` tensor (one sequence is ``B=1``); ``mask`` is
+        the per-sample additive ``(B, T, T)`` mask, as produced by
+        :func:`causal_mask` or the KVEC dynamic correlation mask (padding
+        rows must keep at least the diagonal visible so their softmax stays
+        finite — their outputs are never selected and contribute no
+        gradient).  In rotary mode ``phases`` is the shared
+        ``rotary_phases`` ``(cos, sin)`` pair (positions are the same
+        ``arange(T)`` for every sample) and ``delta`` / ``same`` the
         per-sample relative-bias coordinate matrices of shape ``(B, T, T)``.
 
-        Parity contract: sample ``b``'s rows match :meth:`forward` on that
-        sample alone up to BLAS summation order (1e-12-scale), which is what
-        bounds batched-vs-per-sample loss and gradient drift at the
-        documented 1e-8.  Projections, scores and the attention product each
-        run as a single batched GEMM instead of ``B`` per-sample calls.
+        Sample ``b``'s rows match running that sample alone at ``B=1`` up to
+        BLAS summation order (1e-12-scale).  Projections, scores and the
+        attention product each run as a single batched GEMM.
         """
+        if x.ndim != 3:
+            raise ValueError(f"expected (B, T, d_model) input, got shape {x.shape}")
         batch, length = x.shape[0], x.shape[1]
         query = self._split_heads_batch(self.q_proj(x), batch, length)
         key = self._split_heads_batch(self.k_proj(x), batch, length)

@@ -1,13 +1,13 @@
 """Core neural-network layers built on the autograd substrate.
 
 Every layer here is polymorphic over leading batch dimensions: the same
-module instance serves the per-sample training path (``(T, d)`` inputs), the
-cross-sample batched path (``(B, T, d)`` inputs, one GEMM across the whole
-minibatch), and serving.  The batched-training parity contract — a batched
-call computes, row for row, the same values and gradients as the equivalent
-per-sample calls, exactly where shapes permit and within 1e-8 otherwise
-(BLAS/bincount summation order) — is pinned by
-``tests/core/test_batched_training.py``.
+module instance serves KVEC training (``(B, T, d)`` inputs, one GEMM across
+the whole minibatch; there is no per-sample training path), the baselines'
+per-sequence ``(T, d)`` calls, and serving.  A batched call computes, row
+for row, the same values and gradients as the equivalent per-sample calls,
+exactly where shapes permit and within 1e-8 otherwise (BLAS/bincount
+summation order); ``tests/core/test_batched_training.py`` pins this against
+a per-tangle reference.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ class FeedForward(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Position-wise map over the last dimension; batched ``(B, T, d)``
-        calls are bit-identical twins of per-sample ``(T, d)`` calls.  Under
-        dropout the mask draw order differs between the two shapes, so the
-        batched trainer requires ``dropout == 0`` for exact parity."""
+        calls are bit-identical to per-sample ``(T, d)`` calls.  Under
+        dropout the mask draw order differs between the two shapes, so
+        exact parity requires ``dropout == 0``."""
         hidden = self.activation(self.linear1(x))
         if self.dropout is not None:
             hidden = self.dropout(hidden)

@@ -104,10 +104,9 @@ class LSTMCell(Module):
         ``xs`` is a ``(B, input_size)`` tensor and ``states`` a sequence of
         ``B`` ``(hidden, cell)`` tensor pairs, one per independent stream.
         Returns stacked ``(B, hidden)`` / ``(B, cell)`` graph tensors.
-        Parity contract: per-row numerics match :meth:`forward` (the
-        per-sample training reference) up to BLAS summation order — the
-        gates see the same concatenated inputs, just as a GEMM instead of
-        ``B`` GEMVs.
+        Parity contract: per-row numerics match :meth:`forward` up to BLAS
+        summation order — the gates see the same concatenated inputs, just
+        as a GEMM instead of ``B`` GEMVs.
         """
         hidden = Tensor.stack([state[0] for state in states])
         cell = Tensor.stack([state[1] for state in states])

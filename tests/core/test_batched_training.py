@@ -1,16 +1,18 @@
-"""Parity suite for cross-sample batched training (the batched-training PR).
+"""Parity suite for training on the lockstep episode runner.
 
 The contract under test: ``KVECTrainer.batched_episode_losses`` over a
-minibatch is a numerical twin of summing ``episode_losses`` per tangle —
-identical sampled actions and predictions (bit-for-bit, via identical
-per-episode RNGs), identical losses and per-parameter gradients within 1e-8
-(observed agreement is ~1e-14; the bound leaves room for BLAS summation
-order), and bit-identical end-of-training accuracy at a fixed seed.  The
-suite sweeps B in {1, 3, 8} x both position encodings over ragged-length
-tangles, plus a forced multi-bucket batch (mixed concurrencies) so the
-length-bucketed grouping path is pinned too.
+minibatch is a numerical twin of the per-tangle, per-arrival reference in
+``tests/core/episode_oracle.py`` — identical sampled actions and
+predictions (bit-for-bit, via identical per-episode RNGs), identical losses
+and per-parameter gradients within 1e-8 (observed agreement is ~1e-13; the
+bound leaves room for BLAS summation order), and bit-identical
+end-of-training accuracy at a fixed seed.  The suite sweeps B in {1, 3, 8}
+x both position encodings over ragged-length tangles, the parameter-free
+fusion ablations, plus a forced multi-bucket batch (mixed concurrencies) so
+the length-bucketed grouping path is pinned too.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.trainer import KVECTrainer
 from repro.data.splits import split_by_key
 from repro.data.tangle import retangle_by_concurrency
 from repro.datasets.traffic import make_ustc_tfc2016
+from tests.core import episode_oracle
 
 PARITY_ATOL = 1e-8
 
@@ -56,37 +59,44 @@ def workload():
     return dataset, tangles
 
 
-def _per_sample_reference(dataset, config, batch, seed_base=100):
-    """Summed per-sample losses, gradients and episode results."""
-    model = KVEC(dataset.spec, dataset.num_classes, config)
-    trainer = KVECTrainer(model, batched=False)
-    model.zero_grad()
-    total_value = 0.0
-    baseline_value = 0.0
-    results = []
-    for offset, tangle in enumerate(batch):
-        total, baseline_loss, result, _ = trainer.episode_losses(
-            tangle, rng=np.random.default_rng(seed_base + offset)
-        )
-        total.backward()
-        baseline_loss.backward()
-        total_value += float(total.data)
-        baseline_value += float(baseline_loss.data)
-        results.append(result)
-    grads = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
-    return total_value, baseline_value, grads, results
+def _losses_and_grads(dataset, config, batch, reference, seed_base=100):
+    """Minibatch losses, gradients and episode results from one fresh model.
 
-
-def _batched_run(dataset, config, batch, seed_base=100):
+    ``reference`` selects the per-tangle oracle instead of the trainer's
+    lockstep runner; both see identically seeded per-tangle RNGs.
+    """
     model = KVEC(dataset.spec, dataset.num_classes, config)
-    trainer = KVECTrainer(model, batched=True)
+    trainer = KVECTrainer(model)
+    losses = (
+        functools.partial(episode_oracle.episode_losses, trainer)
+        if reference
+        else trainer.batched_episode_losses
+    )
     model.zero_grad()
     rngs = [np.random.default_rng(seed_base + offset) for offset in range(len(batch))]
-    total, baseline_loss, results, _ = trainer.batched_episode_losses(batch, rngs)
+    total, baseline_loss, results, _ = losses(batch, rngs)
     total.backward()
     baseline_loss.backward()
     grads = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
     return float(total.data), float(baseline_loss.data), grads, results
+
+
+def _assert_loss_parity(dataset, config, batch):
+    ref_total, ref_baseline, ref_grads, ref_results = _losses_and_grads(
+        dataset, config, batch, reference=True
+    )
+    total, baseline, grads, results = _losses_and_grads(
+        dataset, config, batch, reference=False
+    )
+    assert total == pytest.approx(ref_total, abs=PARITY_ATOL)
+    assert baseline == pytest.approx(ref_baseline, abs=PARITY_ATOL)
+    assert len(grads) == len(ref_grads)
+    for expected, actual in zip(ref_grads, grads):
+        if expected is None:
+            assert actual is None
+        else:
+            np.testing.assert_allclose(actual, expected, atol=PARITY_ATOL)
+    _assert_episode_parity(ref_results, results)
 
 
 def _assert_episode_parity(reference_results, batched_results):
@@ -108,27 +118,22 @@ class TestBatchedLossParity:
         self, workload, encoding, batch_size
     ):
         dataset, tangles = workload
-        config = small_config(encoding)
         batch = tangles[:batch_size]
         assert len(batch) == batch_size
         if batch_size > 1:
             # The contract explicitly covers ragged minibatches.
             assert len({len(t) for t in batch}) > 1
+        _assert_loss_parity(dataset, small_config(encoding), batch)
 
-        ref_total, ref_baseline, ref_grads, ref_results = _per_sample_reference(
-            dataset, config, batch
-        )
-        total, baseline, grads, results = _batched_run(dataset, config, batch)
 
-        assert total == pytest.approx(ref_total, abs=PARITY_ATOL)
-        assert baseline == pytest.approx(ref_baseline, abs=PARITY_ATOL)
-        assert len(grads) == len(ref_grads)
-        for expected, actual in zip(ref_grads, grads):
-            if expected is None:
-                assert actual is None
-            else:
-                np.testing.assert_allclose(actual, expected, atol=PARITY_ATOL)
-        _assert_episode_parity(ref_results, results)
+@pytest.mark.parametrize("fusion", ["mean", "last"])
+@pytest.mark.parametrize("encoding", ["absolute", "rotary"])
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_fusion_ablations_match_per_sample(workload, fusion, encoding, batch_size):
+    """The parameter-free fusions train through ``forward_batch`` and
+    ``split_state`` only; pin them against the reference too."""
+    dataset, tangles = workload
+    _assert_loss_parity(dataset, small_config(encoding, fusion=fusion), tangles[:batch_size])
 
 
 @pytest.mark.parametrize("encoding", ["absolute", "rotary"])
@@ -145,36 +150,32 @@ def test_forced_multi_bucket_batch_preserves_parity(workload, encoding):
     batch = [short[0], long[0], short[1], long[1]]
     config = small_config(encoding)
 
-    trainer = KVECTrainer(KVEC(dataset.spec, dataset.num_classes, config), batched=True)
+    trainer = KVECTrainer(KVEC(dataset.spec, dataset.num_classes, config))
     assert len(trainer._length_buckets(batch)) > 1, [len(t) for t in batch]
-
-    ref_total, ref_baseline, ref_grads, ref_results = _per_sample_reference(
-        dataset, config, batch
-    )
-    total, baseline, grads, results = _batched_run(dataset, config, batch)
-    assert total == pytest.approx(ref_total, abs=PARITY_ATOL)
-    assert baseline == pytest.approx(ref_baseline, abs=PARITY_ATOL)
-    for expected, actual in zip(ref_grads, grads):
-        if expected is not None:
-            np.testing.assert_allclose(actual, expected, atol=PARITY_ATOL)
-    _assert_episode_parity(ref_results, results)
+    _assert_loss_parity(dataset, config, batch)
 
 
 @pytest.mark.parametrize("encoding", ["absolute", "rotary"])
 def test_end_of_training_accuracy_matches_per_sample(workload, encoding):
-    """Full train() runs of both paths agree at a fixed seed.
+    """Full train() runs on the runner and on the reference agree at a fixed seed.
 
-    Both trainers derive identical per-episode action RNGs from the master
-    stream, so the sampled trajectories — and therefore every update and the
-    final accuracy — coincide (losses within the 1e-8 parity bound)."""
+    The reference leg swaps the trainer's ``batched_episode_losses`` for the
+    per-tangle oracle, so both legs run through the same ``_train_epoch``
+    and derive identical per-episode action RNGs from the master stream:
+    the sampled trajectories — and therefore every update and the final
+    accuracy — coincide (losses within the 1e-8 parity bound)."""
     dataset, tangles = workload
     histories = {}
-    for batched in (False, True):
+    for reference in (True, False):
         config = small_config(encoding)
         model = KVEC(dataset.spec, dataset.num_classes, config)
-        trainer = KVECTrainer(model, batched=batched)
-        histories[batched] = trainer.train(tangles[:8], epochs=2)
-    per_sample, batched = histories[False], histories[True]
+        trainer = KVECTrainer(model)
+        if reference:
+            trainer.batched_episode_losses = functools.partial(
+                episode_oracle.episode_losses, trainer
+            )
+        histories[reference] = trainer.train(tangles[:8], epochs=2)
+    per_sample, batched = histories[True], histories[False]
     assert batched.series("accuracy") == per_sample.series("accuracy")
     np.testing.assert_allclose(
         batched.series("loss"), per_sample.series("loss"), atol=PARITY_ATOL
@@ -185,12 +186,13 @@ def test_end_of_training_accuracy_matches_per_sample(workload, encoding):
 
 
 def test_config_flag_selects_batched_path(workload):
+    """The lockstep runner is the only training path: ``batched=False``
+    names the removed per-sample path instead of silently training."""
     dataset, _ = workload
-    config = small_config("absolute", batched_training=True)
-    trainer = KVECTrainer(KVEC(dataset.spec, dataset.num_classes, config))
-    assert trainer.batched is True
-    override = KVECTrainer(KVEC(dataset.spec, dataset.num_classes, config), batched=False)
-    assert override.batched is False
+    model = KVEC(dataset.spec, dataset.num_classes, small_config("absolute"))
+    KVECTrainer(model, batched=True)
+    with pytest.raises(ValueError, match="per-sample training path was removed"):
+        KVECTrainer(model, batched=False)
 
 
 @pytest.mark.parametrize("encoding", ["absolute", "rotary"])
@@ -198,9 +200,8 @@ def test_batched_training_smoke_above_chance(encoding):
     """Both encodings train to above-chance accuracy via the batched path.
 
     Mirrors the ``trained_tiny_kvec`` recipe (36 flows, concurrency 3, six
-    epochs) which the per-sample suite already pins above 0.3 accuracy; by
-    the parity contract the batched path reproduces that training run
-    bit-for-bit.  Budgeted well under the 30 s contract on an idle machine."""
+    epochs) which the trainer suite pins above 0.3 accuracy.  Budgeted well
+    under the 30 s contract on an idle machine."""
     start = time.monotonic()
     dataset = make_ustc_tfc2016(num_flows=36, seed=3)
     split = split_by_key(dataset.sequences, rng=np.random.default_rng(0))
@@ -209,7 +210,7 @@ def test_batched_training_smoke_above_chance(encoding):
     )
     config = small_config(encoding, epochs=6)
     model = KVEC(dataset.spec, dataset.num_classes, config)
-    trainer = KVECTrainer(model, batched=True)
+    trainer = KVECTrainer(model)
     history = trainer.train(tangles)
     final = history.final()
     assert final.accuracy > 1.5 / dataset.num_classes, final

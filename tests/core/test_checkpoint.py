@@ -110,6 +110,8 @@ class TestCheckpointBoundary:
             (lambda p: p["config"].update(dropout=float("nan")), "config.dropout must be a finite"),
             (lambda p: p["config"].update(batched_training=1), "batched_training must be of type bool"),
             (lambda p: p["config"].update(seed=True), "config.seed must be of type int"),
+            (lambda p: p["config"].update(num_heads=0), "num_heads must be positive"),
+            (lambda p: p["config"].update(num_heads=-2), "num_heads must be positive"),
             (lambda p: p.update(num_classes="3"), "num_classes must be of type int"),
             (lambda p: p["spec"].update(cardinalities=[4.5, 3]), "spec.cardinalities"),
             (lambda p: p.pop("spec"), "spec must be of type dict"),
@@ -120,6 +122,14 @@ class TestCheckpointBoundary:
         _edit_config(directory, edit)
         with pytest.raises(ValueError, match=match):
             load_checkpoint(directory)
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_retired_batched_training_flag_dropped(self, simple_spec, tmp_path, value):
+        """Checkpoints saved while the config still chose a training path load."""
+        model = _tiny_model(simple_spec)
+        directory = save_checkpoint(model, tmp_path / "kvec")
+        _edit_config(directory, lambda p: p["config"].update(batched_training=value))
+        assert load_checkpoint(directory).config == model.config
 
     def test_non_finite_weight_rejected(self, simple_spec, tmp_path):
         directory = save_checkpoint(_tiny_model(simple_spec), tmp_path / "kvec")

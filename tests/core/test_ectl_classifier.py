@@ -12,8 +12,8 @@ class TestHaltingPolicy:
     def test_probability_in_unit_interval(self):
         policy = HaltingPolicy(8, rng=np.random.default_rng(0))
         for _ in range(10):
-            state = Tensor(np.random.default_rng(1).standard_normal(8) * 10)
-            assert 0.0 <= policy.halt_probability(state) <= 1.0
+            state = np.random.default_rng(1).standard_normal(8) * 10
+            assert 0.0 <= policy.halt_probability_inference(state) <= 1.0
 
     def test_log_probs_of_both_actions_sum_to_one(self):
         policy = HaltingPolicy(6, rng=np.random.default_rng(0))
@@ -26,17 +26,14 @@ class TestHaltingPolicy:
         policy = HaltingPolicy(4, rng=np.random.default_rng(0))
         policy.projection.weight.data[:] = 0.0
         policy.projection.bias.data[:] = 100.0  # sigmoid ~ 1 -> always halt
-        rng = np.random.default_rng(2)
-        actions = [policy.sample_action(Tensor(np.zeros(4)), rng) for _ in range(20)]
-        assert all(action == ACTION_HALT for action in actions)
+        probabilities = policy.halt_probabilities_inference(np.zeros((20, 4)))
+        np.testing.assert_array_equal(probabilities, np.ones(20))
 
     def test_greedy_action_threshold(self):
         policy = HaltingPolicy(4, rng=np.random.default_rng(0))
         policy.projection.weight.data[:] = 0.0
         policy.projection.bias.data[:] = 0.0  # probability exactly 0.5
-        state = Tensor(np.zeros(4))
-        assert policy.greedy_action(state, threshold=0.5) == ACTION_HALT
-        assert policy.greedy_action(state, threshold=0.6) == ACTION_WAIT
+        assert policy.halt_probability_inference(np.zeros(4)) == 0.5
 
     def test_log_prob_is_differentiable(self):
         policy = HaltingPolicy(4, rng=np.random.default_rng(0))
@@ -69,16 +66,16 @@ class TestBaselineValue:
 class TestSequenceClassifier:
     def test_probabilities_sum_to_one(self):
         classifier = SequenceClassifier(8, 5, rng=np.random.default_rng(0))
-        probabilities = classifier.probabilities(Tensor(np.random.default_rng(1).standard_normal(8)))
+        probabilities = classifier.probabilities_inference(np.random.default_rng(1).standard_normal(8))
         assert probabilities.shape == (5,)
         assert probabilities.sum() == pytest.approx(1.0)
 
-    def test_predict_is_argmax_and_confidence_is_max(self):
+    def test_probabilities_are_softmax_of_logits(self):
         classifier = SequenceClassifier(4, 3, rng=np.random.default_rng(0))
-        state = Tensor(np.random.default_rng(1).standard_normal(4))
-        probabilities = classifier.probabilities(state)
-        assert classifier.predict(state) == int(np.argmax(probabilities))
-        assert classifier.confidence(state) == pytest.approx(float(np.max(probabilities)))
+        state = np.random.default_rng(1).standard_normal(4)
+        logits = classifier(Tensor(state)).data
+        expected = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+        np.testing.assert_allclose(classifier.probabilities_inference(state), expected, atol=1e-12)
 
     def test_requires_two_classes(self):
         with pytest.raises(ValueError):

@@ -13,11 +13,23 @@ from repro.nn.tensor import Tensor
 SPEC = ValueSpec(("size", "direction"), (8, 2), session_field=1)
 
 
+def encode(module, x, mask=None):
+    """One ``(T, d)`` sequence through ``module.forward_batch`` at B=1."""
+    batch_mask = None if mask is None else mask[None]
+    return module.forward_batch(x.reshape(1, *x.shape), mask=batch_mask).reshape(*x.shape)
+
+
+def fuse(fusion, state, x):
+    """One fusion step of one stream through ``forward_batch`` at B=1."""
+    representations, stacked_state = fusion.forward_batch([state], x.reshape(1, -1))
+    return representations[0], fusion.split_state(stacked_state, 0)
+
+
 class TestKVRLEncoder:
     def test_output_shape(self):
         encoder = KVRLEncoder(16, num_blocks=2, num_heads=2, rng=np.random.default_rng(0))
-        out = encoder(Tensor(np.random.default_rng(1).standard_normal((7, 16))))
-        assert out.shape == (7, 16)
+        out = encoder.forward_batch(Tensor(np.random.default_rng(1).standard_normal((3, 7, 16))))
+        assert out.shape == (3, 7, 16)
 
     def test_zero_blocks_rejected(self):
         with pytest.raises(ValueError):
@@ -31,8 +43,8 @@ class TestKVRLEncoder:
         modified = base.copy()
         modified[4:] += 5.0
         mask = causal_mask(6)
-        out_base = encoder(Tensor(base), mask=mask).data
-        out_modified = encoder(Tensor(modified), mask=mask).data
+        out_base = encode(encoder, Tensor(base), mask=mask).data
+        out_modified = encode(encoder, Tensor(modified), mask=mask).data
         np.testing.assert_allclose(out_base[:4], out_modified[:4], atol=1e-9)
 
     def test_correlation_mask_blocks_uncorrelated_items(self):
@@ -50,13 +62,13 @@ class TestKVRLEncoder:
         base = np.random.default_rng(1).standard_normal((3, 8))
         modified = base.copy()
         modified[1] += 10.0  # perturb the (invisible) item of key b
-        out_base = encoder(Tensor(base), mask=structure.mask).data
-        out_modified = encoder(Tensor(modified), mask=structure.mask).data
+        out_base = encode(encoder, Tensor(base), mask=structure.mask).data
+        out_modified = encode(encoder, Tensor(modified), mask=structure.mask).data
         np.testing.assert_allclose(out_base[2], out_modified[2], atol=1e-9)
 
     def test_attention_maps_collected_per_block(self):
         encoder = KVRLEncoder(8, num_blocks=3, num_heads=2, rng=np.random.default_rng(0))
-        encoder(Tensor(np.random.default_rng(1).standard_normal((5, 8))), store_attention=True)
+        encoder.forward_inference(np.random.default_rng(1).standard_normal((5, 8)), store_attention=True)
         maps = encoder.attention_maps()
         assert len(maps) == 3
         assert all(weights.shape == (2, 5, 5) for weights in maps)
@@ -64,7 +76,7 @@ class TestKVRLEncoder:
     def test_block_gradients_flow(self):
         block = KVRLBlock(8, num_heads=1, ffn_hidden=16, dropout=0.0, rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).standard_normal((4, 8)), requires_grad=True)
-        block(x, mask=causal_mask(4)).sum().backward()
+        encode(block, x, mask=causal_mask(4)).sum().backward()
         assert x.grad is not None
 
 
@@ -72,30 +84,30 @@ class TestFusion:
     def test_gated_fusion_shapes(self):
         fusion = GatedFusion(d_model=8, d_state=12, rng=np.random.default_rng(0))
         state = fusion.initial_state()
-        representation, new_state = fusion(state, Tensor(np.ones(8)))
+        representation, new_state = fuse(fusion, state, Tensor(np.ones(8)))
         assert representation.shape == (12,)
         assert len(new_state) == 2
 
     def test_gated_fusion_state_evolves(self):
         fusion = GatedFusion(d_model=4, d_state=6, rng=np.random.default_rng(0))
         state = fusion.initial_state()
-        first, state = fusion(state, Tensor(np.ones(4)))
-        second, state = fusion(state, Tensor(np.ones(4)))
+        first, state = fuse(fusion, state, Tensor(np.ones(4)))
+        second, state = fuse(fusion, state, Tensor(np.ones(4)))
         assert not np.allclose(first.data, second.data)
 
     def test_mean_fusion_is_running_mean(self):
         fusion = MeanFusion(d_model=3)
         state = fusion.initial_state()
-        first, state = fusion(state, Tensor(np.array([1.0, 2.0, 3.0])))
-        second, state = fusion(state, Tensor(np.array([3.0, 4.0, 5.0])))
+        first, state = fuse(fusion, state, Tensor(np.array([1.0, 2.0, 3.0])))
+        second, state = fuse(fusion, state, Tensor(np.array([3.0, 4.0, 5.0])))
         np.testing.assert_allclose(first.data, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(second.data, [2.0, 3.0, 4.0])
 
     def test_last_item_fusion_returns_latest(self):
         fusion = LastItemFusion(d_model=3)
         state = fusion.initial_state()
-        _, state = fusion(state, Tensor(np.array([1.0, 1.0, 1.0])))
-        latest, _ = fusion(state, Tensor(np.array([9.0, 9.0, 9.0])))
+        _, state = fuse(fusion, state, Tensor(np.array([1.0, 1.0, 1.0])))
+        latest, _ = fuse(fusion, state, Tensor(np.array([9.0, 9.0, 9.0])))
         np.testing.assert_allclose(latest.data, [9.0, 9.0, 9.0])
 
     def test_factory_dispatch(self):
@@ -110,7 +122,7 @@ class TestFusion:
         x = Tensor(np.ones(4), requires_grad=True)
         state = fusion.initial_state()
         for _ in range(3):
-            representation, state = fusion(state, x)
+            representation, state = fuse(fusion, state, x)
         representation.sum().backward()
         assert x.grad is not None
         assert fusion.cell.input_gate.weight.grad is not None

@@ -25,6 +25,14 @@ def small_model(tiny_kvec_config):
     return KVEC(SPEC, num_classes=2, config=tiny_kvec_config)
 
 
+def run_one(model, tangle, mode="greedy", seed=0, **kwargs):
+    """One tangle through the lockstep runner; returns its EpisodeResult."""
+    results, _ = model.run_episodes(
+        [tangle], mode=mode, rngs=[np.random.default_rng(seed)], **kwargs
+    )
+    return results[0]
+
+
 class TestConfigValidation:
     def test_defaults_valid(self):
         KVECConfig()
@@ -52,53 +60,60 @@ class TestConfigValidation:
 
 class TestEpisodes:
     def test_every_key_gets_classified(self, small_model):
-        result = small_model.run_episode(make_tangle(), mode="greedy")
+        result = run_one(small_model, make_tangle(), mode="greedy")
         records = result.records()
         assert {record.key for record in records} == {"k0", "k1", "k2"}
         assert all(record.predicted is not None for record in records)
 
     def test_halt_observation_bounded_by_sequence_length(self, small_model):
-        result = small_model.run_episode(make_tangle(20, 4), mode="sample")
+        result = run_one(small_model, make_tangle(20, 4), mode="sample")
         for record in result.records():
             assert 1 <= record.halt_observation <= record.sequence_length
 
     def test_greedy_mode_is_deterministic(self, small_model):
         small_model.eval()
-        first = small_model.run_episode(make_tangle(), mode="greedy").records()
-        second = small_model.run_episode(make_tangle(), mode="greedy").records()
+        first = run_one(small_model, make_tangle(), mode="greedy").records()
+        second = run_one(small_model, make_tangle(), mode="greedy").records()
         assert [(r.key, r.predicted, r.halt_observation) for r in first] == [
             (r.key, r.predicted, r.halt_observation) for r in second
         ]
 
     def test_high_threshold_forces_full_observation(self, small_model):
-        result = small_model.run_episode(make_tangle(), mode="greedy", halt_threshold=1.1)
+        result = run_one(small_model, make_tangle(), mode="greedy", halt_threshold=1.1)
         for record in result.records():
             assert record.halt_observation == record.sequence_length
             assert not record.halted_by_policy
 
     def test_invalid_mode_rejected(self, small_model):
         with pytest.raises(ValueError):
-            small_model.run_episode(make_tangle(), mode="bogus")
+            run_one(small_model, make_tangle(), mode="bogus")
 
     def test_empty_tangle_rejected(self, small_model):
         with pytest.raises(ValueError):
-            small_model.run_episode(make_tangle(), max_items=0)
+            run_one(small_model, make_tangle(), max_items=0)
 
     def test_max_items_truncates(self, small_model):
-        result = small_model.run_episode(make_tangle(12, 2), mode="greedy", halt_threshold=1.1, max_items=6)
+        result = run_one(
+            small_model, make_tangle(12, 2), mode="greedy", halt_threshold=1.1, max_items=6
+        )
         total_observed = sum(record.halt_observation for record in result.records())
         assert total_observed == 6
 
     def test_attention_maps_only_when_requested(self, small_model):
-        with_maps = small_model.run_episode(make_tangle(), mode="greedy", store_attention=True)
-        without_maps = small_model.run_episode(make_tangle(), mode="greedy")
-        assert with_maps.attention_maps
-        assert not without_maps.attention_maps
+        small_model.encode_inference(make_tangle(), store_attention=True)
+        maps = small_model.encoder.attention_maps()
+        assert len(maps) == small_model.config.num_blocks
+        assert all(weights.shape == (1, 12, 12) for weights in maps)
+        small_model.encode_inference(make_tangle())
+        assert not small_model.encoder.attention_maps()
 
     def test_episode_states_align_with_actions(self, small_model):
-        result = small_model.run_episode(make_tangle(16, 2), mode="sample")
-        for episode in result.episodes.values():
-            assert len(episode.states) == len(episode.actions) == len(episode.halt_log_probs)
+        result, tail = small_model.run_episodes(
+            [make_tangle(16, 2)], mode="sample", rngs=[np.random.default_rng(0)]
+        )
+        for episode in result[0].episodes.values():
+            assert len(episode.states) == len(episode.actions)
+        assert tail.num_steps == sum(len(e.actions) for e in result[0].episodes.values())
 
 
 class TestPredictionInterface:
@@ -136,8 +151,8 @@ class TestAblationsAffectComputation:
         tangle = make_tangle(10, 2)
         full = KVEC(SPEC, 2, tiny_kvec_config)
         ablated = KVEC(SPEC, 2, tiny_kvec_config.with_overrides(use_value_correlation=False))
-        _, full_structure = full.encode(tangle)
-        _, ablated_structure = ablated.encode(tangle)
+        _, full_structure = full.encode_inference(tangle)
+        _, ablated_structure = ablated.encode_inference(tangle)
         assert full_structure.visible_pairs() >= ablated_structure.visible_pairs()
         assert not ablated_structure.value_correlated.any()
 

@@ -1,12 +1,13 @@
-"""Perf smoke: batched training must beat the per-sample path 2x at B=16,
+"""Perf smoke: batched training must beat one call per tangle 2x at B=16,
 and the fused attention node must beat the composite chain it replaced.
 
 Deselected by default (see ``pytest.ini``); run with ``pytest -m perf_smoke``.
-In the first gate, one lockstep ``run_episodes`` call per minibatch
-(padded cross-sample GEMMs through the encoder) must process episodes at
->= 2x the per-sample reference rate at B=16, for both position encodings.
-Both paths execute identical episodes (identical per-episode action RNGs),
-so the ratio is pure execution strategy; the bench re-measures a
+In the training gate, one lockstep ``batched_episode_losses`` call per
+minibatch (padded cross-sample GEMMs through the encoder) must process
+episodes at >= 2x the rate of the same runner fed one tangle per call
+(the per-tangle reference) at B=16, for both position encodings.  Both
+legs execute identical episodes (identical per-episode action RNGs), so
+the ratio is pure execution strategy; the bench re-measures a
 below-margin encoding up to three times keeping the best attempt (the gate
 asserts a capability, and best-of-attempts filters process-level timing
 noise on small runners).
@@ -86,11 +87,11 @@ def training_gate_result():
     return bench.run_training_gate("unit", seed=GATE_SEED)
 
 
-def test_batched_training_at_least_2x_per_sample_absolute(training_gate_result):
+def test_batched_training_at_least_2x_per_tangle_absolute(training_gate_result):
     leg = training_gate_result["absolute"]
     assert leg["speedup"] >= 2.0, {k: leg[k] for k in ("speedup", "attempts")}
 
 
-def test_batched_training_at_least_2x_per_sample_rotary(training_gate_result):
+def test_batched_training_at_least_2x_per_tangle_rotary(training_gate_result):
     leg = training_gate_result["rotary"]
     assert leg["speedup"] >= 2.0, {k: leg[k] for k in ("speedup", "attempts")}

@@ -9,20 +9,25 @@ from repro.core.model import KVEC
 from repro.core.trainer import KVECTrainer, TrainingHistory
 
 
+def tangle_losses(trainer, tangle, seed=0):
+    """``batched_episode_losses`` for a minibatch of one tangle."""
+    return trainer.batched_episode_losses([tangle], [np.random.default_rng(seed)])
+
+
 class TestEpisodeLosses:
     def test_loss_terms_are_finite(self, tiny_splits, tiny_kvec_config):
         model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
         trainer = KVECTrainer(model)
-        total, baseline_loss, result, parts = trainer.episode_losses(tiny_splits["train"][0])
+        total, baseline_loss, results, parts = tangle_losses(trainer, tiny_splits["train"][0])
         assert np.isfinite(total.data)
         assert np.isfinite(baseline_loss.data)
         assert all(np.isfinite(value) for value in parts.values())
-        assert result.num_keys >= 1
+        assert results[0].num_keys >= 1
 
     def test_backward_produces_gradients_for_model_and_baseline(self, tiny_splits, tiny_kvec_config):
         model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
         trainer = KVECTrainer(model)
-        total, baseline_loss, _, _ = trainer.episode_losses(tiny_splits["train"][0])
+        total, baseline_loss, _, _ = tangle_losses(trainer, tiny_splits["train"][0])
         total.backward()
         baseline_loss.backward()
         assert any(p.grad is not None for p in model.trainable_parameters())
@@ -31,7 +36,7 @@ class TestEpisodeLosses:
     def test_baseline_loss_does_not_touch_encoder(self, tiny_splits, tiny_kvec_config):
         model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
         trainer = KVECTrainer(model)
-        _, baseline_loss, _, _ = trainer.episode_losses(tiny_splits["train"][0])
+        _, baseline_loss, _, _ = tangle_losses(trainer, tiny_splits["train"][0])
         model.zero_grad()
         baseline_loss.backward()
         encoder_grads = [p.grad for p in model.encoder.parameters()]
@@ -64,6 +69,13 @@ class TestTraining:
         model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
         with pytest.raises(ValueError):
             KVECTrainer(model).train([])
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_non_positive_epochs_rejected(self, tiny_splits, tiny_kvec_config, epochs):
+        """``epochs=None`` means the config value; 0 is not "unset"."""
+        model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
+        with pytest.raises(ValueError, match="epochs must be positive"):
+            KVECTrainer(model).train(tiny_splits["train"], epochs=epochs)
 
     def test_epoch_stats_serializable(self, trained_tiny_kvec):
         stats = trained_tiny_kvec["history"].final().as_dict()

@@ -7,6 +7,12 @@ from repro.nn.attention import MASK_VALUE, MultiHeadAttention, causal_mask, scal
 from repro.nn.tensor import Tensor
 
 
+def attend(attention, x, mask=None):
+    """One ``(T, d)`` sequence through ``forward_batch`` at B=1."""
+    batch_mask = None if mask is None else mask[None]
+    return attention.forward_batch(x.reshape(1, *x.shape), mask=batch_mask).reshape(*x.shape)
+
+
 class TestCausalMask:
     def test_lower_triangle_visible(self):
         mask = causal_mask(4)
@@ -34,27 +40,27 @@ class TestScaledDotProductAttention:
 class TestMultiHeadAttention:
     def test_output_shape(self):
         attention = MultiHeadAttention(16, num_heads=4, rng=np.random.default_rng(0))
-        out = attention(Tensor(np.random.default_rng(1).standard_normal((6, 16))))
-        assert out.shape == (6, 16)
+        out = attention.forward_batch(Tensor(np.random.default_rng(1).standard_normal((3, 6, 16))))
+        assert out.shape == (3, 6, 16)
 
     def test_head_count_must_divide_dimension(self):
         with pytest.raises(ValueError):
             MultiHeadAttention(10, num_heads=3)
 
-    def test_rejects_non_2d_input(self):
+    def test_rejects_non_3d_input(self):
         attention = MultiHeadAttention(8, num_heads=2)
         with pytest.raises(ValueError):
-            attention(Tensor(np.zeros((2, 3, 8))))
+            attention.forward_batch(Tensor(np.zeros((3, 8))))
 
     def test_stores_attention_weights_only_when_requested(self):
         attention = MultiHeadAttention(8, num_heads=2, rng=np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(1).standard_normal((5, 8)))
-        attention(x)
+        x = np.random.default_rng(1).standard_normal((5, 8))
+        attention.forward_inference(x)
         assert attention.last_attention is None
-        attention(x, store_attention=True)
+        attention.forward_inference(x, store_attention=True)
         assert attention.last_attention is not None
         assert attention.last_attention.shape == (2, 5, 5)
-        attention(x)
+        attention.forward_inference(x)
         assert attention.last_attention is None
 
     def test_causal_mask_blocks_future_influence(self):
@@ -66,8 +72,8 @@ class TestMultiHeadAttention:
         modified = base.copy()
         modified[5] += 10.0  # perturb only the last item
         mask = causal_mask(6)
-        out_base = attention(Tensor(base), mask=mask).data
-        out_modified = attention(Tensor(modified), mask=mask).data
+        out_base = attend(attention, Tensor(base), mask=mask).data
+        out_modified = attend(attention, Tensor(modified), mask=mask).data
         np.testing.assert_allclose(out_base[:5], out_modified[:5], atol=1e-9)
         assert not np.allclose(out_base[5], out_modified[5])
 
@@ -77,8 +83,8 @@ class TestMultiHeadAttention:
         base = rng.standard_normal((6, 8))
         modified = base.copy()
         modified[5] += 10.0
-        out_base = attention(Tensor(base)).data
-        out_modified = attention(Tensor(modified)).data
+        out_base = attend(attention, Tensor(base)).data
+        out_modified = attend(attention, Tensor(modified)).data
         assert not np.allclose(out_base[0], out_modified[0])
 
     def test_fully_masked_row_attends_only_to_itself(self):
@@ -86,7 +92,7 @@ class TestMultiHeadAttention:
         attention = MultiHeadAttention(8, num_heads=1, rng=rng)
         mask = np.full((3, 3), MASK_VALUE)
         np.fill_diagonal(mask, 0.0)
-        attention(Tensor(rng.standard_normal((3, 8))), mask=mask, store_attention=True)
+        attention.forward_inference(rng.standard_normal((3, 8)), mask=mask, store_attention=True)
         weights = attention.last_attention[0]
         np.testing.assert_allclose(weights, np.eye(3), atol=1e-9)
 
@@ -94,7 +100,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(0)
         attention = MultiHeadAttention(8, num_heads=2, rng=rng)
         x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
-        attention(x, mask=causal_mask(4)).sum().backward()
+        attend(attention, x, mask=causal_mask(4)).sum().backward()
         assert x.grad is not None
         assert attention.q_proj.weight.grad is not None
         assert attention.out_proj.weight.grad is not None

@@ -1,5 +1,6 @@
 """Per-module parity: every no-grad ``forward_inference`` fast path must
-reproduce the autograd ``forward`` numerics.
+reproduce the autograd numerics (``forward``, or ``forward_batch`` at B=1
+for attention).
 
 The end-to-end fast-path parity tests (``tests/serving``) would localise a
 drift poorly; this suite pins each module of the ``nn`` substrate —
@@ -11,7 +12,7 @@ and the single-row streaming attention path.
 import numpy as np
 import pytest
 
-from repro.nn.attention import MultiHeadAttention, RelativeCoords, causal_mask
+from repro.nn.attention import MultiHeadAttention, RelativeCoords, causal_mask, rotary_phases
 from repro.nn.gru import GRU, GRUCell
 from repro.nn.layers import Dropout, FeedForward, LayerNorm, Linear
 from repro.nn.recurrent import LSTM, LSTMCell
@@ -90,7 +91,7 @@ class TestAttentionParity:
         x = rng.standard_normal((length, d_model))
         mask = causal_mask(length)
         np.testing.assert_allclose(
-            attention(Tensor(x), mask=mask).data,
+            attention.forward_batch(Tensor(x[None]), mask=mask[None]).data[0],
             attention.forward_inference(x, mask=mask),
             atol=ATOL,
         )
@@ -108,8 +109,17 @@ class TestAttentionParity:
         x = rng.standard_normal((length, d_model))
         mask = causal_mask(length)
         coords = random_coords(rng, length)
+        # The autograd reference takes the coordinates as batched inputs.
+        delta, same = attention._relative_bias_inputs(coords)
+        graph = attention.forward_batch(
+            Tensor(x[None]),
+            mask=mask[None],
+            phases=rotary_phases(coords.positions, attention.d_head),
+            delta=delta[None],
+            same=same[None],
+        )
         np.testing.assert_allclose(
-            attention(Tensor(x), mask=mask, coords=coords).data,
+            graph.data[0],
             attention.forward_inference(x, mask=mask, coords=coords),
             atol=ATOL,
         )

@@ -13,6 +13,7 @@ from repro.core.config import KVECConfig
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
+from repro.nn.tensor import no_grad
 from repro.serving.engine import EngineConfig, OnlineClassificationEngine
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
@@ -286,11 +287,14 @@ class TestCacheInvalidation:
 
 class TestFastPathParity:
     def test_predict_tangle_fast_matches_reference(self, trained_tiny_kvec):
-        """The raw-numpy inference path must reproduce the autograd route."""
+        """The raw-numpy inference path must reproduce the autograd route:
+        the lockstep runner in greedy mode, without a graph."""
         model = trained_tiny_kvec["model"]
         for tangle in trained_tiny_kvec["splits"]["test"]:
-            fast = {r.key: r for r in model.predict_tangle(tangle, fast=True)}
-            slow = {r.key: r for r in model.predict_tangle(tangle, fast=False)}
+            fast = {r.key: r for r in model.predict_tangle(tangle)}
+            with no_grad():
+                results, _ = model.run_episodes([tangle], mode="greedy")
+            slow = {r.key: r for r in results[0].records()}
             assert set(fast) == set(slow)
             for key, reference in slow.items():
                 record = fast[key]

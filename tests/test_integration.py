@@ -68,6 +68,6 @@ class TestEndToEnd:
             tiny_kvec_config.with_overrides(use_value_correlation=False),
         )
         tangle = tiny_splits["train"][0]
-        _, full_structure = full.encode(tangle)
-        _, independent_structure = independent.encode(tangle)
+        _, full_structure = full.encode_inference(tangle)
+        _, independent_structure = independent.encode_inference(tangle)
         assert full_structure.visible_pairs() > independent_structure.visible_pairs()
