@@ -137,10 +137,7 @@ def run_episodes_batched(
 
     config = model.config
     batch = len(tangles)
-    lengths = [
-        len(tangle) if max_items is None else min(max_items, len(tangle))
-        for tangle in tangles
-    ]
+    lengths = [tangle.prefix_length(max_items) for tangle in tangles]
     if any(length == 0 for length in lengths):
         raise ValueError("cannot run an episode on an empty tangled sequence")
     t_max = max(lengths)

@@ -71,7 +71,7 @@ def build_correlation_structure(
     The diagonal is always visible (``M[i, i] = 0``) regardless of the
     ablation switches, matching the paper's mask definition.
     """
-    length = len(tangle) if upto is None else min(upto, len(tangle))
+    length = tangle.prefix_length(upto)
     session_field = tangle.spec.session_field
 
     # Vectorised over the whole prefix (the streaming state replays the same

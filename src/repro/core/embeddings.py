@@ -107,7 +107,7 @@ class InputEmbedding(Module):
         position/time columns stay zero: those signals live on the attention
         side and the membership index is the key's stable hash slot.
         """
-        length = len(tangle) if upto is None else min(upto, len(tangle))
+        length = tangle.prefix_length(upto)
         if length == 0:
             raise ValueError("cannot embed an empty tangled sequence")
         items = tangle.items[:length]
@@ -162,19 +162,23 @@ class InputEmbedding(Module):
         return self.embed_rows(*self.coordinates(tangle, upto=upto))
 
     def forward_inference(self, tangle: TangledSequence, upto: Optional[int] = None) -> np.ndarray:
-        """Raw-array ``E0`` for ``tangle[:upto]`` (no autograd graph)."""
-        length = len(tangle) if upto is None else min(upto, len(tangle))
-        if length == 0:
-            raise ValueError("cannot embed an empty tangled sequence")
-        rows = np.empty((length, self.d_model), dtype=np.float64)
-        for index in range(length):
-            item = tangle[index]
-            rows[index] = self.embed_item_inference(
-                item,
-                key_index=tangle.key_index(item.key),
-                position=tangle.position_in_key_sequence(index),
-                time_index=index,
-            )
+        """Raw-array ``E0`` for ``tangle[:upto]`` (no autograd graph).
+
+        One table gather per signal over :meth:`coordinates`, the clipped
+        indices :meth:`forward` feeds :meth:`embed_rows`.  The gathered rows
+        are summed in the order :meth:`embed_item_inference` adds them (value
+        fields, then membership, then position and time under the absolute
+        scheme), so every row equals the per-item embed bit for bit.
+        """
+        field_codes, membership, positions, times = self.coordinates(tangle, upto=upto)
+        rows = self.value_embeddings[0].weight.data[field_codes[0]]
+        for field_index in range(1, self.spec.num_fields):
+            rows += self.value_embeddings[field_index].weight.data[field_codes[field_index]]
+        if self.use_membership_embedding:
+            rows += self.membership_embedding.weight.data[membership]
+        if self.use_time_embeddings and self.encoding == "absolute":
+            rows += self.position_embedding.weight.data[positions]
+            rows += self.time_embedding.weight.data[times]
         return rows
 
     def embed_item_inference(

@@ -256,7 +256,7 @@ class KVEC(Module):
         truncates the tangle to its first ``max_items`` items.  Records come
         in the order of each key's first appearance.
         """
-        length = len(tangle) if max_items is None else min(max_items, len(tangle))
+        length = tangle.prefix_length(max_items)
         if length == 0:
             raise ValueError("cannot run an episode on an empty tangled sequence")
         representations, _ = self.encode_inference(tangle, upto=length)
@@ -317,22 +317,15 @@ class KVEC(Module):
         ``entries`` is a sequence of ``(states_dict, key)`` pairs — one per
         stream — and ``encoded_rows`` the matching ``(B, d_model)`` rows.
         Streams are independent, so their fusion steps stack into one gate
-        GEMM (``forward_inference_batch``); fusion kinds without a batch
-        implementation fall back to the serial step.
+        GEMM (``forward_inference_batch``).
         """
-        batch_step = getattr(self.fusion, "forward_inference_batch", None)
-        if batch_step is None:
-            return [
-                self.fusion_step_inference(states, key, encoded_rows[index])
-                for index, (states, key) in enumerate(entries)
-            ]
         current = []
         for states, key in entries:
             state = states.get(key)
             current.append(
                 state if state is not None else self.fusion.initial_state_inference()
             )
-        representations, new_states = batch_step(current, encoded_rows)
+        representations, new_states = self.fusion.forward_inference_batch(current, encoded_rows)
         for (states, key), state in zip(entries, new_states):
             states[key] = state
         return [representations[index] for index in range(len(entries))]

@@ -211,6 +211,19 @@ class TangledSequence:
             sequences[item.key].append(item)
         return sequences
 
+    def prefix_length(self, upto: Optional[int] = None) -> int:
+        """Number of items in ``self[:upto]``; ``None`` means all of them.
+
+        The one rule for every ``upto``/``max_items`` truncation: a length
+        past the end is capped at ``len(self)`` and a negative one is
+        rejected (as a slice it would count from the end).
+        """
+        if upto is None:
+            return len(self.items)
+        if upto < 0:
+            raise ValueError(f"prefix length must be non-negative, got {upto}")
+        return min(upto, len(self.items))
+
     def prefix(self, length: int) -> "TangledSequence":
         """Return a tangled sequence containing only the first ``length`` items."""
         items = self.items[:length]

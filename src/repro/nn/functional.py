@@ -69,9 +69,13 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 
     Every no-grad fast path must use this (not a re-implementation) so
     fast/reference parity cannot drift; the shared clip bound lives in
-    :data:`repro.nn.tensor.SIGMOID_CLIP`.
+    :data:`repro.nn.tensor.SIGMOID_CLIP`.  The clamp is spelled as two
+    ufuncs rather than ``np.clip``: the value is the same for every input
+    (±0, ±inf and NaN included) without ``np.clip``'s Python-level
+    dispatch, which dominates at the fusion gates' small sizes.
     """
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLIP, SIGMOID_CLIP)))
+    clipped = np.minimum(np.maximum(x, -SIGMOID_CLIP), SIGMOID_CLIP)
+    return 1.0 / (1.0 + np.exp(-clipped))
 
 
 def softmax_array(x: np.ndarray) -> np.ndarray:

@@ -85,16 +85,18 @@ class LSTMCell(Module):
     def step_inference(
         self, x: np.ndarray, state: Tuple[np.ndarray, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance one step on raw arrays, mirroring :meth:`forward` numerics."""
+        """Advance one step on raw arrays, mirroring :meth:`forward` numerics.
+
+        Each gate's GEMV writes its row of one ``(4, hidden)`` buffer and
+        its bias is added in place; one sigmoid covers the forget, input
+        and output rows and one tanh the candidate.  Those are the BLAS
+        calls and elementwise ops of four separate ``Linear`` gates, so the
+        values equal the per-gate form bit for bit.  One packed
+        ``(in + hidden, 4 * hidden)`` GEMV would not: BLAS rounds it
+        differently at hidden sizes that miss its kernel width.
+        """
         hidden, cell = state
-        combined = np.concatenate([hidden, x])
-        forget = F.sigmoid_array(self.forget_gate.forward_inference(combined))
-        inp = F.sigmoid_array(self.input_gate.forward_inference(combined))
-        out = F.sigmoid_array(self.output_gate.forward_inference(combined))
-        candidate = np.tanh(self.cell_gate.forward_inference(combined))
-        new_cell = forget * cell + inp * candidate
-        new_hidden = out * np.tanh(new_cell)
-        return new_hidden, new_cell
+        return self._gates_inference(np.concatenate([hidden, x]), cell)
 
     def step_batch(
         self, xs: Tensor, states
@@ -122,20 +124,31 @@ class LSTMCell(Module):
     def step_batch_inference(
         self, xs: np.ndarray, states
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One step for ``B`` *independent* cells in a single gate GEMM.
+        """One step for ``B`` *independent* cells in a single GEMM per gate.
 
         ``xs`` has shape ``(B, input_size)`` and ``states`` is a sequence of
         ``B`` ``(hidden, cell)`` pairs (one per stream).  Returns the stacked
         ``(B, hidden)`` / ``(B, cell)`` arrays; per-row numerics match
-        :meth:`step_inference` up to BLAS summation order.
+        :meth:`step_inference` up to BLAS summation order.  The gates fill
+        one ``(4, B, hidden)`` buffer with one GEMM each, so, as in
+        :meth:`step_inference`, the values equal four separate ``Linear``
+        gates over the stacked rows bit for bit.
         """
         hidden = np.stack([state[0] for state in states])
         cell = np.stack([state[1] for state in states])
-        combined = np.concatenate([hidden, xs], axis=-1)
-        forget = F.sigmoid_array(self.forget_gate.forward_inference(combined))
-        inp = F.sigmoid_array(self.input_gate.forward_inference(combined))
-        out = F.sigmoid_array(self.output_gate.forward_inference(combined))
-        candidate = np.tanh(self.cell_gate.forward_inference(combined))
+        return self._gates_inference(np.concatenate([hidden, xs], axis=-1), cell)
+
+    def _gates_inference(
+        self, combined: np.ndarray, cell: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gate arithmetic of both numpy steps on ``(..., in + hidden)`` rows."""
+        gates = np.empty((4,) + combined.shape[:-1] + (self.hidden_size,))
+        layers = (self.forget_gate, self.input_gate, self.output_gate, self.cell_gate)
+        for slot, layer in zip(gates, layers):
+            np.matmul(combined, layer.weight.data.T, out=slot)
+            slot += layer.bias.data
+        forget, inp, out = F.sigmoid_array(gates[:3])
+        candidate = np.tanh(gates[3])
         new_cell = forget * cell + inp * candidate
         new_hidden = out * np.tanh(new_cell)
         return new_hidden, new_cell

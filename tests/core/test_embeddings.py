@@ -9,6 +9,22 @@ from repro.data.items import Item, TangledSequence, ValueSpec
 SPEC = ValueSpec(("size", "direction"), (8, 2), session_field=1)
 
 
+def item_loop_embed(embedding, tangle, upto=None):
+    """``forward_inference`` as one ``embed_item_inference`` call per item,
+    the loop the table gathers replaced, kept as their oracle."""
+    length = tangle.prefix_length(upto)
+    rows = np.empty((length, embedding.d_model), dtype=np.float64)
+    for index in range(length):
+        item = tangle[index]
+        rows[index] = embedding.embed_item_inference(
+            item,
+            key_index=tangle.key_index(item.key),
+            position=tangle.position_in_key_sequence(index),
+            time_index=index,
+        )
+    return rows
+
+
 def make_tangle(num_items=6, num_keys=2):
     items = [
         Item(f"k{i % num_keys}", (i % 8, i % 2), float(i)) for i in range(num_items)
@@ -90,3 +106,32 @@ class TestInputEmbedding:
         assert embedding.membership_embedding.weight.grad is not None
         assert embedding.position_embedding.weight.grad is not None
         assert embedding.time_embedding.weight.grad is not None
+
+
+class TestForwardInferenceGather:
+    """``forward_inference`` gathers table rows over ``coordinates()``; each
+    row must equal the per-item embed bit for bit."""
+
+    @pytest.mark.parametrize("upto", [None, 9])
+    @pytest.mark.parametrize("time", [True, False])
+    @pytest.mark.parametrize("membership", [True, False])
+    @pytest.mark.parametrize("encoding", ["absolute", "rotary"])
+    def test_equals_item_loop(self, encoding, membership, time, upto):
+        # 20 items over 3 keys overflow every table: keys past max_keys,
+        # positions past max_positions and times past max_time are clamped.
+        embedding = InputEmbedding(
+            SPEC,
+            d_model=12,
+            max_positions=4,
+            max_keys=2,
+            max_time=8,
+            use_membership_embedding=membership,
+            use_time_embeddings=time,
+            encoding=encoding,
+            rng=np.random.default_rng(0),
+        )
+        tangle = make_tangle(20, num_keys=3)
+        gathered = embedding.forward_inference(tangle, upto=upto)
+        assert gathered.shape == (tangle.prefix_length(upto), 12)
+        assert np.array_equal(gathered, item_loop_embed(embedding, tangle, upto=upto))
+        assert np.array_equal(gathered, embedding(tangle, upto=upto).data)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import KVECConfig
+from repro.core.correlation import build_correlation_structure
 from repro.core.model import KVEC, PredictionRecord
 from repro.data.items import Item, TangledSequence, ValueSpec
 
@@ -114,6 +115,26 @@ class TestEpisodes:
         for episode in result[0].episodes.values():
             assert len(episode.states) == len(episode.actions)
         assert tail.num_steps == sum(len(e.actions) for e in result[0].episodes.values())
+
+
+#: Every entry point that truncates a tangle, called with a negative length.
+NEGATIVE_PREFIX_CALLS = {
+    "coordinates": lambda model, tangle: model.input_embedding.coordinates(tangle, upto=-1),
+    "predict_tangle": lambda model, tangle: model.predict_tangle(tangle, max_items=-1),
+    "encode_inference": lambda model, tangle: model.encode_inference(tangle, upto=-1),
+    "run_episodes": lambda model, tangle: run_one(model, tangle, max_items=-1),
+    "build_correlation_structure": lambda model, tangle: build_correlation_structure(
+        tangle, upto=-1
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_PREFIX_CALLS))
+def test_negative_prefix_length_rejected(small_model, entry):
+    """A negative ``upto``/``max_items`` is refused up front instead of
+    misaligning the embedding columns or failing inside numpy."""
+    with pytest.raises(ValueError, match="prefix length must be non-negative, got -1"):
+        NEGATIVE_PREFIX_CALLS[entry](small_model, make_tangle())
 
 
 class TestPredictionInterface:

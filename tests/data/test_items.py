@@ -135,6 +135,10 @@ class TestTangledSequence:
         assert len(prefix) == 1
         assert prefix.keys == ["a"]
 
+    def test_prefix_length_caps_at_the_end(self, spec):
+        tangle = self.make_tangle(spec)
+        assert [tangle.prefix_length(n) for n in (None, 0, 1, 99)] == [len(tangle), 0, 1, len(tangle)]
+
     def test_validate_passes_on_well_formed(self, spec):
         self.make_tangle(spec).validate()
 

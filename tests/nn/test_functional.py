@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import SIGMOID_CLIP, Tensor
 
 
 class TestSoftmax:
@@ -155,3 +155,43 @@ class TestEmbeddingDropoutAndUtils:
         parts = [Tensor([1.0]), Tensor([2.0])]
         assert F.stack(parts).shape == (2, 1)
         assert F.concatenate(parts).shape == (2,)
+
+
+def clip_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The ``np.clip`` form of :func:`F.sigmoid_array`, kept as its oracle."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLIP, SIGMOID_CLIP)))
+
+
+class TestSigmoidArray:
+    EDGES = np.array(
+        [
+            0.0,
+            -0.0,
+            SIGMOID_CLIP,
+            -SIGMOID_CLIP,
+            SIGMOID_CLIP + 1e-9,
+            SIGMOID_CLIP - 1e-9,
+            -SIGMOID_CLIP + 1e-9,
+            -SIGMOID_CLIP - 1e-9,
+            np.inf,
+            -np.inf,
+            np.nan,
+        ]
+    )
+
+    @pytest.mark.parametrize("name", ["edges", "random"])
+    def test_equals_clip_form_and_tensor_sigmoid(self, name):
+        """The two-ufunc clamp gives the clip form's and the autograd
+        sigmoid's values exactly, NaN included."""
+        rng = np.random.default_rng(0)
+        x = self.EDGES if name == "edges" else rng.standard_normal(1000) * 40.0
+        out = F.sigmoid_array(x)
+        np.testing.assert_array_equal(out, clip_sigmoid(x))
+        np.testing.assert_array_equal(out, Tensor(x).sigmoid().data)
+
+    def test_scalar_input(self):
+        """The halting head passes one numpy scalar."""
+        for value in self.EDGES:
+            np.testing.assert_array_equal(
+                F.sigmoid_array(np.float64(value)), clip_sigmoid(np.float64(value))
+            )

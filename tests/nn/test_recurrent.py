@@ -5,6 +5,28 @@ import pytest
 
 from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.tensor import Tensor
+from tests.nn.test_functional import clip_sigmoid
+
+
+def four_gate_step(cell, combined, memory):
+    """The numpy step as four separate gates: one ``Linear`` GEMV/GEMM and
+    one activation per gate.  The one-buffer steps must equal it bit for bit."""
+    forget = clip_sigmoid(cell.forget_gate.forward_inference(combined))
+    inp = clip_sigmoid(cell.input_gate.forward_inference(combined))
+    out = clip_sigmoid(cell.output_gate.forward_inference(combined))
+    candidate = np.tanh(cell.cell_gate.forward_inference(combined))
+    new_memory = forget * memory + inp * candidate
+    return out * np.tanh(new_memory), new_memory
+
+
+def random_cell(input_size, hidden_size, seed):
+    """A cell with random biases on every gate (the default init zeroes
+    three of them)."""
+    rng = np.random.default_rng(seed)
+    cell = LSTMCell(input_size, hidden_size, rng=rng)
+    for gate in (cell.forget_gate, cell.input_gate, cell.output_gate, cell.cell_gate):
+        gate.bias.data = rng.standard_normal(hidden_size)
+    return cell, rng
 
 
 class TestLSTMCell:
@@ -46,6 +68,41 @@ class TestLSTMCell:
         state[0].sum().backward()
         assert x.grad is not None
         assert cell.input_gate.weight.grad is not None
+
+
+#: (input, hidden) sizes; a packed ``(in + h, 4h)`` gate GEMV rounds
+#: differently from the per-gate GEMVs at (7, 3) and (5, 5) on OpenBLAS.
+ORACLE_SIZES = [(32, 48), (7, 3), (5, 5)]
+
+
+class TestInferenceStepsMatchFourGates:
+    @pytest.mark.parametrize("sizes", ORACLE_SIZES, ids=lambda s: "in%d-h%d" % s)
+    def test_step_inference_over_20_chained_steps(self, sizes):
+        input_size, hidden_size = sizes
+        cell, rng = random_cell(input_size, hidden_size, seed=input_size * 100 + hidden_size)
+        state = reference = cell.init_state_inference()
+        for _ in range(20):
+            x = rng.standard_normal(input_size) * 3.0
+            state = cell.step_inference(x, state)
+            reference = four_gate_step(cell, np.concatenate([reference[0], x]), reference[1])
+            assert np.array_equal(state[0], reference[0])
+            assert np.array_equal(state[1], reference[1])
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("sizes", ORACLE_SIZES, ids=lambda s: "in%d-h%d" % s)
+    def test_step_batch_inference_over_20_chained_steps(self, sizes, batch):
+        input_size, hidden_size = sizes
+        cell, rng = random_cell(input_size, hidden_size, seed=batch)
+        hidden = memory = np.zeros((batch, hidden_size))
+        ref_hidden, ref_memory = hidden, memory
+        for _ in range(20):
+            xs = rng.standard_normal((batch, input_size)) * 3.0
+            hidden, memory = cell.step_batch_inference(xs, list(zip(hidden, memory)))
+            ref_hidden, ref_memory = four_gate_step(
+                cell, np.concatenate([ref_hidden, xs], axis=-1), ref_memory
+            )
+            assert np.array_equal(hidden, ref_hidden)
+            assert np.array_equal(memory, ref_memory)
 
 
 class TestLSTM:
