@@ -6,11 +6,18 @@ minibatch of B tangles together, and every training step runs through it
 
 * **Encode** — the encode is action-independent (the strictly causal mask
   means row ``t`` of a full-length pass equals what a streaming system would
-  compute after ``t`` arrivals — the PR-1 invariant), so all ``B`` samples
-  are padded to a common length and encoded as one ``(B, T, d_model)`` pass:
-  every projection, FFN and attention product is a single batched GEMM
+  compute after ``t`` arrivals), so all ``B`` samples are padded to a common
+  length and encoded together: every projection, FFN and attention product
+  is a single batched GEMM
   (:meth:`repro.core.kvrl.KVRLEncoder.forward_batch`) instead of ``B``
-  per-sample calls.
+  per-sample calls.  Rows are encoded in causal chunks, on demand: the
+  first chunk holds rows ``[0, 16)``, and whenever the loop below reaches
+  a row not encoded yet, the next chunk doubles the encoded length (capped
+  at the padded length).  A chunk's queries attend to the keys and values
+  cached from the earlier chunks.  The losses read each episode only up to
+  its halt, and rows after the last halt cannot reach them through the
+  causal mask, so rows the loop never reaches are never embedded, encoded
+  or backpropagated.
 * **Fusion/policy loop** — actions do matter here, so arrivals are walked
   round by round, but all ``B`` samples advance in lockstep: each round
   gathers the step-``t`` encoded rows of every episode still running, and
@@ -55,6 +62,17 @@ from repro.nn.functional import softmax_array
 from repro.nn.tensor import Tensor
 
 __all__ = ["BatchedStepTail", "run_episodes_batched"]
+
+#: Rows in the first causal chunk of the encode; each later chunk doubles
+#: the encoded length, capped at the padded length.  Swept on one epoch of
+#: the ``train_batched`` workload's training (320 tangles, B=16, 2-core
+#: x86-64 box, one BLAS thread), as the median ratio to one full-length
+#: encode per group over 8 alternating pairs: first chunk 16 then doubling
+#: 0.50x, first 8 0.58x, first 32 0.58x, fixed 16-row chunks 0.50x, 16
+#: then the full length 0.57x, 16 then x4 0.56x.  With a halting head that
+#: never halts (6 pairs): 16-doubling 1.01x, 16 then full 1.00x, x4 1.05x.
+#: Doubling keeps the number of chunks logarithmic in the length.
+_FIRST_CHUNK = 16
 
 
 @dataclass
@@ -135,76 +153,12 @@ def run_episodes_batched(
         if rngs is None or len(rngs) != len(tangles):
             raise ValueError("sample mode requires one RNG per tangle")
 
-    config = model.config
     batch = len(tangles)
     lengths = [tangle.prefix_length(max_items) for tangle in tangles]
     if any(length == 0 for length in lengths):
         raise ValueError("cannot run an episode on an empty tangled sequence")
     t_max = max(lengths)
-
-    use_coords = config.encoding == "rotary" and config.use_time_embeddings
-    embedding = model.input_embedding
-    d_head = model.encoder.blocks[0].attention.d_head
-    rel_bias = model.encoder.blocks[0].attention.rel_bias
-    max_rel = model.encoder.blocks[0].attention.max_relative_positions
-
-    # Per-sample precompute: correlation masks and embedding-table indices.
-    structures = [
-        build_correlation_structure(
-            tangles[i],
-            upto=lengths[i],
-            use_key_correlation=config.use_key_correlation,
-            use_value_correlation=config.use_value_correlation,
-        )
-        for i in range(batch)
-    ]
-    coords = [embedding.coordinates(tangles[i], upto=lengths[i]) for i in range(batch)]
-
-    # Stacked, padded embedding-table indices (padding gathers row 0, whose
-    # output is never selected) and per-sample additive masks.  Padding rows
-    # keep a visible diagonal so their softmax stays finite.
-    num_fields = embedding.spec.num_fields
-    field_codes = np.zeros((num_fields, batch, t_max), dtype=int)
-    membership = np.zeros((batch, t_max), dtype=int)
-    positions = np.zeros((batch, t_max), dtype=int)
-    times = np.zeros((batch, t_max), dtype=int)
-    mask = np.full((batch, t_max, t_max), MASK_VALUE, dtype=np.float64)
-    mask[:, np.arange(t_max), np.arange(t_max)] = 0.0
-    for i in range(batch):
-        length = lengths[i]
-        field_codes[:, i, :length] = coords[i][0]
-        membership[i, :length] = coords[i][1]
-        positions[i, :length] = coords[i][2]
-        times[i, :length] = coords[i][3]
-        mask[i, :length, :length] = structures[i].mask
-
-    phases = delta = same = None
-    if use_coords:
-        phases = rotary_phases(np.arange(t_max, dtype=np.float64), d_head)
-        if rel_bias is not None:
-            delta = np.zeros((batch, t_max, t_max), dtype=int)
-            same = np.zeros((batch, t_max, t_max), dtype=np.float64)
-            for i in range(batch):
-                length = lengths[i]
-                rel = model.relative_coords(tangles[i], length)
-                delta[i, :length, :length] = np.clip(
-                    rel.key_ranks[:, None] - rel.key_ranks[None, :], 0, max_rel - 1
-                )
-                same[i, :length, :length] = (
-                    rel.key_codes[:, None] == rel.key_codes[None, :]
-                ).astype(np.float64)
-
-    # One padded batched encode: every projection/FFN/attention product is a
-    # single GEMM over the whole minibatch.
-    embedded = embedding.embed_rows(
-        field_codes.reshape(num_fields, batch * t_max),
-        membership.reshape(-1),
-        positions.reshape(-1),
-        times.reshape(-1),
-    ).reshape(batch, t_max, embedding.d_model)
-    encoded = model.encoder.forward_batch(
-        embedded, mask=mask, phases=phases, delta=delta, same=same
-    )
+    padded = _pad_minibatch(model, tangles, lengths)
 
     # Episodes in tangle-major, first-appearance order; each gets a global id.
     episodes_per: List[dict] = []
@@ -227,6 +181,9 @@ def run_episodes_batched(
         episodes_per.append(episodes)
         undecided[i] = len(episodes)
 
+    cache: dict = {}  # the encoder's keys and values of rows [0, encoded)
+    start = encoded = 0  # the latest chunk holds rows [start, encoded)
+    chunk: Optional[Tensor] = None
     zero_state = model.fusion.initial_state()
     slot_states = {}
     class_refs = {}  # (sample, key) -> (reps tensor, row): rep to classify from
@@ -255,8 +212,12 @@ def run_episodes_batched(
         if not rows:
             continue
 
+        # Rows are read in order, so the chunk holding row t is the latest.
+        while t >= encoded:
+            start, encoded = encoded, _chunk_stop(encoded, t_max)
+            chunk = padded.encode(model, start, encoded, cache)
         # One gather per round: the step-t encoded rows of the live episodes.
-        xs = encoded[(np.asarray(rows), t)]
+        xs = chunk[(np.asarray(rows), t - start)]
         states = [slot_states.get((i, key), zero_state) for i, key, _ in sub]
         reps, stacked_state = model.fusion.forward_batch(states, xs)
         probabilities = model.policy.forward_batch(reps)
@@ -336,8 +297,95 @@ def run_episodes_batched(
         episode_predicted=episode_predicted,
         episode_num_obs=episode_num_obs,
     )
-    results = [
-        EpisodeResult(episodes=episodes_per[i], correlation=structures[i])
-        for i in range(batch)
-    ]
+    results = [EpisodeResult(episodes=episodes_per[i]) for i in range(batch)]
     return results, tail
+
+
+def _chunk_stop(encoded: int, t_max: int) -> int:
+    """End row of the causal chunk encoded after the first ``encoded`` rows."""
+    return min(t_max, 2 * encoded if encoded else _FIRST_CHUNK)
+
+
+@dataclass
+class _PaddedMinibatch:
+    """A minibatch's encoder inputs, padded to ``t_max`` rows.
+
+    Built once at full length; :meth:`encode` embeds and encodes any causal
+    chunk of rows from slices of it.
+    """
+
+    #: The :meth:`~repro.core.embeddings.InputEmbedding.embed_rows` indices:
+    #: field codes ``(num_fields, B, t_max)``, then membership, position and
+    #: time, each ``(B, t_max)``.
+    coordinates: Tuple[np.ndarray, ...]
+    mask: np.ndarray  # (B, t_max, t_max) additive correlation masks
+    phases: Optional[Tuple[np.ndarray, np.ndarray]] = None  # rotary (t_max, d_head)
+    delta: Optional[np.ndarray] = None  # rotary relative bias (B, t_max, t_max)
+    same: Optional[np.ndarray] = None
+
+    def encode(self, model, start: int, stop: int, cache: dict) -> Tensor:
+        """Encoded rows ``[start, stop)`` as a ``(B, stop - start, d)`` tensor.
+
+        ``cache`` is the encoder's key/value cache holding rows
+        ``[0, start)``; it gains the new rows.
+        """
+        rows = slice(start, stop)
+        seen = (slice(None), rows, slice(0, stop))
+        embedded = model.input_embedding.embed_rows(
+            *(column[..., rows].reshape(column.shape[:-2] + (-1,)) for column in self.coordinates)
+        ).reshape(self.mask.shape[0], stop - start, -1)
+        return model.encoder.forward_batch(
+            embedded,
+            mask=self.mask[seen],
+            phases=None if self.phases is None else (self.phases[0][rows], self.phases[1][rows]),
+            delta=None if self.delta is None else self.delta[seen],
+            same=None if self.same is None else self.same[seen],
+            cache=cache,
+        )
+
+
+def _pad_minibatch(
+    model, tangles: Sequence[TangledSequence], lengths: Sequence[int]
+) -> _PaddedMinibatch:
+    """Stack each tangle's first ``lengths[i]`` rows of encoder inputs.
+
+    Padding rows gather embedding-table row 0 (their outputs are never
+    selected) and keep a visible diagonal so their softmax stays finite.
+    """
+    config = model.config
+    embedding = model.input_embedding
+    attention = model.encoder.blocks[0].attention
+    batch, t_max = len(tangles), max(lengths)
+    padded = _PaddedMinibatch(
+        coordinates=(
+            np.zeros((embedding.spec.num_fields, batch, t_max), dtype=int),
+            *(np.zeros((batch, t_max), dtype=int) for _ in range(3)),
+        ),
+        mask=np.full((batch, t_max, t_max), MASK_VALUE, dtype=np.float64),
+    )
+    padded.mask[:, np.arange(t_max), np.arange(t_max)] = 0.0
+    for i, (tangle, length) in enumerate(zip(tangles, lengths)):
+        for column, values in zip(padded.coordinates, embedding.coordinates(tangle, upto=length)):
+            column[..., i, :length] = values
+        padded.mask[i, :length, :length] = build_correlation_structure(
+            tangle,
+            upto=length,
+            use_key_correlation=config.use_key_correlation,
+            use_value_correlation=config.use_value_correlation,
+        ).mask
+
+    if config.encoding == "rotary" and config.use_time_embeddings:
+        padded.phases = rotary_phases(np.arange(t_max, dtype=np.float64), attention.d_head)
+        if attention.rel_bias is not None:
+            max_rel = attention.max_relative_positions
+            padded.delta = np.zeros((batch, t_max, t_max), dtype=int)
+            padded.same = np.zeros((batch, t_max, t_max), dtype=np.float64)
+            for i, (tangle, length) in enumerate(zip(tangles, lengths)):
+                rel = model.relative_coords(tangle, length)
+                padded.delta[i, :length, :length] = np.clip(
+                    rel.key_ranks[:, None] - rel.key_ranks[None, :], 0, max_rel - 1
+                )
+                padded.same[i, :length, :length] = (
+                    rel.key_codes[:, None] == rel.key_codes[None, :]
+                ).astype(np.float64)
+    return padded

@@ -55,6 +55,7 @@ class KVRLBlock(Module):
         phases: Optional[tuple] = None,
         delta: Optional[np.ndarray] = None,
         same: Optional[np.ndarray] = None,
+        cache: Optional[dict] = None,
     ) -> Tensor:
         """The block's autograd forward over a stacked ``(B, T, d)`` batch.
 
@@ -64,10 +65,13 @@ class KVRLBlock(Module):
         nodes, so gradients reach every block parameter.  One sequence is
         ``B=1``.  Sample ``b`` matches running it alone up to BLAS summation
         order; exact parity additionally requires ``dropout == 0``, since
-        dropout masks are drawn over the whole batch.
+        dropout masks are drawn over the whole batch.  ``cache`` is the
+        attention's key/value cache for encoding in causal chunks (see
+        :meth:`MultiHeadAttention.forward_batch`); everything after the
+        attention is row-wise.
         """
         attended = self.attention.forward_batch(
-            x, mask=mask, phases=phases, delta=delta, same=same
+            x, mask=mask, phases=phases, delta=delta, same=same, cache=cache
         )
         if self.dropout is not None:
             attended = self.dropout(attended)
@@ -193,6 +197,7 @@ class KVRLEncoder(Module):
         phases: Optional[tuple] = None,
         delta: Optional[np.ndarray] = None,
         same: Optional[np.ndarray] = None,
+        cache: Optional[dict] = None,
     ) -> Tensor:
         """Refine stacked ``(B, T, d_model)`` embeddings under ``mask``.
 
@@ -200,10 +205,23 @@ class KVRLEncoder(Module):
         for the per-sample parity contract.  The rotary ``phases`` are
         shared across blocks (positions do not change between blocks) so
         callers compute them once.
+
+        With ``cache`` (a dict the caller owns, empty before the first
+        chunk) the embeddings are the next causal chunk of rows and the
+        mask-like inputs its ``(B, L_new, L_seen)`` blocks; each block keeps
+        its keys and values under its index (see
+        :meth:`MultiHeadAttention.forward_batch`).
         """
         x = embeddings
-        for block in self.blocks:
-            x = block.forward_batch(x, mask=mask, phases=phases, delta=delta, same=same)
+        for index, block in enumerate(self.blocks):
+            x = block.forward_batch(
+                x,
+                mask=mask,
+                phases=phases,
+                delta=delta,
+                same=same,
+                cache=None if cache is None else cache.setdefault(index, {}),
+            )
         return x
 
     def forward_inference(

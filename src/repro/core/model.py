@@ -6,8 +6,9 @@ exactly the representation the streaming system would have computed after
 observing ``t`` items — so episodes are generated efficiently without
 re-encoding the prefix at every step, while remaining faithful to the
 paper's streaming semantics.  Training runs a minibatch of tangles in
-lockstep (:meth:`KVEC.run_episodes`); :meth:`KVEC.predict_tangle`
-classifies one tangle on the raw-numpy inference path.
+lockstep (:meth:`KVEC.run_episodes`), encoding rows in causal chunks only
+as far as its episodes read; :meth:`KVEC.predict_tangle` classifies one
+tangle on the raw-numpy inference path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.core.classifier import SequenceClassifier
 from repro.core.config import KVECConfig
-from repro.core.correlation import CorrelationStructure, build_correlation_structure
+from repro.core.correlation import build_correlation_structure
 from repro.core.ectl import BaselineValue, HaltingPolicy
 from repro.core.embeddings import InputEmbedding
 from repro.core.fusion import make_fusion
@@ -91,7 +92,6 @@ class EpisodeResult:
     """The result of running KVEC over one tangled sequence."""
 
     episodes: Dict[Hashable, KeyEpisode]
-    correlation: CorrelationStructure
 
     def records(self) -> List[PredictionRecord]:
         return [episode.to_record() for episode in self.episodes.values()]
@@ -223,8 +223,11 @@ class KVEC(Module):
         """Run one episode per tangle, executing the minibatch in lockstep.
 
         The training path: one GEMM per layer and arrival round across the
-        whole minibatch.  ``mode="sample"`` draws Halt/Wait from one RNG
-        per tangle; ``"greedy"`` halts at ``halt_threshold``.  Returns
+        whole minibatch.  The padded minibatch is encoded in causal chunks
+        on demand (rows ``[0, 16)`` first, then doubling), so rows after
+        the last episode halts are never encoded or backpropagated.
+        ``mode="sample"`` draws Halt/Wait from one RNG per tangle;
+        ``"greedy"`` halts at ``halt_threshold``.  Returns
         ``(results, tail)``; see
         :func:`repro.core.batched_episodes.run_episodes_batched` for the
         tail layout.

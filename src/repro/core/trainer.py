@@ -167,6 +167,13 @@ class KVECTrainer:
         ``baseline_loss`` is the baseline network's MSE, built on detached
         states so its gradient does not reach the representation parameters.
         """
+        if not batch:
+            raise ValueError("batched_episode_losses requires at least one tangle")
+        if len(rngs) != len(batch):
+            raise ValueError(
+                f"batched_episode_losses needs one RNG per tangle: got {len(rngs)} "
+                f"RNGs for {len(batch)} tangles"
+            )
         groups = self._length_buckets(batch)
         results: List[Optional[EpisodeResult]] = [None] * len(batch)
         total: Optional[Tensor] = None

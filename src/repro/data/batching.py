@@ -3,10 +3,11 @@
 The unit of training in KVEC is one *episode* per tangled key-value sequence
 (Algorithm 1 iterates over the tangled sequences of the training set).  The
 :class:`EpisodeBatcher` shuffles tangled sequences every epoch and yields them
-in (optionally) fixed-size groups so a trainer can accumulate gradients over
-"batches" of tangled sequences before an optimizer step — the numpy substrate
-has no batched sequence dimension, so the batch here is a gradient
-accumulation window, matching the paper's batch size of 64.
+in (optionally) fixed-size groups, one minibatch per optimizer step (the
+paper uses 64).  The trainer runs each minibatch's episodes together: it
+splits the minibatch into length-homogeneous groups, pads each group's
+tangles to a common length and encodes them as ``(B, T, d_model)`` batches
+(:mod:`repro.core.batched_episodes`).
 """
 
 from __future__ import annotations

@@ -398,6 +398,7 @@ class MultiHeadAttention(Module):
         phases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         delta: Optional[np.ndarray] = None,
         same: Optional[np.ndarray] = None,
+        cache: Optional[dict] = None,
     ) -> Tensor:
         """Self-attention over a stacked minibatch: the autograd forward.
 
@@ -412,6 +413,16 @@ class MultiHeadAttention(Module):
         ``arange(T)`` for every sample) and ``delta`` / ``same`` the
         per-sample relative-bias coordinate matrices of shape ``(B, T, T)``.
 
+        ``cache`` encodes a sequence in causal chunks.  It is a dict the
+        caller owns, empty before the first chunk, in which each call keeps
+        the rotated keys and values of every row seen so far (graph tensors,
+        so gradients reach the earlier chunks).  ``x`` then holds only the
+        ``L_new`` new rows; they attend to the ``L_seen`` rows cached before
+        them plus themselves, so ``mask``, ``delta`` and ``same`` are the new
+        rows' ``(B, L_new, L_seen)`` blocks and ``phases`` the new rows'
+        phases.  Encoding ``[0, a)`` then ``[a, T)`` gives the rows of one
+        ``T``-row call up to BLAS summation order.
+
         Sample ``b``'s rows match running that sample alone at ``B=1`` up to
         BLAS summation order (1e-12-scale).  Projections, scores and the
         attention product each run as a single batched GEMM.
@@ -419,6 +430,12 @@ class MultiHeadAttention(Module):
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, d_model) input, got shape {x.shape}")
         batch, length = x.shape[0], x.shape[1]
+        cached = cache["key"].shape[2] if cache else 0
+        if mask is not None and np.shape(mask)[-1] != cached + length:
+            raise ValueError(
+                f"mask of shape {np.shape(mask)} does not cover {cached} cached rows "
+                f"plus the {length} new rows of input shape {x.shape}"
+            )
         query = self._split_heads_batch(self.q_proj(x), batch, length)
         key = self._split_heads_batch(self.k_proj(x), batch, length)
         value = self._split_heads_batch(self.v_proj(x), batch, length)
@@ -434,6 +451,11 @@ class MultiHeadAttention(Module):
                 bias = self.rel_bias(delta).transpose(0, 3, 1, 2) * Tensor(
                     same[:, None, :, :]
                 )
+        if cache:
+            key = Tensor.concatenate([cache["key"], key], axis=2)
+            value = Tensor.concatenate([cache["value"], value], axis=2)
+        if cache is not None:
+            cache["key"], cache["value"] = key, value
 
         head_mask = None
         if mask is not None:

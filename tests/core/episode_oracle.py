@@ -33,7 +33,7 @@ LOSS_PARTS = ("classification_loss", "policy_loss", "earliness_loss", "baseline_
 
 
 def encode(model, tangle):
-    """``(representations, structure)``: the ``(T, d_model)`` encode of ``tangle``."""
+    """The ``(T, d_model)`` one-shot encode of ``tangle``."""
     length = len(tangle)
     d_model = model.config.d_model
     structure = build_correlation_structure(
@@ -56,7 +56,7 @@ def encode(model, tangle):
         delta=delta,
         same=same,
     )
-    return encoded.reshape(length, d_model), structure
+    return encoded.reshape(length, d_model)
 
 
 def run_episode(model, tangle, rng: np.random.Generator):
@@ -66,7 +66,7 @@ def run_episode(model, tangle, rng: np.random.Generator):
     and per key the classifier logits at the decision state and the
     chosen-action log-probability of every step.
     """
-    representations, structure = encode(model, tangle)
+    representations = encode(model, tangle)
     episodes: Dict[Hashable, KeyEpisode] = {}
     for item in tangle.items:
         if item.key not in episodes:
@@ -109,7 +109,7 @@ def run_episode(model, tangle, rng: np.random.Generator):
     for episode in episodes.values():
         if not episode.halted:
             classify(episode, episode.states[-1], halted_by_policy=False)
-    return EpisodeResult(episodes=episodes, correlation=structure), logits, log_probs
+    return EpisodeResult(episodes=episodes), logits, log_probs
 
 
 def tangle_losses(model, config, tangle, rng: np.random.Generator):

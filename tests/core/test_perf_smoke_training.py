@@ -1,5 +1,7 @@
 """Perf smoke: batched training must beat one call per tangle 2x at B=16,
-and the fused attention node must beat the composite chain it replaced.
+the fused attention node must beat the composite chain it replaced, and
+the runner's causal-chunk encode must cost at most 1.25x one full-length
+encode when every chunk runs.
 
 Deselected by default (see ``pytest.ini``); run with ``pytest -m perf_smoke``.
 In the training gate, one lockstep ``batched_episode_losses`` call per
@@ -18,8 +20,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import batched_episodes
+from repro.core.config import KVECConfig
+from repro.core.model import KVEC
+from repro.data.splits import split_by_key
+from repro.data.tangle import retangle_by_concurrency
+from repro.datasets.traffic import make_ustc_tfc2016
 from repro.nn.attention import scaled_dot_product_attention
 from repro.nn.tensor import Tensor
+from tests.core.test_chunked_encode import _runner_stops
 from tests.nn.test_fused_nodes import composite_attention, random_mask
 
 pytestmark = pytest.mark.perf_smoke
@@ -75,6 +84,72 @@ def test_fused_attention_at_most_0_7x_composite():
         "fused_ms": fused * 1e3,
         "composite_ms": composite * 1e3,
         "ratio": fused / composite,
+    }
+
+
+#: Pairs of the chunked-encode gate.  A full-length encode in the runner's
+#: chunks (16, 32, 64, then the rest up to t_max = 76) read 0.97-1.06x the
+#: one-shot encode on a 2-core x86-64 host; re-encoding the whole prefix at
+#: every growth step, with no key/value cache, read 2.15-2.32x.
+CHUNKED_PAIRS = 30
+CHUNKED_RATIO_GATE = 1.25
+
+
+def _encode_step_seconds(model, padded, upstream, stops) -> float:
+    """Embed + encode forward and backward over chunks ending at ``stops``."""
+    model.zero_grad()
+    start = time.perf_counter()
+    cache: dict = {}
+    loss, begin = None, 0
+    for stop in stops:
+        chunk = padded.encode(model, begin, stop, cache)
+        term = (chunk * Tensor(upstream[:, begin:stop])).sum()
+        loss = term if loss is None else loss + term
+        begin = stop
+    loss.backward()
+    return time.perf_counter() - start
+
+
+def test_chunked_encode_at_most_1_25x_one_shot():
+    """Encoding every row in the runner's causal chunks costs at most 1.25x
+    one full-length encode, forward plus backward, at the ``train_batched``
+    shape: B=16 tangles of concurrency-2 USTC-TFC2016 flows (t_max 76)
+    with their real correlation masks, the default absolute-encoding
+    model.  This is the never-halting worst case of on-demand chunking:
+    the key/value cache must keep the chunks from re-encoding the prefix.
+    Both legs run in 30 interleaved pairs (alternating which goes first).
+    """
+    dataset = make_ustc_tfc2016(num_flows=200, seed=GATE_SEED)
+    split = split_by_key(dataset.sequences, rng=np.random.default_rng(GATE_SEED))
+    tangles = retangle_by_concurrency(
+        split.train, dataset.spec, 2, rng=np.random.default_rng(GATE_SEED)
+    )[:16]
+    model = KVEC(
+        dataset.spec,
+        dataset.num_classes,
+        KVECConfig(dropout=0.0, batch_size=16, encoding="absolute", seed=GATE_SEED),
+    )
+    lengths = [len(tangle) for tangle in tangles]
+    t_max = max(lengths)
+    padded = batched_episodes._pad_minibatch(model, tangles, lengths)
+    upstream = np.random.default_rng(GATE_SEED).standard_normal(
+        (len(tangles), t_max, model.config.d_model)
+    )
+    stops = {"one_shot": [t_max], "chunked": _runner_stops(t_max)}
+    assert len(stops["chunked"]) > 2, t_max
+    times = {name: [] for name in stops}
+    order = list(stops)
+    for name in order:  # warm-up
+        _encode_step_seconds(model, padded, upstream, stops[name])
+    for pair in range(CHUNKED_PAIRS):
+        for name in order if pair % 2 == 0 else order[::-1]:
+            times[name].append(_encode_step_seconds(model, padded, upstream, stops[name]))
+    one_shot, chunked = (float(np.median(times[name])) for name in order)
+    assert chunked <= CHUNKED_RATIO_GATE * one_shot, {
+        "stops": stops["chunked"],
+        "one_shot_ms": one_shot * 1e3,
+        "chunked_ms": chunked * 1e3,
+        "ratio": chunked / one_shot,
     }
 
 

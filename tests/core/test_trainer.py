@@ -33,6 +33,22 @@ class TestEpisodeLosses:
         assert any(p.grad is not None for p in model.trainable_parameters())
         assert any(p.grad is not None for p in model.baseline.parameters())
 
+    @pytest.mark.parametrize(
+        "num_tangles, num_rngs, match",
+        [
+            (0, 0, "requires at least one tangle"),
+            (2, 1, "got 1 RNGs for 2 tangles"),
+            (2, 3, "got 3 RNGs for 2 tangles"),
+        ],
+    )
+    def test_malformed_minibatch_rejected(
+        self, tiny_splits, tiny_kvec_config, num_tangles, num_rngs, match
+    ):
+        model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
+        rngs = [np.random.default_rng(seed) for seed in range(num_rngs)]
+        with pytest.raises(ValueError, match=match):
+            KVECTrainer(model).batched_episode_losses(tiny_splits["train"][:num_tangles], rngs)
+
     def test_baseline_loss_does_not_touch_encoder(self, tiny_splits, tiny_kvec_config):
         model = KVEC(tiny_splits["spec"], tiny_splits["num_classes"], tiny_kvec_config)
         trainer = KVECTrainer(model)

@@ -52,6 +52,19 @@ class TestMultiHeadAttention:
         with pytest.raises(ValueError):
             attention.forward_batch(Tensor(np.zeros((3, 8))))
 
+    @pytest.mark.parametrize("columns", [6, 8])
+    def test_rejects_mask_not_covering_cached_plus_new_rows(self, columns):
+        """A chunk's mask has one column per cached row plus new row (4 + 3)."""
+        attention = MultiHeadAttention(8, num_heads=2, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 7, 8))
+        cache: dict = {}
+        attention.forward_batch(Tensor(x[:, :4]), mask=causal_mask(7)[None, :4, :4], cache=cache)
+        mask = np.zeros((2, 3, columns))
+        match = r"\(2, 3, %d\).*4 cached rows.*\(2, 3, 8\)" % columns
+        with pytest.raises(ValueError, match=match):
+            attention.forward_batch(Tensor(x[:, 4:]), mask=mask, cache=cache)
+        assert cache["key"].shape[2] == 4  # the rejected chunk left the cache as it was
+
     def test_stores_attention_weights_only_when_requested(self):
         attention = MultiHeadAttention(8, num_heads=2, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((5, 8))
