@@ -16,13 +16,13 @@ The tentpole acceptance gate of the sharded-cluster PR is the
 serial per-arrival encoding by >= 2x at batch >= 8, window 256, rotary
 (asserted by ``pytest -m perf_smoke``).
 
-The parallel-execution PR adds ``run_parallel_throughput``: an **executor ×
-shard-count × batch-policy × traffic-shape** sweep (serial vs thread worker
-pool, fixed vs adaptive drain batching, uniform vs Zipf-skewed streams) over
-the drain-scheduling serving pattern (``auto_drain=False``: submissions
-enqueue, explicit drains let the thread backend overlap shards on real
-cores).  Its gate — ``run_parallel_drain_gate``, asserted by ``pytest -m
-perf_smoke`` on multi-core machines — requires the thread backend to drain
+``run_parallel_throughput`` is an **executor × shard-count × traffic-shape**
+sweep (serial vs thread worker pool, uniform vs Zipf-skewed streams, rounds
+of at most ``FIXED_BATCH`` arrivals) over the drain-scheduling serving
+pattern (``auto_drain=False``: submissions enqueue, explicit drains let the
+thread backend overlap shards on real cores).  Its gate —
+``run_parallel_drain_gate``, asserted by ``pytest -m perf_smoke`` on
+multi-core machines — requires the thread backend to drain
 >= 1.5x faster than the serial backend at 4 shards, window 128, 64 streams.
 
 The network-tier PR adds ``run_net_throughput``: identical traffic submitted
@@ -73,11 +73,10 @@ SCALES = {
 SHARD_COUNTS = (1, 2, 4)
 BATCH_SIZES = (1, 8, 16)
 
-#: Parallel sweep axes: executor backend x batch policy x traffic shape.
+#: Parallel sweep axes: executor backend x traffic shape.
 EXECUTORS = ("serial", "thread")
-BATCH_POLICIES = ("fixed", "auto")
 TRAFFIC_SHAPES = ("uniform", "zipf")
-#: Fixed-policy round width of the parallel sweep (the PR-3 sweet spot).
+#: Round width of the parallel sweep.
 FIXED_BATCH = 16
 
 
@@ -143,7 +142,6 @@ def measure_cluster(
         ClusterConfig(
             num_shards=num_shards,
             batch_size=batch_size,
-            batched=batch_size > 1,
             # halt_threshold=1.0 keeps every key pending — the worst case,
             # where no early decision shrinks any session's work.
             engine=EngineConfig(window_items=window, halt_threshold=1.0),
@@ -210,7 +208,6 @@ def measure_parallel_drain(
     window: int,
     num_shards: int,
     executor: str,
-    batch_policy: str,
     repeats: int = 2,
 ) -> Dict[str, object]:
     """Wall-clock one cluster drain under the drain-scheduling pattern.
@@ -225,8 +222,7 @@ def measure_parallel_drain(
     for _ in range(repeats):
         config = ClusterConfig(
             num_shards=num_shards,
-            batch_size="auto" if batch_policy == "auto" else FIXED_BATCH,
-            batched=True,
+            batch_size=FIXED_BATCH,
             auto_drain=False,
             max_queue=len(events) + 1,
             executor=executor,
@@ -258,7 +254,7 @@ def measure_parallel_drain(
 def run_parallel_throughput(
     scale_name: str, emit_json: bool = True, seed: int = 0
 ) -> Dict[str, object]:
-    """Executor x shard-count x batch-policy x traffic-shape drain sweep."""
+    """Executor x shard-count x traffic-shape drain sweep."""
     window, num_streams, num_sequences, sequence_length = SCALES.get(
         scale_name, SCALES["bench"]
     )
@@ -275,18 +271,16 @@ def run_parallel_throughput(
         )
         grid: Dict[str, Dict[str, object]] = {}
         for num_shards in SHARD_COUNTS:
-            row: Dict[str, object] = {}
-            for executor in EXECUTORS:
-                for policy in BATCH_POLICIES:
-                    row[f"{executor}/{policy}"] = measure_parallel_drain(
-                        model, events, window, num_shards, executor, policy
-                    )
-            for policy in BATCH_POLICIES:
-                serial_rate = row[f"serial/{policy}"]["throughput_items_per_sec"]
-                cell = row[f"thread/{policy}"]
-                cell["speedup_vs_serial"] = (
-                    cell["throughput_items_per_sec"] / serial_rate
+            row: Dict[str, object] = {
+                executor: measure_parallel_drain(
+                    model, events, window, num_shards, executor
                 )
+                for executor in EXECUTORS
+            }
+            row["thread"]["speedup_vs_serial"] = (
+                row["thread"]["throughput_items_per_sec"]
+                / row["serial"]["throughput_items_per_sec"]
+            )
             grid[str(num_shards)] = row
         traffic[shape] = {"stream_items": len(events), "shards": grid}
 
@@ -324,7 +318,7 @@ def run_parallel_drain_gate(
     events = make_traffic(num_streams, 128, 48, seed=seed, stream_skew=0.0)
     cells = {
         executor: measure_parallel_drain(
-            model, events, window, num_shards, executor, "fixed", repeats=repeats
+            model, events, window, num_shards, executor, repeats=repeats
         )
         for executor in EXECUTORS
     }
@@ -599,11 +593,7 @@ def test_parallel_throughput(benchmark, scale_name):
     for shape in TRAFFIC_SHAPES:
         for num_shards in SHARD_COUNTS:
             row = result["traffic"][shape]["shards"][str(num_shards)]
-            assert set(row) == {
-                f"{executor}/{policy}"
-                for executor in EXECUTORS
-                for policy in BATCH_POLICIES
-            }
+            assert set(row) == set(EXECUTORS)
 
 
 def test_cluster_throughput(benchmark, scale_name):

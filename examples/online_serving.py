@@ -19,10 +19,9 @@ network flow while its packets are still arriving.  This example
    the sharded :class:`ServingCluster` underneath (hash-routed shards,
    cross-stream batched encoding),
 7. turns on the parallel backend: bursty Zipf-skewed traffic served by a
-   thread worker pool (one pinned worker per shard) with adaptive drain
-   batching (``batch_size="auto"``) — hot shards batch wide, cold shards
-   stay at per-arrival latency, and explicit drains overlap all shards on
-   real cores,
+   thread worker pool (one pinned worker per shard) in drain rounds of at
+   most 16 arrivals; explicit drains overlap all shards on real cores, and
+   the report prints each shard's realized round width,
 8. kills a shard mid-run with the seeded :class:`FaultInjector` and watches
    the supervision layer recover it from its periodic checkpoint — the
    replayed decisions match a never-crashed run for every non-lost arrival,
@@ -220,11 +219,11 @@ def main() -> None:
     # Zipf stream skew — the worst case for a serial cluster: one hot shard
     # backs up while the others idle.  The thread executor pins each of the
     # 4 shards to its own pool worker, so an explicit drain() runs all
-    # shards concurrently (numpy releases the GIL inside the batched GEMMs),
-    # and batch_size="auto" lets each shard's controller pick its round
-    # width from its own backlog and latency EWMA.  Decisions are identical
-    # to the serial cluster per stream — the parity suite pins that — only
-    # the wall-clock changes.
+    # shards concurrently (numpy releases the GIL inside the batched GEMMs).
+    # A round takes at most batch_size=16 arrivals, one per stream, so how
+    # wide rounds really run depends on how many streams each shard holds.
+    # Decisions are identical to the serial cluster per stream — the parity
+    # suite pins that — only the wall-clock changes.
     bursty = MultiStreamSimulator(
         test_flows,
         MultiStreamConfig(
@@ -246,7 +245,7 @@ def main() -> None:
         dataset.spec,
         ClusterConfig(
             num_shards=4,
-            batch_size="auto",
+            batch_size=16,
             executor="thread",
             auto_drain=False,
             max_queue=4096,
@@ -267,7 +266,7 @@ def main() -> None:
             monitor.observe(stream_decision.decision)
 
         print()
-        print("=== parallel cluster report (thread executor, auto batching) ===")
+        print("=== parallel cluster report (thread executor, batch_size=16) ===")
         print(monitor.report())
         stats = parallel_cluster.stats()
         print(
@@ -276,16 +275,11 @@ def main() -> None:
             f"round p50={stats['round_latency_ms']['p50']:.2f}ms "
             f"p99={stats['round_latency_ms']['p99']:.2f}ms"
         )
-        # Realized widths, not stats()["round_widths"]: after flush() the
-        # queues are empty and every controller is back at its floor.
         mean_widths = [
             round(snap["rows"] / snap["rounds"], 2) if snap["rounds"] else 0.0
             for snap in stats["shard_monitors"]
         ]
-        print(
-            f"mean drain-round widths per shard: {mean_widths} "
-            f"(hot shards batched wide, cold shards stayed near the floor)"
-        )
+        print(f"mean drain-round widths per shard: {mean_widths}")
 
     # ------------------------------------------------------------------ #
     # 8. Fault injection and checkpoint crash recovery

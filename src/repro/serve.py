@@ -150,8 +150,12 @@ async def _serve_forever(server: ServingHTTPServer, executor: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    server = _build_stack(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        server = _build_stack(args)
+    except ValueError as error:
+        parser.error(str(error))
     try:
         if args.selftest is not None:
             return asyncio.run(_selftest(server, args.selftest, args.seed))

@@ -17,9 +17,10 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   historical single-stream name (an alias),
 * :class:`~repro.serving.cluster.ServingCluster` — hash-routes stream ids
   across :class:`~repro.serving.cluster.ShardWorker` instances, applies
-  bounded-queue admission control, drains each shard with cross-stream
-  *batched* row encoding (inline on the caller, or overlapped across cores
-  by the :mod:`~repro.serving.parallel` thread backend), and supports
+  bounded-queue admission control, drains each shard in rounds of at most
+  ``batch_size`` arrivals with cross-stream *batched* row encoding (inline
+  on the caller, or overlapped across cores by the
+  :mod:`~repro.serving.parallel` thread backend), and supports
   snapshot/restore plus an explicit running → draining → closed lifecycle,
 * **push-based delivery** — :meth:`~repro.serving.cluster.ServingCluster.submit`
   returns a :class:`~repro.serving.results.SubmitResult` (explicit
@@ -115,8 +116,6 @@ from repro.serving.monitoring import (
 )
 from repro.serving.parallel import (
     AbandonedJobError,
-    AdaptiveBatchConfig,
-    AdaptiveBatchController,
     JobHandle,
     SerialExecutor,
     ShardExecutor,
@@ -192,8 +191,6 @@ __all__ = [
     "ThreadExecutor",
     "JobHandle",
     "AbandonedJobError",
-    "AdaptiveBatchConfig",
-    "AdaptiveBatchController",
     "ArrivalSimulator",
     "SimulatorConfig",
     "MultiStreamConfig",

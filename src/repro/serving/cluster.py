@@ -11,8 +11,9 @@ to many concurrent streams:
   rows in **one cross-stream batch** via
   :func:`repro.core.incremental.append_batch` — one ``(B, d_model)`` GEMM per
   projection/FFN and one batched attention einsum per block instead of ``B``
-  separate O(W·d) GEMV chains — and finally lets each session take its
-  halting decisions.  Streams are independent, so the batch is pure
+  separate O(W·d) GEMV chains (a round with one pending row encodes it
+  alone) — and finally lets each session take its halting decisions.
+  Streams are independent, so the batch is pure
   math-level restructuring: per-stream decisions are identical to feeding a
   dedicated single-stream engine (the cluster parity suite pins this for
   evictions, flush and snapshot/restore alike).
@@ -40,11 +41,8 @@ decision sequence is identical to the serial backend's, which the parity
 suite pins.  Submission-path rounds (``auto_drain`` triggers and ``"drain"``
 overflow backpressure) are dispatched to the owning shard's pinned worker
 and waited on, so session state never crosses threads even on the submit
-path.  Drain-round width is either the fixed ``batch_size`` or, with
-``batch_size="auto"``, chosen per shard by an
-:class:`~repro.serving.parallel.AdaptiveBatchController` from the observed
-backlog and per-round latency EWMA (hot shards batch wide, cold shards stay
-at per-arrival latency).
+path.  Every round is at most ``batch_size`` arrivals wide on either
+backend.
 
 Push-based delivery (:mod:`repro.serving.results`,
 :mod:`repro.serving.sinks`): :meth:`ShardWorker.submit` and
@@ -90,11 +88,9 @@ Snapshots are deep copies of every shard's sessions, queues and counters
 that *share* the (immutable at serving time) model weights: taking one does
 not stop the cluster, restoring one rewinds it bit-for-bit, and a snapshot
 can be restored any number of times — the basis for failover and shard
-migration experiments.  Adaptive-batch controller state is runtime tuning,
-not serving state: a restore resets it (round widths never affect which
-decisions are emitted, so replays stay exact).  Sink subscriptions, pending
-deliveries and throughput meters are delivery-time constructs, not serving
-state: a restore neither rescinds nor re-fires anything already published
+migration experiments.  Sink subscriptions, pending deliveries and
+throughput meters are delivery-time constructs, not serving state: a
+restore neither rescinds nor re-fires anything already published
 (replaying events after a restore re-emits the replayed decisions to
 subscribers, exactly as the returned-list API hands the caller the replayed
 lists).
@@ -119,7 +115,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -136,10 +131,7 @@ from repro.serving.sinks import DecisionSink, FanOutSink
 from repro.serving.supervisor import ShardSupervisor, SupervisorConfig
 from repro.serving.parallel import (
     AbandonedJobError,
-    AdaptiveBatchConfig,
-    AdaptiveBatchController,
     JobHandle,
-    SerialExecutor,
     ShardExecutor,
     make_executor,
 )
@@ -197,15 +189,6 @@ class ClusterConfig:
     batch_size:
         Maximum arrivals drained per round — the cap on the cross-stream
         encoding batch.  ``1`` degenerates to the serial per-arrival loop.
-        The string ``"auto"`` enables per-shard adaptive sizing: each
-        shard's :class:`~repro.serving.parallel.AdaptiveBatchController`
-        widens rounds from observed backlog and narrows them under the
-        ``adaptive`` latency budget.  Requires ``auto_drain=False`` (drain
-        scheduling): synchronous auto-drain serves every arrival the moment
-        the queue reaches the current width, so no backlog can ever form
-        and the controller would be pinned at its width floor — per-arrival
-        GEMV serving with none of the cross-stream batching.  Rejected at
-        construction instead of degrading silently.
     max_queue:
         Bound of each shard's arrival queue; admission control engages when
         an arrival finds the queue at this depth.
@@ -214,12 +197,8 @@ class ClusterConfig:
         one round to make room (backpressure by doing the work now),
         ``"reject"`` raises :class:`ShardOverloadError`, ``"shed"`` drops the
         newest arrival and counts it.
-    batched:
-        Use the cross-stream batched encoding when a round has two or more
-        encodable arrivals.  Off means every session encodes serially —
-        same decisions, batch-level BLAS throughput forfeited.
     auto_drain:
-        Drain whenever a shard's queue reaches the current round width (the
+        Drain whenever a shard's queue reaches ``batch_size`` (the
         default synchronous serving mode).  When off, arrivals only queue
         and the caller schedules :meth:`ServingCluster.drain` explicitly —
         the pattern that lets the thread executor overlap shards.
@@ -233,9 +212,6 @@ class ClusterConfig:
         ``num_shards`` — an excess worker could never receive a pinned
         shard).  Default: one thread per shard.  Ignored by the serial
         backend.
-    adaptive:
-        Controller knobs used when ``batch_size="auto"``
-        (:class:`~repro.serving.parallel.AdaptiveBatchConfig`).
     stats_window:
         Wall-clock span (seconds) of the sliding throughput window behind
         ``stats()["items_per_s"]`` / ``["decisions_per_s"]``.
@@ -255,14 +231,12 @@ class ClusterConfig:
     """
 
     num_shards: int = 1
-    batch_size: Union[int, str] = 8
+    batch_size: int = 8
     max_queue: int = 1024
     overflow: str = "drain"
-    batched: bool = True
     auto_drain: bool = True
     executor: str = "serial"
     num_workers: Optional[int] = None
-    adaptive: AdaptiveBatchConfig = field(default_factory=AdaptiveBatchConfig)
     stats_window: float = 60.0
     supervision: SupervisorConfig = field(default_factory=SupervisorConfig)
     faults: Optional[FaultInjector] = None
@@ -271,16 +245,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if self.batch_size == "auto":
-            if self.auto_drain:
-                raise ValueError(
-                    "batch_size='auto' requires auto_drain=False: synchronous "
-                    "auto-drain never lets a backlog form, so the adaptive "
-                    "controller would be stuck at its width floor (per-arrival "
-                    "serving); schedule explicit drain()/flush() calls instead"
-                )
-        elif not isinstance(self.batch_size, int) or self.batch_size <= 0:
-            raise ValueError("batch_size must be a positive int or 'auto'")
+        if not isinstance(self.batch_size, int) or self.batch_size <= 0:
+            raise ValueError("batch_size must be a positive int")
         if self.max_queue <= 0:
             raise ValueError("max_queue must be positive")
         if self.overflow not in ("drain", "reject", "shed"):
@@ -291,11 +257,6 @@ class ClusterConfig:
             raise ValueError("num_workers must be positive")
         if self.stats_window <= 0:
             raise ValueError("stats_window must be positive")
-
-    @property
-    def adaptive_batching(self) -> bool:
-        """Whether drain-round widths are controller-driven."""
-        return self.batch_size == "auto"
 
 
 class ShardWorker:
@@ -317,7 +278,7 @@ class ShardWorker:
         model,
         spec: ValueSpec,
         config: ClusterConfig,
-        executor: Optional[ShardExecutor] = None,
+        executor: ShardExecutor,
     ) -> None:
         self.shard_id = shard_id
         self.model = model
@@ -342,15 +303,8 @@ class ShardWorker:
         #: Guards the arrival queue (submitters enqueue from the caller
         #: thread while the pinned worker dequeues rounds).
         self._lock = threading.Lock()
-        #: Execution backend; a standalone worker (outside a cluster) runs
-        #: everything inline on the caller.
-        self._executor: ShardExecutor = executor or SerialExecutor()
-        #: Round-width policy: fixed ``batch_size`` or adaptive controller.
-        self.controller = (
-            AdaptiveBatchController(config.adaptive)
-            if config.adaptive_batching
-            else None
-        )
+        #: Execution backend (shared by every shard of the cluster).
+        self._executor = executor
         #: Shard-local sink subscriptions (push delivery of this shard's
         #: emissions; see :mod:`repro.serving.sinks` for the ordering
         #: contract).  Children are fault-isolated and quarantined per the
@@ -358,16 +312,13 @@ class ShardWorker:
         self._sinks = FanOutSink(
             quarantine_after=config.supervision.sink_quarantine_after
         )
-        #: Per-shard supervision (attached by the owning cluster); a
-        #: standalone worker runs unsupervised, exactly as before.
-        self.supervisor: Optional[ShardSupervisor] = None
         #: Optional chaos hook (``ClusterConfig.faults``).
         self.faults: Optional[FaultInjector] = config.faults
         #: Every arrival admitted since the supervisor's last checkpoint —
         #: the redo log a crash recovery replays on top of the checkpoint.
-        #: Appended under ``self._lock`` on the submit path (only while a
-        #: supervisor with checkpointing is attached), cleared atomically
-        #: with each checkpoint's queue capture.
+        #: Appended under ``self._lock`` on the submit path (only while
+        #: periodic checkpointing is on), cleared atomically with each
+        #: checkpoint's queue capture.
         self._journal: List[Tuple[Hashable, StreamEvent]] = []
         #: Arrivals dequeued by the currently running round; non-empty only
         #: between a round's dequeue and its successful completion, so after
@@ -386,6 +337,10 @@ class ShardWorker:
         self.batch_rounds = 0
         self.batched_rows = 0
         self.drained = 0
+        #: Breaker, checkpoints and crash recovery
+        #: (:mod:`repro.serving.supervisor`).  Built last: its birth
+        #: checkpoint captures the rest of the (empty) shard.
+        self.supervisor = ShardSupervisor(self, config.supervision)
 
     # ------------------------------------------------------------------ #
     # sessions
@@ -406,12 +361,6 @@ class ShardWorker:
     def queue_depth(self) -> int:
         with self._lock:
             return self._queue_length
-
-    def round_width(self) -> int:
-        """Arrivals the next drain round will attempt (fixed or adaptive)."""
-        if self.controller is not None:
-            return self.controller.width
-        return self.config.batch_size
 
     def _run_pinned(self, fn):
         """Run shard work with shard affinity on the execution backend."""
@@ -439,11 +388,7 @@ class ShardWorker:
         self._newest_time[stream_id] = event.item.time
         # Journal fresh admissions only: checkpoint/restore queue loads are
         # already covered by the checkpoint itself.
-        if (
-            journal
-            and self.supervisor is not None
-            and self.config.supervision.checkpoint.every_rounds > 0
-        ):
+        if journal and self.config.supervision.checkpoint.every_rounds > 0:
             self._journal.append((stream_id, event))
 
     def _pending_entries_locked(self) -> List[Tuple[Hashable, StreamEvent]]:
@@ -527,8 +472,7 @@ class ShardWorker:
             return session, pending
 
         session, pending = self._run_pinned(op)
-        if self.supervisor is not None:
-            self.supervisor.checkpoint_now()
+        self.supervisor.checkpoint_now()
         return session, pending
 
     def install_stream(
@@ -564,8 +508,7 @@ class ShardWorker:
                     self._enqueue_locked(stream_id, event, journal=False)
 
         self._run_pinned(op)
-        if self.supervisor is not None:
-            self.supervisor.checkpoint_now()
+        self.supervisor.checkpoint_now()
 
     def stream_ids(self) -> List[Hashable]:
         """Ids of every stream this shard holds (session or queued arrival)."""
@@ -639,8 +582,6 @@ class ShardWorker:
         for name, value in restored["counters"].items():
             setattr(self, name, value)
         self.monitor = restored["monitor"]
-        if self.controller is not None:
-            self.controller.reset()
         with self._lock:
             rebuilt = list(state["queue"]) + list(self._journal)
             for entry in lost:
@@ -702,8 +643,7 @@ class ShardWorker:
         so a stale worker finishing after an abandonment cannot corrupt the
         recovered state's bookkeeping, and a round whose report is stale
         also yields no emissions (they were computed against replaced
-        state).  Unsupervised (standalone) workers run the raw round:
-        failures propagate exactly as before.
+        state).
 
         Staleness ordering: the epoch is read *before* the abandoned-context
         check, so an abandoned-check that passes guarantees the epoch
@@ -712,8 +652,6 @@ class ShardWorker:
         under the pre-recovery epoch and is dropped.
         """
         sup = self.supervisor
-        if sup is None:
-            return self._drain_round()
         epoch = sup.epoch
         if self._executor.current_context_abandoned():
             return []  # zombie context: the replacement worker owns the shard
@@ -761,7 +699,7 @@ class ShardWorker:
         :class:`OutOfOrderEventError` and is neither enqueued nor journaled.
         """
         sup = self.supervisor
-        if sup is not None and not sup.submission_allowed():
+        if not sup.submission_allowed():
             return self._degraded_result(stream_id, raise_on_reject)
         emitted: List[StreamDecision] = []
         while True:
@@ -802,12 +740,12 @@ class ShardWorker:
             # A supervised round that *fails* frees nothing (recovery
             # requeues the survivors), so once the breaker opens the arrival
             # degrades instead of spinning here forever.
-            if sup is not None and not sup.allow_round():
+            if not sup.allow_round():
                 return self._degraded_result(stream_id, raise_on_reject)
             emitted.extend(self._run_pinned(self._drain_round_published))
         if self.config.auto_drain:
-            while self.queue_depth >= self.round_width():
-                if sup is not None and not sup.allow_round():
+            while self.queue_depth >= self.config.batch_size:
+                if not sup.allow_round():
                     break  # admitted but unserved: drains later, post-probe
                 emitted.extend(self._run_pinned(self._drain_round_published))
         return SubmitResult(
@@ -841,10 +779,10 @@ class ShardWorker:
     def drain(self) -> List[StreamDecision]:
         """Process every queued arrival; returns the decisions in order.
 
-        A standalone worker (outside a cluster) publishes the emitted batch
-        to its subscribed sinks on the calling thread before returning; a
-        cluster-level drain instead journals per-shard results and publishes
-        the stable-ordered merge (see :meth:`ServingCluster.drain`).
+        Drains this shard alone and publishes the emitted batch to the
+        shard's and the cluster's subscribers before returning.
+        :meth:`ServingCluster.drain` instead fans out to every shard under
+        the supervised deadline wait and publishes the stable-ordered merge.
         """
         emitted = self._run_pinned(self._drain_inline)
         self._publish(emitted)
@@ -853,10 +791,10 @@ class ShardWorker:
     def _drain_inline(self) -> List[StreamDecision]:
         """Round loop body of :meth:`drain`, already running with affinity.
 
-        Supervised workers stop early once the shard's breaker opens
-        (recovery requeues a failed round's surviving arrivals, so without
-        the gate a persistently failing shard would loop forever); the
-        backlog then waits for a later drain's half-open probe.
+        The loop stops early once the shard's breaker opens (recovery
+        requeues a failed round's surviving arrivals, so without the gate a
+        persistently failing shard would loop forever); the backlog then
+        waits for a later drain's half-open probe.
 
         Zombie containment: a loop running on a worker thread the executor
         has *abandoned* (deadline abandonment replaced it) exits before the
@@ -872,27 +810,26 @@ class ShardWorker:
         while self.queue_depth:
             if executor.current_context_abandoned():
                 break
-            if sup is not None and not sup.allow_round():
+            if not sup.allow_round():
                 break
             emitted.extend(self._supervised_round())
         return emitted
 
-    def _drain_round(self, epoch: Optional[int] = None) -> List[StreamDecision]:
+    def _drain_round(self, epoch: int) -> List[StreamDecision]:
         """Dequeue one round of arrivals (one per stream) and serve them.
 
         Streams enter the round in the order of their oldest queued arrival;
         same-stream followers stay queued for a later round, because a
         session can only encode one pending arrival at a time.  The round
-        width is the fixed ``batch_size`` or the adaptive controller's
-        current pick — width only schedules work: it never changes which
-        decisions are emitted or any stream's decision sequence (it does
-        pick how decisions of *different* streams interleave, see
-        :mod:`repro.serving.parallel`).  The encodable rows of the round
-        run as one cross-stream batch when enabled.
+        takes at most ``batch_size`` arrivals — width only schedules work:
+        it never changes which decisions are emitted or any stream's
+        decision sequence (it does pick how decisions of *different*
+        streams interleave).  The encodable rows of the round run as one
+        cross-stream batch.
 
         ``epoch`` is the supervisor epoch the round started under (read by
-        the supervised caller; defaults to the current epoch).  The round is
-        epoch-gated at its two wedge-able boundaries: after the pre-dequeue
+        the supervised caller).  The round is epoch-gated at its two
+        wedge-able boundaries: after the pre-dequeue
         fault site (a round abandoned while wedged there returns before
         touching the restored queue) and before the bookkeeping tail (an
         abandoned round that already did its work mutates only the orphaned
@@ -901,17 +838,15 @@ class ShardWorker:
         """
         start = time.perf_counter()
         sup = self.supervisor
-        if epoch is None and sup is not None:
-            epoch = sup.epoch
         # Pre-dequeue boundary: a fault here fails the round with no
         # arrivals consumed (recovery has an empty lost set).
         self._fire_fault("shard-round")
-        if sup is not None and sup.epoch != epoch:
+        if sup.epoch != epoch:
             # Abandoned during the pre-dequeue wedge: the queue now belongs
             # to the replacement worker — consume nothing.
             return []
         self._round_entries = []
-        width = self.round_width()
+        width = self.config.batch_size
         round_entries: List[Tuple[Hashable, StreamEvent]] = []
         with self._lock:
             depth_before = self._queue_length
@@ -931,7 +866,7 @@ class ShardWorker:
         self._round_entries = round_entries
         emitted = self._serve_entries(round_entries)
 
-        if sup is not None and sup.epoch != epoch:
+        if sup.epoch != epoch:
             # Abandoned mid-round: the sessions above were the orphaned
             # pre-recovery copies (harmless), but ``drained``, the monitor
             # and ``_round_entries`` are the *live* restored objects — a
@@ -944,10 +879,6 @@ class ShardWorker:
 
         elapsed_ms = (time.perf_counter() - start) * 1e3
         self.monitor.observe_round(depth_before, len(round_entries), elapsed_ms)
-        if self.controller is not None:
-            self.controller.observe_round(
-                self.queue_depth, len(round_entries), elapsed_ms
-            )
         return emitted
 
     def _serve_entries(
@@ -955,8 +886,10 @@ class ShardWorker:
     ) -> List[StreamDecision]:
         """Serve one round's dequeued arrivals against the live sessions.
 
-        Encodable rows run as one cross-stream batch when
-        ``config.batched`` is set.
+        Two or more encodable rows run as one cross-stream batch with one
+        batched halt product.  A lone row keeps the per-row path: its halt
+        probability comes from the single-row product, which a one-row
+        batched product can round differently.
         """
         staged = [
             (stream_id, event, self.session(stream_id))
@@ -971,7 +904,7 @@ class ShardWorker:
         # rows not appended) and the round's arrivals are consumed — the
         # worst case a checkpoint restore must undo bit-for-bit.
         self._fire_fault("session-encode")
-        if self.config.batched and len(appendable) > 1:
+        if len(appendable) > 1:
             representations = append_batch(
                 [session._incremental for session, _ in appendable],
                 [event.item for _, event in appendable],
@@ -996,13 +929,8 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def flush(self) -> List[StreamDecision]:
-        """Drain, then force-decide every session's undecided keys."""
-        emitted = self._run_pinned(self._flush_inline)
-        self._publish(emitted)
-        return emitted
-
     def _flush_inline(self) -> List[StreamDecision]:
+        """Drain, then force-decide every session's undecided keys."""
         emitted = self._drain_inline()
         if self._executor.current_context_abandoned():
             return emitted  # zombie: self.sessions is the replacement's now
@@ -1028,13 +956,8 @@ class ShardWorker:
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
         return emitted
 
-    def expire(self, now: Optional[float] = None) -> List[StreamDecision]:
-        """Drain, then apply idle-timeout expiry to every session."""
-        emitted = self._run_pinned(partial(self._expire_inline, now))
-        self._publish(emitted)
-        return emitted
-
     def _expire_inline(self, now: Optional[float] = None) -> List[StreamDecision]:
+        """Drain, then apply idle-timeout expiry to every session."""
         emitted = self._drain_inline()
         if self._executor.current_context_abandoned():
             return emitted  # zombie: self.sessions is the replacement's now
@@ -1149,15 +1072,10 @@ class ServingCluster:
             self.config.executor, self.config.num_shards, self.config.num_workers
         )
         self.shards = [
-            ShardWorker(index, model, spec, self.config, executor=self._executor)
+            ShardWorker(index, model, spec, self.config, self._executor)
             for index in range(self.config.num_shards)
         ]
         self._state = "running"
-        #: Per-shard supervision: breaker, checkpoints, crash recovery
-        #: (:mod:`repro.serving.supervisor`).  Attached before any arrival,
-        #: so the initial checkpoint is the empty shard.
-        for shard in self.shards:
-            shard.supervisor = ShardSupervisor(shard, self.config.supervision)
         #: Cluster-level sink subscriptions (push delivery of every emitted
         #: decision; see :mod:`repro.serving.sinks`).  Children are
         #: fault-isolated and quarantined per the supervision config.
@@ -1370,8 +1288,7 @@ class ServingCluster:
         """
         jobs: List[Optional[JobHandle]] = []
         for shard, fn in zip(self.shards, fns):
-            sup = shard.supervisor
-            if sup is not None and not sup.allow_round():
+            if not shard.supervisor.allow_round():
                 jobs.append(None)
                 continue
             jobs.append(self._executor.submit(shard.shard_id, partial(self._shard_job, shard, fn)))
@@ -1417,7 +1334,7 @@ class ServingCluster:
                 for sibling in self.shards
                 if worker_index(sibling.shard_id) == target
             ]
-        return sum(sup.rounds_completed for sup in supervisors if sup is not None)
+        return sum(sup.rounds_completed for sup in supervisors)
 
     def _await_shard_job(self, shard: ShardWorker, job: JobHandle) -> List[StreamDecision]:
         """Wait for a fan-out job — deadline-aware and failure-absorbing.
@@ -1441,8 +1358,6 @@ class ServingCluster:
         """
         sup = shard.supervisor
         deadline = self.config.supervision.round_deadline_s
-        if sup is None:
-            return job.wait()  # type: ignore[return-value]
         while True:
             while not job.done.is_set():
                 progress = self._worker_progress(shard)
@@ -1489,13 +1404,11 @@ class ServingCluster:
         self._require_open("flush_stream")
         shard = self.shard_of(stream_id)
         sup = shard.supervisor
-        if sup is not None and not sup.allow_round():
+        if not sup.allow_round():
             return []  # degraded: the shard may not run work right now
         try:
             emitted = shard._run_pinned(partial(shard._flush_stream_inline, stream_id))
         except Exception as error:
-            if sup is None:
-                raise
             sup.on_round_failure(error, sup.epoch, shard._take_round_entries())
             return []
         shard._sinks.publish_all(emitted)
@@ -1584,12 +1497,10 @@ class ServingCluster:
         """Rewind the cluster to a snapshot (which stays reusable).
 
         Serving state — sessions, queues, counters, shard monitors — rewinds
-        bit-for-bit.  Adaptive-batch controllers restart from their width
-        floor: their state is wall-clock tuning, and round widths never
-        affect which decisions a replay emits.  Sink subscriptions, pending
-        deliveries and throughput meters are untouched: nothing already
-        published is rescinded or re-fired by the restore itself; replaying
-        events re-emits (and re-publishes) the replayed decisions.
+        bit-for-bit.  Sink subscriptions, pending deliveries and throughput
+        meters are untouched: nothing already published is rescinded or
+        re-fired by the restore itself; replaying events re-emits (and
+        re-publishes) the replayed decisions.
         """
         self._require_open("restore")
         if snapshot.num_shards != len(self.shards):
@@ -1612,13 +1523,10 @@ class ServingCluster:
             for name, value in state["counters"].items():
                 setattr(shard, name, value)
             shard.monitor = state.get("monitor") or ShardMonitor()
-            if shard.controller is not None:
-                shard.controller.reset()
-            if shard.supervisor is not None:
-                # Re-arm supervision around the restored state: fresh
-                # checkpoint, closed breaker, new epoch (counters survive —
-                # they are telemetry, like sinks and meters).
-                shard.supervisor.reset()
+            # Re-arm supervision around the restored state: fresh
+            # checkpoint, closed breaker, new epoch (counters survive —
+            # they are telemetry, like sinks and meters).
+            shard.supervisor.reset()
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -1640,27 +1548,22 @@ class ServingCluster:
         accounting.  Everything here is telemetry: reading it never touches
         serving state.
         """
-        supervisors = [shard.supervisor for shard in self.shards]
-        shard_health = [sup.health() if sup is not None else None for sup in supervisors]
+        shard_health = [shard.supervisor.health() for shard in self.shards]
         fanouts = [self._sinks] + [shard._sinks for shard in self.shards]
         delivery = [hub.delivery_health() for hub in fanouts]
         return {
             "shards": shard_health,
             "breaker_open": [
                 shard.shard_id
-                for shard, view in zip(self.shards, shard_health)
-                if view is not None and view["breaker"] != "closed"
+                for shard, health in zip(self.shards, shard_health)
+                if health["breaker"] != "closed"
             ],
-            "failures": sum(view["failures"] for view in shard_health if view),
-            "restores": sum(view["restores"] for view in shard_health if view),
-            "deadline_abandons": sum(
-                view["deadline_abandons"] for view in shard_health if view
-            ),
-            "degraded_submits": sum(
-                view["degraded_submits"] for view in shard_health if view
-            ),
-            "lost_arrivals": sum(view["lost_arrivals"] for view in shard_health if view),
-            "checkpoints": sum(view["checkpoints"] for view in shard_health if view),
+            "failures": sum(health["failures"] for health in shard_health),
+            "restores": sum(health["restores"] for health in shard_health),
+            "deadline_abandons": sum(health["deadline_abandons"] for health in shard_health),
+            "degraded_submits": sum(health["degraded_submits"] for health in shard_health),
+            "lost_arrivals": sum(health["lost_arrivals"] for health in shard_health),
+            "checkpoints": sum(health["checkpoints"] for health in shard_health),
             "quarantined_sinks": sum(view["quarantined"] for view in delivery),
             "sink_publish_errors": sum(view["publish_errors"] for view in delivery),
             "abandoned_workers": getattr(self._executor, "abandoned_workers", 0),
@@ -1698,7 +1601,6 @@ class ServingCluster:
             "rounds": merged_monitor.rounds,
             "round_latency_ms": merged_monitor.round_latency_ms.summary(),
             "round_queue_depth": merged_monitor.queue_depth.summary(),
-            "round_widths": [shard.round_width() for shard in self.shards],
             # Plain dicts (``ShardMonitorSnapshot.to_dict``), not dataclass
             # instances: the whole stats payload must survive ``json.dumps``
             # unchanged so the HTTP tier serves it without a custom encoder.

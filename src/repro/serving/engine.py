@@ -11,8 +11,7 @@ The serving layer is split into three composable tiers:
   stream id, a bounded arrival queue, and the cross-stream *batched* row
   encoding that drains that queue with one GEMM per block instead of one
   GEMV chain per arrival (via :func:`repro.core.incremental.append_batch`).
-  Drain-round width is fixed or adaptive
-  (:class:`~repro.serving.parallel.AdaptiveBatchController`).
+  Each drain round takes at most ``ClusterConfig.batch_size`` arrivals.
 * :class:`~repro.serving.cluster.ServingCluster` — hash-routes stream ids to
   shards, applies admission control / backpressure, and exposes the
   deployment API (``submit`` / ``drain`` / ``flush`` / ``snapshot`` /

@@ -429,11 +429,10 @@ class ShardMonitor:
     """Drain-round telemetry of one shard worker.
 
     Two gauges per round: the queue depth the round found (how loaded the
-    shard runs) and the round's wall-clock latency (what one drain costs).
-    These are exactly the signals the adaptive batch controller steers on,
-    published so operators can see what the controller sees.  Like
-    :class:`DecisionMonitor`, shard monitors are worker-local and mergeable
-    into an exact cluster-level view.
+    shard runs) and the round's wall-clock latency (what one drain costs),
+    plus the rows served, so ``rows / rounds`` is the realized round width.
+    Like :class:`DecisionMonitor`, shard monitors are worker-local and
+    mergeable into an exact cluster-level view.
     """
 
     def __init__(self) -> None:

@@ -90,6 +90,8 @@ class ServingHTTPServer:
         max_buffered: int = 256,
         heartbeat_s: float = 15.0,
     ) -> None:
+        if max_buffered < 0:
+            raise ValueError("max_buffered must be >= 0 (0 = unbounded)")
         if gateway is None:
             if model is None or spec is None:
                 raise ValueError(
@@ -102,8 +104,6 @@ class ServingHTTPServer:
             if model is not None or spec is not None or config is not None:
                 raise ValueError("pass either gateway= or model/spec/config")
             self._owns_gateway = False
-        if max_buffered < 0:
-            raise ValueError("max_buffered must be >= 0 (0 = unbounded)")
         self.gateway = gateway
         self.host = host
         self._requested_port = port

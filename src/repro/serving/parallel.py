@@ -1,4 +1,4 @@
-"""Parallel shard execution backends and adaptive drain-batch sizing.
+"""Parallel shard execution backends.
 
 The PR-3 cluster made drain rounds cheap (cross-stream batched BLAS) but ran
 every shard synchronously on the caller's thread, so adding shards *reduced*
@@ -35,23 +35,6 @@ module supplies the pieces that turn "sharded" into "scales with cores":
   with concurrent submitters, while cluster-level fan-outs journal the
   per-shard lists ``map_shards`` returns and publish the stable-ordered
   merge at the merge point.
-
-* **Adaptive drain batching.**  :class:`AdaptiveBatchController` picks each
-  drain round's width from the observed backlog and a per-row latency EWMA
-  (``ClusterConfig.batch_size="auto"``).  A hot shard with a deep queue
-  widens its rounds toward ``max_batch`` so the cross-stream batch amortises
-  one GEMM over many arrivals; a cold shard stays at ``min_batch`` so a lone
-  arrival is served at per-arrival latency; and the latency budget caps the
-  width so one round never stalls the shard longer than the configured
-  bound.  Round width never changes *which* decisions are emitted nor any
-  stream's decision sequence — every session sees its own arrivals in FIFO
-  order and evaluates per arrival regardless of how rounds slice the queue.
-  What width does change is the cross-stream *interleaving* of decisions
-  inside a shard (a wide round admits another stream's head before a held-
-  back same-stream follower; a narrow round does the opposite), so adaptive
-  runs are compared stream-by-stream against the sequential reference (the
-  ``batch_size="auto"`` parity axis pins this), while fixed-width runs are
-  list-identical across executor backends.
 """
 
 from __future__ import annotations
@@ -60,7 +43,6 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -74,8 +56,6 @@ __all__ = [
     "JobHandle",
     "make_executor",
     "available_cpus",
-    "AdaptiveBatchConfig",
-    "AdaptiveBatchController",
 ]
 
 
@@ -495,101 +475,3 @@ def available_cpus() -> int:
     if quota is not None:
         count = min(count, quota)
     return max(1, count)
-
-
-# ---------------------------------------------------------------------- #
-# adaptive drain batching
-# ---------------------------------------------------------------------- #
-@dataclass
-class AdaptiveBatchConfig:
-    """Knobs of the per-shard adaptive drain-batch controller.
-
-    Attributes
-    ----------
-    min_batch:
-        Width floor — also the width of the first round after start/reset,
-        so an idle shard serves a lone arrival at per-arrival latency.
-    max_batch:
-        Width ceiling — the largest cross-stream encoding batch one round
-        may attempt, however deep the backlog.
-    latency_budget_ms:
-        Soft bound on one round's wall-clock: the controller never widens a
-        round beyond ``latency_budget_ms / EWMA(per-row ms)``, so a hot
-        shard cannot stall its queue longer than roughly the budget.
-    catchup_rounds:
-        Backlog aggressiveness: the depth-driven target width is
-        ``ceil(backlog / catchup_rounds)`` — aim to clear the observed
-        backlog within this many rounds (subject to the latency cap).
-    ewma_alpha:
-        Smoothing factor of the per-row latency EWMA (1 = latest round only).
-    """
-
-    min_batch: int = 1
-    max_batch: int = 64
-    latency_budget_ms: float = 8.0
-    catchup_rounds: int = 2
-    ewma_alpha: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.min_batch <= 0:
-            raise ValueError("min_batch must be positive")
-        if self.max_batch < self.min_batch:
-            raise ValueError("max_batch must be >= min_batch")
-        if self.latency_budget_ms <= 0:
-            raise ValueError("latency_budget_ms must be positive")
-        if self.catchup_rounds <= 0:
-            raise ValueError("catchup_rounds must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-
-
-class AdaptiveBatchController:
-    """Per-shard drain-round width from backlog depth and latency EWMA.
-
-    After every round the shard reports ``(backlog, rows, elapsed_ms)``; the
-    controller updates a per-row latency EWMA and sets the next width to
-
-    ``clip(min(ceil(backlog / catchup_rounds), latency_budget / row_ms),
-    min_batch, max_batch)``
-
-    — widen while a backlog exists (hot Zipf shards batch wide and win the
-    cross-stream GEMM), narrow the moment the queue empties (cold shards
-    stay at per-arrival latency), and never let a single round blow the
-    latency budget.  The controller only schedules work; it cannot change
-    which decisions are emitted or any stream's decision sequence (see the
-    module docstring for what it *can* change: cross-stream interleaving).
-    """
-
-    def __init__(self, config: Optional[AdaptiveBatchConfig] = None) -> None:
-        self.config = config or AdaptiveBatchConfig()
-        self.width = self.config.min_batch
-        self.row_ms_ewma: Optional[float] = None
-        self.rounds_observed = 0
-
-    def observe_round(self, backlog: int, rows: int, elapsed_ms: float) -> int:
-        """Fold one finished round in; returns the width chosen for the next.
-
-        ``backlog`` is the queue depth *remaining* after the round, ``rows``
-        the arrivals the round served and ``elapsed_ms`` its wall-clock.
-        """
-        if rows > 0 and elapsed_ms >= 0.0:
-            sample = elapsed_ms / rows
-            if self.row_ms_ewma is None:
-                self.row_ms_ewma = sample
-            else:
-                alpha = self.config.ewma_alpha
-                self.row_ms_ewma = alpha * sample + (1.0 - alpha) * self.row_ms_ewma
-        self.rounds_observed += 1
-
-        target = math.ceil(backlog / self.config.catchup_rounds)
-        if self.row_ms_ewma:
-            latency_cap = int(self.config.latency_budget_ms / self.row_ms_ewma)
-            target = min(target, latency_cap)
-        self.width = max(self.config.min_batch, min(self.config.max_batch, target))
-        return self.width
-
-    def reset(self) -> None:
-        """Forget all observations (e.g. after a snapshot restore)."""
-        self.width = self.config.min_batch
-        self.row_ms_ewma = None
-        self.rounds_observed = 0

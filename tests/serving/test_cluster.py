@@ -1,13 +1,15 @@
 """Lockstep parity and behaviour suite for the sharded serving cluster.
 
-The contract under test: a :class:`ServingCluster` — any shard count, with or
-without cross-stream batched encoding — must produce decision-for-decision
-identical output to one sequential :class:`OnlineClassificationEngine` per
-stream, including window evictions, mid-stream drains, idle expiry, flush and
-snapshot/restore round trips.  On top of parity, the suite covers the
-cluster-only machinery: hash routing, bounded-queue admission control
-(drain / reject / shed) and the batching counters.
+The contract under test: a :class:`ServingCluster` — any shard count, any
+round width — must produce decision-for-decision identical output to one
+sequential :class:`OnlineClassificationEngine` per stream, including window
+evictions, mid-stream drains, idle expiry, flush and snapshot/restore round
+trips.  On top of parity, the suite covers the cluster-only machinery:
+hash routing, bounded-queue admission control (drain / reject / shed) and
+the batching counters.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -126,7 +128,6 @@ class TestClusterParity:
             ClusterConfig(
                 num_shards=num_shards,
                 batch_size=4,
-                batched=True,
                 engine=engine_config(),
             ),
         )
@@ -145,7 +146,8 @@ class TestClusterParity:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_serial_encoding_parity(self, encoding, executor):
-        """batched=False must serve identically (it forfeits BLAS only)."""
+        """Rounds of one arrival encode every row alone and must serve
+        identically."""
         model = make_model(encoding)
         streams, events = multi_stream_events(seed=7)
         _, expected = reference_decisions(model, streams, events)
@@ -155,8 +157,7 @@ class TestClusterParity:
             ClusterConfig(
                 **backend(executor),
                 num_shards=2,
-                batch_size=4,
-                batched=False,
+                batch_size=1,
                 engine=engine_config(),
             ),
         ) as cluster:
@@ -475,7 +476,6 @@ class TestParallelExecutorParity:
                 **backend(executor),
                 num_shards=num_shards,
                 batch_size=4,
-                batched=True,
                 engine=engine_config(),
             ),
         ) as cluster:
@@ -596,10 +596,10 @@ class TestParallelExecutorParity:
                 ClusterConfig(executor=executor)
 
 
-class TestAdaptiveBatchingParity:
-    """``batch_size="auto"`` never changes any stream's decision sequence —
-    the controller only re-schedules rounds (the ``batch_size="auto"`` axis
-    of the parity matrix)."""
+class TestScheduledDrainParity:
+    """Scheduled drains (``auto_drain=False``) let backlogs form, so rounds
+    run up to the full ``batch_size=16`` — and every stream's decision
+    sequence still matches one sequential engine per stream."""
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize(
@@ -611,7 +611,7 @@ class TestAdaptiveBatchingParity:
             if distinct_at(executor, num_shards)
         ],
     )
-    def test_auto_batch_matches_reference(self, encoding, num_shards, executor):
+    def test_scheduled_drains_match_reference(self, encoding, num_shards, executor):
         model = make_model(encoding)
         streams, events = multi_stream_events(seed=42)
         _, expected = reference_decisions(model, streams, events)
@@ -621,7 +621,7 @@ class TestAdaptiveBatchingParity:
             ClusterConfig(
                 **backend(executor),
                 num_shards=num_shards,
-                batch_size="auto",
+                batch_size=16,
                 auto_drain=False,
                 max_queue=len(events) + 1,
                 engine=engine_config(),
@@ -636,9 +636,8 @@ class TestAdaptiveBatchingParity:
         assert_stream_parity(by_stream(emitted, streams), expected)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
-    def test_auto_batch_expire_and_drain_pattern_parity(self, executor):
-        """Backlogged drain scheduling (the pattern that actually exercises
-        wide adaptive rounds) with interleaved expiry, against the
+    def test_scheduled_drains_with_expiry_match_reference(self, executor):
+        """Backlogged drain scheduling with interleaved expiry, against the
         sequential reference."""
         model = make_model("rotary")
         streams, events = multi_stream_events(seed=61, num_events=240)
@@ -652,7 +651,7 @@ class TestAdaptiveBatchingParity:
             SPEC,
             ClusterConfig(
                 num_shards=2,
-                batch_size="auto",
+                batch_size=16,
                 auto_drain=False,
                 max_queue=len(events) + 1,
                 **backend(executor),
@@ -670,10 +669,9 @@ class TestAdaptiveBatchingParity:
         assert_stream_parity(by_stream(emitted, streams), expected)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
-    def test_auto_batch_snapshot_restore_replays_per_stream(self, executor):
-        """Replays after a restore serve identical per-stream decisions;
-        global interleaving may differ because adaptive widths are
-        wall-clock-driven (controller state intentionally resets)."""
+    def test_scheduled_drain_replay_after_restore_is_identical(self, executor):
+        """Two replays from one snapshot emit the same decisions in the same
+        order: fixed-width rounds slice the restored queue identically."""
         model = make_model("rotary")
         streams, events = multi_stream_events(seed=31, num_events=160)
         with ServingCluster(
@@ -682,7 +680,7 @@ class TestAdaptiveBatchingParity:
             ClusterConfig(
                 **backend(executor),
                 num_shards=2,
-                batch_size="auto",
+                batch_size=16,
                 auto_drain=False,
                 max_queue=len(events) + 1,
                 engine=engine_config(),
@@ -697,80 +695,15 @@ class TestAdaptiveBatchingParity:
                 emitted = cluster.consume(events[80:])
                 emitted.extend(cluster.drain())
                 emitted.extend(cluster.flush())
-                runs.append(by_stream(emitted, streams))
-        for stream_id in streams:
-            first = [(d.key, d.predicted, d.confidence) for d in runs[0][stream_id]]
-            second = [(d.key, d.predicted, d.confidence) for d in runs[1][stream_id]]
-            assert first == second, stream_id
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
-    def test_hot_shard_widens_while_cold_shard_stays_narrow(self, executor):
-        """Under a backlogged Zipf-skewed queue the hot shard's controller
-        must have chosen wider rounds than an idle shard's (which stays at
-        the width floor)."""
-        model = make_model("rotary")
-        rng = np.random.default_rng(3)
-        events = []
-        clock = 0.0
-        for position in range(300):
-            clock += 1.0
-            # ~90% of traffic on 8 hot streams, the rest on 16 cold ones.
-            if rng.random() < 0.9:
-                stream_id = f"hot-{rng.integers(8)}"
-            else:
-                stream_id = f"cold-{rng.integers(16)}"
-            item = Item(
-                f"k{rng.integers(4)}", (int(rng.integers(8)), int(rng.integers(2))), clock
-            )
-            events.append(StreamEvent(time=clock, item=item, source=stream_id))
-        with ServingCluster(
-            model,
-            SPEC,
-            ClusterConfig(
-                **backend(executor),
-                num_shards=4,
-                batch_size="auto",
-                auto_drain=False,
-                max_queue=len(events) + 1,
-                engine=engine_config(),
-            ),
-        ) as cluster:
-            for event in events:
-                cluster.submit(event)
-            backlogs = [shard.queue_depth for shard in cluster.shards]
-            cluster.drain()
-            observed_rounds = [
-                shard.controller.rounds_observed for shard in cluster.shards
-            ]
-        # wide rounds actually happened on the loaded shards: mean round
-        # width above the floor of 1 requires the controller to have widened.
-        hot = max(range(4), key=lambda index: backlogs[index])
-        assert cluster.shards[hot].monitor.rounds > 0
-        hot_mean_width = cluster.shards[hot].monitor.rows / max(
-            1, cluster.shards[hot].monitor.rounds
-        )
-        assert hot_mean_width > 1.5
-        # a shard that saw no traffic at all never leaves the width floor
-        for index, rounds in enumerate(observed_rounds):
-            if rounds == 0:
-                assert cluster.shards[index].controller.width == 1
-
-    def test_rejects_invalid_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            ClusterConfig(batch_size="adaptive")
-        with pytest.raises(ValueError, match="batch_size"):
-            ClusterConfig(batch_size=0)
-
-    def test_rejects_auto_batch_with_auto_drain(self):
-        """Synchronous auto-drain never lets a backlog form, pinning the
-        controller at its width floor — per-arrival serving that is strictly
-        worse than the fixed default.  Fail at construction instead of
-        degrading silently."""
-        with pytest.raises(ValueError, match="auto_drain=False"):
-            ClusterConfig(batch_size="auto")
-        # the drain-scheduling combination is the supported one
-        config = ClusterConfig(batch_size="auto", auto_drain=False)
-        assert config.adaptive_batching
+                runs.append(
+                    [
+                        (d.stream_id, d.decision.key, d.decision.predicted,
+                         d.decision.confidence)
+                        for d in emitted
+                    ]
+                )
+        assert runs[0]
+        assert runs[0] == runs[1]
 
 
 class TestRoutingAndBatching:
@@ -795,6 +728,55 @@ class TestRoutingAndBatching:
                 shard = cluster.shard_of(stream_id)
                 assert stream_id in shard.sessions
 
+    @pytest.mark.parametrize("batch_size", ["auto", "adaptive", 0, -1, 2.0, None])
+    def test_rejects_invalid_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            ClusterConfig(batch_size=batch_size, auto_drain=False)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_backlogged_rounds_run_at_the_fixed_width(self, executor, batch_size):
+        """A round takes ``batch_size`` arrivals, or one per queued stream
+        when fewer streams are queued: a round-robin backlog of ``k``
+        arrivals over a shard's ``S`` streams drains in ``k`` rounds when
+        ``S <= batch_size`` and in ``ceil(k * S / batch_size)`` otherwise.
+        Only width-1 rounds skip the cross-stream batch."""
+        streams = [f"stream-{i}" for i in range(20)]
+        arrivals = 3
+        events = []
+        for step in range(arrivals):
+            for index, stream_id in enumerate(streams):
+                clock = float(step * len(streams) + index + 1)
+                item = Item(f"k{index % 4}", (index % 8, step % 2), clock)
+                events.append(StreamEvent(time=clock, item=item, source=stream_id))
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=batch_size,
+                auto_drain=False,
+                max_queue=len(events) + 1,
+                engine=engine_config(halt_threshold=1.0),
+            ),
+        ) as cluster:
+            for event in events:
+                cluster.submit(event)
+            cluster.drain()
+            stats = cluster.stats()
+            per_shard = [0, 0]
+            for stream_id in streams:
+                per_shard[cluster.shard_index(stream_id)] += 1
+        assert min(per_shard) >= 2
+        expected = sum(
+            arrivals if count <= batch_size else math.ceil(arrivals * count / batch_size)
+            for count in per_shard
+        )
+        assert stats["drained"] == len(events)
+        assert stats["rounds"] == expected
+        assert stats["batch_rounds"] == (0 if batch_size == 1 else expected)
+
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_batching_counters_track_cross_stream_rounds(self, executor):
         streams, events = multi_stream_events(seed=17, num_events=200)
@@ -805,7 +787,6 @@ class TestRoutingAndBatching:
                 **backend(executor),
                 num_shards=1,
                 batch_size=4,
-                batched=True,
                 engine=engine_config(),
             ),
         ) as batched:
@@ -871,46 +852,29 @@ SINK_CELLS = [
 
 class TestSinkDeliveryParity:
     """Push delivery is decision-for-decision and order-identical to the
-    returned-list API: across executors, shard counts and batch policies a
+    returned-list API: across executors, shard counts and round schedules a
     subscribed sink receives exactly the concatenation of every returned
     list, same objects, same order (the sink leg of the parity matrix)."""
 
+    @pytest.mark.parametrize(
+        "batch_size,auto_drain,drain_every,seed",
+        [(4, True, None, 42), (16, False, 25, 19)],
+        ids=["auto-drain", "scheduled-drains"],
+    )
     @pytest.mark.parametrize("num_shards,executor", SINK_CELLS)
-    def test_sink_matches_returned_lists_fixed_batch(self, executor, num_shards):
+    def test_sink_matches_returned_lists(
+        self, executor, num_shards, batch_size, auto_drain, drain_every, seed
+    ):
         model = make_model("rotary")
-        streams, events = multi_stream_events(seed=42)
+        streams, events = multi_stream_events(seed=seed)
         with ServingCluster(
             model,
             SPEC,
             ClusterConfig(
                 **backend(executor),
                 num_shards=num_shards,
-                batch_size=4,
-                engine=engine_config(),
-            ),
-        ) as cluster:
-            sink = cluster.subscribe(BufferedSink())
-            returned = []
-            for event in events:
-                returned.extend(cluster.submit(event).decisions)
-            returned.extend(cluster.drain())
-            returned.extend(cluster.expire())
-            returned.extend(cluster.flush())
-            delivered = sink.take()
-        assert delivered == returned
-
-    @pytest.mark.parametrize("num_shards,executor", SINK_CELLS)
-    def test_sink_matches_returned_lists_auto_batch(self, executor, num_shards):
-        model = make_model("rotary")
-        streams, events = multi_stream_events(seed=19)
-        with ServingCluster(
-            model,
-            SPEC,
-            ClusterConfig(
-                **backend(executor),
-                num_shards=num_shards,
-                batch_size="auto",
-                auto_drain=False,
+                batch_size=batch_size,
+                auto_drain=auto_drain,
                 max_queue=len(events) + 1,
                 engine=engine_config(),
             ),
@@ -919,8 +883,10 @@ class TestSinkDeliveryParity:
             returned = []
             for position, event in enumerate(events):
                 returned.extend(cluster.submit(event).decisions)
-                if position % 25 == 24:
+                if drain_every and position % drain_every == drain_every - 1:
                     returned.extend(cluster.drain())
+            returned.extend(cluster.drain())
+            returned.extend(cluster.expire())
             returned.extend(cluster.flush())
             delivered = sink.take()
         assert delivered == returned
@@ -974,7 +940,6 @@ class TestSinkDeliveryParity:
             num_streams=int(rng.integers(2, 8)),
             num_keys=int(rng.integers(2, 6)),
         )
-        adaptive = bool(rng.random() < 0.5)
         overrides = dict(
             window_items=int(rng.integers(4, 12)),
             reencode_every=int(rng.integers(1, 4)),
@@ -983,10 +948,9 @@ class TestSinkDeliveryParity:
         config = ClusterConfig(
             **backend(executor),
             num_shards=int(rng.choice([1, 2, 4])),
-            batch_size="auto" if adaptive else int(rng.integers(1, 9)),
-            auto_drain=False if adaptive else bool(rng.random() < 0.7),
+            batch_size=int(rng.integers(1, 9)),
+            auto_drain=bool(rng.random() < 0.7),
             max_queue=len(events) + 1,
-            batched=bool(rng.random() < 0.8),
             engine=engine_config(**overrides),
         )
         drain_every = int(rng.integers(10, 60))
@@ -1010,8 +974,8 @@ class TestClusterLockstepStress:
 
     Each case draws a fresh seeded multi-stream event sequence and a random
     serving schedule (interleaved expiries and explicit drains), serves it
-    through a randomly-shaped cluster (shards, executor, fixed or adaptive
-    batching, both encodings), and demands per-stream decision-for-decision
+    through a randomly-shaped cluster (shards, executor, round width, both
+    encodings), and demands per-stream decision-for-decision
     parity with one sequential engine per stream.
     """
 
@@ -1040,14 +1004,12 @@ class TestClusterLockstepStress:
             model, streams, events, expire_positions=expire_positions, **overrides
         )
 
-        adaptive = bool(rng.random() < 0.5)
         config = ClusterConfig(
             executor=str(rng.choice(["serial", "thread"])),
             num_shards=int(rng.choice([1, 2, 4])),
-            batch_size="auto" if adaptive else int(rng.integers(1, 9)),
-            auto_drain=False if adaptive else bool(rng.random() < 0.7),
+            batch_size=int(rng.integers(1, 9)),
+            auto_drain=bool(rng.random() < 0.7),
             max_queue=len(events) + 1,
-            batched=bool(rng.random() < 0.8),
             engine=engine_config(**overrides),
         )
         drain_every = int(rng.integers(10, 60))

@@ -330,7 +330,11 @@ class TestClusterStatsSurfacing:
         assert (
             sum(snap["rounds"] for snap in stats["shard_monitors"]) == stats["rounds"]
         )
-        assert len(stats["round_widths"]) == 2
+        # Realized widths: every drained row is in one round of at most
+        # batch_size rows.
+        rows = sum(snap["rows"] for snap in stats["shard_monitors"])
+        assert rows == stats["drained"]
+        assert rows <= 4 * stats["rounds"]
 
     def test_stats_and_health_are_json_serializable(self, executor):
         """The network tier ships stats()/health() verbatim as JSON bodies."""

@@ -12,6 +12,7 @@ running → draining → closed lifecycle.
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -552,6 +553,21 @@ class TestLifecycleOverHTTP:
             ServingHTTPServer(model=model, spec=SPEC, max_buffered=-1)
         gateway.cluster.close()
 
+    def test_rejected_max_buffered_starts_no_worker_pool(self):
+        """The bound is checked before the owned gateway is built, so a
+        rejected server leaves no shard worker threads behind."""
+        def shard_workers():
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("shard-worker")
+            }
+
+        before = shard_workers()
+        config = ClusterConfig(executor="thread", num_shards=2, engine=engine_config())
+        with pytest.raises(ValueError, match="max_buffered"):
+            ServingHTTPServer(model=make_model(), spec=SPEC, config=config, max_buffered=-1)
+        assert shard_workers() <= before
+
 
 class TestServeEntrypoint:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
@@ -572,3 +588,24 @@ class TestServeEntrypoint:
         with pytest.raises(SystemExit):
             parser.parse_args(["--executor", "process"])
         assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--batch-size", "0", "batch_size must be a positive int"),
+            ("--num-shards", "0", "num_shards must be positive"),
+            ("--window", "0", "window_items must be positive"),
+            ("--max-buffered", "-1", "max_buffered must be >= 0"),
+        ],
+    )
+    def test_bad_numeric_flag_is_a_usage_error(self, capsys, flag, value, message):
+        """A value the serving stack rejects exits 2 with usage, not a
+        traceback."""
+        from repro.serve import main as serve_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main([flag, value, "--selftest", "1", "--port", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.serve")
+        assert message in err

@@ -1,9 +1,8 @@
-"""Unit tests for the shard execution backends and the adaptive controller.
+"""Unit tests for the shard execution backends.
 
 Cluster-level parity of the backends lives in ``test_cluster.py``; this file
-tests the executors and the batch controller as components: pinning, ordered
-fan-out, exception propagation, re-entrancy, lifecycle, and the controller's
-widen/narrow behaviour on synthetic observations.
+tests the executors as components: pinning, ordered fan-out, exception
+propagation, re-entrancy and lifecycle.
 """
 
 import threading
@@ -12,8 +11,6 @@ import time
 import pytest
 
 from repro.serving.parallel import (
-    AdaptiveBatchConfig,
-    AdaptiveBatchController,
     SerialExecutor,
     ThreadExecutor,
     available_cpus,
@@ -330,78 +327,3 @@ class TestAvailableCpusCgroupAwareness:
         quota = parallel._cgroup_cpu_limit()
         assert quota == 64
         assert parallel.available_cpus() == min(unpatched, quota)
-
-
-class TestAdaptiveBatchConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(min_batch=0),
-            dict(min_batch=4, max_batch=2),
-            dict(latency_budget_ms=0.0),
-            dict(catchup_rounds=0),
-            dict(ewma_alpha=0.0),
-            dict(ewma_alpha=1.5),
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            AdaptiveBatchConfig(**kwargs)
-
-
-class TestAdaptiveBatchController:
-    def test_starts_at_min_batch(self):
-        controller = AdaptiveBatchController(AdaptiveBatchConfig(min_batch=2))
-        assert controller.width == 2
-
-    def test_backlog_widens_rounds(self):
-        """A deep remaining backlog must widen the next round toward
-        clearing it in ``catchup_rounds`` rounds."""
-        controller = AdaptiveBatchController(
-            AdaptiveBatchConfig(min_batch=1, max_batch=64, catchup_rounds=2,
-                                latency_budget_ms=1000.0)
-        )
-        width = controller.observe_round(backlog=40, rows=1, elapsed_ms=0.1)
-        assert width == 20
-
-    def test_empty_queue_narrows_to_min(self):
-        controller = AdaptiveBatchController(AdaptiveBatchConfig(min_batch=1))
-        controller.observe_round(backlog=100, rows=8, elapsed_ms=1.0)
-        assert controller.width > 1
-        controller.observe_round(backlog=0, rows=8, elapsed_ms=1.0)
-        assert controller.width == 1
-
-    def test_latency_budget_caps_width(self):
-        """With rows costing ~2ms each and an 8ms budget, the controller may
-        never pick more than 4 rows per round, whatever the backlog."""
-        controller = AdaptiveBatchController(
-            AdaptiveBatchConfig(min_batch=1, max_batch=64, latency_budget_ms=8.0,
-                                ewma_alpha=1.0)
-        )
-        width = controller.observe_round(backlog=1000, rows=10, elapsed_ms=20.0)
-        assert width == 4
-
-    def test_max_batch_is_a_hard_ceiling(self):
-        controller = AdaptiveBatchController(
-            AdaptiveBatchConfig(max_batch=16, latency_budget_ms=1000.0)
-        )
-        assert controller.observe_round(backlog=10_000, rows=1, elapsed_ms=0.01) == 16
-
-    def test_ewma_smooths_latency_samples(self):
-        controller = AdaptiveBatchController(AdaptiveBatchConfig(ewma_alpha=0.5))
-        controller.observe_round(backlog=0, rows=1, elapsed_ms=2.0)
-        controller.observe_round(backlog=0, rows=1, elapsed_ms=4.0)
-        assert controller.row_ms_ewma == pytest.approx(3.0)
-
-    def test_empty_rounds_leave_ewma_untouched(self):
-        controller = AdaptiveBatchController()
-        controller.observe_round(backlog=5, rows=0, elapsed_ms=1.0)
-        assert controller.row_ms_ewma is None
-
-    def test_reset_restores_initial_state(self):
-        controller = AdaptiveBatchController(AdaptiveBatchConfig(min_batch=3))
-        controller.observe_round(backlog=50, rows=4, elapsed_ms=1.0)
-        controller.reset()
-        assert controller.width == 3
-        assert controller.row_ms_ewma is None
-        assert controller.rounds_observed == 0
