@@ -13,11 +13,11 @@ network flow while its packets are still arriving.  This example
    stream with overlapping flows,
 4. serves the stream with the online engine over a bounded sliding window,
 5. reports running accuracy / earliness / latency from the decision monitor,
-6. serves the same flows again as a *multi-stream* process through the
-   push-based :class:`ServingGateway` — per-stream handles, per-key decision
-   futures, a subscribed decision sink, and explicit admission outcomes from
-   the sharded :class:`ServingCluster` underneath (hash-routed shards,
-   cross-stream batched encoding),
+6. serves the same flows again as a *multi-stream* process on the sharded
+   :class:`ServingCluster` (hash-routed shards, cross-stream batched
+   encoding): a subscribed :class:`BufferedSink` receives every decision
+   pushed, and each submission returns its explicit admission outcome as a
+   :class:`SubmitResult` status,
 7. turns on the parallel backend: bursty Zipf-skewed traffic served by a
    thread worker pool (one pinned worker per shard) in drain rounds of at
    most 16 arrivals; explicit drains overlap all shards on real cores, and
@@ -27,8 +27,9 @@ network flow while its packets are still arriving.  This example
    replayed decisions match a never-crashed run for every non-lost arrival,
    and ``stats()["health"]`` shows the breaker/restore accounting,
 9. serves from an event loop through the :class:`AsyncServingGateway` —
-   awaitable submission with one concurrent submitter task per stream and
-   an ``async for`` decision stream (stdlib asyncio only),
+   awaitable submission with one concurrent submitter task per stream, an
+   ``async for`` decision stream and a per-key decision future from
+   ``result()`` (stdlib asyncio only),
 10. puts the cluster on the network: a stdlib-only
     :class:`ServingHTTPServer` front end (admission statuses as HTTP codes,
     decisions as a chunked NDJSON push stream consumed by
@@ -66,7 +67,6 @@ from repro.serving import (
     MultiStreamSimulator,
     OnlineClassificationEngine,
     ServingCluster,
-    ServingGateway,
     ServingHTTPClient,
     ServingHTTPServer,
     SimulatorConfig,
@@ -136,16 +136,15 @@ def main() -> None:
     print(f"decisions from window truncation: {engine.num_truncated}")
 
     # ------------------------------------------------------------------ #
-    # 6. Multi-stream serving through the push-based gateway
+    # 6. Multi-stream serving on the sharded cluster, decisions pushed
     # ------------------------------------------------------------------ #
     # The same flows, now partitioned across 4 concurrent stream ids with a
-    # Zipf-skewed traffic share (hot streams carry most flows).  The gateway
-    # wraps a 2-shard ServingCluster: offers go through per-stream handles,
-    # decisions come back *pushed* — a subscribed sink receives every
-    # decision in emission order (identical to the returned lists, the
-    # parity suite pins this), and per-key futures resolve the moment a
-    # key's decision is emitted.  Per-stream decisions are identical to the
-    # single-stream engine above.
+    # Zipf-skewed traffic share (hot streams carry most flows), served by a
+    # 2-shard ServingCluster.  Decisions come back *pushed*: a subscribed
+    # sink receives every decision in emission order (identical to the
+    # returned lists, the parity suite pins this), and every submission
+    # returns its admission outcome as a SubmitResult status.  Per-stream
+    # decisions are identical to the single-stream engine above.
     traffic = MultiStreamSimulator(
         test_flows,
         MultiStreamConfig(
@@ -154,7 +153,7 @@ def main() -> None:
             simulator=SimulatorConfig(arrival_rate=1.5, max_active=6, seed=2),
         ),
     )
-    gateway = ServingGateway(
+    cluster = ServingCluster(
         served_model,
         dataset.spec,
         ClusterConfig(
@@ -165,26 +164,21 @@ def main() -> None:
     )
     # Push delivery: the monitor is fed by a subscription instead of the
     # caller demultiplexing returned lists.
-    sink = gateway.subscribe(BufferedSink())
+    sink = cluster.subscribe(BufferedSink())
     monitor = DecisionMonitor(labels=traffic.labels, sequence_lengths=traffic.sequence_lengths)
-    # A per-key future: resolved whenever that flow's decision is emitted,
-    # by whatever drain/flush happens to trigger it.
     events_list = list(traffic.events())
-    first_event = events_list[0]
-    first_flow = gateway.stream(first_event.source).result(first_event.key)
     admission = {"accepted": 0, "decided": 0}
     for event in events_list:
-        result = gateway.stream(event.source).offer(event)
-        admission[result.status] += 1
-    gateway.flush()
+        admission[cluster.submit(event).status] += 1
+    cluster.flush()
     for stream_decision in sink.take():
         monitor.observe(stream_decision.decision)
 
     print()
-    print("=== gateway report (push delivery, merged across shards) ===")
+    print("=== cluster report (push delivery, merged across shards) ===")
     print(f"streams: {traffic.stream_share} (Zipf-skewed shares)")
     print(monitor.report())
-    stats = gateway.stats()
+    stats = cluster.stats()
     print(
         f"cluster: {stats['num_shards']} shards, {stats['num_sessions']} sessions, "
         f"{stats['batch_rounds']} batched rounds covering {stats['batched_rows']} arrivals"
@@ -195,21 +189,14 @@ def main() -> None:
         f"throughput {stats['items_per_s']:.0f} items/s, "
         f"{stats['decisions_per_s']:.0f} decisions/s (sliding window)"
     )
-    if first_flow.done() and not first_flow.cancelled():
-        decision = first_flow.result(timeout=0)
-        print(
-            f"future for flow {decision.key!r}: class {decision.predicted} "
-            f"after {decision.observations} packets (confidence {decision.confidence:.2f})"
-        )
 
     # Snapshots deep-copy the serving state (sharing the model weights), so
     # a deployment can checkpoint mid-stream and restore after a failover.
-    # Deliveries are not serving state: the restore re-fires nothing, and
-    # resolved futures stay resolved.
-    snapshot = gateway.cluster.snapshot()
-    gateway.cluster.restore(snapshot)
+    # Deliveries are not serving state: the restore re-publishes nothing.
+    snapshot = cluster.snapshot()
+    cluster.restore(snapshot)
     print("snapshot/restore round trip ok")
-    gateway.close()
+    cluster.close()
 
     # ------------------------------------------------------------------ #
     # 7. Parallel shard execution under bursty, skewed traffic
@@ -380,7 +367,9 @@ def main() -> None:
     # loop never blocks on a drain round; shard work still runs on the
     # cluster's own thread backend) and one consumer task iterating the
     # pushed decision stream.  Per-stream decisions remain identical to the
-    # sequential reference — only the waiting becomes cooperative.
+    # sequential reference — only the waiting becomes cooperative.  A
+    # per-key future from result() resolves the moment that flow's decision
+    # is emitted, by whatever round or flush happens to trigger it.
     per_stream = {}
     for event in events_list:
         per_stream.setdefault(event.source, []).append(event)
@@ -396,6 +385,8 @@ def main() -> None:
             labels=traffic.labels, sequence_lengths=traffic.sequence_lengths
         )
         async with AsyncServingGateway(served_model, dataset.spec, config) as agw:
+            first_event = events_list[0]
+            first_flow = agw.result(first_event.source, first_event.key)
 
             async def consume():
                 async for stream_decision in agw.decisions():
@@ -410,12 +401,18 @@ def main() -> None:
             await asyncio.gather(*(submit_stream(s) for s in per_stream))
             await agw.close()
             await consumer
-        return async_monitor
+        return async_monitor, first_flow
 
-    async_monitor = asyncio.run(serve_async())
+    async_monitor, first_flow = asyncio.run(serve_async())
     print()
     print("=== asyncio gateway report (concurrent submitter tasks) ===")
     print(async_monitor.report())
+    if first_flow.done() and not first_flow.cancelled():
+        decision = first_flow.result()
+        print(
+            f"future for flow {decision.key!r}: class {decision.predicted} "
+            f"after {decision.observations} packets (confidence {decision.confidence:.2f})"
+        )
 
     # ------------------------------------------------------------------ #
     # 10. The network tier: HTTP front end + consistent-hash router

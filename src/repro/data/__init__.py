@@ -19,8 +19,6 @@ This package provides:
   streams with a controllable concurrency level ``K``,
 * :mod:`~repro.data.splits` — key-disjoint train/validation/test splits and
   k-fold cross validation,
-* :mod:`~repro.data.vocab` — encoders that map raw feature values to the
-  categorical codes consumed by the embedding layers,
 * :mod:`~repro.data.batching` — iteration over tangled sequences in epochs.
 """
 
@@ -28,7 +26,6 @@ from repro.data.items import Item, KeyValueSequence, TangledSequence, ValueSpec
 from repro.data.sessions import Session, segment_sessions, session_lengths
 from repro.data.tangle import interleave_sequences, retangle_by_concurrency
 from repro.data.splits import DatasetSplit, kfold_splits, split_by_key
-from repro.data.vocab import BucketEncoder, CategoricalEncoder, ValueEncoder
 from repro.data.batching import EpisodeBatcher
 from repro.data.stream import KeyTracker, SlidingWindow, StreamEvent, merge_streams, replay
 from repro.data import augment
@@ -57,8 +54,5 @@ __all__ = [
     "DatasetSplit",
     "split_by_key",
     "kfold_splits",
-    "CategoricalEncoder",
-    "BucketEncoder",
-    "ValueEncoder",
     "EpisodeBatcher",
 ]

@@ -62,8 +62,8 @@ class Item:
     """One key-value item ``<k, v>`` with its arrival time.
 
     ``value`` holds integer categorical codes, one per dimension of the
-    dataset's :class:`ValueSpec` (continuous raw features are discretised by
-    the encoders in :mod:`repro.data.vocab` before items are constructed).
+    dataset's :class:`ValueSpec` (the dataset generators emit codes
+    directly, e.g. a packet-size bucket rather than a size in bytes).
     """
 
     key: Hashable

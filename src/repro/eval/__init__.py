@@ -12,6 +12,9 @@
 * :mod:`~repro.eval.halting_analysis` — halting-position distributions on the
   Synthetic-Traffic dataset (Fig. 11).
 * :mod:`~repro.eval.reporting` — ASCII rendering of result tables and series.
+* :mod:`~repro.eval.confusion` — confusion matrices and per-class reports.
+* :mod:`~repro.eval.significance` — bootstrap intervals and paired tests
+  (paired bootstrap, McNemar) for comparing methods.
 """
 
 from repro.eval.metrics import (
@@ -39,17 +42,8 @@ from repro.eval.significance import (
     mcnemar_test,
     paired_bootstrap_test,
 )
-from repro.eval.plotting import histogram, line_plot, sparkline
-from repro.eval.calibration import (
-    confidence_accuracy_tradeoff,
-    expected_calibration_error,
-    reliability_bins,
-)
 
 __all__ = [
-    "reliability_bins",
-    "expected_calibration_error",
-    "confidence_accuracy_tradeoff",
     "ConfusionMatrix",
     "classification_report",
     "BootstrapInterval",
@@ -58,9 +52,6 @@ __all__ = [
     "paired_bootstrap_test",
     "mcnemar_test",
     "compare_methods",
-    "line_plot",
-    "histogram",
-    "sparkline",
     "MetricSummary",
     "accuracy",
     "earliness",

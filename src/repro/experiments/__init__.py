@@ -8,14 +8,16 @@
   run functions, one per paper artifact.
 * :mod:`~repro.experiments.registry` — the experiment index mapping artifact
   ids (``fig3_accuracy``, ``table1_dataset_stats``, ...) to run functions.
-* :mod:`~repro.experiments.runner` — a small CLI:
-  ``python -m repro.experiments.runner fig3_accuracy --scale bench``.
+* :mod:`~repro.experiments.crossval` — the paper's five-fold
+  cross-validation protocol (Section V-A4).
+* :mod:`~repro.experiments.cli` — the command line:
+  ``python -m repro experiments`` lists the registry and
+  ``python -m repro run fig3_accuracy --scale bench`` runs one experiment.
 """
 
 from repro.experiments.presets import ExperimentScale, get_scale, SCALES
 from repro.experiments.methods import METHOD_ORDER, method_sweeps
 from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
-from repro.experiments.runner import run_experiment
 from repro.experiments.crossval import (
     CrossValidationResult,
     compare_cross_validated,
@@ -37,5 +39,4 @@ __all__ = [
     "Experiment",
     "get_experiment",
     "list_experiments",
-    "run_experiment",
 ]

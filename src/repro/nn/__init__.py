@@ -32,17 +32,7 @@ from repro.nn.layers import (
 )
 from repro.nn.attention import MultiHeadAttention, RelativeCoords, causal_mask
 from repro.nn.recurrent import LSTM, LSTMCell
-from repro.nn.gru import GRU, GRUCell
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    LinearWarmup,
-    LRScheduler,
-    MultiStepLR,
-    StepLR,
-)
 from repro.nn import init
 from repro.nn.serialization import load_state_dict, save_state_dict
 
@@ -64,15 +54,6 @@ __all__ = [
     "causal_mask",
     "LSTM",
     "LSTMCell",
-    "GRU",
-    "GRUCell",
-    "LRScheduler",
-    "ConstantLR",
-    "StepLR",
-    "MultiStepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "LinearWarmup",
     "SGD",
     "Adam",
     "Optimizer",

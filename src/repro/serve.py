@@ -152,6 +152,8 @@ async def _serve_forever(server: ServingHTTPServer, executor: str) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.selftest is not None and args.selftest < 1:
+        parser.error(f"--selftest must be at least 1, got {args.selftest}")
     try:
         server = _build_stack(args)
     except ValueError as error:

@@ -30,13 +30,11 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   (callback, bounded buffer, fan-out, asyncio queue) receive every emitted
   decision in the exact order of the returned-list API — delivery is
   backend-deterministic and parity-tested,
-* :class:`~repro.serving.gateway.ServingGateway` — per-stream
-  :class:`~repro.serving.gateway.StreamHandle`\\ s over the sinks:
-  ``handle.offer(event)``, ``handle.result(key)`` futures resolved at
-  emission, ``handle.close()`` per-stream flush,
-* :class:`~repro.serving.aio.AsyncServingGateway` — the asyncio front end:
-  ``await gateway.submit(...)`` (drains run off-loop on the cluster's own
-  execution backend), ``async for decision in gateway.decisions()``, and
+* :class:`~repro.serving.aio.AsyncServingGateway` — the asyncio front end
+  the HTTP tier runs on: ``await gateway.submit(...)`` (drains run off-loop
+  on the cluster's own execution backend), ``async for decision in
+  gateway.decisions()``, per-key ``gateway.result(stream, key)`` futures
+  resolved at emission, ``await gateway.flush_stream(stream)``, and
   awaitable backpressure via bounded decision buffering,
 * :mod:`~repro.serving.monitoring` — running accuracy/earliness/latency
   aggregation plus sliding-window throughput meters, mergeable across
@@ -96,7 +94,6 @@ from repro.serving.engine import (
     OnlineClassificationEngine,
     StreamSession,
 )
-from repro.serving.gateway import ServingGateway, StreamHandle
 from repro.serving.net import (
     ClusterRouter,
     NetDecision,
@@ -183,8 +180,6 @@ __all__ = [
     "BufferedSink",
     "FanOutSink",
     "AsyncQueueSink",
-    "ServingGateway",
-    "StreamHandle",
     "AsyncServingGateway",
     "ShardExecutor",
     "SerialExecutor",

@@ -1,9 +1,9 @@
 """Asyncio serving gateway: awaitable submission and async decision streams.
 
-The cluster and sync gateway are thread-blocking by design — every call
-returns with its work complete.  An event-loop application must never block
-the loop on a drain round, so :class:`AsyncServingGateway` wraps the cluster
-the asyncio-native way:
+The cluster is thread-blocking by design — every call returns with its
+work complete.  An event-loop application must never block the loop on a
+drain round, so :class:`AsyncServingGateway` wraps the cluster the
+asyncio-native way (the HTTP tier, :mod:`repro.serving.net`, runs on it):
 
 * ``await gateway.submit(event)`` — admission, and any drain round the
   submission triggers, runs *off-loop*: the call is dispatched to a thread
@@ -20,8 +20,8 @@ the asyncio-native way:
   backpressure from the consumer into the serving layer (a concurrently
   running consumer task is then required, including across ``close()``).
 * ``gateway.result(stream_id, key)`` — an :class:`asyncio.Future` resolved
-  on the loop when that key's decision is emitted; the asyncio counterpart
-  of :meth:`repro.serving.gateway.StreamHandle.result`.
+  on the loop when that key's decision is emitted, kept by the gateway's
+  first-emission :class:`DecisionRegistry`.
 
 Concurrency: submissions from many tasks run concurrently when the cluster
 uses the thread backend (admission is lock-guarded, rounds are shard-pinned,
@@ -34,9 +34,8 @@ serial cluster is single-threaded by contract).
 
 Lifecycle: ``running`` → ``draining`` (``close()`` flushes, resolves what
 resolves) → ``closed`` (unresolved futures cancelled, the decision stream
-terminates).  Like the sync gateway, decision futures fire at most once;
-replays after a cluster restore re-feed ``decisions()`` but never re-fire a
-future.
+terminates).  Decision futures fire at most once; replays after a cluster
+restore re-feed ``decisions()`` but never re-fire a future.
 
 No third-party dependencies: everything is stdlib ``asyncio`` (tests drive
 it with ``asyncio.run``).
@@ -48,16 +47,115 @@ import asyncio
 import threading
 from contextlib import asynccontextmanager
 from functools import partial
-from typing import AsyncIterator, Dict, Hashable, List, Optional, Tuple
+from typing import AsyncIterator, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.data.items import ValueSpec
 from repro.serving.cluster import ClusterConfig, ServingCluster, StreamDecision
 from repro.serving.engine import Decision
-from repro.serving.gateway import DecisionRegistry
 from repro.serving.results import SubmitResult
 from repro.serving.sinks import AsyncQueueSink, DecisionSink
 
 __all__ = ["AsyncServingGateway"]
+
+
+class DecisionRegistry:
+    """First-emission registry mapping ``(stream, key)`` to decisions/futures.
+
+    The gateway's per-key bookkeeping: records each (stream, key)'s *first*
+    emitted decision, keeps per-stream emission order, and pairs
+    not-yet-decided keys with futures handed out by ``result()``.  Replay
+    re-emissions after a restore are ignored — futures fire at most once,
+    which is the pinned restore contract.
+
+    ``future_factory`` supplies the futures (``loop.create_future``); they
+    expose ``done`` / ``set_result`` / ``cancel``.  Access is serialized by
+    an internal lock, so the registry is safe to touch from any thread; the
+    gateway only ever touches it from the loop thread, where the
+    uncontended lock is noise.
+    """
+
+    def __init__(self, future_factory: Callable[[], "asyncio.Future"]) -> None:
+        self._future_factory = future_factory
+        self._lock = threading.Lock()
+        self._decided: Dict[Tuple[Hashable, Hashable], Decision] = {}
+        self._stream_order: Dict[Hashable, List[Decision]] = {}
+        self._futures: Dict[Tuple[Hashable, Hashable], "asyncio.Future"] = {}
+
+    @staticmethod
+    def _resolve(future: "asyncio.Future", decision: Decision) -> None:
+        """Resolve a future, tolerating a caller-side cancel racing us."""
+        if future.done():
+            return
+        try:
+            future.set_result(decision)
+        except Exception:
+            # set_result raises InvalidStateError when the holder cancelled
+            # between our done() check and the set_result; the cancellation
+            # wins and the delivery must not crash the round.
+            if not future.cancelled():
+                raise
+
+    def deliver(self, stream_decision: StreamDecision) -> None:
+        """Fold one published decision in; resolves its future if pending."""
+        registry_key = (stream_decision.stream_id, stream_decision.decision.key)
+        with self._lock:
+            if registry_key in self._decided:
+                return
+            self._decided[registry_key] = stream_decision.decision
+            self._stream_order.setdefault(stream_decision.stream_id, []).append(
+                stream_decision.decision
+            )
+            future = self._futures.pop(registry_key, None)
+        if future is not None:
+            self._resolve(future, stream_decision.decision)
+
+    def future_for(self, stream_id: Hashable, key: Hashable) -> "asyncio.Future":
+        """The (shared) future of one key — already resolved if decided."""
+        registry_key = (stream_id, key)
+        with self._lock:
+            decision = self._decided.get(registry_key)
+            if decision is None:
+                existing = self._futures.get(registry_key)
+                if existing is not None:
+                    return existing
+                future = self._future_factory()
+                self._futures[registry_key] = future
+                return future
+        future = self._future_factory()
+        self._resolve(future, decision)
+        return future
+
+    def decided(self, stream_id: Hashable, key: Hashable) -> Optional[Decision]:
+        with self._lock:
+            return self._decided.get((stream_id, key))
+
+    def stream_decisions(self, stream_id: Hashable) -> List[Decision]:
+        with self._lock:
+            return list(self._stream_order.get(stream_id, ()))
+
+    def cancel_unresolved(self, stream_id: Optional[Hashable] = None) -> None:
+        """Cancel pending futures (of one stream, or all)."""
+        with self._lock:
+            if stream_id is None:
+                doomed = list(self._futures.values())
+                self._futures.clear()
+            else:
+                doomed = [
+                    self._futures.pop(registry_key)
+                    for registry_key in [k for k in self._futures if k[0] == stream_id]
+                ]
+        for future in doomed:
+            future.cancel()
+
+    @property
+    def pending_count(self) -> int:
+        with self._lock:
+            return len(self._futures)
+
+    @property
+    def resolved_count(self) -> int:
+        with self._lock:
+            return len(self._decided)
 
 
 class _OpGate:

@@ -243,6 +243,10 @@ class ClusterConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
+        # bool is an int subclass: True would pass every check below as 1.
+        for name in ("num_shards", "batch_size", "max_queue", "num_workers"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an int, not a bool")
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if not isinstance(self.batch_size, int) or self.batch_size <= 0:
@@ -1396,10 +1400,11 @@ class ServingCluster:
         """Drain one stream's shard, then force-decide that stream's keys.
 
         The per-stream lifecycle hook behind
-        :meth:`~repro.serving.gateway.StreamHandle.close`: other streams on
-        the same shard only have their queued arrivals drained (their
-        decisions, if any, are part of the returned/published batch); only
-        the target stream is force-decided.
+        :meth:`~repro.serving.aio.AsyncServingGateway.flush_stream` and the
+        HTTP per-stream flush verb: other streams on the same shard only
+        have their queued arrivals drained (their decisions, if any, are
+        part of the returned/published batch); only the target stream is
+        force-decided.
         """
         self._require_open("flush_stream")
         shard = self.shard_of(stream_id)

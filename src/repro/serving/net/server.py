@@ -92,6 +92,8 @@ class ServingHTTPServer:
     ) -> None:
         if max_buffered < 0:
             raise ValueError("max_buffered must be >= 0 (0 = unbounded)")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {port}")
         if gateway is None:
             if model is None or spec is None:
                 raise ValueError(

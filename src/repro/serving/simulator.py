@@ -8,8 +8,7 @@ sequences:
 
 * key *start times* follow a Poisson process with a configurable rate (or a
   fixed target number of concurrently active keys) — optionally modulated by
-  a mean-preserving ``burst`` (on/off duty cycle) or ``diurnal`` (sinusoidal)
-  rate profile,
+  a mean-preserving ``burst`` (on/off duty cycle) rate profile,
 * within a key, item inter-arrival gaps are taken from the source sequence
   (rescaled to a common unit), so bursts/sessions survive the simulation,
 * the output is a single chronologically ordered stream of
@@ -60,13 +59,13 @@ class SimulatorConfig:
         shape real clusters see.
     pattern:
         Temporal shape of the key-start process.  ``"poisson"`` (default) is
-        the homogeneous process.  ``"burst"`` and ``"diurnal"`` modulate the
-        instantaneous start rate by a periodic profile ``m(t)`` with mean 1
-        over its period (inhomogeneous Poisson via the time-change theorem:
+        the homogeneous process.  ``"burst"`` modulates the instantaneous
+        start rate by a periodic profile ``m(t)`` with mean 1 over its
+        period (inhomogeneous Poisson via the time-change theorem:
         exponential draws accumulate in integrated-hazard space and are
         mapped back through the inverse cumulative profile), so the **mean
-        arrival rate is preserved exactly** — patterns redistribute load in
-        time, they never add or remove it.  Within a key, item gaps still
+        arrival rate is preserved exactly** — the pattern redistributes load
+        in time, it never adds or removes it.  Within a key, item gaps still
         come from the source sequence; the pattern shapes key *starts*.
     burst_period / burst_duty / burst_floor:
         ``"burst"`` is an on/off duty cycle: each period of ``burst_period``
@@ -74,10 +73,6 @@ class SimulatorConfig:
         period at elevated rate, followed by an *off* phase at
         ``burst_floor`` (relative to the nominal rate; ``0`` = fully quiet).
         The on-rate is solved from mean-1: ``(1 - (1-duty)·floor) / duty``.
-    diurnal_period / diurnal_amplitude:
-        ``"diurnal"`` is a sinusoid ``m(t) = 1 + A·sin(2πt/period)`` —
-        a smooth day/night load curve with peak-to-trough ratio
-        ``(1+A)/(1-A)``.
     seed:
         Seed of the Poisson start-time draws.
     """
@@ -90,8 +85,6 @@ class SimulatorConfig:
     burst_period: float = 16.0
     burst_duty: float = 0.25
     burst_floor: float = 0.0
-    diurnal_period: float = 64.0
-    diurnal_amplitude: float = 0.8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -103,7 +96,7 @@ class SimulatorConfig:
             raise ValueError("max_active must be non-negative")
         if self.key_skew < 0:
             raise ValueError("key_skew must be non-negative")
-        if self.pattern not in ("poisson", "burst", "diurnal"):
+        if self.pattern not in ("poisson", "burst"):
             raise ValueError(f"unknown arrival pattern {self.pattern!r}")
         if self.burst_period <= 0:
             raise ValueError("burst_period must be positive")
@@ -111,10 +104,6 @@ class SimulatorConfig:
             raise ValueError("burst_duty must be in (0, 1]")
         if not 0.0 <= self.burst_floor <= 1.0:
             raise ValueError("burst_floor must be in [0, 1]")
-        if self.diurnal_period <= 0:
-            raise ValueError("diurnal_period must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
 
 
 @dataclass
@@ -169,8 +158,6 @@ class ArrivalSimulator:
     def _pattern_period(self) -> float:
         if self.config.pattern == "burst":
             return self.config.burst_period
-        if self.config.pattern == "diurnal":
-            return self.config.diurnal_period
         return 1.0  # any period works: the poisson profile is constant 1
 
     def _burst_on_rate(self) -> float:
@@ -185,55 +172,24 @@ class ArrivalSimulator:
             if phase < config.burst_duty * config.burst_period:
                 return self._burst_on_rate()
             return config.burst_floor
-        if config.pattern == "diurnal":
-            return 1.0 + config.diurnal_amplitude * math.sin(
-                2.0 * math.pi * phase / config.diurnal_period
-            )
         return 1.0
-
-    def _cumulative_profile(self, phase: float) -> float:
-        """``∫₀^phase m(s) ds`` within one period."""
-        config = self.config
-        if config.pattern == "burst":
-            on_span = config.burst_duty * config.burst_period
-            if phase <= on_span:
-                return self._burst_on_rate() * phase
-            return self._burst_on_rate() * on_span + config.burst_floor * (
-                phase - on_span
-            )
-        if config.pattern == "diurnal":
-            period = config.diurnal_period
-            return phase + (config.diurnal_amplitude * period / (2.0 * math.pi)) * (
-                1.0 - math.cos(2.0 * math.pi * phase / period)
-            )
-        return phase
 
     def _invert_cumulative(self, target: float) -> float:
         """Earliest in-period phase whose cumulative profile reaches ``target``.
 
-        The burst profile inverts in closed form (piecewise linear); the
-        diurnal sinusoid is inverted by bisection (the cumulative profile is
-        monotone because ``m >= 1 - amplitude > 0``).
+        Only ``"burst"`` is modulated, and its piecewise-linear cumulative
+        profile ``∫₀^phase m(s) ds`` inverts in closed form.
         """
         config = self.config
-        if config.pattern == "burst":
-            on_rate = self._burst_on_rate()
-            on_span = config.burst_duty * config.burst_period
-            if target <= on_rate * on_span or config.burst_floor == 0.0:
-                # With a fully quiet off phase the whole period's mass lives
-                # in the on phase; the explicit floor==0 test keeps a ~1-ulp
-                # shortfall of on_rate*on_span below the period from ever
-                # reaching the off-phase division.
-                return min(target / on_rate, on_span)
-            return on_span + (target - on_rate * on_span) / config.burst_floor
-        low, high = 0.0, self._pattern_period()
-        for _ in range(64):  # ~2^-64 of a period; far below schedule noise
-            mid = 0.5 * (low + high)
-            if self._cumulative_profile(mid) < target:
-                low = mid
-            else:
-                high = mid
-        return high
+        on_rate = self._burst_on_rate()
+        on_span = config.burst_duty * config.burst_period
+        if target <= on_rate * on_span or config.burst_floor == 0.0:
+            # With a fully quiet off phase the whole period's mass lives
+            # in the on phase; the explicit floor==0 test keeps a ~1-ulp
+            # shortfall of on_rate*on_span below the period from ever
+            # reaching the off-phase division.
+            return min(target / on_rate, on_span)
+        return on_span + (target - on_rate * on_span) / config.burst_floor
 
     def _invert_hazard(self, hazard: float) -> float:
         """Map integrated-hazard time back to wall-clock time.

@@ -15,8 +15,7 @@ from repro.experiments.figures import (
     run_performance_figure,
 )
 from repro.experiments.presets import get_scale
-from repro.experiments.registry import list_experiments
-from repro.experiments.runner import run_experiment
+from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.tables import run_table1_dataset_stats, run_table2_hyperparameters
 from repro.experiments.workloads import clear_workload_caches
 
@@ -114,7 +113,7 @@ class TestAnalysisFigures:
 
 class TestRunner:
     def test_run_experiment_by_identifier(self):
-        result = run_experiment("table2_hyperparameters", scale="unit")
+        result = get_experiment("table2_hyperparameters").run("unit")
         assert result.rows
 
     def test_registry_and_runner_agree(self):

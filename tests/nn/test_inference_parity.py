@@ -4,7 +4,7 @@ for attention).
 
 The end-to-end fast-path parity tests (``tests/serving``) would localise a
 drift poorly; this suite pins each module of the ``nn`` substrate —
-``attention``, ``layers``, ``recurrent``, ``gru`` — individually, over
+``attention``, ``layers``, ``recurrent`` — individually, over
 randomized shapes and seeds, including the rotary/relative attention variant
 and the single-row streaming attention path.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.nn.attention import MultiHeadAttention, RelativeCoords, causal_mask, rotary_phases
-from repro.nn.gru import GRU, GRUCell
 from repro.nn.layers import Dropout, FeedForward, LayerNorm, Linear
 from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.tensor import Tensor
@@ -205,28 +204,3 @@ class TestRecurrentParity:
         np.testing.assert_allclose(hidden.data, hidden_inf, atol=ATOL)
         np.testing.assert_allclose(cell.data, cell_inf, atol=ATOL)
 
-
-class TestGRUParity:
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("sizes", [(4, 6), (7, 3)])
-    def test_gru_cell(self, seed, sizes):
-        rng = rng_for(seed + 90)
-        input_size, hidden_size = sizes
-        cell = GRUCell(input_size, hidden_size, rng=rng)
-        hidden = cell.init_state()
-        hidden_inf = cell.init_state_inference()
-        for _ in range(4):
-            x = rng.standard_normal(input_size)
-            hidden = cell(Tensor(x), hidden)
-            hidden_inf = cell.step_inference(x, hidden_inf)
-            np.testing.assert_allclose(hidden.data, hidden_inf, atol=ATOL)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gru_sequence(self, seed):
-        rng = rng_for(seed + 100)
-        gru = GRU(5, 7, rng=rng)
-        inputs = rng.standard_normal((6, 5))
-        outputs, hidden = gru(Tensor(inputs))
-        outputs_inf, hidden_inf = gru.forward_inference(inputs)
-        np.testing.assert_allclose(outputs.data, outputs_inf, atol=ATOL)
-        np.testing.assert_allclose(hidden.data, hidden_inf, atol=ATOL)

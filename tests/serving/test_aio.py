@@ -20,6 +20,7 @@ from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
 from repro.serving import (
     AsyncServingGateway,
+    BufferedSink,
     ClusterConfig,
     EngineConfig,
     OnlineClassificationEngine,
@@ -130,15 +131,18 @@ class TestAsyncParity:
                 await asyncio.gather(*(submit_stream(s) for s in streams))
                 await gateway.close()
                 await consumer
-            return pushed
+                registry_order = {s: gateway.stream_decisions(s) for s in streams}
+            return pushed, registry_order
 
-        pushed = asyncio.run(scenario())
+        pushed, registry_order = asyncio.run(scenario())
         got_by_stream = {}
         for stream_decision in pushed:
             got_by_stream.setdefault(stream_decision.stream_id, []).append(
                 stream_decision.decision
             )
         assert_per_stream_parity(got_by_stream, expected)
+        # the per-key registry keeps the same per-stream order
+        assert_per_stream_parity(registry_order, expected)
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_decision_stream_equals_returned_lists_for_sequential_caller(self, executor):
@@ -290,25 +294,220 @@ class TestAsyncFuturesAndBackpressure:
         assert isinstance(returned, list)
 
 
+class TestRestoreDeliverySemantics:
+    """Pinned semantics: snapshots capture serving state, not deliveries.
+
+    A restore neither rescinds nor re-fires anything already delivered.
+    Replaying events re-emits the replayed decisions to sinks and to the
+    decision stream, exactly as the pull API hands the caller the replayed
+    lists, while per-key futures fire at most once, on the first emission.
+    """
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_futures_do_not_double_fire_across_restore(self, executor):
+        model = make_model()
+        streams, events = multi_stream_events(seed=23, num_events=160)
+        snap_at, restore_at = 60, 110
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
+            async with AsyncServingGateway(model, SPEC, config) as gateway:
+                futures = {
+                    (stream_id, f"k{index}"): gateway.result(stream_id, f"k{index}")
+                    for stream_id in streams
+                    for index in range(4)
+                }
+                for event in events[:snap_at]:
+                    await gateway.submit(event)
+                await gateway.drain()
+                snapshot = await gateway.snapshot()
+                for event in events[snap_at:restore_at]:
+                    await gateway.submit(event)
+                await gateway.drain()
+                fired = {
+                    registry_key: future.result()
+                    for registry_key, future in futures.items()
+                    if future.done()
+                }
+                order_before = {s: gateway.stream_decisions(s) for s in streams}
+                await gateway.restore(snapshot)
+                replayed = []
+                for event in events[snap_at:]:
+                    replayed.extend((await gateway.submit(event)).decisions)
+                replayed.extend(await gateway.flush())
+                # the replay re-emitted keys whose futures had already fired
+                refired = [
+                    sd for sd in replayed if (sd.stream_id, sd.decision.key) in fired
+                ]
+                assert refired
+                assert all(
+                    sd.decision is not fired[(sd.stream_id, sd.decision.key)]
+                    for sd in refired
+                )
+                for registry_key, decision in fired.items():
+                    assert futures[registry_key].result() is decision
+                    assert gateway.decided(*registry_key) is decision
+                    assert (await gateway.result(*registry_key)) is decision
+                for stream_id in streams:
+                    order = gateway.stream_decisions(stream_id)
+                    assert order[: len(order_before[stream_id])] == order_before[stream_id]
+                    assert len({d.key for d in order}) == len(order)
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_unresolved_futures_survive_restore_and_resolve_on_replay(self, executor):
+        model = make_model()
+        streams, events = multi_stream_events(seed=31, num_events=140)
+        cut = 90
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
+            async with AsyncServingGateway(model, SPEC, config) as gateway:
+                for event in events[:cut]:
+                    await gateway.submit(event)
+                await gateway.drain()
+                snapshot = await gateway.snapshot()
+                pending = sorted(
+                    (stream_id, key)
+                    for stream_id in streams
+                    for key in gateway.cluster.session(stream_id).undecided_keys()
+                )
+                assert pending
+                stream_id, key = pending[0]
+                future = gateway.result(stream_id, key)
+                assert gateway.stats()["pending_futures"] == 1
+                await gateway.restore(snapshot)
+                assert not future.done()
+                for event in events[cut:]:
+                    await gateway.submit(event)
+                await gateway.flush()
+                decision = await asyncio.wait_for(future, timeout=5)
+                assert decision.key == key
+                assert gateway.decided(stream_id, key) is decision
+                stats = gateway.stats()
+                assert stats["num_shards"] == 2  # the cluster's stats, extended
+                assert stats["pending_futures"] == 0
+                assert stats["resolved_keys"] == sum(
+                    len(gateway.stream_decisions(s)) for s in streams
+                )
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_sinks_see_replayed_emissions_like_the_pull_api(self, executor):
+        model = make_model()
+        streams, events = multi_stream_events(seed=29, num_events=120)
+        snap_at, restore_at = 40, 70
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
+            gateway = AsyncServingGateway(model, SPEC, config)
+            sink = gateway.cluster.subscribe(BufferedSink())
+            returned = []
+            for event in events[:snap_at]:
+                returned.extend((await gateway.submit(event)).decisions)
+            returned.extend(await gateway.drain())
+            snapshot = await gateway.snapshot()
+            for event in events[snap_at:restore_at]:
+                returned.extend((await gateway.submit(event)).decisions)
+            returned.extend(await gateway.drain())
+            await gateway.restore(snapshot)
+            for event in events[snap_at:]:
+                returned.extend((await gateway.submit(event)).decisions)
+            returned.extend(await gateway.close())
+            pushed = [d async for d in gateway.decisions()]
+            return returned, sink.take(), pushed
+
+        returned, sunk, pushed = asyncio.run(scenario())
+        emitted = [(sd.stream_id, sd.decision.key) for sd in returned]
+        assert len(set(emitted)) < len(emitted)  # the replay re-emitted some
+        # push delivery tracked the pull API exactly, replay included
+        assert sunk == returned
+        assert pushed == returned
+
+
+class TestFlushStream:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_flush_stream_flushes_only_its_stream(self, executor):
+        """Both streams share one shard and every arrival is still queued:
+        ``flush_stream`` drains the shard, so the sibling stream is served
+        exactly as a plain drain serves it, and only the target stream's
+        undecided keys are force-decided (``halt_threshold=1.0`` keeps keys
+        pending until a flush or an eviction decides them)."""
+        model = make_model()
+        streams, events = multi_stream_events(seed=11, num_events=60, num_streams=2)
+        target, other = streams
+        config = ClusterConfig(
+            **backend(executor),
+            num_shards=1,
+            batch_size=4,
+            auto_drain=False,
+            engine=engine_config(halt_threshold=1.0),
+        )
+
+        with ServingCluster(model, SPEC, config) as reference:
+            for event in events:
+                reference.submit(event)
+            drained = reference.drain()
+            other_undecided = reference.session(other).undecided_keys()
+            target_undecided = reference.session(target).undecided_keys()
+        assert other_undecided and target_undecided
+
+        async def scenario():
+            async with AsyncServingGateway(model, SPEC, config) as gateway:
+                for event in events:
+                    await gateway.submit(event)
+                flushed = await gateway.flush_stream(target)
+                assert gateway.cluster.session(target).undecided_keys() == set()
+                assert gateway.cluster.session(other).undecided_keys() == other_undecided
+                return flushed, gateway.stream_decisions(target)
+
+        flushed, target_order = asyncio.run(scenario())
+        assert [sd for sd in flushed if sd.stream_id == other] == [
+            sd for sd in drained if sd.stream_id == other
+        ]
+        forced = {sd.decision.key for sd in flushed[len(drained):]}
+        assert forced == target_undecided
+        assert target_order[-len(forced):] == [sd.decision for sd in flushed[len(drained):]]
+
+
 class TestAsyncLifecycle:
     def test_states_and_guards(self):
         model = make_model()
         streams, events = multi_stream_events(seed=23, num_events=60)
 
         async def scenario():
-            config = ClusterConfig(num_shards=1, batch_size=4, engine=engine_config())
+            # halt_threshold=1.0: keys stay undecided until the final flush
+            config = ClusterConfig(
+                num_shards=1, batch_size=4, engine=engine_config(halt_threshold=1.0)
+            )
             gateway = AsyncServingGateway(model, SPEC, config)
             assert gateway.state == "running"
+            target = (events[-1].source, events[-1].key)
+            pending = gateway.result(*target)
             for event in events:
                 await gateway.submit(event)
+            assert not pending.done()
             emitted = await gateway.close()
             assert gateway.state == "closed"
             assert gateway.cluster.state == "closed"
+            # the final flush decides the key, so its future resolved
+            decision = pending.result()
+            assert decision.key == target[1]
             assert (await gateway.close()) == []
             with pytest.raises(RuntimeError, match="closed"):
                 await gateway.submit(events[0])
             assert gateway.stats()["gateway_state"] == "closed"
-            # post-close result() never hands out a future that cannot fire
+            # post-close result(): a decided key resolves from the registry,
+            # and an undecided one never hands out a future that cannot fire
+            assert gateway.result(*target).result() is decision
             assert gateway.result("no-such-stream", "ghost").cancelled()
             return emitted
 
@@ -325,7 +524,18 @@ class TestAsyncLifecycle:
             async with AsyncServingGateway(cluster=cluster) as gateway:
                 for event in events:
                     await gateway.submit(event)
+                queued_before = sum(cluster.stats()["queue_depths"])
+                assert queued_before
             assert cluster.state == "running"
+            # detached, not flushed: nothing was drained or force-decided on
+            # behalf of the cluster's other users
+            assert sum(cluster.stats()["queue_depths"]) == queued_before
+            # the gateway's subscription is gone: new decisions no longer
+            # reach it, even with the loop still running to deliver them
+            cluster.consume(events, stream_id="post-close")
+            assert cluster.flush()
+            await asyncio.sleep(0)
+            assert gateway.stream_decisions("post-close") == []
 
         asyncio.run(scenario())
         cluster.close()

@@ -728,10 +728,16 @@ class TestRoutingAndBatching:
                 shard = cluster.shard_of(stream_id)
                 assert stream_id in shard.sessions
 
-    @pytest.mark.parametrize("batch_size", ["auto", "adaptive", 0, -1, 2.0, None])
+    @pytest.mark.parametrize("batch_size", ["auto", "adaptive", 0, -1, 2.0, None, True])
     def test_rejects_invalid_batch_size(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
             ClusterConfig(batch_size=batch_size, auto_drain=False)
+
+    @pytest.mark.parametrize("field", ["num_shards", "max_queue", "num_workers"])
+    def test_rejects_bool_counts(self, field):
+        """``bool`` is an ``int`` subclass; ``True`` must not pass as 1."""
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: True})
 
     @pytest.mark.parametrize("batch_size", [1, 3, 16])
     @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])

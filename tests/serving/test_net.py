@@ -596,6 +596,8 @@ class TestServeEntrypoint:
             ("--num-shards", "0", "num_shards must be positive"),
             ("--window", "0", "window_items must be positive"),
             ("--max-buffered", "-1", "max_buffered must be >= 0"),
+            ("--port", "70000", "port must be in 0-65535"),
+            ("--selftest", "-5", "--selftest must be at least 1"),
         ],
     )
     def test_bad_numeric_flag_is_a_usage_error(self, capsys, flag, value, message):
@@ -604,7 +606,7 @@ class TestServeEntrypoint:
         from repro.serve import main as serve_main
 
         with pytest.raises(SystemExit) as exit_info:
-            serve_main([flag, value, "--selftest", "1", "--port", "0"])
+            serve_main(["--selftest", "1", "--port", "0", flag, value])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: python -m repro.serve")

@@ -174,7 +174,7 @@ class TestKeySkew:
 
 
 class TestArrivalPatterns:
-    """Burst and diurnal start-rate modulation (mean-preserving by design)."""
+    """Burst start-rate modulation (mean-preserving by design)."""
 
     def _mean_start_gap(self, pattern, num=1500, **kwargs):
         pool = make_pool(num=num, length=2)
@@ -193,10 +193,8 @@ class TestArrivalPatterns:
             SimulatorConfig(pattern="burst", burst_floor=1.5)
         with pytest.raises(ValueError):
             SimulatorConfig(pattern="burst", burst_period=0.0)
-        with pytest.raises(ValueError):
-            SimulatorConfig(pattern="diurnal", diurnal_amplitude=1.0)
-        with pytest.raises(ValueError):
-            SimulatorConfig(pattern="diurnal", diurnal_period=-2.0)
+        with pytest.raises(ValueError, match="unknown arrival pattern"):
+            SimulatorConfig(pattern="diurnal")
 
     def test_poisson_pattern_matches_legacy_schedule(self):
         """pattern="poisson" must reproduce the unmodulated schedule draw for
@@ -213,8 +211,6 @@ class TestArrivalPatterns:
         [
             ("burst", {}),
             ("burst", {"burst_floor": 0.4, "burst_duty": 0.5}),
-            ("diurnal", {}),
-            ("diurnal", {"diurnal_amplitude": 0.95}),
         ],
     )
     def test_mean_rate_preserved(self, pattern, kwargs):
@@ -251,20 +247,6 @@ class TestArrivalPatterns:
         # with equal-ish span shares of 1:3 the on-phase still dominates.
         assert on > 4 * off
 
-    def test_diurnal_concentrates_starts_at_peak_phase(self):
-        """The sinusoid peaks in the first half-period (sin > 0) and bottoms
-        in the second: the first half must receive substantially more
-        starts."""
-        pool = make_pool(num=3000, length=2)
-        config = SimulatorConfig(
-            arrival_rate=1.0, seed=7, pattern="diurnal",
-            diurnal_period=64.0, diurnal_amplitude=0.9,
-        )
-        simulator = ArrivalSimulator(pool, config)
-        first_half = sum(1 for e in simulator._schedule if e.start % 64.0 < 32.0)
-        second_half = len(simulator._schedule) - first_half
-        assert first_half > 1.8 * second_half
-
     def test_modulated_rate_exposes_the_profile(self):
         pool = make_pool(num=4, length=2)
         config = SimulatorConfig(
@@ -274,19 +256,10 @@ class TestArrivalPatterns:
         simulator = ArrivalSimulator(pool, config)
         assert simulator.modulated_rate(1.0) == pytest.approx(4.0)  # on: 2x rate
         assert simulator.modulated_rate(7.0) == 0.0  # off phase
-        diurnal = ArrivalSimulator(
-            pool,
-            SimulatorConfig(
-                arrival_rate=1.0, pattern="diurnal",
-                diurnal_period=8.0, diurnal_amplitude=0.5,
-            ),
-        )
-        assert diurnal.modulated_rate(2.0) == pytest.approx(1.5)  # sin peak
-        assert diurnal.modulated_rate(6.0) == pytest.approx(0.5)  # trough
 
     def test_deterministic_given_seed(self):
         pool = make_pool(num=30, length=3)
-        config = SimulatorConfig(seed=13, pattern="diurnal", diurnal_amplitude=0.7)
+        config = SimulatorConfig(seed=13, pattern="burst", burst_floor=0.3)
         first = [e.time for e in ArrivalSimulator(pool, config).events()]
         second = [e.time for e in ArrivalSimulator(pool, config).events()]
         assert first == second

@@ -1231,20 +1231,6 @@ class TestLifecycleEdges:
         with pytest.raises(RuntimeError, match="cannot drain: cluster is closed"):
             cluster.drain()
 
-    def test_gateway_double_close_and_submit_after_close(self):
-        from repro.serving.gateway import ServingGateway
-
-        gateway = ServingGateway(
-            make_model(), SPEC, ClusterConfig(num_shards=1, engine=engine_config())
-        )
-        _, events = multi_stream_events(seed=23, num_events=6)
-        for event in events:
-            gateway.submit(event)
-        gateway.close()
-        assert gateway.close() == []  # idempotent
-        with pytest.raises(RuntimeError, match="cannot submit: gateway is closed"):
-            gateway.submit(events[0])
-
     def test_async_gateway_double_close_and_submit_after_close(self):
         import asyncio
 
