@@ -363,13 +363,14 @@ def main() -> None:
     # 9. Event-loop serving through the asyncio gateway
     # ------------------------------------------------------------------ #
     # The same multi-stream traffic, served from inside an event loop: one
-    # concurrent submitter task per stream (awaitable submission — the event
-    # loop never blocks on a drain round; shard work still runs on the
-    # cluster's own thread backend) and one consumer task iterating the
-    # pushed decision stream.  Per-stream decisions remain identical to the
-    # sequential reference — only the waiting becomes cooperative.  A
-    # per-key future from result() resolves the moment that flow's decision
-    # is emitted, by whatever round or flush happens to trigger it.
+    # concurrent submitter task per stream (submission only admits the
+    # arrival on the loop; the gateway's round thread serves each arrival in
+    # its shard's next round, dispatching to the cluster's thread backend)
+    # and one consumer task iterating the pushed decision stream.
+    # Per-stream decisions remain identical to the sequential reference —
+    # only the waiting becomes cooperative.  A per-key future from result()
+    # resolves the moment that flow's decision is emitted, by whatever round
+    # or flush happens to serve it.
     per_stream = {}
     for event in events_list:
         per_stream.setdefault(event.source, []).append(event)
@@ -420,9 +421,10 @@ def main() -> None:
     # First the vertical hop: the same flows, submitted over real loopback
     # sockets.  ServingHTTPServer fronts an AsyncServingGateway with a tiny
     # stdlib HTTP/1.1 dialect — POST one arrival per request (admission
-    # status doubles as the response code: decided/accepted -> 200/202,
-    # reject -> 429, shed -> 503 + Retry-After), and GET /v1/decisions turns
-    # the connection into a chunked NDJSON push stream.
+    # status doubles as the response code: accepted -> 202, reject -> 429,
+    # shed -> 503 + Retry-After), and GET /v1/decisions turns the
+    # connection into a chunked NDJSON push stream, which carries every
+    # decision.
     async def serve_over_http():
         config = ClusterConfig(
             num_shards=2,

@@ -27,12 +27,13 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   ``accepted`` / ``decided`` / ``rejected`` / ``shed`` admission outcome,
   the emitted ``decisions`` and queue-depth telemetry),
   and subscribed :class:`~repro.serving.sinks.DecisionSink` instances
-  (callback, bounded buffer, fan-out, asyncio queue) receive every emitted
+  (bounded buffer, fan-out, asyncio queue) receive every emitted
   decision in the exact order of the returned-list API — delivery is
   backend-deterministic and parity-tested,
 * :class:`~repro.serving.aio.AsyncServingGateway` — the asyncio front end
-  the HTTP tier runs on: ``await gateway.submit(...)`` (drains run off-loop
-  on the cluster's own execution backend), ``async for decision in
+  the HTTP tier runs on: ``await gateway.submit(...)`` admits on the loop
+  and one gateway-owned round thread serves every queued arrival in its
+  shard's next round (continuous batching), ``async for decision in
   gateway.decisions()``, per-key ``gateway.result(stream, key)`` futures
   resolved at emission, ``await gateway.flush_stream(stream)``, and
   awaitable backpressure via bounded decision buffering,
@@ -128,7 +129,6 @@ from repro.serving.simulator import (
 from repro.serving.sinks import (
     AsyncQueueSink,
     BufferedSink,
-    CallbackSink,
     DecisionSink,
     FanOutSink,
 )
@@ -176,7 +176,6 @@ __all__ = [
     "SubmitResult",
     "ConsumeSummary",
     "DecisionSink",
-    "CallbackSink",
     "BufferedSink",
     "FanOutSink",
     "AsyncQueueSink",

@@ -1,41 +1,49 @@
-"""Asyncio serving gateway: awaitable submission and async decision streams.
+"""Asyncio serving gateway: admission on the loop, rounds on one thread.
 
 The cluster is thread-blocking by design — every call returns with its
-work complete.  An event-loop application must never block the loop on a
-drain round, so :class:`AsyncServingGateway` wraps the cluster the
-asyncio-native way (the HTTP tier, :mod:`repro.serving.net`, runs on it):
+work complete.  :class:`AsyncServingGateway` serves it the asyncio-native
+way (the HTTP tier, :mod:`repro.serving.net`, runs on it), and the event
+loop never runs a drain round:
 
-* ``await gateway.submit(event)`` — admission, and any drain round the
-  submission triggers, runs *off-loop*: the call is dispatched to a thread
-  (``loop.run_in_executor``) and the heavy shard work still executes on the
-  cluster's own execution backend — with ``executor="thread"`` every round
-  runs on its shard's pinned pool worker exactly as in synchronous serving.
-  The event loop only ever awaits; backpressure (``overflow="drain"``
-  synchronous rounds, bounded decision buffering) becomes awaitable instead
-  of loop-blocking.
-* ``async for decision in gateway.decisions()`` — every emitted decision,
-  pushed through an :class:`~repro.serving.sinks.AsyncQueueSink` onto the
-  loop.  With ``max_buffered=n`` the queue is bounded and a full buffer
-  blocks the *publishing worker* until the consumer catches up — end-to-end
-  backpressure from the consumer into the serving layer (a concurrently
-  running consumer task is then required, including across ``close()``).
+* ``await gateway.submit(event)`` — admission only, on the loop: the
+  arrival is checked and enqueued on its shard
+  (:meth:`~repro.serving.cluster.ShardWorker.submit`, no thread hop) and
+  the admission outcome comes back (``accepted`` when enqueued; no
+  decisions ride along).  With ``overflow="drain"`` a submission that
+  finds its shard's queue full awaits one round of that shard on the round
+  thread, then retries admission: backpressure is awaitable instead of
+  loop-blocking.
+* Continuous batching (``ClusterConfig.auto_drain``, the default): one
+  round task per gateway feeds one thread the gateway owns.  While any
+  shard has queued arrivals, each step runs one round on every such shard
+  (at most ``batch_size`` arrivals, one per stream), and arrivals admitted
+  while a step runs form the next one — rounds widen with load, with no
+  timeout and no controller.  Every gateway-driven round runs on that
+  thread; with ``executor="thread"`` the thread dispatches each round to
+  its shard's pinned worker and waits, exactly as the synchronous submit
+  path does.
+* ``async for decision in gateway.decisions()`` — every emitted decision in
+  publication order, read from the gateway's decision history (an iterator
+  that starts late replays it first).  With ``max_buffered=n`` a
+  publishing thread waits while a live iterator is more than ``n``
+  decisions behind — end-to-end backpressure from the consumer into the
+  serving layer.
 * ``gateway.result(stream_id, key)`` — an :class:`asyncio.Future` resolved
   on the loop when that key's decision is emitted, kept by the gateway's
   first-emission :class:`DecisionRegistry`.
 
-Concurrency: submissions from many tasks run concurrently when the cluster
-uses the thread backend (admission is lock-guarded, rounds are shard-pinned,
-and per-stream delivery order is exact as long as each stream's events are
-submitted in order — one task per stream is the natural shape).  Cluster-wide
-operations (``drain`` / ``flush`` / ``expire`` / ``close``) take an exclusive
-gate so their merge-point publication cannot interleave with submission-path
-publication.  With the serial backend *every* operation is exclusive (the
-serial cluster is single-threaded by contract).
+Concurrency: admissions and round steps share an async gate; the
+cluster-wide operations (``drain`` / ``flush`` / ``flush_stream`` /
+``expire`` / ``snapshot`` / ``restore`` / ``close``) take it exclusively
+and run off-loop, so none of them interleaves with an admission or a
+round step.  Per-stream decision order is exact as long as each stream's
+events are submitted in order (one task per stream is the natural shape).
 
-Lifecycle: ``running`` → ``draining`` (``close()`` flushes, resolves what
-resolves) → ``closed`` (unresolved futures cancelled, the decision stream
-terminates).  Decision futures fire at most once; replays after a cluster
-restore re-feed ``decisions()`` but never re-fire a future.
+Lifecycle: ``running`` → ``draining`` (``close()`` stops the round task,
+flushes, resolves what resolves) → ``closed`` (unresolved futures
+cancelled, the round thread shut down, decision streams end once they have
+read the history).  Decision futures fire at most once; replays after a
+cluster restore re-feed ``decisions()`` but never re-fire a future.
 
 No third-party dependencies: everything is stdlib ``asyncio`` (tests drive
 it with ``asyncio.run``).
@@ -45,17 +53,22 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
-from functools import partial
-from typing import AsyncIterator, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import AsyncIterator, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.data.items import ValueSpec
 from repro.serving.cluster import ClusterConfig, ServingCluster, StreamDecision
 from repro.serving.engine import Decision
 from repro.serving.results import SubmitResult
-from repro.serving.sinks import AsyncQueueSink, DecisionSink
+from repro.serving.sinks import DecisionSink
 
 __all__ = ["AsyncServingGateway"]
+
+#: How long a publisher waits on a lagging bounded ``decisions()`` iterator
+#: before that iterator stops throttling (it still reads every decision).
+_STALL_TIMEOUT_S = 30.0
 
 
 class DecisionRegistry:
@@ -65,121 +78,80 @@ class DecisionRegistry:
     emitted decision, keeps per-stream emission order, and pairs
     not-yet-decided keys with futures handed out by ``result()``.  Replay
     re-emissions after a restore are ignored — futures fire at most once,
-    which is the pinned restore contract.
-
-    ``future_factory`` supplies the futures (``loop.create_future``); they
-    expose ``done`` / ``set_result`` / ``cancel``.  Access is serialized by
-    an internal lock, so the registry is safe to touch from any thread; the
-    gateway only ever touches it from the loop thread, where the
-    uncontended lock is noise.
+    which is the pinned restore contract.  Loop-thread only: publishing
+    threads hand decisions over with ``call_soon_threadsafe``.
     """
 
-    def __init__(self, future_factory: Callable[[], "asyncio.Future"]) -> None:
-        self._future_factory = future_factory
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
         self._decided: Dict[Tuple[Hashable, Hashable], Decision] = {}
         self._stream_order: Dict[Hashable, List[Decision]] = {}
         self._futures: Dict[Tuple[Hashable, Hashable], "asyncio.Future"] = {}
 
-    @staticmethod
-    def _resolve(future: "asyncio.Future", decision: Decision) -> None:
-        """Resolve a future, tolerating a caller-side cancel racing us."""
-        if future.done():
-            return
-        try:
-            future.set_result(decision)
-        except Exception:
-            # set_result raises InvalidStateError when the holder cancelled
-            # between our done() check and the set_result; the cancellation
-            # wins and the delivery must not crash the round.
-            if not future.cancelled():
-                raise
-
     def deliver(self, stream_decision: StreamDecision) -> None:
         """Fold one published decision in; resolves its future if pending."""
         registry_key = (stream_decision.stream_id, stream_decision.decision.key)
-        with self._lock:
-            if registry_key in self._decided:
-                return
-            self._decided[registry_key] = stream_decision.decision
-            self._stream_order.setdefault(stream_decision.stream_id, []).append(
-                stream_decision.decision
-            )
-            future = self._futures.pop(registry_key, None)
-        if future is not None:
-            self._resolve(future, stream_decision.decision)
+        if registry_key in self._decided:
+            return
+        self._decided[registry_key] = stream_decision.decision
+        self._stream_order.setdefault(stream_decision.stream_id, []).append(
+            stream_decision.decision
+        )
+        future = self._futures.pop(registry_key, None)
+        # done() here means the holder cancelled it; the cancellation wins.
+        if future is not None and not future.done():
+            future.set_result(stream_decision.decision)
 
     def future_for(self, stream_id: Hashable, key: Hashable) -> "asyncio.Future":
         """The (shared) future of one key — already resolved if decided."""
         registry_key = (stream_id, key)
-        with self._lock:
+        future = self._futures.get(registry_key)
+        if future is None:
+            future = asyncio.get_running_loop().create_future()
             decision = self._decided.get(registry_key)
             if decision is None:
-                existing = self._futures.get(registry_key)
-                if existing is not None:
-                    return existing
-                future = self._future_factory()
                 self._futures[registry_key] = future
-                return future
-        future = self._future_factory()
-        self._resolve(future, decision)
+            else:
+                future.set_result(decision)
         return future
 
     def decided(self, stream_id: Hashable, key: Hashable) -> Optional[Decision]:
-        with self._lock:
-            return self._decided.get((stream_id, key))
+        return self._decided.get((stream_id, key))
 
     def stream_decisions(self, stream_id: Hashable) -> List[Decision]:
-        with self._lock:
-            return list(self._stream_order.get(stream_id, ()))
+        return list(self._stream_order.get(stream_id, ()))
 
-    def cancel_unresolved(self, stream_id: Optional[Hashable] = None) -> None:
-        """Cancel pending futures (of one stream, or all)."""
-        with self._lock:
-            if stream_id is None:
-                doomed = list(self._futures.values())
-                self._futures.clear()
-            else:
-                doomed = [
-                    self._futures.pop(registry_key)
-                    for registry_key in [k for k in self._futures if k[0] == stream_id]
-                ]
-        for future in doomed:
+    def cancel_unresolved(self) -> None:
+        """Cancel every pending future."""
+        for future in self._futures.values():
             future.cancel()
+        self._futures.clear()
 
     @property
     def pending_count(self) -> int:
-        with self._lock:
-            return len(self._futures)
+        return len(self._futures)
 
     @property
     def resolved_count(self) -> int:
-        with self._lock:
-            return len(self._decided)
+        return len(self._decided)
 
 
 class _OpGate:
-    """Shared/exclusive async gate (submissions shared, cluster ops exclusive).
+    """Shared/exclusive async gate: admissions and round steps shared,
+    cluster-wide operations exclusive.
 
     Writer-preferring: once an exclusive waiter queues up, new shared
     entrants wait, so a ``drain``/``close`` cannot be starved by a steady
-    stream of submissions.  With ``exclusive_only=True`` (serial execution
-    backend) shared entry degrades to exclusive entry.
+    stream of submissions.
     """
 
-    def __init__(self, exclusive_only: bool = False) -> None:
+    def __init__(self) -> None:
         self._cond = asyncio.Condition()
         self._shared = 0
         self._exclusive = False
         self._exclusive_waiting = 0
-        self._exclusive_only = exclusive_only
 
     @asynccontextmanager
     async def shared(self):
-        if self._exclusive_only:
-            async with self.exclusive():
-                yield
-            return
         async with self._cond:
             while self._exclusive or self._exclusive_waiting:
                 await self._cond.wait()
@@ -209,44 +181,138 @@ class _OpGate:
                 self._cond.notify_all()
 
 
-class _RegistrySink(DecisionSink):
-    """Loop-side :class:`DecisionRegistry` delivery (future resolution).
+class _Feed:
+    """One ``decisions()`` iterator's read position in the history.
 
-    Decision *streams* get their own per-iterator :class:`AsyncQueueSink`
-    (see :meth:`AsyncServingGateway.decisions`); this sink carries only the
-    registry half of delivery, so futures resolve whether or not anyone is
-    iterating.
+    ``live_from`` is the history length when the iterator started: the
+    replayed backlog before it never throttles publishers.  ``throttles``
+    turns False once a publisher gave up waiting on this iterator.
+    """
+
+    __slots__ = ("position", "live_from", "throttles", "wake")
+
+    def __init__(self, live_from: int) -> None:
+        self.position = 0
+        self.live_from = live_from
+        self.throttles = True
+        self.wake = asyncio.Event()
+
+
+class _RegistrySink(DecisionSink):
+    """The gateway's one cluster subscription: history, futures, iterators.
+
+    ``publish_all`` appends each batch to the history and, under the same
+    lock, schedules its loop-side delivery (registry futures, iterator
+    wake-ups), so loop callbacks run in history order.  ``decisions()``
+    iterators read the history itself from a position registered under
+    that lock: an iterator that starts while a batch is in flight sees the
+    batch exactly once, whichever side of its start the append lands on.
+
+    Backpressure (``max_buffered > 0``): after the append, a publisher on a
+    non-loop thread waits while a live iterator lags more than
+    ``max_buffered`` decisions behind.  The wait is a condition wait, which
+    releases the lock, so an iterator starting or reading on the loop never
+    blocks on a waiting publisher; after :data:`_STALL_TIMEOUT_S` the
+    publisher gives up, and the stalled iterator stops throttling but still
+    reads every decision.
     """
 
     def __init__(
         self,
-        loop,
+        loop: asyncio.AbstractEventLoop,
         registry: DecisionRegistry,
-        history: List[StreamDecision],
-        history_lock: threading.Lock,
+        max_buffered: int,
     ) -> None:
         self._loop = loop
+        self._loop_thread = threading.get_ident()
         self._registry = registry
-        self._history = history
-        self._history_lock = history_lock
-        self._closed = False
+        self._max_buffered = max_buffered
+        self._cond = threading.Condition()
+        #: Every decision delivered through the gateway, in delivery order.
+        self._history: List[StreamDecision] = []
+        self._feeds: List[_Feed] = []
+        self.closed = False
 
     def publish(self, decision: StreamDecision) -> None:
-        if self._closed or self._loop.is_closed():
+        self.publish_all([decision])
+
+    def publish_all(self, decisions: Sequence[StreamDecision]) -> None:
+        if not decisions or self._loop.is_closed():
             # Drop-don't-crash guard: an abandoned gateway whose loop is
             # gone must not break the serving layer.
             return
-        # Record on the publishing thread, *before* the loop callback: the
-        # history is what late ``decisions()`` subscribers replay, and it
-        # must be complete by the time any future resolved by this decision
-        # can be observed.
-        with self._history_lock:
-            self._history.append(decision)
-        # Registry mutation and asyncio-future resolution belong on the loop.
-        self._loop.call_soon_threadsafe(self._registry.deliver, decision)
+        with self._cond:
+            if self.closed:
+                return
+            self._history.extend(decisions)
+            self._loop.call_soon_threadsafe(self._deliver, list(decisions))
+            if self._max_buffered and threading.get_ident() != self._loop_thread:
+                self._wait_for_readers()
+
+    def _wait_for_readers(self) -> None:
+        """Condition-wait while a live iterator lags past ``max_buffered``."""
+        deadline = time.monotonic() + _STALL_TIMEOUT_S
+        while not self.closed:
+            lagging = [
+                feed
+                for feed in self._feeds
+                if feed.throttles
+                and len(self._history) - max(feed.position, feed.live_from)
+                > self._max_buffered
+            ]
+            remaining = deadline - time.monotonic()
+            if lagging and remaining <= 0:
+                for feed in lagging:
+                    feed.throttles = False
+            if not lagging or remaining <= 0:
+                return
+            self._cond.wait(remaining)
+
+    def _deliver(self, decisions: List[StreamDecision]) -> None:
+        """Loop side of one published batch: futures, then iterator wake-ups."""
+        for decision in decisions:
+            self._registry.deliver(decision)
+        for feed in self._feeds:
+            feed.wake.set()
+
+    def open_feed(self) -> _Feed:
+        with self._cond:
+            feed = _Feed(live_from=len(self._history))
+            self._feeds.append(feed)
+        return feed
+
+    def read(self, feed: _Feed) -> Optional[StreamDecision]:
+        """The feed's next decision, or ``None`` once it has read them all."""
+        with self._cond:
+            if feed.position == len(self._history):
+                return None
+            decision = self._history[feed.position]
+            feed.position += 1
+            self._cond.notify_all()
+        return decision
+
+    def close_feed(self, feed: _Feed) -> None:
+        with self._cond:
+            if feed in self._feeds:
+                self._feeds.remove(feed)
+                self._cond.notify_all()
+
+    @property
+    def num_feeds(self) -> int:
+        return len(self._feeds)
+
+    def buffered(self) -> int:
+        """Decisions published but not yet read, summed over iterators."""
+        with self._cond:
+            return sum(len(self._history) - feed.position for feed in self._feeds)
 
     def close(self) -> None:
-        self._closed = True
+        """Stop taking decisions; iterators end once they have read the history."""
+        with self._cond:
+            self.closed = True
+            self._cond.notify_all()
+        for feed in self._feeds:
+            feed.wake.set()
 
 
 class AsyncServingGateway:
@@ -257,8 +323,6 @@ class AsyncServingGateway:
     loop of the first awaited call; all later calls must come from the same
     loop.  Usable as an async context manager (``async with`` closes it).
     """
-
-    _SENTINEL = object()
 
     def __init__(
         self,
@@ -288,28 +352,18 @@ class AsyncServingGateway:
         self._cluster = cluster
         self._max_buffered = max_buffered
         self._state = "running"
+        # Everything below is created at loop binding.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._sink: Optional[_RegistrySink] = None
-        #: Active ``decisions()`` iterators: sink → its bounded queue.  Each
-        #: iterator owns a private subscription, added when iteration starts
-        #: and removed in the generator's ``finally`` — so a consumer that
-        #: vanishes mid-stream (task cancelled, iterator garbage-collected,
-        #: HTTP client disconnected) tears its bounded buffer down instead
-        #: of exerting backpressure forever.
-        self._iterators: Dict[AsyncQueueSink, asyncio.Queue] = {}
-        #: Every decision delivered through this gateway, in delivery order.
-        #: ``decisions()`` iterators replay it before going live, so a
-        #: consumer that starts late (or after close) still sees the full
-        #: stream — the sequential-caller parity contract.  Appended on the
-        #: publishing thread, snapshotted on the loop, hence the lock.
-        self._delivered: List[StreamDecision] = []
-        self._delivered_lock = threading.Lock()
         self._gate: Optional[_OpGate] = None
-        #: Shared first-emission bookkeeping (see DecisionRegistry): the
-        #: asyncio flavour only ever mutates it on the bound loop, via
-        #: call_soon_threadsafe deliveries.  Created at loop binding so the
-        #: future factory can target the loop.
         self._registry: Optional[DecisionRegistry] = None
+        self._sink: Optional[_RegistrySink] = None
+        #: The one thread that runs (or, under ``executor="thread"``,
+        #: dispatches) every gateway-driven round.
+        self._rounds: Optional[ThreadPoolExecutor] = None
+        #: The round task (``auto_drain`` only) and its wake-up, set by
+        #: every admission.
+        self._round_task: Optional[asyncio.Task] = None
+        self._arrivals: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------ #
     # loop binding / lifecycle
@@ -318,24 +372,24 @@ class AsyncServingGateway:
         loop = asyncio.get_running_loop()
         if self._loop is None:
             self._loop = loop
-            self._gate = _OpGate(
-                exclusive_only=self._cluster.config.executor == "serial"
-            )
-            self._registry = DecisionRegistry(loop.create_future)
-            self._sink = _RegistrySink(
-                loop, self._registry, self._delivered, self._delivered_lock
-            )
+            self._gate = _OpGate()
+            self._registry = DecisionRegistry()
+            self._sink = _RegistrySink(loop, self._registry, self._max_buffered)
             self._cluster.subscribe(self._sink)
+            self._rounds = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="gateway-rounds"
+            )
+            self._arrivals = asyncio.Event()
+            if self._cluster.config.auto_drain:
+                self._round_task = loop.create_task(self._serve_rounds())
         elif loop is not self._loop:
             raise RuntimeError(
                 "AsyncServingGateway is bound to a different event loop"
             )
 
-    async def _run(self, fn, *args, **kwargs):
+    async def _run(self, fn, *args):
         """Run a blocking cluster call off-loop and await its result."""
-        return await self._loop.run_in_executor(
-            None, partial(fn, *args, **kwargs)
-        )
+        return await self._loop.run_in_executor(None, fn, *args)
 
     @property
     def state(self) -> str:
@@ -352,18 +406,23 @@ class AsyncServingGateway:
     async def close(self) -> List[StreamDecision]:
         """Stop the gateway: ``running`` → ``draining`` → ``closed``.
 
-        An *owned* cluster is flushed (resolving every future the final
-        decisions can) and closed; a *wrapped* cluster is shared with other
-        users, so the gateway only detaches — flush explicitly first if you
-        want the final decisions.  Unresolved futures are cancelled and the
-        ``decisions()`` iterator terminates.  Idempotent (repeat calls
-        return an empty list).
+        Stops the round task and its thread.  An *owned* cluster is flushed
+        (resolving every future the final decisions can) and closed; a
+        *wrapped* cluster is shared with other users, so the gateway only
+        detaches — flush explicitly first if you want the final decisions.
+        Unresolved futures are cancelled and ``decisions()`` iterators end
+        once they have read the history.  Idempotent (repeat calls return
+        an empty list).
         """
         if self._state == "closed":
             return []
         self._bind()
         self._state = "draining"
         async with self._gate.exclusive():
+            # No round step runs while the gate is held, so cancelling here
+            # stops the round task before it can take another one.
+            if self._round_task is not None:
+                self._round_task.cancel()
             if self._owns_cluster and self._cluster.state != "closed":
                 emitted = await self._run(self._cluster.flush)
             else:
@@ -377,18 +436,8 @@ class AsyncServingGateway:
         self._sink.close()
         if self._owns_cluster:
             self._cluster.close()
+        self._rounds.shutdown()
         self._state = "closed"
-        # Terminate every active decision stream: close the sinks first (no
-        # further publishes can land or block), then wake each consumer.  A
-        # full bounded queue skips the sentinel — its consumer drains the
-        # backlog and observes state "closed" on an empty queue instead.
-        for sink, queue in list(self._iterators.items()):
-            self._cluster.unsubscribe(sink)
-            sink.close()
-            try:
-                queue.put_nowait(self._SENTINEL)
-            except asyncio.QueueFull:
-                pass
         return emitted
 
     async def __aenter__(self) -> "AsyncServingGateway":
@@ -399,6 +448,38 @@ class AsyncServingGateway:
         await self.close()
 
     # ------------------------------------------------------------------ #
+    # continuous batching
+    # ------------------------------------------------------------------ #
+    async def _serve_rounds(self) -> None:
+        """The round task: step rounds on the round thread while arrivals
+        are queued, then sleep until the next admission."""
+        while True:
+            await self._arrivals.wait()
+            self._arrivals.clear()
+            while any(shard.queue_depth for shard in self._cluster.shards):
+                async with self._gate.shared():
+                    served = await self._loop.run_in_executor(
+                        self._rounds, self._round_step
+                    )
+                if not served:
+                    break  # every queued shard's breaker is open: wait for a probe
+
+    def _round_step(self) -> bool:
+        """One round on every shard with queued arrivals (round thread).
+
+        Returns whether any round ran; a shard whose breaker is open is
+        skipped until an admission after its backoff wakes a probe.
+        """
+        if self._cluster.state == "closed":
+            return False
+        served = False
+        for shard in self._cluster.shards:
+            if shard.queue_depth and shard.supervisor.allow_round():
+                shard._run_pinned(shard._drain_round_published)
+                served = True
+        return served
+
+    # ------------------------------------------------------------------ #
     # serving API
     # ------------------------------------------------------------------ #
     async def submit(
@@ -407,57 +488,62 @@ class AsyncServingGateway:
         stream_id: Optional[Hashable] = None,
         raise_on_reject: bool = True,
     ) -> SubmitResult:
-        """Awaitable arrival submission (admission + any triggered rounds).
+        """Admit one arrival on the loop; its decisions are pushed, not returned.
 
-        Runs off-loop; concurrent submit tasks overlap under the thread
-        backend.  Per-stream decision order is exact as long as each
-        stream's events are submitted in order (e.g. one task per stream).
+        The result is the admission outcome only (``accepted`` when the
+        arrival was enqueued).  Its decisions reach ``decisions()``, the
+        ``result()`` futures and subscribed sinks once a round serves it —
+        the next round of its shard with ``auto_drain``, or an explicit
+        ``drain()``/``flush()`` without.  With ``overflow="drain"`` a full
+        shard queue is awaited: one round of that shard runs on the round
+        thread, then admission is retried.
         """
-        self._require_running("submit")
         self._bind()
         async with self._gate.shared():
-            return await self._run(
-                self._cluster.submit,
-                event,
-                stream_id=stream_id,
-                raise_on_reject=raise_on_reject,
-            )
+            self._require_running("submit")
+            while True:
+                shard, result = self._cluster._admit(event, stream_id, raise_on_reject)
+                if result is not None:
+                    break
+                await self._loop.run_in_executor(
+                    self._rounds, shard._run_pinned, shard._drain_round_published
+                )
+        if result.admitted:
+            self._arrivals.set()
+        return result
+
+    async def _exclusive(self, fn, *args):
+        """Run one cluster-wide operation off-loop, exclusive of admissions
+        and round steps."""
+        self._bind()
+        async with self._gate.exclusive():
+            outcome = await self._run(fn, *args)
+        self._arrivals.set()  # a restore, say, can leave arrivals queued
+        return outcome
 
     async def drain(self) -> List[StreamDecision]:
         """Awaitable cluster drain (exclusive; shards overlap off-loop)."""
-        self._bind()
-        async with self._gate.exclusive():
-            return await self._run(self._cluster.drain)
+        return await self._exclusive(self._cluster.drain)
 
     async def flush(self) -> List[StreamDecision]:
         """Awaitable cluster flush (exclusive)."""
-        self._bind()
-        async with self._gate.exclusive():
-            return await self._run(self._cluster.flush)
+        return await self._exclusive(self._cluster.flush)
 
     async def expire(self, now: Optional[float] = None) -> List[StreamDecision]:
         """Awaitable idle-key expiry (exclusive)."""
-        self._bind()
-        async with self._gate.exclusive():
-            return await self._run(self._cluster.expire, now)
+        return await self._exclusive(self._cluster.expire, now)
 
     async def flush_stream(self, stream_id: Hashable) -> List[StreamDecision]:
         """Awaitable per-stream flush (exclusive; the HTTP per-stream verb)."""
-        self._bind()
-        async with self._gate.exclusive():
-            return await self._run(self._cluster.flush_stream, stream_id)
+        return await self._exclusive(self._cluster.flush_stream, stream_id)
 
     async def snapshot(self):
         """Awaitable cluster snapshot (exclusive — no round interleaves)."""
-        self._bind()
-        async with self._gate.exclusive():
-            return await self._run(self._cluster.snapshot)
+        return await self._exclusive(self._cluster.snapshot)
 
     async def restore(self, snapshot) -> None:
         """Awaitable cluster restore (exclusive)."""
-        self._bind()
-        async with self._gate.exclusive():
-            await self._run(self._cluster.restore, snapshot)
+        await self._exclusive(self._cluster.restore, snapshot)
 
     def result(
         self, stream_id: Hashable, key: Hashable
@@ -490,65 +576,42 @@ class AsyncServingGateway:
     async def decisions(self) -> AsyncIterator[StreamDecision]:
         """Async-iterate every emitted decision until the gateway closes.
 
-        Each call owns a private :class:`AsyncQueueSink` subscription, so
-        concurrent iterators each see the full decision stream (broadcast,
-        not work-stealing) — one per HTTP decision-stream connection is the
-        intended shape.  An iterator started late first *replays* the
-        decisions already delivered (in delivery order, same objects) and
-        then goes live, so a sequential caller that iterates after
-        ``close()`` still sees the exact concatenated pull-API stream.
+        Every iterator reads the gateway's whole decision history in
+        delivery order (same objects), so concurrent iterators each see the
+        full stream (broadcast, not work-stealing), one that starts late
+        first replays what it missed, and a sequential caller that iterates
+        after ``close()`` still sees everything.  An iterator ends once the
+        gateway has closed and it has read the history.
 
-        With ``max_buffered`` set each iterator's live queue is bounded and
-        a stalled consumer blocks the publishing worker (that is the
-        backpressure); a consumer that stops iterating — task cancelled,
-        iterator dropped and garbage-collected, client disconnected — is
-        unsubscribed in the generator's ``finally``, so an abandoned stream
-        never throttles the serving layer.
+        With ``max_buffered`` set, a publishing thread waits while a live
+        iterator lags (that is the backpressure); an iterator that stops —
+        task cancelled, iterator dropped and garbage-collected, client
+        disconnected — is detached in the generator's ``finally``, so an
+        abandoned stream never throttles the serving layer.
         """
         self._bind()
-        # Snapshot the replay backlog *before* subscribing live: a decision
-        # recorded before the snapshot cannot also reach the new sink (its
-        # publish fan-out predates the subscription), so replay + live never
-        # duplicates.
-        with self._delivered_lock:
-            backlog = list(self._delivered)
-        live = self._state != "closed"
-        if live:
-            queue: asyncio.Queue = asyncio.Queue(maxsize=self._max_buffered)
-            sink = AsyncQueueSink(queue, self._loop)
-            self._iterators[sink] = queue
-            self._cluster.subscribe(sink)
+        sink = self._sink
+        feed = sink.open_feed()
         try:
-            for item in backlog:
-                yield item
-            if not live:
-                return
             while True:
-                if self._state == "closed" and queue.empty():
+                decision = sink.read(feed)
+                if decision is not None:
+                    yield decision
+                elif sink.closed:
                     return
-                item = await queue.get()
-                if item is self._SENTINEL:
-                    return
-                yield item
+                else:
+                    await feed.wake.wait()
+                    feed.wake.clear()
         finally:
-            if live:
-                self._detach_iterator(sink)
-
-    def _detach_iterator(self, sink: AsyncQueueSink) -> None:
-        """Tear one decision iterator's subscription down (idempotent)."""
-        if self._iterators.pop(sink, None) is not None:
-            self._cluster.unsubscribe(sink)
-            sink.close()
+            sink.close_feed(feed)
 
     def stats(self) -> Dict[str, object]:
         stats = self._cluster.stats()
         stats["gateway_state"] = self._state
         stats["pending_futures"] = 0 if self._registry is None else self._registry.pending_count
         stats["resolved_keys"] = 0 if self._registry is None else self._registry.resolved_count
-        stats["decision_streams"] = len(self._iterators)
-        stats["buffered_decisions"] = sum(
-            queue.qsize() for queue in self._iterators.values()
-        )
+        stats["decision_streams"] = 0 if self._sink is None else self._sink.num_feeds
+        stats["buffered_decisions"] = 0 if self._sink is None else self._sink.buffered()
         return stats
 
     def health(self) -> Dict[str, object]:

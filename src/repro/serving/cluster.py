@@ -45,8 +45,7 @@ path.  Every round is at most ``batch_size`` arrivals wide on either
 backend.
 
 Push-based delivery (:mod:`repro.serving.results`,
-:mod:`repro.serving.sinks`): :meth:`ShardWorker.submit` and
-:meth:`ServingCluster.submit` return a
+:mod:`repro.serving.sinks`): :meth:`ServingCluster.submit` returns a
 :class:`~repro.serving.results.SubmitResult` that makes every admission
 outcome explicit (``accepted`` / ``decided`` / ``rejected`` / ``shed`` plus
 shard and queue-depth telemetry, and the emitted ``decisions``), and
@@ -198,10 +197,13 @@ class ClusterConfig:
         ``"reject"`` raises :class:`ShardOverloadError`, ``"shed"`` drops the
         newest arrival and counts it.
     auto_drain:
-        Drain whenever a shard's queue reaches ``batch_size`` (the
-        default synchronous serving mode).  When off, arrivals only queue
-        and the caller schedules :meth:`ServingCluster.drain` explicitly —
-        the pattern that lets the thread executor overlap shards.
+        Serve arrivals without an explicit drain (the default).  The
+        synchronous :meth:`ServingCluster.submit` runs a round whenever a
+        shard's queue reaches ``batch_size``; the async gateway serves
+        continuously instead, so each arrival joins its shard's next round
+        whatever the queue depth.  When off, arrivals only queue and the
+        caller schedules :meth:`ServingCluster.drain` explicitly — the
+        pattern that lets the thread executor overlap shards.
     executor:
         Execution backend: ``"serial"`` runs every shard inline on the
         caller (the reference), ``"thread"`` pins each shard to a worker
@@ -625,8 +627,9 @@ class ShardWorker:
     def _drain_round_published(self) -> List[StreamDecision]:
         """One drain round whose emissions are published before returning.
 
-        Runs on the shard's pinned execution context (the submission path
-        dispatches it through :meth:`_run_pinned`), so for any one shard the
+        Runs on the shard's pinned execution context (the synchronous
+        submission path and the async gateway's round thread dispatch it
+        through :meth:`_run_pinned`), so for any one shard the
         publish order equals the round order — per-stream delivery order is
         exact even when many threads submit concurrently, and for a
         single-threaded caller it is identical to the returned lists.
@@ -673,92 +676,65 @@ class ShardWorker:
         stream_id: Hashable,
         event: StreamEvent,
         raise_on_reject: bool = True,
-    ) -> SubmitResult:
-        """Queue one arrival; returns the explicit submission outcome.
+    ) -> Optional[SubmitResult]:
+        """Admit one arrival; never runs a round.
 
         Admission control and the enqueue happen under the queue lock on the
-        calling thread; any round this submission triggers (``"drain"``
-        overflow backpressure, ``auto_drain``) is executed with shard
-        affinity — inline for the serial backend, dispatched to the shard's
-        pinned worker and waited on for the thread backend — so the emitted
-        decisions and their order are backend-independent.  Each triggered
-        round publishes its emissions to subscribed sinks from that pinned
-        context before the round returns.
+        calling thread, so the async gateway admits on its event loop.
+        Returns the explicit outcome (``accepted`` when enqueued), or
+        ``None`` when ``overflow="drain"`` found the queue full: the caller
+        then serves one round of this shard (a full queue is non-empty, so
+        the round frees at least one slot) and submits again.  A round that
+        fails frees nothing, because recovery requeues the survivors, so
+        once the breaker opens the retry degrades instead of spinning.
 
-        The returned :class:`~repro.serving.results.SubmitResult` carries
-        the emitted ``decisions``; ``overflow="reject"`` keeps raising
-        :class:`ShardOverloadError` unless ``raise_on_reject`` is False, in
-        which case the rejection is reported as ``status="rejected"``
-        instead.
+        ``overflow="reject"`` raises :class:`ShardOverloadError` unless
+        ``raise_on_reject`` is False, in which case the rejection is
+        reported as ``status="rejected"`` instead.
 
         Degradation: while the shard's circuit breaker is open the arrival
         is not admitted at all — the outcome follows the supervision
         config's ``degraded`` policy (``"shed"``: a ``status="degraded"``
         result; ``"reject"``: :class:`ShardDegradedError`, downgraded to the
         same result under ``raise_on_reject=False``).  A breaker whose
-        backoff has elapsed admits normally — the triggered round is the
+        backoff has elapsed admits normally — the next round is the
         half-open probe.
 
         An arrival older than the stream's newest admitted item raises
         :class:`OutOfOrderEventError` and is neither enqueued nor journaled.
         """
-        sup = self.supervisor
-        if not sup.submission_allowed():
+        if not self.supervisor.submission_allowed():
             return self._degraded_result(stream_id, raise_on_reject)
-        emitted: List[StreamDecision] = []
-        while True:
-            with self._lock:
-                newest = self._newest_time.get(stream_id, float("-inf"))
-                if event.item.time < newest:
-                    raise OutOfOrderEventError(
-                        f"stream {stream_id!r}: arrival at time {event.item.time} "
-                        f"is older than the stream's newest admitted item "
-                        f"(time {newest})"
+        with self._lock:
+            newest = self._newest_time.get(stream_id, float("-inf"))
+            if event.item.time < newest:
+                raise OutOfOrderEventError(
+                    f"stream {stream_id!r}: arrival at time {event.item.time} "
+                    f"is older than the stream's newest admitted item "
+                    f"(time {newest})"
+                )
+            if self._queue_length < self.config.max_queue:
+                self._enqueue_locked(stream_id, event)
+                status = "accepted"
+            elif self.config.overflow == "reject":
+                self.rejected += 1
+                if raise_on_reject:
+                    raise ShardOverloadError(
+                        f"shard {self.shard_id} queue is full "
+                        f"({self.config.max_queue} arrivals)"
                     )
-                if self._queue_length < self.config.max_queue:
-                    self._enqueue_locked(stream_id, event)
-                    break
-                if self.config.overflow == "reject":
-                    self.rejected += 1
-                    if raise_on_reject:
-                        raise ShardOverloadError(
-                            f"shard {self.shard_id} queue is full "
-                            f"({self.config.max_queue} arrivals)"
-                        )
-                    return SubmitResult(
-                        status="rejected",
-                        stream_id=stream_id,
-                        shard_id=self.shard_id,
-                        queue_depth=self._queue_length,
-                    )
-                if self.config.overflow == "shed":
-                    self.shed += 1
-                    return SubmitResult(
-                        status="shed",
-                        stream_id=stream_id,
-                        shard_id=self.shard_id,
-                        queue_depth=self._queue_length,
-                    )
-            # overflow == "drain": synchronous backpressure — do one round of
-            # work now (a full queue is non-empty, so the round frees >= 1).
-            # A supervised round that *fails* frees nothing (recovery
-            # requeues the survivors), so once the breaker opens the arrival
-            # degrades instead of spinning here forever.
-            if not sup.allow_round():
-                return self._degraded_result(stream_id, raise_on_reject)
-            emitted.extend(self._run_pinned(self._drain_round_published))
-        if self.config.auto_drain:
-            while self.queue_depth >= self.config.batch_size:
-                if not sup.allow_round():
-                    break  # admitted but unserved: drains later, post-probe
-                emitted.extend(self._run_pinned(self._drain_round_published))
-        return SubmitResult(
-            status="decided" if emitted else "accepted",
-            stream_id=stream_id,
-            shard_id=self.shard_id,
-            decisions=tuple(emitted),
-            queue_depth=self.queue_depth,
-        )
+                status = "rejected"
+            elif self.config.overflow == "shed":
+                self.shed += 1
+                status = "shed"
+            else:
+                return None
+            return SubmitResult(
+                status=status,
+                stream_id=stream_id,
+                shard_id=self.shard_id,
+                queue_depth=self._queue_length,
+            )
 
     def _degraded_result(self, stream_id: Hashable, raise_on_reject: bool) -> SubmitResult:
         """The breaker-open submission outcome, per the ``degraded`` policy."""
@@ -1224,27 +1200,64 @@ class ServingCluster:
         stream_id: Optional[Hashable] = None,
         raise_on_reject: bool = True,
     ) -> SubmitResult:
-        """Route one arrival to its stream's shard.
+        """Route one arrival to its stream's shard and serve what it fills.
 
         The stream id defaults to the event's ``source`` tag (what the
         multi-stream simulator stamps); pass ``stream_id`` explicitly when
-        events carry no source.  Returns a
-        :class:`~repro.serving.results.SubmitResult`: the explicit admission
-        outcome, any decisions a triggered drain emitted and the shard's
-        queue depth.
-        ``overflow="reject"`` raises :class:`ShardOverloadError` unless
-        ``raise_on_reject=False``.
+        events carry no source.  A full ``overflow="drain"`` queue is served
+        one round at a time until the arrival fits, and with ``auto_drain``
+        the shard then runs rounds while its queue holds ``batch_size``
+        arrivals.  Every such round runs with shard affinity — inline for
+        the serial backend, on the shard's pinned worker for the thread
+        backend — and publishes its emissions before it returns.
+
+        Returns a :class:`~repro.serving.results.SubmitResult`: the explicit
+        admission outcome, the decisions those rounds emitted and the
+        shard's queue depth.  ``overflow="reject"`` raises
+        :class:`ShardOverloadError` unless ``raise_on_reject=False``.
+        """
+        emitted: List[StreamDecision] = []
+        while True:
+            shard, result = self._admit(event, stream_id, raise_on_reject)
+            if result is not None:
+                break
+            emitted.extend(shard._run_pinned(shard._drain_round_published))
+        if not result.admitted:
+            return result
+        if self.config.auto_drain:
+            while shard.queue_depth >= self.config.batch_size:
+                if not shard.supervisor.allow_round():
+                    break  # admitted but unserved: drains later, post-probe
+                emitted.extend(shard._run_pinned(shard._drain_round_published))
+        return SubmitResult(
+            status="decided" if emitted else "accepted",
+            stream_id=result.stream_id,
+            shard_id=shard.shard_id,
+            decisions=tuple(emitted),
+            queue_depth=shard.queue_depth,
+        )
+
+    def _admit(
+        self,
+        event: StreamEvent,
+        stream_id: Optional[Hashable],
+        raise_on_reject: bool,
+    ) -> Tuple[ShardWorker, Optional[SubmitResult]]:
+        """Route one arrival and run its shard's admission, never a round.
+
+        Returns the shard and the :meth:`ShardWorker.submit` outcome, which
+        is ``None`` when a full ``overflow="drain"`` queue needs one round
+        of that shard before the arrival can be admitted again.
         """
         self._require_running("submit")
         if stream_id is None:
             stream_id = event.source
-        result = self.shard_of(stream_id).submit(
-            stream_id, event, raise_on_reject=raise_on_reject
-        )
-        if result.admitted:
+        shard = self.shard_of(stream_id)
+        result = shard.submit(stream_id, event, raise_on_reject=raise_on_reject)
+        if result is not None and result.admitted:
             with self._meter_lock:
                 self._items_meter.tick(time.monotonic())
-        return result
+        return shard, result
 
     def consume(
         self,

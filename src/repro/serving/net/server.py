@@ -6,14 +6,16 @@ the serving layer's push-based API onto a small REST surface:
 =======  ==============================  =====================================
 method   path                            semantics
 =======  ==============================  =====================================
-POST     ``/v1/streams/{id}/events``     submit one arrival; the admission
+POST     ``/v1/streams/{id}/events``     admit one arrival; the admission
                                          status picks the response code
-                                         (decided → 200 with the triggered
-                                         decisions inlined, accepted → 202,
-                                         rejected → 429, shed → 503 +
-                                         ``Retry-After``, degraded → 503;
-                                         an arrival older than its stream's
-                                         newest item → 400)
+                                         (accepted → 202, rejected → 429,
+                                         shed → 503 + ``Retry-After``,
+                                         degraded → 503; an arrival older
+                                         than its stream's newest item →
+                                         400).  No decision is inlined: the
+                                         round that serves the arrival
+                                         pushes its decisions on
+                                         ``/v1/decisions``
 POST     ``/v1/streams/{id}/flush``      flush one stream (drain its shard,
                                          force-decide that stream's keys)
 GET      ``/v1/decisions``               chunked NDJSON server-push stream of

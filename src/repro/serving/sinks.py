@@ -15,11 +15,12 @@ Publication is *journal-then-publish*: drain rounds collect their emissions
 and publish them as ordered batches.
 
 * Submission-path rounds (``auto_drain`` triggers, ``overflow="drain"``
-  backpressure) publish **on the shard's pinned execution context**, right
-  after the round completes — under the thread executor that is the shard's
-  pinned worker thread.  Rounds of one shard serialize on that worker, and a
-  stream lives on exactly one shard, so per-stream delivery order always
-  equals per-stream emission order, even with many concurrent submitters.
+  backpressure, the async gateway's round steps) publish **on the shard's
+  pinned execution context**, right after the round completes — under the
+  thread executor that is the shard's pinned worker thread.  Rounds of one
+  shard serialize on that worker, and a stream lives on exactly one shard,
+  so per-stream delivery order always equals per-stream emission order,
+  even with many concurrent submitters.
 * Cluster-level ``drain`` / ``flush`` / ``expire`` journal per-shard result
   lists while shards run (possibly concurrently) and publish the merged
   result at the merge point, in the same stable (shard index, round,
@@ -32,8 +33,7 @@ stream is list-identical to the concatenated returned lists.  Under
 concurrent submitters, batches from different shards may interleave (global
 order is scheduling-dependent) but each stream's decisions still arrive in
 order.  Sinks may therefore be invoked from worker threads: the sinks in
-this module are thread-safe, and a custom :class:`CallbackSink` target must
-be too.
+this module are thread-safe, and a custom sink must be too.
 
 Fault isolation: subscriber code runs inside serving rounds, so the hub
 (:class:`FanOutSink`) guarantees a raising child never poisons a round or
@@ -57,7 +57,6 @@ import threading
 from collections import deque
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Deque,
     Dict,
     Iterable,
@@ -71,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
 
 __all__ = [
     "DecisionSink",
-    "CallbackSink",
     "BufferedSink",
     "FanOutSink",
     "AsyncQueueSink",
@@ -97,25 +95,6 @@ class DecisionSink:
 
     def close(self) -> None:
         """Release resources / signal end-of-stream.  Idempotent no-op here."""
-
-
-class CallbackSink(DecisionSink):
-    """Invoke a callable per decision — the thinnest possible subscriber.
-
-    The callback runs on whatever thread publishes (a shard's pinned worker
-    for submission-path rounds, the draining caller at cluster merge
-    points), so it must be fast and thread-safe; heavy consumers should
-    buffer through a :class:`BufferedSink` or :class:`AsyncQueueSink`
-    instead of doing work inline.
-    """
-
-    def __init__(self, callback: Callable[["StreamDecision"], None]) -> None:
-        if not callable(callback):
-            raise TypeError("callback must be callable")
-        self._callback = callback
-
-    def publish(self, decision: "StreamDecision") -> None:
-        self._callback(decision)
 
 
 class BufferedSink(DecisionSink):
@@ -304,9 +283,10 @@ class FanOutSink(DecisionSink):
 class AsyncQueueSink(DecisionSink):
     """Bridge published decisions into an :class:`asyncio.Queue`.
 
-    Built for the :class:`~repro.serving.aio.AsyncServingGateway`: shard
-    workers publish from plain threads, consumers ``await queue.get()`` on
-    the event loop.  Delivery is loop-thread-safe:
+    Built for the HTTP tier's ``/v1/decisions`` push stream
+    (:class:`~repro.serving.net.server.ServingHTTPServer`): rounds publish
+    from plain threads, consumers ``await queue.get()`` on the event loop.
+    Delivery is loop-thread-safe:
 
     * unbounded queue — ``loop.call_soon_threadsafe(put_nowait)``: the
       publisher never blocks;

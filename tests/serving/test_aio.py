@@ -1,15 +1,18 @@
-"""AsyncServingGateway: awaitable submission, decision streams, lifecycle.
+"""AsyncServingGateway: admission on the loop, continuous batching, decision
+streams, lifecycle.
 
-Runs entirely on stdlib ``asyncio.run`` (no pytest-asyncio — satellite
-requirement: the asyncio suite is part of the tier-1 job with zero new
-dependencies).  The core contract: per-stream decisions served through the
-async gateway — including under *concurrent* submitter tasks — are
-decision-for-decision identical to one sequential single-stream engine per
-stream, and the pushed ``decisions()`` stream carries exactly the emitted
-decisions.
+Runs entirely on stdlib ``asyncio.run`` (no pytest-asyncio: the asyncio
+suite is part of the tier-1 job with zero new dependencies).  The core
+contract: per-stream decisions served through the async gateway —
+including under *concurrent* submitter tasks — are decision-for-decision
+identical to one sequential single-stream engine per stream, and the pushed
+``decisions()`` stream carries exactly the published decisions.
+Submissions return admission outcomes only; decisions are read from the
+push stream, the ``result()`` futures and subscribed sinks.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -22,10 +25,12 @@ from repro.serving import (
     AsyncServingGateway,
     BufferedSink,
     ClusterConfig,
+    DecisionSink,
     EngineConfig,
     OnlineClassificationEngine,
     ServingCluster,
 )
+from repro.serving.cluster import ShardWorker
 from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
@@ -91,6 +96,34 @@ def assert_per_stream_parity(got_by_stream, expected):
             assert mine.observations == ref.observations, (stream_id, mine.key)
 
 
+def by_stream(stream_decisions):
+    grouped = {}
+    for stream_decision in stream_decisions:
+        grouped.setdefault(stream_decision.stream_id, []).append(stream_decision.decision)
+    return grouped
+
+
+async def settle(gateway, timeout=10.0):
+    """Wait until the round task has served every queued arrival.
+
+    A snapshot is exclusive of round steps, so once the queues are empty it
+    returns only after the last step, and its publications, finished.
+    """
+    deadline = asyncio.get_running_loop().time() + timeout
+    while any(shard.queue_depth for shard in gateway.cluster.shards):
+        assert asyncio.get_running_loop().time() < deadline, "arrivals never served"
+        await asyncio.sleep(0.001)
+    await gateway.snapshot()
+
+
+def first_items(count, halt_threshold=1.0):
+    """One arrival per stream, all at time 1.0, on streams s0, s1, ..."""
+    return [
+        StreamEvent(time=1.0, item=Item("k0", (index % 8, 0), 1.0), source=f"s{index}")
+        for index in range(count)
+    ]
+
+
 class TestAsyncParity:
     @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
     def test_concurrent_submitters_match_reference_per_stream(self, executor):
@@ -145,28 +178,39 @@ class TestAsyncParity:
         assert_per_stream_parity(registry_order, expected)
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_decision_stream_equals_returned_lists_for_sequential_caller(self, executor):
+    def test_decision_stream_equals_published_decisions_for_sequential_caller(
+        self, executor
+    ):
+        """A sequential caller that yields between submissions: rounds serve
+        the arrivals as they come, the submissions carry no decisions, and
+        the decision stream is list-identical to what the cluster published
+        (same objects, same order), which matches the sequential reference
+        per stream."""
         model = make_model()
         streams, events = multi_stream_events(seed=7, num_events=120)
+        expected = reference_decisions(model, streams, events)
 
         async def scenario():
             config = ClusterConfig(
                 **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
             )
             gateway = AsyncServingGateway(model, SPEC, config)
-            returned = []
+            sink = gateway.cluster.subscribe(BufferedSink())
             for event in events:
-                returned.extend((await gateway.submit(event)).decisions)
-            returned.extend(await gateway.drain())
-            returned.extend(await gateway.expire())
-            returned.extend(await gateway.close())
+                result = await gateway.submit(event)
+                assert result.status == "accepted" and result.decisions == ()
+                await asyncio.sleep(0)
+            await settle(gateway)
+            served_before_flush = len(sink)
+            await gateway.expire()
+            await gateway.close()
             pushed = [d async for d in gateway.decisions()]
-            return returned, pushed
+            return served_before_flush, sink.take(), pushed
 
-        returned, pushed = asyncio.run(scenario())
-        # for a sequential caller the push stream is list-identical to the
-        # concatenated pull results — same objects, same order
-        assert pushed == returned
+        served_before_flush, published, pushed = asyncio.run(scenario())
+        assert served_before_flush > 0  # served without any drain
+        assert pushed == published
+        assert_per_stream_parity(by_stream(pushed), expected)
 
 
 class TestAsyncFuturesAndBackpressure:
@@ -213,16 +257,18 @@ class TestAsyncFuturesAndBackpressure:
                     await asyncio.sleep(0)  # deliberately slow consumer
 
             consumer = asyncio.create_task(consume())
-            returned = []
+            sink = gateway.cluster.subscribe(BufferedSink())
             for event in events:
-                returned.extend((await gateway.submit(event)).decisions)
-            returned.extend(await gateway.close())
+                await gateway.submit(event)
+                await asyncio.sleep(0)
+            await gateway.close()
             await consumer
             assert gateway.stats()["buffered_decisions"] == 0
-            return returned, pushed
+            return sink.take(), pushed
 
-        returned, pushed = asyncio.run(scenario())
-        assert pushed == returned  # nothing lost, order preserved
+        published, pushed = asyncio.run(scenario())
+        assert len(published) > 4
+        assert pushed == published  # nothing lost, order preserved
 
     def test_abandoned_decision_iterator_unsubscribes_its_sink(self):
         """A vanished decisions() consumer must not throttle the gateway.
@@ -249,16 +295,18 @@ class TestAsyncFuturesAndBackpressure:
             assert gateway.stats()["buffered_decisions"] == 0
             # far more decisions than the dead iterator's buffer could hold
             # must now flow through without blocking on it
-            returned = []
+            sink = gateway.cluster.subscribe(BufferedSink())
             for event in events[40:]:
-                result = await asyncio.wait_for(gateway.submit(event), timeout=10)
-                returned.extend(result.decisions)
-            returned.extend(await asyncio.wait_for(gateway.close(), timeout=10))
-            return first, returned
+                await asyncio.wait_for(gateway.submit(event), timeout=10)
+                await asyncio.sleep(0)
+            await asyncio.wait_for(settle(gateway), timeout=10)
+            served = len(sink)
+            await asyncio.wait_for(gateway.close(), timeout=10)
+            return first, served
 
-        first, returned = asyncio.run(scenario())
+        first, served = asyncio.run(scenario())
         assert first is not None
-        assert len(returned) > 2  # decisions kept flowing after abandonment
+        assert served > 2  # decisions kept flowing after abandonment
 
     def test_cancelled_consumer_task_unsubscribes_its_sink(self):
         """Task cancellation is the other disconnect path (HTTP teardown)."""
@@ -283,15 +331,206 @@ class TestAsyncFuturesAndBackpressure:
             except asyncio.CancelledError:
                 pass
             assert gateway.stats()["decision_streams"] == 0
-            returned = []
+            sink = gateway.cluster.subscribe(BufferedSink())
             for event in events[30:]:
-                result = await asyncio.wait_for(gateway.submit(event), timeout=10)
-                returned.extend(result.decisions)
-            returned.extend(await asyncio.wait_for(gateway.close(), timeout=10))
-            return returned
+                await asyncio.wait_for(gateway.submit(event), timeout=10)
+                await asyncio.sleep(0)
+            await asyncio.wait_for(settle(gateway), timeout=10)
+            served = len(sink)
+            await asyncio.wait_for(gateway.close(), timeout=10)
+            return served
 
-        returned = asyncio.run(scenario())
-        assert isinstance(returned, list)
+        served = asyncio.run(scenario())
+        assert served > 2  # no dead iterator throttles the rounds
+
+
+class TestContinuousBatching:
+    """With ``auto_drain`` the gateway serves each arrival in its shard's
+    next round, whatever the queue depth, and never on the event loop."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_fewer_than_batch_size_arrivals_are_served_without_drain(self, executor):
+        """Three arrivals under a round width of four: no drain() or flush()
+        runs, yet their futures resolve and their decisions are pushed."""
+        model = make_model()
+        events = first_items(3)
+        # Every first item is evaluated and decides its key at this threshold.
+        engine = engine_config(reencode_every=1, halt_threshold=0.2)
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor), num_shards=1, batch_size=4, engine=engine
+            )
+            async with AsyncServingGateway(model, SPEC, config) as gateway:
+                futures = [gateway.result(event.source, event.key) for event in events]
+                iterator = gateway.decisions()
+                for event in events:
+                    assert (await gateway.submit(event)).status == "accepted"
+                decided = await asyncio.wait_for(asyncio.gather(*futures), timeout=10)
+                pushed = [
+                    await asyncio.wait_for(iterator.__anext__(), timeout=10)
+                    for _ in events
+                ]
+                await iterator.aclose()
+                drained = gateway.stats()["drained"]
+            return decided, pushed, drained
+
+        decided, pushed, drained = asyncio.run(scenario())
+        assert drained == 3
+        by_source = {sd.stream_id: sd.decision for sd in pushed}
+        for event, decision in zip(events, decided):
+            assert by_source[event.source] is decision
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_arrivals_admitted_before_the_loop_yields_share_rounds(self, executor):
+        """Eight distinct-stream arrivals admitted back to back, with no
+        yield in between, are served by two rounds of four rows, not by
+        eight one-row rounds."""
+        model = make_model()
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                batch_size=4,
+                engine=engine_config(halt_threshold=1.0),
+            )
+            async with AsyncServingGateway(model, SPEC, config) as gateway:
+                for event in first_items(8):
+                    await gateway.submit(event)
+                await settle(gateway)
+                return gateway.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["drained"] == 8
+        assert stats["rounds"] == 2
+        assert stats["batched_rows"] == 8
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    def test_no_round_runs_on_the_loop_thread(self, executor, monkeypatch):
+        """Spies record the thread that runs each round body and the thread
+        that dispatches it.  Rounds the gateway drives — continuous
+        batching, and ``overflow="drain"`` backpressure when a submission
+        finds its queue full — are all dispatched from one thread, never
+        the loop's, and never run on the loop thread.  On the serial
+        backend they run on that thread; on the thread backend on each
+        shard's pinned worker."""
+        model = make_model()
+        # Streams 0-3 hash to shard 1 and streams 4-7 to shard 0.
+        streams, events = multi_stream_events(seed=3, num_events=80, num_streams=8)
+        rounds, dispatches = [], []
+        original_round = ShardWorker._drain_round
+        original_run_pinned = ShardWorker._run_pinned
+
+        def round_spy(shard, epoch):
+            rounds.append((shard.shard_id, threading.get_ident()))
+            return original_round(shard, epoch)
+
+        def run_pinned_spy(shard, fn):
+            dispatches.append(threading.get_ident())
+            return original_run_pinned(shard, fn)
+
+        monkeypatch.setattr(ShardWorker, "_drain_round", round_spy)
+        monkeypatch.setattr(ShardWorker, "_run_pinned", run_pinned_spy)
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                max_queue=2,
+                overflow="drain",
+                engine=engine_config(),
+            )
+            gateway = AsyncServingGateway(model, SPEC, config)
+            loop_thread = threading.get_ident()
+            # Back-to-back submissions: only a full queue makes one wait.
+            for event in events:
+                assert (await gateway.submit(event)).admitted
+            during_submits = len(rounds)
+            await settle(gateway)
+            driven, dispatchers = list(rounds), set(dispatches)
+            await gateway.close()
+            return loop_thread, during_submits, driven, dispatchers
+
+        loop_thread, during_submits, driven, dispatchers = asyncio.run(scenario())
+        assert during_submits > 0
+        threads = {ident for _, ident in driven}
+        assert loop_thread not in threads | dispatchers
+        assert len(dispatchers) == 1
+        if executor == "serial":
+            assert threads == dispatchers
+        else:
+            for shard_id in (0, 1):
+                assert len({ident for sid, ident in driven if sid == shard_id}) == 1
+        assert {sid for sid, _ in driven} == {0, 1}
+
+
+class TestDecisionStreamStart:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_iterator_started_mid_publish_sees_every_decision_once(self, executor):
+        """A sink subscribed ahead of the gateway holds the cluster's fan-out
+        in the middle of a drain's publication while a ``decisions()``
+        iterator starts on the loop.  The iterator still sees every decision
+        exactly once, in publication order: the backlog before it started,
+        the batch in flight and everything after."""
+        model = make_model()
+        streams, events = multi_stream_events(seed=61, num_events=90)
+
+        class HoldingSink(DecisionSink):
+            def __init__(self):
+                self.armed = False
+                self.holding = threading.Event()
+                self.release = threading.Event()
+
+            def publish_all(self, decisions):
+                if self.armed:
+                    self.armed = False
+                    self.holding.set()
+                    assert self.release.wait(timeout=10)
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                auto_drain=False,
+                engine=engine_config(),
+            )
+            cluster = ServingCluster(model, SPEC, config)
+            holder = cluster.subscribe(HoldingSink())
+            published = cluster.subscribe(BufferedSink())
+            gateway = AsyncServingGateway(cluster=cluster)
+            for event in events[:30]:
+                await gateway.submit(event)
+            await gateway.drain()
+            for event in events[30:60]:
+                await gateway.submit(event)
+            holder.armed = True
+            drain = asyncio.create_task(gateway.drain())
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, holder.holding.wait, 10)
+            seen = []
+
+            async def consume():
+                async for decision in gateway.decisions():
+                    seen.append(decision)
+
+            consumer = asyncio.create_task(consume())
+            await asyncio.sleep(0)  # the iterator starts while the batch is held
+            holder.release.set()
+            assert await drain
+            for event in events[60:]:
+                await gateway.submit(event)
+            await gateway.flush()
+            await gateway.close()
+            await asyncio.wait_for(consumer, timeout=10)
+            cluster.close()
+            return seen, published.take()
+
+        seen, published = asyncio.run(scenario())
+        assert len(published) > 0
+        assert seen == published
 
 
 class TestRestoreDeliverySemantics:
@@ -333,10 +572,12 @@ class TestRestoreDeliverySemantics:
                 }
                 order_before = {s: gateway.stream_decisions(s) for s in streams}
                 await gateway.restore(snapshot)
-                replayed = []
+                sink = gateway.cluster.subscribe(BufferedSink())
                 for event in events[snap_at:]:
-                    replayed.extend((await gateway.submit(event)).decisions)
-                replayed.extend(await gateway.flush())
+                    await gateway.submit(event)
+                    await asyncio.sleep(0)
+                await gateway.flush()
+                replayed = sink.take()
                 # the replay re-emitted keys whose futures had already fired
                 refired = [
                     sd for sd in replayed if (sd.stream_id, sd.decision.key) in fired
@@ -410,27 +651,29 @@ class TestRestoreDeliverySemantics:
             )
             gateway = AsyncServingGateway(model, SPEC, config)
             sink = gateway.cluster.subscribe(BufferedSink())
-            returned = []
-            for event in events[:snap_at]:
-                returned.extend((await gateway.submit(event)).decisions)
-            returned.extend(await gateway.drain())
-            snapshot = await gateway.snapshot()
-            for event in events[snap_at:restore_at]:
-                returned.extend((await gateway.submit(event)).decisions)
-            returned.extend(await gateway.drain())
-            await gateway.restore(snapshot)
-            for event in events[snap_at:]:
-                returned.extend((await gateway.submit(event)).decisions)
-            returned.extend(await gateway.close())
-            pushed = [d async for d in gateway.decisions()]
-            return returned, sink.take(), pushed
 
-        returned, sunk, pushed = asyncio.run(scenario())
-        emitted = [(sd.stream_id, sd.decision.key) for sd in returned]
+            async def serve(batch):
+                for event in batch:
+                    await gateway.submit(event)
+                    await asyncio.sleep(0)
+
+            await serve(events[:snap_at])
+            await gateway.drain()
+            snapshot = await gateway.snapshot()
+            await serve(events[snap_at:restore_at])
+            await gateway.drain()
+            await gateway.restore(snapshot)
+            await serve(events[snap_at:])
+            await gateway.close()
+            pushed = [d async for d in gateway.decisions()]
+            return sink.take(), pushed
+
+        sunk, pushed = asyncio.run(scenario())
+        emitted = [(sd.stream_id, sd.decision.key) for sd in sunk]
         assert len(set(emitted)) < len(emitted)  # the replay re-emitted some
-        # push delivery tracked the pull API exactly, replay included
-        assert sunk == returned
-        assert pushed == returned
+        # the decision stream tracked the published sequence exactly,
+        # replay included
+        assert pushed == sunk
 
 
 class TestFlushStream:

@@ -6,12 +6,15 @@ byte crosses a socket, nothing shortcuts into the gateway.  Stdlib
 ``asyncio.run`` only (no pytest-asyncio), same as the aio suite.
 
 Covered here: per-stream decision parity over HTTP, the admission-status →
-response-code mapping (decided/accepted/rejected/shed/degraded), decision
-push-stream ordering against the pull API, malformed-request 400s, and the
-running → draining → closed lifecycle.
+response-code mapping (accepted/rejected/shed/degraded), decision
+push-stream ordering against the published decisions, malformed-request
+400s (and a seeded wire fuzz), and the running → draining → closed
+lifecycle.  Submissions answer with their admission outcome only; every
+test reads decisions from the ``/v1/decisions`` push stream.
 """
 
 import asyncio
+import json
 import threading
 import time
 
@@ -24,6 +27,7 @@ from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
 from repro.serving import (
     AsyncServingGateway,
+    BufferedSink,
     CheckpointConfig,
     ClusterConfig,
     EngineConfig,
@@ -34,7 +38,7 @@ from repro.serving import (
     SupervisorConfig,
 )
 from repro.serving.net import ServingHTTPClient, ServingHTTPServer, protocol
-from repro.serving.net.client import ServingUnavailableError
+from repro.serving.net.client import NetDecision, ServingUnavailableError
 from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
@@ -101,6 +105,22 @@ def assert_wire_parity(got_by_stream, expected):
             assert mine.observations == ref.observations, (stream_id, mine.key)
 
 
+def assert_stream_parity(got, reference):
+    """One stream's wire-side NetDecisions against reference Decisions."""
+    assert [d.key for d in got] == [d.key for d in reference]
+    for mine, ref in zip(got, reference):
+        assert mine.predicted == ref.predicted, mine.key
+        assert mine.confidence == pytest.approx(ref.confidence, abs=1e-9)
+        assert mine.observations == ref.observations, mine.key
+
+
+def group_by_stream(decisions):
+    grouped = {}
+    for decision in decisions:
+        grouped.setdefault(decision.stream_id, []).append(decision)
+    return grouped
+
+
 async def _wait_for_stream_registration(server, count=1, timeout=5.0):
     """Poll until `count` decision-stream subscriptions are live server-side."""
     deadline = time.monotonic() + timeout
@@ -108,6 +128,23 @@ async def _wait_for_stream_registration(server, count=1, timeout=5.0):
         if time.monotonic() > deadline:
             raise AssertionError("decision stream never registered")
         await asyncio.sleep(0.01)
+
+
+async def consume_push_stream(client, server):
+    """Collect the push stream in a task, once the server has registered it.
+
+    The stream ends when the gateway closes, so awaiting the task after a
+    shutdown yields every decision the server published.
+    """
+    pushed = []
+
+    async def consume():
+        async for decision in client.decisions():
+            pushed.append(decision)
+
+    task = asyncio.create_task(consume())
+    await _wait_for_stream_registration(server)
+    return pushed, task
 
 
 class TestHTTPParity:
@@ -126,31 +163,27 @@ class TestHTTPParity:
                 batch_size=4,
                 engine=engine_config(),
             )
-            collected = []
             async with ServingHTTPServer(
-                model=model, spec=SPEC, config=config
+                model=model, spec=SPEC, config=config, heartbeat_s=0.2
             ) as server:
                 async with ServingHTTPClient(server.host, server.port) as client:
+                    pushed, consumer = await consume_push_stream(client, server)
                     for event in events:
                         result = await client.submit(event.source, event)
-                        assert result.admitted
-                        assert result.http_status in (200, 202)
-                        # decided iff the round inlined decisions
-                        assert (result.http_status == 200) == bool(result.decisions)
-                        collected.extend(result.decisions)
-                    collected.extend(await client.shutdown())
-            return collected
+                        # admission only: the decisions travel on the push stream
+                        assert (result.http_status, result.status) == (202, "accepted")
+                        assert result.decisions == ()
+                    await client.shutdown()
+                    await asyncio.wait_for(consumer, timeout=10)
+            return pushed
 
-        collected = asyncio.run(scenario())
-        got_by_stream = {}
-        for decision in collected:
-            got_by_stream.setdefault(decision.stream_id, []).append(decision)
-        assert_wire_parity(got_by_stream, expected)
+        pushed = asyncio.run(scenario())
+        assert_wire_parity(group_by_stream(pushed), expected)
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_decision_push_stream_matches_pull_api(self, executor):
-        """The chunked NDJSON push stream carries exactly the pull-API
-        decisions, field-for-field in the same order."""
+    def test_decision_push_stream_matches_published_decisions(self, executor):
+        """The chunked NDJSON push stream carries exactly the decisions the
+        cluster published, field-for-field in the same order."""
         model = make_model()
         streams, events = multi_stream_events(seed=43, num_events=120)
 
@@ -161,26 +194,21 @@ class TestHTTPParity:
             async with ServingHTTPServer(
                 model=model, spec=SPEC, config=config, heartbeat_s=0.2
             ) as server:
+                published = server.gateway.cluster.subscribe(BufferedSink())
                 async with ServingHTTPClient(server.host, server.port) as client:
-                    pushed = []
-
-                    async def consume():
-                        async for decision in client.decisions():
-                            pushed.append(decision)
-
-                    consumer = asyncio.create_task(consume())
-                    await _wait_for_stream_registration(server)
-                    pulled = []
+                    pushed, consumer = await consume_push_stream(client, server)
                     for event in events:
-                        result = await client.submit(event.source, event)
-                        pulled.extend(result.decisions)
-                    pulled.extend(await client.shutdown())
+                        await client.submit(event.source, event)
+                    await client.shutdown()
                     await asyncio.wait_for(consumer, timeout=10)
-            return pulled, pushed
+            return published.take(), pushed
 
-        pulled, pushed = asyncio.run(scenario())
-        assert len(pushed) == len(pulled) > 0
-        assert pushed == pulled  # NetDecision dataclasses: field equality
+        published, pushed = asyncio.run(scenario())
+        on_the_wire = [
+            NetDecision.from_wire(protocol.decision_to_wire(sd)) for sd in published
+        ]
+        assert len(pushed) > 0
+        assert pushed == on_the_wire  # NetDecision dataclasses: field equality
 
     def test_vanished_stream_consumer_is_unsubscribed(self):
         """Breaking out of the client iteration closes the connection; the
@@ -218,29 +246,41 @@ class TestHTTPParity:
 
 
 class TestStatusMapping:
-    def test_decided_and_accepted_codes(self):
+    def test_accepted_code_and_pushed_decisions(self):
+        """Every admitted submission answers 202 with no inline decisions,
+        and the rounds that serve them push their decisions before any
+        drain, flush or shutdown."""
         model = make_model()
 
         async def scenario():
-            # batch_size=4 with auto-drain: three queued arrivals come back
-            # 202, the fourth triggers the round and returns 200 + decisions
             config = ClusterConfig(num_shards=1, batch_size=4, engine=engine_config())
-            async with ServingHTTPServer(model=model, spec=SPEC, config=config) as server:
+            async with ServingHTTPServer(
+                model=model, spec=SPEC, config=config, heartbeat_s=0.2
+            ) as server:
                 async with ServingHTTPClient(server.host, server.port) as client:
-                    codes = []
+                    pushed, consumer = await consume_push_stream(client, server)
+                    results = []
                     for step in range(8):
-                        result = await client.submit(
-                            "alpha", key=f"k{step % 2}",
-                            value=[step % 8, step % 2], time=float(step),
+                        results.append(
+                            await client.submit(
+                                "alpha", key=f"k{step % 2}",
+                                value=[step % 8, step % 2], time=float(step),
+                            )
                         )
-                        codes.append((result.http_status, result.status))
+                    deadline = time.monotonic() + 10.0
+                    while not pushed:
+                        assert time.monotonic() < deadline, "no decision was pushed"
+                        await asyncio.sleep(0.01)
+                    before_shutdown = list(pushed)
                     await client.shutdown()
-            return codes
+                    await asyncio.wait_for(consumer, timeout=10)
+            return results, before_shutdown
 
-        codes = asyncio.run(scenario())
-        assert (202, "accepted") in codes
-        assert any(code == 200 and status == "decided" for code, status in codes)
-        assert all(code in (200, 202) for code, _ in codes)
+        results, before_shutdown = asyncio.run(scenario())
+        for result in results:
+            assert (result.http_status, result.status) == (202, "accepted")
+            assert result.decisions == ()
+        assert before_shutdown and all(d.stream_id == "alpha" for d in before_shutdown)
 
     def test_rejected_maps_to_429(self):
         model = make_model()
@@ -449,6 +489,103 @@ class TestMalformedRequests:
         assert health["failures"] == 0
         assert health["lost_arrivals"] == 0
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_wire_fuzz_rejects_malformed_and_serves_the_rest(self, executor):
+        """Seeded fuzz: malformed submissions mixed with valid ones on one
+        connection.  Every malformed one answers 400 — non-finite numbers,
+        oversize codes and lists, unknown fields, wrong types, out-of-order
+        times — no shard breaker trips, and per stream the decisions pushed
+        for the valid subsequence equal a clean run's (and the sequential
+        reference's)."""
+        model = make_model()
+        streams, events = multi_stream_events(seed=67, num_events=120)
+        expected = reference_decisions(model, streams, events)
+        rng = np.random.default_rng(71)
+        valid = {"key": "k0", "value": [1, 0]}
+        kinds = [
+            # non-finite numbers (json.dumps writes NaN/Infinity literals)
+            lambda t: dict(valid, time=float("nan")),
+            lambda t: dict(valid, time=float("inf")),
+            lambda t: dict(valid, time=float("-inf")),
+            lambda t: b'{"time": 1e400, "key": "k0", "value": [1, 0]}',
+            # oversize codes and lists
+            lambda t: dict(valid, time=t, value=[8, 0]),
+            lambda t: dict(valid, time=t, value=[10 ** 30, 0]),
+            lambda t: dict(valid, time=t, value=[1, 0, 0]),
+            lambda t: dict(valid, time=t, value=[-1, 0]),
+            # unknown or missing fields
+            lambda t: dict(valid, time=t, bogus=1),
+            lambda t: {"time": t, "key": "k0"},
+            # wrong types
+            lambda t: dict(valid, time=str(t)),
+            lambda t: dict(valid, time=True),
+            lambda t: dict(valid, time=t, key=[1]),
+            lambda t: dict(valid, time=t, key=True),
+            lambda t: dict(valid, time=t, value="1,0"),
+            lambda t: dict(valid, time=t, value=[0.5, 0]),
+            lambda t: dict(valid, time=t, source=5),
+            lambda t: [t, "k0", [1, 0]],
+        ]
+        plan = []  # (stream_id, payload, is_valid)
+        newest = {}
+        for event in events:
+            while rng.random() < 0.5:
+                stream_id = streams[int(rng.integers(len(streams)))]
+                if stream_id in newest and rng.random() < 0.25:
+                    # older than the stream's newest admitted item
+                    bad = dict(valid, time=newest[stream_id] - 0.5)
+                else:
+                    bad = kinds[int(rng.integers(len(kinds)))](newest.get(stream_id, 0.0))
+                plan.append((stream_id, bad, False))
+            plan.append((event.source, protocol.event_to_wire(event), True))
+            newest[event.source] = event.time
+
+        async def serve(fuzzed):
+            config = ClusterConfig(
+                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+            )
+            codes = []
+            async with ServingHTTPServer(
+                model=model, spec=SPEC, config=config, heartbeat_s=0.2
+            ) as server:
+                async with ServingHTTPClient(server.host, server.port) as client:
+                    target = f"{server.host}:{server.port}"
+                    pushed, consumer = await consume_push_stream(client, server)
+                    # Every submission on one keep-alive connection.
+                    reader, writer = await asyncio.open_connection(server.host, server.port)
+                    for stream_id, payload, is_valid in plan:
+                        if not (fuzzed or is_valid):
+                            continue
+                        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                        writer.write(
+                            protocol.render_request(
+                                "POST", f"/v1/streams/{stream_id}/events", target, body
+                            )
+                        )
+                        response = await protocol.read_response(reader)
+                        codes.append((is_valid, response.status))
+                    writer.close()
+                    await writer.wait_closed()
+                    health = await client.health()
+                    await client.shutdown()
+                    await asyncio.wait_for(consumer, timeout=10)
+            return codes, health, pushed
+
+        fuzzed_codes, health, fuzzed = asyncio.run(serve(fuzzed=True))
+        clean_codes, _, clean = asyncio.run(serve(fuzzed=False))
+        malformed = [code for is_valid, code in fuzzed_codes if not is_valid]
+        assert len(malformed) > 50
+        assert set(malformed) == {400}
+        assert {code for is_valid, code in fuzzed_codes if is_valid} == {202}
+        assert {code for _, code in clean_codes} == {202}
+        assert health["breaker_open"] == []
+        assert health["failures"] == 0
+        fuzzed, clean = group_by_stream(fuzzed), group_by_stream(clean)
+        assert sorted(fuzzed) == sorted(clean)
+        for stream_id in clean:
+            assert_stream_parity(fuzzed[stream_id], clean[stream_id])
+        assert_wire_parity(fuzzed, expected)
+
     def test_unknown_paths_and_methods(self):
         model = make_model()
 
@@ -479,16 +616,20 @@ class TestLifecycleOverHTTP:
         model = make_model()
         streams, events = multi_stream_events(seed=53, num_events=40)
 
+        expected = reference_decisions(model, streams, events)
+
         async def scenario():
             config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
-            async with ServingHTTPServer(model=model, spec=SPEC, config=config) as server:
+            async with ServingHTTPServer(
+                model=model, spec=SPEC, config=config, heartbeat_s=0.2
+            ) as server:
                 async with ServingHTTPClient(server.host, server.port) as client:
-                    inline = []
+                    pushed, consumer = await consume_push_stream(client, server)
                     for event in events:
-                        result = await client.submit(event.source, event)
-                        inline.extend(result.decisions)
-                    final = await client.shutdown()
-                    inline.extend(final)
+                        await client.submit(event.source, event)
+                    await client.shutdown()
+                    # the push stream ends with the gateway, after the flush
+                    await asyncio.wait_for(consumer, timeout=10)
                     # reads are still served after the drain...
                     stats = await client.stats()
                     health = await client.health()
@@ -498,47 +639,65 @@ class TestLifecycleOverHTTP:
                     # cluster-wide admin ops on a closed gateway 503 too
                     with pytest.raises(RuntimeError):
                         await client.flush()
-            return inline, stats, health, refused.value
+            return pushed, stats, health, refused.value
 
-        emitted, stats, health, refusal = asyncio.run(scenario())
-        assert len(emitted) > 0  # inline + shutdown-flush decisions arrived
+        pushed, stats, health, refusal = asyncio.run(scenario())
+        assert_wire_parity(group_by_stream(pushed), expected)
         assert stats["gateway_state"] == "closed"
         assert stats["server"]["state"] == "draining"
         assert refusal.http_status == 503
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_snapshot_restore_round_trip_over_http(self, executor):
-        """Admin snapshot/restore replays the tail bit-identically."""
+        """Admin snapshot/restore replays the tail decision for decision.
+
+        Per stream, the push stream carries the reference decisions of the
+        whole run (every event, then the flush), and then, after the
+        restore, the replay: exactly the part of that sequence the snapshot
+        had not served yet, again.  Arrivals still queued at the snapshot
+        are in it, so where the replay starts depends on timing; what it
+        replays does not.  Round composition follows arrival timing too,
+        and a row batched with different neighbours can round differently
+        in the last bit, so confidences match within the parity tolerance.
+        """
         model = make_model()
         streams, events = multi_stream_events(seed=59, num_events=80)
         split = 50
+        expected = reference_decisions(model, streams, events)
 
         async def scenario():
             config = ClusterConfig(
                 **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
             )
-            async with ServingHTTPServer(model=model, spec=SPEC, config=config) as server:
+            async with ServingHTTPServer(
+                model=model, spec=SPEC, config=config, heartbeat_s=0.2
+            ) as server:
                 async with ServingHTTPClient(server.host, server.port) as client:
+                    pushed, consumer = await consume_push_stream(client, server)
                     for event in events[:split]:
                         await client.submit(event.source, event)
                     snapshot_id = await client.snapshot()
-                    first = []
                     for event in events[split:]:
-                        result = await client.submit(event.source, event)
-                        first.extend(result.decisions)
-                    first.extend(await client.flush())
+                        await client.submit(event.source, event)
+                    await client.flush()
                     await client.restore(snapshot_id)
-                    second = []
                     for event in events[split:]:
-                        result = await client.submit(event.source, event)
-                        second.extend(result.decisions)
-                    second.extend(await client.flush())
+                        await client.submit(event.source, event)
+                    await client.flush()
                     await client.shutdown()
-            return first, second
+                    await asyncio.wait_for(consumer, timeout=10)
+            return pushed
 
-        first, second = asyncio.run(scenario())
-        assert len(first) > 0
-        assert first == second  # bit-identical replay through the wire
+        pushed = group_by_stream(asyncio.run(scenario()))
+        replayed = 0
+        for stream_id, reference in expected.items():
+            got = pushed.get(stream_id, [])
+            assert_stream_parity(got[: len(reference)], reference)
+            replay = got[len(reference):]
+            assert len(replay) <= len(reference), stream_id
+            assert_stream_parity(replay, got[len(reference) - len(replay): len(reference)])
+            replayed += len(replay)
+        assert replayed > 0
 
     def test_constructor_validation(self):
         model = make_model()

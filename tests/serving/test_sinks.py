@@ -19,7 +19,6 @@ from repro.data.stream import StreamEvent
 from repro.serving import (
     AsyncQueueSink,
     BufferedSink,
-    CallbackSink,
     ClusterConfig,
     ConsumeSummary,
     DecisionSink,
@@ -115,15 +114,6 @@ class TestConsumeSummary:
 
 
 class TestSinkPrimitives:
-    def test_callback_sink_invokes_per_decision(self):
-        seen = []
-        sink = CallbackSink(seen.append)
-        batch = [fake_decision(position=i) for i in range(3)]
-        sink.publish_all(batch)
-        assert seen == batch
-        with pytest.raises(TypeError):
-            CallbackSink("not-callable")
-
     def test_buffered_sink_take_and_peek(self):
         sink = BufferedSink()
         batch = [fake_decision(position=i) for i in range(4)]
