@@ -7,21 +7,26 @@ loop never runs a drain round:
 
 * ``await gateway.submit(event)`` — admission only, on the loop: the
   arrival is checked and enqueued on its shard
-  (:meth:`~repro.serving.cluster.ShardWorker.submit`, no thread hop) and
+  (:meth:`~repro.serving.cluster.ServingCluster.admit`, no thread hop) and
   the admission outcome comes back (``accepted`` when enqueued; no
   decisions ride along).  With ``overflow="drain"`` a submission that
-  finds its shard's queue full awaits one round of that shard on the round
+  finds its shard's queue full awaits one round of that shard
+  (:meth:`~repro.serving.cluster.ServingCluster.serve_shard`) on the round
   thread, then retries admission: backpressure is awaitable instead of
   loop-blocking.
 * Continuous batching (``ClusterConfig.auto_drain``, the default): one
   round task per gateway feeds one thread the gateway owns.  While any
-  shard has queued arrivals, each step runs one round on every such shard
-  (at most ``batch_size`` arrivals, one per stream), and arrivals admitted
-  while a step runs form the next one — rounds widen with load, with no
-  timeout and no controller.  Every gateway-driven round runs on that
-  thread; with ``executor="thread"`` the thread dispatches each round to
-  its shard's pinned worker and waits, exactly as the synchronous submit
-  path does.
+  shard has queued arrivals, each step
+  (:meth:`~repro.serving.cluster.ServingCluster.serve_queued`) runs one
+  round on every such shard (at most ``batch_size`` arrivals, one per
+  stream), and arrivals admitted while a step runs form the next one —
+  rounds widen with load, with no timeout and no controller.  Every
+  gateway-driven round is driven from that thread: the serial backend runs
+  it there; with ``executor="thread"`` the step dispatches every queued
+  shard's round to its pinned worker before awaiting any, so shards'
+  rounds overlap, and a round that makes no progress for the supervision
+  config's ``round_deadline_s`` is abandoned and its shard recovered, as
+  in a cluster drain.
 * ``async for decision in gateway.decisions()`` — every emitted decision in
   publication order, read from the gateway's decision history (an iterator
   that starts late replays it first).  With ``max_buffered=n`` a
@@ -458,26 +463,13 @@ class AsyncServingGateway:
             self._arrivals.clear()
             while any(shard.queue_depth for shard in self._cluster.shards):
                 async with self._gate.shared():
-                    served = await self._loop.run_in_executor(
-                        self._rounds, self._round_step
-                    )
+                    served = await self._on_round_thread(self._cluster.serve_queued)
                 if not served:
                     break  # every queued shard's breaker is open: wait for a probe
 
-    def _round_step(self) -> bool:
-        """One round on every shard with queued arrivals (round thread).
-
-        Returns whether any round ran; a shard whose breaker is open is
-        skipped until an admission after its backoff wakes a probe.
-        """
-        if self._cluster.state == "closed":
-            return False
-        served = False
-        for shard in self._cluster.shards:
-            if shard.queue_depth and shard.supervisor.allow_round():
-                shard._run_pinned(shard._drain_round_published)
-                served = True
-        return served
+    async def _on_round_thread(self, fn, *args):
+        """Run a round call on the gateway's round thread and await it."""
+        return await self._loop.run_in_executor(self._rounds, fn, *args)
 
     # ------------------------------------------------------------------ #
     # serving API
@@ -502,12 +494,10 @@ class AsyncServingGateway:
         async with self._gate.shared():
             self._require_running("submit")
             while True:
-                shard, result = self._cluster._admit(event, stream_id, raise_on_reject)
+                shard_id, result = self._cluster.admit(event, stream_id, raise_on_reject)
                 if result is not None:
                     break
-                await self._loop.run_in_executor(
-                    self._rounds, shard._run_pinned, shard._drain_round_published
-                )
+                await self._on_round_thread(self._cluster.serve_shard, shard_id)
         if result.admitted:
             self._arrivals.set()
         return result

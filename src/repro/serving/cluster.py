@@ -38,11 +38,13 @@ per-shard work out across the pool and run shards concurrently (numpy
 releases the GIL inside the batched GEMMs), while per-shard results are
 merged back in stable (shard index, round, intra-round) order — the emitted
 decision sequence is identical to the serial backend's, which the parity
-suite pins.  Submission-path rounds (``auto_drain`` triggers and ``"drain"``
-overflow backpressure) are dispatched to the owning shard's pinned worker
-and waited on, so session state never crosses threads even on the submit
-path.  Every round is at most ``batch_size`` arrivals wide on either
-backend.
+suite pins.  Submission-path rounds (``auto_drain`` triggers, ``"drain"``
+overflow backpressure and the async gateway's continuous-batching steps,
+:meth:`~ServingCluster.serve_shard` / :meth:`~ServingCluster.serve_queued`)
+are dispatched to the owning shard's pinned worker and waited on under the
+same round deadline as the fan-outs, so session state never crosses
+threads even on the submit path.  Every round is at most ``batch_size``
+arrivals wide on either backend.
 
 Push-based delivery (:mod:`repro.serving.results`,
 :mod:`repro.serving.sinks`): :meth:`ServingCluster.submit` returns a
@@ -629,7 +631,8 @@ class ShardWorker:
 
         Runs on the shard's pinned execution context (the synchronous
         submission path and the async gateway's round thread dispatch it
-        through :meth:`_run_pinned`), so for any one shard the
+        through :meth:`ServingCluster.serve_shard` and
+        :meth:`ServingCluster.serve_queued`), so for any one shard the
         publish order equals the round order — per-stream delivery order is
         exact even when many threads submit concurrently, and for a
         single-threaded caller it is identical to the returned lists.
@@ -1205,11 +1208,9 @@ class ServingCluster:
         The stream id defaults to the event's ``source`` tag (what the
         multi-stream simulator stamps); pass ``stream_id`` explicitly when
         events carry no source.  A full ``overflow="drain"`` queue is served
-        one round at a time until the arrival fits, and with ``auto_drain``
-        the shard then runs rounds while its queue holds ``batch_size``
-        arrivals.  Every such round runs with shard affinity — inline for
-        the serial backend, on the shard's pinned worker for the thread
-        backend — and publishes its emissions before it returns.
+        one :meth:`serve_shard` round at a time until the arrival fits, and
+        with ``auto_drain`` the shard then runs rounds while its queue holds
+        ``batch_size`` arrivals.
 
         Returns a :class:`~repro.serving.results.SubmitResult`: the explicit
         admission outcome, the decisions those rounds emitted and the
@@ -1218,46 +1219,87 @@ class ServingCluster:
         """
         emitted: List[StreamDecision] = []
         while True:
-            shard, result = self._admit(event, stream_id, raise_on_reject)
+            shard_id, result = self.admit(event, stream_id, raise_on_reject)
             if result is not None:
                 break
-            emitted.extend(shard._run_pinned(shard._drain_round_published))
+            emitted.extend(self.serve_shard(shard_id))
         if not result.admitted:
             return result
+        shard = self.shards[shard_id]
         if self.config.auto_drain:
             while shard.queue_depth >= self.config.batch_size:
                 if not shard.supervisor.allow_round():
                     break  # admitted but unserved: drains later, post-probe
-                emitted.extend(shard._run_pinned(shard._drain_round_published))
+                emitted.extend(self.serve_shard(shard_id))
         return SubmitResult(
             status="decided" if emitted else "accepted",
             stream_id=result.stream_id,
-            shard_id=shard.shard_id,
+            shard_id=shard_id,
             decisions=tuple(emitted),
             queue_depth=shard.queue_depth,
         )
 
-    def _admit(
+    def admit(
         self,
         event: StreamEvent,
-        stream_id: Optional[Hashable],
-        raise_on_reject: bool,
-    ) -> Tuple[ShardWorker, Optional[SubmitResult]]:
-        """Route one arrival and run its shard's admission, never a round.
+        stream_id: Optional[Hashable] = None,
+        raise_on_reject: bool = True,
+    ) -> Tuple[int, Optional[SubmitResult]]:
+        """Route one arrival and run its shard's admission; never a round.
 
-        Returns the shard and the :meth:`ShardWorker.submit` outcome, which
-        is ``None`` when a full ``overflow="drain"`` queue needs one round
-        of that shard before the arrival can be admitted again.
+        Returns the shard index and the :meth:`ShardWorker.submit` outcome,
+        which is ``None`` when a full ``overflow="drain"`` queue needs one
+        :meth:`serve_shard` round of that shard before the arrival can be
+        admitted again.  The async gateway admits on its event loop through
+        this call.
         """
         self._require_running("submit")
         if stream_id is None:
             stream_id = event.source
-        shard = self.shard_of(stream_id)
-        result = shard.submit(stream_id, event, raise_on_reject=raise_on_reject)
+        shard_id = self.shard_index(stream_id)
+        result = self.shards[shard_id].submit(
+            stream_id, event, raise_on_reject=raise_on_reject
+        )
         if result is not None and result.admitted:
             with self._meter_lock:
                 self._items_meter.tick(time.monotonic())
-        return shard, result
+        return shard_id, result
+
+    def serve_shard(self, shard_id: int) -> List[StreamDecision]:
+        """One round of one shard; returns the decisions it published.
+
+        The round runs with shard affinity (inline for the serial backend,
+        on the shard's pinned worker for the thread backend) and publishes
+        its emissions there before it returns.  The wait is the supervised
+        one of :meth:`_await_shard_job`: a round that makes no progress for
+        ``round_deadline_s`` is abandoned and its shard recovered, and a
+        failure is absorbed by the shard's supervisor.
+        """
+        shard = self.shards[shard_id]
+        return self._await_shard_job(
+            shard, self._executor.submit(shard_id, shard._drain_round_published)
+        )
+
+    def serve_queued(self) -> bool:
+        """One round on every shard with queued arrivals; whether any ran.
+
+        The async gateway's continuous-batching step.  Each queued shard
+        whose breaker allows a round gets one round, published and awaited
+        as in :meth:`serve_shard`; every round is dispatched before any is
+        awaited, so under the thread backend the shards' rounds overlap and
+        a wedged one is abandoned after ``round_deadline_s`` while the
+        others complete.  A closed cluster runs nothing.
+        """
+        if self._state == "closed":
+            return False
+        jobs = [
+            (shard, self._executor.submit(shard.shard_id, shard._drain_round_published))
+            for shard in self.shards
+            if shard.queue_depth and shard.supervisor.allow_round()
+        ]
+        for shard, job in jobs:
+            self._await_shard_job(shard, job)
+        return bool(jobs)
 
     def consume(
         self,
@@ -1354,7 +1396,8 @@ class ServingCluster:
         return sum(sup.rounds_completed for sup in supervisors)
 
     def _await_shard_job(self, shard: ShardWorker, job: JobHandle) -> List[StreamDecision]:
-        """Wait for a fan-out job — deadline-aware and failure-absorbing.
+        """Wait for a shard job (a fan-out job or one round) — deadline-aware
+        and failure-absorbing.
 
         Progress-aware deadline: the wait only gives up after a window of
         ``round_deadline_s`` with no completed round on the shard's *worker*

@@ -9,7 +9,7 @@ importing the package:
   codecs for events, decisions and submit results,
 * :class:`~repro.serving.net.server.ServingHTTPServer` — ``POST
   /v1/streams/{id}/events`` with admission statuses mapped to response
-  codes (decided/accepted → 200/202, rejected → 429, shed →
+  codes (accepted → 202, rejected → 429, shed →
   503-with-``Retry-After``, degraded → 503), ``GET /v1/decisions`` as a
   chunked NDJSON server-push stream fed by a bounded
   :class:`~repro.serving.sinks.AsyncQueueSink` (real backpressure into

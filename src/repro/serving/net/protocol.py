@@ -20,8 +20,11 @@ from plain dicts:
   ``{"stream_id", "shard_id", "key", "predicted", ...}``,
 * submit outcomes — :class:`~repro.serving.results.SubmitResult` →
   ``{"status", "queue_depth", "decisions": [...]}`` plus the HTTP status
-  mapping :data:`STATUS_TO_HTTP` (decided → 200, accepted → 202,
-  rejected → 429, shed/degraded → 503).
+  mapping :data:`STATUS_TO_HTTP` (accepted → 202, rejected → 429,
+  shed/degraded → 503).  The server answers a submission with the async
+  gateway's admission outcome, which carries no decisions, so its
+  ``decisions`` list is always empty: decisions travel on the
+  ``GET /v1/decisions`` push stream.
 """
 
 from __future__ import annotations
@@ -72,7 +75,10 @@ MAX_BODY_BYTES = 1 << 20
 #: map to 503 (the node cannot serve right now); ``shed`` additionally
 #: carries ``Retry-After`` because load shedding is transient by
 #: construction, while ``degraded`` means the shard's breaker is open and
-#: the retry horizon is the breaker's, not the client's.
+#: the retry horizon is the breaker's, not the client's.  ``decided`` is
+#: only ever the synchronous ``ServingCluster.submit``'s outcome; the server
+#: never sees it (the gateway admits without serving), and the entry keeps
+#: the mapping total over ``SUBMIT_STATUSES``.
 STATUS_TO_HTTP: Mapping[str, int] = {
     "decided": 200,
     "accepted": 202,
@@ -409,7 +415,7 @@ def decision_to_wire(stream_decision: StreamDecision) -> Dict[str, object]:
 
 
 def submit_result_to_wire(result: SubmitResult) -> Dict[str, object]:
-    """``SubmitResult`` → response body (decisions inlined for ``decided``)."""
+    """``SubmitResult`` → response body (decisions inlined, if it has any)."""
     return {
         "status": result.status,
         "stream_id": result.stream_id,

@@ -154,6 +154,19 @@ class JobHandle:
         return self.result
 
 
+def _run_inline(fn: Callable[[], T]) -> JobHandle:
+    """Run ``fn`` on the calling thread; returns its completed handle."""
+    job = JobHandle(fn)
+    job.started.set()
+    try:
+        job.result = fn()
+    except BaseException as error:
+        job.error = error
+    finally:
+        job.done.set()
+    return job
+
+
 class SerialExecutor(ShardExecutor):
     """Inline execution on the calling thread — the reference backend."""
 
@@ -167,15 +180,7 @@ class SerialExecutor(ShardExecutor):
         serial backend cannot preempt itself, which is why supervisor round
         deadlines are only enforced preemptively under ``executor="thread"``.
         """
-        job = JobHandle(fn)
-        job.started.set()
-        try:
-            job.result = fn()
-        except BaseException as error:
-            job.error = error
-        finally:
-            job.done.set()
-        return job
+        return _run_inline(fn)
 
     def map_shards(self, fns: Sequence[Callable[[], T]]) -> List[T]:
         return [fn() for fn in fns]
@@ -190,9 +195,11 @@ class ThreadExecutor(ShardExecutor):
     KV caches, monitors) never crosses threads and needs no locking.
 
     Re-entrancy: a job that is already running on a shard's pinned worker may
-    issue further ``run`` calls for that shard — they execute inline instead
-    of deadlocking behind the queued job that issued them (this is how a
-    worker-side ``drain`` loops rounds while callers dispatch single rounds).
+    issue further ``run`` or ``submit`` calls for that shard — they execute
+    inline instead of deadlocking behind the queued job that issued them
+    (this is how a worker-side ``drain`` loops rounds while callers dispatch
+    single rounds, and how a sink publishing from a pinned worker may submit
+    back into its cluster).
     """
 
     def __init__(
@@ -263,9 +270,17 @@ class ThreadExecutor(ShardExecutor):
         return shard_index % self.num_workers
 
     def submit(self, shard_index: int, fn: Callable[[], T]) -> JobHandle:
-        """Enqueue ``fn`` on the shard's pinned worker; returns its handle."""
+        """Enqueue ``fn`` on the shard's pinned worker; returns its handle.
+
+        Called from that worker itself, ``fn`` runs inline and the handle
+        comes back completed (see the class docstring on re-entrancy).
+        """
         if not 0 <= shard_index < self.num_shards:
             raise IndexError(f"shard index {shard_index} out of range")
+        if threading.current_thread() is self._threads[self.worker_index(shard_index)]:
+            # Already on the shard's pinned thread: queueing would deadlock
+            # behind the very job that called us.  Affinity already holds.
+            return _run_inline(fn)
         job = JobHandle(fn)
         with self._state_lock:
             if self._closed:
@@ -275,12 +290,6 @@ class ThreadExecutor(ShardExecutor):
 
     def run(self, shard_index: int, fn: Callable[[], T]) -> T:
         while True:
-            worker = self._threads[self.worker_index(shard_index)]
-            if threading.current_thread() is worker:
-                # Already on the shard's pinned thread: queueing would
-                # deadlock behind the very job that called us.  Affinity
-                # already holds.
-                return fn()
             try:
                 return self.submit(shard_index, fn).wait()  # type: ignore[return-value]
             except AbandonedJobError:

@@ -27,8 +27,11 @@ from repro.serving import (
     ClusterConfig,
     DecisionSink,
     EngineConfig,
+    FaultInjector,
+    FaultSpec,
     OnlineClassificationEngine,
     ServingCluster,
+    SupervisorConfig,
 )
 from repro.serving.cluster import ShardWorker
 from tests.serving.backends import backend
@@ -410,28 +413,30 @@ class TestContinuousBatching:
     def test_no_round_runs_on_the_loop_thread(self, executor, monkeypatch):
         """Spies record the thread that runs each round body and the thread
         that dispatches it.  Rounds the gateway drives — continuous
-        batching, and ``overflow="drain"`` backpressure when a submission
-        finds its queue full — are all dispatched from one thread, never
-        the loop's, and never run on the loop thread.  On the serial
-        backend they run on that thread; on the thread backend on each
-        shard's pinned worker."""
+        batching (``serve_queued``), and ``overflow="drain"`` backpressure
+        when a submission finds its queue full (``serve_shard``) — are all
+        dispatched from one thread, never the loop's, and never run on the
+        loop thread.  On the serial backend they run on that thread; on the
+        thread backend on each shard's pinned worker."""
         model = make_model()
         # Streams 0-3 hash to shard 1 and streams 4-7 to shard 0.
         streams, events = multi_stream_events(seed=3, num_events=80, num_streams=8)
         rounds, dispatches = [], []
         original_round = ShardWorker._drain_round
-        original_run_pinned = ShardWorker._run_pinned
 
         def round_spy(shard, epoch):
             rounds.append((shard.shard_id, threading.get_ident()))
             return original_round(shard, epoch)
 
-        def run_pinned_spy(shard, fn):
-            dispatches.append(threading.get_ident())
-            return original_run_pinned(shard, fn)
-
         monkeypatch.setattr(ShardWorker, "_drain_round", round_spy)
-        monkeypatch.setattr(ShardWorker, "_run_pinned", run_pinned_spy)
+        for name in ("serve_queued", "serve_shard"):
+            original = getattr(ServingCluster, name)
+
+            def dispatch_spy(cluster, *args, _name=name, _original=original):
+                dispatches.append((_name, threading.get_ident()))
+                return _original(cluster, *args)
+
+            monkeypatch.setattr(ServingCluster, name, dispatch_spy)
 
         async def scenario():
             config = ClusterConfig(
@@ -449,13 +454,15 @@ class TestContinuousBatching:
                 assert (await gateway.submit(event)).admitted
             during_submits = len(rounds)
             await settle(gateway)
-            driven, dispatchers = list(rounds), set(dispatches)
+            driven, dispatched = list(rounds), list(dispatches)
             await gateway.close()
-            return loop_thread, during_submits, driven, dispatchers
+            return loop_thread, during_submits, driven, dispatched
 
-        loop_thread, during_submits, driven, dispatchers = asyncio.run(scenario())
+        loop_thread, during_submits, driven, dispatched = asyncio.run(scenario())
         assert during_submits > 0
+        assert {name for name, _ in dispatched} == {"serve_queued", "serve_shard"}
         threads = {ident for _, ident in driven}
+        dispatchers = {ident for _, ident in dispatched}
         assert loop_thread not in threads | dispatchers
         assert len(dispatchers) == 1
         if executor == "serial":
@@ -464,6 +471,64 @@ class TestContinuousBatching:
             for shard_id in (0, 1):
                 assert len({ident for sid, ident in driven if sid == shard_id}) == 1
         assert {sid for sid, _ in driven} == {0, 1}
+
+    def test_wedged_round_does_not_stop_the_other_shard(self):
+        """Thread backend: shard 0's first round sleeps far past the round
+        deadline.  Shard 1's round in the same step overlaps it and is
+        served before the deadline; the next step starts once the wedged
+        round is abandoned, and serves shard 1's next arrival and, on the
+        replacement worker, shard 0's arrival that the recovery requeued,
+        all before the sleep ends."""
+        model = make_model()
+        wedge_s, deadline_s = 1.5, 0.3
+        injector = FaultInjector(
+            specs=[
+                FaultSpec(
+                    site="shard-round", action="delay", delay_s=wedge_s, shard_id=0, limit=1
+                )
+            ]
+        )
+        # s0-s3 hash to shard 0, s4-s7 to shard 1.
+        items = first_items(8)
+        wedged, first, second = items[0], items[4], items[5]
+
+        async def scenario():
+            config = ClusterConfig(
+                executor="thread",
+                num_shards=2,
+                batch_size=4,
+                supervision=SupervisorConfig(round_deadline_s=deadline_s),
+                faults=injector,
+                # Every first item decides its key at this threshold.
+                engine=engine_config(reencode_every=1, halt_threshold=0.2),
+            )
+            loop = asyncio.get_running_loop()
+            async with AsyncServingGateway(model, SPEC, config) as gateway:
+                shards = [gateway.cluster.shard_index(e.source) for e in (wedged, first, second)]
+                assert shards == [0, 1, 1]
+                start = loop.time()
+                await gateway.submit(wedged)
+                await gateway.submit(first)
+                served = {}
+
+                async def served_after(event):
+                    future = gateway.result(event.source, event.key)
+                    await asyncio.wait_for(future, timeout=10)
+                    served[event.source] = loop.time() - start
+
+                await served_after(first)
+                await gateway.submit(second)
+                await served_after(second)
+                await served_after(wedged)
+                health = gateway.health()
+            return served, health
+
+        served, health = asyncio.run(scenario())
+        assert served[first.source] < deadline_s, served
+        assert max(served.values()) < wedge_s, served
+        assert health["shards"][0]["deadline_abandons"] == 1
+        assert health["shards"][1]["deadline_abandons"] == 0
+        assert health["shards"][1]["failures"] == 0
 
 
 class TestDecisionStreamStart:

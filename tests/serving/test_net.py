@@ -649,16 +649,14 @@ class TestLifecycleOverHTTP:
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_snapshot_restore_round_trip_over_http(self, executor):
-        """Admin snapshot/restore replays the tail decision for decision.
+        """Admin snapshot/restore replays the tail bit-identically.
 
-        Per stream, the push stream carries the reference decisions of the
-        whole run (every event, then the flush), and then, after the
-        restore, the replay: exactly the part of that sequence the snapshot
-        had not served yet, again.  Arrivals still queued at the snapshot
-        are in it, so where the replay starts depends on timing; what it
-        replays does not.  Round composition follows arrival timing too,
-        and a row batched with different neighbours can round differently
-        in the last bit, so confidences match within the parity tolerance.
+        Rounds run only at the admin drain and flushes (``auto_drain`` off),
+        so their composition, and with it every confidence to the last bit,
+        does not depend on timing: the replay after the restore equals the
+        first pass decision for decision, in the flush responses and on the
+        push stream, and the run up to the restore matches one sequential
+        engine per stream.
         """
         model = make_model()
         streams, events = multi_stream_events(seed=59, num_events=80)
@@ -667,7 +665,11 @@ class TestLifecycleOverHTTP:
 
         async def scenario():
             config = ClusterConfig(
-                **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                auto_drain=False,
+                engine=engine_config(),
             )
             async with ServingHTTPServer(
                 model=model, spec=SPEC, config=config, heartbeat_s=0.2
@@ -676,28 +678,24 @@ class TestLifecycleOverHTTP:
                     pushed, consumer = await consume_push_stream(client, server)
                     for event in events[:split]:
                         await client.submit(event.source, event)
+                    served = await client.drain()
                     snapshot_id = await client.snapshot()
                     for event in events[split:]:
                         await client.submit(event.source, event)
-                    await client.flush()
+                    first = await client.flush()
                     await client.restore(snapshot_id)
                     for event in events[split:]:
                         await client.submit(event.source, event)
-                    await client.flush()
+                    second = await client.flush()
                     await client.shutdown()
                     await asyncio.wait_for(consumer, timeout=10)
-            return pushed
+            return served, first, second, pushed
 
-        pushed = group_by_stream(asyncio.run(scenario()))
-        replayed = 0
-        for stream_id, reference in expected.items():
-            got = pushed.get(stream_id, [])
-            assert_stream_parity(got[: len(reference)], reference)
-            replay = got[len(reference):]
-            assert len(replay) <= len(reference), stream_id
-            assert_stream_parity(replay, got[len(reference) - len(replay): len(reference)])
-            replayed += len(replay)
-        assert replayed > 0
+        served, first, second, pushed = asyncio.run(scenario())
+        assert len(served) > 0 and len(first) > 0
+        assert first == second  # bit-identical replay through the wire
+        assert pushed == served + first + second
+        assert_wire_parity(group_by_stream(served + first), expected)
 
     def test_constructor_validation(self):
         model = make_model()

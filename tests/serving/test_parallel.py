@@ -109,6 +109,19 @@ class TestThreadExecutor:
 
             assert executor.run(0, outer) is True
 
+    def test_reentrant_submit_executes_inline(self):
+        """A job on a shard's pinned worker may submit() for the same shard
+        and wait on the handle: the job runs inline, as a re-entrant run()
+        does, instead of queueing behind the job that waits for it."""
+        with ThreadExecutor(num_shards=2) as executor:
+
+            def outer():
+                return executor.submit(0, threading.get_ident).wait() == threading.get_ident()
+
+            job = executor.submit(0, outer)
+            assert job.done.wait(timeout=5.0), "re-entrant submit deadlocked"
+            assert job.wait() is True
+
     def test_close_is_idempotent_and_rejects_new_work(self):
         executor = ThreadExecutor(num_shards=2)
         executor.close()

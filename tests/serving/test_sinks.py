@@ -8,6 +8,7 @@ parity matrix lives with the cluster parity suite in ``test_cluster.py``.)
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -194,6 +195,45 @@ class TestClusterDelivery:
             delivered = sink.take()
         assert delivered == returned
         assert [d.decision.key for d in delivered] == [d.decision.key for d in returned]
+
+    def test_sink_may_submit_back_into_its_cluster(self, executor):
+        """A sink publishes from the shard's execution context; one that
+        submits there an arrival which fills its shard's queue gets that
+        round run inline, as a re-entrant ``run`` would, instead of a
+        deadlock on the thread backend's pinned worker."""
+        model = make_model()
+        config = ClusterConfig(
+            **backend(executor),
+            num_shards=1,
+            batch_size=1,
+            # Every first item decides its key at this threshold.
+            engine=EngineConfig(window_items=7, halt_threshold=0.2, reencode_every=1),
+        )
+        cluster = ServingCluster(model, SPEC, config)
+        echo = StreamEvent(time=2.0, item=Item("k1", (1, 0), 2.0), source="echo")
+        echoed = []
+
+        class EchoSink(DecisionSink):
+            armed = True
+
+            def publish(self, decision):
+                if self.armed:
+                    self.armed = False  # the echo's own decision lands here too
+                    echoed.append(cluster.submit(echo))
+
+        seen = cluster.subscribe(BufferedSink())
+        cluster.subscribe(EchoSink())
+        served = threading.Event()
+
+        def submit_first():
+            cluster.submit(StreamEvent(time=1.0, item=Item("k0", (0, 0), 1.0), source="first"))
+            served.set()
+
+        threading.Thread(target=submit_first, daemon=True).start()
+        assert served.wait(timeout=10), "a re-entrant submit deadlocked"
+        assert echoed[0].status == "decided"
+        assert [sd.stream_id for sd in seen.take()] == ["first", "echo"]
+        cluster.close()
 
     def test_unsubscribe_stops_delivery(self, executor):
         model = make_model()
