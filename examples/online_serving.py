@@ -421,8 +421,9 @@ def main() -> None:
     # First the vertical hop: the same flows, submitted over real loopback
     # sockets.  ServingHTTPServer fronts an AsyncServingGateway with a tiny
     # stdlib HTTP/1.1 dialect — POST one arrival per request (admission
-    # status doubles as the response code: accepted -> 202, reject -> 429,
-    # shed -> 503 + Retry-After), and GET /v1/decisions turns the
+    # status doubles as the response code: accepted -> 202, degraded -> 503
+    # while the shard's circuit breaker is open; a full shard queue is
+    # served a round, then admitted), and GET /v1/decisions turns the
     # connection into a chunked NDJSON push stream, which carries every
     # decision.
     async def serve_over_http():

@@ -16,15 +16,16 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   :class:`~repro.serving.engine.OnlineClassificationEngine` is its
   historical single-stream name (an alias),
 * :class:`~repro.serving.cluster.ServingCluster` — hash-routes stream ids
-  across :class:`~repro.serving.cluster.ShardWorker` instances, applies
-  bounded-queue admission control, drains each shard in rounds of at most
+  across :class:`~repro.serving.cluster.ShardWorker` instances, bounds
+  each shard's queue (a full one is served a round before the arrival is
+  admitted), drains each shard in rounds of at most
   ``batch_size`` arrivals with cross-stream *batched* row encoding (inline
   on the caller, or overlapped across cores by the
   :mod:`~repro.serving.parallel` thread backend), and supports
   snapshot/restore plus an explicit running → draining → closed lifecycle,
 * **push-based delivery** — :meth:`~repro.serving.cluster.ServingCluster.submit`
   returns a :class:`~repro.serving.results.SubmitResult` (explicit
-  ``accepted`` / ``decided`` / ``rejected`` / ``shed`` admission outcome,
+  ``accepted`` / ``decided`` / ``degraded`` admission outcome,
   the emitted ``decisions`` and queue-depth telemetry),
   and subscribed :class:`~repro.serving.sinks.DecisionSink` instances
   (bounded buffer, fan-out, asyncio queue) receive every emitted
@@ -46,8 +47,8 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   checkpointing (:class:`~repro.serving.supervisor.CheckpointConfig`),
   automatic bit-for-bit crash recovery from the last checkpoint, a
   closed → open → half-open :class:`~repro.serving.supervisor.CircuitBreaker`
-  per shard with graceful degradation (``status="degraded"`` submissions /
-  :class:`~repro.serving.cluster.ShardDegradedError`), round deadlines that
+  per shard with graceful degradation (``status="degraded"``
+  submissions), round deadlines that
   abandon wedged workers instead of hanging ``drain()``, and quarantine of
   persistently failing sinks — all observable through
   ``ServingCluster.stats()["health"]`` and all deterministically testable
@@ -74,8 +75,6 @@ from repro.serving.cluster import (
     ClusterSnapshot,
     OutOfOrderEventError,
     ServingCluster,
-    ShardDegradedError,
-    ShardOverloadError,
     ShardWorker,
     StreamDecision,
     StreamState,
@@ -149,8 +148,6 @@ __all__ = [
     "ClusterSnapshot",
     "OutOfOrderEventError",
     "ServingCluster",
-    "ShardDegradedError",
-    "ShardOverloadError",
     "ShardWorker",
     "StreamDecision",
     "StreamState",

@@ -9,8 +9,8 @@ loop never runs a drain round:
   arrival is checked and enqueued on its shard
   (:meth:`~repro.serving.cluster.ServingCluster.admit`, no thread hop) and
   the admission outcome comes back (``accepted`` when enqueued; no
-  decisions ride along).  With ``overflow="drain"`` a submission that
-  finds its shard's queue full awaits one round of that shard
+  decisions ride along).  A submission that finds its shard's queue full
+  awaits one round of that shard
   (:meth:`~repro.serving.cluster.ServingCluster.serve_shard`) on the round
   thread, then retries admission: backpressure is awaitable instead of
   loop-blocking.
@@ -475,10 +475,7 @@ class AsyncServingGateway:
     # serving API
     # ------------------------------------------------------------------ #
     async def submit(
-        self,
-        event,
-        stream_id: Optional[Hashable] = None,
-        raise_on_reject: bool = True,
+        self, event, stream_id: Optional[Hashable] = None
     ) -> SubmitResult:
         """Admit one arrival on the loop; its decisions are pushed, not returned.
 
@@ -486,15 +483,15 @@ class AsyncServingGateway:
         arrival was enqueued).  Its decisions reach ``decisions()``, the
         ``result()`` futures and subscribed sinks once a round serves it —
         the next round of its shard with ``auto_drain``, or an explicit
-        ``drain()``/``flush()`` without.  With ``overflow="drain"`` a full
-        shard queue is awaited: one round of that shard runs on the round
-        thread, then admission is retried.
+        ``drain()``/``flush()`` without.  A full shard queue is awaited: one
+        round of that shard runs on the round thread, then admission is
+        retried.
         """
         self._bind()
         async with self._gate.shared():
             self._require_running("submit")
             while True:
-                shard_id, result = self._cluster.admit(event, stream_id, raise_on_reject)
+                shard_id, result = self._cluster.admit(event, stream_id)
                 if result is not None:
                     break
                 await self._on_round_thread(self._cluster.serve_shard, shard_id)

@@ -21,25 +21,25 @@ to many concurrent streams:
 * :class:`ServingCluster` hash-routes stream ids to shards with the same
   process-independent CRC32 bucket the rotary membership embedding uses
   (:func:`repro.core.embeddings.stable_key_slot` — deterministic across runs
-  and machines), applies admission control when a shard queue is full
-  (``overflow``: synchronously *drain* a round to make room, *reject* with
-  :class:`ShardOverloadError`, or *shed* the newest arrival), and exposes the
-  deployment API: :meth:`ServingCluster.submit`, :meth:`~ServingCluster.drain`,
-  :meth:`~ServingCluster.flush`, :meth:`~ServingCluster.expire`,
-  :meth:`~ServingCluster.snapshot` and :meth:`~ServingCluster.restore`.
+  and machines), answers a full shard queue with backpressure (one round of
+  that shard runs to make room, then the arrival is admitted), and exposes
+  the deployment API: :meth:`ServingCluster.submit`,
+  :meth:`~ServingCluster.drain`, :meth:`~ServingCluster.flush`,
+  :meth:`~ServingCluster.expire`, :meth:`~ServingCluster.snapshot` and
+  :meth:`~ServingCluster.restore`.
 
 Execution backends (:mod:`repro.serving.parallel`): with
 ``ClusterConfig.executor="serial"`` every shard runs inline on the calling
 thread (the reference behaviour).  With ``executor="thread"`` the cluster
-owns a persistent worker pool in which **every shard is pinned to one
-worker thread**: cluster-level :meth:`~ServingCluster.drain`,
-:meth:`~ServingCluster.flush` and :meth:`~ServingCluster.expire` fan their
+owns a persistent pool of **one pinned worker thread per shard**:
+cluster-level :meth:`~ServingCluster.drain`, :meth:`~ServingCluster.flush`
+and :meth:`~ServingCluster.expire` fan their
 per-shard work out across the pool and run shards concurrently (numpy
 releases the GIL inside the batched GEMMs), while per-shard results are
 merged back in stable (shard index, round, intra-round) order — the emitted
 decision sequence is identical to the serial backend's, which the parity
-suite pins.  Submission-path rounds (``auto_drain`` triggers, ``"drain"``
-overflow backpressure and the async gateway's continuous-batching steps,
+suite pins.  Submission-path rounds (``auto_drain`` triggers, full-queue
+backpressure and the async gateway's continuous-batching steps,
 :meth:`~ServingCluster.serve_shard` / :meth:`~ServingCluster.serve_queued`)
 are dispatched to the owning shard's pinned worker and waited on under the
 same round deadline as the fan-outs, so session state never crosses
@@ -49,14 +49,12 @@ arrivals wide on either backend.
 Push-based delivery (:mod:`repro.serving.results`,
 :mod:`repro.serving.sinks`): :meth:`ServingCluster.submit` returns a
 :class:`~repro.serving.results.SubmitResult` that makes every admission
-outcome explicit (``accepted`` / ``decided`` / ``rejected`` / ``shed`` plus
-shard and queue-depth telemetry, and the emitted ``decisions``), and
-``overflow="reject"`` still raises :class:`ShardOverloadError` unless
-``raise_on_reject=False``.  Subscribed
+outcome explicit (``accepted`` / ``decided`` / ``degraded`` plus shard and
+queue-depth telemetry, and the emitted ``decisions``).  Subscribed
 :class:`~repro.serving.sinks.DecisionSink` instances receive every emitted
 decision as it is published: submission-path rounds publish on the shard's
 pinned execution context (per-stream order is exact even with concurrent
-submitters), while cluster-level ``drain`` / ``flush`` / ``expire`` journal
+submitters), while cluster-level ``drain`` / ``flush`` / ``expire`` collect
 per-shard emissions and publish the merged result in the same stable (shard,
 round, intra-round) order as the returned list — sink delivery is
 backend-deterministic and, for a single-threaded caller, list-identical to
@@ -69,9 +67,9 @@ Fault tolerance (:mod:`repro.serving.supervisor`,
 automatic crash recovery (an exception escaping a drain round restores the
 last checkpoint and requeues every journaled arrival except the dead
 round's), a circuit breaker whose open state degrades submissions
-(``status="degraded"`` shed, or :class:`ShardDegradedError`) instead of
-failing them, and progress-aware round deadlines that abandon a wedged
-worker (thread backend) rather than hang ``drain()``.  Sink subscribers are
+(``status="degraded"``, not admitted) instead of failing them, and
+progress-aware round deadlines that abandon a wedged worker (thread
+backend) rather than hang ``drain()``.  Sink subscribers are
 fault-isolated and quarantined after consecutive publish failures.
 ``stats()["health"]`` (or :meth:`ServingCluster.health`) reports all of it.
 ``ClusterConfig.faults`` accepts a seeded
@@ -138,21 +136,6 @@ from repro.serving.parallel import (
 )
 
 
-class ShardOverloadError(RuntimeError):
-    """Raised by ``overflow="reject"`` admission control when a shard is full."""
-
-
-class ShardDegradedError(RuntimeError):
-    """Raised on submit to a breaker-open shard under ``degraded="reject"``.
-
-    The degraded-mode sibling of :class:`ShardOverloadError`: the shard is
-    not full but *failing* — its circuit breaker is open after consecutive
-    round failures — and the supervision config says degraded submissions
-    should be rejected rather than shed.  ``raise_on_reject=False`` turns
-    the raise into a ``status="degraded"`` result.
-    """
-
-
 class OutOfOrderEventError(ValueError):
     """Raised on submit for an arrival older than its stream's newest item.
 
@@ -191,13 +174,10 @@ class ClusterConfig:
         Maximum arrivals drained per round — the cap on the cross-stream
         encoding batch.  ``1`` degenerates to the serial per-arrival loop.
     max_queue:
-        Bound of each shard's arrival queue; admission control engages when
-        an arrival finds the queue at this depth.
-    overflow:
-        Admission policy for a full queue: ``"drain"`` synchronously drains
-        one round to make room (backpressure by doing the work now),
-        ``"reject"`` raises :class:`ShardOverloadError`, ``"shed"`` drops the
-        newest arrival and counts it.
+        Bound of each shard's arrival queue.  An arrival that finds its
+        queue at this depth waits for one round of that shard
+        (:meth:`ServingCluster.serve_shard`), which makes room, and is then
+        admitted: backpressure by doing the work now.
     auto_drain:
         Serve arrivals without an explicit drain (the default).  The
         synchronous :meth:`ServingCluster.submit` runs a round whenever a
@@ -208,23 +188,15 @@ class ClusterConfig:
         pattern that lets the thread executor overlap shards.
     executor:
         Execution backend: ``"serial"`` runs every shard inline on the
-        caller (the reference), ``"thread"`` pins each shard to a worker
-        thread of a persistent pool and runs cluster-level drain / flush /
-        expire rounds concurrently across shards.
-    num_workers:
-        Worker-pool size for ``executor="thread"`` (capped at
-        ``num_shards`` — an excess worker could never receive a pinned
-        shard).  Default: one thread per shard.  Ignored by the serial
-        backend.
-    stats_window:
-        Wall-clock span (seconds) of the sliding throughput window behind
-        ``stats()["items_per_s"]`` / ``["decisions_per_s"]``.
+        caller (the reference), ``"thread"`` pins each shard to its own
+        worker thread of a persistent pool and runs cluster-level drain /
+        flush / expire rounds concurrently across shards.
     supervision:
         Fault-tolerance knobs (:class:`~repro.serving.supervisor.SupervisorConfig`):
         per-shard checkpoint cadence, round deadlines, circuit-breaker
-        thresholds and backoff, degraded-submission policy, and sink
-        quarantine.  Every cluster is supervised; the defaults checkpoint
-        every 64 rounds and never preempt (no deadline).
+        thresholds and backoff, and sink quarantine.  Every cluster is
+        supervised; the defaults checkpoint every 64 rounds and never
+        preempt (no deadline).
     faults:
         Optional :class:`~repro.serving.faults.FaultInjector` wired into the
         serving boundaries — testing/chaos only; ``None`` (default) injects
@@ -237,18 +209,15 @@ class ClusterConfig:
     num_shards: int = 1
     batch_size: int = 8
     max_queue: int = 1024
-    overflow: str = "drain"
     auto_drain: bool = True
     executor: str = "serial"
-    num_workers: Optional[int] = None
-    stats_window: float = 60.0
     supervision: SupervisorConfig = field(default_factory=SupervisorConfig)
     faults: Optional[FaultInjector] = None
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
         # bool is an int subclass: True would pass every check below as 1.
-        for name in ("num_shards", "batch_size", "max_queue", "num_workers"):
+        for name in ("num_shards", "batch_size", "max_queue"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be an int, not a bool")
         if self.num_shards <= 0:
@@ -257,14 +226,8 @@ class ClusterConfig:
             raise ValueError("batch_size must be a positive int")
         if self.max_queue <= 0:
             raise ValueError("max_queue must be positive")
-        if self.overflow not in ("drain", "reject", "shed"):
-            raise ValueError(f"unknown overflow policy {self.overflow!r}")
         if self.executor not in ("serial", "thread"):
             raise ValueError(f"unknown executor backend {self.executor!r}")
-        if self.num_workers is not None and self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if self.stats_window <= 0:
-            raise ValueError("stats_window must be positive")
 
 
 class ShardWorker:
@@ -313,13 +276,6 @@ class ShardWorker:
         self._lock = threading.Lock()
         #: Execution backend (shared by every shard of the cluster).
         self._executor = executor
-        #: Shard-local sink subscriptions (push delivery of this shard's
-        #: emissions; see :mod:`repro.serving.sinks` for the ordering
-        #: contract).  Children are fault-isolated and quarantined per the
-        #: supervision config.
-        self._sinks = FanOutSink(
-            quarantine_after=config.supervision.sink_quarantine_after
-        )
         #: Optional chaos hook (``ClusterConfig.faults``).
         self.faults: Optional[FaultInjector] = config.faults
         #: Every arrival admitted since the supervisor's last checkpoint —
@@ -338,9 +294,6 @@ class ShardWorker:
         self._cluster_publish: Optional[Callable[[List[StreamDecision]], None]] = None
         #: Drain-round telemetry (queue depth + round latency histograms).
         self.monitor = ShardMonitor()
-        #: Admission-control counters.
-        self.rejected = 0
-        self.shed = 0
         #: Cross-stream batching counters (for the throughput bench/monitor).
         self.batch_rounds = 0
         self.batched_rows = 0
@@ -610,19 +563,8 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # push delivery
     # ------------------------------------------------------------------ #
-    def subscribe(self, sink: DecisionSink) -> DecisionSink:
-        """Subscribe a sink to this shard's emissions; returns the sink."""
-        return self._sinks.add(sink)
-
-    def unsubscribe(self, sink: DecisionSink) -> bool:
-        """Remove a subscribed sink; False when it was not subscribed."""
-        return self._sinks.remove(sink)
-
     def _publish(self, decisions: List[StreamDecision]) -> None:
-        """Push an ordered emission batch to shard + cluster subscribers."""
-        if not decisions:
-            return
-        self._sinks.publish_all(decisions)
+        """Push an ordered emission batch to the cluster's subscribers."""
         if self._cluster_publish is not None:
             self._cluster_publish(decisions)
 
@@ -674,32 +616,21 @@ class ShardWorker:
             return []
         return emitted
 
-    def submit(
-        self,
-        stream_id: Hashable,
-        event: StreamEvent,
-        raise_on_reject: bool = True,
-    ) -> Optional[SubmitResult]:
+    def submit(self, stream_id: Hashable, event: StreamEvent) -> Optional[SubmitResult]:
         """Admit one arrival; never runs a round.
 
-        Admission control and the enqueue happen under the queue lock on the
+        Admission and the enqueue happen under the queue lock on the
         calling thread, so the async gateway admits on its event loop.
         Returns the explicit outcome (``accepted`` when enqueued), or
-        ``None`` when ``overflow="drain"`` found the queue full: the caller
-        then serves one round of this shard (a full queue is non-empty, so
-        the round frees at least one slot) and submits again.  A round that
-        fails frees nothing, because recovery requeues the survivors, so
-        once the breaker opens the retry degrades instead of spinning.
-
-        ``overflow="reject"`` raises :class:`ShardOverloadError` unless
-        ``raise_on_reject`` is False, in which case the rejection is
-        reported as ``status="rejected"`` instead.
+        ``None`` when the queue is full: the caller then serves one round
+        of this shard (a full queue is non-empty, so the round frees at
+        least one slot) and submits again.  A round that fails frees
+        nothing, because recovery requeues the survivors, so once the
+        breaker opens the retry degrades instead of spinning.
 
         Degradation: while the shard's circuit breaker is open the arrival
-        is not admitted at all — the outcome follows the supervision
-        config's ``degraded`` policy (``"shed"``: a ``status="degraded"``
-        result; ``"reject"``: :class:`ShardDegradedError`, downgraded to the
-        same result under ``raise_on_reject=False``).  A breaker whose
+        is not admitted at all and the outcome is ``status="degraded"``,
+        counted in the supervisor's ``degraded_submits``.  A breaker whose
         backoff has elapsed admits normally — the next round is the
         half-open probe.
 
@@ -707,7 +638,13 @@ class ShardWorker:
         :class:`OutOfOrderEventError` and is neither enqueued nor journaled.
         """
         if not self.supervisor.submission_allowed():
-            return self._degraded_result(stream_id, raise_on_reject)
+            self.supervisor.note_degraded_submit()
+            return SubmitResult(
+                status="degraded",
+                stream_id=stream_id,
+                shard_id=self.shard_id,
+                queue_depth=self.queue_depth,
+            )
         with self._lock:
             newest = self._newest_time.get(stream_id, float("-inf"))
             if event.item.time < newest:
@@ -716,45 +653,15 @@ class ShardWorker:
                     f"is older than the stream's newest admitted item "
                     f"(time {newest})"
                 )
-            if self._queue_length < self.config.max_queue:
-                self._enqueue_locked(stream_id, event)
-                status = "accepted"
-            elif self.config.overflow == "reject":
-                self.rejected += 1
-                if raise_on_reject:
-                    raise ShardOverloadError(
-                        f"shard {self.shard_id} queue is full "
-                        f"({self.config.max_queue} arrivals)"
-                    )
-                status = "rejected"
-            elif self.config.overflow == "shed":
-                self.shed += 1
-                status = "shed"
-            else:
+            if self._queue_length >= self.config.max_queue:
                 return None
+            self._enqueue_locked(stream_id, event)
             return SubmitResult(
-                status=status,
+                status="accepted",
                 stream_id=stream_id,
                 shard_id=self.shard_id,
                 queue_depth=self._queue_length,
             )
-
-    def _degraded_result(self, stream_id: Hashable, raise_on_reject: bool) -> SubmitResult:
-        """The breaker-open submission outcome, per the ``degraded`` policy."""
-        sup = self.supervisor
-        sup.note_degraded_submit()
-        if self.config.supervision.degraded == "reject" and raise_on_reject:
-            raise ShardDegradedError(
-                f"shard {self.shard_id} is degraded (circuit breaker "
-                f"{sup.breaker.state} after {sup.failures} round failure(s); "
-                f"last error: {sup.last_error})"
-            )
-        return SubmitResult(
-            status="degraded",
-            stream_id=stream_id,
-            shard_id=self.shard_id,
-            queue_depth=self.queue_depth,
-        )
 
     # ------------------------------------------------------------------ #
     # draining
@@ -763,7 +670,7 @@ class ShardWorker:
         """Process every queued arrival; returns the decisions in order.
 
         Drains this shard alone and publishes the emitted batch to the
-        shard's and the cluster's subscribers before returning.
+        cluster's subscribers before returning.
         :meth:`ServingCluster.drain` instead fans out to every shard under
         the supervised deadline wait and publishes the stable-ordered merge.
         """
@@ -904,8 +811,8 @@ class ShardWorker:
                 session._append_to_cache(event)
 
         emitted: List[StreamDecision] = []
-        for stream_id, event, session in staged:
-            for decision in session._complete_offer(event):
+        for stream_id, _, session in staged:
+            for decision in session._complete_offer():
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
         return emitted
 
@@ -983,7 +890,11 @@ class StreamState:
 
 
 #: Counter attributes snapshotted/restored per shard.
-_SHARD_COUNTERS = ("rejected", "shed", "batch_rounds", "batched_rows", "drained")
+_SHARD_COUNTERS = ("batch_rounds", "batched_rows", "drained")
+
+#: Wall-clock span (seconds) of the sliding throughput windows behind
+#: ``stats()["items_per_s"]`` / ``["decisions_per_s"]``.
+STATS_WINDOW_S = 60.0
 
 
 def _detached_sessions_copy(
@@ -1051,9 +962,7 @@ class ServingCluster:
         self.spec = spec
         self.config = config or ClusterConfig()
         self.config.engine.validate_for_model(model)
-        self._executor = make_executor(
-            self.config.executor, self.config.num_shards, self.config.num_workers
-        )
+        self._executor = make_executor(self.config.executor, self.config.num_shards)
         self.shards = [
             ShardWorker(index, model, spec, self.config, self._executor)
             for index in range(self.config.num_shards)
@@ -1076,12 +985,12 @@ class ServingCluster:
         self._meter_lock = threading.Lock()
         # ~256 retained checkpoints per meter whatever the arrival rate:
         # ticks within window/256 of the last checkpoint coalesce into it.
-        meter_granularity = self.config.stats_window / 256.0
+        meter_granularity = STATS_WINDOW_S / 256.0
         self._items_meter = ThroughputMeter(
-            window=self.config.stats_window, granularity=meter_granularity
+            window=STATS_WINDOW_S, granularity=meter_granularity
         )
         self._decisions_meter = ThroughputMeter(
-            window=self.config.stats_window, granularity=meter_granularity
+            window=STATS_WINDOW_S, granularity=meter_granularity
         )
         for shard in self.shards:
             shard._cluster_publish = self._publish
@@ -1198,28 +1107,24 @@ class ServingCluster:
     # serving API
     # ------------------------------------------------------------------ #
     def submit(
-        self,
-        event: StreamEvent,
-        stream_id: Optional[Hashable] = None,
-        raise_on_reject: bool = True,
+        self, event: StreamEvent, stream_id: Optional[Hashable] = None
     ) -> SubmitResult:
         """Route one arrival to its stream's shard and serve what it fills.
 
         The stream id defaults to the event's ``source`` tag (what the
         multi-stream simulator stamps); pass ``stream_id`` explicitly when
-        events carry no source.  A full ``overflow="drain"`` queue is served
-        one :meth:`serve_shard` round at a time until the arrival fits, and
+        events carry no source.  A full queue is served one
+        :meth:`serve_shard` round at a time until the arrival fits, and
         with ``auto_drain`` the shard then runs rounds while its queue holds
         ``batch_size`` arrivals.
 
         Returns a :class:`~repro.serving.results.SubmitResult`: the explicit
         admission outcome, the decisions those rounds emitted and the
-        shard's queue depth.  ``overflow="reject"`` raises
-        :class:`ShardOverloadError` unless ``raise_on_reject=False``.
+        shard's queue depth.
         """
         emitted: List[StreamDecision] = []
         while True:
-            shard_id, result = self.admit(event, stream_id, raise_on_reject)
+            shard_id, result = self.admit(event, stream_id)
             if result is not None:
                 break
             emitted.extend(self.serve_shard(shard_id))
@@ -1240,26 +1145,20 @@ class ServingCluster:
         )
 
     def admit(
-        self,
-        event: StreamEvent,
-        stream_id: Optional[Hashable] = None,
-        raise_on_reject: bool = True,
+        self, event: StreamEvent, stream_id: Optional[Hashable] = None
     ) -> Tuple[int, Optional[SubmitResult]]:
         """Route one arrival and run its shard's admission; never a round.
 
         Returns the shard index and the :meth:`ShardWorker.submit` outcome,
-        which is ``None`` when a full ``overflow="drain"`` queue needs one
-        :meth:`serve_shard` round of that shard before the arrival can be
-        admitted again.  The async gateway admits on its event loop through
-        this call.
+        which is ``None`` when a full queue needs one :meth:`serve_shard`
+        round of that shard before the arrival can be admitted again.  The
+        async gateway admits on its event loop through this call.
         """
         self._require_running("submit")
         if stream_id is None:
             stream_id = event.source
         shard_id = self.shard_index(stream_id)
-        result = self.shards[shard_id].submit(
-            stream_id, event, raise_on_reject=raise_on_reject
-        )
+        result = self.shards[shard_id].submit(stream_id, event)
         if result is not None and result.admitted:
             with self._meter_lock:
                 self._items_meter.tick(time.monotonic())
@@ -1273,8 +1172,14 @@ class ServingCluster:
         its emissions there before it returns.  The wait is the supervised
         one of :meth:`_await_shard_job`: a round that makes no progress for
         ``round_deadline_s`` is abandoned and its shard recovered, and a
-        failure is absorbed by the shard's supervisor.
+        failure is absorbed by the shard's supervisor.  A ``shard_id``
+        outside ``[0, num_shards)`` raises :class:`IndexError` before
+        anything runs.
         """
+        if not 0 <= shard_id < len(self.shards):
+            raise IndexError(
+                f"shard id {shard_id} is outside [0, {len(self.shards)})"
+            )
         shard = self.shards[shard_id]
         return self._await_shard_job(
             shard, self._executor.submit(shard_id, shard._drain_round_published)
@@ -1302,41 +1207,33 @@ class ServingCluster:
         return bool(jobs)
 
     def consume(
-        self,
-        events: Iterable[StreamEvent],
-        stream_id: Optional[Hashable] = None,
-        raise_on_reject: bool = True,
+        self, events: Iterable[StreamEvent], stream_id: Optional[Hashable] = None
     ) -> ConsumeSummary:
         """Submit a whole stream of events.
 
         Returns a :class:`~repro.serving.results.ConsumeSummary` — a list of
         every decision emitted (legacy consumers are unchanged) that also
-        tallies each submission's admission outcome, so shed or rejected
-        arrivals are no longer silently swallowed.  With
-        ``raise_on_reject=False`` a full ``overflow="reject"`` shard counts
-        the rejection and the ingest continues.
+        tallies each submission's admission outcome, so degraded arrivals
+        are not silently swallowed.
         """
         summary = ConsumeSummary()
         for event in events:
-            summary.record(
-                self.submit(event, stream_id=stream_id, raise_on_reject=raise_on_reject)
-            )
+            summary.record(self.submit(event, stream_id=stream_id))
         return summary
 
     def _fan_out(self, fns) -> List[StreamDecision]:
         """Run one thunk per shard under supervision, merge, then publish.
 
-        The executor returns per-shard decision journals indexed by shard;
+        One job per shard is submitted before any is awaited, and the
+        per-shard decision lists are collected indexed by shard;
         concatenating them yields the stable (shard index, round,
         intra-round) order — exactly the sequence the serial backend's
         shard-by-shard loop produces, whatever order the shards actually
         finished in.  Publication happens here at the merge point, in that
-        same stable order: shard-level subscribers get their shard's
-        journal, cluster-level subscribers the merged sequence — so sink
-        delivery from cluster-level operations is backend-deterministic and
-        list-identical to the returned value.
+        same stable order — so sink delivery from cluster-level operations
+        is backend-deterministic and list-identical to the returned value.
 
-        Supervision: shards whose breaker is open are skipped (their journal
+        Supervision: shards whose breaker is open are skipped (their list
         is empty — graceful degradation instead of certain failure).  Each
         dispatched job is awaited with the configured round deadline; a job
         that raises outside a round's own handling (flush/expire faults,
@@ -1357,9 +1254,6 @@ class ServingCluster:
                 results.append([])
             else:
                 results.append(self._await_shard_job(shard, job))
-        for shard, journal in zip(self.shards, results):
-            if journal:
-                shard._sinks.publish_all(journal)
         merged = [decision for result in results for decision in result]
         self._publish(merged)
         return merged
@@ -1370,45 +1264,19 @@ class ServingCluster:
         shard._fire_fault("executor-job")
         return fn()
 
-    def _worker_progress(self, shard: ShardWorker) -> int:
-        """Completed-round count across every shard sharing this shard's
-        worker.
-
-        The fan-out deadline's progress signal.  With ``num_workers <
-        num_shards`` a shard's job can sit queued behind a sibling shard's
-        job on their shared worker: the queued shard completes no rounds of
-        its own while the sibling legitimately churns, so a *per-shard*
-        count would spuriously abandon it (and recover a shard whose state
-        was never touched).  Counting the whole worker keeps the deadline
-        meaningful: it only trips when the worker itself is wedged — in
-        which case every shard pinned to it stalls together.
-        """
-        worker_index = getattr(self._executor, "worker_index", None)
-        if worker_index is None:
-            supervisors = [shard.supervisor]
-        else:
-            target = worker_index(shard.shard_id)
-            supervisors = [
-                sibling.supervisor
-                for sibling in self.shards
-                if worker_index(sibling.shard_id) == target
-            ]
-        return sum(sup.rounds_completed for sup in supervisors)
-
     def _await_shard_job(self, shard: ShardWorker, job: JobHandle) -> List[StreamDecision]:
         """Wait for a shard job (a fan-out job or one round) — deadline-aware
         and failure-absorbing.
 
         Progress-aware deadline: the wait only gives up after a window of
-        ``round_deadline_s`` with no completed round on the shard's *worker*
-        (see :meth:`_worker_progress`), so a busy shard legitimately
-        churning through a deep backlog — or a shard merely queued behind a
-        churning sibling on a shared worker — is never abandoned mid-burn.
-        Abandonment replaces the wedged worker
+        ``round_deadline_s`` in which the shard completed no round (its
+        supervisor's ``rounds_completed`` did not move), so a busy shard
+        legitimately churning through a deep backlog is never abandoned
+        mid-burn.  Abandonment replaces the wedged worker
         (:meth:`~repro.serving.parallel.ThreadExecutor.abandon`) and
         recovers the shard; the wedged thread's eventual round report is
         rejected by the supervisor's epoch guard.  A job the abandonment
-        dropped *unrun* from the shared queue
+        dropped *unrun* from the shard's queue
         (:class:`~repro.serving.parallel.AbandonedJobError`) touched no
         state and is simply resubmitted to the replacement worker — never
         forwarded without a waiter, so an orphaned job can never consume
@@ -1420,17 +1288,18 @@ class ServingCluster:
         deadline = self.config.supervision.round_deadline_s
         while True:
             while not job.done.is_set():
-                progress = self._worker_progress(shard)
+                progress = sup.rounds_completed
                 if job.done.wait(deadline):
                     break
-                if self._worker_progress(shard) != progress:
+                if sup.rounds_completed != progress:
                     continue  # rounds are completing; the job is just large
                 self._executor.abandon(shard.shard_id)
                 sup.on_deadline_abandon(deadline, shard._take_round_entries())
                 return []
             if isinstance(job.error, AbandonedJobError):
-                # Dropped from the queue when a sibling shard's deadline
-                # abandon replaced the shared worker; it never ran.
+                # Queued behind a wedged job of the same shard and dropped
+                # when another waiter's deadline replaced the worker; it
+                # never ran.
                 job = self._executor.submit(shard.shard_id, job.fn)
                 continue
             break
@@ -1472,7 +1341,6 @@ class ServingCluster:
         except Exception as error:
             sup.on_round_failure(error, sup.epoch, shard._take_round_entries())
             return []
-        shard._sinks.publish_all(emitted)
         self._publish(emitted)
         return emitted
 
@@ -1610,8 +1478,7 @@ class ServingCluster:
         serving state.
         """
         shard_health = [shard.supervisor.health() for shard in self.shards]
-        fanouts = [self._sinks] + [shard._sinks for shard in self.shards]
-        delivery = [hub.delivery_health() for hub in fanouts]
+        delivery = self._sinks.delivery_health()
         return {
             "shards": shard_health,
             "breaker_open": [
@@ -1625,8 +1492,8 @@ class ServingCluster:
             "degraded_submits": sum(health["degraded_submits"] for health in shard_health),
             "lost_arrivals": sum(health["lost_arrivals"] for health in shard_health),
             "checkpoints": sum(health["checkpoints"] for health in shard_health),
-            "quarantined_sinks": sum(view["quarantined"] for view in delivery),
-            "sink_publish_errors": sum(view["publish_errors"] for view in delivery),
+            "quarantined_sinks": delivery["quarantined"],
+            "sink_publish_errors": delivery["publish_errors"],
             "abandoned_workers": getattr(self._executor, "abandoned_workers", 0),
             "leaked_workers": getattr(self._executor, "leaked_workers", 0),
         }
@@ -1650,10 +1517,6 @@ class ServingCluster:
             "num_sessions": self.num_sessions,
             "num_decided": self.num_decided,
             "queue_depths": [shard.queue_depth for shard in self.shards],
-            "rejected": sum(shard.rejected for shard in self.shards),
-            "shed": sum(shard.shed for shard in self.shards),
-            "rejected_per_shard": [shard.rejected for shard in self.shards],
-            "shed_per_shard": [shard.shed for shard in self.shards],
             "items_per_s": items_per_s,
             "decisions_per_s": decisions_per_s,
             "batch_rounds": sum(shard.batch_rounds for shard in self.shards),

@@ -37,9 +37,8 @@ object exposing its ``predict_tangle`` interface) to a live item stream:
 
 1. arrivals are appended to a bounded :class:`~repro.data.stream.SlidingWindow`
    (the tangled context the correlation mask operates on),
-2. every ``reencode_every`` arrivals — or whenever a not-yet-decided key
-   receives an item and ``eager`` is set — the window is evaluated in greedy
-   mode and any key the halting policy stops is *decided*,
+2. every ``reencode_every`` arrivals the window is evaluated in greedy mode
+   and any key the halting policy stops is *decided*,
 3. a decided key is frozen: later arrivals for it are counted but never
    change its label (matching the paper's semantics where a halted sequence
    is handed to the classifier exactly once),
@@ -131,9 +130,6 @@ class EngineConfig:
     reencode_every:
         Re-encode the window after this many arrivals (1 = every item, the
         most faithful and the most expensive setting).
-    eager:
-        When True the window is also re-encoded whenever an undecided key
-        receives an item, regardless of ``reencode_every``.
     idle_timeout:
         Simulated-time gap after which an undecided key is considered
         finished and force-decided during :meth:`flush` / :meth:`expire`.
@@ -148,7 +144,6 @@ class EngineConfig:
     window_items: int = 256
     halt_threshold: float = 0.5
     reencode_every: int = 1
-    eager: bool = False
     idle_timeout: float = 0.0
     mode: str = "incremental"
 
@@ -307,7 +302,7 @@ class StreamSession:
         """Ingest one arrival; returns any decisions it triggered."""
         if self._ingest(event):
             self._append_to_cache(event)
-        return self._complete_offer(event)
+        return self._complete_offer()
 
     def _ingest(self, event: StreamEvent) -> bool:
         """Phase 1 of :meth:`offer`: every bookkeeping step except the encode.
@@ -392,11 +387,9 @@ class StreamSession:
         self._row_halt.append(float(halt_probability))
         self._unscanned_rows.append(len(self._incremental) - 1)
 
-    def _complete_offer(self, event: StreamEvent) -> List[Decision]:
+    def _complete_offer(self) -> List[Decision]:
         """Phase 3 of :meth:`offer`: evaluate if this arrival makes it due."""
-        due = self._arrivals_since_encode >= self.config.reencode_every
-        eager = self.config.eager and event.key not in self.decisions
-        if not due and not eager:
+        if self._arrivals_since_encode < self.config.reencode_every:
             return []
         return self._evaluate_window()
 

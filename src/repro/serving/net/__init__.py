@@ -9,8 +9,7 @@ importing the package:
   codecs for events, decisions and submit results,
 * :class:`~repro.serving.net.server.ServingHTTPServer` — ``POST
   /v1/streams/{id}/events`` with admission statuses mapped to response
-  codes (accepted → 202, rejected → 429, shed →
-  503-with-``Retry-After``, degraded → 503), ``GET /v1/decisions`` as a
+  codes (accepted → 202, degraded → 503), ``GET /v1/decisions`` as a
   chunked NDJSON server-push stream fed by a bounded
   :class:`~repro.serving.sinks.AsyncQueueSink` (real backpressure into
   the serving layer), ``/v1/stats`` / ``/v1/health`` and

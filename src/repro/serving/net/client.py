@@ -40,9 +40,9 @@ __all__ = [
 class ServingUnavailableError(RuntimeError):
     """The server refused an operation for lifecycle reasons (503 + error).
 
-    Distinct from the admission statuses: a shed/rejected/degraded submit
-    still returns a :class:`NetSubmitResult` (the request was *served*);
-    this exception means the server/gateway is draining or closed.
+    Distinct from the admission statuses: a degraded submit still returns
+    a :class:`NetSubmitResult` (the request was *served*); this exception
+    means the server/gateway is draining or closed.
     """
 
     def __init__(self, http_status: int, message: str) -> None:
@@ -79,7 +79,6 @@ class NetSubmitResult:
     shard_id: int
     queue_depth: int
     decisions: Tuple[NetDecision, ...]
-    retry_after: Optional[int] = None
 
     @property
     def admitted(self) -> bool:
@@ -193,7 +192,6 @@ class ServingHTTPClient:
             raise protocol.WireFormatError(
                 f"unexpected submit response ({response.status}): {body!r}"
             )
-        retry_after = response.headers.get("retry-after")
         return NetSubmitResult(
             status=body["status"],
             http_status=response.status,
@@ -203,7 +201,6 @@ class ServingHTTPClient:
             decisions=tuple(
                 NetDecision.from_wire(item) for item in body["decisions"]
             ),
-            retry_after=int(retry_after) if retry_after is not None else None,
         )
 
     async def decisions(self) -> AsyncIterator[NetDecision]:

@@ -20,11 +20,10 @@ from plain dicts:
   ``{"stream_id", "shard_id", "key", "predicted", ...}``,
 * submit outcomes — :class:`~repro.serving.results.SubmitResult` →
   ``{"status", "queue_depth", "decisions": [...]}`` plus the HTTP status
-  mapping :data:`STATUS_TO_HTTP` (accepted → 202, rejected → 429,
-  shed/degraded → 503).  The server answers a submission with the async
-  gateway's admission outcome, which carries no decisions, so its
-  ``decisions`` list is always empty: decisions travel on the
-  ``GET /v1/decisions`` push stream.
+  mapping :data:`STATUS_TO_HTTP` (accepted → 202, degraded → 503).  The
+  server answers a submission with the async gateway's admission outcome,
+  which carries no decisions, so its ``decisions`` list is always empty:
+  decisions travel on the ``GET /v1/decisions`` push stream.
 """
 
 from __future__ import annotations
@@ -71,19 +70,17 @@ MAX_LINE_BYTES = 8192
 #: Bound on a request body; one event is a few hundred bytes.
 MAX_BODY_BYTES = 1 << 20
 
-#: Admission status → HTTP response code.  ``shed`` and ``degraded`` both
-#: map to 503 (the node cannot serve right now); ``shed`` additionally
-#: carries ``Retry-After`` because load shedding is transient by
-#: construction, while ``degraded`` means the shard's breaker is open and
-#: the retry horizon is the breaker's, not the client's.  ``decided`` is
+#: Admission status → HTTP response code.  ``degraded`` maps to 503: the
+#: shard's breaker is open, so the node cannot serve that stream right now,
+#: and the retry horizon is the breaker's, not the client's (no
+#: ``Retry-After``).  A full shard queue never reaches the client: the
+#: gateway serves a round of that shard and then admits.  ``decided`` is
 #: only ever the synchronous ``ServingCluster.submit``'s outcome; the server
 #: never sees it (the gateway admits without serving), and the entry keeps
 #: the mapping total over ``SUBMIT_STATUSES``.
 STATUS_TO_HTTP: Mapping[str, int] = {
     "decided": 200,
     "accepted": 202,
-    "rejected": 429,
-    "shed": 503,
     "degraded": 503,
 }
 
@@ -94,7 +91,6 @@ REASONS: Mapping[int, str] = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

@@ -114,17 +114,12 @@ class ClusterRouter:
     # serving API (mirrors ServingCluster)
     # ------------------------------------------------------------------ #
     def submit(
-        self,
-        event,
-        stream_id: Optional[Hashable] = None,
-        raise_on_reject: bool = True,
+        self, event, stream_id: Optional[Hashable] = None
     ) -> SubmitResult:
         """Route one arrival to its stream's node; journal admissions."""
         sid = event.source if stream_id is None else stream_id
         index = self.node_index(sid)
-        result = self.nodes[index].submit(
-            event, stream_id=stream_id, raise_on_reject=raise_on_reject
-        )
+        result = self.nodes[index].submit(event, stream_id=stream_id)
         if result.admitted:
             with self._lock:
                 self._journals[index].append((result.stream_id, event))
@@ -242,10 +237,7 @@ class ClusterRouter:
         node.restore(self._checkpoints[index])
         emitted: List[StreamDecision] = []
         for stream_id, event in journal:
-            result = node.submit(
-                event, stream_id=stream_id, raise_on_reject=False
-            )
-            emitted.extend(result.decisions)
+            emitted.extend(node.submit(event, stream_id=stream_id).decisions)
         return emitted
 
     # ------------------------------------------------------------------ #
@@ -291,8 +283,6 @@ class ClusterRouter:
             "overrides": len(self.overrides),
             "num_sessions": sum(s["num_sessions"] for s in node_stats),
             "num_decided": sum(s["num_decided"] for s in node_stats),
-            "rejected": sum(s["rejected"] for s in node_stats),
-            "shed": sum(s["shed"] for s in node_stats),
             "drained": sum(s["drained"] for s in node_stats),
             "rounds": sum(s["rounds"] for s in node_stats),
             "items_per_s": sum(s["items_per_s"] for s in node_stats),

@@ -8,12 +8,12 @@ method   path                            semantics
 =======  ==============================  =====================================
 POST     ``/v1/streams/{id}/events``     admit one arrival; the admission
                                          status picks the response code
-                                         (accepted → 202, rejected → 429,
-                                         shed → 503 + ``Retry-After``,
-                                         degraded → 503; an arrival older
-                                         than its stream's newest item →
-                                         400).  No decision is inlined: the
-                                         round that serves the arrival
+                                         (accepted → 202, degraded → 503;
+                                         an arrival older than its stream's
+                                         newest item → 400).  A full shard
+                                         queue is served a round, then
+                                         admitted.  No decision is inlined:
+                                         the round that serves the arrival
                                          pushes its decisions on
                                          ``/v1/decisions``
 POST     ``/v1/streams/{id}/flush``      flush one stream (drain its shard,
@@ -65,9 +65,6 @@ from repro.serving.net.protocol import (
 from repro.serving.sinks import AsyncQueueSink
 
 __all__ = ["ServingHTTPServer"]
-
-#: ``Retry-After`` seconds advertised on shed (transient overload) replies.
-SHED_RETRY_AFTER_S = 1
 
 
 class ServingHTTPServer:
@@ -261,15 +258,11 @@ class ServingHTTPServer:
         event = event_from_wire(
             request.json(), self.gateway.cluster.spec, stream_id
         )
-        result = await self.gateway.submit(
-            event, stream_id=stream_id, raise_on_reject=False
-        )
-        status = STATUS_TO_HTTP[result.status]
-        headers = {"X-Admission-Status": result.status}
-        if result.status == "shed":
-            headers["Retry-After"] = str(SHED_RETRY_AFTER_S)
+        result = await self.gateway.submit(event, stream_id=stream_id)
         return protocol.json_response(
-            status, submit_result_to_wire(result), headers
+            STATUS_TO_HTTP[result.status],
+            submit_result_to_wire(result),
+            {"X-Admission-Status": result.status},
         )
 
     async def _handle_flush_stream(self, stream_id: str) -> bytes:

@@ -6,35 +6,36 @@ throughput — fewer streams stacked per round — instead of scaling it.  This
 module supplies the pieces that turn "sharded" into "scales with cores":
 
 * **Shard executors.**  :class:`ShardExecutor` is the minimal execution
-  contract the cluster needs: run one callable with affinity to a shard, or
-  run one callable per shard and collect the results *in shard order*.
-  Two backends implement it:
+  contract the cluster needs: run one callable with affinity to a shard,
+  either waiting for its result (``run``) or getting back a waitable handle
+  (``submit``).  Two backends implement it:
 
   - :class:`SerialExecutor` runs everything inline on the caller (the exact
     PR-3 behaviour) — the reference the thread backend is parity-tested
     against.
-  - :class:`ThreadExecutor` keeps a persistent pool of worker threads with
-    one FIFO job queue each and **pins every shard to one worker**
-    (``worker = shard_index % num_workers``), so a shard's session state is
-    only ever touched from a single thread — shards are share-nothing, and
-    the pinning keeps them that way without any per-session locking.
-    Because numpy releases the GIL inside its GEMM/attention kernels,
-    draining several shards concurrently overlaps their BLAS time on real
-    cores — but every shard's *Python* bookkeeping still serialises on the
-    one interpreter.
+  - :class:`ThreadExecutor` keeps a persistent pool with **one worker
+    thread per shard**, each with its own FIFO job queue, so a shard's
+    session state is only ever touched from a single thread — shards are
+    share-nothing, and the pinning keeps them that way without any
+    per-session locking.  Because numpy releases the GIL inside its
+    GEMM/attention kernels, draining several shards concurrently overlaps
+    their BLAS time on real cores — but every shard's *Python* bookkeeping
+    still serialises on the one interpreter.
 
-  Determinism: ``map_shards`` always returns results indexed by shard, so a
-  cluster-level drain/flush/expire concatenates per-shard decision lists in
-  stable (shard index, round, intra-round) order — decision-for-decision
-  identical to the serial backend, which the cluster parity suite pins.
+  Determinism: the cluster's fan-out
+  (:meth:`~repro.serving.cluster.ServingCluster._fan_out`) submits one job
+  per shard and collects the results indexed by shard, so a cluster-level
+  drain/flush/expire concatenates per-shard decision lists in stable
+  (shard index, round, intra-round) order, whatever order the shards
+  finished in — decision-for-decision identical to the serial backend,
+  which the cluster parity suite pins.
 
   The push-delivery layer (:mod:`repro.serving.sinks`) leans on the same
   pinning for its ordering contract: submission-path rounds publish their
-  emissions from the shard's pinned execution context (``run``), so one
-  shard's — and therefore one stream's — deliveries can never reorder even
-  with concurrent submitters, while cluster-level fan-outs journal the
-  per-shard lists ``map_shards`` returns and publish the stable-ordered
-  merge at the merge point.
+  emissions from the shard's pinned execution context, so one shard's —
+  and therefore one stream's — deliveries can never reorder even with
+  concurrent submitters, while cluster-level fan-outs publish the
+  stable-ordered merge at the merge point.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import os
 import threading
 import warnings
 from queue import Empty, SimpleQueue
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -73,7 +74,7 @@ class AbandonedJobError(RuntimeError):
 
 
 class ShardExecutor:
-    """Execution contract for shard work: affinity runs + ordered fan-out."""
+    """Execution contract for shard work: runs with shard affinity."""
 
     def run(self, shard_index: int, fn: Callable[[], T]) -> T:
         """Run ``fn`` with affinity to ``shard_index`` and return its result."""
@@ -85,16 +86,6 @@ class ShardExecutor:
         The supervised-fan-out primitive: unlike :meth:`run` the caller gets
         the handle back immediately (inline backends complete it before
         returning) and can wait with a deadline instead of forever.
-        """
-        raise NotImplementedError
-
-    def map_shards(self, fns: Sequence[Callable[[], T]]) -> List[T]:
-        """Run one callable per shard; results come back in shard order.
-
-        Shard ``i``'s callable runs with shard-``i`` affinity.  The call
-        blocks until every shard finished; if any callable raised, the
-        lowest-shard-index exception is re-raised (after all completed, so
-        no job is left running concurrently with the caller).
         """
         raise NotImplementedError
 
@@ -182,17 +173,14 @@ class SerialExecutor(ShardExecutor):
         """
         return _run_inline(fn)
 
-    def map_shards(self, fns: Sequence[Callable[[], T]]) -> List[T]:
-        return [fn() for fn in fns]
-
 
 class ThreadExecutor(ShardExecutor):
-    """Persistent per-shard worker pool with stable shard→worker pinning.
+    """Persistent pool of one pinned worker thread per shard.
 
-    ``num_workers`` defaults to one worker per shard.  Shard ``i`` always
-    executes on worker ``i % num_workers``: jobs for one shard are processed
-    by a single thread in submission order, so shard-local state (sessions,
-    KV caches, monitors) never crosses threads and needs no locking.
+    Shard ``i`` always executes on worker ``i``: jobs for one shard are
+    processed by a single thread in submission order, so shard-local state
+    (sessions, KV caches, monitors) never crosses threads and needs no
+    locking.
 
     Re-entrancy: a job that is already running on a shard's pinned worker may
     issue further ``run`` or ``submit`` calls for that shard — they execute
@@ -205,23 +193,17 @@ class ThreadExecutor(ShardExecutor):
     def __init__(
         self,
         num_shards: int,
-        num_workers: Optional[int] = None,
         name_prefix: str = "shard-worker",
         join_timeout: float = 5.0,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if num_workers is None:
-            num_workers = num_shards
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
         if join_timeout <= 0:
             raise ValueError("join_timeout must be positive")
         self.num_shards = num_shards
-        self.num_workers = min(num_workers, num_shards)
         self.join_timeout = join_timeout
         self._name_prefix = name_prefix
-        self._queues: List[SimpleQueue] = [SimpleQueue() for _ in range(self.num_workers)]
+        self._queues: List[SimpleQueue] = [SimpleQueue() for _ in range(num_shards)]
         self._threads: List[threading.Thread] = []
         self._closed = False
         #: Orders job submission against close(): both happen under this
@@ -235,7 +217,7 @@ class ThreadExecutor(ShardExecutor):
         #: Workers (live or abandoned) that outlived the close() join
         #: timeout — a non-zero count means close() leaked threads.
         self.leaked_workers = 0
-        for index in range(self.num_workers):
+        for index in range(num_shards):
             thread = threading.Thread(
                 target=self._worker_loop,
                 args=(self._queues[index],),
@@ -265,10 +247,6 @@ class ThreadExecutor(ShardExecutor):
     # ------------------------------------------------------------------ #
     # caller side
     # ------------------------------------------------------------------ #
-    def worker_index(self, shard_index: int) -> int:
-        """The pinned worker of a shard (stable for the executor's lifetime)."""
-        return shard_index % self.num_workers
-
     def submit(self, shard_index: int, fn: Callable[[], T]) -> JobHandle:
         """Enqueue ``fn`` on the shard's pinned worker; returns its handle.
 
@@ -277,7 +255,7 @@ class ThreadExecutor(ShardExecutor):
         """
         if not 0 <= shard_index < self.num_shards:
             raise IndexError(f"shard index {shard_index} out of range")
-        if threading.current_thread() is self._threads[self.worker_index(shard_index)]:
+        if threading.current_thread() is self._threads[shard_index]:
             # Already on the shard's pinned thread: queueing would deadlock
             # behind the very job that called us.  Affinity already holds.
             return _run_inline(fn)
@@ -285,7 +263,7 @@ class ThreadExecutor(ShardExecutor):
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("executor is closed")
-            self._queues[self.worker_index(shard_index)].put(job)
+            self._queues[shard_index].put(job)
         return job
 
     def run(self, shard_index: int, fn: Callable[[], T]) -> T:
@@ -297,39 +275,26 @@ class ThreadExecutor(ShardExecutor):
                 # replaced mid-wait; retry on the replacement.
                 continue
 
-    def map_shards(self, fns: Sequence[Callable[[], T]]) -> List[T]:
-        jobs = [self.submit(index, fn) for index, fn in enumerate(fns)]
-        results: List[T] = []
-        first_error: Optional[BaseException] = None
-        for job in jobs:
-            job.done.wait()
-            if job.error is not None and first_error is None:
-                first_error = job.error
-            results.append(job.result)  # type: ignore[arg-type]
-        if first_error is not None:
-            raise first_error
-        return results
-
     def abandon(self, shard_index: int) -> bool:
         """Replace the shard's pinned worker thread, abandoning its current
         job.
 
         The supervisor's deadline-enforcement primitive: when a drain round
-        wedges (and with it every shard pinned to the same worker), waiting
-        longer will not finish it and the thread cannot be killed — so the
-        slot gets a **new** queue and a **new** thread, jobs still queued
-        behind the wedged one are completed with :class:`AbandonedJobError`
-        (dropped unrun — never forwarded, so an orphaned job can never run
-        with no one awaiting it; waiters resubmit), and the old thread is
-        left to finish (or sleep) in the background.  It receives a shutdown
-        sentinel as its next item, so if the wedged job ever returns, the
-        thread exits instead of consuming further work; until then it may
-        still mutate whatever state its job held — which is why the
-        supervisor pairs every abandon with a checkpoint restore that swaps
-        in fresh state objects and bumps the shard's epoch, and why looping
-        jobs must poll :meth:`current_context_abandoned` between iterations
-        (late-bound attribute reads would otherwise let the zombie reach the
-        freshly restored live objects).
+        wedges, waiting longer will not finish it and the thread cannot be
+        killed — so the shard gets a **new** queue and a **new** thread,
+        jobs still queued behind the wedged one are completed with
+        :class:`AbandonedJobError` (dropped unrun — never forwarded, so an
+        orphaned job can never run with no one awaiting it; waiters
+        resubmit), and the old thread is left to finish (or sleep) in the
+        background.  It receives a shutdown sentinel as its next item, so if
+        the wedged job ever returns, the thread exits instead of consuming
+        further work; until then it may still mutate whatever state its job
+        held — which is why the supervisor pairs every abandon with a
+        checkpoint restore that swaps in fresh state objects and bumps the
+        shard's epoch, and why looping jobs must poll
+        :meth:`current_context_abandoned` between iterations (late-bound
+        attribute reads would otherwise let the zombie reach the freshly
+        restored live objects).
 
         Returns True (a replacement was installed) unless the executor is
         already closed.
@@ -337,9 +302,8 @@ class ThreadExecutor(ShardExecutor):
         with self._state_lock:
             if self._closed:
                 return False
-            index = self.worker_index(shard_index)
-            old_queue = self._queues[index]
-            old_thread = self._threads[index]
+            old_queue = self._queues[shard_index]
+            old_thread = self._threads[shard_index]
             new_queue: SimpleQueue = SimpleQueue()
             # Drop jobs queued behind the wedged one (their waiters see
             # AbandonedJobError and resubmit), then lay the sentinel so the
@@ -351,19 +315,19 @@ class ThreadExecutor(ShardExecutor):
                     break
                 if item is not None:
                     item.error = AbandonedJobError(
-                        f"worker {index} was abandoned before this queued job "
-                        f"ran; resubmit it to the replacement worker"
+                        f"worker {shard_index} was abandoned before this queued "
+                        f"job ran; resubmit it to the replacement worker"
                     )
                     item.done.set()
             old_queue.put(None)
             replacement = threading.Thread(
                 target=self._worker_loop,
                 args=(new_queue,),
-                name=f"{self._name_prefix}-{index}-r{self.abandoned_workers}",
+                name=f"{self._name_prefix}-{shard_index}-r{self.abandoned_workers}",
                 daemon=True,
             )
-            self._queues[index] = new_queue
-            self._threads[index] = replacement
+            self._queues[shard_index] = new_queue
+            self._threads[shard_index] = replacement
             self._abandoned.append(old_thread)
             self.abandoned_workers += 1
             replacement.start()
@@ -399,23 +363,12 @@ class ThreadExecutor(ShardExecutor):
             )
 
 
-def make_executor(
-    name: str,
-    num_shards: int,
-    num_workers: Optional[int] = None,
-) -> ShardExecutor:
-    """Build the executor backend selected by ``ClusterConfig.executor``.
-
-    Worker counts are clamped to ``num_shards`` (in the
-    :class:`ThreadExecutor` constructor): a worker beyond the shard count
-    can never receive a pinned job (pinning is ``shard % num_workers``), yet
-    it would cost a live thread and pollute ``close()``'s join and leak
-    accounting.
-    """
+def make_executor(name: str, num_shards: int) -> ShardExecutor:
+    """Build the executor backend selected by ``ClusterConfig.executor``."""
     if name == "serial":
         return SerialExecutor()
     if name == "thread":
-        return ThreadExecutor(num_shards, num_workers)
+        return ThreadExecutor(num_shards)
     raise ValueError(f"unknown executor backend {name!r}")
 
 

@@ -1,15 +1,12 @@
 """Submission outcomes for the push-based serving front end.
 
 The pull-only serving API returned one flat ``List[StreamDecision]`` from
-``submit`` and made admission outcomes ambiguous: a shed arrival silently
-returned an empty list (indistinguishable from "accepted, nothing decided
-yet") and a rejected one raised.  :class:`SubmitResult` makes every outcome
-explicit — ``status`` says what admission control did, ``decisions`` carries
-whatever a triggered drain emitted, and the shard/queue-depth telemetry says
-where the arrival landed and how loaded that shard is.
-``ShardOverloadError`` is still raised by ``overflow="reject"`` unless the
-caller opts into ``raise_on_reject=False``, in which case the rejection
-comes back as a ``status="rejected"`` result instead.
+``submit``, so an arrival that was not admitted returned an empty list,
+indistinguishable from "accepted, nothing decided yet".
+:class:`SubmitResult` makes every outcome explicit — ``status`` says what
+admission did, ``decisions`` carries whatever a triggered drain emitted,
+and the shard/queue-depth telemetry says where the arrival landed and how
+loaded that shard is.
 
 :class:`ConsumeSummary` is the bulk-ingest counterpart: a list of every
 emitted decision (it *is* a list, so legacy consumers of
@@ -33,14 +30,11 @@ __all__ = [
 
 #: Every admission outcome a submission can have.  ``accepted`` — enqueued,
 #: no decisions emitted yet; ``decided`` — enqueued and a triggered drain
-#: emitted at least one decision; ``rejected`` — the shard queue was full
-#: under ``overflow="reject"``; ``shed`` — the arrival was dropped under
-#: ``overflow="shed"``; ``degraded`` — the shard's circuit breaker was open
-#: (see :mod:`repro.serving.supervisor`) and the arrival was not admitted:
-#: dropped under the ``degraded="shed"`` policy, or reported instead of the
-#: :class:`~repro.serving.cluster.ShardDegradedError` raise under
-#: ``degraded="reject"`` with ``raise_on_reject=False``.
-SUBMIT_STATUSES = ("accepted", "decided", "rejected", "shed", "degraded")
+#: emitted at least one decision; ``degraded`` — the shard's circuit breaker
+#: was open (see :mod:`repro.serving.supervisor`) and the arrival was not
+#: admitted.  A full shard queue is not an outcome: the submission serves
+#: one round of that shard and is then admitted.
+SUBMIT_STATUSES = ("accepted", "decided", "degraded")
 
 
 @dataclass(frozen=True)
@@ -54,12 +48,12 @@ class SubmitResult:
     stream_id:
         The stream the arrival was routed for.
     shard_id:
-        The shard it was routed to (admission control ran there even when
-        the arrival was rejected or shed).
+        The shard it was routed to (admission ran there even when the
+        arrival was not admitted).
     decisions:
         Decisions emitted by drain rounds this submission triggered
-        (``auto_drain`` or ``overflow="drain"`` backpressure), in emission
-        order.  Empty unless ``status="decided"``.
+        (``auto_drain`` or full-queue backpressure), in emission order.
+        Empty unless ``status="decided"``.
     queue_depth:
         The shard's arrival-queue depth observed right after the call — the
         submitter-visible backpressure signal.
@@ -85,8 +79,8 @@ class SubmitResult:
 
     @property
     def dropped(self) -> bool:
-        """Whether admission control discarded the arrival."""
-        return self.status in ("rejected", "shed", "degraded")
+        """Whether admission discarded the arrival (a breaker-open shard)."""
+        return self.status == "degraded"
 
 
 class ConsumeSummary(List["StreamDecision"]):
@@ -116,14 +110,6 @@ class ConsumeSummary(List["StreamDecision"]):
     @property
     def decided(self) -> int:
         return self.counts["decided"]
-
-    @property
-    def rejected(self) -> int:
-        return self.counts["rejected"]
-
-    @property
-    def shed(self) -> int:
-        return self.counts["shed"]
 
     @property
     def degraded(self) -> int:

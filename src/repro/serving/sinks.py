@@ -4,24 +4,24 @@ The pull API hands decisions back as returned lists; sinks *push* them to
 subscribers the moment the serving layer publishes them.  A sink is anything
 implementing :class:`DecisionSink` — ``publish`` one decision (plus the
 ``publish_all`` batch form) and an idempotent ``close``.  Subscribe sinks on
-a :class:`~repro.serving.cluster.ServingCluster` (or an individual
-:class:`~repro.serving.cluster.ShardWorker`) and every decision the cluster
-emits is delivered exactly once per subscriber, in the exact order of the
-returned-list API.
+a :class:`~repro.serving.cluster.ServingCluster` and every decision the
+cluster emits is delivered exactly once per subscriber, in the exact order
+of the returned-list API.  A consumer that wants one shard's decisions
+filters on ``StreamDecision.shard_id``.
 
 Ordering and threading contract
 -------------------------------
 Publication is *journal-then-publish*: drain rounds collect their emissions
 and publish them as ordered batches.
 
-* Submission-path rounds (``auto_drain`` triggers, ``overflow="drain"``
+* Submission-path rounds (``auto_drain`` triggers, full-queue
   backpressure, the async gateway's round steps) publish **on the shard's
   pinned execution context**, right after the round completes — under the
   thread executor that is the shard's pinned worker thread.  Rounds of one
   shard serialize on that worker, and a stream lives on exactly one shard,
   so per-stream delivery order always equals per-stream emission order,
   even with many concurrent submitters.
-* Cluster-level ``drain`` / ``flush`` / ``expire`` journal per-shard result
+* Cluster-level ``drain`` / ``flush`` / ``expire`` collect per-shard result
   lists while shards run (possibly concurrently) and publish the merged
   result at the merge point, in the same stable (shard index, round,
   intra-round) order as the returned list — so sink delivery is

@@ -84,8 +84,8 @@ __all__ = [
     "SupervisorConfig",
 ]
 
-#: Circuit-breaker states: ``closed`` (healthy), ``open`` (failing — shed or
-#: reject submissions, skip fan-out rounds until the backoff elapses),
+#: Circuit-breaker states: ``closed`` (healthy), ``open`` (failing — degrade
+#: submissions, skip fan-out rounds until the backoff elapses),
 #: ``half_open`` (backoff elapsed — one probe decides).
 BREAKER_STATES = ("closed", "open", "half_open")
 
@@ -138,12 +138,8 @@ class SupervisorConfig:
         Exponential backoff of open-breaker probe scheduling: the first
         open lasts ``backoff_base_s``, each re-open multiplies the wait by
         ``backoff_factor`` up to ``backoff_max_s``; a successful probe
-        resets it.
-    degraded:
-        Admission policy for a breaker-open shard: ``"shed"`` drops the
-        arrival with an explicit ``status="degraded"`` result, ``"reject"``
-        raises :class:`~repro.serving.cluster.ShardDegradedError` (or
-        returns the degraded status under ``raise_on_reject=False``).
+        resets it.  While the breaker is open, submissions to the shard
+        are not admitted and answer ``status="degraded"``.
     sink_quarantine_after:
         Consecutive publish failures after which a subscribed sink is
         quarantined (auto-unsubscribed) by its
@@ -158,7 +154,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_max_s: float = 5.0
-    degraded: str = "shed"
     sink_quarantine_after: int = 3
     clock: Callable[[], float] = time.monotonic
 
@@ -173,8 +168,6 @@ class SupervisorConfig:
             raise ValueError("backoff_factor must be >= 1")
         if self.backoff_max_s < self.backoff_base_s:
             raise ValueError("backoff_max_s must be >= backoff_base_s")
-        if self.degraded not in ("shed", "reject"):
-            raise ValueError(f"unknown degraded policy {self.degraded!r}")
         if self.sink_quarantine_after <= 0:
             raise ValueError("sink_quarantine_after must be positive")
 

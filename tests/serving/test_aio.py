@@ -128,7 +128,7 @@ def first_items(count, halt_threshold=1.0):
 
 
 class TestAsyncParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_concurrent_submitters_match_reference_per_stream(self, executor):
         """One submitter task per stream, all running concurrently: every
         stream's decision sequence equals the sequential single-stream
@@ -409,12 +409,12 @@ class TestContinuousBatching:
         assert stats["rounds"] == 2
         assert stats["batched_rows"] == 8
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_no_round_runs_on_the_loop_thread(self, executor, monkeypatch):
         """Spies record the thread that runs each round body and the thread
         that dispatches it.  Rounds the gateway drives — continuous
-        batching (``serve_queued``), and ``overflow="drain"`` backpressure
-        when a submission finds its queue full (``serve_shard``) — are all
+        batching (``serve_queued``), and the backpressure round a submission
+        that finds its queue full waits for (``serve_shard``) — are all
         dispatched from one thread, never the loop's, and never run on the
         loop thread.  On the serial backend they run on that thread; on the
         thread backend on each shard's pinned worker."""
@@ -444,7 +444,6 @@ class TestContinuousBatching:
                 num_shards=2,
                 batch_size=4,
                 max_queue=2,
-                overflow="drain",
                 engine=engine_config(),
             )
             gateway = AsyncServingGateway(model, SPEC, config)

@@ -19,14 +19,10 @@ from repro.core.embeddings import stable_key_slot
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
-from repro.serving.cluster import (
-    ClusterConfig,
-    ServingCluster,
-    ShardOverloadError,
-)
+from repro.serving.cluster import ClusterConfig, ServingCluster
 from repro.serving.engine import EngineConfig, OnlineClassificationEngine, StreamSession
 from repro.serving.sinks import BufferedSink
-from tests.serving.backends import backend, distinct_at
+from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
 
@@ -298,7 +294,7 @@ class TestSnapshotRestore:
                 results.append([(d.stream_id, d.decision.key) for d in emitted])
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_pickled_snapshot_restore_shares_live_weights(self, executor):
         """restore() after a pickle round-trip (serialized failover) must
         re-attach the cluster's live model/spec/config to every session —
@@ -370,44 +366,6 @@ class TestAdmissionControl:
             source=f"stream-{position % 5}",
         )
 
-    def test_reject_policy_raises_when_full(self, executor):
-        with ServingCluster(
-            make_model("rotary"),
-            SPEC,
-            ClusterConfig(
-                **backend(executor),
-                num_shards=1,
-                max_queue=3,
-                overflow="reject",
-                auto_drain=False,
-            ),
-        ) as cluster:
-            for position in range(3):
-                cluster.submit(self._event(position))
-            with pytest.raises(ShardOverloadError):
-                cluster.submit(self._event(3))
-            assert cluster.stats()["rejected"] == 1
-
-    def test_shed_policy_drops_newest(self, executor):
-        with ServingCluster(
-            make_model("rotary"),
-            SPEC,
-            ClusterConfig(
-                **backend(executor),
-                num_shards=1,
-                max_queue=3,
-                overflow="shed",
-                auto_drain=False,
-            ),
-        ) as cluster:
-            for position in range(10):
-                cluster.submit(self._event(position))
-            stats = cluster.stats()
-            assert stats["shed"] == 7
-            assert stats["queue_depths"] == [3]
-            cluster.drain()
-            assert cluster.stats()["drained"] == 3
-
     def test_drain_policy_applies_backpressure(self, executor):
         with ServingCluster(
             make_model("rotary"),
@@ -417,17 +375,38 @@ class TestAdmissionControl:
                 num_shards=1,
                 max_queue=3,
                 batch_size=2,
-                overflow="drain",
                 auto_drain=False,
             ),
         ) as cluster:
             for position in range(12):
-                cluster.submit(self._event(position))
+                assert cluster.submit(self._event(position)).admitted
             stats = cluster.stats()
-            assert stats["shed"] == 0 and stats["rejected"] == 0
             assert stats["queue_depths"][0] <= 3
             cluster.drain()
             assert cluster.stats()["drained"] == 12
+
+    def test_serve_shard_rejects_out_of_range_ids(self, executor):
+        """A shard id outside ``[0, num_shards)`` raises one ``IndexError``
+        naming the range before anything runs; ``-1`` must not serve the
+        last shard."""
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(**backend(executor), num_shards=2, auto_drain=False),
+        ) as cluster:
+            sink = cluster.subscribe(BufferedSink())
+            position = 0
+            while cluster.shards[1].queue_depth < 20:
+                event = self._event(position)
+                if cluster.shard_index(event.source) == 1:
+                    cluster.submit(event)
+                position += 1
+            for shard_id in (-1, -2, 2, 3):
+                with pytest.raises(IndexError, match=r"outside \[0, 2\)"):
+                    cluster.serve_shard(shard_id)
+            assert cluster.stats()["queue_depths"] == [0, 20]
+            assert sink.take() == []
+            assert cluster.stats()["rounds"] == 0
 
     def test_auto_drain_keeps_queues_below_batch_size(self, executor):
         with ServingCluster(
@@ -444,7 +423,7 @@ class TestAdmissionControl:
 
 
 #: Parity-matrix executor legs besides the serial reference.
-PARALLEL_EXECUTORS = ("thread", "thread-shared")
+PARALLEL_EXECUTORS = ("thread",)
 
 #: ``(num_shards, encoding, executor)`` cells of the parallel parity matrix.
 PARALLEL_CELLS = [
@@ -452,15 +431,14 @@ PARALLEL_CELLS = [
     for executor in PARALLEL_EXECUTORS
     for encoding in ENCODINGS
     for num_shards in (1, 2, 4)
-    if distinct_at(executor, num_shards)
 ]
 
 
 class TestParallelExecutorParity:
     """The thread backend must be indistinguishable, decision for decision,
     from the serial backend — and both must match one sequential engine per
-    stream (the ``executor="thread"`` axis of the parity matrix, with one
-    worker per shard and with every shard sharing one worker)."""
+    stream (the ``executor="thread"`` axis of the parity matrix, one worker
+    per shard)."""
 
     @pytest.mark.parametrize("num_shards,encoding,executor", PARALLEL_CELLS)
     def test_parallel_backend_matches_reference_with_evictions(
@@ -606,9 +584,8 @@ class TestScheduledDrainParity:
         "executor,num_shards",
         [
             (executor, num_shards)
-            for executor in ("serial", "thread", "thread-shared")
+            for executor in ("serial", "thread")
             for num_shards in (1, 2, 4)
-            if distinct_at(executor, num_shards)
         ],
     )
     def test_scheduled_drains_match_reference(self, encoding, num_shards, executor):
@@ -635,7 +612,7 @@ class TestScheduledDrainParity:
             emitted.extend(cluster.flush())
         assert_stream_parity(by_stream(emitted, streams), expected)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_scheduled_drains_with_expiry_match_reference(self, executor):
         """Backlogged drain scheduling with interleaved expiry, against the
         sequential reference."""
@@ -668,7 +645,7 @@ class TestScheduledDrainParity:
             emitted.extend(cluster.flush())
         assert_stream_parity(by_stream(emitted, streams), expected)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_scheduled_drain_replay_after_restore_is_identical(self, executor):
         """Two replays from one snapshot emit the same decisions in the same
         order: fixed-width rounds slice the restored queue identically."""
@@ -714,7 +691,7 @@ class TestRoutingAndBatching:
             assert cluster.shard_index(stream_id) == expected
             assert cluster.shard_of(stream_id) is cluster.shards[expected]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_sessions_live_on_their_routed_shard(self, executor):
         with ServingCluster(
             make_model("rotary"),
@@ -733,14 +710,14 @@ class TestRoutingAndBatching:
         with pytest.raises(ValueError, match="batch_size"):
             ClusterConfig(batch_size=batch_size, auto_drain=False)
 
-    @pytest.mark.parametrize("field", ["num_shards", "max_queue", "num_workers"])
+    @pytest.mark.parametrize("field", ["num_shards", "max_queue"])
     def test_rejects_bool_counts(self, field):
         """``bool`` is an ``int`` subclass; ``True`` must not pass as 1."""
         with pytest.raises(ValueError, match=field):
             ClusterConfig(**{field: True})
 
     @pytest.mark.parametrize("batch_size", [1, 3, 16])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_backlogged_rounds_run_at_the_fixed_width(self, executor, batch_size):
         """A round takes ``batch_size`` arrivals, or one per queued stream
         when fewer streams are queued: a round-robin backlog of ``k``
@@ -850,9 +827,8 @@ class TestRoutingAndBatching:
 #: ``(num_shards, executor)`` cells of the sink leg of the parity matrix.
 SINK_CELLS = [
     (num_shards, executor)
-    for executor in ("serial", "thread", "thread-shared")
+    for executor in ("serial", "thread")
     for num_shards in (1, 2, 4)
-    if distinct_at(executor, num_shards)
 ]
 
 
@@ -897,7 +873,7 @@ class TestSinkDeliveryParity:
             delivered = sink.take()
         assert delivered == returned
 
-    @pytest.mark.parametrize("executor", ["thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["thread"])
     def test_sink_delivery_is_backend_deterministic(self, executor):
         """The delivered sequence (not just the returned one) is identical
         across serial and thread executors for fixed-width rounds."""
@@ -930,7 +906,7 @@ class TestSinkDeliveryParity:
         assert serve("serial") == serve(executor)
 
     @pytest.mark.stress
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("seed", range(8))
     def test_sink_vs_returned_list_fuzz(self, seed, executor):
         """Weekly randomized sweep: any mix of submits, drains, expiries and

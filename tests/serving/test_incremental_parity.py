@@ -100,17 +100,6 @@ class TestIncrementalParity:
         full = run_engine(model, events, "full", window_items=32, reencode_every=5)
         assert_decisions_match(incremental, full)
 
-    def test_eager_mode(self):
-        model = make_model(seed=3)
-        events = random_stream(50, num_keys=4, seed=17)
-        incremental = run_engine(
-            model, events, "incremental", window_items=20, reencode_every=4, eager=True
-        )
-        full = run_engine(
-            model, events, "full", window_items=20, reencode_every=4, eager=True
-        )
-        assert_decisions_match(incremental, full)
-
     @pytest.mark.parametrize("fusion", ["gated", "mean", "last"])
     def test_all_fusion_kinds(self, fusion):
         model = make_model(fusion=fusion, seed=5)

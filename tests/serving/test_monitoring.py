@@ -277,7 +277,7 @@ class TestShardMonitor:
         assert snap.queue_depth.maximum == 8.0
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestClusterStatsSurfacing:
     """ServingCluster.stats() publishes the merged per-shard telemetry."""
 

@@ -1,12 +1,11 @@
 """Unit tests for the shard execution backends.
 
 Cluster-level parity of the backends lives in ``test_cluster.py``; this file
-tests the executors as components: pinning, ordered fan-out, exception
+tests the executors as components: pinning, concurrency, exception
 propagation, re-entrancy and lifecycle.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -24,11 +23,6 @@ class TestSerialExecutor:
         executor = SerialExecutor()
         assert executor.run(0, threading.get_ident) == threading.get_ident()
 
-    def test_map_preserves_order(self):
-        executor = SerialExecutor()
-        results = executor.map_shards([lambda i=i: i * 10 for i in range(5)])
-        assert results == [0, 10, 20, 30, 40]
-
 
 class TestThreadExecutor:
     def test_shards_are_pinned_to_one_thread(self):
@@ -44,58 +38,28 @@ class TestThreadExecutor:
                 assert len(idents) == 1, shard
                 assert threading.get_ident() not in idents
 
-    def test_worker_sharing_when_fewer_workers_than_shards(self):
-        with ThreadExecutor(num_shards=4, num_workers=2) as executor:
-            idents = [executor.run(shard, threading.get_ident) for shard in range(4)]
-            assert idents[0] == idents[2]
-            assert idents[1] == idents[3]
-            assert idents[0] != idents[1]
-
-    def test_map_shards_returns_results_in_shard_order(self):
-        """Results must come back indexed by shard even when later shards
-        finish first — the deterministic-merge contract."""
-
-        def job(shard):
-            time.sleep(0.02 * (3 - shard))  # shard 3 finishes first
-            return shard
-
+    def test_each_shard_has_its_own_worker(self):
         with ThreadExecutor(num_shards=4) as executor:
-            assert executor.map_shards(
-                [lambda shard=shard: job(shard) for shard in range(4)]
-            ) == [0, 1, 2, 3]
+            idents = [executor.run(shard, threading.get_ident) for shard in range(4)]
+            assert len(set(idents)) == 4
+            assert len(executor._threads) == 4
 
-    def test_map_shards_runs_concurrently(self):
+    def test_submitted_jobs_run_concurrently(self):
         """All four jobs hold a barrier simultaneously: with one worker per
         shard they must all be in flight at once to get past it."""
         barrier = threading.Barrier(4, timeout=5.0)
         with ThreadExecutor(num_shards=4) as executor:
-            results = executor.map_shards(
-                [lambda: barrier.wait() is not None for _ in range(4)]
-            )
+            jobs = [
+                executor.submit(shard, lambda: barrier.wait() is not None)
+                for shard in range(4)
+            ]
+            results = [job.wait() for job in jobs]
         assert results == [True] * 4
 
     def test_exception_propagates_from_run(self):
         with ThreadExecutor(num_shards=2) as executor:
             with pytest.raises(ValueError, match="boom"):
                 executor.run(1, lambda: (_ for _ in ()).throw(ValueError("boom")))
-
-    def test_map_shards_raises_lowest_shard_error_after_all_complete(self):
-        finished = []
-
-        def ok(shard):
-            finished.append(shard)
-            return shard
-
-        def bad(shard):
-            raise RuntimeError(f"shard-{shard}")
-
-        with ThreadExecutor(num_shards=3) as executor:
-            with pytest.raises(RuntimeError, match="shard-1"):
-                executor.map_shards(
-                    [lambda: ok(0), lambda: bad(1), lambda: ok(2)]
-                )
-        # every non-failing job still ran to completion before the raise
-        assert sorted(finished) == [0, 2]
 
     def test_reentrant_run_executes_inline(self):
         """A job already on a shard's pinned worker may run() for the same
@@ -159,11 +123,9 @@ class TestThreadExecutor:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             ThreadExecutor(num_shards=0)
-        with pytest.raises(ValueError):
-            ThreadExecutor(num_shards=2, num_workers=0)
 
 
-@pytest.mark.parametrize("label", ["serial", "thread", "thread-shared"])
+@pytest.mark.parametrize("label", ["serial", "thread"])
 class TestExecutorContract:
     """The :class:`ShardExecutor` contract the cluster relies on, on every
     backend leg: results and errors come back through ``run`` and through
@@ -175,10 +137,7 @@ class TestExecutorContract:
 
     @pytest.fixture
     def executor(self, label):
-        fields = backend(label)
-        executor = make_executor(
-            fields["executor"], self.NUM_SHARDS, fields.get("num_workers")
-        )
+        executor = make_executor(backend(label)["executor"], self.NUM_SHARDS)
         yield executor
         executor.close()
 
@@ -230,12 +189,12 @@ class TestExecutorContract:
         if label == "serial":
             assert contexts == {threading.get_ident()}
         else:
-            assert len(contexts) == executor.num_workers
+            assert len(contexts) == self.NUM_SHARDS
             assert threading.get_ident() not in contexts
 
     def test_nested_run_on_any_shard_completes(self, executor):
-        """A job may run work on another shard — on the shared-worker leg
-        that shard is pinned to the very thread running the job, which must
+        """A job may run work on any shard, its own included — its own
+        shard is pinned to the very thread running the job, which must
         execute it inline instead of queueing behind itself."""
 
         def outer():
@@ -248,26 +207,6 @@ class TestExecutorContract:
     def test_no_context_is_abandoned_without_a_replacement(self, executor):
         assert executor.current_context_abandoned() is False
         assert executor.run(1, executor.current_context_abandoned) is False
-
-
-class TestWorkerCountClamping:
-    """Workers beyond the shard count can never receive a pinned job, so
-    the thread backend clamps to ``num_shards`` (explicit and default
-    counts)."""
-
-    def test_thread_executor_clamps_explicit_count(self):
-        with ThreadExecutor(num_shards=2, num_workers=8) as executor:
-            assert executor.num_workers == 2
-            assert len(executor._threads) == 2
-
-    def test_thread_executor_default_is_one_per_shard(self):
-        with ThreadExecutor(num_shards=3) as executor:
-            assert executor.num_workers == 3
-
-    def test_make_executor_clamps_thread_workers(self):
-        thread = make_executor("thread", 2, num_workers=16)
-        assert thread.num_workers == 2
-        thread.close()
 
 
 class TestMakeExecutor:

@@ -152,7 +152,7 @@ class TestRouting:
 
 
 class TestLiveMigration:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_mid_run_migration_is_decision_identical(self, executor):
         """The parity-matrix migration leg: move one live stream between
         nodes mid-run; every stream's decisions stay bit-identical to the

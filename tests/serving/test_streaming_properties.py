@@ -7,9 +7,9 @@ parity: the same keys decided on the same arrival, with the same predicted
 label, confidence, observation count, decision time and decision kind.
 Scenarios are drawn to force every regime the engine supports: window
 evictions (tiny windows vs long streams), sparse evaluation
-(``reencode_every > 1``), eager evaluation, idle-timeout expiry, cache-
-maintenance suspension (all window keys decided), interleaved key arrivals
-and both encoding schemes (``absolute`` and the eviction-stable ``rotary``).
+(``reencode_every > 1``), idle-timeout expiry, cache-maintenance
+suspension (all window keys decided), interleaved key arrivals and both
+encoding schemes (``absolute`` and the eviction-stable ``rotary``).
 
 The rotary scheme additionally carries the tentpole guarantee of the
 eviction-stable encodings: **no batched cache rebuild, ever** — evictions
@@ -88,7 +88,6 @@ def run_lockstep_case(seed: int, encoding: str):
     config_kwargs = dict(
         window_items=int(rng.integers(3, 41)),
         reencode_every=int(rng.integers(1, 6)),
-        eager=bool(rng.integers(2)),
         halt_threshold=float(rng.choice([0.2, 0.4, 0.5, 0.7, 0.9])),
         idle_timeout=idle_timeout,
     )

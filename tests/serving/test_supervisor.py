@@ -11,12 +11,13 @@ Three layers, bottom up:
   arrival exactly match a reference cluster that never saw the lost arrivals
   (the recovery-parity leg of the parity matrix — fast deterministic shapes
   here, the randomized sweep lives in ``test_chaos.py`` under ``stress``),
-  graceful degradation (``status="degraded"`` / :class:`ShardDegradedError`)
-  while a breaker is open, half-open probes closing it again, round
+  graceful degradation (``status="degraded"``, the submit changing
+  nothing) while a breaker is open, half-open probes closing it again, round
   deadlines abandoning wedged workers instead of hanging ``drain()``, and
   the ``stats()["health"]`` view tying it together.
 """
 
+import asyncio
 import copy
 import pickle
 import threading
@@ -31,12 +32,11 @@ from repro.core.incremental import IncrementalEncoderState
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import KeyState, KeyTracker, SlidingWindow, StreamEvent
+from repro.serving.aio import AsyncServingGateway
 from repro.serving.cluster import (
     ClusterConfig,
     OutOfOrderEventError,
     ServingCluster,
-    ShardDegradedError,
-    ShardOverloadError,
     _detached_sessions_copy,
 )
 from repro.serving.engine import Decision, EngineConfig, StreamSession
@@ -319,8 +319,6 @@ class TestCircuitBreaker:
             SupervisorConfig(backoff_factor=0.5)
         with pytest.raises(ValueError, match="backoff_max_s"):
             SupervisorConfig(backoff_base_s=2.0, backoff_max_s=1.0)
-        with pytest.raises(ValueError, match="degraded"):
-            SupervisorConfig(degraded="panic")
         with pytest.raises(ValueError, match="sink_quarantine_after"):
             SupervisorConfig(sink_quarantine_after=0)
         with pytest.raises(ValueError, match="every_rounds"):
@@ -332,11 +330,11 @@ class TestCircuitBreaker:
 # --------------------------------------------------------------------- #
 class TestThreadExecutorFaults:
     def test_abandon_replaces_wedged_worker_and_drops_queued_jobs(self):
-        executor = ThreadExecutor(num_shards=2, num_workers=1)
+        executor = ThreadExecutor(num_shards=2)
         try:
             release = threading.Event()
             wedged = executor.submit(0, release.wait)
-            follower = executor.submit(1, lambda: "ran")  # queued behind the wedge
+            follower = executor.submit(0, lambda: "ran")  # queued behind the wedge
             assert not follower.done.wait(0.05)
             assert executor.abandon(0)
             assert executor.abandoned_workers == 1
@@ -346,9 +344,11 @@ class TestThreadExecutorFaults:
             with pytest.raises(AbandonedJobError):
                 follower.wait()
             # New submissions (and run(), which retries through the drop
-            # transparently) keep working on the replacement worker.
-            assert executor.submit(1, lambda: "ran").wait() == "ran"
+            # transparently) keep working on the replacement worker, and
+            # the other shard's worker was never touched.
+            assert executor.submit(0, lambda: "ran").wait() == "ran"
             assert executor.run(0, lambda: 41 + 1) == 42
+            assert executor.run(1, lambda: "other") == "other"
             release.set()
             assert wedged.done.wait(1.0)  # old thread finishes, then exits
         finally:
@@ -359,7 +359,7 @@ class TestThreadExecutorFaults:
     def test_abandoned_thread_sees_cancellation_signal(self):
         """A job on the old thread observes current_context_abandoned() —
         the loop-exit signal zombie drains use for containment."""
-        executor = ThreadExecutor(num_shards=1, num_workers=1)
+        executor = ThreadExecutor(num_shards=1)
         try:
             release = threading.Event()
             flags = []
@@ -397,7 +397,8 @@ class TestThreadExecutorFaults:
 
     def test_clean_close_leaks_nothing(self):
         executor = ThreadExecutor(num_shards=3, join_timeout=0.5)
-        assert executor.map_shards([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+        jobs = [executor.submit(shard, lambda shard=shard: shard + 1) for shard in range(3)]
+        assert [job.wait() for job in jobs] == [1, 2, 3]
         executor.close()
         assert executor.leaked_workers == 0
 
@@ -410,7 +411,7 @@ class TestThreadExecutorFaults:
 # crash recovery parity (the fast deterministic chaos-gate leg)
 # --------------------------------------------------------------------- #
 class TestCrashRecoveryParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("action", ["kill", "raise"])
     def test_mid_encode_crash_recovers_with_parity(self, executor, action):
         """A shard killed mid-encode rewinds to its checkpoint; decisions for
@@ -447,7 +448,7 @@ class TestCrashRecoveryParity:
         reference_cluster.close()
         assert_recovery_parity(got, reference)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-shared"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("site", ["shard-round", "executor-job"])
     def test_pre_dequeue_crash_loses_nothing(self, site, executor):
         """Faults before any arrival is consumed recover with an empty lost
@@ -699,7 +700,7 @@ class TestCheckpointCopies:
 # --------------------------------------------------------------------- #
 # graceful degradation
 # --------------------------------------------------------------------- #
-def _breaker_open_cluster(degraded: str, clock=None, executor: str = "serial"):
+def _breaker_open_cluster(clock=None, executor: str = "serial"):
     """A 1-shard cluster whose breaker has been opened by injected faults."""
     model = make_model()
     # limit=2 exactly trips the threshold-2 breaker, then exhausts, so a
@@ -709,7 +710,6 @@ def _breaker_open_cluster(degraded: str, clock=None, executor: str = "serial"):
         failure_threshold=2,
         backoff_base_s=10.0,
         backoff_max_s=40.0,
-        degraded=degraded,
         checkpoint=CheckpointConfig(every_rounds=2),
         clock=clock or time.monotonic,
     )
@@ -734,8 +734,8 @@ def _breaker_open_cluster(degraded: str, clock=None, executor: str = "serial"):
 
 @pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestGracefulDegradation:
-    def test_shed_policy_returns_degraded_status(self, executor):
-        cluster, _, events = _breaker_open_cluster("shed", executor=executor)
+    def test_breaker_open_submit_returns_degraded_status(self, executor):
+        cluster, _, events = _breaker_open_cluster(executor=executor)
         result = cluster.submit(events[0])
         assert result.status == "degraded"
         assert result.dropped and not result.admitted
@@ -743,20 +743,9 @@ class TestGracefulDegradation:
         assert cluster.health()["degraded_submits"] == 1
         cluster.close()
 
-    def test_reject_policy_raises_unless_opted_out(self, executor):
-        cluster, _, events = _breaker_open_cluster("reject", executor=executor)
-        with pytest.raises(ShardDegradedError, match="shard 0 is degraded"):
-            cluster.submit(events[0])
-        result = cluster.submit(events[1], raise_on_reject=False)
-        assert result.status == "degraded"
-        assert cluster.health()["degraded_submits"] == 2
-        cluster.close()
-
     def test_probe_after_backoff_closes_breaker_and_serves_backlog(self, executor):
         clock = FakeClock()
-        cluster, injector, events = _breaker_open_cluster(
-            "shed", clock=clock, executor=executor
-        )
+        cluster, injector, events = _breaker_open_cluster(clock=clock, executor=executor)
         backlog = sum(shard.queue_depth for shard in cluster.shards)
         assert backlog > 0
         # The injected fault is exhausted (limit=2); let the backoff elapse
@@ -773,7 +762,7 @@ class TestGracefulDegradation:
         cluster.close()
 
     def test_open_breaker_skips_fan_out_rounds(self, executor):
-        cluster, _, _ = _breaker_open_cluster("shed", executor=executor)
+        cluster, _, _ = _breaker_open_cluster(executor=executor)
         failures_before = cluster.health()["failures"]
         assert cluster.drain() == []  # skipped, not attempted-and-failed
         assert cluster.health()["failures"] == failures_before
@@ -892,51 +881,6 @@ class TestRoundDeadlines:
         cluster.close()  # zombie already exited: no leak warning expected
         assert cluster._executor.leaked_workers == 0
 
-    def test_shared_worker_sibling_survives_abandonment(self):
-        """``num_workers < num_shards``: a sibling shard's job queued behind
-        the wedged one is dropped unrun at abandonment and transparently
-        resubmitted to the replacement — its arrivals are neither lost nor
-        consumed unobserved, and the sibling is never spuriously abandoned
-        or recovered."""
-        model = make_model()
-        _, events = multi_stream_events(seed=22, num_events=30)
-        injector = FaultInjector(
-            specs=[FaultSpec(site="session-encode", action="delay", delay_s=1.0, shard_id=0, limit=1)]
-        )
-        config = ClusterConfig(
-            num_shards=2,
-            batch_size=4,
-            auto_drain=False,
-            executor="thread",
-            num_workers=1,  # both shards pinned to one worker
-            supervision=SupervisorConfig(
-                round_deadline_s=0.15,
-                checkpoint=CheckpointConfig(every_rounds=2),
-            ),
-            faults=injector,
-            engine=engine_config(),
-        )
-        cluster = ServingCluster(model, SPEC, config)
-        for event in events:
-            cluster.submit(event)
-        sibling_depth = cluster.shards[1].queue_depth
-        assert sibling_depth > 0
-        cluster.drain()
-        health = cluster.health()
-        assert health["shards"][0]["deadline_abandons"] == 1
-        assert health["shards"][1]["deadline_abandons"] == 0
-        assert health["shards"][1]["failures"] == 0
-        assert health["shards"][1]["restores"] == 0
-        # The sibling's backlog was served by the resubmitted job, with the
-        # fan-out awaiting it (not consumed unobserved, not lost with the
-        # drop).
-        assert cluster.shards[1].queue_depth == 0
-        assert cluster.shards[1].drained == sibling_depth
-        time.sleep(1.2)  # wedge resolves; zombie exits
-        cluster.flush()
-        assert cluster.shards[0].queue_depth == 0
-        cluster.close()
-        assert cluster._executor.leaked_workers == 0
 
 
 # --------------------------------------------------------------------- #
@@ -1001,34 +945,17 @@ class TestSinkFaultIsolation:
 
 
 # --------------------------------------------------------------------- #
-# rejected-submit idempotence
+# degraded-submit idempotence
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("executor", ["serial", "thread"])
-class TestRejectedSubmitIdempotence:
-    def _full_cluster(self, executor):
-        """A reject-overflow cluster with its single queue exactly full."""
-        model = make_model()
-        _, events = multi_stream_events(seed=20, num_events=8, num_streams=1)
-        cluster = ServingCluster(
-            model,
-            SPEC,
-            ClusterConfig(
-                **backend(executor),
-                num_shards=1,
-                max_queue=3,
-                overflow="reject",
-                auto_drain=False,
-                engine=engine_config(),
-            ),
-        )
-        for event in events[:3]:
-            assert cluster.submit(event).admitted
-        return cluster, events[3:]
+class TestDegradedSubmitIdempotence:
+    """A submit that is not admitted changes nothing: to a breaker-open
+    shard, through either entry point, the sessions and the queue stay
+    bit-for-bit as they were and only ``degraded_submits`` moves."""
 
     @staticmethod
     def _state_bytes(cluster):
-        """Serialized sessions + queue of every shard (not counters: the
-        ``rejected`` tally legitimately moves on a rejected submit)."""
+        """Serialized sessions + queue of every shard (not counters)."""
         snapshot = cluster.snapshot()
         return pickle.dumps(
             [
@@ -1037,26 +964,36 @@ class TestRejectedSubmitIdempotence:
             ]
         )
 
-    def test_raising_reject_leaves_state_bit_for_bit_untouched(self, executor):
-        cluster, overflow = self._full_cluster(executor)
+    def test_cluster_submit_leaves_state_bit_for_bit_untouched(self, executor):
+        clock = FakeClock()
+        cluster, _, events = _breaker_open_cluster(clock=clock, executor=executor)
         before = self._state_bytes(cluster)
-        with pytest.raises(ShardOverloadError):
-            cluster.submit(overflow[0])
-        assert self._state_bytes(cluster) == before
-        assert cluster.stats()["rejected"] == 1
+        for count, event in enumerate(events[:2], start=1):
+            result = cluster.submit(event)
+            assert result.status == "degraded" and result.decisions == ()
+            assert cluster.health()["degraded_submits"] == count
+            assert self._state_bytes(cluster) == before
+        # The admitted backlog is fully servable once the backoff elapses.
+        clock.advance(1000.0)
+        assert cluster.flush()
         cluster.close()
 
-    def test_non_raising_reject_is_equally_idempotent(self, executor):
-        cluster, overflow = self._full_cluster(executor)
+    def test_gateway_submit_leaves_state_bit_for_bit_untouched(self, executor):
+        cluster, _, events = _breaker_open_cluster(executor=executor)
         before = self._state_bytes(cluster)
-        for event in overflow[:2]:
-            result = cluster.submit(event, raise_on_reject=False)
-            assert result.status == "rejected" and result.dropped
-            assert result.decisions == ()
-        assert self._state_bytes(cluster) == before
-        assert cluster.stats()["rejected"] == 2
-        # The admitted backlog is fully servable after the rejections.
-        assert cluster.flush()
+
+        async def scenario():
+            gateway = AsyncServingGateway(cluster=cluster)
+            try:
+                for count, event in enumerate(events[:2], start=1):
+                    result = await gateway.submit(event)
+                    assert result.status == "degraded" and result.decisions == ()
+                    assert gateway.health()["degraded_submits"] == count
+                    assert self._state_bytes(cluster) == before
+            finally:
+                await gateway.close()
+
+        asyncio.run(scenario())
         cluster.close()
 
 
