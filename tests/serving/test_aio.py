@@ -471,6 +471,40 @@ class TestContinuousBatching:
                 assert len({ident for sid, ident in driven if sid == shard_id}) == 1
         assert {sid for sid, _ in driven} == {0, 1}
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_full_queue_rounds_alone_keep_per_stream_parity(self, executor):
+        """Without ``auto_drain`` the only rounds before the final flush are
+        the ones full queues wait for: every submission is admitted with its
+        queue at the bound, and the decisions those rounds and the flush
+        publish match one sequential engine per stream."""
+        model = make_model()
+        streams, events = multi_stream_events(seed=8, num_events=80)
+        expected = reference_decisions(model, streams, events)
+
+        async def scenario():
+            config = ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                max_queue=2,
+                auto_drain=False,
+                engine=engine_config(),
+            )
+            gateway = AsyncServingGateway(model, SPEC, config)
+            sink = gateway.cluster.subscribe(BufferedSink())
+            for event in events:
+                result = await gateway.submit(event)
+                assert result.admitted and result.decisions == ()
+                assert result.queue_depth <= 2
+            stats = gateway.stats()
+            await gateway.close()
+            return stats, sink.take()
+
+        stats, published = asyncio.run(scenario())
+        assert stats["rounds"] > 0
+        assert stats["drained"] == len(events) - sum(stats["queue_depths"])
+        assert_per_stream_parity(by_stream(published), expected)
+
     def test_wedged_round_does_not_stop_the_other_shard(self):
         """Thread backend: shard 0's first round sleeps far past the round
         deadline.  Shard 1's round in the same step overlaps it and is

@@ -5,8 +5,9 @@ round width — must produce decision-for-decision identical output to one
 sequential :class:`OnlineClassificationEngine` per stream, including window
 evictions, mid-stream drains, idle expiry, flush and snapshot/restore round
 trips.  On top of parity, the suite covers the cluster-only machinery:
-hash routing, bounded-queue admission control (drain / reject / shed) and
-the batching counters.
+hash routing, bounded-queue admission (a full queue serves one round of its
+shard, then admits), the shard-ordered merge of cluster-level drain / flush /
+expire, and the batching counters.
 """
 
 import math
@@ -19,9 +20,11 @@ from repro.core.embeddings import stable_key_slot
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
-from repro.serving.cluster import ClusterConfig, ServingCluster
+from repro.serving.cluster import ClusterConfig, OutOfOrderEventError, ServingCluster
 from repro.serving.engine import EngineConfig, OnlineClassificationEngine, StreamSession
+from repro.serving.faults import FaultInjector, FaultSpec
 from repro.serving.sinks import BufferedSink
+from repro.serving.supervisor import SupervisorConfig
 from tests.serving.backends import backend
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
@@ -420,6 +423,285 @@ class TestAdmissionControl:
             for event in events:
                 cluster.submit(event)
                 assert all(depth < 4 for depth in cluster.stats()["queue_depths"])
+
+    def test_full_queue_serves_one_round_then_admits(self, executor):
+        """The one answer to a full queue: exactly one round of that shard,
+        at the batch width, then the arrival is admitted; the round's
+        decisions ride on the result and reach subscribers."""
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=4,
+                batch_size=2,
+                auto_drain=False,
+                engine=engine_config(reencode_every=1),
+            ),
+        ) as cluster:
+            sink = cluster.subscribe(BufferedSink())
+            for position in range(4):
+                assert cluster.submit(self._event(position)).status == "accepted"
+            assert cluster.stats()["rounds"] == 0
+            result = cluster.submit(self._event(4))
+            stats = cluster.stats()
+            assert result.admitted
+            assert result.status == ("decided" if result.decisions else "accepted")
+            assert stats["rounds"] == 1 and stats["drained"] == 2
+            assert result.queue_depth == stats["queue_depths"][0] == 3
+            assert list(result.decisions) == sink.take()
+
+    def test_refused_admission_leaves_the_queue_as_it_was(self, executor):
+        """``ShardWorker.submit`` answers a full queue with ``None`` and
+        changes nothing — not the queue, not the stream's admission clock;
+        one ``serve_shard`` round makes room for the retry."""
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor), num_shards=1, max_queue=3, batch_size=2, auto_drain=False
+            ),
+        ) as cluster:
+            shard = cluster.shards[0]
+            for position in range(3):
+                cluster.submit(self._event(position))
+            queued = shard.pending_entries()
+            refused = self._event(8)  # stream-3 at time 8
+            assert shard.submit(refused.source, refused) is None
+            assert shard.pending_entries() == queued
+            assert cluster.stats()["rounds"] == 0
+            served = cluster.serve_shard(0)
+            assert shard.queue_depth == 1 and cluster.stats()["drained"] == 2
+            assert all(d.shard_id == 0 for d in served)
+            # The refused arrival left no admission trace: an older arrival
+            # of its stream is still in order.
+            earlier = StreamEvent(
+                time=5.0, item=Item("k0", (5, 1), 5.0), source=refused.source
+            )
+            assert shard.submit(earlier.source, earlier).status == "accepted"
+            assert shard.submit(refused.source, refused).status == "accepted"
+            assert shard.pending_entries() == queued[2:] + [
+                (refused.source, earlier),
+                (refused.source, refused),
+            ]
+
+    def test_out_of_order_arrival_on_a_full_queue_runs_no_round(self, executor):
+        """Ordering is checked before capacity: an out-of-order arrival
+        raises at once instead of first serving a round to make room."""
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(**backend(executor), num_shards=1, max_queue=3, auto_drain=False),
+        ) as cluster:
+            for position in range(3):
+                cluster.submit(self._event(position))
+            stale = StreamEvent(time=1.5, item=Item("k0", (1, 0), 1.5), source="stream-2")
+            with pytest.raises(OutOfOrderEventError, match="stream-2"):
+                cluster.submit(stale)
+            stats = cluster.stats()
+            assert stats["rounds"] == 0
+            assert stats["queue_depths"] == [3]
+
+    def test_failing_rounds_on_a_full_queue_degrade_instead_of_spinning(self, executor):
+        """A round that fails before dequeuing frees no room (recovery
+        requeues the whole queue), so the submit serves failing rounds only
+        until the breaker opens, then answers ``degraded``."""
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=3,
+                batch_size=2,
+                auto_drain=False,
+                supervision=SupervisorConfig(
+                    failure_threshold=2, backoff_base_s=30.0, backoff_max_s=30.0
+                ),
+                faults=FaultInjector(specs=[FaultSpec(site="shard-round", shard_id=0)]),
+            ),
+        ) as cluster:
+            for position in range(3):
+                cluster.submit(self._event(position))
+            result = cluster.submit(self._event(3))
+            assert result.status == "degraded" and result.decisions == ()
+            health = cluster.health()
+            assert health["failures"] == 2
+            assert health["breaker_open"] == [0]
+            assert health["degraded_submits"] == 1
+            assert health["lost_arrivals"] == 0
+            assert cluster.stats()["queue_depths"] == [3]
+
+    def test_serve_shard_returns_what_it_published(self, executor):
+        """One round of the named shard only, at most ``batch_size`` wide;
+        its return value is exactly the batch its subscribers received."""
+        streams, events = multi_stream_events(seed=12, num_events=60)
+        with ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=3,
+                auto_drain=False,
+                engine=engine_config(reencode_every=1),
+            ),
+        ) as cluster:
+            sink = cluster.subscribe(BufferedSink())
+            for event in events:
+                cluster.submit(event)
+            depths = cluster.stats()["queue_depths"]
+            published = []
+            for shard_id in (1, 0, 1):
+                served = cluster.serve_shard(shard_id)
+                assert served == sink.take()
+                assert all(d.shard_id == shard_id for d in served)
+                published.extend(served)
+            # A round takes one arrival per stream: shard 0 holds two streams
+            # (stream-4, stream-5), shard 1 four.
+            assert cluster.stats()["queue_depths"] == [depths[0] - 2, depths[1] - 6]
+            assert cluster.stats()["rounds"] == 3
+            assert published, "three rounds of six streams should decide something"
+
+    def test_serve_queued_runs_one_round_per_queued_shard(self, executor):
+        """The continuous-batching step: one round on each shard with queued
+        arrivals, ``False`` once nothing is queued or the cluster is closed."""
+        streams, events = multi_stream_events(seed=13, num_events=40)
+        cluster = ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(**backend(executor), num_shards=2, batch_size=2, auto_drain=False),
+        )
+        for event in events:
+            cluster.submit(event)
+        depths = cluster.stats()["queue_depths"]
+        assert all(depths)
+        assert cluster.serve_queued() is True
+        assert cluster.stats()["rounds"] == 2
+        assert cluster.stats()["queue_depths"] == [depth - 2 for depth in depths]
+        while cluster.serve_queued():
+            pass
+        assert cluster.stats()["queue_depths"] == [0, 0]
+        assert cluster.stats()["drained"] == len(events)
+        assert cluster.serve_queued() is False
+        cluster.submit(events[-1])
+        cluster.close()
+        assert cluster.serve_queued() is False
+        assert sum(cluster.stats()["queue_depths"]) == 1
+
+    def test_queue_bound_below_the_batch_width_holds(self, executor):
+        """With ``max_queue`` under ``batch_size`` an auto-drained queue never
+        reaches the width: full-queue rounds alone serve it, and no arrival
+        is lost."""
+        model = make_model("rotary")
+        streams, events = multi_stream_events(seed=14, num_events=50)
+        _, expected = reference_decisions(model, streams, events)
+        emitted = []
+        with ServingCluster(
+            model,
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                max_queue=2,
+                batch_size=4,
+                engine=engine_config(),
+            ),
+        ) as cluster:
+            for event in events:
+                result = cluster.submit(event)
+                assert result.admitted and result.queue_depth <= 2
+                emitted.extend(result.decisions)
+            stats = cluster.stats()
+            assert stats["drained"] == len(events) - stats["queue_depths"][0]
+            emitted.extend(cluster.flush())
+        assert_stream_parity(by_stream(emitted, streams), expected)
+
+
+#: Cluster-level fan-out operations; expiry looks far past every arrival so
+#: every idle key expires.
+FAN_OUT_OPERATIONS = {
+    "drain": lambda cluster: cluster.drain(),
+    "flush": lambda cluster: cluster.flush(),
+    "expire": lambda cluster: cluster.expire(now=1e6),
+}
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+class TestFanOutMerge:
+    """Cluster-level drain / flush / expire run one job per shard and merge
+    the per-shard lists in stable (shard index, round, intra-round) order —
+    whichever shard finishes first — then publish exactly that list."""
+
+    NUM_SHARDS = 3
+
+    def _config(self, executor, faults=None) -> ClusterConfig:
+        return ClusterConfig(
+            **backend(executor),
+            num_shards=self.NUM_SHARDS,
+            batch_size=4,
+            auto_drain=False,
+            faults=faults,
+            engine=engine_config(reencode_every=1, idle_timeout=3.0),
+        )
+
+    @pytest.mark.parametrize("operation", list(FAN_OUT_OPERATIONS))
+    def test_merge_is_shard_ordered_and_published_as_returned(self, executor, operation):
+        model = make_model("rotary")
+        streams, events = multi_stream_events(seed=31, num_events=90)
+        # Shard 0's rounds are slowed, so on the thread leg it finishes last.
+        slow_first_shard = FaultInjector(
+            specs=[FaultSpec(site="shard-round", action="delay", delay_s=0.01, shard_id=0)]
+        )
+        run = FAN_OUT_OPERATIONS[operation]
+        with ServingCluster(
+            model, SPEC, self._config(executor, faults=slow_first_shard)
+        ) as cluster, ServingCluster(model, SPEC, self._config("serial")) as reference:
+            assert {cluster.shard_index(s) for s in streams} == set(range(self.NUM_SHARDS))
+            for event in events:
+                cluster.submit(event)
+                reference.submit(event)
+            sink = cluster.subscribe(BufferedSink())
+            merged = run(cluster)
+            expected = run(reference)
+            assert sink.take() == merged
+        shard_ids = [d.shard_id for d in merged]
+        assert shard_ids == sorted(shard_ids)
+        assert len(set(shard_ids)) >= 2
+        assert [(d.stream_id, d.shard_id, d.decision) for d in merged] == [
+            (d.stream_id, d.shard_id, d.decision) for d in expected
+        ]
+
+    def test_a_failed_shard_job_leaves_the_other_shards_merged(self, executor):
+        """A fan-out job that raises is absorbed by its shard's supervisor:
+        the call returns the other shards' decisions in shard order, and
+        the failed shard's arrivals (the job failed before any round) are
+        served by the next flush, per stream as if nothing had failed."""
+        model = make_model("rotary")
+        streams, events = multi_stream_events(seed=32, num_events=90)
+        fail_once = FaultInjector(specs=[FaultSpec(site="executor-job", shard_id=1, limit=1)])
+        with ServingCluster(
+            model, SPEC, self._config(executor, faults=fail_once)
+        ) as cluster, ServingCluster(model, SPEC, self._config("serial")) as reference:
+            for event in events:
+                cluster.submit(event)
+                reference.submit(event)
+            first = cluster.flush()
+            health = cluster.health()
+            failed_backlog = cluster.shards[1].queue_depth
+            second = cluster.flush()
+            expected = reference.flush()
+        assert {d.shard_id for d in first} == {0, 2}
+        shard_ids = [d.shard_id for d in first]
+        assert shard_ids == sorted(shard_ids)
+        assert [view["failures"] for view in health["shards"]] == [0, 1, 0]
+        assert health["lost_arrivals"] == 0
+        assert failed_backlog == sum(
+            1 for event in events if cluster.shard_index(event.source) == 1
+        )
+        assert {d.shard_id for d in second} == {1}
+        assert_stream_parity(by_stream(first + second, streams), by_stream(expected, streams))
 
 
 #: Parity-matrix executor legs besides the serial reference.

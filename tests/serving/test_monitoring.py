@@ -385,6 +385,55 @@ class TestClusterStatsSurfacing:
             assert json.loads(json.dumps(payload)) == payload
         cluster.close()
 
+    def test_throughput_rates_slide_over_sixty_seconds(self, executor, monkeypatch):
+        """``stats()["items_per_s"]`` is a sliding rate over the last
+        ``STATS_WINDOW_S`` (60 s) of wall clock: arrivals 45 s old still
+        count, arrivals over 60 s old have aged out."""
+        import time
+        from types import SimpleNamespace
+
+        from repro.core.config import KVECConfig
+        from repro.core.model import KVEC
+        from repro.data.items import Item, ValueSpec
+        from repro.data.stream import StreamEvent
+        from repro.serving import cluster as cluster_module
+        from repro.serving.cluster import ClusterConfig, ServingCluster
+
+        assert cluster_module.STATS_WINDOW_S == 60.0
+        now = [1000.0]
+        monkeypatch.setattr(
+            cluster_module,
+            "time",
+            SimpleNamespace(monotonic=lambda: now[0], perf_counter=time.perf_counter),
+        )
+        spec = ValueSpec(("size", "direction"), (8, 2), 1)
+        model = KVEC(
+            spec,
+            num_classes=3,
+            config=KVECConfig(
+                d_model=12, num_blocks=1, num_heads=2, ffn_hidden=16,
+                d_state=16, dropout=0.0, encoding="rotary", seed=0,
+            ),
+        )
+        cluster = ServingCluster(
+            model, spec, ClusterConfig(**backend(executor), num_shards=2, auto_drain=False)
+        )
+        for second in range(30):  # one arrival a second
+            cluster.submit(
+                StreamEvent(
+                    time=float(second),
+                    item=Item("k0", (second % 8, 0), float(second)),
+                    source=f"stream-{second % 3}",
+                )
+            )
+            now[0] += 1.0
+        assert cluster.stats()["items_per_s"] == pytest.approx(29 / 30)
+        now[0] += 44.0  # the last arrival is 45 s old
+        assert cluster.stats()["items_per_s"] > 0.0
+        now[0] += 16.0  # every arrival is over 60 s old
+        assert cluster.stats()["items_per_s"] == 0.0
+        cluster.close()
+
 
 class TestThroughputMeter:
     def test_rate_computation(self):

@@ -27,6 +27,7 @@ from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
 from repro.serving import (
+    SUBMIT_STATUSES,
     AsyncServingGateway,
     BufferedSink,
     CheckpointConfig,
@@ -315,6 +316,15 @@ class TestStatusMapping:
         # made room for the third.
         assert stats["rounds"] == 1 and stats["drained"] == 1
         assert stats["queue_depths"] == [2]
+
+    def test_status_map_is_total_over_the_submit_statuses(self):
+        """Every admission outcome has one HTTP code with a reason phrase;
+        none asks the client to back off (no 429), since a full queue is
+        served, not refused."""
+        assert set(protocol.STATUS_TO_HTTP) == set(SUBMIT_STATUSES)
+        for status, code in protocol.STATUS_TO_HTTP.items():
+            assert code in protocol.REASONS, status
+        assert 429 not in protocol.STATUS_TO_HTTP.values()
 
     def test_degraded_maps_to_503(self):
         """A breaker-open shard serves degraded submissions as 503s."""

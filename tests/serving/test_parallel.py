@@ -23,6 +23,20 @@ class TestSerialExecutor:
         executor = SerialExecutor()
         assert executor.run(0, threading.get_ident) == threading.get_ident()
 
+    def test_submit_runs_each_job_before_returning(self):
+        """Each handle comes back already complete, in submission order —
+        the reason serial waits never reach a round deadline."""
+        executor = SerialExecutor()
+        order = []
+        handles = []
+        for shard in (2, 0, 1):
+            handles.append(
+                executor.submit(shard, lambda shard=shard: order.append(shard) or shard * 10)
+            )
+            assert order[-1] == shard and handles[-1].done.is_set()
+        assert order == [2, 0, 1]
+        assert [handle.result for handle in handles] == [20, 0, 10]
+
 
 class TestThreadExecutor:
     def test_shards_are_pinned_to_one_thread(self):
@@ -55,6 +69,32 @@ class TestThreadExecutor:
             ]
             results = [job.wait() for job in jobs]
         assert results == [True] * 4
+
+    def test_a_failing_job_touches_no_other_shards_job(self):
+        """One shard's error stays on its own handle: another shard's job
+        still in flight runs to completion, and the failed shard's worker
+        keeps serving."""
+        release = threading.Event()
+
+        def blocked():
+            assert release.wait(timeout=5.0)
+            return "zero"
+
+        def fail():
+            raise RuntimeError("shard-1")
+
+        with ThreadExecutor(num_shards=3) as executor:
+            jobs = [
+                executor.submit(0, blocked),
+                executor.submit(1, fail),
+                executor.submit(2, lambda: "two"),
+            ]
+            assert jobs[1].done.wait(timeout=5.0)
+            assert isinstance(jobs[1].error, RuntimeError)
+            assert not jobs[0].done.is_set()
+            release.set()
+            assert [jobs[0].wait(), jobs[2].wait()] == ["zero", "two"]
+            assert executor.run(1, lambda: "one") == "one"
 
     def test_exception_propagates_from_run(self):
         with ThreadExecutor(num_shards=2) as executor:
@@ -206,6 +246,22 @@ class TestExecutorContract:
 
     def test_no_context_is_abandoned_without_a_replacement(self, executor):
         assert executor.current_context_abandoned() is False
+        assert executor.run(1, executor.current_context_abandoned) is False
+
+    def test_abandon_replaces_only_that_shards_context(self, executor, label):
+        """``abandon`` reports whether a worker was replaced: the thread leg
+        gives the shard a new worker and leaves the others pinned as they
+        were; the serial leg cannot preempt its caller and replaces
+        nothing."""
+        before = [executor.run(shard, threading.get_ident) for shard in range(self.NUM_SHARDS)]
+        replaced = executor.abandon(1)
+        after = [executor.run(shard, threading.get_ident) for shard in range(self.NUM_SHARDS)]
+        assert [after[shard] for shard in (0, 2, 3)] == [before[shard] for shard in (0, 2, 3)]
+        if label == "serial":
+            assert replaced is False and after[1] == before[1]
+        else:
+            assert replaced is True and after[1] != before[1]
+            assert executor.abandoned_workers == 1
         assert executor.run(1, executor.current_context_abandoned) is False
 
 

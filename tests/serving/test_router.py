@@ -328,3 +328,32 @@ class TestNodeRecovery:
                 assert sd.decision.confidence == pytest.approx(
                     original.confidence, abs=1e-9
                 )
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_degraded_submit_is_not_journaled(self, executor):
+        """Only admitted arrivals enter a node's recovery journal: a degraded
+        one was never queued, so recovery must not replay it."""
+        model = make_model()
+        _, events = multi_stream_events(seed=41, num_events=12)
+        node = make_node(
+            model,
+            executor,
+            num_shards=1,
+            auto_drain=False,
+            supervision=SupervisorConfig(
+                failure_threshold=2, backoff_base_s=600.0, backoff_max_s=600.0
+            ),
+            faults=FaultInjector(specs=[FaultSpec(site="shard-round", limit=2)]),
+        )
+        with ClusterRouter([node]) as router:
+            for event in events[:6]:
+                assert router.submit(event).admitted
+            node.drain()  # two failing rounds open the breaker
+            assert router.health()["breaker_open_nodes"] == [0]
+            degraded = [router.submit(event) for event in events[6:]]
+            assert {result.status for result in degraded} == {"degraded"}
+            assert router.stats()["journal_depths"] == [6]
+            router.recover_node(0)
+            assert node.stats()["queue_depths"] == [6]
+            node.flush()
+            assert node.stats()["drained"] == 6

@@ -2,7 +2,8 @@
 
 Unit coverage of the result/sink value types plus their integration with the
 cluster: explicit admission outcomes, subscription delivery identical to the
-returned lists, per-shard subscription, throughput/stats surfacing and the
+returned lists (one shard's share selected by ``StreamDecision.shard_id``),
+the execution context deliveries run on, throughput/stats surfacing and the
 running → draining → closed lifecycle guards.  (The full delivery-order
 parity matrix lives with the cluster parity suite in ``test_cluster.py``.)
 """
@@ -18,6 +19,7 @@ from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
 from repro.serving import (
+    SUBMIT_STATUSES,
     AsyncQueueSink,
     BufferedSink,
     ClusterConfig,
@@ -25,8 +27,12 @@ from repro.serving import (
     DecisionSink,
     EngineConfig,
     FanOutSink,
+    FaultInjectingSink,
+    FaultInjector,
+    FaultSpec,
     ServingCluster,
     SubmitResult,
+    SupervisorConfig,
 )
 from repro.serving.cluster import StreamDecision
 from repro.serving.engine import Decision
@@ -91,6 +97,14 @@ class TestSubmitResult:
         with pytest.raises(ValueError, match="status"):
             SubmitResult(status="maybe", stream_id="s", shard_id=0)
 
+    @pytest.mark.parametrize("status", ["rejected", "shed"])
+    def test_full_queue_statuses_do_not_exist(self, status):
+        """A full queue is not an outcome (the submit serves a round, then
+        admits), so the statuses of the old overflow policies are unknown."""
+        assert status not in SUBMIT_STATUSES
+        with pytest.raises(ValueError, match=status):
+            SubmitResult(status=status, stream_id="s", shard_id=0)
+
 
 class TestConsumeSummary:
     def test_is_a_decision_list_with_counts(self):
@@ -110,6 +124,14 @@ class TestConsumeSummary:
         assert summary.submitted == 3 and summary.admitted == 2
         # list concatenation (the legacy idiom) still works
         assert len(summary + [fake_decision()]) == 2
+
+    def test_counts_cover_every_status_and_nothing_else(self):
+        summary = ConsumeSummary()
+        assert summary.counts == {status: 0 for status in SUBMIT_STATUSES}
+        for status in SUBMIT_STATUSES:
+            summary.record(SubmitResult(status=status, stream_id="s", shard_id=0))
+        assert summary.submitted == len(SUBMIT_STATUSES)
+        assert summary.admitted + summary.degraded == summary.submitted
 
 
 class TestSinkPrimitives:
@@ -301,6 +323,106 @@ class TestClusterDelivery:
             cluster.drain()
             assert cluster.stats()["drained"] == len(events)
 
+    def test_submit_statuses_cover_every_outcome(self, executor):
+        """``accepted`` while arrivals only queue, ``decided`` when a round
+        they fill emits, ``degraded`` once the shard's breaker is open."""
+        events = make_events(seed=21, count=80)
+        injector = FaultInjector()
+        with ServingCluster(
+            make_model(),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                batch_size=2,
+                supervision=SupervisorConfig(
+                    failure_threshold=1, backoff_base_s=30.0, backoff_max_s=30.0
+                ),
+                faults=injector,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            serving = [cluster.submit(event).status for event in events[:60]]
+            assert set(serving) == {"accepted", "decided"}
+            # From here every round fails; the first opens the breaker.
+            injector.add(FaultSpec(site="shard-round"))
+            failing = [cluster.submit(event) for event in events[60:]]
+            statuses = [result.status for result in failing]
+            first_degraded = statuses.index("degraded")
+            assert set(statuses[:first_degraded]) == {"accepted"}
+            assert set(statuses[first_degraded:]) == {"degraded"}
+            assert all(result.decisions == () for result in failing)
+            health = cluster.health()
+            assert health["failures"] == 1 and health["breaker_open"] == [0]
+            assert health["degraded_submits"] == len(statuses) - first_degraded
+            assert failing[-1].queue_depth == cluster.shards[0].queue_depth
+
+    def test_filtering_on_shard_id_selects_one_shards_deliveries(self, executor):
+        """Every subscriber subscribes to the cluster; a consumer that wants
+        one shard keeps the decisions whose ``shard_id`` names it, and gets
+        exactly that shard's share of the returned decisions, in order."""
+        events = make_events(seed=17)
+        with ServingCluster(
+            make_model(),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            sink = cluster.subscribe(BufferedSink())
+            returned = list(cluster.consume(events))
+            returned.extend(cluster.flush())
+            delivered = sink.take()
+        assert delivered == returned
+        for shard_id in (0, 1):
+            mine = [d for d in delivered if d.shard_id == shard_id]
+            assert mine, f"shard {shard_id} decided nothing"
+            assert all(cluster.shard_index(d.stream_id) == shard_id for d in mine)
+            assert mine == [d for d in returned if d.shard_id == shard_id]
+
+    def test_submission_rounds_publish_on_the_shards_context(self, executor):
+        """Rounds a submit triggers publish from the shard's execution
+        context: the caller's thread on the serial leg, the shard's pinned
+        worker on the thread leg — which is what keeps one stream's
+        deliveries in order under concurrent submitters."""
+
+        class PublishingThreads(DecisionSink):
+            def __init__(self):
+                self.by_shard = {}
+
+            def publish(self, decision):
+                self.by_shard.setdefault(decision.shard_id, set()).add(
+                    threading.get_ident()
+                )
+
+        events = make_events(seed=25)
+        with ServingCluster(
+            make_model(),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=2,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            sink = cluster.subscribe(PublishingThreads())
+            for event in events:
+                cluster.submit(event)
+            contexts = [
+                cluster._executor.run(shard_id, threading.get_ident) for shard_id in (0, 1)
+            ]
+        assert set(sink.by_shard) == {0, 1}
+        for shard_id, threads in sink.by_shard.items():
+            assert threads == {contexts[shard_id]}
+        if executor == "serial":
+            assert contexts == [threading.get_ident()] * 2
+        else:
+            assert threading.get_ident() not in contexts
+
 
 class TestClusterLifecycle:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
@@ -377,6 +499,35 @@ class TestClusterLifecycle:
         assert len(stats["shard_monitors"]) == 2
         assert sum(view["rounds"] for view in stats["shard_monitors"]) == stats["rounds"]
         assert sum(view["rows"] for view in stats["shard_monitors"]) == stats["drained"]
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_health_counts_each_subscriber_once(self, executor):
+        """Delivery health reads the cluster's one fan-out: two failing
+        subscribers are two quarantines of ``sink_quarantine_after`` errors
+        each, however many shards published to them, and the healthy
+        subscriber still sees every decision."""
+        injector = FaultInjector(specs=[FaultSpec(site="sink-publish")])
+        with ServingCluster(
+            make_model(),
+            SPEC,
+            ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=2,
+                engine=EngineConfig(window_items=7),
+            ),
+        ) as cluster:
+            healthy = cluster.subscribe(BufferedSink())
+            for _ in range(2):
+                cluster.subscribe(FaultInjectingSink(injector))
+            returned = list(cluster.consume(make_events(seed=27)))
+            returned.extend(cluster.flush())
+            health = cluster.health()
+            quarantine_after = cluster.config.supervision.sink_quarantine_after
+        assert {d.shard_id for d in returned} == {0, 1}
+        assert health["quarantined_sinks"] == 2
+        assert health["sink_publish_errors"] == 2 * quarantine_after
+        assert healthy.take() == returned
 
 
 class TestCustomSinkContract:

@@ -700,8 +700,10 @@ class TestCheckpointCopies:
 # --------------------------------------------------------------------- #
 # graceful degradation
 # --------------------------------------------------------------------- #
-def _breaker_open_cluster(clock=None, executor: str = "serial"):
-    """A 1-shard cluster whose breaker has been opened by injected faults."""
+def _breaker_open_cluster(clock=None, executor: str = "serial", max_queue: int = 1024):
+    """A 1-shard cluster whose breaker has been opened by injected faults.
+
+    Four arrivals stay queued (the failed rounds failed before dequeuing)."""
     model = make_model()
     # limit=2 exactly trips the threshold-2 breaker, then exhausts, so a
     # later half-open probe is able to succeed.
@@ -717,6 +719,7 @@ def _breaker_open_cluster(clock=None, executor: str = "serial"):
         **backend(executor),
         num_shards=1,
         batch_size=2,
+        max_queue=max_queue,
         auto_drain=False,
         supervision=supervision,
         faults=injector,
@@ -730,6 +733,33 @@ def _breaker_open_cluster(clock=None, executor: str = "serial"):
         cluster.drain()
     assert cluster.health()["breaker_open"] == [0]
     return cluster, injector, events[4:]
+
+
+def _one_shard_open_cluster(executor: str):
+    """A 2-shard cluster whose shard 0 breaker is open while shard 1 serves.
+
+    Shard 0 (stream-4, stream-5) keeps its queued arrivals; shard 1's were
+    drained.  Returns the cluster and a further batch of arrivals."""
+    injector = FaultInjector(specs=[FaultSpec(site="shard-round", shard_id=0, limit=2)])
+    config = ClusterConfig(
+        **backend(executor),
+        num_shards=2,
+        batch_size=2,
+        auto_drain=False,
+        supervision=SupervisorConfig(
+            failure_threshold=2, backoff_base_s=10.0, backoff_max_s=40.0
+        ),
+        faults=injector,
+        engine=engine_config(),
+    )
+    cluster = ServingCluster(make_model(), SPEC, config)
+    _, events = multi_stream_events(seed=22, num_events=60)
+    for event in events[:20]:
+        cluster.submit(event)
+    cluster.drain()  # shard 0's two failing rounds open its breaker
+    assert cluster.health()["breaker_open"] == [0]
+    assert cluster.shards[0].queue_depth > 0 and cluster.shards[1].queue_depth == 0
+    return cluster, events[20:]
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread"])
@@ -766,6 +796,81 @@ class TestGracefulDegradation:
         failures_before = cluster.health()["failures"]
         assert cluster.drain() == []  # skipped, not attempted-and-failed
         assert cluster.health()["failures"] == failures_before
+        cluster.close()
+
+    def test_full_queue_on_an_open_breaker_degrades_without_a_round(self, executor):
+        """Degradation is decided before capacity: on a full queue behind an
+        open breaker neither entry point serves a round to make room; both
+        answer ``degraded`` at once."""
+        cluster, _, events = _breaker_open_cluster(executor=executor, max_queue=4)
+        assert cluster.stats()["queue_depths"] == [4]
+        failures = cluster.health()["failures"]
+        assert cluster.submit(events[0]).status == "degraded"
+
+        async def through_the_gateway():
+            gateway = AsyncServingGateway(cluster=cluster)
+            try:
+                return await gateway.submit(events[1])
+            finally:
+                await gateway.close()
+
+        assert asyncio.run(through_the_gateway()).status == "degraded"
+        health = cluster.health()
+        assert health["failures"] == failures
+        assert health["degraded_submits"] == 2
+        assert cluster.stats()["queue_depths"] == [4]
+        assert cluster.stats()["rounds"] == 0
+        cluster.close()
+
+    def test_consume_tallies_degraded_and_serves_the_other_shard(self, executor):
+        """A bulk ingest keeps going past degraded arrivals: the summary
+        counts them, and the healthy shard's arrivals are admitted and
+        served."""
+        cluster, events = _one_shard_open_cluster(executor)
+        to_open_shard = sum(1 for event in events if cluster.shard_index(event.source) == 0)
+        assert 0 < to_open_shard < len(events)
+        summary = cluster.consume(events)
+        assert summary.submitted == len(events)
+        assert summary.degraded == to_open_shard
+        assert summary.admitted == len(events) - to_open_shard
+        assert cluster.health()["degraded_submits"] == to_open_shard
+        flushed = cluster.flush()
+        assert flushed and {d.shard_id for d in flushed} == {1}
+        assert cluster.shards[1].queue_depth == 0
+        cluster.close()
+
+    def test_serve_queued_skips_an_open_breaker(self, executor):
+        """The continuous-batching step runs rounds on the serving shard
+        only; the open shard's backlog waits and no failure is added."""
+        cluster, events = _one_shard_open_cluster(executor)
+        backlog = cluster.shards[0].queue_depth
+        failures = cluster.health()["failures"]
+        for event in events:
+            if cluster.shard_index(event.source) == 1:
+                cluster.submit(event)
+        assert cluster.shards[1].queue_depth > 0
+        while cluster.serve_queued():
+            assert cluster.shards[0].queue_depth == backlog
+        assert cluster.shards[1].queue_depth == 0
+        assert cluster.serve_queued() is False  # only the open shard holds arrivals
+        assert cluster.shards[0].queue_depth == backlog
+        assert cluster.health()["failures"] == failures
+        cluster.close()
+
+    def test_flush_stream_on_an_open_breaker_runs_nothing(self, executor):
+        cluster, _ = _one_shard_open_cluster(executor)
+        sink = cluster.subscribe(BufferedSink())
+        backlog = cluster.shards[0].queue_depth
+        failures = cluster.health()["failures"]
+        assert cluster.shard_index("stream-4") == 0
+        assert cluster.flush_stream("stream-4") == []
+        assert cluster.shards[0].queue_depth == backlog
+        assert cluster.health()["failures"] == failures
+        assert sink.take() == []
+        # The serving shard still flushes its streams.
+        flushed = cluster.flush_stream("stream-0")
+        assert flushed and {d.stream_id for d in flushed} == {"stream-0"}
+        assert sink.take() == flushed
         cluster.close()
 
 
@@ -834,6 +939,87 @@ class TestRoundDeadlines:
         health = cluster.health()
         assert health["deadline_abandons"] == 0
         assert health["failures"] == 0
+        cluster.close()
+
+    def test_a_siblings_progress_does_not_keep_a_wedged_shard_alive(self):
+        """Deadline progress is per shard: shard 1 completing rounds all the
+        while does not stop the wait on wedged shard 0 from giving up.  Were
+        shard 1's rounds counted, the wait would last until the wedge
+        resolved on its own and nothing would be abandoned."""
+        model = make_model()
+        _, events = multi_stream_events(seed=23, num_events=60)
+        injector = FaultInjector(
+            specs=[
+                FaultSpec(site="session-encode", action="delay", delay_s=1.2, shard_id=0, limit=1),
+                # Each of shard 1's rounds takes a while, so it keeps
+                # completing rounds until after shard 0's wedge resolves.
+                FaultSpec(site="shard-round", action="delay", delay_s=0.04, shard_id=1),
+            ]
+        )
+        config = ClusterConfig(
+            num_shards=2,
+            batch_size=1,
+            auto_drain=False,
+            executor="thread",
+            supervision=SupervisorConfig(
+                round_deadline_s=0.5,
+                checkpoint=CheckpointConfig(every_rounds=1),
+            ),
+            faults=injector,
+            engine=engine_config(),
+        )
+        cluster = ServingCluster(model, SPEC, config)
+        for event in events:
+            cluster.submit(event)
+        assert cluster.shards[1].queue_depth * 0.04 > 1.2
+        cluster.drain()
+        shards = cluster.health()["shards"]
+        assert shards[0]["deadline_abandons"] == 1
+        assert shards[1]["deadline_abandons"] == 0
+        assert shards[1]["failures"] == 0
+        assert cluster.shards[1].queue_depth == 0
+        # Shard 0's survivors are served on its replacement worker.
+        cluster.flush()
+        assert cluster.shards[0].queue_depth == 0
+        cluster.close()
+
+    def test_wedged_submission_round_is_abandoned(self):
+        """A round a submit triggers waits under the same deadline: the
+        submit returns long before the wedge resolves, and the shard goes on
+        serving on its replacement worker."""
+        model = make_model()
+        _, events = multi_stream_events(seed=24, num_events=40)
+        injector = FaultInjector(
+            specs=[FaultSpec(site="session-encode", action="delay", delay_s=1.5, shard_id=0, limit=1)]
+        )
+        config = ClusterConfig(
+            num_shards=1,
+            batch_size=2,
+            executor="thread",
+            supervision=SupervisorConfig(
+                round_deadline_s=0.2,
+                checkpoint=CheckpointConfig(every_rounds=1),
+            ),
+            faults=injector,
+            engine=engine_config(),
+        )
+        cluster = ServingCluster(model, SPEC, config)
+        slowest = 0.0
+        decided = []
+        for event in events:
+            start = time.perf_counter()
+            result = cluster.submit(event)
+            slowest = max(slowest, time.perf_counter() - start)
+            assert result.admitted
+            decided.extend(result.decisions)
+        assert slowest < 1.5  # the wedge was abandoned, not waited out
+        health = cluster.health()
+        assert health["deadline_abandons"] == 1
+        assert health["abandoned_workers"] == 1
+        assert health["lost_arrivals"] >= 1
+        assert decided, "the replacement worker should keep deciding"
+        cluster.flush()
+        assert cluster.shards[0].queue_depth == 0
         cluster.close()
 
     def test_abandoned_drain_loop_never_touches_recovered_state(self):
