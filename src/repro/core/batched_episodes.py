@@ -14,10 +14,14 @@ minibatch of B tangles together, and every training step runs through it
   first chunk holds rows ``[0, 16)``, and whenever the loop below reaches
   a row not encoded yet, the next chunk doubles the encoded length (capped
   at the padded length).  A chunk's queries attend to the keys and values
-  cached from the earlier chunks.  The losses read each episode only up to
-  its halt, and rows after the last halt cannot reach them through the
-  causal mask, so rows the loop never reaches are never embedded, encoded
-  or backpropagated.
+  cached from the earlier chunks.  Each chunk's inputs — coordinates,
+  correlation mask and, under rotary, phases and relative-bias rows — are
+  built for its rows only, from per-tangle column tables
+  (:class:`~repro.core.correlation.TangleColumns`) that a forward pass
+  extends as far as the chunk reaches.  The losses read each episode only
+  up to its halt, and rows after the last halt cannot reach them through
+  the causal mask, so rows the loop never reaches are never tabled,
+  embedded, encoded or backpropagated.
 * **Fusion/policy loop** — actions do matter here, so arrivals are walked
   round by round, but all ``B`` samples advance in lockstep: each round
   gathers the step-``t`` encoded rows of every episode still running, and
@@ -49,15 +53,16 @@ rounds.  No sample ever waits for another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.correlation import build_correlation_structure
+from repro.core.correlation import TangleColumns, correlated_pairs, correlation_mask
 from repro.core.ectl import ACTION_HALT, ACTION_WAIT
 from repro.core.model import EpisodeResult, KeyEpisode
 from repro.data.items import TangledSequence
-from repro.nn.attention import MASK_VALUE, rotary_phases
+from repro.nn.attention import rotary_phases
 from repro.nn.functional import softmax_array
 from repro.nn.tensor import Tensor
 
@@ -158,26 +163,24 @@ def run_episodes_batched(
     if any(length == 0 for length in lengths):
         raise ValueError("cannot run an episode on an empty tangled sequence")
     t_max = max(lengths)
-    padded = _pad_minibatch(model, tangles, lengths)
+    padded = _PaddedMinibatch(model, tangles, lengths)
 
     # Episodes in tangle-major, first-appearance order; each gets a global id.
     episodes_per: List[dict] = []
     episode_index: List[Tuple[int, object, KeyEpisode]] = []
     gid = {}
     undecided = [0] * batch
-    for i in range(batch):
+    for i, (tangle, length) in enumerate(zip(tangles, lengths)):
         episodes = {}
-        for index in range(lengths[i]):
-            key = tangles[i][index].key
-            if key not in episodes:
-                episode = KeyEpisode(
-                    key=key,
-                    label=tangles[i].label_of(key),
-                    sequence_length=tangles[i].sequence_length(key),
-                )
-                episodes[key] = episode
-                gid[(i, key)] = len(episode_index)
-                episode_index.append((i, key, episode))
+        for key in _prefix_keys(tangle, length):
+            episode = KeyEpisode(
+                key=key,
+                label=tangle.label_of(key),
+                sequence_length=tangle.sequence_length(key),
+            )
+            episodes[key] = episode
+            gid[(i, key)] = len(episode_index)
+            episode_index.append((i, key, episode))
         episodes_per.append(episodes)
         undecided[i] = len(episodes)
 
@@ -215,7 +218,7 @@ def run_episodes_batched(
         # Rows are read in order, so the chunk holding row t is the latest.
         while t >= encoded:
             start, encoded = encoded, _chunk_stop(encoded, t_max)
-            chunk = padded.encode(model, start, encoded, cache)
+            chunk = padded.encode(start, encoded, cache)
         # One gather per round: the step-t encoded rows of the live episodes.
         xs = chunk[(np.asarray(rows), t - start)]
         states = [slot_states.get((i, key), zero_state) for i, key, _ in sub]
@@ -301,91 +304,105 @@ def run_episodes_batched(
     return results, tail
 
 
+def _prefix_keys(tangle: TangledSequence, length: int) -> List[Hashable]:
+    """The keys of ``tangle[:length]`` in first-appearance order.
+
+    Items are read only until every key of the tangle has appeared.
+    """
+    seen: dict = {}
+    for item in islice(tangle.items, length):
+        seen.setdefault(item.key)
+        if len(seen) == tangle.num_keys:
+            break
+    return list(seen)
+
+
 def _chunk_stop(encoded: int, t_max: int) -> int:
     """End row of the causal chunk encoded after the first ``encoded`` rows."""
     return min(t_max, 2 * encoded if encoded else _FIRST_CHUNK)
 
 
-@dataclass
-class _PaddedMinibatch:
-    """A minibatch's encoder inputs, padded to ``t_max`` rows.
+class _ChunkInputs(NamedTuple):
+    """The encoder inputs of rows ``[start, stop)`` of a padded minibatch.
 
-    Built once at full length; :meth:`encode` embeds and encodes any causal
-    chunk of rows from slices of it.
+    ``L = stop - start`` rows of ``B`` tangles, each attending to the
+    columns ``[0, stop)``.
     """
 
     #: The :meth:`~repro.core.embeddings.InputEmbedding.embed_rows` indices:
-    #: field codes ``(num_fields, B, t_max)``, then membership, position and
-    #: time, each ``(B, t_max)``.
+    #: field codes ``(num_fields, B, L)``, then membership, position and
+    #: time, each ``(B, L)``.
     coordinates: Tuple[np.ndarray, ...]
-    mask: np.ndarray  # (B, t_max, t_max) additive correlation masks
-    phases: Optional[Tuple[np.ndarray, np.ndarray]] = None  # rotary (t_max, d_head)
-    delta: Optional[np.ndarray] = None  # rotary relative bias (B, t_max, t_max)
-    same: Optional[np.ndarray] = None
+    mask: np.ndarray  # (B, L, stop) additive correlation masks
+    phases: Optional[Tuple[np.ndarray, np.ndarray]]  # rotary (L, d_head)
+    delta: Optional[np.ndarray]  # rotary relative bias (B, L, stop)
+    same: Optional[np.ndarray]
 
-    def encode(self, model, start: int, stop: int, cache: dict) -> Tensor:
+
+class _PaddedMinibatch:
+    """A minibatch's encoder inputs, padded to ``t_max`` rows, built per chunk.
+
+    :meth:`inputs` builds only rows ``[start, stop)``, from column tables
+    (:class:`~repro.core.correlation.TangleColumns`) extended up to
+    ``stop`` and no further, so rows the round loop never reaches are
+    never tabled.  Padding rows gather embedding-table row 0 (their
+    outputs are never selected) and keep a visible diagonal so their
+    softmax stays finite.
+    """
+
+    def __init__(self, model, tangles: Sequence[TangledSequence], lengths: Sequence[int]) -> None:
+        self.model = model
+        self.table = TangleColumns(tangles, lengths)
+
+    def inputs(self, start: int, stop: int) -> _ChunkInputs:
+        """The inputs of rows ``[start, stop)``; rows are tabled up to ``stop``."""
+        config = self.model.config
+        attention = self.model.encoder.blocks[0].attention
+        table = self.table
+        table.extend(stop)
+        same_key, key_correlated, value_correlated = correlated_pairs(
+            table,
+            start,
+            stop,
+            use_key_correlation=config.use_key_correlation,
+            use_value_correlation=config.use_value_correlation,
+        )
+        phases = delta = same = None
+        if config.encoding == "rotary" and config.use_time_embeddings:
+            phases = rotary_phases(np.arange(start, stop, dtype=np.float64), attention.d_head)
+            if attention.rel_bias is not None:
+                live = table.live(0, stop)
+                pairs = live[:, start:, None] & live[:, None, :]
+                ranks = table.ranks[:, :stop]
+                delta = np.where(
+                    pairs,
+                    attention.clip_rank_delta(ranks[:, start:, None] - ranks[:, None, :]),
+                    0,
+                )
+                same = (same_key & pairs).astype(np.float64)
+        return _ChunkInputs(
+            coordinates=self.model.input_embedding.table_coordinates(table, start, stop),
+            mask=correlation_mask(key_correlated, value_correlated, start),
+            phases=phases,
+            delta=delta,
+            same=same,
+        )
+
+    def encode(self, start: int, stop: int, cache: dict) -> Tensor:
         """Encoded rows ``[start, stop)`` as a ``(B, stop - start, d)`` tensor.
 
         ``cache`` is the encoder's key/value cache holding rows
         ``[0, start)``; it gains the new rows.
         """
-        rows = slice(start, stop)
-        seen = (slice(None), rows, slice(0, stop))
-        embedded = model.input_embedding.embed_rows(
-            *(column[..., rows].reshape(column.shape[:-2] + (-1,)) for column in self.coordinates)
-        ).reshape(self.mask.shape[0], stop - start, -1)
-        return model.encoder.forward_batch(
+        inputs = self.inputs(start, stop)
+        embedded = self.model.input_embedding.embed_rows(
+            *(column.reshape(column.shape[:-2] + (-1,)) for column in inputs.coordinates)
+        ).reshape(inputs.mask.shape[0], stop - start, -1)
+        return self.model.encoder.forward_batch(
             embedded,
-            mask=self.mask[seen],
-            phases=None if self.phases is None else (self.phases[0][rows], self.phases[1][rows]),
-            delta=None if self.delta is None else self.delta[seen],
-            same=None if self.same is None else self.same[seen],
+            mask=inputs.mask,
+            phases=inputs.phases,
+            delta=inputs.delta,
+            same=inputs.same,
             cache=cache,
         )
-
-
-def _pad_minibatch(
-    model, tangles: Sequence[TangledSequence], lengths: Sequence[int]
-) -> _PaddedMinibatch:
-    """Stack each tangle's first ``lengths[i]`` rows of encoder inputs.
-
-    Padding rows gather embedding-table row 0 (their outputs are never
-    selected) and keep a visible diagonal so their softmax stays finite.
-    """
-    config = model.config
-    embedding = model.input_embedding
-    attention = model.encoder.blocks[0].attention
-    batch, t_max = len(tangles), max(lengths)
-    padded = _PaddedMinibatch(
-        coordinates=(
-            np.zeros((embedding.spec.num_fields, batch, t_max), dtype=int),
-            *(np.zeros((batch, t_max), dtype=int) for _ in range(3)),
-        ),
-        mask=np.full((batch, t_max, t_max), MASK_VALUE, dtype=np.float64),
-    )
-    padded.mask[:, np.arange(t_max), np.arange(t_max)] = 0.0
-    for i, (tangle, length) in enumerate(zip(tangles, lengths)):
-        for column, values in zip(padded.coordinates, embedding.coordinates(tangle, upto=length)):
-            column[..., i, :length] = values
-        padded.mask[i, :length, :length] = build_correlation_structure(
-            tangle,
-            upto=length,
-            use_key_correlation=config.use_key_correlation,
-            use_value_correlation=config.use_value_correlation,
-        ).mask
-
-    if config.encoding == "rotary" and config.use_time_embeddings:
-        padded.phases = rotary_phases(np.arange(t_max, dtype=np.float64), attention.d_head)
-        if attention.rel_bias is not None:
-            max_rel = attention.max_relative_positions
-            padded.delta = np.zeros((batch, t_max, t_max), dtype=int)
-            padded.same = np.zeros((batch, t_max, t_max), dtype=np.float64)
-            for i, (tangle, length) in enumerate(zip(tangles, lengths)):
-                rel = model.relative_coords(tangle, length)
-                padded.delta[i, :length, :length] = np.clip(
-                    rel.key_ranks[:, None] - rel.key_ranks[None, :], 0, max_rel - 1
-                )
-                padded.same[i, :length, :length] = (
-                    rel.key_codes[:, None] == rel.key_codes[None, :]
-                ).astype(np.float64)
-    return padded

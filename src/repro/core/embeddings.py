@@ -101,11 +101,12 @@ class InputEmbedding(Module):
 
         Returns ``(field_codes, membership, positions, times)`` where
         ``field_codes`` is ``(num_fields, T)`` and the rest are ``(T,)`` int
-        arrays — exactly the rows :meth:`forward` gathers, so callers that
-        slice these per arrival (the batched-episode runner) index the same
-        table rows as the full-matrix embed.  Under the rotary scheme the
-        position/time columns stay zero: those signals live on the attention
-        side and the membership index is the key's stable hash slot.
+        arrays — exactly the rows :meth:`forward` gathers;
+        :meth:`table_coordinates` gives the same indices for a range of rows
+        of several tangles (the batched-episode runner's chunks).  Under the
+        rotary scheme the position/time columns stay zero: those signals
+        live on the attention side and the membership index is the key's
+        stable hash slot.
         """
         length = tangle.prefix_length(upto)
         if length == 0:
@@ -126,6 +127,30 @@ class InputEmbedding(Module):
                 self.max_positions - 1,
             )
             times = np.minimum(np.arange(length), self.max_time - 1)
+        return field_codes, membership, positions, times
+
+    def table_coordinates(self, table, start: int, stop: int):
+        """:meth:`coordinates` of rows ``[start, stop)`` of several tangles.
+
+        ``table`` is a :class:`~repro.core.correlation.TangleColumns` tabled
+        up to ``stop``.  Returns field codes ``(num_fields, B, L)`` and
+        membership, position and time ``(B, L)`` for ``L = stop - start``:
+        row ``i`` of each is tangle ``i``'s slice of :meth:`coordinates`,
+        and rows past a tangle's length read 0.
+        """
+        rows = np.arange(start, stop)
+        live = table.live(start, stop)
+        field_codes = table.field_codes(start, stop)
+        if self.encoding == "rotary":
+            membership = np.zeros(live.shape, dtype=int)
+            for i, tangle in enumerate(table.tangles):
+                slots = np.array([self.key_slot(key) for key in tangle.keys], dtype=int)
+                membership[i] = np.where(live[i], slots[table.codes[i, start:stop]], 0)
+            unused = np.zeros(live.shape, dtype=int)
+            return field_codes, membership, unused, unused
+        membership = np.minimum(table.codes[:, start:stop], self.max_keys - 1)
+        positions = np.minimum(table.ranks[:, start:stop], self.max_positions - 1)
+        times = np.where(live, np.minimum(rows, self.max_time - 1), 0)
         return field_codes, membership, positions, times
 
     def embed_rows(

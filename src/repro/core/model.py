@@ -223,9 +223,10 @@ class KVEC(Module):
         """Run one episode per tangle, executing the minibatch in lockstep.
 
         The training path: one GEMM per layer and arrival round across the
-        whole minibatch.  The padded minibatch is encoded in causal chunks
-        on demand (rows ``[0, 16)`` first, then doubling), so rows after
-        the last episode halts are never encoded or backpropagated.
+        whole minibatch.  The padded minibatch's inputs are built and
+        encoded in causal chunks on demand (rows ``[0, 16)`` first, then
+        doubling), so rows after the last episode halts are never built,
+        encoded or backpropagated.
         ``mode="sample"`` draws Halt/Wait from one RNG per tangle;
         ``"greedy"`` halts at ``halt_threshold``.  Returns
         ``(results, tail)``; see

@@ -1172,10 +1172,12 @@ class ServingCluster:
         its emissions there before it returns.  The wait is the supervised
         one of :meth:`_await_shard_job`: a round that makes no progress for
         ``round_deadline_s`` is abandoned and its shard recovered, and a
-        failure is absorbed by the shard's supervisor.  A ``shard_id``
-        outside ``[0, num_shards)`` raises :class:`IndexError` before
-        anything runs.
+        failure is absorbed by the shard's supervisor.  A closed cluster
+        raises :class:`RuntimeError`, and a ``shard_id`` outside
+        ``[0, num_shards)`` raises :class:`IndexError`, both before anything
+        runs.
         """
+        self._require_open("serve_shard")
         if not 0 <= shard_id < len(self.shards):
             raise IndexError(
                 f"shard id {shard_id} is outside [0, {len(self.shards)})"

@@ -20,10 +20,12 @@ The serving layer is split into three composable tiers:
   a persistent thread pool with every shard pinned to one worker — which is
   why a session may assume single-threaded access to its own state.
 * Push-based delivery on top (:mod:`repro.serving.results`,
-  :mod:`repro.serving.sinks`, :mod:`repro.serving.gateway`,
-  :mod:`repro.serving.aio`) — explicit per-submission admission outcomes,
-  sink subscriptions that receive every decision in emission order, per-
-  stream handles with per-key decision futures, and an asyncio gateway.
+  :mod:`repro.serving.sinks`, :mod:`repro.serving.aio`) — explicit
+  per-submission admission outcomes, sink subscriptions that receive every
+  decision in emission order, and the asyncio
+  :class:`~repro.serving.aio.AsyncServingGateway`, whose ``decisions()``
+  iterator streams every decision and whose ``result()`` is a future of one
+  key's decision.
   Sessions are oblivious to all of it: decisions leave a session as return
   values and the upper layers fan them out.
 

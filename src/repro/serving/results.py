@@ -77,11 +77,6 @@ class SubmitResult:
         """Whether the arrival entered its shard's queue."""
         return self.status in ("accepted", "decided")
 
-    @property
-    def dropped(self) -> bool:
-        """Whether admission discarded the arrival (a breaker-open shard)."""
-        return self.status == "degraded"
-
 
 class ConsumeSummary(List["StreamDecision"]):
     """Every decision a bulk ingest emitted, plus per-status admission counts.

@@ -11,9 +11,10 @@ replaced as the parity suite's reference, and is not collected by pytest:
   the classifier;
 * the per-tangle loss assembly of Algorithm 1.
 
-The rotary inputs are built from ``rotary_phases`` and
+The mask is the full-length reference of ``tests/core/input_oracle.py``
+and the rotary inputs are built from ``rotary_phases`` and
 ``MultiHeadAttention._relative_bias_inputs``, independently of the runner's
-own padded construction.
+own per-chunk construction.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from typing import Dict, Hashable, List, Sequence
 
 import numpy as np
 
-from repro.core.correlation import build_correlation_structure
 from repro.core.ectl import ACTION_HALT, ACTION_WAIT
 from repro.core.model import EpisodeResult, KeyEpisode
 from repro.nn import functional as F
 from repro.nn.attention import rotary_phases
 from repro.nn.tensor import Tensor
+from tests.core.input_oracle import reference_correlation_structure
 
 LOSS_PARTS = ("classification_loss", "policy_loss", "earliness_loss", "baseline_loss")
 
@@ -36,7 +37,7 @@ def encode(model, tangle):
     """The ``(T, d_model)`` one-shot encode of ``tangle``."""
     length = len(tangle)
     d_model = model.config.d_model
-    structure = build_correlation_structure(
+    structure = reference_correlation_structure(
         tangle,
         use_key_correlation=model.config.use_key_correlation,
         use_value_correlation=model.config.use_value_correlation,

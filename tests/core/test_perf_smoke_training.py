@@ -1,7 +1,7 @@
 """Perf smoke: batched training must beat one call per tangle 2x at B=16,
 the fused attention node must beat the composite chain it replaced, and
-the runner's causal-chunk encode must cost at most 1.25x one full-length
-encode when every chunk runs.
+the runner's causal-chunk input build and encode must cost at most 1.25x
+one full-length build and encode when every chunk runs.
 
 Deselected by default (see ``pytest.ini``); run with ``pytest -m perf_smoke``.
 In the training gate, one lockstep ``batched_episode_losses`` call per
@@ -88,21 +88,25 @@ def test_fused_attention_at_most_0_7x_composite():
 
 
 #: Pairs of the chunked-encode gate.  A full-length encode in the runner's
-#: chunks (16, 32, 64, then the rest up to t_max = 76) read 0.97-1.06x the
-#: one-shot encode on a 2-core x86-64 host; re-encoding the whole prefix at
-#: every growth step, with no key/value cache, read 2.15-2.32x.
+#: chunks (16, 32, 64, then the rest up to t_max = 76) read 1.05-1.07x the
+#: one-shot leg on a 2-core x86-64 host, each leg building its inputs too
+#: (0.97-1.06x when only embed and encode were timed); re-encoding the
+#: whole prefix at every growth step, with no key/value cache, read
+#: 2.15-2.32x.
 CHUNKED_PAIRS = 30
 CHUNKED_RATIO_GATE = 1.25
 
 
-def _encode_step_seconds(model, padded, upstream, stops) -> float:
-    """Embed + encode forward and backward over chunks ending at ``stops``."""
+def _encode_step_seconds(model, tangles, lengths, upstream, stops) -> float:
+    """Build inputs, embed and encode, forward and backward, over chunks
+    ending at ``stops``."""
     model.zero_grad()
     start = time.perf_counter()
+    padded = batched_episodes._PaddedMinibatch(model, tangles, lengths)
     cache: dict = {}
     loss, begin = None, 0
     for stop in stops:
-        chunk = padded.encode(model, begin, stop, cache)
+        chunk = padded.encode(begin, stop, cache)
         term = (chunk * Tensor(upstream[:, begin:stop])).sum()
         loss = term if loss is None else loss + term
         begin = stop
@@ -112,11 +116,13 @@ def _encode_step_seconds(model, padded, upstream, stops) -> float:
 
 def test_chunked_encode_at_most_1_25x_one_shot():
     """Encoding every row in the runner's causal chunks costs at most 1.25x
-    one full-length encode, forward plus backward, at the ``train_batched``
-    shape: B=16 tangles of concurrency-2 USTC-TFC2016 flows (t_max 76)
-    with their real correlation masks, the default absolute-encoding
-    model.  This is the never-halting worst case of on-demand chunking:
-    the key/value cache must keep the chunks from re-encoding the prefix.
+    one full-length encode at the ``train_batched`` shape: B=16 tangles of
+    concurrency-2 USTC-TFC2016 flows (t_max 76) with their real
+    correlation masks, the default absolute-encoding model.  Each leg
+    builds its inputs (column tables, masks, coordinates), embeds and
+    encodes, forward plus backward.  This is the never-halting worst case
+    of on-demand chunking: the key/value cache must keep the chunks from
+    re-encoding the prefix, and the column tables from rescanning it.
     Both legs run in 30 interleaved pairs (alternating which goes first).
     """
     dataset = make_ustc_tfc2016(num_flows=200, seed=GATE_SEED)
@@ -131,7 +137,6 @@ def test_chunked_encode_at_most_1_25x_one_shot():
     )
     lengths = [len(tangle) for tangle in tangles]
     t_max = max(lengths)
-    padded = batched_episodes._pad_minibatch(model, tangles, lengths)
     upstream = np.random.default_rng(GATE_SEED).standard_normal(
         (len(tangles), t_max, model.config.d_model)
     )
@@ -140,10 +145,12 @@ def test_chunked_encode_at_most_1_25x_one_shot():
     times = {name: [] for name in stops}
     order = list(stops)
     for name in order:  # warm-up
-        _encode_step_seconds(model, padded, upstream, stops[name])
+        _encode_step_seconds(model, tangles, lengths, upstream, stops[name])
     for pair in range(CHUNKED_PAIRS):
         for name in order if pair % 2 == 0 else order[::-1]:
-            times[name].append(_encode_step_seconds(model, padded, upstream, stops[name]))
+            times[name].append(
+                _encode_step_seconds(model, tangles, lengths, upstream, stops[name])
+            )
     one_shot, chunked = (float(np.median(times[name])) for name in order)
     assert chunked <= CHUNKED_RATIO_GATE * one_shot, {
         "stops": stops["chunked"],

@@ -196,7 +196,7 @@ def run_chaos(seed: int, executor: str):
                     )
                 )
         result = cluster.submit(event)
-        if result.dropped:
+        if not result.admitted:
             unadmitted.append((event.source, event))
         got.extend(result.decisions)
         if rng.random() < 0.05:

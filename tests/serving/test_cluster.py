@@ -411,6 +411,25 @@ class TestAdmissionControl:
             assert sink.take() == []
             assert cluster.stats()["rounds"] == 0
 
+    def test_serve_shard_on_a_closed_cluster_raises_before_anything_runs(self, executor):
+        """``serve_shard`` checks the lifecycle as ``drain`` does: on a
+        closed cluster it raises, leaves the queue as it was and publishes
+        nothing."""
+        cluster = ServingCluster(
+            make_model("rotary"),
+            SPEC,
+            ClusterConfig(**backend(executor), num_shards=1, auto_drain=False),
+        )
+        sink = cluster.subscribe(BufferedSink())
+        for position in range(10):
+            cluster.submit(self._event(position))
+        cluster.close()
+        with pytest.raises(RuntimeError, match="cannot serve_shard: cluster is closed"):
+            cluster.serve_shard(0)
+        assert cluster.stats()["queue_depths"] == [10]
+        assert cluster.stats()["rounds"] == 0
+        assert sink.take() == []
+
     def test_auto_drain_keeps_queues_below_batch_size(self, executor):
         with ServingCluster(
             make_model("rotary"),

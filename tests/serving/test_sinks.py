@@ -91,9 +91,9 @@ def fake_decision(stream_id="s", key="k", position=0) -> StreamDecision:
 class TestSubmitResult:
     def test_statuses_and_predicates(self):
         accepted = SubmitResult(status="accepted", stream_id="s", shard_id=0)
-        assert accepted.admitted and not accepted.dropped
+        assert accepted.admitted
         degraded = SubmitResult(status="degraded", stream_id="s", shard_id=0)
-        assert degraded.dropped and not degraded.admitted
+        assert not degraded.admitted
         with pytest.raises(ValueError, match="status"):
             SubmitResult(status="maybe", stream_id="s", shard_id=0)
 

@@ -768,7 +768,7 @@ class TestGracefulDegradation:
         cluster, _, events = _breaker_open_cluster(executor=executor)
         result = cluster.submit(events[0])
         assert result.status == "degraded"
-        assert result.dropped and not result.admitted
+        assert not result.admitted
         assert result.decisions == ()
         assert cluster.health()["degraded_submits"] == 1
         cluster.close()
