@@ -36,8 +36,7 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   and one gateway-owned round thread serves every queued arrival in its
   shard's next round (continuous batching), ``async for decision in
   gateway.decisions()``, per-key ``gateway.result(stream, key)`` futures
-  resolved at emission, ``await gateway.flush_stream(stream)``, and
-  awaitable backpressure via bounded decision buffering,
+  resolved at emission, and ``await gateway.flush_stream(stream)``,
 * :mod:`~repro.serving.monitoring` — running accuracy/earliness/latency
   aggregation plus sliding-window throughput meters, mergeable across
   shards into a cluster-level view
@@ -48,9 +47,8 @@ the serving-side counterpart, layered session → shard → cluster → gateway:
   automatic bit-for-bit crash recovery from the last checkpoint, a
   closed → open → half-open :class:`~repro.serving.supervisor.CircuitBreaker`
   per shard with graceful degradation (``status="degraded"``
-  submissions), round deadlines that
-  abandon wedged workers instead of hanging ``drain()``, and quarantine of
-  persistently failing sinks — all observable through
+  submissions), and quarantine of persistently failing sinks — all
+  observable through
   ``ServingCluster.stats()["health"]`` and all deterministically testable
   with the seeded :class:`~repro.serving.faults.FaultInjector`
   (``ClusterConfig.faults``),
@@ -112,7 +110,6 @@ from repro.serving.monitoring import (
     ThroughputMeter,
 )
 from repro.serving.parallel import (
-    AbandonedJobError,
     JobHandle,
     SerialExecutor,
     ShardExecutor,
@@ -181,7 +178,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "JobHandle",
-    "AbandonedJobError",
     "ArrivalSimulator",
     "SimulatorConfig",
     "MultiStreamConfig",

@@ -24,15 +24,12 @@ loop never runs a drain round:
   gateway-driven round is driven from that thread: the serial backend runs
   it there; with ``executor="thread"`` the step dispatches every queued
   shard's round to its pinned worker before awaiting any, so shards'
-  rounds overlap, and a round that makes no progress for the supervision
-  config's ``round_deadline_s`` is abandoned and its shard recovered, as
-  in a cluster drain.
+  rounds overlap.
 * ``async for decision in gateway.decisions()`` — every emitted decision in
   publication order, read from the gateway's decision history (an iterator
-  that starts late replays it first).  With ``max_buffered=n`` a
-  publishing thread waits while a live iterator is more than ``n``
-  decisions behind — end-to-end backpressure from the consumer into the
-  serving layer.
+  that starts late replays it first).  Publishing never waits on a reader;
+  the HTTP push stream bounds each consumer with its own bounded
+  :class:`~repro.serving.sinks.AsyncQueueSink`.
 * ``gateway.result(stream_id, key)`` — an :class:`asyncio.Future` resolved
   on the loop when that key's decision is emitted, kept by the gateway's
   first-emission :class:`DecisionRegistry`.
@@ -58,7 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from typing import AsyncIterator, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -70,10 +66,6 @@ from repro.serving.results import SubmitResult
 from repro.serving.sinks import DecisionSink
 
 __all__ = ["AsyncServingGateway"]
-
-#: How long a publisher waits on a lagging bounded ``decisions()`` iterator
-#: before that iterator stops throttling (it still reads every decision).
-_STALL_TIMEOUT_S = 30.0
 
 
 class DecisionRegistry:
@@ -187,19 +179,12 @@ class _OpGate:
 
 
 class _Feed:
-    """One ``decisions()`` iterator's read position in the history.
+    """One ``decisions()`` iterator's read position in the history."""
 
-    ``live_from`` is the history length when the iterator started: the
-    replayed backlog before it never throttles publishers.  ``throttles``
-    turns False once a publisher gave up waiting on this iterator.
-    """
+    __slots__ = ("position", "wake")
 
-    __slots__ = ("position", "live_from", "throttles", "wake")
-
-    def __init__(self, live_from: int) -> None:
+    def __init__(self) -> None:
         self.position = 0
-        self.live_from = live_from
-        self.throttles = True
         self.wake = asyncio.Event()
 
 
@@ -212,27 +197,15 @@ class _RegistrySink(DecisionSink):
     iterators read the history itself from a position registered under
     that lock: an iterator that starts while a batch is in flight sees the
     batch exactly once, whichever side of its start the append lands on.
-
-    Backpressure (``max_buffered > 0``): after the append, a publisher on a
-    non-loop thread waits while a live iterator lags more than
-    ``max_buffered`` decisions behind.  The wait is a condition wait, which
-    releases the lock, so an iterator starting or reading on the loop never
-    blocks on a waiting publisher; after :data:`_STALL_TIMEOUT_S` the
-    publisher gives up, and the stalled iterator stops throttling but still
-    reads every decision.
+    Publishers never wait on readers.
     """
 
     def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        registry: DecisionRegistry,
-        max_buffered: int,
+        self, loop: asyncio.AbstractEventLoop, registry: DecisionRegistry
     ) -> None:
         self._loop = loop
-        self._loop_thread = threading.get_ident()
         self._registry = registry
-        self._max_buffered = max_buffered
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         #: Every decision delivered through the gateway, in delivery order.
         self._history: List[StreamDecision] = []
         self._feeds: List[_Feed] = []
@@ -246,32 +219,11 @@ class _RegistrySink(DecisionSink):
             # Drop-don't-crash guard: an abandoned gateway whose loop is
             # gone must not break the serving layer.
             return
-        with self._cond:
+        with self._lock:
             if self.closed:
                 return
             self._history.extend(decisions)
             self._loop.call_soon_threadsafe(self._deliver, list(decisions))
-            if self._max_buffered and threading.get_ident() != self._loop_thread:
-                self._wait_for_readers()
-
-    def _wait_for_readers(self) -> None:
-        """Condition-wait while a live iterator lags past ``max_buffered``."""
-        deadline = time.monotonic() + _STALL_TIMEOUT_S
-        while not self.closed:
-            lagging = [
-                feed
-                for feed in self._feeds
-                if feed.throttles
-                and len(self._history) - max(feed.position, feed.live_from)
-                > self._max_buffered
-            ]
-            remaining = deadline - time.monotonic()
-            if lagging and remaining <= 0:
-                for feed in lagging:
-                    feed.throttles = False
-            if not lagging or remaining <= 0:
-                return
-            self._cond.wait(remaining)
 
     def _deliver(self, decisions: List[StreamDecision]) -> None:
         """Loop side of one published batch: futures, then iterator wake-ups."""
@@ -281,41 +233,33 @@ class _RegistrySink(DecisionSink):
             feed.wake.set()
 
     def open_feed(self) -> _Feed:
-        with self._cond:
-            feed = _Feed(live_from=len(self._history))
+        with self._lock:
+            feed = _Feed()
             self._feeds.append(feed)
         return feed
 
     def read(self, feed: _Feed) -> Optional[StreamDecision]:
         """The feed's next decision, or ``None`` once it has read them all."""
-        with self._cond:
+        with self._lock:
             if feed.position == len(self._history):
                 return None
             decision = self._history[feed.position]
             feed.position += 1
-            self._cond.notify_all()
         return decision
 
     def close_feed(self, feed: _Feed) -> None:
-        with self._cond:
+        with self._lock:
             if feed in self._feeds:
                 self._feeds.remove(feed)
-                self._cond.notify_all()
 
     @property
     def num_feeds(self) -> int:
         return len(self._feeds)
 
-    def buffered(self) -> int:
-        """Decisions published but not yet read, summed over iterators."""
-        with self._cond:
-            return sum(len(self._history) - feed.position for feed in self._feeds)
-
     def close(self) -> None:
         """Stop taking decisions; iterators end once they have read the history."""
-        with self._cond:
+        with self._lock:
             self.closed = True
-            self._cond.notify_all()
         for feed in self._feeds:
             feed.wake.set()
 
@@ -336,7 +280,6 @@ class AsyncServingGateway:
         config: Optional[ClusterConfig] = None,
         *,
         cluster: Optional[ServingCluster] = None,
-        max_buffered: int = 0,
     ) -> None:
         if cluster is None:
             if model is None or spec is None:
@@ -352,10 +295,7 @@ class AsyncServingGateway:
                     "pass either cluster= or model/spec/config, not both"
                 )
             self._owns_cluster = False
-        if max_buffered < 0:
-            raise ValueError("max_buffered must be >= 0 (0 = unbounded)")
         self._cluster = cluster
-        self._max_buffered = max_buffered
         self._state = "running"
         # Everything below is created at loop binding.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -379,7 +319,7 @@ class AsyncServingGateway:
             self._loop = loop
             self._gate = _OpGate()
             self._registry = DecisionRegistry()
-            self._sink = _RegistrySink(loop, self._registry, self._max_buffered)
+            self._sink = _RegistrySink(loop, self._registry)
             self._cluster.subscribe(self._sink)
             self._rounds = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="gateway-rounds"
@@ -570,11 +510,9 @@ class AsyncServingGateway:
         after ``close()`` still sees everything.  An iterator ends once the
         gateway has closed and it has read the history.
 
-        With ``max_buffered`` set, a publishing thread waits while a live
-        iterator lags (that is the backpressure); an iterator that stops —
-        task cancelled, iterator dropped and garbage-collected, client
-        disconnected — is detached in the generator's ``finally``, so an
-        abandoned stream never throttles the serving layer.
+        An iterator that stops — task cancelled, iterator dropped and
+        garbage-collected, client disconnected — is detached in the
+        generator's ``finally``.
         """
         self._bind()
         sink = self._sink
@@ -598,7 +536,6 @@ class AsyncServingGateway:
         stats["pending_futures"] = 0 if self._registry is None else self._registry.pending_count
         stats["resolved_keys"] = 0 if self._registry is None else self._registry.resolved_count
         stats["decision_streams"] = 0 if self._sink is None else self._sink.num_feeds
-        stats["buffered_decisions"] = 0 if self._sink is None else self._sink.buffered()
         return stats
 
     def health(self) -> Dict[str, object]:

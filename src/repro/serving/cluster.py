@@ -41,10 +41,9 @@ decision sequence is identical to the serial backend's, which the parity
 suite pins.  Submission-path rounds (``auto_drain`` triggers, full-queue
 backpressure and the async gateway's continuous-batching steps,
 :meth:`~ServingCluster.serve_shard` / :meth:`~ServingCluster.serve_queued`)
-are dispatched to the owning shard's pinned worker and waited on under the
-same round deadline as the fan-outs, so session state never crosses
-threads even on the submit path.  Every round is at most ``batch_size``
-arrivals wide on either backend.
+are dispatched to the owning shard's pinned worker and waited on like the
+fan-outs, so session state never crosses threads even on the submit path.
+Every round is at most ``batch_size`` arrivals wide on either backend.
 
 Push-based delivery (:mod:`repro.serving.results`,
 :mod:`repro.serving.sinks`): :meth:`ServingCluster.submit` returns a
@@ -66,11 +65,11 @@ Fault tolerance (:mod:`repro.serving.supervisor`,
 (shard-granular deep copies sharing the model, plus an admission journal),
 automatic crash recovery (an exception escaping a drain round restores the
 last checkpoint and requeues every journaled arrival except the dead
-round's), a circuit breaker whose open state degrades submissions
-(``status="degraded"``, not admitted) instead of failing them, and
-progress-aware round deadlines that abandon a wedged worker (thread
-backend) rather than hang ``drain()``.  Sink subscribers are
-fault-isolated and quarantined after consecutive publish failures.
+round's), and a circuit breaker whose open state degrades submissions
+(``status="degraded"``, not admitted) instead of failing them.  A round
+that wedges without raising is waited for, on either backend.  Sink
+subscribers are fault-isolated and quarantined after consecutive publish
+failures.
 ``stats()["health"]`` (or :meth:`ServingCluster.health`) reports all of it.
 ``ClusterConfig.faults`` accepts a seeded
 :class:`~repro.serving.faults.FaultInjector` so every one of these paths is
@@ -122,14 +121,13 @@ from repro.core.embeddings import stable_key_slot
 from repro.core.incremental import append_batch
 from repro.data.items import ValueSpec
 from repro.data.stream import StreamEvent
-from repro.serving.engine import Decision, EngineConfig, StreamSession
+from repro.serving.engine import Decision, EngineConfig, StreamSession, require_ints
 from repro.serving.faults import FaultInjector
 from repro.serving.monitoring import ShardMonitor, ThroughputMeter
 from repro.serving.results import ConsumeSummary, SubmitResult
 from repro.serving.sinks import DecisionSink, FanOutSink
 from repro.serving.supervisor import ShardSupervisor, SupervisorConfig
 from repro.serving.parallel import (
-    AbandonedJobError,
     JobHandle,
     ShardExecutor,
     make_executor,
@@ -193,10 +191,9 @@ class ClusterConfig:
         flush / expire rounds concurrently across shards.
     supervision:
         Fault-tolerance knobs (:class:`~repro.serving.supervisor.SupervisorConfig`):
-        per-shard checkpoint cadence, round deadlines, circuit-breaker
-        thresholds and backoff, and sink quarantine.  Every cluster is
-        supervised; the defaults checkpoint every 64 rounds and never
-        preempt (no deadline).
+        per-shard checkpoint cadence, circuit-breaker thresholds and
+        backoff, and sink quarantine.  Every cluster is supervised; the
+        defaults checkpoint every 64 rounds.
     faults:
         Optional :class:`~repro.serving.faults.FaultInjector` wired into the
         serving boundaries — testing/chaos only; ``None`` (default) injects
@@ -216,13 +213,10 @@ class ClusterConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
-        # bool is an int subclass: True would pass every check below as 1.
-        for name in ("num_shards", "batch_size", "max_queue"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an int, not a bool")
+        require_ints(self, "num_shards", "batch_size", "max_queue")
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if not isinstance(self.batch_size, int) or self.batch_size <= 0:
+        if self.batch_size <= 0:
             raise ValueError("batch_size must be a positive int")
         if self.max_queue <= 0:
             raise ValueError("max_queue must be positive")
@@ -520,11 +514,10 @@ class ShardWorker:
 
         Sessions, counters and the monitor are replaced with fresh deep
         copies of the checkpoint (the checkpoint itself stays pristine and
-        reusable — and an abandoned worker still wedged in the dead round
+        reusable — and a round still running under the pre-recovery epoch
         holds references only to the orphaned pre-restore sessions; its
         late-bound reads of the live attributes are fenced off by the epoch
-        gates in :meth:`_drain_round` and the abandoned-context checks in
-        the drain/flush/expire loop bodies).  The arrival queue is
+        gates in :meth:`_drain_round`).  The arrival queue is
         rebuilt as ``checkpoint queue + journal − lost`` — every admission
         the checkpoint predates is replayed except the entries the dead
         round had already consumed, each removed once by value.  Returns the
@@ -592,21 +585,13 @@ class ShardWorker:
         restores the last checkpoint and requeues everything except those
         lost arrivals — and the caller sees an empty emission list instead
         of the exception.  Reports carry the epoch the round started under,
-        so a stale worker finishing after an abandonment cannot corrupt the
-        recovered state's bookkeeping, and a round whose report is stale
-        also yields no emissions (they were computed against replaced
-        state).
-
-        Staleness ordering: the epoch is read *before* the abandoned-context
-        check, so an abandoned-check that passes guarantees the epoch
-        predates any in-flight abandonment's recovery — a zombie thread
-        slipping past the check still reports (and gates its bookkeeping)
-        under the pre-recovery epoch and is dropped.
+        so a round that finishes after a recovery or a cluster restore
+        replaced the shard's state cannot corrupt the new state's
+        bookkeeping, and a round whose report is stale also yields no
+        emissions (they were computed against replaced state).
         """
         sup = self.supervisor
         epoch = sup.epoch
-        if self._executor.current_context_abandoned():
-            return []  # zombie context: the replacement worker owns the shard
         try:
             emitted = self._drain_round(epoch)
         except Exception as error:
@@ -672,7 +657,7 @@ class ShardWorker:
         Drains this shard alone and publishes the emitted batch to the
         cluster's subscribers before returning.
         :meth:`ServingCluster.drain` instead fans out to every shard under
-        the supervised deadline wait and publishes the stable-ordered merge.
+        the supervised wait and publishes the stable-ordered merge.
         """
         emitted = self._run_pinned(self._drain_inline)
         self._publish(emitted)
@@ -685,21 +670,10 @@ class ShardWorker:
         requeues a failed round's surviving arrivals, so without the gate a
         persistently failing shard would loop forever); the backlog then
         waits for a later drain's half-open probe.
-
-        Zombie containment: a loop running on a worker thread the executor
-        has *abandoned* (deadline abandonment replaced it) exits before the
-        next round instead of re-entering the live queue — its wedged round
-        ends under a bumped epoch, but without this check the loop would
-        re-read ``queue_depth`` (non-empty after recovery requeued the
-        survivors) and drain the shard concurrently with the replacement
-        worker under the post-recovery epoch.
         """
         emitted: List[StreamDecision] = []
         sup = self.supervisor
-        executor = self._executor
         while self.queue_depth:
-            if executor.current_context_abandoned():
-                break
             if not sup.allow_round():
                 break
             emitted.extend(self._supervised_round())
@@ -718,13 +692,13 @@ class ShardWorker:
         cross-stream batch.
 
         ``epoch`` is the supervisor epoch the round started under (read by
-        the supervised caller).  The round is epoch-gated at its two
-        wedge-able boundaries: after the pre-dequeue
-        fault site (a round abandoned while wedged there returns before
-        touching the restored queue) and before the bookkeeping tail (an
-        abandoned round that already did its work mutates only the orphaned
-        pre-recovery sessions — the live counters, monitor and lost-entry
-        tracking stay untouched).
+        the supervised caller).  A waiter-side recovery or a cluster
+        restore bumps the epoch while the round runs, so the round is
+        epoch-gated at its two slow boundaries: after the pre-dequeue fault
+        site (a round outrun there returns before touching the new queue)
+        and before the bookkeeping tail (a round outrun mid-encode has
+        mutated only the orphaned pre-restore sessions — the live counters,
+        monitor and lost-entry tracking stay untouched).
         """
         start = time.perf_counter()
         sup = self.supervisor
@@ -732,8 +706,8 @@ class ShardWorker:
         # arrivals consumed (recovery has an empty lost set).
         self._fire_fault("shard-round")
         if sup.epoch != epoch:
-            # Abandoned during the pre-dequeue wedge: the queue now belongs
-            # to the replacement worker — consume nothing.
+            # The shard's state was replaced during the pre-dequeue
+            # boundary: the queue is the new state's — consume nothing.
             return []
         self._round_entries = []
         width = self.config.batch_size
@@ -754,17 +728,20 @@ class ShardWorker:
         if not round_entries:
             return []
         self._round_entries = round_entries
-        emitted = self._serve_entries(round_entries)
+        emitted, batched_rows = self._serve_entries(round_entries)
 
         if sup.epoch != epoch:
-            # Abandoned mid-round: the sessions above were the orphaned
-            # pre-recovery copies (harmless), but ``drained``, the monitor
+            # Outrun mid-round: the sessions above were the orphaned
+            # pre-restore copies (harmless), but the counters, the monitor
             # and ``_round_entries`` are the *live* restored objects — a
-            # stale tail mutating them would corrupt the replacement
-            # worker's bookkeeping (and clearing ``_round_entries`` could
-            # erase a concurrently running round's lost-entry tracking).
+            # stale tail mutating them would corrupt the new state's
+            # bookkeeping (and clearing ``_round_entries`` could erase a
+            # later round's lost-entry tracking).
             return []
         self.drained += len(round_entries)
+        if batched_rows:
+            self.batch_rounds += 1
+            self.batched_rows += batched_rows
         self._round_entries = []
 
         elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -773,13 +750,16 @@ class ShardWorker:
 
     def _serve_entries(
         self, round_entries: List[Tuple[Hashable, StreamEvent]]
-    ) -> List[StreamDecision]:
+    ) -> Tuple[List[StreamDecision], int]:
         """Serve one round's dequeued arrivals against the live sessions.
 
         Two or more encodable rows run as one cross-stream batch with one
         batched halt product.  A lone row keeps the per-row path: its halt
         probability comes from the single-row product, which a one-row
-        batched product can round differently.
+        batched product can round differently.  Returns the emitted
+        decisions and the number of rows encoded as one batch (0 when the
+        round had no batch); the caller counts them only once the round
+        has passed its epoch gate.
         """
         staged = [
             (stream_id, event, self.session(stream_id))
@@ -804,26 +784,34 @@ class ShardWorker:
             )
             for (session, _), probability in zip(appendable, probabilities):
                 session._note_appended_row(probability)
-            self.batch_rounds += 1
-            self.batched_rows += len(appendable)
+            batched_rows = len(appendable)
         else:
             for session, event in appendable:
                 session._append_to_cache(event)
+            batched_rows = 0
 
         emitted: List[StreamDecision] = []
         for stream_id, _, session in staged:
             for decision in session._complete_offer():
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
-        return emitted
+        return emitted, batched_rows
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def _flush_inline(self) -> List[StreamDecision]:
-        """Drain, then force-decide every session's undecided keys."""
+        """Drain, then force-decide every session's undecided keys.
+
+        When the drain leaves arrivals queued (the breaker opened and
+        stopped it), deciding keys now would decide on a prefix of their
+        stream, so the flush returns only the drain's decisions; a later
+        flush after the half-open probe decides them.
+        :meth:`_flush_stream_inline` and :meth:`_expire_inline` do the
+        same.
+        """
         emitted = self._drain_inline()
-        if self._executor.current_context_abandoned():
-            return emitted  # zombie: self.sessions is the replacement's now
+        if self.queue_depth:
+            return emitted
         for stream_id, session in self.sessions.items():
             for decision in session.flush():
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
@@ -838,8 +826,8 @@ class ShardWorker:
         stream's flush decisions.
         """
         emitted = self._drain_inline()
-        if self._executor.current_context_abandoned():
-            return emitted  # zombie: self.sessions is the replacement's now
+        if self.queue_depth:
+            return emitted
         session = self.sessions.get(stream_id)
         if session is not None:
             for decision in session.flush():
@@ -849,8 +837,8 @@ class ShardWorker:
     def _expire_inline(self, now: Optional[float] = None) -> List[StreamDecision]:
         """Drain, then apply idle-timeout expiry to every session."""
         emitted = self._drain_inline()
-        if self._executor.current_context_abandoned():
-            return emitted  # zombie: self.sessions is the replacement's now
+        if self.queue_depth:
+            return emitted
         for stream_id, session in self.sessions.items():
             for decision in session.expire(now):
                 emitted.append(StreamDecision(stream_id, self.shard_id, decision))
@@ -1169,13 +1157,11 @@ class ServingCluster:
 
         The round runs with shard affinity (inline for the serial backend,
         on the shard's pinned worker for the thread backend) and publishes
-        its emissions there before it returns.  The wait is the supervised
-        one of :meth:`_await_shard_job`: a round that makes no progress for
-        ``round_deadline_s`` is abandoned and its shard recovered, and a
-        failure is absorbed by the shard's supervisor.  A closed cluster
-        raises :class:`RuntimeError`, and a ``shard_id`` outside
-        ``[0, num_shards)`` raises :class:`IndexError`, both before anything
-        runs.
+        its emissions there before it returns.  The wait is
+        :meth:`_await_shard_job`'s, so a failure is absorbed by the shard's
+        supervisor.  A closed cluster raises :class:`RuntimeError`, and a
+        ``shard_id`` outside ``[0, num_shards)`` raises :class:`IndexError`,
+        both before anything runs.
         """
         self._require_open("serve_shard")
         if not 0 <= shard_id < len(self.shards):
@@ -1193,9 +1179,8 @@ class ServingCluster:
         The async gateway's continuous-batching step.  Each queued shard
         whose breaker allows a round gets one round, published and awaited
         as in :meth:`serve_shard`; every round is dispatched before any is
-        awaited, so under the thread backend the shards' rounds overlap and
-        a wedged one is abandoned after ``round_deadline_s`` while the
-        others complete.  A closed cluster runs nothing.
+        awaited, so under the thread backend the shards' rounds overlap.  A
+        closed cluster runs nothing.
         """
         if self._state == "closed":
             return False
@@ -1237,12 +1222,7 @@ class ServingCluster:
 
         Supervision: shards whose breaker is open are skipped (their list
         is empty — graceful degradation instead of certain failure).  Each
-        dispatched job is awaited with the configured round deadline; a job
-        that raises outside a round's own handling (flush/expire faults,
-        executor-job injection) feeds the shard's failure path, and a job
-        making no progress for a full deadline window is abandoned — its
-        worker replaced, the shard recovered from its checkpoint — so a
-        drain call never blocks past its deadline on a wedged shard.
+        dispatched job is awaited by :meth:`_await_shard_job`.
         """
         jobs: List[Optional[JobHandle]] = []
         for shard, fn in zip(self.shards, fns):
@@ -1267,46 +1247,17 @@ class ServingCluster:
         return fn()
 
     def _await_shard_job(self, shard: ShardWorker, job: JobHandle) -> List[StreamDecision]:
-        """Wait for a shard job (a fan-out job or one round) — deadline-aware
-        and failure-absorbing.
+        """Wait for a shard job (a fan-out job or one round); absorb its failure.
 
-        Progress-aware deadline: the wait only gives up after a window of
-        ``round_deadline_s`` in which the shard completed no round (its
-        supervisor's ``rounds_completed`` did not move), so a busy shard
-        legitimately churning through a deep backlog is never abandoned
-        mid-burn.  Abandonment replaces the wedged worker
-        (:meth:`~repro.serving.parallel.ThreadExecutor.abandon`) and
-        recovers the shard; the wedged thread's eventual round report is
-        rejected by the supervisor's epoch guard.  A job the abandonment
-        dropped *unrun* from the shard's queue
-        (:class:`~repro.serving.parallel.AbandonedJobError`) touched no
-        state and is simply resubmitted to the replacement worker — never
-        forwarded without a waiter, so an orphaned job can never consume
-        arrivals unobserved.  Inline (serial) jobs complete before the
-        handle comes back, so the deadline branch only ever runs under the
-        thread executor.
+        A job that raises outside a round's own handling (flush/expire
+        faults, executor-job injection) feeds the shard's failure path and
+        yields no decisions.  The wait has no deadline: a wedged round
+        blocks its waiter, on either backend.
         """
-        sup = shard.supervisor
-        deadline = self.config.supervision.round_deadline_s
-        while True:
-            while not job.done.is_set():
-                progress = sup.rounds_completed
-                if job.done.wait(deadline):
-                    break
-                if sup.rounds_completed != progress:
-                    continue  # rounds are completing; the job is just large
-                self._executor.abandon(shard.shard_id)
-                sup.on_deadline_abandon(deadline, shard._take_round_entries())
-                return []
-            if isinstance(job.error, AbandonedJobError):
-                # Queued behind a wedged job of the same shard and dropped
-                # when another waiter's deadline replaced the worker; it
-                # never ran.
-                job = self._executor.submit(shard.shard_id, job.fn)
-                continue
-            break
+        job.done.wait()
         if job.error is not None:
             if isinstance(job.error, Exception):
+                sup = shard.supervisor
                 sup.on_round_failure(job.error, sup.epoch, shard._take_round_entries())
                 return []
             raise job.error  # KeyboardInterrupt and friends propagate
@@ -1473,8 +1424,8 @@ class ServingCluster:
     def health(self) -> Dict[str, object]:
         """The cluster's fault-tolerance view (also ``stats()["health"]``).
 
-        Per-shard supervisor snapshots (breaker state, failure / restore /
-        abandon counters, checkpoint cadence position, lost arrivals) plus
+        Per-shard supervisor snapshots (breaker state, failure / restore
+        counters, checkpoint cadence position, lost arrivals) plus
         cluster-wide totals, sink quarantine counts and executor thread
         accounting.  Everything here is telemetry: reading it never touches
         serving state.
@@ -1490,13 +1441,11 @@ class ServingCluster:
             ],
             "failures": sum(health["failures"] for health in shard_health),
             "restores": sum(health["restores"] for health in shard_health),
-            "deadline_abandons": sum(health["deadline_abandons"] for health in shard_health),
             "degraded_submits": sum(health["degraded_submits"] for health in shard_health),
             "lost_arrivals": sum(health["lost_arrivals"] for health in shard_health),
             "checkpoints": sum(health["checkpoints"] for health in shard_health),
             "quarantined_sinks": delivery["quarantined"],
             "sink_publish_errors": delivery["publish_errors"],
-            "abandoned_workers": getattr(self._executor, "abandoned_workers", 0),
             "leaked_workers": getattr(self._executor, "leaked_workers", 0),
         }
 

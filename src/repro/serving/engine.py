@@ -119,6 +119,20 @@ from repro.data.items import TangledSequence, ValueSpec
 from repro.data.stream import KeyTracker, SlidingWindow, StreamEvent
 
 
+def require_ints(config: object, *names: str) -> None:
+    """Raise ``ValueError`` naming the field unless each named field of
+    ``config`` holds an ``int`` that is not a ``bool``.
+
+    The type check every serving config runs on its counts, before its own
+    range checks: ``True`` would otherwise pass as 1, and a float such as
+    2.5 would size a window or set a cadence.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+
+
 @dataclass
 class EngineConfig:
     """Serving-time configuration of the online engine.
@@ -150,6 +164,7 @@ class EngineConfig:
     mode: str = "incremental"
 
     def __post_init__(self) -> None:
+        require_ints(self, "window_items", "reencode_every")
         if self.window_items <= 0:
             raise ValueError("window_items must be positive")
         if not 0.0 < self.halt_threshold <= 1.0:

@@ -45,10 +45,10 @@ Actions
     design: any exception escaping a round means the shard's state can no
     longer be trusted, so both flavours recover from the last checkpoint.
 ``"delay"``
-    Sleep for ``delay_s`` and continue.  Under the thread executor this is
-    how a *wedged* worker is simulated: a delay longer than the supervisor's
-    round deadline makes the caller abandon the round (and replace the
-    pinned worker) instead of hanging the cluster.
+    Sleep for ``delay_s`` and continue: a slow round, which its caller
+    waits for on either backend.  Under the thread executor it also holds
+    the shard's pinned worker, so a test can act from another thread (a
+    cluster restore, say) while the round is in flight.
 
 Determinism
 -----------

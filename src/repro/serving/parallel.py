@@ -20,7 +20,10 @@ module supplies the pieces that turn "sharded" into "scales with cores":
     per-session locking.  Because numpy releases the GIL inside its
     GEMM/attention kernels, draining several shards concurrently overlaps
     their BLAS time on real cores — but every shard's *Python* bookkeeping
-    still serialises on the one interpreter.
+    still serialises on the one interpreter.  A job that wedges blocks its
+    waiter, as it does inline; only :meth:`ThreadExecutor.close` is
+    bounded, by its join timeout, and it counts the workers that outlive
+    it (``leaked_workers``).
 
   Determinism: the cluster's fan-out
   (:meth:`~repro.serving.cluster.ServingCluster._fan_out`) submits one job
@@ -44,13 +47,12 @@ import math
 import os
 import threading
 import warnings
-from queue import Empty, SimpleQueue
+from queue import SimpleQueue
 from typing import Callable, List, Optional, TypeVar
 
 T = TypeVar("T")
 
 __all__ = [
-    "AbandonedJobError",
     "ShardExecutor",
     "SerialExecutor",
     "ThreadExecutor",
@@ -58,19 +60,6 @@ __all__ = [
     "make_executor",
     "available_cpus",
 ]
-
-
-class AbandonedJobError(RuntimeError):
-    """A queued job's worker was replaced before the job started running.
-
-    :meth:`ThreadExecutor.abandon` completes every job still *queued* behind
-    the wedged one with this error instead of forwarding it to the
-    replacement worker — a forwarded job could otherwise run with no one
-    awaiting its handle and consume work unobserved.  Because the job never
-    started, no state was touched: the waiter may safely resubmit it to the
-    replacement (:meth:`ThreadExecutor.run` retries transparently; the
-    cluster's supervised fan-out resubmits the shard job).
-    """
 
 
 class ShardExecutor:
@@ -85,28 +74,10 @@ class ShardExecutor:
 
         The supervised-fan-out primitive: unlike :meth:`run` the caller gets
         the handle back immediately (inline backends complete it before
-        returning) and can wait with a deadline instead of forever.
+        returning), so it can dispatch every shard's job before it waits on
+        any.
         """
         raise NotImplementedError
-
-    def abandon(self, shard_index: int) -> bool:
-        """Give up on the shard's current execution context, if possible.
-
-        Returns True when the backend actually replaced the shard's worker
-        (see :meth:`ThreadExecutor.abandon`).  Inline backends cannot preempt
-        the calling thread and return False.
-        """
-        return False
-
-    def current_context_abandoned(self) -> bool:
-        """Whether the *calling thread* is a worker :meth:`abandon` replaced.
-
-        The cancellation signal for long-running jobs: a looping job (e.g. a
-        shard drain) checks this each iteration and exits as soon as its
-        thread has been abandoned, instead of racing the replacement worker
-        for the shard's live state.  Inline backends are never abandoned.
-        """
-        return False
 
     def close(self) -> None:
         """Release worker resources.  Idempotent."""
@@ -121,19 +92,14 @@ class ShardExecutor:
 class JobHandle:
     """One dispatched callable plus its completion signal and outcome.
 
-    ``started`` is set when a worker begins executing the callable (a job
-    dropped by :meth:`ThreadExecutor.abandon` completes without ever
-    starting); ``done`` is set exactly once, after which ``result`` or
-    ``error`` holds the outcome; ``wait()`` blocks for completion and
-    re-raises the error.  Deadline-aware callers use ``done.wait(timeout)``
-    and read the outcome themselves.
+    ``done`` is set exactly once, after which ``result`` or ``error`` holds
+    the outcome; ``wait()`` blocks for completion and re-raises the error.
     """
 
-    __slots__ = ("fn", "started", "done", "result", "error")
+    __slots__ = ("fn", "done", "result", "error")
 
     def __init__(self, fn: Callable[[], object]) -> None:
         self.fn = fn
-        self.started = threading.Event()
         self.done = threading.Event()
         self.result: object = None
         self.error: Optional[BaseException] = None
@@ -148,7 +114,6 @@ class JobHandle:
 def _run_inline(fn: Callable[[], T]) -> JobHandle:
     """Run ``fn`` on the calling thread; returns its completed handle."""
     job = JobHandle(fn)
-    job.started.set()
     try:
         job.result = fn()
     except BaseException as error:
@@ -165,12 +130,7 @@ class SerialExecutor(ShardExecutor):
         return fn()
 
     def submit(self, shard_index: int, fn: Callable[[], T]) -> JobHandle:
-        """Run inline and hand back an already-completed handle.
-
-        A wedged ``fn`` blocks right here on the caller's own thread — the
-        serial backend cannot preempt itself, which is why supervisor round
-        deadlines are only enforced preemptively under ``executor="thread"``.
-        """
+        """Run inline and hand back an already-completed handle."""
         return _run_inline(fn)
 
 
@@ -190,19 +150,13 @@ class ThreadExecutor(ShardExecutor):
     back into its cluster).
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        name_prefix: str = "shard-worker",
-        join_timeout: float = 5.0,
-    ) -> None:
+    def __init__(self, num_shards: int, join_timeout: float = 5.0) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if join_timeout <= 0:
             raise ValueError("join_timeout must be positive")
         self.num_shards = num_shards
         self.join_timeout = join_timeout
-        self._name_prefix = name_prefix
         self._queues: List[SimpleQueue] = [SimpleQueue() for _ in range(num_shards)]
         self._threads: List[threading.Thread] = []
         self._closed = False
@@ -210,18 +164,14 @@ class ThreadExecutor(ShardExecutor):
         #: lock, so a job can never be enqueued behind the shutdown sentinel
         #: (which would hang its waiter forever instead of raising).
         self._state_lock = threading.Lock()
-        #: Workers replaced by :meth:`abandon`, kept for the close() join.
-        self._abandoned: List[threading.Thread] = []
-        #: Lifetime count of :meth:`abandon` replacements.
-        self.abandoned_workers = 0
-        #: Workers (live or abandoned) that outlived the close() join
-        #: timeout — a non-zero count means close() leaked threads.
+        #: Workers that outlived the close() join timeout — a non-zero count
+        #: means close() leaked threads.
         self.leaked_workers = 0
         for index in range(num_shards):
             thread = threading.Thread(
                 target=self._worker_loop,
                 args=(self._queues[index],),
-                name=f"{name_prefix}-{index}",
+                name=f"shard-worker-{index}",
                 daemon=True,
             )
             thread.start()
@@ -236,7 +186,6 @@ class ThreadExecutor(ShardExecutor):
             job = queue.get()
             if job is None:
                 return
-            job.started.set()
             try:
                 job.result = job.fn()
             except BaseException as error:  # propagated to the waiter
@@ -267,76 +216,7 @@ class ThreadExecutor(ShardExecutor):
         return job
 
     def run(self, shard_index: int, fn: Callable[[], T]) -> T:
-        while True:
-            try:
-                return self.submit(shard_index, fn).wait()  # type: ignore[return-value]
-            except AbandonedJobError:
-                # The queued job was dropped unrun when its worker was
-                # replaced mid-wait; retry on the replacement.
-                continue
-
-    def abandon(self, shard_index: int) -> bool:
-        """Replace the shard's pinned worker thread, abandoning its current
-        job.
-
-        The supervisor's deadline-enforcement primitive: when a drain round
-        wedges, waiting longer will not finish it and the thread cannot be
-        killed — so the shard gets a **new** queue and a **new** thread,
-        jobs still queued behind the wedged one are completed with
-        :class:`AbandonedJobError` (dropped unrun — never forwarded, so an
-        orphaned job can never run with no one awaiting it; waiters
-        resubmit), and the old thread is left to finish (or sleep) in the
-        background.  It receives a shutdown sentinel as its next item, so if
-        the wedged job ever returns, the thread exits instead of consuming
-        further work; until then it may still mutate whatever state its job
-        held — which is why the supervisor pairs every abandon with a
-        checkpoint restore that swaps in fresh state objects and bumps the
-        shard's epoch, and why looping jobs must poll
-        :meth:`current_context_abandoned` between iterations (late-bound
-        attribute reads would otherwise let the zombie reach the freshly
-        restored live objects).
-
-        Returns True (a replacement was installed) unless the executor is
-        already closed.
-        """
-        with self._state_lock:
-            if self._closed:
-                return False
-            old_queue = self._queues[shard_index]
-            old_thread = self._threads[shard_index]
-            new_queue: SimpleQueue = SimpleQueue()
-            # Drop jobs queued behind the wedged one (their waiters see
-            # AbandonedJobError and resubmit), then lay the sentinel so the
-            # old thread exits if it ever comes back.
-            while True:
-                try:
-                    item = old_queue.get_nowait()
-                except Empty:
-                    break
-                if item is not None:
-                    item.error = AbandonedJobError(
-                        f"worker {shard_index} was abandoned before this queued "
-                        f"job ran; resubmit it to the replacement worker"
-                    )
-                    item.done.set()
-            old_queue.put(None)
-            replacement = threading.Thread(
-                target=self._worker_loop,
-                args=(new_queue,),
-                name=f"{self._name_prefix}-{shard_index}-r{self.abandoned_workers}",
-                daemon=True,
-            )
-            self._queues[shard_index] = new_queue
-            self._threads[shard_index] = replacement
-            self._abandoned.append(old_thread)
-            self.abandoned_workers += 1
-            replacement.start()
-        return True
-
-    def current_context_abandoned(self) -> bool:
-        current = threading.current_thread()
-        with self._state_lock:
-            return any(thread is current for thread in self._abandoned)
+        return self.submit(shard_index, fn).wait()  # type: ignore[return-value]
 
     def close(self) -> None:
         with self._state_lock:
@@ -345,9 +225,8 @@ class ThreadExecutor(ShardExecutor):
             self._closed = True
             for queue in self._queues:
                 queue.put(None)
-            threads = list(self._threads) + list(self._abandoned)
         leaked = 0
-        for thread in threads:
+        for thread in self._threads:
             thread.join(timeout=self.join_timeout)
             if thread.is_alive():
                 leaked += 1

@@ -75,6 +75,10 @@ __all__ = [
     "AsyncQueueSink",
 ]
 
+#: How long a bounded :class:`AsyncQueueSink` publish may stay blocked on a
+#: full queue before it raises instead of hanging the publishing thread.
+PUT_TIMEOUT_S = 30.0
+
 
 class DecisionSink:
     """Delivery target for pushed decisions (the subscription contract).
@@ -295,22 +299,14 @@ class AsyncQueueSink(DecisionSink):
       room: *backpressure propagates to the serving layer*.  A bounded sink
       therefore requires a concurrently running consumer task; publishing
       from the loop thread itself would deadlock on a full queue and is
-      rejected, and a publish that stays blocked longer than ``put_timeout``
-      seconds (consumer task died or stopped consuming) raises instead of
-      hanging the shard worker forever.
+      rejected, and a publish that stays blocked longer than
+      :data:`PUT_TIMEOUT_S` (consumer task died or stopped consuming) raises
+      instead of hanging the shard worker forever.
     """
 
-    def __init__(
-        self,
-        queue: "asyncio.Queue",
-        loop: asyncio.AbstractEventLoop,
-        put_timeout: Optional[float] = 30.0,
-    ) -> None:
-        if put_timeout is not None and put_timeout <= 0:
-            raise ValueError("put_timeout must be positive (or None to wait forever)")
+    def __init__(self, queue: "asyncio.Queue", loop: asyncio.AbstractEventLoop) -> None:
         self._queue = queue
         self._loop = loop
-        self._put_timeout = put_timeout
         self._closed = False
 
     @property
@@ -342,14 +338,14 @@ class AsyncQueueSink(DecisionSink):
             )
         future = asyncio.run_coroutine_threadsafe(self._queue.put(decision), self._loop)
         try:
-            future.result(timeout=self._put_timeout)
+            future.result(timeout=PUT_TIMEOUT_S)
         # concurrent.futures.TimeoutError: an alias of the builtin only
         # since 3.11 — name the futures flavour so older runtimes match too.
         except concurrent.futures.TimeoutError:
             future.cancel()
             raise RuntimeError(
                 f"bounded AsyncQueueSink publish stalled for "
-                f"{self._put_timeout}s — the consumer task is not draining "
+                f"{PUT_TIMEOUT_S}s — the consumer task is not draining "
                 f"the decision queue (dead or stopped consuming)"
             ) from None
 

@@ -2,9 +2,8 @@
 
 The cluster's shards are exact and parallel but — before this module —
 brittle: an exception escaping a drain round propagated to the caller with
-the shard's sessions half-mutated, a wedged round blocked ``drain()``
-forever, and snapshots were manual whole-cluster operations.  This module
-supplies the fault-tolerance layer:
+the shard's sessions half-mutated, and snapshots were manual whole-cluster
+operations.  This module supplies the fault-tolerance layer:
 
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
   machine, per shard.  Consecutive round failures open the breaker; while
@@ -35,27 +34,17 @@ supplies the fault-tolerance layer:
   never-crashed reference bit-for-bit — the recovery-parity leg of the
   parity matrix pins this under both executor backends.
 
-* Round deadlines — the cluster's supervised fan-out waits on each shard
-  job with a progress-aware deadline (``SupervisorConfig.round_deadline_s``):
-  as long as rounds keep completing the wait continues, but a round that
-  makes no progress for a full deadline window is *abandoned* — counted
-  here, the wedged worker thread replaced
-  (:meth:`~repro.serving.parallel.ThreadExecutor.abandon`), and the shard
-  recovered from its checkpoint.  Preemptive abandonment needs the thread
-  executor (a wedged inline round cannot be preempted from its own thread);
-  the serial backend treats deadlines as diagnostic only.
+A round that wedges (sleeps or blocks without raising) is waited for: its
+caller blocks on either backend, and ``ThreadExecutor.close`` bounds only
+shutdown, with its join timeout.
 
-Epochs: every recovery bumps :attr:`ShardSupervisor.epoch`.  Worker-side
-round reports carry the epoch they started under, so a replaced (abandoned)
-worker that eventually finishes its wedged round cannot corrupt the
-recovered state's bookkeeping — its stale report is counted and dropped,
-and the round's own bookkeeping tail (counters, monitor, lost-entry
-tracking) is epoch-gated inside the shard so the zombie thread never
-mutates the freshly restored objects.  Containment is two-layered: a
-*looping* job on an abandoned thread (a shard drain) additionally polls
-:meth:`~repro.serving.parallel.ThreadExecutor.current_context_abandoned`
-between rounds and exits rather than re-entering the live queue under the
-post-recovery epoch.
+Epochs: every recovery and every cluster-level restore bumps
+:attr:`ShardSupervisor.epoch`.  Worker-side round reports carry the epoch
+they started under, so a round still running when a waiter-side recovery or
+a :meth:`~repro.serving.cluster.ServingCluster.restore` replaced the shard's
+state cannot corrupt the new state's bookkeeping — its stale report is
+counted and dropped, and the round's own bookkeeping tail (counters,
+monitor, lost-entry tracking) is epoch-gated inside the shard.
 
 The supervisor holds no references into :mod:`repro.serving.cluster`
 machinery beyond the shard object it supervises (state capture/restore are
@@ -70,6 +59,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.serving.engine import require_ints
 from repro.serving.monitoring import Log2Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
@@ -115,6 +105,7 @@ class CheckpointConfig:
     every_rounds: int = 64
 
     def __post_init__(self) -> None:
+        require_ints(self, "every_rounds")
         if self.every_rounds < 0:
             raise ValueError("every_rounds must be >= 0 (0 disables)")
 
@@ -127,11 +118,6 @@ class SupervisorConfig:
     ----------
     checkpoint:
         Periodic checkpoint cadence (:class:`CheckpointConfig`).
-    round_deadline_s:
-        Progress deadline of supervised fan-out waits: a shard round that
-        completes no work for this long is abandoned and the shard
-        recovered.  ``None`` (default) waits forever — the pre-supervision
-        behaviour.  Enforced preemptively only under ``executor="thread"``.
     failure_threshold:
         Consecutive round failures that open the shard's breaker.
     backoff_base_s / backoff_factor / backoff_max_s:
@@ -149,7 +135,6 @@ class SupervisorConfig:
     """
 
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
-    round_deadline_s: Optional[float] = None
     failure_threshold: int = 3
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
@@ -158,8 +143,7 @@ class SupervisorConfig:
     clock: Callable[[], float] = time.monotonic
 
     def __post_init__(self) -> None:
-        if self.round_deadline_s is not None and self.round_deadline_s <= 0:
-            raise ValueError("round_deadline_s must be positive (or None)")
+        require_ints(self, "failure_threshold", "sink_quarantine_after")
         if self.failure_threshold <= 0:
             raise ValueError("failure_threshold must be positive")
         if self.backoff_base_s <= 0:
@@ -252,13 +236,12 @@ class ShardSupervisor:
         self.breaker = CircuitBreaker(config)
         #: Bumped on every recovery; stale worker reports are dropped by it.
         self.epoch = 0
-        #: Monotonic successful-round count — the fan-out's progress signal.
-        #: Never rewound by recovery (it measures work, not state).
+        #: Monotonic successful-round count.  Never rewound by recovery (it
+        #: measures work, not state).
         self.rounds_completed = 0
         self._rounds_since_checkpoint = 0
         self.failures = 0
         self.restores = 0
-        self.deadline_abandons = 0
         self.checkpoints = 0
         self.stale_reports = 0
         self.degraded_submits = 0
@@ -324,22 +307,6 @@ class ShardSupervisor:
             self._recover_locked(lost)
 
     # ------------------------------------------------------------------ #
-    # deadline abandonment (caller side, authoritative)
-    # ------------------------------------------------------------------ #
-    def on_deadline_abandon(self, deadline_s: float, lost: List[_Entry]) -> None:
-        """A round made no progress for a full deadline window and was
-        abandoned (its worker replaced); recover the shard."""
-        with self._lock:
-            self.deadline_abandons += 1
-            self.failures += 1
-            self.last_error = (
-                f"TimeoutError: drain round abandoned after {deadline_s}s "
-                f"without progress"
-            )
-            self.breaker.record_failure()
-            self._recover_locked(lost)
-
-    # ------------------------------------------------------------------ #
     # checkpointing / recovery
     # ------------------------------------------------------------------ #
     def checkpoint_now(self) -> None:
@@ -394,7 +361,6 @@ class ShardSupervisor:
                 "breaker_opens": self.breaker.opens,
                 "failures": self.failures,
                 "restores": self.restores,
-                "deadline_abandons": self.deadline_abandons,
                 "degraded_submits": self.degraded_submits,
                 "checkpoints": self.checkpoints,
                 "rounds_since_checkpoint": self._rounds_since_checkpoint,

@@ -27,11 +27,8 @@ from repro.serving import (
     ClusterConfig,
     DecisionSink,
     EngineConfig,
-    FaultInjector,
-    FaultSpec,
     OnlineClassificationEngine,
     ServingCluster,
-    SupervisorConfig,
 )
 from repro.serving.cluster import ShardWorker
 from tests.serving.backends import backend
@@ -243,7 +240,9 @@ class TestAsyncFuturesAndBackpressure:
         assert never.cancelled()
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_bounded_buffer_applies_backpressure_without_loss(self, executor):
+    def test_slow_consumer_reads_every_decision_in_order(self, executor):
+        """A consumer that yields after every decision still reads every
+        published decision, in publication order."""
         model = make_model()
         streams, events = multi_stream_events(seed=17, num_events=150)
 
@@ -251,7 +250,7 @@ class TestAsyncFuturesAndBackpressure:
             config = ClusterConfig(
                 **backend(executor), num_shards=2, batch_size=4, engine=engine_config()
             )
-            gateway = AsyncServingGateway(model, SPEC, config, max_buffered=4)
+            gateway = AsyncServingGateway(model, SPEC, config)
             pushed = []
 
             async def consume():
@@ -266,7 +265,6 @@ class TestAsyncFuturesAndBackpressure:
                 await asyncio.sleep(0)
             await gateway.close()
             await consumer
-            assert gateway.stats()["buffered_decisions"] == 0
             return sink.take(), pushed
 
         published, pushed = asyncio.run(scenario())
@@ -274,19 +272,14 @@ class TestAsyncFuturesAndBackpressure:
         assert pushed == published  # nothing lost, order preserved
 
     def test_abandoned_decision_iterator_unsubscribes_its_sink(self):
-        """A vanished decisions() consumer must not throttle the gateway.
-
-        Regression test: each iterator owns a bounded AsyncQueueSink; if the
-        consumer disappears without draining, the sink has to be
-        unsubscribed in the generator's teardown — otherwise every later
-        submit blocks forever once the abandoned queue fills up.
-        """
+        """A decisions() consumer that vanishes mid-stream is detached in
+        the generator's teardown, and decisions keep flowing after it."""
         model = make_model()
         streams, events = multi_stream_events(seed=19, num_events=120)
 
         async def scenario():
             config = ClusterConfig(num_shards=2, batch_size=4, engine=engine_config())
-            gateway = AsyncServingGateway(model, SPEC, config, max_buffered=2)
+            gateway = AsyncServingGateway(model, SPEC, config)
             iterator = gateway.decisions()
             for event in events[:40]:
                 await gateway.submit(event)
@@ -295,9 +288,6 @@ class TestAsyncFuturesAndBackpressure:
             # the consumer vanishes mid-stream with its queue still full
             await iterator.aclose()
             assert gateway.stats()["decision_streams"] == 0
-            assert gateway.stats()["buffered_decisions"] == 0
-            # far more decisions than the dead iterator's buffer could hold
-            # must now flow through without blocking on it
             sink = gateway.cluster.subscribe(BufferedSink())
             for event in events[40:]:
                 await asyncio.wait_for(gateway.submit(event), timeout=10)
@@ -318,7 +308,7 @@ class TestAsyncFuturesAndBackpressure:
 
         async def scenario():
             config = ClusterConfig(num_shards=1, batch_size=4, engine=engine_config())
-            gateway = AsyncServingGateway(model, SPEC, config, max_buffered=2)
+            gateway = AsyncServingGateway(model, SPEC, config)
 
             async def consume():
                 async for _ in gateway.decisions():
@@ -344,7 +334,7 @@ class TestAsyncFuturesAndBackpressure:
             return served
 
         served = asyncio.run(scenario())
-        assert served > 2  # no dead iterator throttles the rounds
+        assert served > 2  # decisions kept flowing after the cancellation
 
 
 class TestContinuousBatching:
@@ -504,64 +494,6 @@ class TestContinuousBatching:
         assert stats["rounds"] > 0
         assert stats["drained"] == len(events) - sum(stats["queue_depths"])
         assert_per_stream_parity(by_stream(published), expected)
-
-    def test_wedged_round_does_not_stop_the_other_shard(self):
-        """Thread backend: shard 0's first round sleeps far past the round
-        deadline.  Shard 1's round in the same step overlaps it and is
-        served before the deadline; the next step starts once the wedged
-        round is abandoned, and serves shard 1's next arrival and, on the
-        replacement worker, shard 0's arrival that the recovery requeued,
-        all before the sleep ends."""
-        model = make_model()
-        wedge_s, deadline_s = 1.5, 0.3
-        injector = FaultInjector(
-            specs=[
-                FaultSpec(
-                    site="shard-round", action="delay", delay_s=wedge_s, shard_id=0, limit=1
-                )
-            ]
-        )
-        # s0-s3 hash to shard 0, s4-s7 to shard 1.
-        items = first_items(8)
-        wedged, first, second = items[0], items[4], items[5]
-
-        async def scenario():
-            config = ClusterConfig(
-                executor="thread",
-                num_shards=2,
-                batch_size=4,
-                supervision=SupervisorConfig(round_deadline_s=deadline_s),
-                faults=injector,
-                # Every first item decides its key at this threshold.
-                engine=engine_config(reencode_every=1, halt_threshold=0.2),
-            )
-            loop = asyncio.get_running_loop()
-            async with AsyncServingGateway(model, SPEC, config) as gateway:
-                shards = [gateway.cluster.shard_index(e.source) for e in (wedged, first, second)]
-                assert shards == [0, 1, 1]
-                start = loop.time()
-                await gateway.submit(wedged)
-                await gateway.submit(first)
-                served = {}
-
-                async def served_after(event):
-                    future = gateway.result(event.source, event.key)
-                    await asyncio.wait_for(future, timeout=10)
-                    served[event.source] = loop.time() - start
-
-                await served_after(first)
-                await gateway.submit(second)
-                await served_after(second)
-                await served_after(wedged)
-                health = gateway.health()
-            return served, health
-
-        served, health = asyncio.run(scenario())
-        assert served[first.source] < deadline_s, served
-        assert max(served.values()) < wedge_s, served
-        assert health["shards"][0]["deadline_abandons"] == 1
-        assert health["shards"][1]["deadline_abandons"] == 0
-        assert health["shards"][1]["failures"] == 0
 
 
 class TestDecisionStreamStart:
@@ -888,8 +820,6 @@ class TestAsyncLifecycle:
             AsyncServingGateway()
         with pytest.raises(ValueError, match="not both"):
             AsyncServingGateway(model, SPEC, cluster=cluster)
-        with pytest.raises(ValueError, match="max_buffered"):
-            AsyncServingGateway(cluster=cluster, max_buffered=-1)
         cluster.close()
 
     def test_rejects_use_from_a_second_loop(self):

@@ -2,20 +2,21 @@
 
 Seeded end-to-end fuzzing on top of the deterministic suite in
 ``test_supervisor.py``: each case draws a random workload plus a random
-mix of injected faults (raise / kill / delay at random serving boundaries,
-random cadence), forces mid-run shard kills on every shard, runs under both
+mix of injected faults (raise / kill at random serving boundaries, random
+cadence), forces mid-run shard kills on every shard, runs under both
 executors, and asserts the chaos gate:
 
 * recovery parity — first emissions for every arrival that was actually
   admitted and not lost to a crashed round match a reference cluster that
   never saw the lost/unadmitted arrivals, bit-for-bit;
 * liveness — no drain/flush call blocks past a generous wall-clock bound,
-  and the backlog fully drains once the faults are exhausted;
+  and the backlog fully drains with no breaker left open once the faults
+  are exhausted;
 * sink isolation — a permanently failing sink subscribed during the chaos
   never changes the returned decisions.
 
 Deselected by default (``pytest.ini`` addopts); run with ``-m stress`` —
-the weekly CI stress job does.
+the per-push parity stress step and the weekly CI stress job do.
 """
 
 import time
@@ -40,7 +41,7 @@ SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), sessio
 TOLERANCE = 1e-9
 
 #: One liveness bound for every cluster call in the fuzz — generous, but a
-#: wedged drain would block forever without the supervision layer.
+#: failing shard that looped instead of opening its breaker would exceed it.
 CALL_BUDGET_S = 30.0
 
 
@@ -145,12 +146,20 @@ def timed(fn):
 
 
 def settle(cluster) -> list:
-    """Flush until every queue is empty (faults exhausted, probes allowed)."""
+    """Flush until every queue is empty and no breaker is open (faults
+    exhausted, probes allowed).
+
+    A flush skips a shard whose breaker is open, so an empty queue alone
+    does not mean that shard's undecided keys were flushed: the loop goes
+    on until a flush has run on every shard.
+    """
     emitted = []
     deadline = time.monotonic() + CALL_BUDGET_S
     while True:
         emitted.extend(timed(cluster.flush))
-        if sum(shard.queue_depth for shard in cluster.shards) == 0:
+        queued = sum(shard.queue_depth for shard in cluster.shards)
+        shards = cluster.health()["shards"]
+        if queued == 0 and all(health["breaker"] != "open" for health in shards):
             break
         assert time.monotonic() < deadline, "backlog never drained"
         time.sleep(0.01)  # let breaker backoffs elapse before the next probe
@@ -249,56 +258,3 @@ def test_randomized_chaos_recovery_parity(seed, executor):
     reference.extend(reference_cluster.flush())
     reference_cluster.close()
     assert_chaos_parity(got, reference, casualties)
-
-
-@pytest.mark.parametrize("seed", [11, 22])
-def test_chaos_with_round_deadlines_stays_live(seed):
-    """Delay faults under a short round deadline: drains return within the
-    budget (abandonment, not blocking) and the cluster keeps serving."""
-    rng = np.random.default_rng(seed)
-    events = multi_stream_events(seed, num_events=80)
-    injector = FaultInjector(
-        seed=seed,
-        specs=[
-            FaultSpec(
-                site="session-encode",
-                action="delay",
-                delay_s=20.0,
-                shard_id=int(rng.integers(2)),
-                after=int(rng.integers(0, 10)),
-                limit=1,
-            )
-        ],
-    )
-    cluster = ServingCluster(
-        make_model(),
-        SPEC,
-        ClusterConfig(
-            num_shards=2,
-            batch_size=4,
-            max_queue=4096,
-            auto_drain=False,
-            executor="thread",
-            supervision=SupervisorConfig(
-                round_deadline_s=0.25,
-                checkpoint=CheckpointConfig(every_rounds=2),
-                failure_threshold=3,
-                backoff_base_s=0.005,
-                backoff_max_s=0.05,
-            ),
-            faults=injector,
-            engine=EngineConfig(window_items=7, halt_threshold=0.5, reencode_every=2),
-        ),
-    )
-    for event in events:
-        cluster.submit(event)
-        if rng.random() < 0.2:
-            timed(cluster.drain)
-    settle(cluster)
-    health = cluster.health()
-    assert health["deadline_abandons"] >= 1
-    assert health["restores"] >= 1
-    assert sum(shard.queue_depth for shard in cluster.shards) == 0
-    cluster._executor.join_timeout = 0.1  # don't wait out the wedged sleeper
-    with pytest.warns(RuntimeWarning, match="leaked"):
-        cluster.close()

@@ -5,10 +5,12 @@ Every field of :class:`ClusterConfig`, :class:`SupervisorConfig` and
 :class:`EngineConfig` is one some deployment caller sets; adding a field is
 a deliberate change to the list below.  Options the serving API no longer
 has — the full-queue overflow policies, the shared-worker count, the stats
-window, the degraded-submit policy, eager evaluation and the
-``raise_on_reject`` keyword of the submit paths — fail with Python's own
-``TypeError`` where a caller passes them: there is no shim that accepts the
-keyword and ignores it.
+window, the degraded-submit policy, eager evaluation, the round deadline,
+the gateway's decision-stream bound, the worker thread-name prefix, the
+queue sink's put timeout and the ``raise_on_reject`` keyword of the submit
+paths — fail with Python's own ``TypeError`` where a caller passes them:
+there is no shim that accepts the keyword and ignores it.  Every count
+field takes an ``int`` and nothing else.
 """
 
 import asyncio
@@ -21,7 +23,9 @@ from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
 from repro.data.stream import StreamEvent
 from repro.serving import (
+    AsyncQueueSink,
     AsyncServingGateway,
+    CheckpointConfig,
     ClusterConfig,
     ClusterRouter,
     EngineConfig,
@@ -46,7 +50,6 @@ CONFIG_FIELDS = {
     ),
     SupervisorConfig: (
         "checkpoint",
-        "round_deadline_s",
         "failure_threshold",
         "backoff_base_s",
         "backoff_factor",
@@ -69,7 +72,25 @@ DROPPED_CONFIG_KEYWORDS = [
     (ClusterConfig, "num_workers", 1),
     (ClusterConfig, "stats_window", 60.0),
     (SupervisorConfig, "degraded", "reject"),
+    (SupervisorConfig, "round_deadline_s", 0.5),
     (EngineConfig, "eager", True),
+]
+
+#: ``(config class, count field, a value that is not an int)``; each of
+#: these was accepted before the configs shared one type check.
+NON_INT_COUNTS = [
+    (EngineConfig, "window_items", 2.5),
+    (EngineConfig, "window_items", True),
+    (EngineConfig, "reencode_every", 2.0),
+    (EngineConfig, "reencode_every", True),
+    (CheckpointConfig, "every_rounds", 1.5),
+    (CheckpointConfig, "every_rounds", True),
+    (SupervisorConfig, "failure_threshold", 2.0),
+    (SupervisorConfig, "failure_threshold", True),
+    (SupervisorConfig, "sink_quarantine_after", 3.0),
+    (SupervisorConfig, "sink_quarantine_after", True),
+    (ClusterConfig, "max_queue", 2.5),
+    (ClusterConfig, "num_shards", 2.0),
 ]
 
 
@@ -136,6 +157,17 @@ class TestConfigFields:
         with pytest.raises(TypeError, match=keyword):
             config_class(**{keyword: value})
 
+    @pytest.mark.parametrize(
+        "config_class,name,value",
+        NON_INT_COUNTS,
+        ids=[f"{cls.__name__}.{name}={value!r}" for cls, name, value in NON_INT_COUNTS],
+    )
+    def test_count_fields_take_only_ints(self, config_class, name, value):
+        """A bool would pass as 0 or 1 and a float would size a ring or set
+        a cadence; the error names the field."""
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            config_class(**{name: value})
+
 
 class TestDroppedKeywords:
     @pytest.mark.parametrize(
@@ -150,6 +182,23 @@ class TestDroppedKeywords:
         """One worker per shard is the only thread topology; the argument
         that chose another is gone (no pool is started)."""
         with pytest.raises(TypeError, match="num_workers"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build,keyword",
+        [
+            (lambda: ThreadExecutor(2, name_prefix="worker"), "name_prefix"),
+            (lambda: AsyncServingGateway(make_model(), SPEC, max_buffered=4), "max_buffered"),
+            (lambda: AsyncQueueSink(None, None, put_timeout=1.0), "put_timeout"),
+        ],
+        ids=["ThreadExecutor", "AsyncServingGateway", "AsyncQueueSink"],
+    )
+    def test_dropped_constructor_keyword_is_a_type_error(self, build, keyword):
+        """Worker threads have fixed names, ``decisions()`` reads the
+        gateway's history unbounded (the HTTP push stream keeps its own
+        bound) and a bounded queue sink's put timeout is a constant; the
+        call fails before anything is built."""
+        with pytest.raises(TypeError, match=keyword):
             build()
 
     @pytest.mark.parametrize("path", list(SUBMIT_PATHS))

@@ -170,8 +170,7 @@ class TestExecutorContract:
     """The :class:`ShardExecutor` contract the cluster relies on, on every
     backend leg: results and errors come back through ``run`` and through
     ``submit``'s handle, one shard's jobs run in submission order on one
-    context, nested runs complete, and nothing is abandoned unless a worker
-    was replaced."""
+    context, and nested runs complete."""
 
     NUM_SHARDS = 4
 
@@ -195,7 +194,6 @@ class TestExecutorContract:
     def test_submit_hands_back_a_completed_handle(self, executor):
         job = executor.submit(2, lambda: "done")
         assert job.done.wait(timeout=5.0)
-        assert job.started.is_set()
         assert job.error is None
         assert job.wait() == "done"
 
@@ -243,26 +241,6 @@ class TestExecutorContract:
         job = executor.submit(0, outer)
         assert job.done.wait(timeout=5.0), "nested run deadlocked"
         assert job.wait() == [0, 10, 20, 30]
-
-    def test_no_context_is_abandoned_without_a_replacement(self, executor):
-        assert executor.current_context_abandoned() is False
-        assert executor.run(1, executor.current_context_abandoned) is False
-
-    def test_abandon_replaces_only_that_shards_context(self, executor, label):
-        """``abandon`` reports whether a worker was replaced: the thread leg
-        gives the shard a new worker and leaves the others pinned as they
-        were; the serial leg cannot preempt its caller and replaces
-        nothing."""
-        before = [executor.run(shard, threading.get_ident) for shard in range(self.NUM_SHARDS)]
-        replaced = executor.abandon(1)
-        after = [executor.run(shard, threading.get_ident) for shard in range(self.NUM_SHARDS)]
-        assert [after[shard] for shard in (0, 2, 3)] == [before[shard] for shard in (0, 2, 3)]
-        if label == "serial":
-            assert replaced is False and after[1] == before[1]
-        else:
-            assert replaced is True and after[1] != before[1]
-            assert executor.abandoned_workers == 1
-        assert executor.run(1, executor.current_context_abandoned) is False
 
 
 class TestMakeExecutor:

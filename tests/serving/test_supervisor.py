@@ -4,17 +4,17 @@ Three layers, bottom up:
 
 * unit tests of :class:`FaultInjector` / :class:`FaultSpec` scheduling and of
   the :class:`CircuitBreaker` state machine under an injected clock,
-* executor-level tests of :meth:`ThreadExecutor.abandon` (wedged-worker
-  replacement) and leak counting in :meth:`ThreadExecutor.close`,
+* executor-level tests of leak counting in :meth:`ThreadExecutor.close`,
 * cluster-level supervision: crash recovery restores the last checkpoint and
   replays the admission journal so per-stream decisions for every non-lost
   arrival exactly match a reference cluster that never saw the lost arrivals
   (the recovery-parity leg of the parity matrix — fast deterministic shapes
   here, the randomized sweep lives in ``test_chaos.py`` under ``stress``),
   graceful degradation (``status="degraded"``, the submit changing
-  nothing) while a breaker is open, half-open probes closing it again, round
-  deadlines abandoning wedged workers instead of hanging ``drain()``, and
-  the ``stats()["health"]`` view tying it together.
+  nothing) while a breaker is open, half-open probes closing it again, a
+  flush or expiry the open breaker stopped deciding no queued key, a slow
+  round waited for on both backends, a round outrun by a restore counting
+  nothing, and the ``stats()["health"]`` view tying it together.
 """
 
 import asyncio
@@ -47,7 +47,7 @@ from repro.serving.faults import (
     InjectedFault,
     ShardKilled,
 )
-from repro.serving.parallel import AbandonedJobError, ThreadExecutor
+from repro.serving.parallel import ThreadExecutor
 from repro.serving.sinks import BufferedSink
 from repro.serving.supervisor import (
     CheckpointConfig,
@@ -311,8 +311,6 @@ class TestCircuitBreaker:
         assert breaker.current_backoff_s <= 4.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="round_deadline_s"):
-            SupervisorConfig(round_deadline_s=0)
         with pytest.raises(ValueError, match="failure_threshold"):
             SupervisorConfig(failure_threshold=0)
         with pytest.raises(ValueError, match="backoff_factor"):
@@ -326,66 +324,9 @@ class TestCircuitBreaker:
 
 
 # --------------------------------------------------------------------- #
-# executor: abandon + leak accounting
+# executor: leak accounting
 # --------------------------------------------------------------------- #
 class TestThreadExecutorFaults:
-    def test_abandon_replaces_wedged_worker_and_drops_queued_jobs(self):
-        executor = ThreadExecutor(num_shards=2)
-        try:
-            release = threading.Event()
-            wedged = executor.submit(0, release.wait)
-            follower = executor.submit(0, lambda: "ran")  # queued behind the wedge
-            assert not follower.done.wait(0.05)
-            assert executor.abandon(0)
-            assert executor.abandoned_workers == 1
-            # The queued job is dropped unrun — never forwarded to run with
-            # no one awaiting it — and its waiter is told to resubmit.
-            assert not follower.started.is_set()
-            with pytest.raises(AbandonedJobError):
-                follower.wait()
-            # New submissions (and run(), which retries through the drop
-            # transparently) keep working on the replacement worker, and
-            # the other shard's worker was never touched.
-            assert executor.submit(0, lambda: "ran").wait() == "ran"
-            assert executor.run(0, lambda: 41 + 1) == 42
-            assert executor.run(1, lambda: "other") == "other"
-            release.set()
-            assert wedged.done.wait(1.0)  # old thread finishes, then exits
-        finally:
-            release.set()
-            executor.close()
-        assert executor.leaked_workers == 0
-
-    def test_abandoned_thread_sees_cancellation_signal(self):
-        """A job on the old thread observes current_context_abandoned() —
-        the loop-exit signal zombie drains use for containment."""
-        executor = ThreadExecutor(num_shards=1)
-        try:
-            release = threading.Event()
-            flags = []
-
-            def wedge_then_check():
-                release.wait()
-                flags.append(executor.current_context_abandoned())
-
-            wedged = executor.submit(0, wedge_then_check)
-            assert wedged.started.wait(1.0)
-            assert not executor.current_context_abandoned()  # caller thread
-            assert executor.abandon(0)
-            release.set()
-            assert wedged.done.wait(1.0)
-            assert flags == [True]
-            # The replacement worker is not abandoned.
-            assert executor.run(0, executor.current_context_abandoned) is False
-        finally:
-            release.set()
-            executor.close()
-
-    def test_abandon_after_close_is_refused(self):
-        executor = ThreadExecutor(num_shards=1)
-        executor.close()
-        assert not executor.abandon(0)
-
     def test_close_counts_and_warns_about_leaked_workers(self):
         executor = ThreadExecutor(num_shards=1, join_timeout=0.1)
         release = threading.Event()
@@ -875,198 +816,189 @@ class TestGracefulDegradation:
 
 
 # --------------------------------------------------------------------- #
-# round deadlines (wedged workers)
+# a drain the open breaker stopped decides no queued key
 # --------------------------------------------------------------------- #
-class TestRoundDeadlines:
-    def test_wedged_round_is_abandoned_not_waited_for(self):
-        """A drain round sleeping far past the deadline must not block
-        ``drain()``: the worker is abandoned, the shard recovered."""
+def _breaker_stops_drain_cluster(executor: str, clock, faults: bool = True, **engine):
+    """1 shard, width 4, 40 queued arrivals over six streams.
+
+    With ``faults``, the third and fourth rounds fail before dequeuing, so
+    the threshold-2 breaker opens partway through the first drain with 32
+    arrivals still queued; nothing is lost (the failures precede the
+    dequeue), so after the backoff the workload must end exactly as a
+    fault-free run of it.  Returns the cluster and its events."""
+    injector = FaultInjector(
+        specs=[FaultSpec(site="shard-round", shard_id=0, after=2, limit=2)] if faults else []
+    )
+    config = ClusterConfig(
+        **backend(executor),
+        num_shards=1,
+        batch_size=4,
+        auto_drain=False,
+        supervision=SupervisorConfig(
+            checkpoint=CheckpointConfig(every_rounds=1), failure_threshold=2, clock=clock
+        ),
+        faults=injector,
+        engine=engine_config(**engine),
+    )
+    cluster = ServingCluster(make_model(), SPEC, config)
+    _, events = multi_stream_events(seed=25, num_events=40)
+    for event in events:
+        cluster.submit(event)
+    return cluster, events
+
+
+#: ``operation name -> (call(cluster, stream_id), engine overrides)``: the
+#: three operations that drain before they force decisions.
+_DRAIN_FIRST_OPERATIONS = {
+    "flush": (lambda cluster, stream_id: cluster.flush(), {}),
+    "flush_stream": (lambda cluster, stream_id: cluster.flush_stream(stream_id), {}),
+    "expire": (lambda cluster, stream_id: cluster.expire(now=1e9), {"idle_timeout": 5}),
+}
+
+
+class TestBreakerStoppedDrain:
+    @pytest.mark.parametrize("operation", list(_DRAIN_FIRST_OPERATIONS))
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_stopped_drain_decides_no_queued_key(self, executor, operation):
+        """``flush``, ``flush_stream`` and ``expire`` drain first; when the
+        breaker opens partway, the arrivals it left queued belong to keys a
+        forced decision now would decide on a prefix of their stream.  The
+        operation returns only what the drain emitted, and the same call
+        after the half-open probe decides those keys as a fault-free run
+        does."""
+        call, engine = _DRAIN_FIRST_OPERATIONS[operation]
+        clock = FakeClock()
+        twin, events = _breaker_stops_drain_cluster(executor, clock, **engine)
+        drained = twin.drain()
+        twin.close()
+        stream_id = events[-1].source
+
+        cluster, _ = _breaker_stops_drain_cluster(executor, clock, **engine)
+        got = call(cluster, stream_id)
+        assert cluster.shards[0].queue_depth == 32
+        assert cluster.health()["breaker_open"] == [0]
+        assert got == drained
+        clock.advance(1000.0)  # backoff over: the next round is the probe
+        got.extend(call(cluster, stream_id))
+        assert cluster.shards[0].queue_depth == 0
+        got.extend(cluster.flush())
+        cluster.close()
+
+        reference_cluster, _ = _breaker_stops_drain_cluster(
+            executor, clock, faults=False, **engine
+        )
+        reference = call(reference_cluster, stream_id) + reference_cluster.flush()
+        reference_cluster.close()
+        assert_recovery_parity(got, reference)
+
+
+# --------------------------------------------------------------------- #
+# slow rounds, and a round a restore outruns
+# --------------------------------------------------------------------- #
+class TestSlowRounds:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_slow_round_is_waited_for(self, executor):
+        """A drain round held 0.3 s at the mid-encode boundary is waited
+        for on both backends: ``drain()`` returns every decision, nothing
+        is lost or recovered, and the decisions equal a fault-free
+        reference's, stream by stream and in order."""
         model = make_model()
         _, events = multi_stream_events(seed=16, num_events=20)
-        injector = FaultInjector(
-            specs=[FaultSpec(site="session-encode", action="delay", delay_s=30.0, shard_id=0, limit=1)]
-        )
-        config = ClusterConfig(
-            num_shards=2,
-            batch_size=4,
-            auto_drain=False,
-            executor="thread",
-            supervision=SupervisorConfig(
-                round_deadline_s=0.2,
-                checkpoint=CheckpointConfig(every_rounds=2),
-            ),
-            faults=injector,
-            engine=engine_config(),
-        )
-        cluster = ServingCluster(model, SPEC, config)
-        for event in events:
-            cluster.submit(event)
-        start = time.perf_counter()
-        cluster.drain()
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10.0  # returned long before the 30s wedge resolves
-        health = cluster.health()
-        assert health["deadline_abandons"] == 1
-        assert health["restores"] >= 1
-        assert health["abandoned_workers"] == 1
-        # The shard keeps serving on its replacement worker.
-        cluster.flush()
-        assert cluster.shards[0].queue_depth == 0
-        # The wedged (daemonic) thread is still asleep at close: a short join
-        # timeout makes the leak visible — counted and warned, not hidden.
-        cluster._executor.join_timeout = 0.1
-        with pytest.warns(RuntimeWarning, match="leaked"):
-            cluster.close()
-        assert health["shards"][0]["last_error"].startswith("TimeoutError")
 
-    def test_busy_shard_making_progress_is_not_abandoned(self):
-        """The deadline is progress-aware: many fast rounds under a deadline
-        shorter than the whole drain must not trigger abandonment."""
-        model = make_model()
-        _, events = multi_stream_events(seed=17, num_events=80)
-        config = ClusterConfig(
-            num_shards=1,
-            batch_size=1,  # many rounds per drain
-            auto_drain=False,
-            executor="thread",
-            supervision=SupervisorConfig(round_deadline_s=0.5),
-            engine=engine_config(),
-        )
-        cluster = ServingCluster(model, SPEC, config)
-        for event in events:
-            cluster.submit(event)
-        cluster.drain()
-        health = cluster.health()
-        assert health["deadline_abandons"] == 0
-        assert health["failures"] == 0
-        cluster.close()
-
-    def test_a_siblings_progress_does_not_keep_a_wedged_shard_alive(self):
-        """Deadline progress is per shard: shard 1 completing rounds all the
-        while does not stop the wait on wedged shard 0 from giving up.  Were
-        shard 1's rounds counted, the wait would last until the wedge
-        resolved on its own and nothing would be abandoned."""
-        model = make_model()
-        _, events = multi_stream_events(seed=23, num_events=60)
-        injector = FaultInjector(
-            specs=[
-                FaultSpec(site="session-encode", action="delay", delay_s=1.2, shard_id=0, limit=1),
-                # Each of shard 1's rounds takes a while, so it keeps
-                # completing rounds until after shard 0's wedge resolves.
-                FaultSpec(site="shard-round", action="delay", delay_s=0.04, shard_id=1),
-            ]
-        )
-        config = ClusterConfig(
-            num_shards=2,
-            batch_size=1,
-            auto_drain=False,
-            executor="thread",
-            supervision=SupervisorConfig(
-                round_deadline_s=0.5,
-                checkpoint=CheckpointConfig(every_rounds=1),
-            ),
-            faults=injector,
-            engine=engine_config(),
-        )
-        cluster = ServingCluster(model, SPEC, config)
-        for event in events:
-            cluster.submit(event)
-        assert cluster.shards[1].queue_depth * 0.04 > 1.2
-        cluster.drain()
-        shards = cluster.health()["shards"]
-        assert shards[0]["deadline_abandons"] == 1
-        assert shards[1]["deadline_abandons"] == 0
-        assert shards[1]["failures"] == 0
-        assert cluster.shards[1].queue_depth == 0
-        # Shard 0's survivors are served on its replacement worker.
-        cluster.flush()
-        assert cluster.shards[0].queue_depth == 0
-        cluster.close()
-
-    def test_wedged_submission_round_is_abandoned(self):
-        """A round a submit triggers waits under the same deadline: the
-        submit returns long before the wedge resolves, and the shard goes on
-        serving on its replacement worker."""
-        model = make_model()
-        _, events = multi_stream_events(seed=24, num_events=40)
-        injector = FaultInjector(
-            specs=[FaultSpec(site="session-encode", action="delay", delay_s=1.5, shard_id=0, limit=1)]
-        )
-        config = ClusterConfig(
-            num_shards=1,
-            batch_size=2,
-            executor="thread",
-            supervision=SupervisorConfig(
-                round_deadline_s=0.2,
-                checkpoint=CheckpointConfig(every_rounds=1),
-            ),
-            faults=injector,
-            engine=engine_config(),
-        )
-        cluster = ServingCluster(model, SPEC, config)
-        slowest = 0.0
-        decided = []
-        for event in events:
+        def drained(injector):
+            config = ClusterConfig(
+                **backend(executor),
+                num_shards=2,
+                batch_size=4,
+                auto_drain=False,
+                supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=2)),
+                faults=injector,
+                engine=engine_config(),
+            )
+            cluster = ServingCluster(model, SPEC, config)
+            for event in events:
+                cluster.submit(event)
             start = time.perf_counter()
-            result = cluster.submit(event)
-            slowest = max(slowest, time.perf_counter() - start)
-            assert result.admitted
-            decided.extend(result.decisions)
-        assert slowest < 1.5  # the wedge was abandoned, not waited out
-        health = cluster.health()
-        assert health["deadline_abandons"] == 1
-        assert health["abandoned_workers"] == 1
-        assert health["lost_arrivals"] >= 1
-        assert decided, "the replacement worker should keep deciding"
-        cluster.flush()
-        assert cluster.shards[0].queue_depth == 0
-        cluster.close()
+            emitted = cluster.drain()
+            elapsed = time.perf_counter() - start
+            assert sum(shard.queue_depth for shard in cluster.shards) == 0
+            health = cluster.health()
+            cluster.close()
+            return emitted, elapsed, health
 
-    def test_abandoned_drain_loop_never_touches_recovered_state(self):
-        """Zombie containment: the abandoned worker's drain loop must exit
-        when its wedge resolves — not re-enter the requeued backlog and
-        drain the shard concurrently with the replacement worker."""
+        injector = FaultInjector(
+            specs=[FaultSpec(site="session-encode", action="delay", delay_s=0.3, shard_id=0, limit=1)]
+        )
+        got, elapsed, health = drained(injector)
+        assert injector.fired("session-encode") == 1
+        assert elapsed >= 0.3  # waited out, not abandoned
+        assert health["failures"] == 0
+        assert health["restores"] == 0
+        assert health["lost_arrivals"] == 0
+        assert health["shards"][0]["stale_reports"] == 0
+        reference, _, _ = drained(None)
+        assert got
+        assert got == reference
+
+    @pytest.mark.parametrize("site", ["shard-round", "session-encode"])
+    def test_round_outrun_by_a_restore_counts_nothing(self, site):
+        """Thread backend: ``restore`` lands while the drain's first round
+        is held before its dequeue (``shard-round``) or mid-encode
+        (``session-encode``).  That round's report is stale (dropped,
+        counted) and the epoch gate at that boundary stops it: it consumes
+        nothing from the restored queue, or its bookkeeping tail —
+        counters and monitor included — is skipped.  The drain then serves
+        the restored queue: its decisions, ``drained``, the monitor and the
+        batch counters all equal a reference restored from the same
+        snapshot and drained."""
         model = make_model()
         _, events = multi_stream_events(seed=21, num_events=24)
+
+        def cluster_with(injector):
+            config = ClusterConfig(
+                executor="thread",
+                num_shards=1,
+                batch_size=2,
+                auto_drain=False,
+                supervision=SupervisorConfig(checkpoint=CheckpointConfig(every_rounds=1)),
+                faults=injector,
+                engine=engine_config(),
+            )
+            return ServingCluster(model, SPEC, config)
+
         injector = FaultInjector(
-            specs=[FaultSpec(site="session-encode", action="delay", delay_s=1.0, shard_id=0, limit=1)]
+            specs=[FaultSpec(site=site, action="delay", delay_s=0.6, limit=1)]
         )
-        config = ClusterConfig(
-            num_shards=2,
-            batch_size=2,
-            auto_drain=False,
-            executor="thread",
-            supervision=SupervisorConfig(
-                round_deadline_s=0.1,
-                checkpoint=CheckpointConfig(every_rounds=1),
-            ),
-            faults=injector,
-            engine=engine_config(),
-        )
-        cluster = ServingCluster(model, SPEC, config)
+        cluster = cluster_with(injector)
         for event in events:
             cluster.submit(event)
-        cluster.drain()  # shard 0 wedges mid-encode: abandoned + recovered
+        snapshot = cluster.snapshot()
+        outcome = []
+        drainer = threading.Thread(target=lambda: outcome.append(cluster.drain()))
+        drainer.start()
+        deadline = time.monotonic() + 10.0
+        while not injector.fired(site):
+            assert time.monotonic() < deadline, "the first round never started"
+            time.sleep(0.005)
+        cluster.restore(snapshot)  # the first round is still asleep
+        drainer.join(timeout=30.0)
+        assert not drainer.is_alive()
         shard = cluster.shards[0]
-        health = cluster.health()["shards"][0]
-        assert health["deadline_abandons"] == 1
-        requeued = shard.queue_depth
-        assert requeued > 0  # recovery requeued the surviving arrivals
-        drained_before = shard.drained
-        rounds_before = shard.monitor.rounds
-        # Let the zombie's 1s wedge resolve and its loop body run to its
-        # containment checks.
-        time.sleep(1.5)
-        assert shard.queue_depth == requeued  # backlog untouched
-        assert shard.drained == drained_before  # stale tail was gated
-        assert shard.monitor.rounds == rounds_before
-        assert shard.supervisor.stale_reports >= 1  # report dropped, counted
-        # The replacement worker serves the backlog normally.
-        cluster.flush()
-        assert shard.queue_depth == 0
-        cluster.close()  # zombie already exited: no leak warning expected
-        assert cluster._executor.leaked_workers == 0
+        assert shard.supervisor.stale_reports == 1
 
+        reference_cluster = cluster_with(None)
+        reference_cluster.restore(snapshot)
+        reference = reference_cluster.drain()
+        ref_shard = reference_cluster.shards[0]
+        assert outcome[0] == reference
+        assert shard.drained == ref_shard.drained == len(events)
+        assert shard.monitor.rounds == ref_shard.monitor.rounds
+        assert shard.monitor.rows == ref_shard.monitor.rows
+        assert shard.batch_rounds == ref_shard.batch_rounds
+        assert shard.batched_rows == ref_shard.batched_rows
+        cluster.close()
+        reference_cluster.close()
+        assert cluster._executor.leaked_workers == 0
 
 
 # --------------------------------------------------------------------- #
