@@ -6,7 +6,8 @@ The model has two cooperating modules (Fig. 2 of the paper):
   :class:`~repro.core.embeddings.InputEmbedding` builds per-item embeddings
   (value + membership + relative position + time),
   :func:`~repro.core.correlation.build_correlation_structure` derives the
-  dynamic key/value-correlation mask (the streaming
+  dynamic key/value-correlation mask (:meth:`~repro.core.model.KVEC.encoder_inputs`
+  builds it with every offline encode's other inputs, and the streaming
   :class:`~repro.core.incremental.IncrementalEncoderState` replays the same
   rule one arrival at a time from a column table of its cached rows),
   :class:`~repro.core.kvrl.KVRLEncoder` applies

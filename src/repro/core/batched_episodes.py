@@ -16,7 +16,8 @@ minibatch of B tangles together, and every training step runs through it
   at the padded length).  A chunk's queries attend to the keys and values
   cached from the earlier chunks.  Each chunk's inputs — coordinates,
   correlation mask and, under rotary, phases and relative-bias rows — are
-  built for its rows only, from per-tangle column tables
+  built for its rows only by :meth:`~repro.core.model.KVEC.encoder_inputs`,
+  the build every offline encode shares, from per-tangle column tables
   (:class:`~repro.core.correlation.TangleColumns`) that a forward pass
   extends as far as the chunk reaches.  The losses read each episode only
   up to its halt, and rows after the last halt cannot reach them through
@@ -54,15 +55,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.correlation import TangleColumns, correlated_pairs, correlation_mask
+from repro.core.correlation import TangleColumns
 from repro.core.ectl import ACTION_HALT, ACTION_WAIT
-from repro.core.model import EpisodeResult, KeyEpisode
+from repro.core.model import EncoderInputs, EpisodeResult, KeyEpisode
 from repro.data.items import TangledSequence
-from repro.nn.attention import rotary_phases
 from repro.nn.functional import softmax_array
 from repro.nn.tensor import Tensor
 
@@ -322,71 +322,23 @@ def _chunk_stop(encoded: int, t_max: int) -> int:
     return min(t_max, 2 * encoded if encoded else _FIRST_CHUNK)
 
 
-class _ChunkInputs(NamedTuple):
-    """The encoder inputs of rows ``[start, stop)`` of a padded minibatch.
-
-    ``L = stop - start`` rows of ``B`` tangles, each attending to the
-    columns ``[0, stop)``.
-    """
-
-    #: The :meth:`~repro.core.embeddings.InputEmbedding.embed_rows` indices:
-    #: field codes ``(num_fields, B, L)``, then membership, position and
-    #: time, each ``(B, L)``.
-    coordinates: Tuple[np.ndarray, ...]
-    mask: np.ndarray  # (B, L, stop) additive correlation masks
-    phases: Optional[Tuple[np.ndarray, np.ndarray]]  # rotary (L, d_head)
-    delta: Optional[np.ndarray]  # rotary relative bias (B, L, stop)
-    same: Optional[np.ndarray]
-
-
 class _PaddedMinibatch:
     """A minibatch's encoder inputs, padded to ``t_max`` rows, built per chunk.
 
     :meth:`inputs` builds only rows ``[start, stop)``, from column tables
     (:class:`~repro.core.correlation.TangleColumns`) extended up to
     ``stop`` and no further, so rows the round loop never reaches are
-    never tabled.  Padding rows gather embedding-table row 0 (their
-    outputs are never selected) and keep a visible diagonal so their
-    softmax stays finite.
+    never tabled.
     """
 
     def __init__(self, model, tangles: Sequence[TangledSequence], lengths: Sequence[int]) -> None:
         self.model = model
         self.table = TangleColumns(tangles, lengths)
 
-    def inputs(self, start: int, stop: int) -> _ChunkInputs:
+    def inputs(self, start: int, stop: int) -> EncoderInputs:
         """The inputs of rows ``[start, stop)``; rows are tabled up to ``stop``."""
-        config = self.model.config
-        attention = self.model.encoder.blocks[0].attention
-        table = self.table
-        table.extend(stop)
-        same_key, key_correlated, value_correlated = correlated_pairs(
-            table,
-            start,
-            stop,
-            use_key_correlation=config.use_key_correlation,
-            use_value_correlation=config.use_value_correlation,
-        )
-        phases = delta = same = None
-        if config.encoding == "rotary" and config.use_time_embeddings:
-            phases = rotary_phases(np.arange(start, stop, dtype=np.float64), attention.d_head)
-            if attention.rel_bias is not None:
-                live = table.live(0, stop)
-                pairs = live[:, start:, None] & live[:, None, :]
-                ranks = table.ranks[:, :stop]
-                delta = np.where(
-                    pairs,
-                    attention.clip_rank_delta(ranks[:, start:, None] - ranks[:, None, :]),
-                    0,
-                )
-                same = (same_key & pairs).astype(np.float64)
-        return _ChunkInputs(
-            coordinates=self.model.input_embedding.table_coordinates(table, start, stop),
-            mask=correlation_mask(key_correlated, value_correlated, start),
-            phases=phases,
-            delta=delta,
-            same=same,
-        )
+        self.table.extend(stop)
+        return self.model.encoder_inputs(self.table, start, stop)
 
     def encode(self, start: int, stop: int, cache: dict) -> Tensor:
         """Encoded rows ``[start, stop)`` as a ``(B, stop - start, d)`` tensor.

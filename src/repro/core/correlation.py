@@ -17,9 +17,14 @@ softmax zeroes out the invisible positions.
 
 One implementation of that rule serves the offline paths:
 :func:`correlated_pairs` evaluates it over :class:`TangleColumns`, per-item
-column tables of a group of tangles, for any causal range of rows.  The
-training runner calls it once per chunk for a whole minibatch, and
-:func:`build_correlation_structure` is its one-tangle, full-range call.
+column tables of a group of tangles, for any causal range of rows.
+:meth:`~repro.core.model.KVEC.encoder_inputs`, the input build of every
+offline encode (the training runner's causal chunks,
+``KVEC.encode_inference`` and the serving state's ``rebuild``), calls it
+on the table that also gives the embedding coordinates and rotary inputs,
+and :func:`build_correlation_structure` is its standalone one-tangle,
+full-range call.  The serving state replays the same rule one arrival at a
+time from its own column table.
 """
 
 from __future__ import annotations
@@ -229,7 +234,8 @@ def build_correlation_structure(
     """Build the mask and correlation matrices for ``tangle[:upto]``.
 
     The one-tangle, full-range call of :func:`correlated_pairs`, the code
-    the training runner evaluates per causal chunk (the streaming state
+    every offline encode evaluates through
+    :meth:`~repro.core.model.KVEC.encoder_inputs` (the streaming state
     replays the same rule one arrival at a time from its own column table;
     the property tests pin the constructions against each other).  The
     diagonal is always visible (``M[i, i] = 0``) regardless of the ablation

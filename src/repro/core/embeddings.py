@@ -32,10 +32,11 @@ not affect exactness of streaming serving.
 from __future__ import annotations
 
 import zlib
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 import numpy as np
 
+from repro.core.correlation import TangleColumns
 from repro.data.items import TangledSequence, ValueSpec
 from repro.nn.layers import Embedding
 from repro.nn.module import Module, ModuleList
@@ -96,47 +97,18 @@ class InputEmbedding(Module):
         """Membership-table row for ``key`` under the rotary scheme."""
         return stable_key_slot(key, self.max_keys)
 
-    def coordinates(self, tangle: TangledSequence, upto: Optional[int] = None):
-        """Clipped embedding-table indices for every row of ``tangle[:upto]``.
-
-        Returns ``(field_codes, membership, positions, times)`` where
-        ``field_codes`` is ``(num_fields, T)`` and the rest are ``(T,)`` int
-        arrays — exactly the rows :meth:`forward` gathers;
-        :meth:`table_coordinates` gives the same indices for a range of rows
-        of several tangles (the batched-episode runner's chunks).  Under the
-        rotary scheme the position/time columns stay zero: those signals
-        live on the attention side and the membership index is the key's
-        stable hash slot.
-        """
-        length = tangle.prefix_length(upto)
-        if length == 0:
-            raise ValueError("cannot embed an empty tangled sequence")
-        items = tangle.items[:length]
-        field_codes = np.array([item.value for item in items], dtype=int).T
-        if self.encoding == "rotary":
-            slots = {key: self.key_slot(key) for key in tangle.keys}
-            membership = np.array([slots[item.key] for item in items], dtype=int)
-            positions = np.zeros(length, dtype=int)
-            times = np.zeros(length, dtype=int)
-        else:
-            membership = np.minimum(
-                [tangle.key_index(item.key) for item in items], self.max_keys - 1
-            )
-            positions = np.minimum(
-                [tangle.position_in_key_sequence(index) for index in range(length)],
-                self.max_positions - 1,
-            )
-            times = np.minimum(np.arange(length), self.max_time - 1)
-        return field_codes, membership, positions, times
-
-    def table_coordinates(self, table, start: int, stop: int):
-        """:meth:`coordinates` of rows ``[start, stop)`` of several tangles.
+    def table_coordinates(self, table: TangleColumns, start: int, stop: int):
+        """Clipped embedding-table indices of rows ``[start, stop)`` of several tangles.
 
         ``table`` is a :class:`~repro.core.correlation.TangleColumns` tabled
         up to ``stop``.  Returns field codes ``(num_fields, B, L)`` and
         membership, position and time ``(B, L)`` for ``L = stop - start``:
-        row ``i`` of each is tangle ``i``'s slice of :meth:`coordinates`,
-        and rows past a tangle's length read 0.
+        exactly the rows :meth:`embed_rows` gathers.  Rows past a tangle's
+        length read 0.  Under the absolute scheme membership is the key's
+        first-appearance rank, position its rank within its key and time the
+        row index; under the rotary scheme the position/time columns stay
+        zero (those signals live on the attention side) and membership is
+        the key's stable hash slot.
         """
         rows = np.arange(start, stop)
         live = table.live(start, stop)
@@ -163,11 +135,11 @@ class InputEmbedding(Module):
         """Autograd embed of rows from precomputed table indices.
 
         ``field_codes`` is ``(num_fields, B)`` and the coordinate arrays are
-        ``(B,)`` — columns of :meth:`coordinates`, already clipped, from one
-        tangle or stacked from several.  Rows are summed in a fixed order
-        (value fields, then membership, then position, then time), the same
-        as :meth:`embed_item_inference`, and gradients scatter back into the
-        gathered table rows.
+        ``(B,)`` — columns of :meth:`table_coordinates`, already clipped,
+        from one tangle or stacked from several.  Rows are summed in a fixed
+        order (value fields, then membership, then position, then time), the
+        same as :meth:`embed_item_inference`, and gradients scatter back into
+        the gathered table rows.
         """
         embedded = self.value_embeddings[0](field_codes[0])
         for field_index in range(1, self.spec.num_fields):
@@ -182,20 +154,33 @@ class InputEmbedding(Module):
     def forward(self, tangle: TangledSequence, upto: Optional[int] = None) -> Tensor:
         """Return the dynamic embedding matrix ``E0`` for ``tangle[:upto]``.
 
-        Rows are ordered by arrival, matching the correlation mask layout.
+        Rows are ordered by arrival, matching the correlation mask layout;
+        the prefix's coordinates come from its column table.
         """
-        return self.embed_rows(*self.coordinates(tangle, upto=upto))
+        length = tangle.prefix_length(upto)
+        if length == 0:
+            raise ValueError("cannot embed an empty tangled sequence")
+        table = TangleColumns([tangle], [length])
+        table.extend(length)
+        return self.embed_rows(
+            *(column[..., 0, :] for column in self.table_coordinates(table, 0, length))
+        )
 
-    def forward_inference(self, tangle: TangledSequence, upto: Optional[int] = None) -> np.ndarray:
-        """Raw-array ``E0`` for ``tangle[:upto]`` (no autograd graph).
+    def forward_inference(
+        self,
+        field_codes: np.ndarray,
+        membership: np.ndarray,
+        positions: np.ndarray,
+        times: np.ndarray,
+    ) -> np.ndarray:
+        """Raw-array :meth:`embed_rows` (no autograd graph).
 
-        One table gather per signal over :meth:`coordinates`, the clipped
-        indices :meth:`forward` feeds :meth:`embed_rows`.  The gathered rows
-        are summed in the order :meth:`embed_item_inference` adds them (value
+        One table gather per signal over the clipped indices of
+        :meth:`table_coordinates`, in any shape.  The gathered rows are
+        summed in the order :meth:`embed_item_inference` adds them (value
         fields, then membership, then position and time under the absolute
         scheme), so every row equals the per-item embed bit for bit.
         """
-        field_codes, membership, positions, times = self.coordinates(tangle, upto=upto)
         rows = self.value_embeddings[0].weight.data[field_codes[0]]
         for field_index in range(1, self.spec.num_fields):
             rows += self.value_embeddings[field_index].weight.data[field_codes[field_index]]

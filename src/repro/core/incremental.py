@@ -24,8 +24,11 @@ function, :meth:`_correlation_rows`, turns the columns into the arriving
 row's mask, relative-delta and same-key rows with a few numpy comparisons
 (the visibility rule of
 :func:`~repro.core.correlation.build_correlation_structure`, replayed
-incrementally); the serial :meth:`append`, the batched :func:`append_batch`
-and :meth:`rebuild` all call it.  Attention runs over the written slots in
+incrementally); the serial :meth:`append` and the batched
+:func:`append_batch` call it.  :meth:`rebuild` encodes a whole window at
+once through :meth:`~repro.core.model.KVEC.encoder_inputs`, the input
+build of the offline encodes, and leaves the same column table the
+arrivals' appends would.  Attention runs over the written slots in
 *slot* order: after the ring first wraps that differs from arrival order,
 which moves results by summation-order noise only (~1e-16) — the softmax
 gives masked slots exactly zero weight.
@@ -69,8 +72,9 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.items import Item
-from repro.nn.attention import MASK_VALUE, RelativeCoords, rotary_phases
+from repro.core.correlation import TangleColumns
+from repro.data.items import Item, TangledSequence
+from repro.nn.attention import MASK_VALUE, rotary_phases
 
 #: Initial per-block cache capacity when none is given.
 _DEFAULT_CAPACITY = 64
@@ -339,17 +343,6 @@ class IncrementalEncoderState:
         )
         return mask, delta, same.astype(np.float64)
 
-    def _own_correlation_rows(self, slot: int):
-        """:meth:`_correlation_rows` of the row just admitted at ``slot``,
-        over this state's written slots (open flags updated in place)."""
-        filled = self._filled()
-        mask, delta, same = self._correlation_rows(
-            self._columns[None, :, :filled], self._live_mask(filled)[None], (slot,)
-        )
-        if delta is None:
-            return mask[0], None, None
-        return mask[0], delta[0], same[0]
-
     def _commit_fused(self, key: Hashable, representation: np.ndarray) -> np.ndarray:
         """Record the fused representation of the newest row."""
         self._latest_rep[key] = representation
@@ -370,16 +363,22 @@ class IncrementalEncoderState:
         row = model.input_embedding.embed_item_inference(
             item, key_index=key_index, position=position, time_index=arrival
         )
-        mask_row, delta_row, same_row = self._own_correlation_rows(slot)
-        filled = len(mask_row)
-        for block, kv in zip(model.encoder.blocks, self._kv):
-            query, k_row, v_row = block.attention.project_qkv_row(
-                row, position=float(arrival) if self._use_relative else None
+        filled = self._filled()
+        mask, delta, same = self._correlation_rows(
+            self._columns[None, :, :filled], self._live_mask(filled)[None], (slot,)
+        )
+        phases = None
+        if self._use_relative:
+            # Positions are identical for every block: phases are computed once.
+            phases = rotary_phases(
+                np.asarray([float(arrival)]), model.encoder.blocks[0].attention.d_head
             )
+        for block, kv in zip(model.encoder.blocks, self._kv):
+            query, k_row, v_row = block.attention.project_qkv_row(row, phases)
             kv[0, :, slot] = k_row
             kv[1, :, slot] = v_row
             bias_row = (
-                block.attention.relative_bias_row(delta_row, same_row)
+                block.attention.relative_bias_row(delta[0], same[0])
                 if self._use_relative
                 else None
             )
@@ -388,7 +387,7 @@ class IncrementalEncoderState:
                 query,
                 kv[0, :, :filled],
                 kv[1, :, :filled],
-                mask_row,
+                mask[0],
                 bias_row=bias_row,
             )
         representation = model.fusion_step_inference(self._fusion_states, item.key, row)
@@ -426,55 +425,48 @@ class IncrementalEncoderState:
         """Invalidate every cache and re-encode ``items`` in one batched pass.
 
         Called by the engine after a window eviction under the **absolute**
-        scheme (see the module docstring).  The batched no-grad pass
-        recomputes the embeddings, the full correlation mask (row by row,
-        through the same visibility rule as :meth:`append`), each block's
-        K/V projections (which reseed the caches) and the per-key fusion
-        replay.  Under the rotary scheme this reseeds the state as if
-        ``items`` were a fresh stream (arrival indices restart at 0) — the
-        serving engine never needs it, but tests use it to cross-check
-        :meth:`append` against the batched encoder.
+        scheme (see the module docstring).  The items, in arrival order, are
+        encoded as one tangled sequence on the inputs of
+        :meth:`~repro.core.model.KVEC.encoder_inputs`; the blocks' K/V
+        reseed the caches and the per-key fusion is replayed.  The column
+        table ends as the items' appends would leave it.  Under the rotary
+        scheme this reseeds the state as if ``items`` were a fresh stream
+        (arrival indices restart at 0) — the serving engine never needs it,
+        but tests use it to cross-check :meth:`append` against the batched
+        encoder.
         """
         self._clear_bookkeeping()
         self.rebuilds += 1
-        items = list(items)
         if not items:
             return
-        length = len(items)
+        model = self.model
+        tangle = TangledSequence(items, {item.key: 0 for item in items}, model.spec)
+        length = len(tangle)
         self._check_absolute_bound(length)
         if length > self._capacity:
             self._grow(length)
+        for item in tangle.items:
+            self._admit(item)
+        table = TangleColumns([tangle], [length])
+        table.extend(length)
+        # A row is open exactly when its session run never ended.
+        self._columns[_OPEN, :length] = table.ends[0] == length
 
-        mask = np.full((length, length), MASK_VALUE, dtype=np.float64)
-        key_indices: List[int] = []
-        positions: List[int] = []
-        for index, item in enumerate(items):
-            slot, key_index, position = self._admit(item)
-            key_indices.append(key_index)
-            positions.append(position)
-            mask[index, : index + 1] = self._own_correlation_rows(slot)[0]
-
-        model = self.model
-        embeddings = model.input_embedding.embed_items_inference(
-            items, key_indices=key_indices, positions=positions, time_indices=range(length)
-        )
-        coords = None
-        if self._use_relative:
-            coords = RelativeCoords(
-                positions=np.arange(length, dtype=np.float64),
-                key_ranks=self._columns[_RANK, :length].copy(),
-                key_codes=self._columns[_CODE, :length].copy(),
-            )
-
-        x = embeddings
+        inputs = model.encoder_inputs(table, 0, length).single()
+        x = model.input_embedding.forward_inference(*inputs.coordinates)
         for block, kv in zip(model.encoder.blocks, self._kv):
             x, keys, values = block.forward_inference(
-                x, mask=mask, return_kv=True, coords=coords
+                x,
+                mask=inputs.mask,
+                return_kv=True,
+                phases=inputs.phases,
+                delta=inputs.delta,
+                same=inputs.same,
             )
             kv[0, :, :length, :] = keys
             kv[1, :, :length, :] = values
 
-        for item, encoded_row in zip(items, x):
+        for item, encoded_row in zip(tangle.items, x):
             representation = model.fusion_step_inference(
                 self._fusion_states, item.key, encoded_row
             )

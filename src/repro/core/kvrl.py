@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.attention import MultiHeadAttention, RelativeCoords
+from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Dropout, FeedForward, LayerNorm
 from repro.nn.module import Module, ModuleList
 from repro.nn.tensor import Tensor
@@ -85,22 +85,29 @@ class KVRLBlock(Module):
         mask: Optional[np.ndarray] = None,
         store_attention: bool = False,
         return_kv: bool = False,
-        coords: Optional[RelativeCoords] = None,
+        phases: Optional[tuple] = None,
+        delta: Optional[np.ndarray] = None,
+        same: Optional[np.ndarray] = None,
     ):
         """Raw-array evaluation pass (dropout is a no-op in eval mode).
 
-        With ``return_kv`` the block also returns its per-head projected K/V
-        arrays so streaming callers can seed their caches (rotary mode: keys
-        are returned already phase-rotated, i.e. cache-ready).
+        ``phases``, ``delta`` and ``same`` are the rotary inputs of
+        :meth:`MultiHeadAttention.forward_inference`.  With ``return_kv``
+        the block also returns its per-head projected K/V arrays so
+        streaming callers can seed their caches (rotary mode: keys are
+        returned already phase-rotated, i.e. cache-ready).
         """
+        attended = self.attention.forward_inference(
+            x,
+            mask=mask,
+            store_attention=store_attention,
+            return_kv=return_kv,
+            phases=phases,
+            delta=delta,
+            same=same,
+        )
         if return_kv:
-            attended, key, value = self.attention.forward_inference(
-                x, mask=mask, store_attention=store_attention, return_kv=True, coords=coords
-            )
-        else:
-            attended = self.attention.forward_inference(
-                x, mask=mask, store_attention=store_attention, coords=coords
-            )
+            attended, key, value = attended
         x = self.norm1.forward_inference(x + attended)
         transformed = self.feed_forward.forward_inference(x)
         out = self.norm2.forward_inference(x + transformed)
@@ -229,12 +236,24 @@ class KVRLEncoder(Module):
         embeddings: np.ndarray,
         mask: Optional[np.ndarray] = None,
         store_attention: bool = False,
-        coords: Optional[RelativeCoords] = None,
+        phases: Optional[tuple] = None,
+        delta: Optional[np.ndarray] = None,
+        same: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Raw-array evaluation pass over the whole block stack."""
+        """Raw-array evaluation pass over the whole block stack.
+
+        Every block shares the caller's ``mask`` and rotary inputs.
+        """
         x = embeddings
         for block in self.blocks:
-            x = block.forward_inference(x, mask=mask, store_attention=store_attention, coords=coords)
+            x = block.forward_inference(
+                x,
+                mask=mask,
+                store_attention=store_attention,
+                phases=phases,
+                delta=delta,
+                same=same,
+            )
         return x
 
     def attention_maps(self) -> List[np.ndarray]:

@@ -9,23 +9,38 @@ paper's streaming semantics.  Training runs a minibatch of tangles in
 lockstep (:meth:`KVEC.run_episodes`), encoding rows in causal chunks only
 as far as its episodes read; :meth:`KVEC.predict_tangle` classifies one
 tangle on the raw-numpy inference path.
+
+:meth:`KVEC.encoder_inputs` is the one build of the Section IV-B encoder
+inputs (embedding coordinates, the correlation mask and its pairs, and the
+rotary inputs) from the column tables of
+:class:`~repro.core.correlation.TangleColumns`.  Every offline encode reads
+it: the training runner once per causal chunk, :meth:`KVEC.encode_inference`
+over a whole tangle, and the serving state's
+:meth:`~repro.core.incremental.IncrementalEncoderState.rebuild` over its
+window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.classifier import SequenceClassifier
 from repro.core.config import KVECConfig
-from repro.core.correlation import build_correlation_structure
+from repro.core.correlation import (
+    CorrelationStructure,
+    TangleColumns,
+    correlated_pairs,
+    correlation_mask,
+)
 from repro.core.ectl import BaselineValue, HaltingPolicy
 from repro.core.embeddings import InputEmbedding
 from repro.core.fusion import make_fusion
 from repro.core.kvrl import KVRLEncoder
 from repro.data.items import TangledSequence, ValueSpec
+from repro.nn.attention import MASK_VALUE, rotary_phases
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
@@ -101,6 +116,42 @@ class EpisodeResult:
         return len(self.episodes)
 
 
+class EncoderInputs(NamedTuple):
+    """The encoder inputs of rows ``[start, stop)`` of a group of tangles.
+
+    ``L = stop - start`` rows of ``B`` tangles, each attending to the
+    columns ``[0, stop)``; built by :meth:`KVEC.encoder_inputs`.
+    """
+
+    #: The :meth:`~repro.core.embeddings.InputEmbedding.embed_rows` indices:
+    #: field codes ``(num_fields, B, L)``, then membership, position and
+    #: time, each ``(B, L)``.
+    coordinates: Tuple[np.ndarray, ...]
+    mask: np.ndarray  # (B, L, stop) additive correlation masks
+    key_correlated: np.ndarray  # (B, L, stop), as in CorrelationStructure
+    value_correlated: np.ndarray
+    phases: Optional[Tuple[np.ndarray, np.ndarray]]  # rotary (L, d_head)
+    delta: Optional[np.ndarray]  # rotary relative bias (B, L, stop)
+    same: Optional[np.ndarray]
+
+    def single(self) -> "EncoderInputs":
+        """A one-tangle build without its batch axis.
+
+        The shapes the numpy inference paths take: ``(L, stop)`` masks,
+        pairs and delta/same, and ``(num_fields, L)`` / ``(L,)``
+        coordinates.
+        """
+        return EncoderInputs(
+            coordinates=tuple(column[..., 0, :] for column in self.coordinates),
+            mask=self.mask[0],
+            key_correlated=self.key_correlated[0],
+            value_correlated=self.value_correlated[0],
+            phases=self.phases,
+            delta=None if self.delta is None else self.delta[0],
+            same=None if self.same is None else self.same[0],
+        )
+
+
 class KVEC(Module):
     """Key-Value sequence Early Co-classification model."""
 
@@ -143,26 +194,45 @@ class KVEC(Module):
     # ------------------------------------------------------------------ #
     # encoding
     # ------------------------------------------------------------------ #
-    def relative_coords(self, tangle: TangledSequence, length: int):
-        """Per-row :class:`~repro.nn.attention.RelativeCoords` for a prefix.
+    def encoder_inputs(self, table: TangleColumns, start: int, stop: int) -> EncoderInputs:
+        """The encoder inputs of rows ``[start, stop)`` of ``table``'s tangles.
 
-        Returns ``None`` unless the rotary encoding (with time-related
-        signals enabled) is active.  Positions are window-local
-        ``arange(length)`` — rotary logits depend only on index differences,
-        so any consistent origin matches the streaming path's global indices.
+        ``table`` must be tabled up to ``stop``.  Rotary positions are the
+        rows' indices in the table: logits depend only on index
+        differences, so any consistent origin matches the streaming path's
+        global indices.  Padding rows gather embedding-table row 0 and keep
+        a visible diagonal so their softmax stays finite.
         """
-        if self.config.encoding != "rotary" or not self.config.use_time_embeddings:
-            return None
-        from repro.nn.attention import RelativeCoords
-
-        return RelativeCoords(
-            positions=np.arange(length, dtype=np.float64),
-            key_ranks=np.asarray(
-                [tangle.position_in_key_sequence(i) for i in range(length)], dtype=np.int64
-            ),
-            key_codes=np.asarray(
-                [tangle.key_index(tangle[i].key) for i in range(length)], dtype=np.int64
-            ),
+        config = self.config
+        attention = self.encoder.blocks[0].attention
+        same_key, key_correlated, value_correlated = correlated_pairs(
+            table,
+            start,
+            stop,
+            use_key_correlation=config.use_key_correlation,
+            use_value_correlation=config.use_value_correlation,
+        )
+        phases = delta = same = None
+        if config.encoding == "rotary" and config.use_time_embeddings:
+            phases = rotary_phases(np.arange(start, stop, dtype=np.float64), attention.d_head)
+            if attention.rel_bias is not None:
+                live = table.live(0, stop)
+                pairs = live[:, start:, None] & live[:, None, :]
+                ranks = table.ranks[:, :stop]
+                delta = np.where(
+                    pairs,
+                    attention.clip_rank_delta(ranks[:, start:, None] - ranks[:, None, :]),
+                    0,
+                )
+                same = (same_key & pairs).astype(np.float64)
+        return EncoderInputs(
+            coordinates=self.input_embedding.table_coordinates(table, start, stop),
+            mask=correlation_mask(key_correlated, value_correlated, start),
+            key_correlated=key_correlated,
+            value_correlated=value_correlated,
+            phases=phases,
+            delta=delta,
+            same=same,
         )
 
     @staticmethod
@@ -175,8 +245,6 @@ class KVEC(Module):
         """
         if attention_window is None or mask.shape[0] <= attention_window:
             return mask
-        from repro.nn.attention import MASK_VALUE
-
         index = np.arange(mask.shape[0])
         out_of_band = (index[:, None] - index[None, :]) >= attention_window
         return np.where(out_of_band, MASK_VALUE, mask)
@@ -190,22 +258,31 @@ class KVEC(Module):
     ):
         """Return ``(item_representations, correlation_structure)`` for a prefix.
 
-        Raw arrays, no autograd graph.  ``store_attention`` keeps every
-        block's attention weights for :meth:`KVRLEncoder.attention_maps`
-        (the Fig. 10 attention-score analysis reads them).
+        Raw arrays, no autograd graph.  The prefix is tabled once and
+        :meth:`encoder_inputs` builds the mask, the structure's pairs, the
+        coordinates and the rotary inputs from that table.
+        ``store_attention`` keeps every block's attention weights for
+        :meth:`KVRLEncoder.attention_maps` (the Fig. 10 attention-score
+        analysis reads them).
         """
-        structure = build_correlation_structure(
-            tangle,
-            upto=upto,
-            use_key_correlation=self.config.use_key_correlation,
-            use_value_correlation=self.config.use_value_correlation,
-        )
-        embeddings = self.input_embedding.forward_inference(tangle, upto=upto)
+        length = tangle.prefix_length(upto)
+        if length == 0:
+            raise ValueError("cannot embed an empty tangled sequence")
+        table = TangleColumns([tangle], [length])
+        table.extend(length)
+        inputs = self.encoder_inputs(table, 0, length).single()
         representations = self.encoder.forward_inference(
-            embeddings,
-            mask=self._band_limit(structure.mask, attention_window),
+            self.input_embedding.forward_inference(*inputs.coordinates),
+            mask=self._band_limit(inputs.mask, attention_window),
             store_attention=store_attention,
-            coords=self.relative_coords(tangle, structure.length),
+            phases=inputs.phases,
+            delta=inputs.delta,
+            same=inputs.same,
+        )
+        structure = CorrelationStructure(
+            mask=inputs.mask,
+            key_correlated=inputs.key_correlated,
+            value_correlated=inputs.value_correlated,
         )
         return representations, structure
 

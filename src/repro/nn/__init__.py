@@ -30,7 +30,7 @@ from repro.nn.layers import (
     Linear,
     Sequential,
 )
-from repro.nn.attention import MultiHeadAttention, RelativeCoords, causal_mask
+from repro.nn.attention import MultiHeadAttention, causal_mask
 from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
 from repro.nn import init
@@ -50,7 +50,6 @@ __all__ = [
     "Sequential",
     "FeedForward",
     "MultiHeadAttention",
-    "RelativeCoords",
     "causal_mask",
     "LSTM",
     "LSTMCell",

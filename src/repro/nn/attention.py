@@ -15,14 +15,19 @@ embedding — logits then depend only on arrival-index differences), and a
 learned per-head bias indexed by the relative position *within the same key
 sequence* is added to the scores (zero for cross-key pairs).  Both signals
 are invariant under dropping the oldest items, so a streaming K/V cache of
-rotated keys stays valid across window evictions.  Per-row coordinates are
-carried by :class:`RelativeCoords`.
+rotated keys stays valid across window evictions.
+
+Every entry point takes the rotary inputs in one form, which the caller
+builds once and every block of a stack shares: ``phases``, the
+:func:`rotary_phases` ``(cos, sin)`` pair of the rows' arrival indices, and
+``delta`` / ``same``, each row's clipped within-key rank differences
+(:meth:`MultiHeadAttention.clip_rank_delta`) and same-key indicator against
+the rows it attends to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -38,34 +43,6 @@ MASK_VALUE = -1e9
 
 #: Wavelength base of the rotary phase spectrum (the standard RoPE base).
 ROTARY_BASE = 10000.0
-
-
-@dataclass(frozen=True)
-class RelativeCoords:
-    """Per-row coordinates consumed by rotary/relative attention.
-
-    Attributes
-    ----------
-    positions:
-        Global arrival index of every row (float array of shape ``(T,)``).
-        Only *differences* of these indices affect the attention logits, so
-        any consistent origin works — window-local ``arange(T)`` and true
-        global stream indices produce identical scores.
-    key_ranks:
-        0-based rank of every row within its own key sequence (shape
-        ``(T,)``).  Again only same-key differences matter.
-    key_codes:
-        Integer code identifying each row's key (shape ``(T,)``); only
-        equality is used, to restrict the relative bias to same-key pairs.
-    """
-
-    positions: np.ndarray
-    key_ranks: np.ndarray
-    key_codes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (len(self.positions) == len(self.key_ranks) == len(self.key_codes)):
-            raise ValueError("RelativeCoords arrays must have equal length")
 
 
 def rotary_frequencies(d_head: int, base: float = ROTARY_BASE) -> np.ndarray:
@@ -249,14 +226,6 @@ class MultiHeadAttention(Module):
     # ------------------------------------------------------------------ #
     # relative-encoding helpers
     # ------------------------------------------------------------------ #
-    def _relative_bias_inputs(self, coords: RelativeCoords) -> Tuple[np.ndarray, np.ndarray]:
-        """Clipped same-key rank-difference matrix and same-key indicator."""
-        ranks = np.asarray(coords.key_ranks, dtype=np.int64)
-        delta = np.clip(ranks[:, None] - ranks[None, :], 0, self.max_relative_positions - 1)
-        codes = np.asarray(coords.key_codes)
-        same = (codes[:, None] == codes[None, :]).astype(np.float64)
-        return delta, same
-
     def relative_bias_row(self, delta_row: np.ndarray, same_row: np.ndarray) -> Optional[np.ndarray]:
         """No-grad ``(num_heads, T)`` bias row for one streaming query.
 
@@ -303,28 +272,33 @@ class MultiHeadAttention(Module):
         mask: Optional[np.ndarray] = None,
         store_attention: bool = False,
         return_kv: bool = False,
-        coords: Optional[RelativeCoords] = None,
+        phases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        delta: Optional[np.ndarray] = None,
+        same: Optional[np.ndarray] = None,
     ):
         """Raw-array self-attention (evaluation mode, no autograd graph).
 
-        When ``return_kv`` is set, also returns the per-head projected key and
-        value tensors of shape ``(num_heads, T, d_head)`` so a streaming
-        caller can seed its KV cache from a batched encode.  In rotary mode
-        the returned keys are already phase-rotated by their own position —
-        exactly the representation the streaming cache stores, stable under
-        later evictions.
+        The no-grad twin of :meth:`forward_batch` over one ``(T, d_model)``
+        sequence: in rotary mode ``phases`` is the rows' ``(T, d_head)``
+        ``(cos, sin)`` pair and ``delta`` / ``same`` the ``(T, T)``
+        relative-bias inputs.  When ``return_kv`` is set, also returns the
+        per-head projected key and value tensors of shape
+        ``(num_heads, T, d_head)`` so a streaming caller can seed its KV
+        cache from a batched encode.  In rotary mode the returned keys are
+        already phase-rotated by their own position — exactly the
+        representation the streaming cache stores, stable under later
+        evictions.
         """
         key = self._split_heads_array(self.k_proj.forward_inference(x))
         value = self._split_heads_array(self.v_proj.forward_inference(x))
         query = self._split_heads_array(self.q_proj.forward_inference(x))
 
         bias = None
-        if self.rotary and coords is not None:
-            cos, sin = rotary_phases(coords.positions, self.d_head)
+        if self.rotary and phases is not None:
+            cos, sin = phases
             query = query * cos + _rotate_half_array(query) * sin
             key = key * cos + _rotate_half_array(key) * sin
-            if self.rel_bias is not None:
-                delta, same = self._relative_bias_inputs(coords)
+            if self.rel_bias is not None and delta is not None:
                 bias = self.rel_bias.weight.data[delta].transpose(2, 0, 1) * same[None, :, :]
 
         scores = query @ key.swapaxes(-1, -2) * (1.0 / math.sqrt(self.d_head))
@@ -342,46 +316,43 @@ class MultiHeadAttention(Module):
             return out, key, value
         return out
 
-    def project_qkv_row(self, x_row: np.ndarray, position: Optional[float] = None):
+    def project_qkv_row(
+        self, x_row: np.ndarray, phases: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ):
         """Project one input row to per-head ``(num_heads, d_head)`` q/k/v rows.
 
-        In rotary mode pass the row's global arrival index as ``position``:
-        the query and key rows are phase-rotated by it, which makes the
-        returned key row safe to cache across window evictions.
+        In rotary mode pass the row's ``(1, d_head)`` :func:`rotary_phases`
+        of its global arrival index as ``phases``: the query and key rows
+        are phase-rotated by it, which makes the returned key row safe to
+        cache across window evictions.
         """
         query = self.q_proj.forward_inference(x_row).reshape(self.num_heads, self.d_head)
         key = self.k_proj.forward_inference(x_row).reshape(self.num_heads, self.d_head)
         value = self.v_proj.forward_inference(x_row).reshape(self.num_heads, self.d_head)
-        if self.rotary and position is not None:
-            cos, sin = rotary_phases(np.asarray([position]), self.d_head)
+        if self.rotary and phases is not None:
+            cos, sin = phases
             query = query * cos + _rotate_half_array(query) * sin
             key = key * cos + _rotate_half_array(key) * sin
         return query, key, value
 
     def project_qkv_rows(
-        self,
-        x_rows: np.ndarray,
-        positions: Optional[np.ndarray] = None,
-        phases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        self, x_rows: np.ndarray, phases: Optional[Tuple[np.ndarray, np.ndarray]] = None
     ):
         """Batched :meth:`project_qkv_row`: ``(B, d_model)`` inputs at once.
 
         Each of the ``B`` rows belongs to a *different* stream; projecting
         them together turns ``3B`` GEMVs into three ``(B, d_model)`` GEMMs.
         Returns per-head ``(B, num_heads, d_head)`` q/k/v arrays.  In rotary
-        mode ``positions`` carries each row's own global arrival index; the
-        returned key rows are phase-rotated and cache-safe exactly like the
-        single-row path's.  ``phases`` optionally passes precomputed
-        ``rotary_phases(positions, d_head)`` — positions are identical across
-        a block stack, so callers encoding through several blocks compute the
-        phases once.
+        mode ``phases`` is the ``(B, d_head)`` :func:`rotary_phases` pair of
+        each row's own global arrival index; the returned key rows are
+        phase-rotated and cache-safe exactly like the single-row path's.
         """
         batch = x_rows.shape[0]
         query = self.q_proj.forward_inference(x_rows).reshape(batch, self.num_heads, self.d_head)
         key = self.k_proj.forward_inference(x_rows).reshape(batch, self.num_heads, self.d_head)
         value = self.v_proj.forward_inference(x_rows).reshape(batch, self.num_heads, self.d_head)
-        if self.rotary and (positions is not None or phases is not None):
-            cos, sin = phases if phases is not None else rotary_phases(positions, self.d_head)
+        if self.rotary and phases is not None:
+            cos, sin = phases
             cos = cos[:, None, :]  # broadcast over heads
             sin = sin[:, None, :]
             query = query * cos + _rotate_half_array(query) * sin

@@ -351,10 +351,12 @@ class AsyncServingGateway:
     async def close(self) -> List[StreamDecision]:
         """Stop the gateway: ``running`` → ``draining`` → ``closed``.
 
-        Stops the round task and its thread.  An *owned* cluster is flushed
-        (resolving every future the final decisions can) and closed; a
-        *wrapped* cluster is shared with other users, so the gateway only
-        detaches — flush explicitly first if you want the final decisions.
+        Stops the round task and its thread.  An *owned* cluster goes
+        through :meth:`ServingCluster.shutdown` (open breakers probe once,
+        the final flush resolves every future its decisions can, and
+        arrivals left queued count as lost); a *wrapped* cluster is shared
+        with other users, so the gateway only detaches — flush explicitly
+        first if you want the final decisions.
         Unresolved futures are cancelled and ``decisions()`` iterators end
         once they have read the history.  Idempotent (repeat calls return
         an empty list).
@@ -369,7 +371,7 @@ class AsyncServingGateway:
             if self._round_task is not None:
                 self._round_task.cancel()
             if self._owns_cluster and self._cluster.state != "closed":
-                emitted = await self._run(self._cluster.flush)
+                emitted = await self._run(self._cluster.shutdown)
             else:
                 emitted = []
         # Deliveries issued by the flush were scheduled with
@@ -379,8 +381,6 @@ class AsyncServingGateway:
         self._registry.cancel_unresolved()
         self._cluster.unsubscribe(self._sink)
         self._sink.close()
-        if self._owns_cluster:
-            self._cluster.close()
         self._rounds.shutdown()
         self._state = "closed"
         return emitted

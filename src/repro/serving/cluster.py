@@ -651,20 +651,11 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # draining
     # ------------------------------------------------------------------ #
-    def drain(self) -> List[StreamDecision]:
-        """Process every queued arrival; returns the decisions in order.
-
-        Drains this shard alone and publishes the emitted batch to the
-        cluster's subscribers before returning.
-        :meth:`ServingCluster.drain` instead fans out to every shard under
-        the supervised wait and publishes the stable-ordered merge.
-        """
-        emitted = self._run_pinned(self._drain_inline)
-        self._publish(emitted)
-        return emitted
-
     def _drain_inline(self) -> List[StreamDecision]:
-        """Round loop body of :meth:`drain`, already running with affinity.
+        """Serve rounds until the queue is empty, running with affinity.
+
+        The shard's part of :meth:`ServingCluster.drain` and of the
+        flush-like calls.
 
         The loop stops early once the shard's breaker opens (recovery
         requeues a failed round's surviving arrivals, so without the gate a
@@ -799,6 +790,18 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
+    def _abandon_queue(self) -> None:
+        """Empty the queue into the supervisor's lost entries.
+
+        Only a closing cluster calls it: the arrivals still queued will
+        never be served, so they are counted (``lost_arrivals``) instead
+        of dropped silently.
+        """
+        with self._lock:
+            entries = self._pending_entries_locked()
+            self._reload_queue_locked([])
+        self.supervisor.note_lost(entries)
+
     def _flush_inline(self) -> List[StreamDecision]:
         """Drain, then force-decide every session's undecided keys.
 
@@ -1010,6 +1013,14 @@ class ServingCluster:
         ``closed``; returns the flush emissions.  Idempotent: a second call
         returns an empty list.
 
+        No later call will come, so a shard whose breaker is open runs its
+        half-open probe now, without waiting out the backoff: if the probe
+        round succeeds the flush serves the shard's whole queue.  Arrivals
+        still queued when the flush returns (a failed probe, or a breaker
+        the flush itself opened) go to the shard's lost entries, so every
+        admitted arrival is either served or counted in
+        ``health()["lost_arrivals"]``.
+
         Threading: lifecycle transitions are not synchronized against
         in-flight submissions — quiesce submitters before shutting down (a
         submit racing the transition can slip an arrival into the queue
@@ -1019,7 +1030,11 @@ class ServingCluster:
         if self._state == "closed":
             return []
         self._state = "draining"
+        for shard in self.shards:
+            shard.supervisor.probe_now()
         emitted = self.flush()
+        for shard in self.shards:
+            shard._abandon_queue()
         self.close()
         return emitted
 

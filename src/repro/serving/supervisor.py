@@ -191,6 +191,11 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self._backoff = self._config.backoff_base_s
 
+    def probe_now(self) -> None:
+        """Let an open breaker's half-open probe run now, ahead of its backoff."""
+        if self.state == "open":
+            self.state = "half_open"
+
     def record_failure(self) -> None:
         """A round failed: maybe open, scheduling the next probe."""
         self.consecutive_failures += 1
@@ -236,9 +241,6 @@ class ShardSupervisor:
         self.breaker = CircuitBreaker(config)
         #: Bumped on every recovery; stale worker reports are dropped by it.
         self.epoch = 0
-        #: Monotonic successful-round count.  Never rewound by recovery (it
-        #: measures work, not state).
-        self.rounds_completed = 0
         self._rounds_since_checkpoint = 0
         self.failures = 0
         self.restores = 0
@@ -248,7 +250,8 @@ class ShardSupervisor:
         self.last_error: Optional[str] = None
         #: Every arrival consumed by a round that died — the recovery
         #: casualties, in crash order (the parity tests subtract these from
-        #: the reference workload).
+        #: the reference workload) — then any left queued by a graceful
+        #: stop (:meth:`note_lost`).
         self.lost_entries: List[_Entry] = []
         self.recovery_ms = Log2Histogram()
         self._checkpoint: Dict[str, object] = {}
@@ -272,6 +275,17 @@ class ShardSupervisor:
         with self._lock:
             self.degraded_submits += 1
 
+    def probe_now(self) -> None:
+        """Allow an open breaker's half-open probe without waiting out its
+        backoff (a graceful stop, after which no later call would probe)."""
+        with self._lock:
+            self.breaker.probe_now()
+
+    def note_lost(self, entries: List[_Entry]) -> None:
+        """Count arrivals that will never be served (queued at shutdown)."""
+        with self._lock:
+            self.lost_entries.extend(entries)
+
     # ------------------------------------------------------------------ #
     # round reports (worker side, epoch-guarded)
     # ------------------------------------------------------------------ #
@@ -287,7 +301,6 @@ class ShardSupervisor:
                 self.stale_reports += 1
                 return False
             self.breaker.record_success()
-            self.rounds_completed += 1
             cadence = self.config.checkpoint.every_rounds
             if cadence > 0:
                 self._rounds_since_checkpoint += 1

@@ -11,10 +11,10 @@ replaced as the parity suite's reference, and is not collected by pytest:
   the classifier;
 * the per-tangle loss assembly of Algorithm 1.
 
-The mask is the full-length reference of ``tests/core/input_oracle.py``
-and the rotary inputs are built from ``rotary_phases`` and
-``MultiHeadAttention._relative_bias_inputs``, independently of the runner's
-own per-chunk construction.
+The mask, the embedding coordinates and the rotary delta/same inputs are
+the full-length references of ``tests/core/input_oracle.py`` and the
+phases come from ``rotary_phases``, independently of the runner's own
+per-chunk construction (``KVEC.encoder_inputs``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,11 @@ from repro.core.model import EpisodeResult, KeyEpisode
 from repro.nn import functional as F
 from repro.nn.attention import rotary_phases
 from repro.nn.tensor import Tensor
-from tests.core.input_oracle import reference_correlation_structure
+from tests.core.input_oracle import (
+    reference_coordinates,
+    reference_correlation_structure,
+    reference_rank_inputs,
+)
 
 LOSS_PARTS = ("classification_loss", "policy_loss", "earliness_loss", "baseline_loss")
 
@@ -43,15 +47,19 @@ def encode(model, tangle):
         use_value_correlation=model.config.use_value_correlation,
     )
     phases = delta = same = None
-    coords = model.relative_coords(tangle, length)
-    if coords is not None:
+    if model.config.encoding == "rotary" and model.config.use_time_embeddings:
         attention = model.encoder.blocks[0].attention
-        phases = rotary_phases(coords.positions, attention.d_head)
+        phases = rotary_phases(np.arange(length, dtype=np.float64), attention.d_head)
         if attention.rel_bias is not None:
-            delta, same = attention._relative_bias_inputs(coords)
+            delta, same = reference_rank_inputs(
+                tangle, length, attention.max_relative_positions
+            )
             delta, same = delta[None], same[None]
+    embedded = model.input_embedding.embed_rows(
+        *reference_coordinates(model.input_embedding, tangle, length)
+    )
     encoded = model.encoder.forward_batch(
-        model.input_embedding(tangle).reshape(1, length, d_model),
+        embedded.reshape(1, length, d_model),
         mask=structure.mask[None],
         phases=phases,
         delta=delta,

@@ -1,14 +1,20 @@
 """Full-length reference builds of the encoder inputs.
 
-The lockstep runner (:mod:`repro.core.batched_episodes`) builds each causal
-chunk's inputs from column tables, and
+Every offline encode (the lockstep runner's causal chunks,
+``KVEC.encode_inference`` and the serving state's ``rebuild``) builds its
+inputs with ``KVEC.encoder_inputs`` from column tables, and
 :func:`repro.core.correlation.build_correlation_structure` is the one-tangle,
-full-range call of the same code.  This module keeps the constructions they
-replaced as references, and is not collected by pytest:
+full-range call of the same visibility code.  This module keeps the
+constructions they replaced as references, walking each tangle item by item
+and never calling that builder, and is not collected by pytest:
 
 * :func:`reference_correlation_structure` builds one tangle's ``T×T``
   structure with a backward scan for each item's next same-key session
   change;
+* :func:`reference_coordinates` walks a prefix for its clipped
+  embedding-table indices;
+* :func:`reference_rank_inputs` builds a prefix's rotary relative-bias
+  inputs from its within-key ranks and key order;
 * :func:`pad_minibatch` stacks a minibatch's inputs at full length: one
   reference structure per tangle, the ``(B, t_max, t_max)`` masks, the
   coordinates and, under rotary, the phases and delta/same matrices.
@@ -85,6 +91,53 @@ def reference_correlation_structure(
     )
 
 
+def reference_coordinates(embedding, tangle: TangledSequence, length: int):
+    """Clipped embedding-table indices of every row of ``tangle[:length]``.
+
+    Returns ``(field_codes, membership, positions, times)`` where
+    ``field_codes`` is ``(num_fields, T)`` and the rest are ``(T,)`` int
+    arrays, read from the tangle's own key order and within-key positions.
+    Under the rotary scheme membership is the key's hash slot and the
+    position/time columns stay zero.
+    """
+    items = tangle.items[:length]
+    field_codes = np.array([item.value for item in items], dtype=int).T
+    if embedding.encoding == "rotary":
+        slots = {key: embedding.key_slot(key) for key in tangle.keys}
+        membership = np.array([slots[item.key] for item in items], dtype=int)
+        positions = np.zeros(length, dtype=int)
+        times = np.zeros(length, dtype=int)
+    else:
+        membership = np.minimum(
+            [tangle.key_index(item.key) for item in items], embedding.max_keys - 1
+        )
+        positions = np.minimum(
+            [tangle.position_in_key_sequence(index) for index in range(length)],
+            embedding.max_positions - 1,
+        )
+        times = np.minimum(np.arange(length), embedding.max_time - 1)
+    return field_codes, membership, positions, times
+
+
+def reference_rank_inputs(
+    tangle: TangledSequence, length: int, max_relative_positions: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(T, T)`` rotary relative-bias inputs of ``tangle[:length]``.
+
+    Returns ``(delta, same)``: within-key rank differences clipped to
+    ``[0, max_relative_positions)``, and 1.0 on same-key pairs.
+    """
+    ranks = np.asarray(
+        [tangle.position_in_key_sequence(index) for index in range(length)], dtype=np.int64
+    )
+    codes = np.asarray(
+        [tangle.key_index(tangle[index].key) for index in range(length)], dtype=np.int64
+    )
+    delta = np.clip(ranks[:, None] - ranks[None, :], 0, max_relative_positions - 1)
+    same = (codes[:, None] == codes[None, :]).astype(np.float64)
+    return delta, same
+
+
 @dataclass
 class PaddedInputs:
     """A minibatch's encoder inputs at full length, padded to ``t_max``."""
@@ -118,7 +171,9 @@ def pad_minibatch(
     )
     padded.mask[:, np.arange(t_max), np.arange(t_max)] = 0.0
     for i, (tangle, length) in enumerate(zip(tangles, lengths)):
-        for column, values in zip(padded.coordinates, embedding.coordinates(tangle, upto=length)):
+        for column, values in zip(
+            padded.coordinates, reference_coordinates(embedding, tangle, length)
+        ):
             column[..., i, :length] = values
         padded.mask[i, :length, :length] = reference_correlation_structure(
             tangle,
@@ -130,15 +185,12 @@ def pad_minibatch(
     if config.encoding == "rotary" and config.use_time_embeddings:
         padded.phases = rotary_phases(np.arange(t_max, dtype=np.float64), attention.d_head)
         if attention.rel_bias is not None:
-            max_rel = attention.max_relative_positions
             padded.delta = np.zeros((batch, t_max, t_max), dtype=int)
             padded.same = np.zeros((batch, t_max, t_max), dtype=np.float64)
             for i, (tangle, length) in enumerate(zip(tangles, lengths)):
-                rel = model.relative_coords(tangle, length)
-                padded.delta[i, :length, :length] = np.clip(
-                    rel.key_ranks[:, None] - rel.key_ranks[None, :], 0, max_rel - 1
+                delta, same = reference_rank_inputs(
+                    tangle, length, attention.max_relative_positions
                 )
-                padded.same[i, :length, :length] = (
-                    rel.key_codes[:, None] == rel.key_codes[None, :]
-                ).astype(np.float64)
+                padded.delta[i, :length, :length] = delta
+                padded.same[i, :length, :length] = same
     return padded

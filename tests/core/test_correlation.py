@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from repro.core.config import KVECConfig
 from repro.core.correlation import build_correlation_structure
 from repro.core.incremental import IncrementalEncoderState, append_batch
+from repro.core.kvrl import KVRLBlock
 from repro.core.model import KVEC
 from repro.data.items import Item, TangledSequence, ValueSpec
 from repro.nn.attention import MASK_VALUE
+from tests.core.input_oracle import reference_correlation_structure
 
 SPEC = ValueSpec(("size", "direction"), (8, 2), session_field=1)
 
@@ -50,7 +52,7 @@ def random_rows(seed):
     ]
 
 
-def rule_model(encoding, ablation):
+def rule_model(encoding, ablation, ablations=ABLATIONS):
     config = KVECConfig(
         d_model=8,
         num_blocks=1,
@@ -60,7 +62,7 @@ def rule_model(encoding, ablation):
         dropout=0.0,
         encoding=encoding,
         seed=0,
-        **ABLATIONS[ablation],
+        **ablations[ablation],
     )
     return KVEC(SPEC, num_classes=2, config=config)
 
@@ -69,12 +71,15 @@ class TestColumnVisibilityRule:
     """The streaming state's column rule reproduces the reference mask.
 
     Every mask row :meth:`IncrementalEncoderState._correlation_rows` hands to
-    an encode, whether from ``append``, ``append_batch`` or ``rebuild``,
-    must equal the matching row of :func:`build_correlation_structure` over
-    the retained history, restricted to the rows inside the window.  Slots
-    of evicted rows and batch padding must stay masked.  Rotary rings evict
-    with ``evict_oldest`` (runs of several evictions leave dead slots);
-    absolute states drop their oldest rows and ``rebuild``.
+    an encode, whether from ``append`` or ``append_batch``, must equal the
+    matching row of :func:`build_correlation_structure` over the retained
+    history, restricted to the rows inside the window.  Slots of evicted
+    rows and batch padding must stay masked.  Rotary rings evict with
+    ``evict_oldest`` (runs of several evictions leave dead slots); absolute
+    states drop their oldest rows and ``rebuild``, which encodes every block
+    under the window's whole mask, equal to the item-by-item reference of
+    ``tests/core/input_oracle.py``, and leaves the open flags the later
+    appends read.
     """
 
     @pytest.fixture
@@ -88,6 +93,18 @@ class TestColumnVisibilityRule:
             return rows
 
         monkeypatch.setattr(IncrementalEncoderState, "_correlation_rows", spy)
+        return masks
+
+    @pytest.fixture
+    def rebuild_masks(self, monkeypatch):
+        masks = []
+        original = KVRLBlock.forward_inference
+
+        def spy(self, x, mask=None, **kwargs):
+            masks.append(mask.copy())
+            return original(self, x, mask=mask, **kwargs)
+
+        monkeypatch.setattr(KVRLBlock, "forward_inference", spy)
         return masks
 
     @staticmethod
@@ -107,7 +124,7 @@ class TestColumnVisibilityRule:
         "rows", list(RULE_CASES.values()) + [random_rows(seed) for seed in RANDOM_SEEDS],
         ids=list(RULE_CASES) + [f"random{seed}" for seed in RANDOM_SEEDS],
     )
-    def test_rows_match_reference(self, recorded, rows, encoding, ablation, path):
+    def test_rows_match_reference(self, recorded, rebuild_masks, rows, encoding, ablation, path):
         rng = np.random.default_rng(len(rows))
         model = rule_model(encoding, ablation)
         flags = dict(
@@ -127,14 +144,13 @@ class TestColumnVisibilityRule:
                         state.evict_oldest()
                 else:
                     retained = retained[drop:]
-                    del recorded[:]
+                    del recorded[:], rebuild_masks[:]
                     state.rebuild(tangle_from(retained).items)
-                    reference = build_correlation_structure(tangle_from(retained), **flags).mask
-                    assert len(recorded) == len(retained)
-                    for position, masks in enumerate(recorded):
-                        self.check_row(
-                            masks[0], np.arange(position + 1), reference[position, : position + 1]
-                        )
+                    reference = reference_correlation_structure(tangle_from(retained), **flags)
+                    assert not recorded
+                    assert len(rebuild_masks) == len(model.encoder.blocks)
+                    for mask in rebuild_masks:
+                        assert np.array_equal(mask, reference.mask)
             item = tangle_from(rows[: index + 1])[index]
             retained.append(row)
             if path == "append":
@@ -150,6 +166,34 @@ class TestColumnVisibilityRule:
             self.check_row(
                 mask_row[: state._filled()], live, reference[newest, newest + 1 - len(live) :]
             )
+
+
+#: The four ablation switches of Fig. 9, each off alone.
+SWITCHES = {
+    "key_correlation": dict(use_key_correlation=False),
+    "value_correlation": dict(use_value_correlation=False),
+    "time_embeddings": dict(use_time_embeddings=False),
+    "membership_embedding": dict(use_membership_embedding=False),
+}
+
+
+@pytest.mark.parametrize("switch", sorted(SWITCHES))
+@pytest.mark.parametrize("encoding", ["rotary", "absolute"])
+def test_rebuild_leaves_the_appends_column_table(encoding, switch):
+    """``rebuild`` tables its window in one pass; the key codes, ranks,
+    session values and open flags it leaves equal, exactly, those that
+    appending the same items one by one leaves."""
+    model = rule_model(encoding, switch, ablations=SWITCHES)
+    for seed in RANDOM_SEEDS:
+        items = tangle_from(random_rows(seed)).items
+        appended = model.make_incremental_state(capacity=len(items))
+        for item in items:
+            appended.append(item)
+        rebuilt = model.make_incremental_state(capacity=len(items))
+        rebuilt.rebuild(items)
+        assert np.array_equal(
+            rebuilt._columns[:, : len(items)], appended._columns[:, : len(items)]
+        ), seed
 
 
 class TestBuildCorrelationStructure:

@@ -3,10 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core.correlation import TangleColumns
 from repro.core.embeddings import InputEmbedding
 from repro.data.items import Item, TangledSequence, ValueSpec
+from tests.core.input_oracle import reference_coordinates
 
 SPEC = ValueSpec(("size", "direction"), (8, 2), session_field=1)
+
+
+def gather_embed(embedding, tangle, upto=None):
+    """``forward_inference`` of ``tangle[:upto]``: the prefix's column
+    table, its coordinates and the table gathers, as the offline encodes
+    build them."""
+    length = tangle.prefix_length(upto)
+    table = TangleColumns([tangle], [length])
+    table.extend(length)
+    coordinates = embedding.table_coordinates(table, 0, length)
+    return embedding.forward_inference(*(column[..., 0, :] for column in coordinates))
 
 
 def item_loop_embed(embedding, tangle, upto=None):
@@ -109,8 +122,9 @@ class TestInputEmbedding:
 
 
 class TestForwardInferenceGather:
-    """``forward_inference`` gathers table rows over ``coordinates()``; each
-    row must equal the per-item embed bit for bit."""
+    """``forward_inference`` gathers table rows over ``table_coordinates()``;
+    each row must equal the per-item embed bit for bit, and the coordinates
+    must equal the item-by-item walk they replaced."""
 
     @pytest.mark.parametrize("upto", [None, 9])
     @pytest.mark.parametrize("time", [True, False])
@@ -131,7 +145,11 @@ class TestForwardInferenceGather:
             rng=np.random.default_rng(0),
         )
         tangle = make_tangle(20, num_keys=3)
-        gathered = embedding.forward_inference(tangle, upto=upto)
-        assert gathered.shape == (tangle.prefix_length(upto), 12)
+        gathered = gather_embed(embedding, tangle, upto=upto)
+        length = tangle.prefix_length(upto)
+        assert gathered.shape == (length, 12)
         assert np.array_equal(gathered, item_loop_embed(embedding, tangle, upto=upto))
         assert np.array_equal(gathered, embedding(tangle, upto=upto).data)
+        assert np.array_equal(
+            gathered, embedding.forward_inference(*reference_coordinates(embedding, tangle, length))
+        )

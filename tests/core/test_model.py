@@ -119,7 +119,7 @@ class TestEpisodes:
 
 #: Every entry point that truncates a tangle, called with a negative length.
 NEGATIVE_PREFIX_CALLS = {
-    "coordinates": lambda model, tangle: model.input_embedding.coordinates(tangle, upto=-1),
+    "InputEmbedding.forward": lambda model, tangle: model.input_embedding(tangle, upto=-1),
     "predict_tangle": lambda model, tangle: model.predict_tangle(tangle, max_items=-1),
     "encode_inference": lambda model, tangle: model.encode_inference(tangle, upto=-1),
     "run_episodes": lambda model, tangle: run_one(model, tangle, max_items=-1),
@@ -135,6 +135,26 @@ def test_negative_prefix_length_rejected(small_model, entry):
     misaligning the embedding columns or failing inside numpy."""
     with pytest.raises(ValueError, match="prefix length must be non-negative, got -1"):
         NEGATIVE_PREFIX_CALLS[entry](small_model, make_tangle())
+
+
+@pytest.mark.parametrize("encoding", ["absolute", "rotary"])
+def test_encode_inference_walks_the_tangle_once(tiny_kvec_config, monkeypatch, encoding):
+    """The mask, its pairs, the coordinates and the rotary inputs of an
+    encode all come from one column table: each row's key code and
+    within-key rank are read once."""
+    model = KVEC(SPEC, num_classes=2, config=tiny_kvec_config.with_overrides(encoding=encoding))
+    tangle = make_tangle(14, 3)
+    calls = {"key_index": 0, "position_in_key_sequence": 0}
+    for name in calls:
+        original = getattr(TangledSequence, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(TangledSequence, name, spy)
+    model.encode_inference(tangle, upto=11)
+    assert calls == {"key_index": 11, "position_in_key_sequence": 11}
 
 
 class TestPredictionInterface:

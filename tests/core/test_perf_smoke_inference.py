@@ -2,11 +2,13 @@
 
 Deselected by default (see ``pytest.ini``); run with ``pytest -m perf_smoke``.
 ``InputEmbedding.forward_inference`` sums one table gather per signal over
-``coordinates()`` where it used to call ``embed_item_inference`` once per
-item.  On a ~64-item absolute-encoding tangle of the synthetic USTC-TFC2016
-flows (the ``train_batched`` benchmark's data and model sizes), the median
-gather over 30 interleaved pairs must cost at most 0.4x the median per-item
-loop, which ``tests/core/test_embeddings.py`` keeps as the gathers' oracle.
+the coordinates of the tangle's column table where the inference path used
+to call ``embed_item_inference`` once per item.  On a ~64-item
+absolute-encoding tangle of the synthetic USTC-TFC2016 flows (the
+``train_batched`` benchmark's data and model sizes), the median gather leg
+(building the column table and its coordinates, then the gathers) over 30
+interleaved pairs must cost at most 0.4x the median per-item loop, which
+``tests/core/test_embeddings.py`` keeps as the gathers' oracle.
 """
 
 import time
@@ -18,14 +20,14 @@ from repro.core.config import KVECConfig
 from repro.core.model import KVEC
 from repro.data.tangle import retangle_by_concurrency
 from repro.datasets.traffic import make_ustc_tfc2016
-from tests.core.test_embeddings import item_loop_embed
+from tests.core.test_embeddings import gather_embed, item_loop_embed
 
 pytestmark = pytest.mark.perf_smoke
 
 GATE_SEED = 0
 TANGLE_ITEMS = 64
 PAIRS = 30
-#: The gathers measured 0.15-0.16x the per-item loop on a 2-core x86-64
+#: The gather leg measured 0.22-0.23x the per-item loop on a 2-core x86-64
 #: host.
 GATHER_RATIO_GATE = 0.4
 
@@ -48,7 +50,7 @@ def test_embedding_gather_at_most_0_4x_item_loop():
     embedding = model.input_embedding
 
     def gather():
-        return embedding.forward_inference(tangle)
+        return gather_embed(embedding, tangle)
 
     def item_loop():
         return item_loop_embed(embedding, tangle)

@@ -12,7 +12,7 @@ and the single-row streaming attention path.
 import numpy as np
 import pytest
 
-from repro.nn.attention import MultiHeadAttention, RelativeCoords, causal_mask, rotary_phases
+from repro.nn.attention import MultiHeadAttention, causal_mask, rotary_phases
 from repro.nn.layers import Dropout, FeedForward, LayerNorm, Linear
 from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.tensor import Tensor
@@ -25,17 +25,23 @@ def rng_for(seed):
 
 
 def random_coords(rng, length, num_keys=3):
+    """``(positions, key_ranks, key_codes)`` of a random stream's rows."""
     key_codes = rng.integers(num_keys, size=length)
     ranks = np.zeros(length, dtype=np.int64)
     counts = {}
     for index, code in enumerate(key_codes):
         ranks[index] = counts.get(int(code), 0)
         counts[int(code)] = ranks[index] + 1
-    return RelativeCoords(
-        positions=np.arange(length, dtype=np.float64),
-        key_ranks=ranks,
-        key_codes=key_codes.astype(np.int64),
+    return np.arange(length, dtype=np.float64), ranks, key_codes.astype(np.int64)
+
+
+def rotary_inputs(attention, positions, key_ranks, key_codes):
+    """``(phases, delta, same)`` of every row against every row."""
+    delta = np.clip(
+        key_ranks[:, None] - key_ranks[None, :], 0, attention.max_relative_positions - 1
     )
+    same = (key_codes[:, None] == key_codes[None, :]).astype(np.float64)
+    return rotary_phases(positions, attention.d_head), delta, same
 
 
 class TestLayersParity:
@@ -107,19 +113,14 @@ class TestAttentionParity:
         length = 7
         x = rng.standard_normal((length, d_model))
         mask = causal_mask(length)
-        coords = random_coords(rng, length)
-        # The autograd reference takes the coordinates as batched inputs.
-        delta, same = attention._relative_bias_inputs(coords)
+        phases, delta, same = rotary_inputs(attention, *random_coords(rng, length))
+        # The autograd reference takes the same inputs with a batch axis.
         graph = attention.forward_batch(
-            Tensor(x[None]),
-            mask=mask[None],
-            phases=rotary_phases(coords.positions, attention.d_head),
-            delta=delta[None],
-            same=same[None],
+            Tensor(x[None]), mask=mask[None], phases=phases, delta=delta[None], same=same[None]
         )
         np.testing.assert_allclose(
             graph.data[0],
-            attention.forward_inference(x, mask=mask, coords=coords),
+            attention.forward_inference(x, mask=mask, phases=phases, delta=delta, same=same),
             atol=ATOL,
         )
 
@@ -133,15 +134,16 @@ class TestAttentionParity:
         length = 6
         x = rng.standard_normal((length, 8))
         mask = causal_mask(length)
-        coords = random_coords(rng, length)
-        shifted = RelativeCoords(
-            positions=coords.positions + 137.0,
-            key_ranks=coords.key_ranks + 5,
-            key_codes=coords.key_codes,
+        positions, key_ranks, key_codes = random_coords(rng, length)
+        phases, delta, same = rotary_inputs(attention, positions, key_ranks, key_codes)
+        shifted_phases, shifted_delta, shifted_same = rotary_inputs(
+            attention, positions + 137.0, key_ranks + 5, key_codes
         )
         np.testing.assert_allclose(
-            attention.forward_inference(x, mask=mask, coords=coords),
-            attention.forward_inference(x, mask=mask, coords=shifted),
+            attention.forward_inference(x, mask=mask, phases=phases, delta=delta, same=same),
+            attention.forward_inference(
+                x, mask=mask, phases=shifted_phases, delta=shifted_delta, same=shifted_same
+            ),
             atol=1e-9,
         )
 
@@ -156,24 +158,22 @@ class TestAttentionParity:
         length = 5
         x = rng.standard_normal((length, 8))
         mask = causal_mask(length)
-        coords = random_coords(rng, length) if rotary else None
+        phases = delta = same = row_phases = bias_row = None
+        if rotary:
+            positions, key_ranks, key_codes = random_coords(rng, length)
+            phases, delta, same = rotary_inputs(attention, positions, key_ranks, key_codes)
+            row_phases = rotary_phases(positions[-1:], attention.d_head)
+            bias_row = attention.relative_bias_row(delta[-1], same[-1])
 
         _, keys, values = attention.forward_inference(
-            x, mask=mask, return_kv=True, coords=coords
+            x, mask=mask, return_kv=True, phases=phases, delta=delta, same=same
         )
-        query, k_row, v_row = attention.project_qkv_row(
-            x[-1], position=coords.positions[-1] if rotary else None
-        )
+        query, k_row, v_row = attention.project_qkv_row(x[-1], row_phases)
         np.testing.assert_allclose(k_row, keys[:, -1, :], atol=ATOL)
         np.testing.assert_allclose(v_row, values[:, -1, :], atol=ATOL)
 
-        bias_row = None
-        if rotary:
-            delta_row = attention.clip_rank_delta(coords.key_ranks[-1] - coords.key_ranks)
-            same_row = (coords.key_codes == coords.key_codes[-1]).astype(np.float64)
-            bias_row = attention.relative_bias_row(delta_row, same_row)
         row_out = attention.attend_row(query, keys, values, mask[-1], bias_row=bias_row)
-        batched = attention.forward_inference(x, mask=mask, coords=coords)
+        batched = attention.forward_inference(x, mask=mask, phases=phases, delta=delta, same=same)
         np.testing.assert_allclose(row_out, batched[-1], atol=1e-9)
 
 

@@ -12,9 +12,10 @@ Three layers, bottom up:
   here, the randomized sweep lives in ``test_chaos.py`` under ``stress``),
   graceful degradation (``status="degraded"``, the submit changing
   nothing) while a breaker is open, half-open probes closing it again, a
-  flush or expiry the open breaker stopped deciding no queued key, a slow
-  round waited for on both backends, a round outrun by a restore counting
-  nothing, and the ``stats()["health"]`` view tying it together.
+  flush or expiry the open breaker stopped deciding no queued key, a
+  graceful stop probing an open breaker once and counting what it leaves,
+  a slow round waited for on both backends, a round outrun by a restore
+  counting nothing, and the ``stats()["health"]`` view tying it together.
 """
 
 import asyncio
@@ -23,6 +24,7 @@ import pickle
 import threading
 import time
 from collections import deque
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -479,7 +481,7 @@ class TestCrashRecoveryParity:
         )
         cluster, _ = run_cluster(model, events, config)
         supervisor = cluster.shards[0].supervisor
-        rounds = supervisor.rounds_completed
+        rounds = cluster.shards[0].monitor.rounds
         # Initial checkpoint + one per full cadence window.
         assert supervisor.checkpoints == 1 + rounds // 5
         assert cluster.health()["shards"][0]["rounds_since_checkpoint"] == rounds % 5
@@ -890,6 +892,113 @@ class TestBreakerStoppedDrain:
         reference = call(reference_cluster, stream_id) + reference_cluster.flush()
         reference_cluster.close()
         assert_recovery_parity(got, reference)
+
+
+# --------------------------------------------------------------------- #
+# a graceful stop with an open breaker
+# --------------------------------------------------------------------- #
+def _open_breaker_backlog_config(executor: str, clock, raises: Optional[int]):
+    """1 shard, width 4, a threshold-2 breaker with a 10 s backoff on
+    ``clock``; ``shard-round`` raises ``raises`` times (``None``: always,
+    0: never)."""
+    specs = [] if raises == 0 else [FaultSpec(site="shard-round", shard_id=0, limit=raises)]
+    return ClusterConfig(
+        **backend(executor),
+        num_shards=1,
+        batch_size=4,
+        auto_drain=False,
+        supervision=SupervisorConfig(
+            failure_threshold=2, backoff_base_s=10.0, backoff_max_s=10.0, clock=clock
+        ),
+        faults=FaultInjector(specs=specs),
+        engine=engine_config(),
+    )
+
+
+#: The twelve arrivals queued behind the open breaker.
+_BACKLOG = multi_stream_events(seed=26, num_events=12)[1]
+
+
+def _per_stream(decisions):
+    streams = {}
+    for stream_decision in decisions:
+        streams.setdefault(stream_decision.stream_id, []).append(stream_decision.decision)
+    return streams
+
+
+def _fault_free_shutdown(executor: str):
+    reference = ServingCluster(
+        make_model(), SPEC, _open_breaker_backlog_config(executor, FakeClock(), raises=0)
+    )
+    for event in _BACKLOG:
+        reference.submit(event)
+    return reference.shutdown()
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+class TestGracefulStopWithOpenBreaker:
+    """``shutdown()`` (and an owning gateway's ``close()``) with twelve
+    arrivals queued behind a breaker two failed rounds opened.  No later
+    call will come, so the open shard probes now instead of after its
+    backoff; whatever the stop cannot serve is counted lost."""
+
+    @staticmethod
+    def open_breaker(cluster) -> None:
+        assert cluster.drain() == []  # two failing rounds open the breaker
+        assert cluster.health()["breaker_open"] == [0]
+        assert cluster.shards[0].queue_depth == len(_BACKLOG)
+
+    def test_shutdown_serves_the_backlog_once_the_fault_stops(self, executor):
+        cluster = ServingCluster(
+            make_model(), SPEC, _open_breaker_backlog_config(executor, FakeClock(), raises=2)
+        )
+        for event in _BACKLOG:
+            cluster.submit(event)
+        self.open_breaker(cluster)
+        got = cluster.shutdown()
+        assert cluster.state == "closed"
+        assert cluster.shards[0].queue_depth == 0
+        assert cluster.shards[0].drained == len(_BACKLOG)
+        assert cluster.health()["lost_arrivals"] == 0
+        assert _per_stream(got) == _per_stream(_fault_free_shutdown(executor))
+
+    def test_shutdown_counts_what_a_failing_probe_leaves(self, executor):
+        cluster = ServingCluster(
+            make_model(), SPEC, _open_breaker_backlog_config(executor, FakeClock(), raises=None)
+        )
+        for event in _BACKLOG:
+            cluster.submit(event)
+        self.open_breaker(cluster)
+        assert cluster.shutdown() == []
+        shard = cluster.shards[0]
+        assert shard.queue_depth == 0
+        assert shard.supervisor.failures == 3  # the probe ran, once
+        assert shard.drained + cluster.health()["lost_arrivals"] == len(_BACKLOG)
+        assert sorted(event.time for _, event in shard.supervisor.lost_entries) == [
+            event.time for event in _BACKLOG
+        ]
+
+    @pytest.mark.parametrize("raises", [2, None])
+    def test_owning_gateway_close_goes_through_shutdown(self, executor, raises):
+        async def scenario():
+            gateway = AsyncServingGateway(
+                make_model(), SPEC, _open_breaker_backlog_config(executor, FakeClock(), raises)
+            )
+            for event in _BACKLOG:
+                assert (await gateway.submit(event)).status == "accepted"
+            assert (await gateway.drain()) == []
+            assert gateway.cluster.health()["breaker_open"] == [0]
+            return gateway, await gateway.close()
+
+        gateway, got = asyncio.run(scenario())
+        cluster = gateway.cluster
+        assert cluster.state == "closed" and cluster.shards[0].queue_depth == 0
+        if raises is None:
+            assert got == []
+            assert cluster.health()["lost_arrivals"] == len(_BACKLOG)
+        else:
+            assert cluster.health()["lost_arrivals"] == 0
+            assert _per_stream(got) == _per_stream(_fault_free_shutdown(executor))
 
 
 # --------------------------------------------------------------------- #
