@@ -198,20 +198,27 @@ def run_episodes_batched(
     step_episode: List[int] = []
     step_obs_index: List[int] = []
 
+    # Tangles with an undecided episode and rows left, in index order.  A
+    # tangle leaves for good: its count of undecided episodes only falls and
+    # ``t`` only grows.
+    live = list(range(batch))
     for t in range(t_max):
-        if not any(undecided[i] and lengths[i] > t for i in range(batch)):
-            break  # every remaining arrival belongs to a halted key
         rows: List[int] = []
         sub: List[Tuple[int, object, KeyEpisode]] = []
-        for i in range(batch):
+        still_live: List[int] = []
+        for i in live:
             if t >= lengths[i] or not undecided[i]:
                 continue
+            still_live.append(i)
             key = tangles[i][t].key
             episode = episodes_per[i][key]
             if episode.halted:
                 continue
             rows.append(i)
             sub.append((i, key, episode))
+        live = still_live
+        if not live:
+            break  # every remaining arrival belongs to a halted key
         if not rows:
             continue
 

@@ -27,7 +27,7 @@ from repro.data.sessions import Session, segment_sessions, session_lengths
 from repro.data.tangle import interleave_sequences, retangle_by_concurrency
 from repro.data.splits import DatasetSplit, kfold_splits, split_by_key
 from repro.data.batching import EpisodeBatcher
-from repro.data.stream import KeyTracker, SlidingWindow, StreamEvent, merge_streams, replay
+from repro.data.stream import SlidingWindow, StreamEvent, merge_streams, replay
 from repro.data import augment
 
 # NOTE: ``repro.data.io`` is intentionally not imported here — it serializes
@@ -40,7 +40,6 @@ __all__ = [
     "replay",
     "merge_streams",
     "SlidingWindow",
-    "KeyTracker",
     "augment",
     "Item",
     "KeyValueSequence",

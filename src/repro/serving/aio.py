@@ -36,7 +36,7 @@ loop never runs a drain round:
 
 Concurrency: admissions and round steps share an async gate; the
 cluster-wide operations (``drain`` / ``flush`` / ``flush_stream`` /
-``expire`` / ``snapshot`` / ``restore`` / ``close``) take it exclusively
+``snapshot`` / ``restore`` / ``close``) take it exclusively
 and run off-loop, so none of them interleaves with an admission or a
 round step.  Per-stream decision order is exact as long as each stream's
 events are submitted in order (one task per stream is the natural shape).
@@ -455,10 +455,6 @@ class AsyncServingGateway:
     async def flush(self) -> List[StreamDecision]:
         """Awaitable cluster flush (exclusive)."""
         return await self._exclusive(self._cluster.flush)
-
-    async def expire(self, now: Optional[float] = None) -> List[StreamDecision]:
-        """Awaitable idle-key expiry (exclusive)."""
-        return await self._exclusive(self._cluster.expire, now)
 
     async def flush_stream(self, stream_id: Hashable) -> List[StreamDecision]:
         """Awaitable per-stream flush (exclusive; the HTTP per-stream verb)."""

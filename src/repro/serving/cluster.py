@@ -25,17 +25,17 @@ to many concurrent streams:
   that shard runs to make room, then the arrival is admitted), and exposes
   the deployment API: :meth:`ServingCluster.submit`,
   :meth:`~ServingCluster.drain`, :meth:`~ServingCluster.flush`,
-  :meth:`~ServingCluster.expire`, :meth:`~ServingCluster.snapshot` and
-  :meth:`~ServingCluster.restore`.
+  :meth:`~ServingCluster.flush_stream`, :meth:`~ServingCluster.snapshot`
+  and :meth:`~ServingCluster.restore`.
 
 Execution backends (:mod:`repro.serving.parallel`): with
 ``ClusterConfig.executor="serial"`` every shard runs inline on the calling
 thread (the reference behaviour).  With ``executor="thread"`` the cluster
 owns a persistent pool of **one pinned worker thread per shard**:
-cluster-level :meth:`~ServingCluster.drain`, :meth:`~ServingCluster.flush`
-and :meth:`~ServingCluster.expire` fan their
-per-shard work out across the pool and run shards concurrently (numpy
-releases the GIL inside the batched GEMMs), while per-shard results are
+cluster-level :meth:`~ServingCluster.drain` and
+:meth:`~ServingCluster.flush` fan their per-shard work out across the pool
+and run shards concurrently (numpy releases the GIL inside the batched
+GEMMs), while per-shard results are
 merged back in stable (shard index, round, intra-round) order — the emitted
 decision sequence is identical to the serial backend's, which the parity
 suite pins.  Submission-path rounds (``auto_drain`` triggers, full-queue
@@ -53,8 +53,8 @@ queue-depth telemetry, and the emitted ``decisions``).  Subscribed
 :class:`~repro.serving.sinks.DecisionSink` instances receive every emitted
 decision as it is published: submission-path rounds publish on the shard's
 pinned execution context (per-stream order is exact even with concurrent
-submitters), while cluster-level ``drain`` / ``flush`` / ``expire`` collect
-per-shard emissions and publish the merged result in the same stable (shard,
+submitters), while cluster-level ``drain`` / ``flush`` collect per-shard
+emissions and publish the merged result in the same stable (shard,
 round, intra-round) order as the returned list — sink delivery is
 backend-deterministic and, for a single-threaded caller, list-identical to
 the pull API (the parity suite pins both).
@@ -188,7 +188,7 @@ class ClusterConfig:
         Execution backend: ``"serial"`` runs every shard inline on the
         caller (the reference), ``"thread"`` pins each shard to its own
         worker thread of a persistent pool and runs cluster-level drain /
-        flush / expire rounds concurrently across shards.
+        flush rounds concurrently across shards.
     supervision:
         Fault-tolerance knobs (:class:`~repro.serving.supervisor.SupervisorConfig`):
         per-shard checkpoint cadence, circuit-breaker thresholds and
@@ -802,49 +802,29 @@ class ShardWorker:
             self._reload_queue_locked([])
         self.supervisor.note_lost(entries)
 
-    def _flush_inline(self) -> List[StreamDecision]:
-        """Drain, then force-decide every session's undecided keys.
+    def _flush_inline(self, stream_id: Optional[Hashable] = None) -> List[StreamDecision]:
+        """Drain, then force-decide the undecided keys of every session, or
+        of ``stream_id``'s session only.
 
-        When the drain leaves arrivals queued (the breaker opened and
-        stopped it), deciding keys now would decide on a prefix of their
-        stream, so the flush returns only the drain's decisions; a later
-        flush after the half-open probe decides them.
-        :meth:`_flush_stream_inline` and :meth:`_expire_inline` do the
-        same.
+        The whole queue drains first either way (a stream's pending
+        arrivals sit behind other streams' in FIFO order), so a per-stream
+        flush may return other streams' drain decisions ahead of the target
+        stream's flush decisions.  When the drain leaves arrivals queued
+        (the breaker opened and stopped it), deciding keys now would decide
+        on a prefix of their stream, so only the drain's decisions come
+        back; a later flush after the half-open probe decides them.
         """
         emitted = self._drain_inline()
         if self.queue_depth:
             return emitted
-        for stream_id, session in self.sessions.items():
+        if stream_id is None:
+            sessions = self.sessions.items()
+        else:
+            session = self.sessions.get(stream_id)
+            sessions = [] if session is None else [(stream_id, session)]
+        for sid, session in sessions:
             for decision in session.flush():
-                emitted.append(StreamDecision(stream_id, self.shard_id, decision))
-        return emitted
-
-    def _flush_stream_inline(self, stream_id: Hashable) -> List[StreamDecision]:
-        """Drain the shard, then force-decide one session's undecided keys.
-
-        The whole shard queue must drain first (the target stream's pending
-        arrivals sit behind other streams' in FIFO order), so the emitted
-        list may contain other streams' drain decisions ahead of the target
-        stream's flush decisions.
-        """
-        emitted = self._drain_inline()
-        if self.queue_depth:
-            return emitted
-        session = self.sessions.get(stream_id)
-        if session is not None:
-            for decision in session.flush():
-                emitted.append(StreamDecision(stream_id, self.shard_id, decision))
-        return emitted
-
-    def _expire_inline(self, now: Optional[float] = None) -> List[StreamDecision]:
-        """Drain, then apply idle-timeout expiry to every session."""
-        emitted = self._drain_inline()
-        if self.queue_depth:
-            return emitted
-        for stream_id, session in self.sessions.items():
-            for decision in session.expire(now):
-                emitted.append(StreamDecision(stream_id, self.shard_id, decision))
+                emitted.append(StreamDecision(sid, self.shard_id, decision))
         return emitted
 
 
@@ -932,18 +912,18 @@ class ServingCluster:
     The deployment entry point for multi-stream serving: ``submit`` routes
     each arrival to its stream's shard (stable CRC32 bucketing — the same
     stream always lands on the same shard, across processes and restarts),
-    shards batch-encode their queues, and ``flush`` / ``expire`` fan out to
-    every session.  The API is synchronous: every call returns with its work
+    shards batch-encode their queues, and ``flush`` fans out to every
+    session.  The API is synchronous: every call returns with its work
     complete.  With the serial backend the work runs on the calling thread;
-    with ``executor="thread"`` cluster-level drain / flush / expire run all
-    shards concurrently on the pinned worker pool and the caller waits for
+    with ``executor="thread"`` cluster-level drain / flush run all shards
+    concurrently on the pinned worker pool and the caller waits for
     the merged, shard-ordered result — same decisions, overlapped wall
     clock.  Use :meth:`close` (or a ``with`` block) to release the pool.
     """
 
     #: Lifecycle states (``state`` property): ``running`` accepts
     #: submissions, ``draining`` only finishes in-flight work (drain /
-    #: flush / expire), ``closed`` rejects everything but ``stats``.
+    #: flush), ``closed`` rejects everything but ``stats``.
     STATES = ("running", "draining", "closed")
 
     def __init__(
@@ -1257,16 +1237,17 @@ class ServingCluster:
 
     @staticmethod
     def _shard_job(shard: ShardWorker, fn) -> List[StreamDecision]:
-        """One fan-out job body, running on the shard's execution context."""
+        """One fan-out or ``flush_stream`` job body, running on the shard's
+        execution context."""
         shard._fire_fault("executor-job")
         return fn()
 
     def _await_shard_job(self, shard: ShardWorker, job: JobHandle) -> List[StreamDecision]:
         """Wait for a shard job (a fan-out job or one round); absorb its failure.
 
-        A job that raises outside a round's own handling (flush/expire
-        faults, executor-job injection) feeds the shard's failure path and
-        yields no decisions.  The wait has no deadline: a wedged round
+        A job that raises outside a round's own handling (a session's
+        flush, the executor-job fault site) feeds the shard's failure path
+        and yields no decisions.  The wait has no deadline: a wedged round
         blocks its waiter, on either backend.
         """
         job.done.wait()
@@ -1297,27 +1278,19 @@ class ServingCluster:
         HTTP per-stream flush verb: other streams on the same shard only
         have their queued arrivals drained (their decisions, if any, are
         part of the returned/published batch); only the target stream is
-        force-decided.
+        force-decided.  The work is one shard job awaited by
+        :meth:`_await_shard_job`, as a fan-out's is, so a failure (the
+        ``executor-job`` fault site included) is absorbed by the shard's
+        supervisor.
         """
         self._require_open("flush_stream")
         shard = self.shard_of(stream_id)
-        sup = shard.supervisor
-        if not sup.allow_round():
+        if not shard.supervisor.allow_round():
             return []  # degraded: the shard may not run work right now
-        try:
-            emitted = shard._run_pinned(partial(shard._flush_stream_inline, stream_id))
-        except Exception as error:
-            sup.on_round_failure(error, sup.epoch, shard._take_round_entries())
-            return []
+        job = partial(self._shard_job, shard, partial(shard._flush_inline, stream_id))
+        emitted = self._await_shard_job(shard, self._executor.submit(shard.shard_id, job))
         self._publish(emitted)
         return emitted
-
-    def expire(self, now: Optional[float] = None) -> List[StreamDecision]:
-        """Drain all queues, then expire idle keys on every session."""
-        self._require_open("expire")
-        return self._fan_out(
-            [partial(shard._expire_inline, now) for shard in self.shards]
-        )
 
     # ------------------------------------------------------------------ #
     # live stream migration

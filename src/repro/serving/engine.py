@@ -5,7 +5,7 @@ The serving layer is split into three composable tiers:
 * :class:`StreamSession` (this module) — ALL the per-stream state and logic:
   one bounded :class:`~repro.data.stream.SlidingWindow`, one incremental
   KV-cache (:class:`~repro.core.incremental.IncrementalEncoderState`), the
-  per-key decision bookkeeping, and the offer/evaluate/flush/expire decision
+  per-key decision bookkeeping, and the offer/evaluate/flush decision
   machinery.  A session knows nothing about other streams.
 * :class:`~repro.serving.cluster.ShardWorker` — owns many sessions keyed by
   stream id, a bounded arrival queue, and the cross-stream *batched* row
@@ -116,7 +116,7 @@ import numpy as np
 
 from repro.core.model import KVEC, PredictionRecord
 from repro.data.items import TangledSequence, ValueSpec
-from repro.data.stream import KeyTracker, SlidingWindow, StreamEvent
+from repro.data.stream import SlidingWindow, StreamEvent
 
 
 def require_ints(config: object, *names: str) -> None:
@@ -146,9 +146,6 @@ class EngineConfig:
     reencode_every:
         Re-encode the window after this many arrivals (1 = every item, the
         most faithful and the most expensive setting).
-    idle_timeout:
-        Simulated-time gap after which an undecided key is considered
-        finished and force-decided during :meth:`flush` / :meth:`expire`.
     mode:
         ``"incremental"`` (default) serves from the KV-cached streaming
         encoder state; ``"full"`` re-encodes on every evaluation (the
@@ -160,7 +157,6 @@ class EngineConfig:
     window_items: int = 256
     halt_threshold: float = 0.5
     reencode_every: int = 1
-    idle_timeout: float = 0.0
     mode: str = "incremental"
 
     def __post_init__(self) -> None:
@@ -171,8 +167,6 @@ class EngineConfig:
             raise ValueError("halt_threshold must be in (0, 1]")
         if self.reencode_every <= 0:
             raise ValueError("reencode_every must be positive")
-        if self.idle_timeout < 0:
-            raise ValueError("idle_timeout must be non-negative")
         if self.mode not in ("incremental", "full"):
             raise ValueError(f"unknown engine mode {self.mode!r}")
 
@@ -241,7 +235,8 @@ class StreamSession:
         self.config = config or EngineConfig()
         self.config.validate_for_model(model)
         self.window = SlidingWindow(max_items=self.config.window_items)
-        self.tracker = KeyTracker(idle_timeout=self.config.idle_timeout)
+        #: Items observed per key on this stream (the paper's ``n_k``).
+        self.observations: Dict[Hashable, int] = {}
         self.decisions: Dict[Hashable, Decision] = {}
         self._arrivals_since_encode = 0
         self._truncated_keys: set = set()
@@ -298,7 +293,7 @@ class StreamSession:
         new.spec = copy.deepcopy(self.spec, memo)
         new.config = copy.deepcopy(self.config, memo)
         new.window = copy.deepcopy(self.window, memo)
-        new.tracker = copy.deepcopy(self.tracker, memo)
+        new.observations = dict(self.observations)
         new.decisions = {key: copy.copy(d) for key, d in self.decisions.items()}
         new._truncated_keys = set(self._truncated_keys)
         new._window_pending = set(self._window_pending)
@@ -324,12 +319,13 @@ class StreamSession:
     def _ingest(self, event: StreamEvent) -> bool:
         """Phase 1 of :meth:`offer`: every bookkeeping step except the encode.
 
-        Advances the clock/tracker/window, performs the cache *maintenance*
-        the arrival forces (ring evictions, or dirty-marking under the
-        absolute scheme) and returns True when the arrival's own row must
-        still be appended to the incremental cache.  A shard drains a batch
-        by calling this on every session first, then encoding all the
-        still-pending rows in one cross-stream batch.
+        Advances the clock, the key's observation count and the window,
+        performs the cache *maintenance* the arrival forces (ring
+        evictions, or dirty-marking under the absolute scheme) and returns
+        True when the arrival's own row must still be appended to the
+        incremental cache.  A shard drains a batch by calling this on every
+        session first, then encoding all the still-pending rows in one
+        cross-stream batch.
 
         **Rotary scheme (ring buffer).**  Cached rows are eviction-stable, so
         maintenance is always exact and always cheap: drop one ring row per
@@ -348,7 +344,7 @@ class StreamSession:
         at zero cost — and no per-arrival row is appended meanwhile.
         """
         self._clock = max(self._clock, event.time)
-        self.tracker.observe(event)
+        self.observations[event.key] = self.observations.get(event.key, 0) + 1
         evicted = self.window.push(event.item)
         for item in evicted:
             if item.key not in self.decisions:
@@ -578,13 +574,12 @@ class StreamSession:
             key=key,
             predicted=int(np.argmax(probabilities)),
             confidence=float(np.max(probabilities)),
-            observations=self.tracker.observations(key),
+            observations=self.observations[key],
             decision_time=self._clock,
             halted_by_policy=halted_by_policy,
             window_truncated=key in self._truncated_keys,
         )
         self.decisions[key] = decision
-        self.tracker.mark_done(key)
         self._window_pending.discard(key)
         return decision
 
@@ -593,37 +588,25 @@ class StreamSession:
             key=record.key,
             predicted=record.predicted,
             confidence=record.confidence,
-            observations=self.tracker.observations(record.key),
+            observations=self.observations[record.key],
             decision_time=self._clock,
             halted_by_policy=halted_by_policy,
             window_truncated=record.key in self._truncated_keys,
         )
         self.decisions[record.key] = decision
-        self.tracker.mark_done(record.key)
         return decision
 
     # ------------------------------------------------------------------ #
     # finishing touches
     # ------------------------------------------------------------------ #
-    def expire(self, now: Optional[float] = None) -> List[Decision]:
-        """Force-decide keys that have been idle longer than the timeout."""
-        if not self.config.idle_timeout:
-            return []
-        now = self._clock if now is None else now
-        idle = set(self.tracker.expire_idle(now)) - set(self.decisions)
-        return self._force_decide(idle) if idle else []
-
     def undecided_keys(self) -> set:
         """Keys observed on this stream that have no decision yet."""
-        return set(self.tracker.states()) - set(self.decisions)
+        return set(self.observations) - set(self.decisions)
 
     def flush(self) -> List[Decision]:
         """Force-decide every remaining undecided key from the current window."""
-        undecided = self.undecided_keys()
-        return self._force_decide(undecided) if undecided else []
-
-    def _force_decide(self, keys) -> List[Decision]:
-        if not len(self.window):
+        keys = self.undecided_keys()
+        if not keys or not len(self.window):
             return []
         if self._history is not None:
             _, _, latest = self._encode_banded_history()

@@ -23,9 +23,10 @@ Injection sites (:data:`FAULT_SITES`)
     must recover from bit-for-bit (and the dequeued arrivals are the round's
     casualties: they are *lost*, which the supervisor records).
 ``"executor-job"``
-    The start of a cluster-level fan-out job (drain / flush / expire), on
-    the shard's execution context.  Exercises the caller-side failure path
-    of the supervised fan-out.
+    The start of a cluster-level shard job (each shard's part of a drain
+    or flush, and the one job of a ``flush_stream``), on the shard's
+    execution context.  Exercises the caller-side failure path the
+    fan-outs and ``flush_stream`` share.
 ``"sink-publish"``
     Fired by :class:`FaultInjectingSink` on every delivery — subscribe one
     to a cluster (optionally wrapping a real sink) to model a subscriber

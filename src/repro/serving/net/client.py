@@ -250,37 +250,34 @@ class ServingHTTPClient:
     async def health(self) -> Dict[str, object]:
         return (await self.request("GET", "/v1/health")).json()
 
-    async def _admin(
-        self, verb: str, payload: Optional[object] = None
+    async def _post(
+        self, target: str, payload: Optional[object] = None
     ) -> Dict[str, object]:
-        response = await self.request("POST", f"/v1/admin/{verb}", payload)
+        """POST to ``target`` and return the JSON body; any status but 200
+        raises :class:`RuntimeError` naming the target, status and body."""
+        response = await self.request("POST", target, payload)
         body = response.json()
         if response.status != 200:
-            raise RuntimeError(f"admin {verb} failed ({response.status}): {body}")
+            raise RuntimeError(f"POST {target} failed ({response.status}): {body}")
         return body
 
     async def drain(self) -> List[NetDecision]:
-        return self._decision_list(await self._admin("drain"))
+        return self._decision_list(await self._post("/v1/admin/drain"))
 
     async def flush(self) -> List[NetDecision]:
-        return self._decision_list(await self._admin("flush"))
-
-    async def expire(self, now: Optional[float] = None) -> List[NetDecision]:
-        payload = None if now is None else {"now": now}
-        return self._decision_list(await self._admin("expire", payload))
+        return self._decision_list(await self._post("/v1/admin/flush"))
 
     async def flush_stream(self, stream_id: Union[str, int]) -> List[NetDecision]:
-        response = await self.request("POST", f"/v1/streams/{stream_id}/flush")
-        return self._decision_list(response.json())
+        return self._decision_list(await self._post(f"/v1/streams/{stream_id}/flush"))
 
     async def snapshot(self) -> str:
-        return (await self._admin("snapshot"))["snapshot_id"]
+        return (await self._post("/v1/admin/snapshot"))["snapshot_id"]
 
     async def restore(self, snapshot_id: str) -> None:
-        await self._admin("restore", {"snapshot_id": snapshot_id})
+        await self._post("/v1/admin/restore", {"snapshot_id": snapshot_id})
 
     async def shutdown(self) -> List[NetDecision]:
-        return self._decision_list(await self._admin("shutdown"))
+        return self._decision_list(await self._post("/v1/admin/shutdown"))
 
     @staticmethod
     def _decision_list(body: object) -> List[NetDecision]:

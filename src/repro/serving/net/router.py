@@ -134,9 +134,6 @@ class ClusterRouter:
     def flush_stream(self, stream_id: Hashable) -> List[StreamDecision]:
         return self.node_of(stream_id).flush_stream(stream_id)
 
-    def expire(self, now: Optional[float] = None) -> List[StreamDecision]:
-        return [sd for node in self.nodes for sd in node.expire(now)]
-
     def subscribe(self, sink: DecisionSink) -> DecisionSink:
         """Subscribe a sink to every node's emissions."""
         for node in self.nodes:

@@ -28,7 +28,6 @@ GET      ``/v1/stats``                   ``gateway.stats()`` (pure JSON)
 GET      ``/v1/health``                  ``gateway.health()`` (pure JSON)
 POST     ``/v1/admin/drain``             drain every shard queue
 POST     ``/v1/admin/flush``             flush the whole cluster
-POST     ``/v1/admin/expire``            expire idle keys (optional ``now``)
 POST     ``/v1/admin/snapshot``          capture a server-held snapshot,
                                          returns its id
 POST     ``/v1/admin/restore``           restore a held snapshot by id
@@ -276,14 +275,6 @@ class ServingHTTPServer:
             emitted = await self.gateway.drain()
         elif verb == "flush":
             emitted = await self.gateway.flush()
-        elif verb == "expire":
-            payload = request.json()
-            now = None
-            if isinstance(payload, dict) and "now" in payload:
-                now = payload["now"]
-                if not isinstance(now, (int, float)) or isinstance(now, bool):
-                    raise WireFormatError("expire 'now' must be a number")
-            emitted = await self.gateway.expire(now)
         elif verb == "snapshot":
             snapshot = await self.gateway.snapshot()
             self._snapshot_seq += 1

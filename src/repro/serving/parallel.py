@@ -28,7 +28,7 @@ module supplies the pieces that turn "sharded" into "scales with cores":
   Determinism: the cluster's fan-out
   (:meth:`~repro.serving.cluster.ServingCluster._fan_out`) submits one job
   per shard and collects the results indexed by shard, so a cluster-level
-  drain/flush/expire concatenates per-shard decision lists in stable
+  drain/flush concatenates per-shard decision lists in stable
   (shard index, round, intra-round) order, whatever order the shards
   finished in — decision-for-decision identical to the serial backend,
   which the cluster parity suite pins.

@@ -21,9 +21,9 @@ and publish them as ordered batches.
   shard serialize on that worker, and a stream lives on exactly one shard,
   so per-stream delivery order always equals per-stream emission order,
   even with many concurrent submitters.
-* Cluster-level ``drain`` / ``flush`` / ``expire`` collect per-shard result
-  lists while shards run (possibly concurrently) and publish the merged
-  result at the merge point, in the same stable (shard index, round,
+* Cluster-level ``drain`` / ``flush`` collect per-shard result lists
+  while shards run (possibly concurrently) and publish the merged result
+  at the merge point, in the same stable (shard index, round,
   intra-round) order as the returned list — so sink delivery is
   backend-deterministic: serial and thread executors deliver identical
   sequences, which the parity suite pins.

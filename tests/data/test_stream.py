@@ -1,13 +1,14 @@
-"""Tests for the streaming views (replay, merge, sliding window, key tracker)."""
+"""Tests for the streaming views (replay, merge, sliding window)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.data
+import repro.data.stream
 from repro.data.items import Item, KeyValueSequence, ValueSpec
 from repro.data.stream import (
-    KeyTracker,
     SlidingWindow,
     StreamEvent,
     merge_streams,
@@ -79,15 +80,8 @@ class TestSlidingWindow:
         for i in range(5):
             evicted_total.extend(window.push(Item("a", (0, 0), float(i))))
         assert len(window) == 3
-        assert len(evicted_total) == 2
-        assert window.evicted == 2
+        assert [item.time for item in evicted_total] == [0.0, 1.0]
         assert [item.time for item in window] == [2.0, 3.0, 4.0]
-
-    def test_age_based_eviction(self):
-        window = SlidingWindow(max_age=2.0)
-        for time in [0.0, 1.0, 2.0, 5.0]:
-            window.push(Item("a", (0, 0), time))
-        assert [item.time for item in window] == [5.0]
 
     def test_out_of_order_push_rejected(self):
         window = SlidingWindow(max_items=4)
@@ -96,8 +90,11 @@ class TestSlidingWindow:
             window.push(Item("a", (0, 0), 1.0))
 
     def test_requires_a_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SlidingWindow()
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="max_items must be positive"):
+                SlidingWindow(max_items=bound)
 
     def test_as_tangle_defaults_unknown_labels_to_zero(self):
         window = SlidingWindow(max_items=10)
@@ -112,43 +109,21 @@ class TestSlidingWindow:
     def test_window_never_exceeds_bound(self, gaps, bound):
         window = SlidingWindow(max_items=bound)
         time = 0.0
+        evicted = 0
         for gap in gaps:
             time += gap
-            window.push(Item("k", (0, 0), time))
+            evicted += len(window.push(Item("k", (0, 0), time)))
             assert len(window) <= bound
-        assert window.evicted == max(0, len(gaps) - bound)
+        assert evicted == max(0, len(gaps) - bound)
 
 
-class TestKeyTracker:
-    def test_counts_observations_per_key(self):
-        tracker = KeyTracker()
-        tangle = make_tangle([3, 2])
-        for event in replay(tangle):
-            tracker.observe(event)
-        assert tracker.observations("k0") == 3
-        assert tracker.observations("k1") == 2
-        assert tracker.observations("missing") == 0
-
-    def test_mark_done_removes_from_active(self):
-        tracker = KeyTracker()
-        for event in replay(make_tangle([2, 2])):
-            tracker.observe(event)
-        tracker.mark_done("k0")
-        assert tracker.active_keys() == ["k1"]
-
-    def test_idle_expiry(self):
-        tracker = KeyTracker(idle_timeout=5.0)
-        tracker.observe(StreamEvent(0.0, Item("a", (0, 0), 0.0)))
-        tracker.observe(StreamEvent(1.0, Item("b", (0, 0), 1.0)))
-        expired = tracker.expire_idle(now=10.0)
-        assert set(expired) == {"a", "b"}
-        assert tracker.active_keys(now=10.0) == []
-
-    def test_duration(self):
-        tracker = KeyTracker()
-        tracker.observe(StreamEvent(1.0, Item("a", (0, 0), 1.0)))
-        tracker.observe(StreamEvent(4.0, Item("a", (0, 0), 4.0)))
-        assert tracker.states()["a"].duration == pytest.approx(3.0)
+def test_no_key_tracker():
+    """A serving session counts each key's observations in a plain dict;
+    the tracker and its per-key state records are gone from the package."""
+    for name in ("KeyTracker", "KeyState"):
+        assert not hasattr(repro.data.stream, name)
+        assert not hasattr(repro.data, name)
+        assert name not in repro.data.__all__
 
 
 class TestStreamPrefixes:

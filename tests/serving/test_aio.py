@@ -202,7 +202,7 @@ class TestAsyncParity:
                 await asyncio.sleep(0)
             await settle(gateway)
             served_before_flush = len(sink)
-            await gateway.expire()
+            await gateway.drain()
             await gateway.close()
             pushed = [d async for d in gateway.decisions()]
             return served_before_flush, sink.take(), pushed

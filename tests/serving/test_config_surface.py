@@ -7,10 +7,12 @@ a deliberate change to the list below.  Options the serving API no longer
 has — the full-queue overflow policies, the shared-worker count, the stats
 window, the degraded-submit policy, eager evaluation, the round deadline,
 the gateway's decision-stream bound, the worker thread-name prefix, the
-queue sink's put timeout and the ``raise_on_reject`` keyword of the submit
-paths — fail with Python's own ``TypeError`` where a caller passes them:
-there is no shim that accepts the keyword and ignores it.  Every count
-field takes an ``int`` and nothing else.
+queue sink's put timeout, the idle timeout, the window's age bound and the
+``raise_on_reject`` keyword of the submit paths — fail with Python's own
+``TypeError`` where a caller passes them: there is no shim that accepts the
+keyword and ignores it.  Idle-timeout expiry is gone from every layer, down
+to the HTTP admin verb: keys are decided by the halting policy or by a
+flush.  Every count field takes an ``int`` and nothing else.
 """
 
 import asyncio
@@ -21,7 +23,7 @@ import pytest
 from repro.core.config import KVECConfig
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
-from repro.data.stream import StreamEvent
+from repro.data.stream import SlidingWindow, StreamEvent
 from repro.serving import (
     AsyncQueueSink,
     AsyncServingGateway,
@@ -30,8 +32,11 @@ from repro.serving import (
     ClusterRouter,
     EngineConfig,
     ServingCluster,
+    StreamSession,
     SupervisorConfig,
 )
+from repro.serving.cluster import ShardWorker
+from repro.serving.net import ServingHTTPClient
 from repro.serving.parallel import ThreadExecutor, make_executor
 
 SPEC = ValueSpec(field_names=("size", "direction"), cardinalities=(8, 2), session_field=1)
@@ -61,7 +66,6 @@ CONFIG_FIELDS = {
         "window_items",
         "halt_threshold",
         "reencode_every",
-        "idle_timeout",
         "mode",
     ),
 }
@@ -74,6 +78,7 @@ DROPPED_CONFIG_KEYWORDS = [
     (SupervisorConfig, "degraded", "reject"),
     (SupervisorConfig, "round_deadline_s", 0.5),
     (EngineConfig, "eager", True),
+    (EngineConfig, "idle_timeout", 6.0),
 ]
 
 #: ``(config class, count field, a value that is not an int)``; each of
@@ -190,14 +195,16 @@ class TestDroppedKeywords:
             (lambda: ThreadExecutor(2, name_prefix="worker"), "name_prefix"),
             (lambda: AsyncServingGateway(make_model(), SPEC, max_buffered=4), "max_buffered"),
             (lambda: AsyncQueueSink(None, None, put_timeout=1.0), "put_timeout"),
+            (lambda: SlidingWindow(max_items=4, max_age=1.0), "max_age"),
         ],
-        ids=["ThreadExecutor", "AsyncServingGateway", "AsyncQueueSink"],
+        ids=["ThreadExecutor", "AsyncServingGateway", "AsyncQueueSink", "SlidingWindow"],
     )
     def test_dropped_constructor_keyword_is_a_type_error(self, build, keyword):
         """Worker threads have fixed names, ``decisions()`` reads the
         gateway's history unbounded (the HTTP push stream keeps its own
-        bound) and a bounded queue sink's put timeout is a constant; the
-        call fails before anything is built."""
+        bound), a bounded queue sink's put timeout is a constant and a
+        serving window is bounded by its item count alone; the call fails
+        before anything is built."""
         with pytest.raises(TypeError, match=keyword):
             build()
 
@@ -211,3 +218,16 @@ class TestDroppedKeywords:
                 SUBMIT_PATHS[path](cluster, one_event(), raise_on_reject=False)
             assert cluster.stats()["queue_depths"] == [0]
             assert cluster.num_sessions == 0
+
+
+class TestNoExpiry:
+    @pytest.mark.parametrize(
+        "cls",
+        [StreamSession, ShardWorker, ServingCluster, AsyncServingGateway, ClusterRouter,
+         ServingHTTPClient],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_no_expire_entry_point(self, cls):
+        """No serving layer offers idle-timeout expiry; ``flush`` and
+        ``flush_stream`` are the ways to force-decide keys."""
+        assert not [name for name in dir(cls) if "expire" in name]

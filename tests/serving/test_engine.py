@@ -62,6 +62,22 @@ class TestOnlineClassificationEngine:
         for key, decision in engine.decisions.items():
             assert 1 <= decision.observations <= tangle.sequence_length(key)
 
+    def test_observations_count_every_arrival_per_key(self, served):
+        """The session counts each key's arrivals (the paper's ``n_k``),
+        window evictions included; a flush decides each key still in the
+        window at its full count when nothing halted it earlier."""
+        engine = OnlineClassificationEngine(
+            served["model"], served["spec"], EngineConfig(window_items=4, halt_threshold=1.0)
+        )
+        tangle = served["test"][0]
+        engine.consume(replay(tangle))
+        lengths = {key: tangle.sequence_length(key) for key in tangle.keys}
+        assert engine.observations == lengths
+        assert len(engine.window) < len(tangle)
+        assert engine.flush()
+        for key, decision in engine.decisions.items():
+            assert decision.observations == lengths[key]
+
     def test_records_match_ground_truth_labels(self, served):
         engine = OnlineClassificationEngine(served["model"], served["spec"])
         tangle = served["test"][0]

@@ -412,8 +412,10 @@ class TestMalformedRequests:
                     not_a_dict = await client.request(
                         "POST", "/v1/streams/s/events", [1, 2, 3]
                     )
-                    bad_expire = await client.request(
-                        "POST", "/v1/admin/expire", {"now": "later"}
+                    # idle-timeout expiry is gone: its old verb, with a
+                    # payload it used to refuse, is an unknown verb now
+                    expire = await client.request(
+                        "POST", "/v1/admin/expire", {"now": float("nan")}
                     )
                     # non-finite numbers: json.dumps writes NaN/Infinity
                     # literals, and 1e400 parses to inf
@@ -432,9 +434,6 @@ class TestMalformedRequests:
                             target,
                             b'{"time": 1e400, "key": "k", "value": [0, 0]}',
                         )
-                    )
-                    nan_expire = await client.request(
-                        "POST", "/v1/admin/expire", {"now": float("nan")}
                     )
                     # snapshot ids that are not strings (and not hashable)
                     bad_snapshot_ids = [
@@ -459,17 +458,19 @@ class TestMalformedRequests:
                     )
                     await client.drain()
                     health = await client.health()
-            return valid, health, [
+            return valid, health, expire, [
                 garbage, bad_json, unknown_field, out_of_range,
-                wrong_arity, not_a_dict, bad_expire,
-                *non_finite, overflowing_time, nan_expire, out_of_order,
+                wrong_arity, not_a_dict,
+                *non_finite, overflowing_time, out_of_order,
                 *bad_snapshot_ids,
             ]
 
-        valid, health, responses = asyncio.run(scenario())
+        valid, health, expire, responses = asyncio.run(scenario())
         for response in responses:
             assert response.status == 400
             assert "error" in response.json()
+        assert expire.status == 404
+        assert expire.json() == {"error": "unknown admin verb 'expire'"}
         assert valid.status in (200, 202)
         assert health["failures"] == 0
         assert health["lost_arrivals"] == 0
@@ -631,6 +632,27 @@ class TestLifecycleOverHTTP:
         assert stats["gateway_state"] == "closed"
         assert stats["server"]["state"] == "draining"
         assert refusal.http_status == 503
+
+    def test_flush_stream_on_a_closed_gateway_raises_its_status(self):
+        """The per-stream flush checks the response status as the admin
+        verbs do: a refusal is a ``RuntimeError`` naming the 503, not a
+        misread body."""
+        model = make_model()
+
+        async def scenario():
+            config = ClusterConfig(num_shards=1, batch_size=4, engine=engine_config())
+            async with ServingHTTPServer(model=model, spec=SPEC, config=config) as server:
+                async with ServingHTTPClient(server.host, server.port) as client:
+                    await client.shutdown()
+                    with pytest.raises(RuntimeError, match=r"/v1/admin/flush failed \(503\)"):
+                        await client.flush()
+                    with pytest.raises(
+                        RuntimeError,
+                        match=r"/v1/streams/alpha/flush failed \(503\).*cluster is closed",
+                    ):
+                        await client.flush_stream("alpha")
+
+        asyncio.run(scenario())
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_snapshot_restore_round_trip_over_http(self, executor):

@@ -210,7 +210,7 @@ class TestClusterDelivery:
             returned = []
             for event in events:
                 returned.extend(cluster.submit(event).decisions)
-            returned.extend(cluster.expire())
+            returned.extend(cluster.drain())
             returned.extend(cluster.flush())
             delivered = sink.take()
         assert delivered == returned

@@ -33,7 +33,7 @@ from repro.core.config import KVECConfig
 from repro.core.incremental import IncrementalEncoderState
 from repro.core.model import KVEC
 from repro.data.items import Item, ValueSpec
-from repro.data.stream import KeyState, KeyTracker, SlidingWindow, StreamEvent
+from repro.data.stream import SlidingWindow, StreamEvent
 from repro.serving.aio import AsyncServingGateway
 from repro.serving.cluster import (
     ClusterConfig,
@@ -499,7 +499,7 @@ _SHAREABLE = (type(None), bool, int, float, str, bytes, np.generic, Item, Stream
 #: mode; the walk must meet each, or it proves nothing about the copy
 #: lines for it.
 _SESSION_KINDS = {
-    StreamSession, SlidingWindow, KeyTracker, KeyState, Decision, list, dict, set, deque,
+    StreamSession, SlidingWindow, Decision, list, dict, set, deque,
 }
 _STATE_KINDS = {
     "incremental": _SESSION_KINDS | {IncrementalEncoderState, np.ndarray},
@@ -816,11 +816,53 @@ class TestGracefulDegradation:
         assert sink.take() == flushed
         cluster.close()
 
+    def test_flush_stream_job_failure_is_absorbed(self, executor):
+        """``flush_stream`` is one shard job, as each shard's part of a
+        fan-out is: an ``executor-job`` fault fails it before its drain, the
+        shard's supervisor counts the failure and restores with nothing
+        lost, and the next call emits what a fault-free call does."""
+        _, events = multi_stream_events(seed=27, num_events=40)
+        stream_id = events[-1].source
+
+        def build(specs):
+            config = ClusterConfig(
+                **backend(executor),
+                num_shards=1,
+                batch_size=4,
+                auto_drain=False,
+                faults=FaultInjector(specs=specs),
+                engine=engine_config(),
+            )
+            cluster = ServingCluster(make_model(), SPEC, config)
+            for event in events:
+                cluster.submit(event)
+            return cluster
+
+        cluster = build([FaultSpec(site="executor-job", shard_id=0, limit=1)])
+        sink = cluster.subscribe(BufferedSink())
+        assert cluster.flush_stream(stream_id) == []
+        health = cluster.health()
+        assert health["failures"] == 1 and health["restores"] == 1
+        assert health["lost_arrivals"] == 0
+        assert cluster.shards[0].queue_depth == len(events)
+        assert sink.take() == []
+        got = cluster.flush_stream(stream_id)
+        assert sink.take() == got
+        cluster.close()
+
+        reference = build([])
+        expected = reference.flush_stream(stream_id)
+        reference.close()
+        assert any(d.stream_id == stream_id for d in expected)
+        assert [(d.stream_id, d.decision) for d in got] == [
+            (d.stream_id, d.decision) for d in expected
+        ]
+
 
 # --------------------------------------------------------------------- #
 # a drain the open breaker stopped decides no queued key
 # --------------------------------------------------------------------- #
-def _breaker_stops_drain_cluster(executor: str, clock, faults: bool = True, **engine):
+def _breaker_stops_drain_cluster(executor: str, clock, faults: bool = True):
     """1 shard, width 4, 40 queued arrivals over six streams.
 
     With ``faults``, the third and fourth rounds fail before dequeuing, so
@@ -840,7 +882,7 @@ def _breaker_stops_drain_cluster(executor: str, clock, faults: bool = True, **en
             checkpoint=CheckpointConfig(every_rounds=1), failure_threshold=2, clock=clock
         ),
         faults=injector,
-        engine=engine_config(**engine),
+        engine=engine_config(),
     )
     cluster = ServingCluster(make_model(), SPEC, config)
     _, events = multi_stream_events(seed=25, num_events=40)
@@ -849,12 +891,11 @@ def _breaker_stops_drain_cluster(executor: str, clock, faults: bool = True, **en
     return cluster, events
 
 
-#: ``operation name -> (call(cluster, stream_id), engine overrides)``: the
-#: three operations that drain before they force decisions.
+#: ``operation name -> call(cluster, stream_id)``: the two operations that
+#: drain before they force decisions.
 _DRAIN_FIRST_OPERATIONS = {
-    "flush": (lambda cluster, stream_id: cluster.flush(), {}),
-    "flush_stream": (lambda cluster, stream_id: cluster.flush_stream(stream_id), {}),
-    "expire": (lambda cluster, stream_id: cluster.expire(now=1e9), {"idle_timeout": 5}),
+    "flush": lambda cluster, stream_id: cluster.flush(),
+    "flush_stream": lambda cluster, stream_id: cluster.flush_stream(stream_id),
 }
 
 
@@ -862,20 +903,20 @@ class TestBreakerStoppedDrain:
     @pytest.mark.parametrize("operation", list(_DRAIN_FIRST_OPERATIONS))
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_stopped_drain_decides_no_queued_key(self, executor, operation):
-        """``flush``, ``flush_stream`` and ``expire`` drain first; when the
+        """``flush`` and ``flush_stream`` drain first; when the
         breaker opens partway, the arrivals it left queued belong to keys a
         forced decision now would decide on a prefix of their stream.  The
         operation returns only what the drain emitted, and the same call
         after the half-open probe decides those keys as a fault-free run
         does."""
-        call, engine = _DRAIN_FIRST_OPERATIONS[operation]
+        call = _DRAIN_FIRST_OPERATIONS[operation]
         clock = FakeClock()
-        twin, events = _breaker_stops_drain_cluster(executor, clock, **engine)
+        twin, events = _breaker_stops_drain_cluster(executor, clock)
         drained = twin.drain()
         twin.close()
         stream_id = events[-1].source
 
-        cluster, _ = _breaker_stops_drain_cluster(executor, clock, **engine)
+        cluster, _ = _breaker_stops_drain_cluster(executor, clock)
         got = call(cluster, stream_id)
         assert cluster.shards[0].queue_depth == 32
         assert cluster.health()["breaker_open"] == [0]
@@ -886,9 +927,7 @@ class TestBreakerStoppedDrain:
         got.extend(cluster.flush())
         cluster.close()
 
-        reference_cluster, _ = _breaker_stops_drain_cluster(
-            executor, clock, faults=False, **engine
-        )
+        reference_cluster, _ = _breaker_stops_drain_cluster(executor, clock, faults=False)
         reference = call(reference_cluster, stream_id) + reference_cluster.flush()
         reference_cluster.close()
         assert_recovery_parity(got, reference)
