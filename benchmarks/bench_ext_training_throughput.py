@@ -22,9 +22,12 @@ The acceptance gate is ``run_training_gate``: the batched leg must process
 episodes at >= 2x the per-tangle rate at B=16 for both encodings (asserted
 by ``pytest -m perf_smoke`` via ``tests/core/test_perf_smoke_training.py``).
 
-Results are echoed as text and merged into ``BENCH_training.json`` at the
-repo root (with ``cpus`` and ``blas_threads`` fields, since BLAS-level
-threading affects both paths) so future PRs can track the trajectory.
+Each cell times the two legs in alternating repetitions (after one untimed
+warm-up each) and records the median and the min–max over them; the
+speedup is the ratio of the medians.  Results are echoed as text and merged
+into ``BENCH_training.json`` at the repo root, with the git rev and source
+digest, the seed, ``cpus`` and ``blas_threads`` (BLAS-level threading
+affects both paths), so future PRs can track the trajectory.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Dict, List
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, bench_scale, write_bench_json
+from perfbench.common import git_rev, source_digest
 
 from repro.core.config import KVECConfig
 from repro.core.model import KVEC
@@ -49,7 +53,7 @@ from repro.serving.parallel import available_cpus
 #: Machine-readable training benchmark trajectory, tracked at the repo root.
 BENCH_TRAINING_JSON = Path(__file__).parent.parent / "BENCH_training.json"
 
-#: Sweep presets: (num_flows, concurrency, timing repetitions).
+#: Sweep presets: (num_flows, concurrency, timed repetitions per leg).
 SCALES = {
     "unit": (200, 2, 5),
     "bench": (320, 2, 5),
@@ -77,45 +81,66 @@ def _workload(scale: str, seed: int):
     return dataset, tangles, reps
 
 
-def _time_leg(
-    trainer: KVECTrainer,
-    batch,
-    reps: int,
-    batched: bool,
-    seed: int,
-) -> Dict[str, float]:
-    """Best-of-``reps`` wall clock for one loss+backward step over ``batch``.
+def _step_seconds(trainer: KVECTrainer, batch, batched: bool, seed: int):
+    """One loss+backward step over ``batch``: ``(seconds, episodes)``.
 
     ``batched`` runs the whole minibatch in one ``batched_episode_losses``
     call; otherwise each tangle gets its own call and backward.  Both legs
-    rebuild identical per-episode RNGs each repetition so they sample
+    rebuild identical per-episode RNGs on every call so they sample
     identical halting actions — the measured work is the same set of
     episodes, only the execution strategy differs.
     """
-    model = trainer.model
+    rngs = [np.random.default_rng(seed + 7 + j) for j in range(len(batch))]
+    groups = [(batch, rngs)] if batched else [([t], [r]) for t, r in zip(batch, rngs)]
+    trainer.model.zero_grad()
+    start = time.perf_counter()
     episodes = 0
-    best = float("inf")
-    for rep in range(reps + 1):
-        rngs = [np.random.default_rng(seed + 7 + j) for j in range(len(batch))]
-        groups = [(batch, rngs)] if batched else [([t], [r]) for t, r in zip(batch, rngs)]
-        model.zero_grad()
-        start = time.perf_counter()
-        results = []
-        for tangles, tangle_rngs in groups:
-            total, baseline_loss, group_results, _ = trainer.batched_episode_losses(
-                tangles, tangle_rngs
-            )
-            total.backward()
-            baseline_loss.backward()
-            results.extend(group_results)
-        if rep > 0:  # rep 0 is an untimed warmup (allocator/caches)
-            best = min(best, time.perf_counter() - start)
-        episodes = sum(len(r.episodes) for r in results)
-    return {
-        "seconds": best,
-        "episodes": episodes,
-        "episodes_per_second": episodes / best,
+    for tangles, tangle_rngs in groups:
+        total, baseline_loss, results, _ = trainer.batched_episode_losses(tangles, tangle_rngs)
+        total.backward()
+        baseline_loss.backward()
+        episodes += sum(len(result.episodes) for result in results)
+    return time.perf_counter() - start, episodes
+
+
+def _time_cell(dataset, config: KVECConfig, batch, reps: int, seed: int) -> Dict[str, dict]:
+    """Both legs of one cell, timed in ``reps`` alternating repetitions.
+
+    Each leg trains a fresh model and runs one untimed warm-up step
+    (allocator and caches); the repetitions then alternate which leg goes
+    first.  Returns per leg the median seconds with their min and max,
+    the episodes, and the episodes/s of the median (with its range), plus
+    the speedup of the batched leg's median over the per-tangle leg's.
+    """
+    trainers = {
+        name: KVECTrainer(KVEC(dataset.spec, dataset.num_classes, config))
+        for name in ("per_tangle", "batched")
     }
+    times: Dict[str, List[float]] = {name: [] for name in trainers}
+    episodes: Dict[str, int] = {}
+    order = list(trainers)
+    for name in order:
+        _, episodes[name] = _step_seconds(trainers[name], batch, name == "batched", seed)
+    for rep in range(reps):
+        for name in order if rep % 2 == 0 else order[::-1]:
+            seconds, _ = _step_seconds(trainers[name], batch, name == "batched", seed)
+            times[name].append(seconds)
+    cell: Dict[str, dict] = {}
+    for name, samples in times.items():
+        median = float(np.median(samples))
+        cell[name] = {
+            "seconds": median,
+            "seconds_min": min(samples),
+            "seconds_max": max(samples),
+            "episodes": episodes[name],
+            "episodes_per_second": episodes[name] / median,
+            "episodes_per_second_min": episodes[name] / max(samples),
+            "episodes_per_second_max": episodes[name] / min(samples),
+        }
+    cell["speedup"] = (
+        cell["batched"]["episodes_per_second"] / cell["per_tangle"]["episodes_per_second"]
+    )
+    return cell
 
 
 def run_training_throughput(scale: str, emit_json: bool = True, seed: int = 0) -> dict:
@@ -124,39 +149,38 @@ def run_training_throughput(scale: str, emit_json: bool = True, seed: int = 0) -
     lengths = [len(t) for t in tangles[:GATE_BATCH]]
     results: Dict[str, dict] = {}
     lines: List[str] = [
-        "training throughput: batched vs per-tangle (best-of-%d, episodes/s)" % reps,
+        "training throughput: batched vs per-tangle "
+        "(episodes/s, median [min-max] of %d alternating repetitions)" % reps,
         "workload: %d tangles, B=16 lengths %d..%d" % (len(tangles), min(lengths), max(lengths)),
         "",
-        "%-9s %5s %14s %14s %9s" % ("encoding", "B", "per-tangle", "batched", "speedup"),
+        "%-9s %5s %24s %24s %9s" % ("encoding", "B", "per-tangle", "batched", "speedup"),
     ]
     for encoding in ENCODINGS:
         for batch_size in BATCH_SIZES:
             config = KVECConfig(dropout=0.0, seed=seed, batch_size=batch_size, encoding=encoding)
-            batch = tangles[:batch_size]
-            leg: Dict[str, dict] = {}
-            for name, batched in (("per_tangle", False), ("batched", True)):
-                model = KVEC(dataset.spec, dataset.num_classes, config)
-                leg[name] = _time_leg(KVECTrainer(model), batch, reps, batched, seed)
-            leg["speedup"] = (
-                leg["batched"]["episodes_per_second"]
-                / leg["per_tangle"]["episodes_per_second"]
-            )
-            results[f"{encoding}_b{batch_size}"] = leg
-            lines.append(
-                "%-9s %5d %14.1f %14.1f %8.2fx"
+            cell = _time_cell(dataset, config, tangles[:batch_size], reps, seed)
+            results[f"{encoding}_b{batch_size}"] = cell
+            legs = [
+                "%7.1f [%6.1f-%6.1f]"
                 % (
-                    encoding,
-                    batch_size,
-                    leg["per_tangle"]["episodes_per_second"],
-                    leg["batched"]["episodes_per_second"],
-                    leg["speedup"],
+                    cell[name]["episodes_per_second"],
+                    cell[name]["episodes_per_second_min"],
+                    cell[name]["episodes_per_second_max"],
                 )
+                for name in ("per_tangle", "batched")
+            ]
+            lines.append(
+                "%-9s %5d %24s %24s %8.2fx" % (encoding, batch_size, *legs, cell["speedup"])
             )
 
     text = "\n".join(lines)
     print(text)
     (RESULTS_DIR / f"ext_training_throughput_{scale}.txt").write_text(text + "\n")
     payload = {
+        # The digest pins the measured source when the checkout is uncommitted.
+        "git_rev": git_rev(),
+        "src_digest": source_digest(),
+        "repetitions": reps,
         "scale": scale,
         "seed": seed,
         "cpus": available_cpus(),
@@ -177,10 +201,11 @@ def run_training_gate(scale: str = "unit", seed: int = 0, attempts: int = 3) -> 
     minibatch can run 2x faster than one call per tangle on the same work —
     so each encoding is measured up to ``attempts``
     times, keeping the best-speedup attempt and stopping early once the
-    speedup clears ``GATE_TARGET * GATE_MARGIN``: best-of-reps inside one
-    attempt filters scheduler jitter, best-of-attempts filters slower
-    process-level noise (allocator layout, cache state on small single-core
-    runners) that can depress a whole measurement by ~10-15%.
+    speedup clears ``GATE_TARGET * GATE_MARGIN``: medians of alternating
+    repetitions inside one attempt filter scheduler jitter, best-of-attempts
+    filters slower process-level noise (allocator layout, cache state on
+    small single-core runners) that can depress a whole measurement by
+    ~10-15%.
     """
     dataset, tangles, reps = _workload(scale, seed)
     batch = tangles[:GATE_BATCH]
@@ -189,14 +214,7 @@ def run_training_gate(scale: str = "unit", seed: int = 0, attempts: int = 3) -> 
         config = KVECConfig(dropout=0.0, seed=seed, batch_size=GATE_BATCH, encoding=encoding)
         best_leg: Dict[str, dict] = {}
         for attempt in range(attempts):
-            leg: Dict[str, dict] = {}
-            for name, batched in (("per_tangle", False), ("batched", True)):
-                model = KVEC(dataset.spec, dataset.num_classes, config)
-                leg[name] = _time_leg(KVECTrainer(model), batch, reps, batched, seed)
-            leg["speedup"] = (
-                leg["batched"]["episodes_per_second"]
-                / leg["per_tangle"]["episodes_per_second"]
-            )
+            leg = _time_cell(dataset, config, batch, reps, seed)
             if not best_leg or leg["speedup"] > best_leg["speedup"]:
                 best_leg = leg
             if best_leg["speedup"] >= GATE_TARGET * GATE_MARGIN:

@@ -24,13 +24,20 @@ minibatch of B tangles together, and every training step runs through it
   the causal mask, so rows the loop never reaches are never tabled,
   embedded, encoded or backpropagated.
 * **Fusion/policy loop** — actions do matter here, so arrivals are walked
-  round by round, but all ``B`` samples advance in lockstep: each round
-  gathers the step-``t`` encoded rows of every episode still running, and
-  the fusion gate, halting head and log-probabilities run as one batched
-  GEMM each (:meth:`~repro.core.fusion.GatedFusion.forward_batch`,
-  :meth:`~repro.core.ectl.HaltingPolicy.forward_batch`).  The loop exits as
-  soon as every episode has halted — rounds whose arrivals all belong to
-  halted keys cost nothing.
+  round by round, but all ``B`` samples advance in lockstep.  A round
+  records four graph nodes whatever its width: one gather of the step-``t``
+  encoded rows of every episode still running, one gather of their
+  previous fusion states (:func:`~repro.nn.functional.gather_rows`), one
+  fusion step (:meth:`~repro.core.fusion.GatedFusion.step`, a single LSTM
+  cell node for the gated fusion) and one halting-head node giving each row
+  ``[p, log p, log(1 − p)]`` (:meth:`~repro.core.ectl.HaltingPolicy.head`).
+  Each round's new states stay one stacked block (gated ``[h | c]``, mean
+  ``[sum | count]``, last ``[x]``), and an episode's state is a reference to
+  a row of it; a zero row stands for the initial state of every fusion
+  kind.  After the loop, one gather reads every episode's decision
+  representation for the classifier and one concatenation the round heads
+  for the losses.  The loop exits as soon as every episode has halted —
+  rounds whose arrivals all belong to halted keys cost nothing.
 
 Parity contract
 ---------------
@@ -63,7 +70,7 @@ from repro.core.correlation import TangleColumns
 from repro.core.ectl import ACTION_HALT, ACTION_WAIT
 from repro.core.model import EncoderInputs, EpisodeResult, KeyEpisode
 from repro.data.items import TangledSequence
-from repro.nn.functional import softmax_array
+from repro.nn.functional import gather_rows, softmax_array
 from repro.nn.tensor import Tensor
 
 __all__ = ["BatchedStepTail", "run_episodes_batched"]
@@ -84,21 +91,20 @@ _FIRST_CHUNK = 16
 class BatchedStepTail:
     """Flat, round-major view of a minibatch's episodes for loss assembly.
 
-    The lockstep runner emits its halt-head outputs as one ``(B_r,)`` graph
-    tensor per round; here they are concatenated into minibatch-wide vectors
-    so the trainer can build the REINFORCE and earliness losses with a
-    handful of graph nodes (one stacked log-prob vector dotted against the
-    advantage vector) instead of per-step scalar chains.
+    The lockstep runner emits one ``(B_r, 3)`` halting-head node per round;
+    here they are concatenated into minibatch-wide ``log_halt`` /
+    ``log_wait`` vectors so the trainer can build the REINFORCE and
+    earliness losses with a handful of graph nodes (one stacked log-prob
+    vector dotted against the advantage vector) instead of per-step scalar
+    chains.
 
     Step arrays are parallel (one entry per observed step, round-major);
     episode arrays are parallel (one entry per key-value sequence, ordered
-    tangle-major then by first appearance).  ``log_halt`` / ``log_wait`` are
-    ``None`` when the batch produced no observed steps (impossible for
-    non-empty tangles, kept for defensive symmetry).
+    tangle-major then by first appearance).
     """
 
-    log_halt: Optional[Tensor]
-    log_wait: Optional[Tensor]
+    log_halt: Tensor
+    log_wait: Tensor
     step_actions: np.ndarray
     step_episode: np.ndarray
     step_obs_index: np.ndarray
@@ -187,12 +193,15 @@ def run_episodes_batched(
     cache: dict = {}  # the encoder's keys and values of rows [0, encoded)
     start = encoded = 0  # the latest chunk holds rows [start, encoded)
     chunk: Optional[Tensor] = None
-    zero_state = model.fusion.initial_state()
-    slot_states = {}
-    class_refs = {}  # (sample, key) -> (reps tensor, row): rep to classify from
+    fusion, policy, state_dim = model.fusion, model.policy, model.state_dim
+    # Round n's fusion states are the rows of one stacked block,
+    # ``state_blocks[n]``, and their representations ``rep_blocks[n - 1]``;
+    # ``state_blocks[0]`` is one zero row, every fusion's initial state.
+    state_blocks: List[Tensor] = [Tensor(np.zeros((1, fusion.state_width)))]
+    rep_blocks: List[Tensor] = []
+    heads: List[Tensor] = []  # round n's [p, log p, log(1 - p)] rows
+    latest = {}  # (sample, key) -> (block, row) of its latest state
 
-    round_log_halt: List[Tensor] = []
-    round_log_wait: List[Tensor] = []
     round_states: List[np.ndarray] = []
     step_actions: List[int] = []
     step_episode: List[int] = []
@@ -226,14 +235,21 @@ def run_episodes_batched(
         while t >= encoded:
             start, encoded = encoded, _chunk_stop(encoded, t_max)
             chunk = padded.encode(start, encoded, cache)
-        # One gather per round: the step-t encoded rows of the live episodes.
+        # Four graph nodes per round: the step-t encoded rows of the live
+        # episodes, their previous states, the fusion step and the head.
         xs = chunk[(np.asarray(rows), t - start)]
-        states = [slot_states.get((i, key), zero_state) for i, key, _ in sub]
-        reps, stacked_state = model.fusion.forward_batch(states, xs)
-        probabilities = model.policy.forward_batch(reps)
-        log_halt, log_wait = model.policy.log_probs_batch(probabilities)
-        prob_data = probabilities.data
-        reps_data = reps.data
+        previous = gather_rows(
+            state_blocks, [latest.get((i, key), (0, 0)) for i, key, _ in sub]
+        )
+        states = fusion.step(previous, xs)
+        reps = fusion.representation(states)
+        head = policy.head(reps)
+        state_blocks.append(states)
+        rep_blocks.append(reps)
+        heads.append(head)
+        block = len(state_blocks) - 1
+        prob_data = head.data[:, 0]
+        reps_data = reps.data[:, :state_dim]
 
         for r, (i, key, episode) in enumerate(sub):
             if mode == "sample":
@@ -248,31 +264,26 @@ def run_episodes_batched(
                 )
             episode.actions.append(action)
             # A detached bookkeeping copy: the differentiable states live in
-            # the round-level tail tensors.
+            # the round blocks.
             episode.states.append(Tensor(reps_data[r]))
             step_actions.append(action)
             step_episode.append(gid[(i, key)])
             step_obs_index.append(episode.num_observations - 1)
-            class_refs[(i, key)] = (reps, r)
+            latest[(i, key)] = (block, r)
             if action == ACTION_HALT:
                 episode.halted = True
                 episode.halted_by_policy = True
                 undecided[i] -= 1
-                slot_states.pop((i, key), None)
-            else:
-                slot_states[(i, key)] = model.fusion.split_state(stacked_state, r)
 
-        round_log_halt.append(log_halt)
-        round_log_wait.append(log_wait)
         round_states.append(reps_data)
 
     # One batched classifier pass over every episode's decision state: the
     # halting representation for policy-halted episodes, the final observed
     # one for the rest.
-    class_rows = [
-        class_refs[(i, key)][0][class_refs[(i, key)][1]] for i, key, _ in episode_index
-    ]
-    class_logits = model.classifier(Tensor.stack(class_rows))
+    decisions = [latest[(i, key)] for i, key, _ in episode_index]
+    class_logits = model.classifier(
+        gather_rows(rep_blocks, [(block - 1, row) for block, row in decisions], state_dim)
+    )
     class_probs = softmax_array(class_logits.data)
     episode_labels = np.asarray(
         [episode.label for _, _, episode in episode_index], dtype=np.int64
@@ -290,17 +301,14 @@ def run_episodes_batched(
         episode_predicted[e] = episode.predicted
         episode_num_obs[e] = episode.num_observations
 
+    step_heads = Tensor.concatenate(heads)  # (num_steps, 3), round-major
     tail = BatchedStepTail(
-        log_halt=Tensor.concatenate(round_log_halt) if round_log_halt else None,
-        log_wait=Tensor.concatenate(round_log_wait) if round_log_wait else None,
+        log_halt=step_heads[:, 1],
+        log_wait=step_heads[:, 2],
         step_actions=np.asarray(step_actions, dtype=np.int64),
         step_episode=np.asarray(step_episode, dtype=np.int64),
         step_obs_index=np.asarray(step_obs_index, dtype=np.int64),
-        states_data=(
-            np.concatenate(round_states, axis=0)
-            if round_states
-            else np.empty((0, model.state_dim))
-        ),
+        states_data=np.concatenate(round_states, axis=0),
         class_logits=class_logits,
         episode_labels=episode_labels,
         episode_tangles=episode_tangles,

@@ -11,6 +11,17 @@ The paper implements Fusion as an LSTM-style multiple gating mechanism
 :class:`LastItemFusion`) are provided because the paper explicitly notes that
 simple addition/averaging fuses noise and performs worse — the
 ``bench_ablation_fusion`` benchmark measures that claim.
+
+Each fusion has two forms.  The autograd form, which training runs, folds
+``B`` independent streams at once (:meth:`~GatedFusion.step`): a stream's
+state is one row of ``state_width`` columns — gated ``[h | c]``, mean
+``[sum | count]``, last ``[x]`` — and for every kind the zero row is the
+initial state, so the lockstep runner keeps each round's states as one
+stacked block and gathers the rows it needs.  :meth:`~GatedFusion.representation`
+turns a block of states into rows whose leading ``d_state`` columns are
+``s_k^{(t)}``.  The numpy form (``forward_inference`` and
+``forward_inference_batch``), which prediction and serving run, threads
+per-stream array tuples.
 """
 
 from __future__ import annotations
@@ -23,9 +34,6 @@ from repro.nn.module import Module
 from repro.nn.recurrent import LSTMCell
 from repro.nn.tensor import Tensor
 
-#: A fusion state is whatever a fusion module threads between steps.
-FusionState = Tuple[Tensor, ...]
-
 
 class GatedFusion(Module):
     """LSTM-style gated fusion of item embeddings into a sequence state."""
@@ -34,32 +42,23 @@ class GatedFusion(Module):
         super().__init__()
         self.d_model = d_model
         self.d_state = d_state
+        self.state_width = 2 * d_state
         self.cell = LSTMCell(d_model, d_state, rng=rng)
 
-    def initial_state(self) -> FusionState:
-        """Zero (hidden, cell) state for a sequence with no observed items."""
-        return self.cell.init_state()
+    def step(self, states: Tensor, item_embeddings: Tensor) -> Tensor:
+        """Fold ``(B, d_model)`` item embeddings into ``(B, 2 * d_state)``
+        ``[h | c]`` state rows of independent streams: one LSTM cell node
+        (:meth:`repro.nn.recurrent.LSTMCell.forward`).
 
-    def forward_batch(self, states, item_embeddings: Tensor):
-        """Fold ``item_embeddings`` into ``states``: the autograd forward.
-
-        ``states`` is a sequence of ``B`` fusion states (tensor pairs) from
-        *independent* key-value sequences and ``item_embeddings`` a
-        ``(B, d_model)`` graph tensor; the gates run as one GEMM.  Returns
-        ``(representations, (hidden, cell))`` where ``representations`` is
-        the stacked ``(B, d_state)`` LSTM hidden tensor ``s_k^{(t)}`` and
-        the new state is left *stacked* — the batched-episode runner slices
-        per-stream rows out lazily with :meth:`split_state`, only for
-        streams that survive into the next round.  Per-row numerics match
-        :meth:`forward_inference_batch` up to BLAS summation order.
+        Per-row numerics match :meth:`forward_inference_batch` up to BLAS
+        summation order.
         """
-        hidden, cell = self.cell.step_batch(item_embeddings, states)
-        return hidden, (hidden, cell)
+        return self.cell(item_embeddings, states)
 
-    def split_state(self, stacked_state, row: int) -> FusionState:
-        """One stream's ``(hidden, cell)`` slice of a stacked batch state."""
-        hidden, cell = stacked_state
-        return (hidden[row], cell[row])
+    def representation(self, states: Tensor) -> Tensor:
+        """The ``[h | c]`` rows themselves: ``s_k^{(t)}`` is ``h``, their
+        leading ``d_state`` columns."""
+        return states
 
     def initial_state_inference(self) -> Tuple[np.ndarray, ...]:
         return self.cell.init_state_inference()
@@ -91,24 +90,18 @@ class MeanFusion(Module):
         super().__init__()
         self.d_model = d_model
         self.d_state = d_state or d_model
+        self.state_width = d_model + 1
 
-    def initial_state(self) -> FusionState:
-        return (Tensor(np.zeros(self.d_model)), Tensor(np.zeros(1)))
+    def step(self, states: Tensor, item_embeddings: Tensor) -> Tensor:
+        """Add ``(B, d_model)`` item embeddings to ``(B, d_model + 1)``
+        ``[sum | count]`` rows; per-row numerics match
+        :meth:`forward_inference_batch`."""
+        ones = Tensor(np.ones(item_embeddings.shape[:-1] + (1,)))
+        return states + Tensor.concatenate([item_embeddings, ones], axis=-1)
 
-    def forward_batch(self, states, item_embeddings: Tensor):
-        """The autograd forward: running means of ``B`` independent streams.
-
-        Per-row numerics match :meth:`forward_inference_batch`; the new
-        state stays stacked (see :meth:`GatedFusion.forward_batch`).
-        """
-        sums = Tensor.stack([state[0] for state in states]) + item_embeddings
-        counts = Tensor.stack([state[1] for state in states]) + 1.0
-        return sums / counts, (sums, counts)
-
-    def split_state(self, stacked_state, row: int) -> FusionState:
-        """One stream's ``(sum, count)`` slice of a stacked batch state."""
-        sums, counts = stacked_state
-        return (sums[row], counts[row])
+    def representation(self, states: Tensor) -> Tensor:
+        """The running means ``sum / count`` of ``[sum | count]`` rows."""
+        return states[..., : self.d_model] / states[..., self.d_model :]
 
     def initial_state_inference(self) -> Tuple[np.ndarray, ...]:
         return (np.zeros(self.d_model), np.zeros(1))
@@ -137,17 +130,15 @@ class LastItemFusion(Module):
         super().__init__()
         self.d_model = d_model
         self.d_state = d_state or d_model
+        self.state_width = d_model
 
-    def initial_state(self) -> FusionState:
-        return (Tensor(np.zeros(self.d_model)),)
+    def step(self, states: Tensor, item_embeddings: Tensor) -> Tensor:
+        """The new state rows are the ``(B, d_model)`` item embeddings."""
+        return item_embeddings
 
-    def forward_batch(self, states, item_embeddings: Tensor):
-        """The autograd forward of ``B`` independent streams (an identity)."""
-        return item_embeddings, (item_embeddings,)
-
-    def split_state(self, stacked_state, row: int) -> FusionState:
-        """One stream's ``(embedding,)`` slice of a stacked batch state."""
-        return (stacked_state[0][row],)
+    def representation(self, states: Tensor) -> Tensor:
+        """The ``[x]`` rows themselves."""
+        return states
 
     def initial_state_inference(self) -> Tuple[np.ndarray, ...]:
         return (np.zeros(self.d_model),)

@@ -209,31 +209,22 @@ class KVECTrainer:
             tail.class_logits, tail.episode_labels, reduction="sum"
         )
 
-        if tail.num_steps:
-            # Rewards/returns (Algorithm 1, lines 14-17), vectorised: step s
-            # of an episode with n observations has return reward * (n - s).
-            rewards = np.where(
-                tail.episode_predicted == tail.episode_labels, 1.0, -1.0
-            )
-            returns = rewards[tail.step_episode] * (
-                tail.episode_num_obs[tail.step_episode] - tail.step_obs_index
-            )
-            baseline_estimates = self.model.baseline(Tensor(tail.states_data))
-            baseline_loss = ((baseline_estimates - Tensor(returns)) ** 2).sum()
-            advantages = returns - baseline_estimates.data
+        # Rewards/returns (Algorithm 1, lines 14-17), vectorised: step s of
+        # an episode with n observations has return reward * (n - s).
+        rewards = np.where(tail.episode_predicted == tail.episode_labels, 1.0, -1.0)
+        returns = rewards[tail.step_episode] * (
+            tail.episode_num_obs[tail.step_episode] - tail.step_obs_index
+        )
+        baseline_estimates = self.model.baseline(Tensor(tail.states_data))
+        baseline_loss = ((baseline_estimates - Tensor(returns)) ** 2).sum()
+        advantages = returns - baseline_estimates.data
 
-            # l2: the chosen-action log-prob of every step times -advantage.
-            halt_mask = (tail.step_actions == ACTION_HALT).astype(np.float64)
-            chosen = tail.log_halt * Tensor(halt_mask) + tail.log_wait * Tensor(
-                1.0 - halt_mask
-            )
-            policy_loss = (chosen * (-advantages)).sum()
-            # l3: encourage halting at every step (always log P(Halt | s)).
-            earliness_loss = -(tail.log_halt.sum())
-        else:  # pragma: no cover - non-empty tangles always observe steps
-            baseline_loss = Tensor(0.0, requires_grad=False)
-            policy_loss = Tensor(0.0, requires_grad=False)
-            earliness_loss = Tensor(0.0, requires_grad=False)
+        # l2: the chosen-action log-prob of every step times -advantage.
+        halt_mask = (tail.step_actions == ACTION_HALT).astype(np.float64)
+        chosen = tail.log_halt * Tensor(halt_mask) + tail.log_wait * Tensor(1.0 - halt_mask)
+        policy_loss = (chosen * (-advantages)).sum()
+        # l3: encourage halting at every step (always log P(Halt | s)).
+        earliness_loss = -(tail.log_halt.sum())
 
         total = (
             classification_loss

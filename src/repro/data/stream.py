@@ -19,9 +19,9 @@ import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Deque, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.data.items import Item, KeyValueSequence, TangledSequence, ValueSpec
+from repro.data.items import Item, TangledSequence, ValueSpec
 
 
 @dataclass(frozen=True)
@@ -125,27 +125,11 @@ class SlidingWindow:
             return [self._items.popleft()]
         return []
 
-    def as_tangle(self, labels: Dict[Hashable, int], spec: ValueSpec, name: str = "window") -> TangledSequence:
+    def as_tangle(self, spec: ValueSpec, name: str = "window") -> TangledSequence:
         """Materialise the current window as a tangled sequence.
 
-        Keys present in the window but missing from ``labels`` get label 0 —
-        at serving time true labels are unknown and only used for bookkeeping.
+        Every key gets label 0: at serving time true labels are unknown, and
+        a tangle's labels are only used for bookkeeping.
         """
-        window_labels = {item.key: labels.get(item.key, 0) for item in self._items}
-        return TangledSequence(list(self._items), window_labels, spec, name=name)
-
-
-def stream_prefixes(
-    tangle: TangledSequence, lengths: Sequence[int]
-) -> Dict[int, TangledSequence]:
-    """Materialise tangled prefixes at the requested item counts.
-
-    Convenience used by analyses that probe a model at several observation
-    depths (e.g. the Fig. 10 attention-score profile).
-    """
-    prefixes: Dict[int, TangledSequence] = {}
-    for length in lengths:
-        if length < 0:
-            raise ValueError("prefix lengths must be non-negative")
-        prefixes[int(length)] = tangle.prefix(int(length))
-    return prefixes
+        labels = {item.key: 0 for item in self._items}
+        return TangledSequence(list(self._items), labels, spec, name=name)

@@ -2,13 +2,13 @@
 
 These functions operate on :class:`~repro.nn.tensor.Tensor` objects.  Most
 build the computation graph through the primitive operations defined on
-``Tensor``; the hot ones (:func:`linear`, :func:`embedding`) are one graph
-node each with a closed-form backward.
+``Tensor``; the hot ones (:func:`linear`, :func:`embedding`,
+:func:`gather_rows`) are one graph node each with a closed-form backward.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,6 +219,47 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward)
+
+
+def gather_rows(
+    sources: Sequence[Tensor], picks: Sequence[Tuple[int, int]], width: Optional[int] = None
+) -> Tensor:
+    """Rows of several 2-D tensors as one ``(len(picks), width)`` graph node.
+
+    Row ``k`` of the result is the leading ``width`` columns (every column
+    when ``None``) of row ``r`` of ``sources[s]``, for ``picks[k] == (s, r)``.
+    The parents are the sources picked from; the backward adds each upstream
+    row into a fresh zero buffer per parent, at the row it came from.
+    """
+    if width is None:
+        width = sources[picks[0][0]].shape[1]
+    columns = slice(None, width)
+    out = np.empty((len(picks), width))
+    slots: Dict[int, int] = {}
+    parents: List[Tensor] = []
+    local: List[Tuple[int, int]] = []
+    for position, (source, row) in enumerate(picks):
+        slot = slots.get(source)
+        if slot is None:
+            slot = slots[source] = len(parents)
+            parents.append(sources[source])
+        local.append((slot, row))
+        out[position] = parents[slot].data[row, columns]
+
+    def backward(grad: np.ndarray) -> None:
+        buffers: List[Optional[np.ndarray]] = [None] * len(parents)
+        for position, (slot, row) in enumerate(local):
+            parent = parents[slot]
+            if not parent.requires_grad:
+                continue
+            if buffers[slot] is None:
+                buffers[slot] = np.zeros_like(parent.data)
+            buffers[slot][row, columns] += grad[position]
+        for parent, buffer in zip(parents, buffers):
+            if buffer is not None:
+                parent._accumulate(buffer, owned=True)
+
+    return Tensor._make(out, parents, backward)
 
 
 def one_hot(indices: ArrayLike, num_classes: int) -> np.ndarray:

@@ -476,7 +476,7 @@ class StreamSession:
         ]
         if not pending:
             return []
-        tangle = self.window.as_tangle({}, self.spec, name="serving-window")
+        tangle = self.window.as_tangle(self.spec, name="serving-window")
         records = self.model.predict_tangle(tangle, halt_threshold=self.config.halt_threshold)
         emitted: List[Decision] = []
         for record in records:
@@ -635,7 +635,7 @@ class StreamSession:
                     self._decide_representation(key, representation, halted_by_policy=False)
                 )
             return emitted
-        tangle = self.window.as_tangle({}, self.spec, name="serving-flush")
+        tangle = self.window.as_tangle(self.spec, name="serving-flush")
         # Threshold 1.0 > any sigmoid output, so the policy never halts and
         # every key is classified from its final observed state.
         records = self.model.predict_tangle(tangle, halt_threshold=1.01)

@@ -6,9 +6,10 @@ which executes a whole minibatch in lockstep
 replaced as the parity suite's reference, and is not collected by pytest:
 
 * one tangle at a time, encoded through ``encoder.forward_batch`` at B=1;
-* one arrival at a time through ``fusion.forward_batch`` at B=1 and
-  ``split_state``, the halting policy's ``forward`` and ``log_prob``, and
-  the classifier;
+* one arrival at a time through a composite fusion step of its own (for
+  the gated fusion, the LSTM chain of ``tests/nn/test_fused_nodes.py``
+  that the one-node cell step replaced), the halting policy's ``forward``
+  and ``log_prob``, and the classifier;
 * the per-tangle loss assembly of Algorithm 1.
 
 The mask, the embedding coordinates and the rotary delta/same inputs are
@@ -24,6 +25,7 @@ from typing import Dict, Hashable, List, Sequence
 import numpy as np
 
 from repro.core.ectl import ACTION_HALT, ACTION_WAIT
+from repro.core.fusion import GatedFusion, MeanFusion
 from repro.core.model import EpisodeResult, KeyEpisode
 from repro.nn import functional as F
 from repro.nn.attention import rotary_phases
@@ -33,6 +35,7 @@ from tests.core.input_oracle import (
     reference_correlation_structure,
     reference_rank_inputs,
 )
+from tests.nn.test_fused_nodes import composite_lstm_step
 
 LOSS_PARTS = ("classification_loss", "policy_loss", "earliness_loss", "baseline_loss")
 
@@ -68,6 +71,23 @@ def encode(model, tangle):
     return encoded.reshape(length, d_model)
 
 
+def fuse(fusion, state, x):
+    """One stream's composite fusion step on a ``(d_model,)`` row.
+
+    ``state`` is the tuple the previous step returned, or ``None`` for the
+    initial state; returns ``(representation, state)``.
+    """
+    if isinstance(fusion, GatedFusion):
+        zeros = Tensor(np.zeros(fusion.d_state))
+        hidden, memory = composite_lstm_step(fusion.cell, x, *(state or (zeros, zeros)))
+        return hidden, (hidden, memory)
+    if isinstance(fusion, MeanFusion):
+        total, count = state or (Tensor(np.zeros(fusion.d_model)), Tensor(np.zeros(1)))
+        total, count = total + x, count + 1.0
+        return total / count, (total, count)
+    return x, (x,)
+
+
 def run_episode(model, tangle, rng: np.random.Generator):
     """Sample one tangle's episodes arrival by arrival.
 
@@ -100,12 +120,9 @@ def run_episode(model, tangle, rng: np.random.Generator):
         episode = episodes[item.key]
         if episode.halted:
             continue
-        state = fusion_states.get(item.key) or model.fusion.initial_state()
-        reps, stacked_state = model.fusion.forward_batch(
-            [state], representations[index : index + 1]
+        representation, fusion_states[item.key] = fuse(
+            model.fusion, fusion_states.get(item.key), representations[index]
         )
-        fusion_states[item.key] = model.fusion.split_state(stacked_state, 0)
-        representation = reps[0]
         episode.states.append(representation)
         halt_probability = float(model.policy(representation).data)
         action = ACTION_HALT if rng.random() < halt_probability else ACTION_WAIT

@@ -18,12 +18,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import batched_episodes
 from repro.core.config import KVECConfig
+from repro.core.ectl import HaltingPolicy
 from repro.core.model import KVEC
 from repro.core.trainer import KVECTrainer
 from repro.data.splits import split_by_key
 from repro.data.tangle import retangle_by_concurrency
 from repro.datasets.traffic import make_ustc_tfc2016
+from repro.nn.tensor import Tensor
 from tests.core import episode_oracle
 
 PARITY_ATOL = 1e-8
@@ -130,10 +133,49 @@ class TestBatchedLossParity:
 @pytest.mark.parametrize("encoding", ["absolute", "rotary"])
 @pytest.mark.parametrize("batch_size", [1, 8])
 def test_fusion_ablations_match_per_sample(workload, fusion, encoding, batch_size):
-    """The parameter-free fusions train through ``forward_batch`` and
-    ``split_state`` only; pin them against the reference too."""
+    """The parameter-free fusions train through their own ``step`` and
+    ``representation``; pin them against the reference too."""
     dataset, tangles = workload
     _assert_loss_parity(dataset, small_config(encoding, fusion=fusion), tangles[:batch_size])
+
+
+def test_runner_records_four_graph_nodes_per_round(workload, monkeypatch):
+    """A round of the gated fusion loop records four graph nodes however
+    many episodes it advances: the gather of the step's encoded rows, the
+    gather of the episodes' previous ``[h | c]`` states, the LSTM cell step
+    and the halting head.  After its loop a group records five more: the
+    classifier's gather and projection, the concatenated heads and their
+    two log-probability columns.  Nodes are counted as ``Tensor._make``
+    calls; the encoder's are counted apart."""
+    dataset, tangles = workload
+    model = KVEC(dataset.spec, dataset.num_classes, small_config("absolute"))
+    counts = {"nodes": 0, "encode": 0, "rounds": 0}
+    make = Tensor._make
+    encode = batched_episodes._PaddedMinibatch.encode
+    head = HaltingPolicy.head
+
+    def counting_make(data, parents, backward):
+        counts["nodes"] += 1
+        return make(data, parents, backward)
+
+    def counting_encode(self, start, stop, cache):
+        before = counts["nodes"]
+        chunk = encode(self, start, stop, cache)
+        counts["encode"] += counts["nodes"] - before
+        return chunk
+
+    def counting_head(self, states):
+        counts["rounds"] += 1
+        return head(self, states)
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+    monkeypatch.setattr(batched_episodes._PaddedMinibatch, "encode", counting_encode)
+    monkeypatch.setattr(HaltingPolicy, "head", counting_head)
+    model.run_episodes(
+        tangles[:8], mode="sample", rngs=[np.random.default_rng(seed) for seed in range(8)]
+    )
+    assert counts["rounds"] > 10, counts
+    assert counts["nodes"] - counts["encode"] == 4 * counts["rounds"] + 5, counts
 
 
 @pytest.mark.parametrize("encoding", ["absolute", "rotary"])

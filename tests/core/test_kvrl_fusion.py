@@ -19,10 +19,19 @@ def encode(module, x, mask=None):
     return module.forward_batch(x.reshape(1, *x.shape), mask=batch_mask).reshape(*x.shape)
 
 
+def initial_state(fusion):
+    """One stream's initial state row: zeros, for every fusion kind."""
+    return Tensor(np.zeros((1, fusion.state_width)))
+
+
 def fuse(fusion, state, x):
-    """One fusion step of one stream through ``forward_batch`` at B=1."""
-    representations, stacked_state = fusion.forward_batch([state], x.reshape(1, -1))
-    return representations[0], fusion.split_state(stacked_state, 0)
+    """One fusion step of one stream through ``step`` at B=1.
+
+    Returns ``(representation, state)``: the ``(d_state,)`` representation
+    and the new ``(1, state_width)`` state row.
+    """
+    states = fusion.step(state, x.reshape(1, -1))
+    return fusion.representation(states)[0, : fusion.d_state], states
 
 
 class TestKVRLEncoder:
@@ -83,21 +92,22 @@ class TestKVRLEncoder:
 class TestFusion:
     def test_gated_fusion_shapes(self):
         fusion = GatedFusion(d_model=8, d_state=12, rng=np.random.default_rng(0))
-        state = fusion.initial_state()
+        state = initial_state(fusion)
         representation, new_state = fuse(fusion, state, Tensor(np.ones(8)))
         assert representation.shape == (12,)
-        assert len(new_state) == 2
+        assert new_state.shape == (1, 24)
+        assert np.array_equal(new_state.data[0, :12], representation.data)
 
     def test_gated_fusion_state_evolves(self):
         fusion = GatedFusion(d_model=4, d_state=6, rng=np.random.default_rng(0))
-        state = fusion.initial_state()
+        state = initial_state(fusion)
         first, state = fuse(fusion, state, Tensor(np.ones(4)))
         second, state = fuse(fusion, state, Tensor(np.ones(4)))
         assert not np.allclose(first.data, second.data)
 
     def test_mean_fusion_is_running_mean(self):
         fusion = MeanFusion(d_model=3)
-        state = fusion.initial_state()
+        state = initial_state(fusion)
         first, state = fuse(fusion, state, Tensor(np.array([1.0, 2.0, 3.0])))
         second, state = fuse(fusion, state, Tensor(np.array([3.0, 4.0, 5.0])))
         np.testing.assert_allclose(first.data, [1.0, 2.0, 3.0])
@@ -105,7 +115,7 @@ class TestFusion:
 
     def test_last_item_fusion_returns_latest(self):
         fusion = LastItemFusion(d_model=3)
-        state = fusion.initial_state()
+        state = initial_state(fusion)
         _, state = fuse(fusion, state, Tensor(np.array([1.0, 1.0, 1.0])))
         latest, _ = fuse(fusion, state, Tensor(np.array([9.0, 9.0, 9.0])))
         np.testing.assert_allclose(latest.data, [9.0, 9.0, 9.0])
@@ -120,7 +130,7 @@ class TestFusion:
     def test_gated_fusion_gradient_flows_through_steps(self):
         fusion = GatedFusion(d_model=4, d_state=6, rng=np.random.default_rng(0))
         x = Tensor(np.ones(4), requires_grad=True)
-        state = fusion.initial_state()
+        state = initial_state(fusion)
         for _ in range(3):
             representation, state = fuse(fusion, state, x)
         representation.sum().backward()

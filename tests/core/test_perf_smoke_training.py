@@ -1,7 +1,7 @@
 """Perf smoke: batched training must beat one call per tangle 2x at B=16,
-the fused attention node must beat the composite chain it replaced, and
-the runner's causal-chunk input build and encode must cost at most 1.25x
-one full-length build and encode when every chunk runs.
+the fused attention and LSTM-step nodes must beat the composite chains they
+replaced, and the runner's causal-chunk input build and encode must cost at
+most 1.25x one full-length build and encode when every chunk runs.
 
 Deselected by default (see ``pytest.ini``); run with ``pytest -m perf_smoke``.
 In the training gate, one lockstep ``batched_episode_losses`` call per
@@ -27,9 +27,10 @@ from repro.data.splits import split_by_key
 from repro.data.tangle import retangle_by_concurrency
 from repro.datasets.traffic import make_ustc_tfc2016
 from repro.nn.attention import scaled_dot_product_attention
+from repro.nn.recurrent import LSTMCell
 from repro.nn.tensor import Tensor
 from tests.core.test_chunked_encode import _runner_stops
-from tests.nn.test_fused_nodes import composite_attention, random_mask
+from tests.nn.test_fused_nodes import composite_attention, composite_lstm_step, random_mask
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -83,6 +84,68 @@ def test_fused_attention_at_most_0_7x_composite():
     assert fused <= ATTENTION_RATIO_GATE * composite, {
         "fused_ms": fused * 1e3,
         "composite_ms": composite * 1e3,
+        "ratio": fused / composite,
+    }
+
+
+#: The fusion gate's step in the runner: B=16 rows of input 32 into a
+#: state of 48 (``KVECConfig``'s ``d_model`` and ``d_state``).
+LSTM_SHAPE = (16, 32, 48)
+LSTM_PAIRS = 30
+#: The one-node step measured 0.49-0.53x the composite chain at B = 1, 8
+#: and 16 on a 2-core x86-64 host (two runs of 30 interleaved pairs).
+LSTM_RATIO_GATE = 0.8
+
+
+def _lstm_step_seconds(step, cell, arrays, upstream) -> float:
+    x, state = [Tensor(array, requires_grad=True) for array in arrays]
+    start = time.perf_counter()
+    step(cell, x, state).backward(upstream)
+    return time.perf_counter() - start
+
+
+def _fused_lstm_step(cell, x, state):
+    return cell(x, state)
+
+
+def _composite_lstm_step(cell, x, state):
+    hidden, memory = composite_lstm_step(
+        cell, x, state[:, : cell.hidden_size], state[:, cell.hidden_size :]
+    )
+    return Tensor.concatenate([hidden, memory], axis=-1)
+
+
+def test_fused_lstm_at_most_0_8x_composite():
+    """Forward plus backward of the one-node LSTM cell step at the
+    runner's shape costs at most 0.8x the composite chain it replaced
+    (concatenate, four ``Linear`` gates, three sigmoids, a tanh and the
+    cell arithmetic), gradients into the input, the ``[h | c]`` state and
+    all eight gate parameters included.
+
+    Both sides run the same inputs in 30 interleaved pairs (alternating
+    which goes first), so the median ratio is insensitive to host load.
+    """
+    batch, input_size, hidden_size = LSTM_SHAPE
+    rng = np.random.default_rng(GATE_SEED)
+    cell = LSTMCell(input_size, hidden_size, rng=rng)
+    arrays = [
+        rng.standard_normal((batch, input_size)),
+        rng.standard_normal((batch, 2 * hidden_size)),
+    ]
+    upstream = rng.standard_normal((batch, 2 * hidden_size))
+    legs = {_fused_lstm_step: [], _composite_lstm_step: []}
+    order = list(legs)
+    for step in order:  # warm-up
+        _lstm_step_seconds(step, cell, arrays, upstream)
+    for pair in range(LSTM_PAIRS):
+        for step in order if pair % 2 == 0 else order[::-1]:
+            cell.zero_grad()
+            legs[step].append(_lstm_step_seconds(step, cell, arrays, upstream))
+    fused = float(np.median(legs[_fused_lstm_step]))
+    composite = float(np.median(legs[_composite_lstm_step]))
+    assert fused <= LSTM_RATIO_GATE * composite, {
+        "fused_us": fused * 1e6,
+        "composite_us": composite * 1e6,
         "ratio": fused / composite,
     }
 

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 import repro.data
 import repro.data.stream
 from repro.data.items import Item, KeyValueSequence, ValueSpec
-from repro.data.stream import (
-    SlidingWindow,
-    StreamEvent,
-    merge_streams,
-    replay,
-    stream_prefixes,
-)
+from repro.data.stream import SlidingWindow, StreamEvent, merge_streams, replay
 from repro.data.tangle import interleave_sequences
 
 SPEC = ValueSpec(("v", "d"), (4, 2), 1)
@@ -96,13 +90,14 @@ class TestSlidingWindow:
             with pytest.raises(ValueError, match="max_items must be positive"):
                 SlidingWindow(max_items=bound)
 
-    def test_as_tangle_defaults_unknown_labels_to_zero(self):
+    def test_as_tangle_labels_every_key_zero(self):
         window = SlidingWindow(max_items=10)
         window.push(Item("a", (1, 0), 0.0))
         window.push(Item("b", (2, 1), 1.0))
-        tangle = window.as_tangle({"a": 3}, SPEC)
-        assert tangle.label_of("a") == 3
-        assert tangle.label_of("b") == 0
+        tangle = window.as_tangle(SPEC, name="w")
+        assert [item.key for item in tangle.items] == ["a", "b"]
+        assert tangle.label_of("a") == tangle.label_of("b") == 0
+        assert tangle.name == "w"
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 20), min_size=1, max_size=40), st.integers(1, 8))
@@ -124,16 +119,3 @@ def test_no_key_tracker():
         assert not hasattr(repro.data.stream, name)
         assert not hasattr(repro.data, name)
         assert name not in repro.data.__all__
-
-
-class TestStreamPrefixes:
-    def test_prefixes_have_requested_lengths(self):
-        tangle = make_tangle([4, 4])
-        prefixes = stream_prefixes(tangle, [0, 3, 100])
-        assert len(prefixes[0]) == 0
-        assert len(prefixes[3]) == 3
-        assert len(prefixes[100]) == 8
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            stream_prefixes(make_tangle([2]), [-1])

@@ -190,17 +190,17 @@ class TestRecurrentParity:
             x = rng.standard_normal(input_size)
             state = cell(Tensor(x), state)
             state_inf = cell.step_inference(x, state_inf)
-            np.testing.assert_allclose(state[0].data, state_inf[0], atol=ATOL)
-            np.testing.assert_allclose(state[1].data, state_inf[1], atol=ATOL)
+            np.testing.assert_allclose(state.data[:hidden_size], state_inf[0], atol=ATOL)
+            np.testing.assert_allclose(state.data[hidden_size:], state_inf[1], atol=ATOL)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lstm_sequence(self, seed):
         rng = rng_for(seed + 80)
         lstm = LSTM(5, 7, rng=rng)
         inputs = rng.standard_normal((6, 5))
-        outputs, (hidden, cell) = lstm(Tensor(inputs))
+        outputs, state = lstm(Tensor(inputs))
         outputs_inf, (hidden_inf, cell_inf) = lstm.forward_inference(inputs)
         np.testing.assert_allclose(outputs.data, outputs_inf, atol=ATOL)
-        np.testing.assert_allclose(hidden.data, hidden_inf, atol=ATOL)
-        np.testing.assert_allclose(cell.data, cell_inf, atol=ATOL)
+        np.testing.assert_allclose(state.data[:7], hidden_inf, atol=ATOL)
+        np.testing.assert_allclose(state.data[7:], cell_inf, atol=ATOL)
 

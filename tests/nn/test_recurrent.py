@@ -32,28 +32,35 @@ def random_cell(input_size, hidden_size, seed):
 class TestLSTMCell:
     def test_initial_state_is_zero(self):
         cell = LSTMCell(4, 6)
-        hidden, memory = cell.init_state()
-        np.testing.assert_allclose(hidden.data, np.zeros(6))
-        np.testing.assert_allclose(memory.data, np.zeros(6))
+        np.testing.assert_allclose(cell.init_state().data, np.zeros(12))
 
     def test_step_output_shapes(self):
         cell = LSTMCell(4, 6, rng=np.random.default_rng(0))
-        hidden, memory = cell(Tensor(np.ones(4)))
-        assert hidden.shape == (6,)
-        assert memory.shape == (6,)
+        assert cell(Tensor(np.ones(4))).shape == (12,)
+        assert cell(Tensor(np.ones((3, 4)))).shape == (3, 12)
 
     def test_hidden_is_bounded_by_tanh(self):
         cell = LSTMCell(4, 6, rng=np.random.default_rng(0))
-        hidden, _ = cell(Tensor(np.full(4, 100.0)))
-        assert np.all(np.abs(hidden.data) <= 1.0)
+        hidden = cell(Tensor(np.full(4, 100.0))).data[:6]
+        assert np.all(np.abs(hidden) <= 1.0)
 
     def test_state_carries_information(self):
         cell = LSTMCell(3, 5, rng=np.random.default_rng(0))
         x = Tensor(np.ones(3))
-        state = None
-        hidden_first, cell_first = cell(x, state)
-        hidden_second, _ = cell(x, (hidden_first, cell_first))
-        assert not np.allclose(hidden_first.data, hidden_second.data)
+        first = cell(x)
+        second = cell(x, first)
+        assert not np.allclose(first.data[:5], second.data[:5])
+
+    def test_step_matches_step_inference(self):
+        """The autograd block is ``[hidden | cell]`` of the numpy step, bit
+        for bit."""
+        cell, rng = random_cell(32, 48, seed=5)
+        block, state = cell.init_state(), cell.init_state_inference()
+        for _ in range(5):
+            x = rng.standard_normal(32) * 3.0
+            block = cell(Tensor(x), block)
+            state = cell.step_inference(x, state)
+            assert np.array_equal(block.data, np.concatenate(state))
 
     def test_forget_bias_initialised_positive(self):
         cell = LSTMCell(3, 5)
@@ -65,7 +72,7 @@ class TestLSTMCell:
         state = None
         for _ in range(3):
             state = cell(x, state)
-        state[0].sum().backward()
+        state[:4].sum().backward()
         assert x.grad is not None
         assert cell.input_gate.weight.grad is not None
 
@@ -108,15 +115,14 @@ class TestInferenceStepsMatchFourGates:
 class TestLSTM:
     def test_sequence_output_shape(self):
         lstm = LSTM(3, 7, rng=np.random.default_rng(0))
-        outputs, (hidden, memory) = lstm(Tensor(np.random.default_rng(1).standard_normal((9, 3))))
+        outputs, state = lstm(Tensor(np.random.default_rng(1).standard_normal((9, 3))))
         assert outputs.shape == (9, 7)
-        assert hidden.shape == (7,)
-        assert memory.shape == (7,)
+        assert state.shape == (14,)
 
     def test_final_state_matches_last_output(self):
         lstm = LSTM(3, 7, rng=np.random.default_rng(0))
-        outputs, (hidden, _) = lstm(Tensor(np.random.default_rng(1).standard_normal((5, 3))))
-        np.testing.assert_allclose(outputs.data[-1], hidden.data)
+        outputs, state = lstm(Tensor(np.random.default_rng(1).standard_normal((5, 3))))
+        np.testing.assert_allclose(outputs.data[-1], state.data[:7])
 
     def test_causality_prefix_consistency(self):
         """The output at step t must not depend on later inputs."""
@@ -128,7 +134,7 @@ class TestLSTM:
 
     def test_initial_state_can_be_provided(self):
         lstm = LSTM(2, 4, rng=np.random.default_rng(0))
-        state = (Tensor(np.ones(4)), Tensor(np.ones(4)))
+        state = Tensor(np.ones(8))
         outputs, _ = lstm(Tensor(np.zeros((3, 2))), state=state)
         default_outputs, _ = lstm(Tensor(np.zeros((3, 2))))
         assert not np.allclose(outputs.data, default_outputs.data)
