@@ -45,7 +45,7 @@ class LSTMSequenceEncoder(Module):
 
     def forward(self, sequence: KeyValueSequence, upto: Optional[int] = None) -> Tensor:
         """Per-step hidden states of shape ``(T, d_state)``."""
-        length = len(sequence) if upto is None else min(upto, len(sequence))
+        length = sequence.prefix_length(upto)
         if length == 0:
             raise ValueError("cannot encode an empty sequence")
         features = one_hot_features(sequence.prefix(length), self.spec)
@@ -97,7 +97,7 @@ class SRNEncoder(Module):
         Row ``t`` only attends to positions ``<= t`` so it equals the
         representation available after observing ``t + 1`` items.
         """
-        length = len(sequence) if upto is None else min(upto, len(sequence))
+        length = sequence.prefix_length(upto)
         if length == 0:
             raise ValueError("cannot encode an empty sequence")
 

@@ -57,6 +57,15 @@ class ValueSpec:
                 )
 
 
+def _prefix_length(upto: Optional[int], length: int) -> int:
+    """Number of items in ``sequence[:upto]`` for a sequence of ``length`` items."""
+    if upto is None:
+        return length
+    if upto < 0:
+        raise ValueError(f"prefix length must be non-negative, got {upto}")
+    return min(upto, length)
+
+
 @dataclass(frozen=True)
 class Item:
     """One key-value item ``<k, v>`` with its arrival time.
@@ -113,9 +122,18 @@ class KeyValueSequence:
             raise ValueError("items must be appended in chronological order")
         self.items.append(item)
 
+    def prefix_length(self, upto: Optional[int] = None) -> int:
+        """Number of items in ``self[:upto]``; ``None`` means all of them.
+
+        The rule of :meth:`TangledSequence.prefix_length`: a length past the
+        end is capped and a negative one raises ``ValueError``.
+        """
+        return _prefix_length(upto, len(self.items))
+
     def prefix(self, length: int) -> "KeyValueSequence":
         """Return a new sequence holding only the first ``length`` items."""
-        return KeyValueSequence(self.key, list(self.items[:length]), self.label)
+        length = self.prefix_length(length)
+        return KeyValueSequence(self.key, self.items[:length], self.label)
 
     def times(self) -> List[float]:
         return [item.time for item in self.items]
@@ -214,18 +232,16 @@ class TangledSequence:
     def prefix_length(self, upto: Optional[int] = None) -> int:
         """Number of items in ``self[:upto]``; ``None`` means all of them.
 
-        The one rule for every ``upto``/``max_items`` truncation: a length
-        past the end is capped at ``len(self)`` and a negative one is
-        rejected (as a slice it would count from the end).
+        The one rule for every ``upto``/``max_items``/``prefix`` truncation,
+        shared with :meth:`KeyValueSequence.prefix_length`: a length past
+        the end is capped at ``len(self)`` and a negative one is rejected
+        (as a slice it would count from the end).
         """
-        if upto is None:
-            return len(self.items)
-        if upto < 0:
-            raise ValueError(f"prefix length must be non-negative, got {upto}")
-        return min(upto, len(self.items))
+        return _prefix_length(upto, len(self.items))
 
     def prefix(self, length: int) -> "TangledSequence":
         """Return a tangled sequence containing only the first ``length`` items."""
+        length = self.prefix_length(length)
         items = self.items[:length]
         keys = {item.key for item in items}
         labels = {key: self.labels[key] for key in keys}

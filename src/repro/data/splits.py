@@ -47,7 +47,8 @@ def split_by_key(
     sequences:
         Labelled per-key sequences.
     proportions:
-        Fractions for (train, validation, test); must sum to 1.
+        Fractions for (train, validation, test): three non-negative numbers
+        that sum to 1.
     rng:
         Random generator controlling the shuffle.
     stratify:
@@ -55,6 +56,10 @@ def split_by_key(
         (approximately) the original class balance — important for the small
         ``unit`` scale preset where naive splitting can drop a class entirely.
     """
+    if len(proportions) != 3:
+        raise ValueError(f"proportions must be (train, validation, test), got {proportions}")
+    if not all(fraction >= 0 for fraction in proportions):
+        raise ValueError(f"proportions must be non-negative, got {proportions}")
     if abs(sum(proportions) - 1.0) > 1e-9:
         raise ValueError(f"proportions must sum to 1, got {proportions}")
     rng = rng or np.random.default_rng()

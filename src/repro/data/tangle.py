@@ -5,15 +5,55 @@ The raw unit produced by the dataset generators is a set of labelled
 operate on :class:`~repro.data.items.TangledSequence` objects — mixtures of
 ``K`` concurrent key-value sequences, matching the scenarios of Fig. 1 and the
 concurrency experiment of Fig. 12.
+
+Both entry points build each tangled :class:`~repro.data.items.Item` once,
+at time ``(t - base) + u``: ``base`` re-bases a sequence (zero when merging
+as is) and ``u`` is the item's jitter.  A tangle's jitter is one
+``rng.uniform(0.0, jitter, size=n)`` vector over its ``n`` items in sequence
+order, which equals the ``n`` scalar ``rng.uniform(0.0, jitter)`` draws it
+replaces, value for value and in the same order.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.items import Item, KeyValueSequence, TangledSequence, ValueSpec
+
+
+def _tangle(
+    sequences: Sequence[KeyValueSequence],
+    bases: Sequence[float],
+    spec: ValueSpec,
+    rng: Optional[np.random.Generator],
+    jitter: float,
+    name: str,
+) -> TangledSequence:
+    """One tangle of ``sequences``, each item at ``(t - base) + u``."""
+    keys = [sequence.key for sequence in sequences]
+    if len(set(keys)) != len(keys):
+        raise ValueError("sequences must have distinct keys")
+    labels: Dict[Hashable, int] = {}
+    for sequence in sequences:
+        if sequence.label is None:
+            raise ValueError(f"sequence {sequence.key!r} has no label")
+        labels[sequence.key] = sequence.label
+
+    if jitter > 0:
+        rng = rng or np.random.default_rng()
+        count = sum(len(sequence.items) for sequence in sequences)
+        noise = iter(rng.uniform(0.0, jitter, size=count).tolist())
+    else:
+        noise = repeat(0.0)
+    items = [
+        Item(item.key, item.value, (item.time - base) + next(noise))
+        for sequence, base in zip(sequences, bases)
+        for item in sequence.items
+    ]
+    return TangledSequence(items, labels, spec, name=name)
 
 
 def interleave_sequences(
@@ -36,23 +76,11 @@ def interleave_sequences(
         If ``jitter > 0`` each item's time receives uniform noise in
         ``[0, jitter)``, which breaks ties between generators that emit items
         at identical nominal times and produces a realistic interleaving.
+        A negative (or NaN) ``jitter`` is rejected.
     """
-    keys = [sequence.key for sequence in sequences]
-    if len(set(keys)) != len(keys):
-        raise ValueError("sequences must have distinct keys")
-    labels: Dict[Hashable, int] = {}
-    for sequence in sequences:
-        if sequence.label is None:
-            raise ValueError(f"sequence {sequence.key!r} has no label")
-        labels[sequence.key] = sequence.label
-
-    rng = rng or np.random.default_rng()
-    items: List[Item] = []
-    for sequence in sequences:
-        for item in sequence:
-            time = item.time + (float(rng.uniform(0.0, jitter)) if jitter > 0 else 0.0)
-            items.append(Item(item.key, item.value, time))
-    return TangledSequence(items, labels, spec, name=name)
+    if not jitter >= 0:
+        raise ValueError(f"jitter must be non-negative, got {jitter}")
+    return _tangle(sequences, [0.0] * len(sequences), spec, rng, jitter, name)
 
 
 def retangle_by_concurrency(
@@ -70,8 +98,10 @@ def retangle_by_concurrency(
 
     Sequences are shuffled, grouped into chunks of size ``concurrency`` and
     each chunk is interleaved on a shared time axis (every sequence's items
-    are shifted to start at time zero so the chunk genuinely overlaps).
-    A trailing chunk smaller than ``concurrency`` is kept.
+    are shifted to start at time zero so the chunk genuinely overlaps, with
+    a jitter of ``1e-6``).  Empty sequences are dropped, and a
+    chunk left empty makes no tangle (the next tangle's name still counts
+    it).  A trailing chunk smaller than ``concurrency`` is kept.
     """
     if concurrency <= 0:
         raise ValueError("concurrency must be a positive integer")
@@ -81,23 +111,19 @@ def retangle_by_concurrency(
 
     tangles: List[TangledSequence] = []
     for chunk_start in range(0, len(order), concurrency):
-        chunk = [sequences[i] for i in order[chunk_start : chunk_start + concurrency]]
-        shifted: List[KeyValueSequence] = []
-        for sequence in chunk:
-            if not len(sequence):
-                continue
-            base = sequence.items[0].time
-            items = [Item(item.key, item.value, item.time - base) for item in sequence]
-            shifted.append(KeyValueSequence(sequence.key, items, sequence.label))
-        if not shifted:
+        chunk = [
+            sequences[i] for i in order[chunk_start : chunk_start + concurrency] if len(sequences[i])
+        ]
+        if not chunk:
             continue
         tangles.append(
-            interleave_sequences(
-                shifted,
+            _tangle(
+                chunk,
+                [sequence.items[0].time for sequence in chunk],
                 spec,
-                rng=rng,
-                jitter=1e-6,
-                name=f"{name_prefix}-{chunk_start // concurrency}",
+                rng,
+                1e-6,
+                f"{name_prefix}-{chunk_start // concurrency}",
             )
         )
     return tangles

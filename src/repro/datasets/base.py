@@ -1,11 +1,52 @@
-"""Common containers for generated datasets."""
+"""Common containers and the categorical sampler of the dataset generators."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.data.items import KeyValueSequence, ValueSpec
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1`` for float64 ``p``.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+class CategoricalSampler:
+    """Draws codes ``0 .. len(p) - 1`` with probabilities ``p``, one at a time.
+
+    ``sampler(rng)`` returns exactly ``int(rng.choice(len(p), p=p))`` and
+    advances ``rng`` by the same single ``random()`` draw, so a generator
+    that swaps one for the other produces the same data.  ``choice`` checks
+    ``p`` and rebuilds its CDF (``cdf = p.cumsum(); cdf /= cdf[-1]``) on
+    every call; the sampler does both once, and each draw is the
+    ``cdf.searchsorted(rng.random(), side="right")`` that ``choice`` then
+    computes.  ``bisect_right`` over the CDF as Python floats makes the same
+    comparisons on the same doubles: the CDF is non-decreasing, because
+    adding a non-negative term or dividing by a positive one never lowers a
+    rounded value.
+    """
+
+    def __init__(self, p: Sequence[float]) -> None:
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 1 or not p.size:
+            raise ValueError("p must be a non-empty 1-dimensional vector")
+        total = float(p.sum())
+        if np.isnan(total):
+            raise ValueError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if abs(total - 1.0) > _SUM_TOLERANCE:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        self.p = p
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+
+    def __call__(self, rng: np.random.Generator) -> int:
+        return bisect_right(self._cdf, rng.random())
 
 
 @dataclass

@@ -15,6 +15,12 @@ reproduced:
 * **shared popularity structure** — movie popularity within a genre is shared
   across users, so similar users produce locally similar subsequences
   (the inter-sequence correlation the paper's user-profiling example uses).
+
+Genre and movie codes are drawn by :class:`~repro.datasets.base.CategoricalSampler`
+objects (one per class preference and one per genre's popularity), built
+once per generated dataset.  Each draw equals the
+``Generator.choice(n, p=...)`` it replaces and consumes the same single
+``random()``, so the streams are identical draw for draw.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import List
 import numpy as np
 
 from repro.data.items import Item, KeyValueSequence, ValueSpec
-from repro.datasets.base import GeneratedDataset
+from repro.datasets.base import CategoricalSampler, GeneratedDataset
 
 #: Genre labels used by the generator (a subset of MovieLens' 18 genres).
 GENRES = (
@@ -87,16 +93,16 @@ def generate_movielens_dataset(config: SyntheticMovieLensConfig) -> GeneratedDat
 
     # Two class-conditional genre preference distributions.  They overlap
     # substantially (both classes watch everything) but with different peaks.
-    class_preferences = []
+    class_genres = []
     for label in range(2):
         concentration = np.ones(num_genres)
         favoured = rng.choice(num_genres, size=3, replace=False)
         concentration[favoured] += config.preference_sharpness
-        class_preferences.append(rng.dirichlet(concentration))
+        class_genres.append(CategoricalSampler(rng.dirichlet(concentration)))
 
     # Genre-conditional movie popularity shared by all users.
-    movie_popularity = [
-        rng.dirichlet(np.ones(config.num_movies_per_genre) * 0.6)
+    movie_codes = [
+        CategoricalSampler(rng.dirichlet(np.ones(config.num_movies_per_genre) * 0.6))
         for _ in range(num_genres)
     ]
     # Class-conditional mean rating per genre (mild signal).
@@ -111,8 +117,8 @@ def generate_movielens_dataset(config: SyntheticMovieLensConfig) -> GeneratedDat
             label,
             config,
             rng,
-            class_preferences[label],
-            movie_popularity,
+            class_genres[label],
+            movie_codes,
             rating_bias[label],
         )
         sequences.append(KeyValueSequence(key, items, label))
@@ -131,8 +137,8 @@ def _generate_user_stream(
     label: int,
     config: SyntheticMovieLensConfig,
     rng: np.random.Generator,
-    genre_preference: np.ndarray,
-    movie_popularity: List[np.ndarray],
+    genre_of: CategoricalSampler,
+    movie_codes: List[CategoricalSampler],
     rating_bias: np.ndarray,
 ) -> List[Item]:
     """Generate one user's chronological rating stream."""
@@ -141,21 +147,18 @@ def _generate_user_stream(
         int(rng.poisson(max(config.mean_sequence_length - config.min_sequence_length, 1)))
         + config.min_sequence_length,
     )
-    num_genres = len(GENRES)
     items: List[Item] = []
     time = float(rng.exponential(1.0))
-    genre = int(rng.choice(num_genres, p=genre_preference))
+    genre = genre_of(rng)
     for _ in range(length):
         # Sticky genre chain: with probability ``genre_stickiness`` stay in
         # the current genre (continuing the session), otherwise re-sample.
         if items and rng.random() >= config.genre_stickiness:
-            genre = int(rng.choice(num_genres, p=genre_preference))
-        movie_within = int(
-            rng.choice(config.num_movies_per_genre, p=movie_popularity[genre])
-        )
+            genre = genre_of(rng)
+        movie_within = movie_codes[genre](rng)
         movie_id = genre * config.num_movies_per_genre + movie_within
         rating_centre = 3.0 + rating_bias[genre]
-        rating = int(np.clip(round(rng.normal(rating_centre, 1.0)), 1, config.num_ratings))
+        rating = min(max(round(rng.normal(rating_centre, 1.0)), 1), config.num_ratings)
         items.append(
             Item(key=key, value=(movie_id, genre, rating - 1), time=time)
         )

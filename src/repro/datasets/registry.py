@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.datasets.base import DatasetStatistics, GeneratedDataset
 from repro.datasets.movielens import make_movielens_1m
@@ -11,12 +11,14 @@ from repro.datasets.traffic import make_traffic_app, make_traffic_fg, make_ustc_
 
 #: Builders keyed by the dataset name used throughout the paper.  Each builder
 #: accepts ``num_keys`` (the number of key-value sequences to generate) and a
-#: ``seed``; extra keyword arguments are forwarded to the generator config.
+#: ``seed``.  MovieLens-1M and Synthetic-Traffic forward extra keyword
+#: arguments to their generator configs (Synthetic-Traffic's ``subset``
+#: included); the three traffic builders take none.
 DATASET_BUILDERS: Dict[str, Callable[..., GeneratedDataset]] = {
-    "USTC-TFC2016": lambda num_keys=320, seed=7, **kw: make_ustc_tfc2016(num_keys, seed=seed, **kw),
+    "USTC-TFC2016": lambda num_keys=320, seed=7: make_ustc_tfc2016(num_keys, seed=seed),
     "MovieLens-1M": lambda num_keys=200, seed=23, **kw: make_movielens_1m(num_keys, seed=seed, **kw),
-    "Traffic-FG": lambda num_keys=600, seed=11, **kw: make_traffic_fg(num_keys, seed=seed, **kw),
-    "Traffic-App": lambda num_keys=500, seed=13, **kw: make_traffic_app(num_keys, seed=seed, **kw),
+    "Traffic-FG": lambda num_keys=600, seed=11: make_traffic_fg(num_keys, seed=seed),
+    "Traffic-App": lambda num_keys=500, seed=13: make_traffic_app(num_keys, seed=seed),
     "Synthetic-Traffic": lambda num_keys=200, seed=31, **kw: make_synthetic_traffic(num_keys, seed=seed, **kw),
 }
 
@@ -31,10 +33,13 @@ PAPER_STATISTICS: Dict[str, DatasetStatistics] = {
 }
 
 
-def build_dataset(name: str, num_keys: int = 0, seed: int = 0, **kwargs) -> GeneratedDataset:
+def build_dataset(
+    name: str, num_keys: int = 0, seed: Optional[int] = None, **kwargs
+) -> GeneratedDataset:
     """Build a dataset by its paper name.
 
-    ``num_keys=0`` and ``seed=0`` select each builder's default size and seed.
+    ``num_keys=0`` selects the builder's default size and ``seed=None`` its
+    default seed; any other seed, 0 included, is passed on as given.
     """
     if name not in DATASET_BUILDERS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASET_BUILDERS)}")
@@ -42,6 +47,6 @@ def build_dataset(name: str, num_keys: int = 0, seed: int = 0, **kwargs) -> Gene
     call_kwargs = dict(kwargs)
     if num_keys:
         call_kwargs["num_keys"] = num_keys
-    if seed:
+    if seed is not None:
         call_kwargs["seed"] = seed
     return builder(**call_kwargs)

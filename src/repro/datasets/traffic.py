@@ -21,6 +21,11 @@ structural properties KVEC exploits:
 * **noise** — sizes and burst lengths are sampled, and a fraction of packets
   is replaced by uniform noise, so classification from very few packets is
   genuinely uncertain.
+
+Packet size codes are drawn by one :class:`~repro.datasets.base.CategoricalSampler`
+per class and direction, built when the class profile is.  Each draw equals
+the ``Generator.choice(num_size_buckets, p=...)`` it replaces and consumes
+the same single ``random()``, so the flows are identical draw for draw.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.items import Item, KeyValueSequence, ValueSpec
-from repro.datasets.base import GeneratedDataset
+from repro.datasets.base import CategoricalSampler, GeneratedDataset
 
 #: Direction codes (client->server / server->client).
 DIRECTION_UPLINK = 0
@@ -89,9 +94,9 @@ class _ClassProfile:
         # different packet-size regions.
         peak_up = rng.integers(0, buckets)
         peak_down = rng.integers(0, buckets)
-        self.size_probs = {
-            DIRECTION_UPLINK: _peaked_distribution(buckets, peak_up, rng),
-            DIRECTION_DOWNLINK: _peaked_distribution(buckets, peak_down, rng),
+        self.size_codes = {
+            DIRECTION_UPLINK: CategoricalSampler(_peaked_distribution(buckets, peak_up, rng)),
+            DIRECTION_DOWNLINK: CategoricalSampler(_peaked_distribution(buckets, peak_down, rng)),
         }
         # Burst lengths per direction: class-specific Poisson means centred on
         # the dataset's average session length.
@@ -172,7 +177,7 @@ def _generate_flow(
     while len(items) < length:
         burst_length = 1 + int(rng.poisson(max(profile.burst_mean[direction] - 1, 0.1)))
         for _ in range(burst_length):
-            size_code = int(rng.choice(config.num_size_buckets, p=profile.size_probs[direction]))
+            size_code = profile.size_codes[direction](rng)
             items.append(_packet(key, size_code, direction, time, config, rng))
             time += float(rng.exponential(config.mean_interarrival))
             if len(items) >= length:

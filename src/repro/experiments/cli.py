@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate_parser = subparsers.add_parser("generate", help="generate a dataset and export it as JSONL")
     generate_parser.add_argument("dataset", choices=sorted(DATASET_BUILDERS), help="dataset name")
     generate_parser.add_argument("--num-keys", type=int, default=0, help="number of keys to generate")
-    generate_parser.add_argument("--seed", type=int, default=0, help="generator seed")
+    generate_parser.add_argument(
+        "--seed", type=int, default=None, help="generator seed (default: the dataset's own)"
+    )
     generate_parser.add_argument("--output", required=True, help="output JSONL path")
     return parser
 

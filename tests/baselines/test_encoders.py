@@ -65,6 +65,13 @@ class TestLSTMSequenceEncoder:
         with pytest.raises(ValueError):
             encoder(KeyValueSequence("k", [], 0))
 
+    def test_upto_caps_at_the_end_and_rejects_negative_lengths(self):
+        encoder = LSTMSequenceEncoder(SPEC, d_state=8, rng=np.random.default_rng(0))
+        sequence = make_sequence(10)
+        np.testing.assert_array_equal(encoder(sequence, upto=99).data, encoder(sequence).data)
+        with pytest.raises(ValueError):
+            encoder(sequence, upto=-3)
+
 
 class TestSRNEncoder:
     def test_output_shape(self):
@@ -79,6 +86,14 @@ class TestSRNEncoder:
         full = encoder(sequence).data
         prefix = encoder(sequence, upto=6).data
         np.testing.assert_allclose(full[:6], prefix, atol=1e-9)
+
+    def test_upto_caps_at_the_end_and_rejects_negative_lengths(self):
+        encoder = SRNEncoder(SPEC, d_model=16, num_blocks=1, dropout=0.0, rng=np.random.default_rng(0))
+        encoder.eval()
+        sequence = make_sequence(10)
+        np.testing.assert_array_equal(encoder(sequence, upto=99).data, encoder(sequence).data)
+        with pytest.raises(ValueError, match="non-negative"):
+            encoder(sequence, upto=-3)
 
     def test_d_state_attribute_used_by_policies(self):
         encoder = SRNEncoder(SPEC, d_model=24, rng=np.random.default_rng(0))

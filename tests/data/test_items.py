@@ -76,6 +76,13 @@ class TestKeyValueSequence:
         assert prefix.label == 3
         assert len(sequence) == 5
 
+    def test_prefix_caps_at_the_end_and_rejects_negative_lengths(self):
+        sequence = KeyValueSequence("k", [Item("k", (i, 0), float(i)) for i in range(5)])
+        assert [sequence.prefix_length(n) for n in (None, 0, 3, 99)] == [5, 0, 3, 5]
+        assert len(sequence.prefix(99)) == 5
+        with pytest.raises(ValueError):
+            sequence.prefix(-2)
+
     def test_indexing_and_iteration(self):
         sequence = KeyValueSequence("k", [Item("k", (i, 0), float(i)) for i in range(3)])
         assert sequence[1].value == (1, 0)
@@ -138,6 +145,15 @@ class TestTangledSequence:
     def test_prefix_length_caps_at_the_end(self, spec):
         tangle = self.make_tangle(spec)
         assert [tangle.prefix_length(n) for n in (None, 0, 1, 99)] == [len(tangle), 0, 1, len(tangle)]
+
+    def test_prefix_caps_at_the_end_and_rejects_negative_lengths(self, spec):
+        tangle = self.make_tangle(spec)
+        tangle.name = "t"
+        whole = tangle.prefix(99)
+        assert len(whole) == len(tangle)
+        assert whole.name == f"t[:{len(tangle)}]"
+        with pytest.raises(ValueError):
+            tangle.prefix(-1)
 
     def test_validate_passes_on_well_formed(self, spec):
         self.make_tangle(spec).validate()

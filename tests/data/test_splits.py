@@ -53,6 +53,13 @@ class TestSplitByKey:
         with pytest.raises(ValueError):
             split_by_key(make_sequences(10), proportions=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize(
+        "proportions", [(-0.1, 0.6, 0.5), (0.9, 0.1)], ids=["negative", "two fractions"]
+    )
+    def test_malformed_proportions_rejected(self, proportions):
+        with pytest.raises(ValueError, match="proportions must be"):
+            split_by_key(make_sequences(10), proportions=proportions)
+
     def test_deterministic_given_seed(self):
         sequences = make_sequences(40)
         first = split_by_key(sequences, rng=np.random.default_rng(7))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.data.items import Item, KeyValueSequence, ValueSpec
 from repro.data.tangle import interleave_sequences, retangle_by_concurrency
+from repro.datasets.traffic import make_ustc_tfc2016
+from tests.data.tangle_oracle import two_pass_interleave, two_pass_retangle
 
 SPEC = ValueSpec(("v", "d"), (4, 2), 1)
 
@@ -52,6 +54,13 @@ class TestInterleave:
             jitter=0.5,
         )
         assert len(tangle) == 8
+
+    @pytest.mark.parametrize("jitter", [-1.0, float("nan")])
+    def test_bad_jitter_rejected(self, jitter):
+        with pytest.raises(ValueError):
+            interleave_sequences(
+                [make_sequence("a", 2)], SPEC, rng=np.random.default_rng(0), jitter=jitter
+            )
 
 
 class TestRetangleByConcurrency:
@@ -99,3 +108,37 @@ class TestRetangleByConcurrency:
         )
         expected = -(-num_sequences // concurrency)
         assert len(tangles) == expected
+
+
+def tangle_record(tangle) -> str:
+    """Name, labels and every item's key, value and time, exact to the bit."""
+    return repr((tangle.name, tangle.labels, [(i.key, i.value, i.time) for i in tangle.items]))
+
+
+class TestOnePassEqualsTwoPass:
+    """The one-pass tangling equals the two-pass oracle it replaced, draws included."""
+
+    @pytest.fixture(scope="class")
+    def flows(self):
+        dataset = make_ustc_tfc2016(num_flows=45, seed=4)
+        empty = [KeyValueSequence(f"empty-{i}", [], label=0) for i in range(3)]
+        return dataset.spec, dataset.sequences[:20] + empty + dataset.sequences[20:]
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    def test_retangle_equals_two_pass(self, flows, concurrency):
+        spec, sequences = flows
+        ours, theirs = np.random.default_rng(concurrency), np.random.default_rng(concurrency)
+        got = retangle_by_concurrency(sequences, spec, concurrency, rng=ours, name_prefix="t")
+        want = two_pass_retangle(sequences, spec, concurrency, rng=theirs, name_prefix="t")
+        assert [tangle_record(t) for t in got] == [tangle_record(t) for t in want]
+        assert ours.random(4).tolist() == theirs.random(4).tolist()
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
+    def test_interleave_equals_two_pass(self, flows, jitter):
+        spec, sequences = flows
+        chunk = sequences[18:24]
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        got = interleave_sequences(chunk, spec, rng=ours, jitter=jitter, name="mix")
+        want = two_pass_interleave(chunk, spec, rng=theirs, jitter=jitter, name="mix")
+        assert tangle_record(got) == tangle_record(want)
+        assert ours.random(4).tolist() == theirs.random(4).tolist()

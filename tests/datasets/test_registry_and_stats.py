@@ -29,6 +29,18 @@ class TestRegistry:
         dataset = build_dataset("Synthetic-Traffic", num_keys=8, subset="late", flow_length=30)
         assert "late" in dataset.name
 
+    def test_seed_zero_is_a_seed(self):
+        def values(dataset):
+            return [[item.value for item in sequence] for sequence in dataset.sequences]
+
+        at_zero = build_dataset("USTC-TFC2016", num_keys=18, seed=0)
+        assert values(at_zero) == values(DATASET_BUILDERS["USTC-TFC2016"](num_keys=18, seed=0))
+        assert values(at_zero) != values(build_dataset("USTC-TFC2016", num_keys=18))
+
+    def test_traffic_builders_take_no_overrides(self):
+        with pytest.raises(TypeError):
+            build_dataset("USTC-TFC2016", num_keys=9, mean_flow_length=40.0)
+
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):
             build_dataset("no-such-dataset")

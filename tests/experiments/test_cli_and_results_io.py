@@ -67,6 +67,17 @@ class TestCliCommands:
         assert dataset.name == "USTC-TFC2016"
         assert len(dataset.sequences) >= 9  # one per class at minimum
 
+    def test_generate_seed_zero_is_a_seed(self, tmp_path):
+        def generate(*seed):
+            output = tmp_path / f"{'_'.join(seed) or 'default'}.jsonl"
+            command = ["generate", "USTC-TFC2016", "--num-keys", "9", *seed, "--output", str(output)]
+            assert main(command, print_fn=Capture()) == 0
+            return output.read_bytes()
+
+        default = generate()
+        assert generate("--seed", "7") == default  # USTC-TFC2016's own seed
+        assert generate("--seed", "0") != default
+
     def test_run_table1_and_save(self, tmp_path):
         capture = Capture()
         output = tmp_path / "table1.json"
